@@ -4,8 +4,8 @@
 PYTHON    ?= python
 PYTHONPATH := src
 
-.PHONY: check lint test sanitize bench bench-smoke baseline chaos \
-	chaos-federation serve
+.PHONY: check lint test sanitize bench bench-smoke perf-smoke \
+	perf-compare baseline chaos chaos-federation serve
 
 check: lint test
 
@@ -42,6 +42,16 @@ bench-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_e17_gateway.py --tiny
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_e18_federation.py --tiny
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_e19_failover.py --tiny
+
+# The repo benchmark (BENCHMARK.json, benchmarks/perf/README.md) at
+# smoke size: all four workloads, ~12 s.
+perf-smoke:
+	$(PYTHON) benchmarks/perf/run.py --tiny
+
+# Diff two saved benchmark runs; exits 1 when B is worse than A beyond
+# a metric's bound:  make perf-compare A=before.json B=after.json
+perf-compare:
+	$(PYTHON) benchmarks/perf/run.py --compare $(A) $(B)
 
 # Serve a simulated cluster's state over HTTP on 127.0.0.1:8137:
 # /v1/summary /v1/hosts /v1/query /v1/events /v1/history /v1/watch /stats.

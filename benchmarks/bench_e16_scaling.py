@@ -8,31 +8,25 @@ agents at 5 s interval, connectivity sweep at 10 s, self-healing on,
 one hot-CPU threshold rule active.
 
 Recorded per cell: wall-clock seconds, kernel events/s, monitoring
-updates/s, and the wall-clock cost of one simulated hour.  The 4k cell
-is also run in ``hot_path="legacy"`` mode (the pre-overhaul machinery
-reconstructed in-tree) for an apples-to-apples schedule; the committed
-BENCH_e16.json additionally records the true pre-overhaul baseline
-measured from a checkout of the previous commit, since several shared
-fixes (O(1) node lookup, lazily-grown history rings) also speed the
-in-tree legacy mode up.
+updates/s, and the wall-clock cost of one simulated hour.  The
+``"mode"`` column in the committed BENCH_e16.json is history: its
+``"legacy"`` row timed the in-tree reconstruction of the pre-overhaul
+machinery, which was removed in PR 13 (last runnable at c58187c).
 
 Run modes::
 
     python benchmarks/bench_e16_scaling.py --tiny     # 200 nodes, 60 s
-    python benchmarks/bench_e16_scaling.py --cell 4000 3600 --mode fast
+    python benchmarks/bench_e16_scaling.py --cell 4000 3600
     python benchmarks/bench_e16_scaling.py --full     # the E16 sweep
 
 ``--tiny`` is the ``make bench-smoke`` target and the tier-1 guard
 (tests/test_bench_smoke.py); ``--full`` regenerates BENCH_e16.json's
-in-tree rows.  The script also runs unmodified on the pre-overhaul
-tree (it probes for ``hot_path`` support) so the same code measures
-the true baseline.
+rows.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 import time
@@ -43,55 +37,40 @@ SEED = 1610
 AGENT_INTERVAL = 5.0
 
 
-def supports_hot_path() -> bool:
-    return "hot_path" in inspect.signature(ClusterWorX.__init__).parameters
-
-
-def run_cell(n_nodes: int, sim_seconds: float, *, mode: str = "fast",
+def run_cell(n_nodes: int, sim_seconds: float, *,
              seed: int = SEED) -> dict:
     """One benchmark cell; returns the measured row as a dict."""
-    kwargs = {}
-    if supports_hot_path():
-        kwargs["hot_path"] = mode
-    elif mode != "legacy":
-        raise SystemExit("this tree predates hot_path; use --mode legacy")
     cwx = ClusterWorX(n_nodes=n_nodes, seed=seed, self_healing=True,
-                      monitor_interval=AGENT_INTERVAL, **kwargs)
+                      monitor_interval=AGENT_INTERVAL)
     cwx.add_threshold("hot-cpu", metric="cpu_temp_c", op=">",
                       threshold=85.0, action="none")
     cwx.start()
-    events_before = getattr(cwx.kernel, "events_processed", None)
+    events_before = cwx.kernel.events_processed
     start = time.perf_counter()
     cwx.run(sim_seconds)
     wall = time.perf_counter() - start
     updates = cwx.server.updates_received
-    if events_before is not None:
-        kernel_events = cwx.kernel.events_processed - events_before
-    else:  # pre-overhaul kernel has no counter
-        kernel_events = None
+    kernel_events = cwx.kernel.events_processed - events_before
     return {
         "n_nodes": n_nodes,
         "sim_seconds": sim_seconds,
-        "mode": mode,
         "seed": seed,
         "wall_s": round(wall, 3),
         "updates": updates,
         "updates_per_wall_s": round(updates / wall, 1),
         "kernel_events": kernel_events,
-        "kernel_events_per_wall_s":
-            round(kernel_events / wall, 1) if kernel_events else None,
+        "kernel_events_per_wall_s": round(kernel_events / wall, 1),
         "rules_fired": len(cwx.server.engine.fired),
         "wall_s_per_sim_hour": round(wall * 3600.0 / sim_seconds, 2),
     }
 
 
 def print_row(row: dict) -> None:
-    ev = row["kernel_events_per_wall_s"]
-    print(f"  {row['mode']:6s} n={row['n_nodes']:6d} "
+    print(f"  n={row['n_nodes']:6d} "
           f"sim={row['sim_seconds']:6.0f}s "
           f"wall={row['wall_s']:8.2f}s "
           f"updates/s={row['updates_per_wall_s']:10.1f} "
-          f"events/s={ev if ev is not None else 'n/a':>10} "
+          f"events/s={row['kernel_events_per_wall_s']:10.1f} "
           f"sim-hour={row['wall_s_per_sim_hour']:8.2f}s",
           flush=True)
 
@@ -101,27 +80,22 @@ def main(argv=None) -> int:
     parser.add_argument("--tiny", action="store_true",
                         help="smoke cell: 200 nodes, 60 sim-seconds")
     parser.add_argument("--full", action="store_true",
-                        help="the E16 sweep: 1k/4k/10k x one sim-hour "
-                             "plus the 4k legacy cell")
+                        help="the E16 sweep: 1k/4k/10k x one sim-hour")
     parser.add_argument("--cell", nargs=2, type=float, metavar=("N", "S"),
                         help="one cell: N nodes for S sim-seconds")
-    parser.add_argument("--mode", default="fast",
-                        choices=("fast", "legacy"))
     parser.add_argument("--json", metavar="PATH",
                         help="append result rows to PATH as a JSON list")
     args = parser.parse_args(argv)
 
     rows = []
     if args.tiny:
-        rows.append(run_cell(200, 60.0, mode=args.mode))
+        rows.append(run_cell(200, 60.0))
     elif args.cell:
-        rows.append(run_cell(int(args.cell[0]), args.cell[1],
-                             mode=args.mode))
+        rows.append(run_cell(int(args.cell[0]), args.cell[1]))
     elif args.full:
         for n in (1000, 4000, 10000):
-            rows.append(run_cell(n, 3600.0, mode="fast"))
+            rows.append(run_cell(n, 3600.0))
             print_row(rows[-1])
-        rows.append(run_cell(4000, 3600.0, mode="legacy"))
     else:
         parser.error("pick one of --tiny / --cell / --full")
 

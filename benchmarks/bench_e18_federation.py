@@ -38,6 +38,7 @@ import sys
 import time
 
 from repro import ClusterWorX
+from repro.core.statestore import Update
 
 SEED = 1610
 AGENT_INTERVAL = 5.0
@@ -56,7 +57,8 @@ def _summary_cost(cwx, shards: int) -> dict:
     t = cwx.kernel.now
     start = time.perf_counter()
     for i in range(SUMMARY_PROBES):
-        server.receive(victim, t, {"cpu_util_pct": float(i % 97)})
+        server.ingest(Update(hostname=victim, time=t, source="agent",
+                             values={"cpu_util_pct": float(i % 97)}))
         server.cluster_summary()
     dirty_us = (time.perf_counter() - start) / SUMMARY_PROBES * 1e6
     out = {"summary_hot_us": round(hot_us, 2),

@@ -59,41 +59,26 @@ class ClusterWorX:
                  segment_capacity: float = 12.5e6,
                  plugin_dir: Optional[str] = None,
                  self_healing: bool = False,
-                 hot_path: str = "fast",
-                 agent_stagger: int = 1,
                  topology: str = "flat",
                  shards: int = 1,
                  partition: Optional[Dict[str, str]] = None,
                  topology_options: Optional[Dict[str, object]] = None):
-        # ``hot_path="legacy"`` reconstructs the pre-overhaul machinery
-        # (heap-only kernel, one process per agent, unindexed event
-        # engine, per-update sweep writes) — both paths produce
-        # byte-identical same-seed schedules; the determinism suite and
-        # bench_e16 run them side by side.  ``agent_stagger=B`` spreads
-        # agent cohorts over B phase offsets per interval; that
-        # intentionally changes sample times, so it defaults to 1.
         # ``topology="federation"`` swaps the single server for N
         # partition shards under repro.federation's coordinator; the
         # facade surface is identical either way, and flat vs 1-shard
         # federation is golden-trace byte-identical.
-        if hot_path not in ("fast", "legacy"):
-            raise ValueError(f"unknown hot_path {hot_path!r}")
         if topology == "flat" and (shards != 1 or partition is not None
                                    or topology_options):
             raise ValueError(
                 "shards/partition/topology_options require "
                 "topology='federation'")
-        self.hot_path = hot_path
         self.topology = topology
-        fast = hot_path == "fast"
-        self.kernel = SimKernel(timer_wheel=fast)
+        self.kernel = SimKernel()
         self.streams = RandomStreams(seed)
         self.cluster = Cluster(self.kernel, n_nodes, name=name,
                                streams=self.streams, firmware=firmware,
                                segment_capacity=segment_capacity)
         self.registry: MonitorRegistry = builtin_registry()
-        if not fast:
-            self.registry.fast_sampler = None
         if plugin_dir is not None:
             load_plugin_dir(self.registry, plugin_dir)
         self.email = EmailGateway()
@@ -124,14 +109,10 @@ class ClusterWorX:
                 suspect_after=2.5 * monitor_interval,
                 down_after=5.0 * monitor_interval,
                 **(topology_options or {}))
-        if not fast:
-            self.server.engine.indexed = False
-            self.server.sweep_batching = False
-        #: shared driver for the initial agent cohort (fast path only).
-        self.scheduler: Optional[AgentScheduler] = \
-            AgentScheduler(self.kernel, stagger=agent_stagger) \
-            if fast else None
+        #: shared driver for the initial agent cohort.
+        self.scheduler = AgentScheduler(self.kernel)
         self.monitor_interval = monitor_interval
+        self.deadband = deadband
         self.agents: Dict[str, NodeAgent] = {}
         for node in self.cluster.nodes:
             self.agents[node.hostname] = NodeAgent(
@@ -151,10 +132,7 @@ class ClusterWorX:
         if boot:
             self.cluster.boot_all()
         for agent in self.agents.values():
-            if self.scheduler is not None:
-                self.scheduler.register(agent)
-            else:
-                agent.start()
+            self.scheduler.register(agent)
         self.server.start_sweep()
 
     def run(self, seconds: float) -> None:
@@ -233,7 +211,7 @@ class ClusterWorX:
         node = self.cluster.add_node()
         self.agents[node.hostname] = agent = NodeAgent(
             self.kernel, node, self.registry,
-            interval=self.monitor_interval,
+            interval=self.monitor_interval, deadband=self.deadband,
             fabric=self.cluster.fabric,
             server_node=self.cluster.management,
             on_sample=self.server.ingest)

@@ -125,11 +125,6 @@ class ClusterWorXServer:
         self.queries_served = 0
         self._sweep_seq = 0
         self._sweeping = False
-        #: batch each sweep pass's updates through ``store.apply_many``.
-        #: Only effective while self-healing is off: health evidence must
-        #: observe each update the instant it lands (event firings feed
-        #: the tracker), so the self-healing sweep stays interleaved.
-        self.sweep_batching = True
         # §3.3: console output "is captured and logged through the ICE
         # Box" — the server archives every port's serial stream beyond
         # the box's own 16 KiB buffer.
@@ -242,12 +237,6 @@ class ClusterWorXServer:
         self.updates_received += len(updates)
         return self.store.apply_many(updates)
 
-    def receive(self, hostname: str, t: float,
-                values: Dict[str, object]) -> None:
-        """Untyped compatibility entry point for raw deltas."""
-        self.ingest(Update(hostname=hostname, time=t, values=values,
-                           source="agent"))
-
     def _feed_engine(self, update: Update) -> None:
         """Store subscriber: evaluate threshold rules on each update."""
         try:
@@ -271,9 +260,12 @@ class ClusterWorXServer:
     def _sweep_loop(self):
         while self._sweeping:
             now = self.kernel.now
+            # Each pass's updates batch through ``store.apply_many`` —
+            # except under self-healing, where health evidence must
+            # observe each update the instant it lands (event firings
+            # feed the tracker), so that sweep stays interleaved.
             batch: Optional[List[Update]] = \
-                [] if (self.sweep_batching and not self.self_healing) \
-                else None
+                None if self.self_healing else []
             # Snapshot the membership: a health transition observed
             # mid-sweep can trigger forget_node from a subscriber.
             for node in list(self._managed):

@@ -50,8 +50,7 @@ class EventEngine:
 
     def __init__(self, kernel: SimKernel, *,
                  dispatcher: Optional[ActionDispatcher] = None,
-                 notifier: Optional[SmartNotifier] = None,
-                 indexed: bool = True):
+                 notifier: Optional[SmartNotifier] = None):
         self.kernel = kernel
         self.dispatcher = dispatcher if dispatcher is not None \
             else ActionDispatcher()
@@ -68,13 +67,10 @@ class EventEngine:
         #: fn(fired_event, rule) called after every firing — the hook
         #: the health tracker uses to treat critical events as evidence.
         self._listeners: List = []
-        #: metric-indexed evaluation (False = legacy scan of every rule
-        #: per update; the determinism suite compares the two).
-        self.indexed = indexed
         # -- metric -> rule index (see feed()) ---------------------------
         self._index: Dict[str, List[str]] = {}
         #: rule insertion rank — candidate sets are replayed in exactly
-        #: the order the legacy full scan visits rules.
+        #: the order a full scan visits rules.
         self._order: Dict[str, int] = {}
         self._next_order = 0
         #: hostname -> rule names currently maturing a hold_time; these
@@ -82,8 +78,8 @@ class EventEngine:
         #: alone can trigger them), delta contents notwithstanding.
         self._pending: Dict[str, set[str]] = {}
         #: rule-set version, per-host sync marker: a host whose marker
-        #: is stale takes one legacy full scan (initialising state for
-        #: rules added since) before indexed evaluation resumes.
+        #: is stale takes one full scan (initialising state for rules
+        #: added since) before indexed evaluation resumes.
         self._rules_version = 0
         self._rules_seen: Dict[str, int] = {}
 
@@ -101,7 +97,7 @@ class EventEngine:
         self._order[rule.name] = self._next_order
         self._next_order += 1
         # Invalidate every host's sync marker: the new rule must get one
-        # legacy evaluation per host against remembered values before
+        # full-scan evaluation per host against remembered values before
         # indexed skipping is safe again.
         self._rules_version += 1
 
@@ -149,7 +145,7 @@ class EventEngine:
 
     # -- evaluation ---------------------------------------------------------
     def _candidates(self, hostname: str, values: Dict[str, object]):
-        """The rules one update can possibly affect, in legacy scan order.
+        """The rules one update can possibly affect, in insertion order.
 
         An update touches a rule iff (a) the rule's metric is in the
         delta, or (b) the rule is maturing a hold_time for this host (the
@@ -162,8 +158,6 @@ class EventEngine:
         ``remove_rule`` needs no invalidation because skipping a deleted
         rule is always correct.
         """
-        if not self.indexed:
-            return self._rules.values()
         if self._rules_seen.get(hostname) != self._rules_version:
             self._rules_seen[hostname] = self._rules_version
             return self._rules.values()

@@ -305,11 +305,6 @@ class FederationServer:
             applied += run_shard.server.ingest_many(run)
         return applied
 
-    def receive(self, hostname: str, t: float,
-                values: Dict[str, object]) -> None:
-        self.ingest(Update(hostname=hostname, time=t, values=values,
-                           source="agent"))
-
     # -- sweep lifecycle -------------------------------------------------------
     def start_sweep(self) -> None:
         for shard in self.shards:
@@ -326,8 +321,8 @@ class FederationServer:
         for shard in self.shards:
             shard.server.stop_sweep()
 
-    #: the flat server's knobs, fanned out so facade/harness code that
-    #: flips them (hot_path="legacy", chaos campaigns) works unchanged.
+    #: the flat server's knob, fanned out so harness code that flips
+    #: it (chaos campaigns) works unchanged.
     @property
     def self_healing(self) -> bool:
         return any(s.server.self_healing for s in self.shards)
@@ -336,15 +331,6 @@ class FederationServer:
     def self_healing(self, value: bool) -> None:
         for shard in self.shards:
             shard.server.self_healing = value
-
-    @property
-    def sweep_batching(self) -> bool:
-        return all(s.server.sweep_batching for s in self.shards)
-
-    @sweep_batching.setter
-    def sweep_batching(self, value: bool) -> None:
-        for shard in self.shards:
-            shard.server.sweep_batching = value
 
     # -- tier-3 queries --------------------------------------------------------
     def current(self, hostname: str) -> Mapping[str, object]:

@@ -484,21 +484,6 @@ class FederatedEvents:
         return shard.call(lambda: shard.server.engine.rules,
                           default=[], label="rules")
 
-    #: legacy/fast evaluation toggle, fanned out (the facade's
-    #: ``hot_path="legacy"`` flips it through this property).
-    @property
-    def indexed(self) -> bool:
-        shard = self._first_active()
-        return shard.call(lambda: shard.server.engine.indexed,
-                          default=True, label="indexed")
-
-    @indexed.setter
-    def indexed(self, value: bool) -> None:
-        for shard in self._shards:
-            shard.call(
-                lambda: setattr(shard.server.engine, "indexed", value),
-                default=None, label="indexed")
-
     # -- merged event reads ----------------------------------------------------
     @property
     def fired(self) -> List[FiredEvent]:

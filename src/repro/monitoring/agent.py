@@ -44,8 +44,6 @@ class NodeAgent:
                  deadband: float = 0.0,
                  fabric: Optional[NetworkFabric] = None,
                  server_node: Optional[SimulatedNode] = None,
-                 on_update: Optional[Callable[[str, float, Dict], None]]
-                 = None,
                  on_sample: Optional[Callable[[Update], None]] = None,
                  codec=None):
         if interval <= 0:
@@ -58,8 +56,6 @@ class NodeAgent:
             static_names=registry.static_names(), deadband=deadband)
         self.transmitter = Transmitter(fabric, node, server_node,
                                        codec=codec)
-        #: legacy raw-delta callback ``(hostname, t, values)``.
-        self.on_update = on_update
         #: typed callback: receives the same :class:`Update` the
         #: transmitter ships (the server's ``ingest`` plugs in here).
         self.on_sample = on_sample
@@ -78,7 +74,8 @@ class NodeAgent:
         return self._running
 
     def start(self) -> None:
-        """Activate with a dedicated driver process (the legacy path)."""
+        """Activate with a dedicated driver process (hot-added and
+        stand-alone agents; cohorts share an ``AgentScheduler``)."""
         if self._running:
             return
         self.scheduled_start()
@@ -153,8 +150,6 @@ class NodeAgent:
             self.transmitter.transmit_update(update)
             if self.on_sample is not None:
                 self.on_sample(update)
-            if self.on_update is not None:
-                self.on_update(self.node.hostname, now, delta)
         return delta
 
     # -- validation path -----------------------------------------------------

@@ -1,30 +1,25 @@
 """Shared agent scheduler: one kernel process drives a whole cohort.
 
-On the legacy path every :class:`~repro.monitoring.agent.NodeAgent` owns
-a generator process, so each sample costs a scheduler entry plus a full
-generator resume; at 10k nodes on a 5 s interval that is 2000 resumes
-per simulated second of pure bookkeeping.  The scheduler collapses a
-cohort into one process per (interval, sub-bucket): each tick it calls
-``agent.tick()`` synchronously over the bucket in registration order —
-the exact order the per-process path produces, since agent bootstraps
-fire in registration order and periodic timeouts preserve that FIFO
-order forever — then arms a single shared timeout.
-
-Phase staggering (``stagger=B > 1``) splits a cohort into B sub-buckets
-offset by ``interval/B`` each, spreading server fan-in across the
-interval.  That intentionally *changes* sample times, so it is opt-in;
-the default (``stagger=1``) reproduces the legacy schedule byte for
-byte.
+A :class:`~repro.monitoring.agent.NodeAgent` that owns its generator
+process costs a kernel entry plus a full generator resume per sample; at
+10k nodes on a 5 s interval that is 2000 resumes per simulated second of
+pure bookkeeping.  The scheduler collapses a cohort into one process per
+interval: each tick it calls ``agent.tick()`` synchronously over the
+bucket in registration order — the exact order one process per agent
+produces, since agent bootstraps fire in registration order and periodic
+timeouts preserve that FIFO order forever — then arms a single shared
+timeout.
 
 Agents registered after their bucket started ticking would join
-mid-phase; the facade instead gives hot-added agents their own legacy
-process (their first sample must land at the add instant, which in
-general shares no phase with any existing bucket).
+mid-phase; the facade instead starts hot-added agents with their own
+driver process (``NodeAgent.start()``: their first sample must land at
+the add instant, which in general shares no phase with any existing
+bucket).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.monitoring.agent import NodeAgent
 from repro.sim import SimKernel
@@ -42,15 +37,11 @@ class _Bucket:
 
 
 class AgentScheduler:
-    """Drives registered agents from one process per (interval, phase)."""
+    """Drives registered agents from one process per interval."""
 
-    def __init__(self, kernel: SimKernel, *, stagger: int = 1):
-        if stagger < 1:
-            raise ValueError("stagger must be >= 1")
+    def __init__(self, kernel: SimKernel):
         self.kernel = kernel
-        self.stagger = int(stagger)
-        self._buckets: Dict[Tuple[float, int], _Bucket] = {}
-        self._registered = 0
+        self._buckets: Dict[float, _Bucket] = {}
 
     @property
     def agent_count(self) -> int:
@@ -68,22 +59,14 @@ class AgentScheduler:
         fresh bucket, immediately (matching ``NodeAgent.start()``).
         """
         agent.scheduled_start()
-        sub = self._registered % self.stagger
-        self._registered += 1
-        key = (agent.interval, sub)
-        bucket = self._buckets.get(key)
+        bucket = self._buckets.get(agent.interval)
         if bucket is None or not bucket.alive:
-            bucket = _Bucket(agent.interval)
-            self._buckets[key] = bucket
-            phase = (agent.interval * sub) / self.stagger
-            self.kernel.process(
-                self._drive(bucket, phase),
-                name=f"agent-sched:{agent.interval:g}+{sub}")
+            bucket = self._buckets[agent.interval] = _Bucket(agent.interval)
+            self.kernel.process(self._drive(bucket),
+                                name=f"agent-sched:{agent.interval:g}")
         bucket.agents.append(agent)
 
-    def _drive(self, bucket: _Bucket, phase: float):
-        if phase > 0.0:
-            yield self.kernel.timeout(phase)
+    def _drive(self, bucket: _Bucket):
         while True:
             agents = bucket.agents
             prune = False

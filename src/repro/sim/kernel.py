@@ -9,11 +9,12 @@ O(1) append to an existing bucket instead of an O(log n) heap push per
 event; the heap only orders the (few) distinct times.  Irregular events
 simply occupy single-entry buckets, so nothing needs to classify them.
 
-Within one instant the processing order is exactly the old heap order:
-all URGENT entries before all NORMAL entries, FIFO within each class
-(creation order — the old monotone sequence number is implied by append
-order).  Two runs with the same seed therefore still produce identical
-schedules, and schedules are identical to the heap-only implementation's.
+Within one instant the processing order is that of a single
+``(time, priority, seq)`` heap: all URGENT entries before all NORMAL
+entries, FIFO within each class (creation order — the monotone sequence
+number is implied by append order).  Two runs with the same seed
+therefore produce identical schedules; the frozen traces replayed by
+``tests/test_determinism_golden.py`` are the oracle for that order.
 
 Processes are plain Python generators that ``yield`` events; the kernel
 resumes a process when the yielded event fires, sending the event's value
@@ -387,27 +388,17 @@ class SimKernel:
         proc = kernel.process(worker(kernel))
         kernel.run()
         assert proc.value == "done"
-
-    ``timer_wheel=False`` selects the legacy single-heap scheduler (one
-    ``(time, priority, seq, event)`` entry per event).  Both schedulers
-    process events in the identical order; the flag exists so the
-    determinism suite and bench_e16 can compare them.
     """
 
-    def __init__(self, start_time: float = 0.0, *, timer_wheel: bool = True):
+    def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
         self._active: Optional[Process] = None
         self._pending = 0
         #: total events processed by step() — the denominator benchmarks
         #: use for events/s.
         self.events_processed = 0
-        self.timer_wheel = timer_wheel
-        if timer_wheel:
-            self._wheel: dict[float, _Bucket] = {}
-            self._times: list[float] = []
-        else:
-            self._heap: list[tuple[float, int, int, Event]] = []
-            self._seq = 0
+        self._wheel: dict[float, _Bucket] = {}
+        self._times: list[float] = []
 
     @property
     def now(self) -> float:
@@ -437,25 +428,19 @@ class SimKernel:
     # -- scheduling -----------------------------------------------------
     def _enqueue(self, time: float, priority: int, event: Event) -> None:
         self._pending += 1
-        if self.timer_wheel:
-            bucket = self._wheel.get(time)
-            if bucket is None:
-                bucket = self._wheel[time] = _Bucket()
-                heapq.heappush(self._times, time)
-            if priority == NORMAL:
-                bucket.normal.append(event)
-            else:
-                bucket.urgent.append(event)
+        bucket = self._wheel.get(time)
+        if bucket is None:
+            bucket = self._wheel[time] = _Bucket()
+            heapq.heappush(self._times, time)
+        if priority == NORMAL:
+            bucket.normal.append(event)
         else:
-            self._seq += 1
-            heapq.heappush(self._heap, (time, priority, self._seq, event))
+            bucket.urgent.append(event)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
         if not self._pending:
             return float("inf")
-        if not self.timer_wheel:
-            return self._heap[0][0]
         times = self._times
         while True:
             time = times[0]
@@ -467,9 +452,6 @@ class SimKernel:
             del self._wheel[time]
 
     def _pop(self) -> tuple[float, Event]:
-        if not self.timer_wheel:
-            time, _prio, _seq, event = heapq.heappop(self._heap)
-            return time, event
         time = self.peek()
         bucket = self._wheel[time]
         if bucket.urgent:

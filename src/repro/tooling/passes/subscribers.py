@@ -38,7 +38,7 @@ _REGISTRARS = frozenset({"subscribe", "watch"})
 #: calling any of these from inside a callback is the re-entrancy
 #: hazard this rule exists for.
 _MUTATORS = frozenset({
-    "apply", "ingest", "receive", "track", "forget",
+    "apply", "ingest", "track", "forget",
     "track_node", "forget_node", "subscribe"})
 
 

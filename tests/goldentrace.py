@@ -1,13 +1,15 @@
 """Golden-trace capture for the hot-path determinism regression suite.
 
-The E16 hot-path overhaul (slotted kernel + timer wheel, shared agent
-scheduler, metric-indexed event engine, batched store writes) must be
-*observably invisible*: two runs with the same seed — one on the legacy
-heap-only/per-agent-process path, one on the reworked path — must produce
-byte-identical monitoring schedules and chaos reports.  This module
-defines the two canonical 100-node scenarios and the textual trace
-format; ``tests/test_determinism_golden.py`` compares both hot-path
-modes against fixtures captured *before* the rework landed.
+The E16 hot path (slotted kernel + timer wheel, shared agent scheduler,
+metric-indexed event engine, batched store writes) must be *observably
+invisible*: a same-seed run must produce the monitoring schedule and
+chaos report, byte for byte, that the heap-only/per-agent-process
+machinery it replaced produced.  This module defines the two canonical
+100-node scenarios and the textual trace format;
+``tests/test_determinism_golden.py`` compares today's run — flat and
+as a 1-shard federation — against fixtures captured *before* the rework
+landed.  Those fixtures are the only oracle left: the in-tree
+reconstruction of the old path was removed in PR 13.
 
 Trace format (one record per line):
 
@@ -39,8 +41,8 @@ CHAOS_SEED = 2003
 def make_cluster(seed: int, *, monitor_interval: float = 5.0, **kwargs):
     """The canonical 100-node self-healing cluster both scenarios use.
 
-    ``kwargs`` passes hot-path mode switches straight through to the
-    facade so the suite can pin either implementation.
+    ``kwargs`` passes topology switches straight through to the facade
+    so the suite can replay the scenario over a federation.
     """
     from repro import ClusterWorX
 

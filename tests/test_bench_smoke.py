@@ -30,7 +30,7 @@ TINY_BUDGET_S = 10.0
 
 def test_bench_smoke_within_budget():
     start = time.perf_counter()
-    row = run_cell(200, 60.0, mode="fast")
+    row = run_cell(200, 60.0)
     wall = time.perf_counter() - start
     # the cell actually did the work: every agent sampled at 5 s cadence
     assert row["updates"] >= 200 * 12

@@ -112,12 +112,23 @@ class TestCLI:
 
 class TestHotAddRemove:
     def test_add_node_is_fully_wired(self):
-        cwx = ClusterWorX(n_nodes=3, seed=17, monitor_interval=5.0)
+        cwx = ClusterWorX(n_nodes=3, seed=17, monitor_interval=5.0,
+                          deadband=2.5)
         cwx.start()
+        cwx.run(2.0)  # off the initial cohort's 5 s phase
+        t_add = cwx.kernel.now
         new_host = cwx.add_node()
+        agent = cwx.agents[new_host]
+        ticks, tick = [], agent.tick
+        agent.tick = lambda: (ticks.append(cwx.kernel.now), tick())
         cwx.run(60)
         node = cwx.cluster.node(new_host)
         assert node.state is NodeState.UP
+        # sampled from the add instant by its own driver, with the
+        # cluster's consolidation settings
+        assert ticks[0] == t_add
+        assert cwx.scheduler.agent_count == 3
+        assert agent.consolidator.deadband == 2.5
         # monitored
         assert cwx.server.current(new_host).get("hostname") == new_host
         # ICE Box managed

@@ -1,11 +1,16 @@
-"""Determinism regression suite for the E16 hot-path overhaul.
+"""Determinism regression suite for the E16 hot path.
 
-The overhaul (timer-wheel kernel, shared agent scheduler, metric-indexed
-event engine, batched store writes, hoisted builtin sampler) must be
-*observably invisible*: both ``hot_path`` modes replay the golden traces
-captured before the rework landed, byte for byte.  See
-``tests/goldentrace.py`` for the scenarios and the trace format.
+The hot path (timer-wheel kernel, shared agent scheduler, metric-indexed
+event engine, batched store writes, hoisted builtin sampler) must stay
+*observably invisible*: it replays, byte for byte, the golden traces
+captured before it replaced the heap-only kernel, per-agent processes
+and full rule scan.  See ``tests/goldentrace.py`` for the scenarios and
+the trace format.  The inline oracles below were frozen from that
+pre-overhaul machinery as reconstructed in-tree at commit c58187c, the
+last one that could run it.
 """
+
+import inspect
 
 import pytest
 
@@ -14,52 +19,77 @@ from repro import ClusterWorX
 from repro.monitoring.monitors import MonitorContext
 from repro.sim import SimKernel
 
-MODES = ("fast", "legacy")
-
-
 # -- golden traces ---------------------------------------------------------
-@pytest.mark.parametrize("mode", MODES)
-def test_monitoring_schedule_matches_golden(mode):
+def test_monitoring_schedule_matches_golden():
     """Same seed => the exact pre-rework update/event schedule."""
     golden = gt.read_golden(gt.MONITORING_GOLDEN)
-    assert gt.monitoring_trace(hot_path=mode) == golden
+    assert gt.monitoring_trace() == golden
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_chaos_report_matches_golden(mode):
+def test_chaos_report_matches_golden():
     """Same seed => the exact pre-rework chaos-campaign report."""
     golden = gt.read_golden(gt.CHAOS_GOLDEN)
-    assert gt.chaos_trace(hot_path=mode) == golden
+    assert gt.chaos_trace() == golden
+
+
+#: what the single-heap kernel logged for the scenario below.
+HEAP_KERNEL_TIMER_LOG = [
+    (1.0, "doomed"), (2.0, "doomed"), (3.0, "doomed"), (4.0, "doomed"),
+    (5.0, "a"), (5.0, "b"), (5.0, "doomed"), (6.0, "doomed"),
+    (7.0, "doomed"), (7.5, "c"), (8.0, "doomed"), (9.0, "doomed"),
+    (10.0, "a"), (10.0, "b"), (10.0, "doomed"), (11.0, "doomed"),
+    (12.0, "killed"), (15.0, "c"), (15.0, "a"), (15.0, "b"),
+    (20.0, "a"), (20.0, "b"), (22.5, "c"), (25.0, "a"), (25.0, "b"),
+    (30.0, "c"), (30.0, "a"), (30.0, "b"), (35.0, "a"), (35.0, "b"),
+    (37.5, "c"), (40.0, "a"), (40.0, "b"), (45.0, "c"), (45.0, "a"),
+    (45.0, "b"), (50.0, "a"), (52.5, "c"), (55.0, "a"), (60.0, "c"),
+    (60.0, "a"),
+]
 
 
 def test_both_kernels_agree_on_interleaved_timers():
-    """Directed cross-check: wheel and heap schedulers replay an
-    interleaved mix of timeouts, processes, and cancellations in the
-    same order."""
-    def run(timer_wheel):
-        kernel = SimKernel(timer_wheel=timer_wheel)
-        log = []
+    """Directed cross-check: the wheel scheduler replays an interleaved
+    mix of timeouts, processes, and a kill landing on a pending timeout
+    in the order the heap scheduler did."""
+    kernel = SimKernel()
+    log = []
 
-        def ticker(name, interval, stop_at):
-            while kernel.now < stop_at:
-                yield kernel.timeout(interval)
-                log.append((kernel.now, name))
+    def ticker(name, interval, stop_at):
+        while kernel.now < stop_at:
+            yield kernel.timeout(interval)
+            log.append((kernel.now, name))
 
-        kernel.process(ticker("a", 5.0, 60.0))
-        kernel.process(ticker("b", 5.0, 45.0))
-        kernel.process(ticker("c", 7.5, 60.0))
+    kernel.process(ticker("a", 5.0, 60.0))
+    kernel.process(ticker("b", 5.0, 45.0))
+    kernel.process(ticker("c", 7.5, 60.0))
 
-        def canceller():
-            victim = kernel.process(ticker("doomed", 1.0, 60.0))
-            yield kernel.timeout(12.0)
-            victim.kill()
-            log.append((kernel.now, "killed"))
+    def canceller():
+        victim = kernel.process(ticker("doomed", 1.0, 60.0))
+        yield kernel.timeout(12.0)
+        victim.kill()
+        log.append((kernel.now, "killed"))
 
-        kernel.process(canceller())
-        kernel.run(until=70.0)
-        return log
+    kernel.process(canceller())
+    kernel.run(until=70.0)
+    assert log == HEAP_KERNEL_TIMER_LOG
 
-    assert run(True) == run(False)
+
+def test_knob_surface_is_pinned():
+    """There is one hot path: none of its four constructors carries an
+    implementation switch, so a new knob is a conscious diff here."""
+    from repro.events.engine import EventEngine
+    from repro.monitoring.scheduler import AgentScheduler
+
+    def keywords(cls):
+        return set(inspect.signature(cls.__init__).parameters) - {"self"}
+
+    assert keywords(ClusterWorX) == {
+        "n_nodes", "seed", "name", "firmware", "monitor_interval",
+        "deadband", "segment_capacity", "plugin_dir", "self_healing",
+        "topology", "shards", "partition", "topology_options"}
+    assert keywords(SimKernel) == {"start_time"}
+    assert keywords(EventEngine) == {"kernel", "dispatcher", "notifier"}
+    assert keywords(AgentScheduler) == {"kernel"}
 
 
 # -- topology equivalence --------------------------------------------------
@@ -128,21 +158,17 @@ def test_plugin_registration_disables_fast_sampler():
 
 
 def test_scheduler_matches_per_agent_processes():
-    """One shared driver produces the same samples as N processes."""
-    def counts(mode):
-        cwx = ClusterWorX(n_nodes=30, seed=5, hot_path=mode)
-        cwx.start()
-        cwx.run(60.0)
-        return {name: agent.samples_taken
-                for name, agent in cwx.agents.items()}
-
-    fast, legacy = counts("fast"), counts("legacy")
-    assert fast == legacy
-    assert all(n == 13 for n in fast.values())  # t=0..60 at 5s cadence
+    """One shared driver takes the samples N processes took: 13 per
+    agent (t=0..60 at 5 s cadence)."""
+    cwx = ClusterWorX(n_nodes=30, seed=5)
+    cwx.start()
+    cwx.run(60.0)
+    assert [agent.samples_taken for agent in cwx.agents.values()] \
+        == [13] * 30
 
 
 def test_scheduler_prunes_stopped_agents():
-    cwx = ClusterWorX(n_nodes=10, seed=5, hot_path="fast")
+    cwx = ClusterWorX(n_nodes=10, seed=5)
     cwx.start()
     cwx.run(10.0)
     assert cwx.scheduler.agent_count == 10
@@ -189,32 +215,41 @@ def test_console_search_returns_sorted_hosts():
     assert cwx.server.console_search("no-such-needle-xyzzy") == []
 
 
-def test_indexed_engine_matches_full_scan():
-    """Metric-indexed evaluation fires the same events as the legacy
-    full scan, including add_rule mid-stream and mark_fixed re-fires."""
-    def run(indexed):
-        cwx = ClusterWorX(
-            n_nodes=20, seed=11,
-            hot_path="fast" if indexed else "legacy")
-        cwx.add_threshold("hot", metric="cpu_temp_c", op=">",
-                          threshold=70.0, action="none", hold_time=10.0)
-        cwx.start()
-        cwx.run(20.0)
-        cwx.inject_fault(cwx.cluster.hostnames[2], "fan_failure")
-        cwx.run(60.0)
-        # rule added mid-stream must see remembered values
-        cwx.add_threshold("lost", metric="udp_echo", op="==",
-                          threshold=0, action="none")
-        cwx.inject_fault(cwx.cluster.hostnames[7], "kernel_panic")
-        cwx.run(60.0)
-        fired = cwx.server.engine.fired
-        if fired:
-            event = fired[0]
-            cwx.server.engine.mark_fixed(event.rule, event.node)
-            cwx.run(30.0)
-        return [(e.time, e.rule, e.node, e.value) for e in
-                cwx.server.engine.fired]
+#: what the unindexed engine (every rule scanned on every update) fired
+#: for the scenario below.
+FULL_SCAN_FIRED = [
+    (89.85991862857142, "hot", "cluster-n0002", 32.26),
+    (109.85991862857142, "warm", "cluster-n0003", 22.0),
+    (109.85991862857142, "warm", "cluster-n0004", 22.0),
+    (109.85991862857142, "warm", "cluster-n0005", 22.0),
+    (114.85991862857142, "lost", "cluster-n0007", 0),
+    (169.85991862857142, "warm", "cluster-n0004", 22.0),
+    (179.85991862857142, "hot", "cluster-n0002", 47.81),
+]
 
-    with_index, without = run(True), run(False)
-    assert with_index == without
-    assert with_index  # the scenario actually fires something
+
+def test_indexed_engine_matches_full_scan():
+    """Metric-indexed evaluation fires the events a full scan fired,
+    including add_rule mid-stream and mark_fixed re-fires."""
+    cwx = ClusterWorX(n_nodes=20, seed=11)
+    hosts = cwx.cluster.hostnames
+    cwx.add_threshold("hot", metric="cpu_temp_c", op=">",
+                      threshold=30.0, action="none", hold_time=10.0)
+    cwx.start()
+    cwx.run(20.0)
+    cwx.inject_fault(hosts[2], "fan_failure")
+    cwx.run(60.0)
+    # rules added mid-stream must see remembered values: idle hosts sit
+    # at a constant 22 C that change suppression never re-sends
+    cwx.add_threshold("warm", metric="cpu_temp_c", op=">",
+                      threshold=21.0, action="none", hosts=hosts[3:6])
+    cwx.add_threshold("lost", metric="udp_echo", op="==",
+                      threshold=0, action="none")
+    cwx.inject_fault(hosts[7], "kernel_panic")
+    cwx.run(60.0)
+    engine = cwx.server.engine
+    engine.mark_fixed("hot", hosts[2])    # still breached: re-matures
+    engine.mark_fixed("warm", hosts[4])   # unchanged value: re-fires
+    cwx.run(30.0)
+    assert [(e.time, e.rule, e.node, e.value) for e in engine.fired] \
+        == FULL_SCAN_FIRED

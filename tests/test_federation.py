@@ -126,7 +126,8 @@ class TestAggregation:
         assert rollups.reuses >= 5 * 4
         # one shard changes: exactly one rollup refresh, not four
         victim = cwx.server.shards[2].server.managed_hostnames[0]
-        cwx.server.receive(victim, cwx.kernel.now, {"x": 1})
+        cwx.server.ingest(Update(hostname=victim, time=cwx.kernel.now,
+                                 values={"x": 1}, source="agent"))
         cwx.server.cluster_summary()
         assert rollups.refreshes == refreshes + 1
 
@@ -308,15 +309,11 @@ class TestDrain:
 
 
 class TestKnobs:
-    def test_self_healing_and_sweep_batching_fan_out(self):
+    def test_self_healing_fans_out(self):
         cwx = make_fed(n=8, shards=2)
         assert not cwx.server.self_healing
         cwx.server.self_healing = True
         assert all(s.server.self_healing for s in cwx.server.shards)
-        cwx.server.sweep_batching = False
-        assert not cwx.server.sweep_batching
-        cwx.server.engine.indexed = False
-        assert not cwx.server.shards[1].server.engine.indexed
 
     def test_shard_stats_rows(self):
         cwx = make_fed()

@@ -276,7 +276,7 @@ class TestNodeAgent:
     def test_periodic_loop_delivers_to_server(self, kernel, loaded_node):
         updates = []
         agent = self._agent(kernel, loaded_node, interval=5.0,
-                            on_update=lambda h, t, v: updates.append(t))
+                            on_sample=lambda u: updates.append(u.time))
         agent.start()
         kernel.run(until=31.0)
         assert len(updates) >= 2  # first full + at least one delta
@@ -292,7 +292,7 @@ class TestNodeAgent:
     def test_agent_silent_while_node_down(self, kernel, loaded_node):
         updates = []
         agent = self._agent(kernel, loaded_node, interval=5.0,
-                            on_update=lambda h, t, v: updates.append(t))
+                            on_sample=lambda u: updates.append(u.time))
         agent.start()
         kernel.run(until=11)
         loaded_node.crash("dead")
