@@ -8,7 +8,7 @@ integrals of that demand, evaluated in closed form when sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.node import SimulatedNode
@@ -61,17 +61,35 @@ class CPU:
         return sum(self._overhead.values())
 
     # -- dynamic state --------------------------------------------------
+    # Each ``*_from`` method is the formula over inputs the caller has
+    # already read (the node's running flag, ``workload.demand(t)``); the
+    # ``t`` form reads them and delegates.  A sampler that needs a dozen
+    # values at one instant reads the inputs once and uses these.
     def demand(self, t: float) -> float:
         """Raw demand in core-equivalents (can exceed ``cores``)."""
-        if not self.node.is_running(t):
+        return self.demand_from(self.node.is_running(t),
+                                self.node.workload.demand(t))
+
+    def demand_from(self, running: bool,
+                    demand: Mapping[str, float]) -> float:
+        if not running:
             return 0.0
-        return self.node.workload.demand(t)["cpu"] + self.overhead
+        return demand["cpu"] + self.overhead
 
     def utilization(self, t: float) -> float:
         """Fraction of total capacity in use, in [0, 1]."""
+        return self.utilization_from(self.demand(t))
+
+    def utilization_from(self, cpu_demand: float) -> float:
         if self.spec.cores <= 0:
             return 0.0
-        return min(self.demand(t), float(self.spec.cores)) / self.spec.cores
+        return min(cpu_demand, float(self.spec.cores)) / self.spec.cores
+
+    def utilization_over(self, running: bool, a: float, b: float) -> float:
+        """Utilization throughout ``[a, b)``, an interval between two
+        workload change points (demand is constant inside it)."""
+        return self.utilization_from(self.demand_from(
+            running, self.node.workload.demand((a + b) / 2.0)))
 
     def loadavg(self, t: float) -> float:
         """1-minute load average approximation.
@@ -99,12 +117,11 @@ class CPU:
         if boot is None or t <= boot:
             return {"user": 0, "nice": 0, "system": 0, "idle": 0}
         busy = 0.0
-        points = [boot] + self.node.workload.change_points(boot, t) + [t]
-        for a, b in zip(points[:-1], points[1:]):
-            if b <= a:
-                continue
-            mid = (a + b) / 2.0
-            busy += self.utilization(mid) * (b - a)
+        running = self.node.is_running(t)
+        a = boot
+        for b in self.node.workload.change_points(boot, t) + [t]:
+            busy += self.utilization_over(running, a, b) * (b - a)
+            a = b
         busy *= self.spec.cores
         total = (t - boot) * self.spec.cores
         system = busy * self.SYSTEM_SHARE

@@ -11,7 +11,7 @@ cloning subsystem last wrote — the thing image-consistency checks compare.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.node import SimulatedNode
@@ -75,9 +75,13 @@ class Disk:
 
     def utilization(self, t: float) -> float:
         """Instantaneous fraction of throughput in use."""
-        if not self.node.is_running(t):
+        return self.utilization_from(self.node.is_running(t),
+                                     self.node.workload.demand(t))
+
+    def utilization_from(self, running: bool,
+                         demand: Mapping[str, float]) -> float:
+        if not running:
             return 0.0
-        d = self.node.workload.demand(t)
-        frac = (d["disk_read"] / self.spec.read_rate
-                + d["disk_write"] / self.spec.write_rate)
+        frac = (demand["disk_read"] / self.spec.read_rate
+                + demand["disk_write"] / self.spec.write_rate)
         return min(frac, 1.0)

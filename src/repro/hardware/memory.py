@@ -9,12 +9,12 @@ to catch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Mapping, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.node import SimulatedNode
 
-__all__ = ["MemorySpec", "Memory"]
+__all__ = ["MemorySpec", "MemoryUsage", "Memory"]
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,16 @@ class _Leak:
         if t <= self.start:
             return 0
         return min(int((t - self.start) * self.rate), self.cap)
+
+
+class MemoryUsage(NamedTuple):
+    """Every memory figure at one instant, from one resident-set sum."""
+
+    used: int
+    free: int
+    cached: int
+    swap_used: int
+    utilization: float
 
 
 class Memory:
@@ -61,30 +71,41 @@ class Memory:
         """Remove all leaks (models restarting the leaking service)."""
         self._leaks.clear()
 
+    def usage(self, t: float) -> MemoryUsage:
+        """All memory figures at ``t``; the single-value reads select."""
+        return self.usage_from(self.node.is_running(t),
+                               self.node.workload.demand(t), t)
+
+    def usage_from(self, running: bool, demand: Mapping[str, float],
+                   t: float) -> MemoryUsage:
+        """:meth:`usage` over inputs the caller has already read.
+
+        Swap absorbs demand beyond physical capacity; diskless nodes
+        have no swap partition at all."""
+        total = self.spec.total
+        used = swap = 0
+        if running:
+            resident = self.BASELINE + demand["memory"]
+            for leak in self._leaks:
+                resident += leak.amount(t)
+            used = min(resident, total)
+            if not self.node.diskless:
+                swap = max(0, min(resident - total, self.spec.swap_total))
+        free = total - used
+        return MemoryUsage(used, free, int(free * self.CACHE_FRACTION),
+                           swap, used / total)
+
     def used(self, t: float) -> int:
-        if not self.node.is_running(t):
-            return 0
-        demand = self.node.workload.demand(t)["memory"]
-        leaked = sum(leak.amount(t) for leak in self._leaks)
-        return min(self.BASELINE + demand + leaked, self.spec.total)
+        return self.usage(t).used
 
     def free(self, t: float) -> int:
-        return self.spec.total - self.used(t)
+        return self.usage(t).free
 
     def cached(self, t: float) -> int:
-        return int(self.free(t) * self.CACHE_FRACTION)
+        return self.usage(t).cached
 
     def swap_used(self, t: float) -> int:
-        """Swap absorbs demand beyond physical capacity.
-
-        Diskless nodes have no swap partition at all."""
-        if not self.node.is_running(t) or getattr(self.node, "diskless",
-                                                  False):
-            return 0
-        demand = self.node.workload.demand(t)["memory"]
-        leaked = sum(leak.amount(t) for leak in self._leaks)
-        over = self.BASELINE + demand + leaked - self.spec.total
-        return max(0, min(over, self.spec.swap_total))
+        return self.usage(t).swap_used
 
     def utilization(self, t: float) -> float:
-        return self.used(t) / self.spec.total
+        return self.usage(t).utilization

@@ -13,7 +13,7 @@ consults when pacing transfers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.node import SimulatedNode
@@ -83,10 +83,17 @@ class NIC:
         return workload + self._fabric_rx
 
     def tx_packets(self, t: float) -> int:
-        return self.tx_bytes(t) // 1460 + self._fabric_tx_packets
+        return self.tx_packets_from(self.tx_bytes(t))
+
+    def tx_packets_from(self, tx_bytes: int) -> int:
+        """:meth:`tx_packets` given the byte counter at the same instant."""
+        return tx_bytes // 1460 + self._fabric_tx_packets
 
     def rx_packets(self, t: float) -> int:
-        return self.rx_bytes(t) // 1460 + self._fabric_rx_packets
+        return self.rx_packets_from(self.rx_bytes(t))
+
+    def rx_packets_from(self, rx_bytes: int) -> int:
+        return rx_bytes // 1460 + self._fabric_rx_packets
 
     @property
     def errors(self) -> int:
@@ -94,8 +101,12 @@ class NIC:
 
     def utilization(self, t: float) -> float:
         """Instantaneous offered load as a fraction of the effective rate."""
-        if not self.node.is_running(t):
+        return self.utilization_from(self.node.is_running(t),
+                                     self.node.workload.demand(t))
+
+    def utilization_from(self, running: bool,
+                         demand: Mapping[str, float]) -> float:
+        if not running:
             return 0.0
-        d = self.node.workload.demand(t)
-        offered = d["net_tx"] + d["net_rx"]
+        offered = demand["net_tx"] + demand["net_rx"]
         return min(offered / self.effective_rate, 1.0)

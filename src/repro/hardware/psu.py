@@ -62,9 +62,12 @@ class PSU:
 
     def steady_draw(self, t: float) -> float:
         """Steady-state watts at time ``t`` from the node's CPU load."""
+        return self.steady_draw_from(self.node.cpu.utilization(t))
+
+    def steady_draw_from(self, load: float) -> float:
+        """:meth:`steady_draw` given the CPU utilization at that instant."""
         if not self.is_on:
             return 0.0
-        load = self.node.cpu.utilization(t)
         return self.spec.idle_watts + (self.spec.max_watts
                                        - self.spec.idle_watts) * load
 

@@ -73,7 +73,9 @@ class ThermalModel:
         return self.spec.fan_fail_tau if self.fan.failed else self.spec.tau
 
     def equilibrium(self, t: float) -> float:
-        load = self.node.cpu.utilization(t)
+        return self.equilibrium_from(self.node.cpu.utilization(t))
+
+    def equilibrium_from(self, load: float) -> float:
         eq = self.spec.ambient + self.spec.k_load * load
         if self.fan.failed:
             eq += self.spec.fan_fail_penalty
@@ -83,13 +85,15 @@ class ThermalModel:
     def _advance(self, t0: float, temp0: float, t1: float) -> float:
         """Integrate from (t0, temp0) to t1 across workload change points."""
         points = self.node.workload.change_points(t0, t1)
+        cpu = self.node.cpu
+        running = self.node.is_running(t1)
         temp = temp0
         prev = t0
         tau = self._tau()
         for p in points + [t1]:
             if p <= prev:
                 continue
-            eq = self.equilibrium((prev + p) / 2.0)
+            eq = self.equilibrium_from(cpu.utilization_over(running, prev, p))
             temp = eq + (temp - eq) * math.exp(-(p - prev) / tau)
             prev = p
         return temp

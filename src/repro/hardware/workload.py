@@ -15,11 +15,18 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 __all__ = ["WorkloadSegment", "Workload", "WorkloadGenerator"]
+
+#: What a workload with no segments demands.  One read-only mapping for
+#: the whole process: an idle node's ``demand`` allocates nothing.
+_ZERO_DEMAND: Mapping[str, float] = MappingProxyType(
+    {"cpu": 0.0, "memory": 0, "net_tx": 0.0, "net_rx": 0.0,
+     "disk_read": 0.0, "disk_write": 0.0})
 
 
 @dataclass(frozen=True)
@@ -108,8 +115,10 @@ class Workload:
         hi = bisect.bisect(self._starts, t)
         return [s for s in self._segments[:hi] if s.active_at(t)]
 
-    def demand(self, t: float) -> dict:
-        """Aggregate demand at time ``t``."""
+    def demand(self, t: float) -> Mapping[str, float]:
+        """Aggregate demand at time ``t`` (a read-only mapping)."""
+        if not self._segments:
+            return _ZERO_DEMAND
         cpu = mem = tx = rx = dr = dw = 0.0
         for s in self.active(t):
             cpu += s.cpu
@@ -118,8 +127,9 @@ class Workload:
             rx += s.net_rx
             dr += s.disk_read
             dw += s.disk_write
-        return {"cpu": cpu, "memory": int(mem), "net_tx": tx, "net_rx": rx,
-                "disk_read": dr, "disk_write": dw}
+        return MappingProxyType(
+            {"cpu": cpu, "memory": int(mem), "net_tx": tx, "net_rx": rx,
+             "disk_read": dr, "disk_write": dw})
 
     def integrate(self, attr: str, t0: float, t1: float) -> float:
         """Integral of one demand attribute over ``[t0, t1]``.

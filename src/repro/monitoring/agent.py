@@ -114,14 +114,15 @@ class NodeAgent:
         fast = self.registry.fast_sampler
         if fast is not None:
             # Value-identical hoisted sampler for the unmodified builtin
-            # set (plugin registration clears it).  Any failure falls
-            # back to the generic loop, which records the culprit.
+            # set (plugin registration clears it).  A failure is recorded
+            # — a node that silently took the generic loop every tick
+            # would cost 3x forever and pass every value check — and the
+            # generic loop below still delivers the sample.
             try:
                 return fast(ctx)
-            except Exception:  # worx: ok WORX106
-                # Nothing is lost: the generic loop below re-evaluates
-                # every monitor and records the failing one in errors.
-                pass
+            except Exception as exc:  # the sample must not die with it
+                self.errors.append((self.kernel.now, "fast_sampler",
+                                    str(exc)))
         values: Dict[str, object] = {}
         for monitor in self.registry.monitors():
             try:

@@ -56,8 +56,9 @@ class Consolidator:
                 and not isinstance(new, bool)):
             # Relative to the last *transmitted* value, so repeated small
             # steps cannot creep arbitrarily far without ever releasing.
+            # NaN is never inside the band: it is released every time.
             scale = abs(old) if old != 0 else max(abs(new), 1e-12)
-            return abs(new - old) / scale > self.deadband
+            return not abs(new - old) / scale <= self.deadband
         return new != old
 
     def update(self, values: Dict[str, object], t: float
@@ -69,31 +70,21 @@ class Consolidator:
         are released when they differ from the last *transmitted* value by
         more than the deadband.
         """
-        delta: Dict[str, object] = {}
         transmitted = self._transmitted
-        current = self._current
-        static_names = self.static_names
-        deadband = self.deadband
-        # _changed() inlined: this loop runs once per metric per sample on
-        # every node, and the call overhead dominates the comparison.
-        for name, value in values.items():
-            current[name] = value
-            old = transmitted.get(name, _MISSING)
-            if old is not _MISSING:
-                if deadband > 0.0 \
-                        and isinstance(value, (int, float)) \
-                        and isinstance(old, (int, float)) \
-                        and not isinstance(value, bool):
-                    scale = abs(old) if old != 0 \
-                        else max(abs(value), 1e-12)
-                    if abs(value - old) / scale <= deadband:
-                        continue
-                elif value == old:
-                    continue
-            delta[name] = value
-            transmitted[name] = value
-            if name in static_names:
-                self._static_sent.add(name)
+        self._current.update(values)
+        if self.deadband > 0.0:
+            changed = self._changed
+            delta = {name: value for name, value in values.items()
+                     if changed(name, value)}
+        else:
+            # Exact comparison, the default: this runs once per metric
+            # per sample on every node, so no call and no type ladder.
+            last = transmitted.get
+            delta = {name: value for name, value in values.items()
+                     if value != last(name, _MISSING)}
+        transmitted.update(delta)
+        if not self.static_names.isdisjoint(delta):
+            self._static_sent.update(self.static_names.intersection(delta))
         self.values_seen += len(values)
         self.values_released += len(delta)
         self._cache_time = t

@@ -118,11 +118,13 @@ def _fast_builtin_sample(ctx: MonitorContext) -> Dict[str, object]:
     """Straight-line equivalent of ``evaluate_all`` for the builtin set.
 
     Evaluating 55 separate lambdas costs a Python call, a context attribute
-    walk, and (for the dozen monitors sharing cpu/thermal reads) a repeated
-    pure model read each.  All hardware model reads are pure functions of
-    ``t``, so one function can hoist the shared subexpressions and emit the
-    whole sample at once — value-identical, in the same sorted-key order
-    the generic loop produces (asserted by the test suite).
+    walk, and a repeated pure model read each.  Contract: every model
+    *input* — the running flag, ``workload.demand(t)``, the rx/tx byte
+    counters — is read once per call, and the dozen values that share an
+    input are derived from it through the models' ``*_from`` methods, so
+    each formula still lives once, in ``repro.hardware``.  The result is
+    value-identical to the generic loop, in the same sorted-key order
+    (the generic loop is the oracle the test suite compares against).
     """
     node = ctx.node
     t = ctx.t
@@ -136,12 +138,16 @@ def _fast_builtin_sample(ctx: MonitorContext) -> Dict[str, object]:
     volts = node.voltages
     running = node.is_running()
     state = node.state.value
-    util = cpu.utilization(t)
+    demand = node.workload.demand(t)
+    cpu_demand = cpu.demand_from(running, demand)
+    util = cpu.utilization_from(cpu_demand)
     jiffies = cpu.jiffies(t)
     load = cpu.loadavg(t)
     temp = thermal.temperature(t)
     ambient = thermal.spec.ambient
-    swap_used = mem.swap_used(t)
+    usage = mem.usage_from(running, demand, t)
+    rx_bytes = nic.rx_bytes(t)
+    tx_bytes = nic.tx_bytes(t)
     image = disk.installed_image if disk else None
     return {
         "board_temp_c": round(ambient + 0.4 * (temp - ambient), 2),
@@ -161,10 +167,11 @@ def _fast_builtin_sample(ctx: MonitorContext) -> Dict[str, object]:
         "disk_read_bytes": disk.read_bytes(t) if disk else 0,
         "disk_total_bytes": disk.spec.capacity if disk else 0,
         "disk_used_bytes": disk.used if disk else 0,
-        "disk_util_pct": (round(disk.utilization(t) * 100.0, 2)
-                          if disk else 0.0),
+        "disk_util_pct": (round(
+            disk.utilization_from(running, demand) * 100.0, 2)
+            if disk else 0.0),
         "disk_write_bytes": disk.write_bytes(t) if disk else 0,
-        "fan1_rpm": round(thermal.fan.rpm(util if running else 0.0)),
+        "fan1_rpm": round(thermal.fan.rpm(util)),
         "hostname": node.hostname,
         "ip_address": node.ip,
         "kernel_version": "2.4.18",
@@ -172,29 +179,29 @@ def _fast_builtin_sample(ctx: MonitorContext) -> Dict[str, object]:
         "load_1min": round(load, 2),
         "load_5min": round(load * 0.9, 2),
         "mac_address": node.mac,
-        "mem_cached_bytes": mem.cached(t),
-        "mem_free_bytes": mem.free(t),
+        "mem_cached_bytes": usage.cached,
+        "mem_free_bytes": usage.free,
         "mem_total_bytes": mem.spec.total,
-        "mem_used_bytes": mem.used(t),
-        "mem_util_pct": round(mem.utilization(t) * 100.0, 2),
+        "mem_used_bytes": usage.used,
+        "mem_util_pct": round(usage.utilization * 100.0, 2),
         "net_errors": nic.errors,
         "net_link_mbps": round(nic.effective_rate * 8 / 1e6, 1),
-        "net_rx_bytes": nic.rx_bytes(t),
-        "net_rx_packets": nic.rx_packets(t),
-        "net_tx_bytes": nic.tx_bytes(t),
-        "net_tx_packets": nic.tx_packets(t),
-        "net_util_pct": round(nic.utilization(t) * 100.0, 2),
+        "net_rx_bytes": rx_bytes,
+        "net_rx_packets": nic.rx_packets_from(rx_bytes),
+        "net_tx_bytes": tx_bytes,
+        "net_tx_packets": nic.tx_packets_from(tx_bytes),
+        "net_util_pct": round(
+            nic.utilization_from(running, demand) * 100.0, 2),
         "node_state": state,
         "node_up": 1 if running else 0,
         "os_release": "Linux NetworX CLS 7.2",
-        "procs_running": (max(1, int(cpu.demand(t)) + 1)
-                          if running else 0),
+        "procs_running": max(1, int(cpu_demand) + 1) if running else 0,
         "psu_ok": 0 if psu.failed else 1,
         "psu_volts": round(psu.probe_voltage(t), 2),
-        "psu_watts": round(psu.steady_draw(t), 1),
-        "swap_activity": 1 if swap_used > 0 else 0,
+        "psu_watts": round(psu.steady_draw_from(util), 1),
+        "swap_activity": 1 if usage.swap_used > 0 else 0,
         "swap_total_bytes": mem.spec.swap_total,
-        "swap_used_bytes": swap_used,
+        "swap_used_bytes": usage.swap_used,
         "udp_echo": (1 if (running and state != "hung"
                            and nic.health > 0.05) else 0),
         "uptime_seconds": round(node.uptime(t), 2),

@@ -234,21 +234,23 @@ class NetworkFabric:
         swamp the event loop; bytes are ledgered against the segment but do
         not contend (monitoring traffic is orders of magnitude below link
         rate — when it is not, use :meth:`unicast`).
+
+        The returned event is the delivery timer itself, valued
+        ``nbytes``; the bytes are credited before any waiter's callback.
         """
-        final = self.kernel.event()
         delay = self.latency + nbytes / self.nic_pool(src).capacity
 
-        # A direct timer callback, not a process: one kernel event per
-        # message instead of three (bootstrap, timeout, resume) — this is
-        # the highest-frequency send in the system (every agent sample).
+        # The timer with a direct callback, not a process and not a
+        # second "done" event: one kernel event per message — this is the
+        # highest-frequency send in the system (every agent sample).
         def _delivered(_event):
             src.nic.credit_tx(int(nbytes))
             dst.nic.credit_rx(int(nbytes))
             self.bytes_by_tag[tag] = self.bytes_by_tag.get(tag, 0.0) + nbytes
-            final.succeed(nbytes)
 
-        self.kernel.timeout(delay).callbacks.append(_delivered)
-        return final
+        delivery = self.kernel.timeout(delay, nbytes)
+        delivery.callbacks.append(_delivered)
+        return delivery
 
     # -- introspection -----------------------------------------------------
     @property

@@ -36,12 +36,9 @@ NR_IRQS = 224
 def gen_meminfo(node: "SimulatedNode", t: float) -> str:
     """/proc/meminfo in the 2.4 layout (summary block + kB lines)."""
     total = node.memory.spec.total
-    used = node.memory.used(t)
-    free = total - used
-    cached = node.memory.cached(t)
+    used, free, cached, swap_used, _ = node.memory.usage(t)
     buffers = cached // 4
     swap_total = node.memory.spec.swap_total
-    swap_used = node.memory.swap_used(t)
     swap_free = swap_total - swap_used
     shared = used // 16
     active = int(used * 0.7) + cached // 2

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.hardware import SimulatedNode, WorkloadSegment
+from repro.hardware import SimulatedNode, Workload, WorkloadSegment
 from repro.network import NetworkFabric
 from repro.sim import RandomStreams, SimKernel
 
@@ -36,6 +36,17 @@ def loaded_node(kernel, node) -> SimulatedNode:
                                       disk_write=1e6))
     kernel.run(until=10.0)
     return node
+
+
+@pytest.fixture
+def segment_scans(monkeypatch) -> list:
+    """Counting wrapper on the segment scan: the instant of every
+    ``Workload.active`` call made while the fixture lives."""
+    seen = []
+    scan = Workload.active
+    monkeypatch.setattr(Workload, "active",
+                        lambda self, t: seen.append(t) or scan(self, t))
+    return seen
 
 
 @pytest.fixture

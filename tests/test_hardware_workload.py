@@ -79,6 +79,53 @@ class TestWorkload:
         assert w.integrate("cpu", 0, 10) == pytest.approx(10.0)
 
 
+class TestDemandEdges:
+    """``demand`` at and around the change points."""
+
+    def test_interval_is_half_open_at_both_ends(self):
+        w = Workload()
+        w.add(WorkloadSegment(start=10.0, duration=5.0, cpu=0.5, memory=7))
+        assert w.demand(9.999)["cpu"] == 0.0
+        assert w.demand(10.0)["cpu"] == 0.5      # t == start: active
+        assert w.demand(14.999)["memory"] == 7
+        assert w.demand(15.0)["cpu"] == 0.0      # t == end: gone
+        assert w.demand(15.0)["memory"] == 0
+
+    def test_segments_sharing_a_boundary(self):
+        w = Workload()
+        w.add(WorkloadSegment(start=0.0, duration=10.0, cpu=0.25))
+        w.add(WorkloadSegment(start=10.0, duration=10.0, cpu=0.75))
+        assert w.change_points(-1.0, 30.0) == [0.0, 10.0, 20.0]
+        assert w.demand(9.999)["cpu"] == 0.25
+        assert w.demand(10.0)["cpu"] == 0.75     # never both, never neither
+        assert w.demand(20.0)["cpu"] == 0.0
+
+    def test_mutation_between_two_reads_at_the_same_instant(self):
+        w = Workload()
+        w.add(WorkloadSegment(start=0.0, duration=100.0, cpu=0.5, tag="a"))
+        assert w.demand(50.0)["cpu"] == 0.5
+        w.add(WorkloadSegment(start=40.0, duration=20.0, cpu=0.25, tag="b"))
+        assert w.demand(50.0)["cpu"] == 0.75
+        w.truncate_tagged("a", at=45.0)
+        assert w.demand(50.0)["cpu"] == 0.25
+        assert w.remove_tagged("b") == 1
+        assert w.demand(50.0)["cpu"] == 0.0
+        w.extend([WorkloadSegment(start=50.0, duration=1.0, cpu=1.0)])
+        assert w.demand(50.0)["cpu"] == 1.0
+        assert w.change_points(0.0, 100.0) == [45.0, 50.0, 51.0]
+
+    def test_returned_demand_cannot_be_mutated(self):
+        """All idle nodes share one zero mapping; busy reads match it."""
+        w = Workload()
+        with pytest.raises(TypeError):
+            w.demand(0.0)["cpu"] = 9.0           # the shared zero mapping
+        w.add(WorkloadSegment(start=0.0, duration=10.0, cpu=0.5))
+        with pytest.raises(TypeError):
+            w.demand(5.0)["cpu"] = 9.0
+        assert w.demand(5.0)["cpu"] == 0.5
+        assert Workload().demand(0.0)["cpu"] == 0.0
+
+
 class TestWorkloadGenerator:
     @pytest.fixture
     def gen(self):

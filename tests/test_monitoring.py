@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.hardware import NodeState, WorkloadSegment
+from repro.hardware import (NodeState, SimulatedNode, WorkloadGenerator,
+                            WorkloadSegment)
 from repro.monitoring import (
     BinaryCodec,
     Consolidator,
@@ -15,6 +16,7 @@ from repro.monitoring import (
     Transmitter,
     builtin_registry,
 )
+from repro.sim import RandomStreams
 
 
 class TestBuiltinRegistry:
@@ -52,6 +54,47 @@ class TestBuiltinRegistry:
         reg.remove("udp_echo")
         assert "udp_echo" not in reg
         assert "hostname" in reg
+
+
+class TestSamplerWorkCounts:
+    """The hoisted sampler reads each model input once per tick.  Counts,
+    not timings: they are exact on any machine."""
+
+    def test_idle_sample_reads_each_input_once(self, kernel, node,
+                                               segment_scans, monkeypatch):
+        kernel.run(until=60.0)
+        calls = []
+        is_running = SimulatedNode.is_running
+        monkeypatch.setattr(
+            SimulatedNode, "is_running",
+            lambda self, t=None: calls.append(t) or is_running(self, t))
+        sample = builtin_registry().fast_sampler
+        values = sample(MonitorContext(node=node, t=kernel.now))
+        assert values["node_up"] == 1
+        assert len(segment_scans) <= 1  # was 12 demand computations
+        # The sampler asks once; jiffies, loadavg, the thermal integral
+        # and uptime each guard themselves once more (was 16).
+        assert len(calls) <= 5
+
+    def test_busy_sample_adds_one_scan_to_the_integrators(
+            self, kernel, node, segment_scans):
+        gen = WorkloadGenerator(RandomStreams(5)("w"))
+        node.workload.extend(gen.hpc_job(0.0, phases=8, tag="job")
+                             + gen.background_noise(0.0, 5000.0))
+        assert len(node.workload) == 17
+        sample = builtin_registry().fast_sampler
+        ticks = [5.0 * k for k in range(1, 46)]
+        for t in ticks:
+            kernel.run(until=t)
+            before = len(segment_scans)
+            sample(MonitorContext(node=node, t=t))
+            # jiffies and the thermal integral each probe every interval
+            # since boot (still O(change points) per tick); the sampler
+            # itself adds one read, where it used to add ten.
+            intervals = len(node.workload.change_points(0.0, t)) + 1
+            assert len(segment_scans) - before <= 1 + 2 * intervals
+        assert intervals > 3
+        assert len(segment_scans) <= 415  # was 821 over the same ticks
 
 
 class TestConsolidator:
@@ -312,6 +355,24 @@ class TestNodeAgent:
         assert "broken" not in delta
         assert "cpu_util_pct" in delta  # others unaffected
         assert agent.errors and agent.errors[0][1] == "broken"
+
+    def test_fast_sampler_failure_recorded_not_swallowed(self, kernel,
+                                                         loaded_node):
+        """A failing hoisted sampler still yields the sample (generic
+        loop) but must show up in ``errors``: a silent fallback would
+        cost 3x per tick forever with every value check green."""
+        reg = builtin_registry()
+        generic = reg.evaluate_all(MonitorContext(node=loaded_node,
+                                                  t=kernel.now))
+
+        def exploding(ctx):
+            raise KeyError("no such sensor")
+
+        reg.fast_sampler = exploding
+        agent = NodeAgent(kernel, loaded_node, reg)
+        assert agent.evaluate() == generic
+        assert agent.errors == [
+            (kernel.now, "fast_sampler", str(KeyError("no such sensor")))]
 
     def test_gather_proc_agrees_with_monitors(self, kernel, loaded_node):
         """The text-gathering path and the direct model reads agree."""

@@ -167,6 +167,21 @@ class TestMessage:
         assert fabric.total_bytes("mon") == 256
         assert nodes[1].nic.rx_bytes(kernel.now) >= 256
 
+    def test_message_event_is_the_delivery_itself(self, kernel, net):
+        """One kernel event per datagram: the returned event carries
+        ``nbytes`` and a waiter added to it sees the bytes credited."""
+        fabric, nodes = net
+        before = kernel.events_processed
+        event = fabric.message(nodes[0], nodes[1], 256, tag="mon")
+        seen = []
+        event.callbacks.append(lambda ev: seen.append(
+            (ev.value, fabric.total_bytes("mon"),
+             nodes[0].nic.tx_bytes(kernel.now),
+             nodes[1].nic.rx_bytes(kernel.now))))
+        assert kernel.run(event) == 256
+        assert seen == [(256, 256, 256, 256)]
+        assert kernel.events_processed - before == 1
+
 
 class TestInterconnects:
     def test_profiles_registry(self):

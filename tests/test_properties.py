@@ -7,12 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.hardware import SimulatedNode, Workload, WorkloadSegment
+from repro.hardware import (SimulatedNode, Workload, WorkloadGenerator,
+                            WorkloadSegment)
 from repro.icebox.security import IPFilter
-from repro.monitoring import BinaryCodec, Consolidator, TextCodec
+from repro.monitoring import (BinaryCodec, Consolidator, MonitorContext,
+                              TextCodec, builtin_registry)
 from repro.monitoring.gathering import parse_apriori, parse_generic
 from repro.procfs import ProcFilesystem
-from repro.sim import SimKernel
+from repro.sim import RandomStreams, SimKernel
 from repro.util import ByteRingBuffer, StreamingStats, TimeSeriesRing
 
 # ---------------------------------------------------------------------------
@@ -106,6 +108,109 @@ class TestThermalProperties:
         assume(eta is not None and eta > 0)
         assert node.thermal.temperature(eta) == pytest.approx(target,
                                                               abs=0.05)
+
+
+# One step of a generated node history: a state change at the current
+# instant, or a move of the clock (by an arbitrary amount, or exactly
+# onto the next segment start/end).
+_tags = st.sampled_from(["job", "ramp", "x"])
+_offsets = st.floats(-150.0, 150.0, allow_nan=False)
+node_steps = st.one_of(
+    st.tuples(st.just("advance"), st.floats(0.0, 300.0, allow_nan=False)),
+    st.tuples(st.just("next_point"), st.none()),
+    st.tuples(st.just("hpc_job"),
+              st.tuples(_offsets, st.integers(1, 4), st.integers(0, 999))),
+    st.tuples(st.just("memory_ramp"), _offsets),
+    st.tuples(st.just("segment"), st.tuples(
+        _offsets, st.floats(0.5, 400.0, allow_nan=False),
+        st.floats(0.0, 2.5, allow_nan=False), st.integers(0, 3 << 30),
+        st.floats(0.0, 2e7, allow_nan=False),
+        st.floats(0.0, 6e7, allow_nan=False))),
+    st.tuples(st.just("remove_tagged"), _tags),
+    st.tuples(st.just("truncate_tagged"), _tags),
+    st.tuples(st.just("leak"), st.floats(1e3, 1e8, allow_nan=False)),
+    st.tuples(st.just("nic_degrade"), st.floats(0.01, 1.0, allow_nan=False)),
+    st.tuples(st.just("overhead"), st.floats(0.0, 0.5, allow_nan=False)),
+    # One branch each, so a state transition is as likely as any step.
+    *(st.tuples(st.just(kind), st.none()) for kind in (
+        "psu_fail", "fan_failure", "fan_repair", "crash", "hang",
+        "power_off", "power_on", "reset")),
+)
+
+
+def _apply_step(node, kind, arg):
+    kernel = node.kernel
+    now = kernel.now
+    if kind == "advance":
+        kernel.run(until=now + arg)
+    elif kind == "next_point":
+        ahead = node.workload.change_points(now, math.inf)
+        if ahead:
+            kernel.run(until=ahead[0])
+    elif kind == "hpc_job":
+        offset, phases, seed = arg
+        gen = WorkloadGenerator(RandomStreams(seed)("oracle"))
+        node.workload.extend(gen.hpc_job(now + offset, phases=phases,
+                                         tag="job"))
+    elif kind == "memory_ramp":
+        gen = WorkloadGenerator(RandomStreams(0)("oracle"))
+        node.workload.extend(gen.memory_ramp(now + arg, steps=4))
+    elif kind == "segment":
+        offset, duration, cpu, memory, net, disk = arg
+        node.workload.add(WorkloadSegment(
+            start=now + offset, duration=duration, cpu=cpu, memory=memory,
+            net_tx=net, net_rx=net / 2, disk_read=disk,
+            disk_write=disk / 3, tag="x"))
+    elif kind == "remove_tagged":
+        node.workload.remove_tagged(arg)
+    elif kind == "truncate_tagged":
+        node.workload.truncate_tagged(arg, at=now)
+    elif kind == "leak":
+        node.memory.inject_leak(now, arg)
+    elif kind == "nic_degrade":
+        node.nic.degrade(arg)
+    elif kind == "overhead":
+        node.cpu.set_overhead("oracle", arg)
+    elif kind == "psu_fail":
+        node.psu.fail()
+    elif kind == "crash":
+        node.crash("oracle")
+    else:
+        getattr(node, kind)()
+
+
+class TestSamplerOracle:
+    """The hoisted builtin sampler against the generic per-monitor loop,
+    and ``demand`` against an independent sum, over generated histories."""
+
+    @given(st.lists(node_steps, min_size=1, max_size=25), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_fast_sampler_and_demand_match_their_oracles(
+            self, steps, diskless):
+        kernel = SimKernel()
+        node = SimulatedNode(kernel, "oracle", node_id=11,
+                             diskless=diskless)
+        node.power_on()
+        registry = builtin_registry()
+        for kind, arg in steps:
+            _apply_step(node, kind, arg)
+            # kernel.now is, in turn, boot_completed_at, arbitrary
+            # instants, and exact segment starts and ends.
+            t = kernel.now
+            ctx = MonitorContext(node=node, t=t)
+            fast = registry.fast_sampler(ctx)
+            generic = registry.evaluate_all(ctx)
+            # repr: 0 and 0.0 are equal but differ on the text wire.
+            assert [(k, repr(v)) for k, v in fast.items()] == \
+                [(k, repr(v)) for k, v in generic.items()]
+            scanned = dict.fromkeys(
+                ("cpu", "memory", "net_tx", "net_rx", "disk_read",
+                 "disk_write"), 0.0)
+            for seg in node.workload.active(t):
+                for key in scanned:
+                    scanned[key] += getattr(seg, key)
+            scanned["memory"] = int(scanned["memory"])
+            assert dict(node.workload.demand(t)) == scanned
 
 
 class TestRingBufferProperties:
