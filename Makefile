@@ -5,7 +5,7 @@ PYTHON    ?= python
 PYTHONPATH := src
 
 .PHONY: check lint test sanitize bench bench-smoke perf-smoke \
-	perf-compare baseline chaos chaos-federation serve
+	perf-compare mem-ledger baseline chaos chaos-federation serve
 
 check: lint test
 
@@ -52,6 +52,14 @@ perf-smoke:
 # a metric's bound:  make perf-compare A=before.json B=after.json
 perf-compare:
 	$(PYTHON) benchmarks/perf/run.py --compare $(A) $(B)
+
+# What one managed node costs the server process: RSS per node,
+# tracemalloc KB and blocks per node by src/repro module, GC-tracked
+# objects per node (benchmarks/mem_ledger.py; --src measures another
+# checkout for the "before" row):  make mem-ledger N=2000
+N ?= 2000
+mem-ledger:
+	$(PYTHON) benchmarks/mem_ledger.py --nodes $(N)
 
 # Serve a simulated cluster's state over HTTP on 127.0.0.1:8137:
 # /v1/summary /v1/hosts /v1/query /v1/events /v1/history /v1/watch /stats.

@@ -1,0 +1,170 @@
+"""The memory ledger: what one managed node costs the server process.
+
+Builds the repo benchmark's ``steady_*`` shape through the public facade
+(``ClusterWorX(n_nodes=N, self_healing=True, monitor_interval=5)``, one
+never-firing ``cpu_temp_c > 85`` rule, ``start()``, 6.5 agent intervals
+of warm-up) and prints, per node:
+
+* RSS (``ru_maxrss`` growth across the build, tracing off);
+* tracemalloc KB and allocated blocks by ``src/repro`` module, with the
+  two groups memory issues cite — history + ring, event engine;
+* GC-tracked objects, and the cost of one full collection.
+
+Each probe runs in its own child process: tracemalloc roughly doubles
+RSS, so the two cannot share one.  Run modes::
+
+    python benchmarks/mem_ledger.py --nodes 2000           # make mem-ledger N=2000
+    python benchmarks/mem_ledger.py --nodes 1000 --src /path/to/other/checkout/src
+
+``--src`` measures another checkout with this script — the "before" row
+of a memory claim.  Same seed and N give the same tracemalloc and object
+counts run to run; RSS moves by about 1 %.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import os
+import resource
+import subprocess
+import sys
+import time
+import tracemalloc
+from typing import Dict, List
+
+SEED = 1610
+AGENT_INTERVAL = 5.0
+WARM_INTERVALS = 6.5
+RULE = dict(metric="cpu_temp_c", op=">", threshold=85.0, action="none")
+GROUPS = {
+    "history + ring": ("monitoring/history.py", "util/ringbuffer.py"),
+    "event engine": ("events/engine.py",),
+}
+TOP_MODULES = 12
+
+
+def _build(n_nodes: int):
+    from repro import ClusterWorX
+    cwx = ClusterWorX(n_nodes=n_nodes, seed=SEED, self_healing=True,
+                      monitor_interval=AGENT_INTERVAL)
+    cwx.add_threshold("hot-cpu", **RULE)
+    cwx.start()
+    cwx.run(WARM_INTERVALS * AGENT_INTERVAL)
+    return cwx
+
+
+def _maxrss_kb() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
+def probe_rss(n_nodes: int) -> Dict[str, object]:
+    """RSS and GC-tracked objects per node, tracing off."""
+    import repro  # noqa: F401  (import cost is not per-node cost)
+    gc.collect()
+    rss_before, objects_before = _maxrss_kb(), len(gc.get_objects())
+    cwx = _build(n_nodes)
+    rss_after = _maxrss_kb()
+    gc.collect()
+    objects_after = len(gc.get_objects())
+    start = time.perf_counter()
+    gc.collect()
+    full_collect_ms = (time.perf_counter() - start) * 1e3
+    return {"sim_now": cwx.kernel.now,
+            "rss_kb_per_node": (rss_after - rss_before) / n_nodes,
+            "gc_objects_per_node":
+                (objects_after - objects_before) / n_nodes,
+            "full_collect_ms": full_collect_ms}
+
+
+def probe_tracemalloc(n_nodes: int, src: str) -> Dict[str, object]:
+    """Live traced bytes and blocks per node, by ``src/repro`` module."""
+    import repro  # noqa: F401
+    tracemalloc.start()
+    cwx = _build(n_nodes)
+    gc.collect()
+    snapshot = tracemalloc.take_snapshot()
+    tracemalloc.stop()
+    prefix = os.path.join(os.path.realpath(src), "repro") + os.sep
+    modules: Dict[str, List[float]] = {}
+    elsewhere = [0.0, 0.0]
+    for stat in snapshot.statistics("filename"):
+        filename = os.path.realpath(stat.traceback[0].filename)
+        row = modules.setdefault(filename[len(prefix):], [0.0, 0.0]) \
+            if filename.startswith(prefix) else elsewhere
+        row[0] += stat.size / 1024 / n_nodes
+        row[1] += stat.count / n_nodes
+    modules["(outside src/repro)"] = elsewhere
+    return {"sim_now": cwx.kernel.now, "modules": modules}
+
+
+def _child(probe: str, n_nodes: int, src: str) -> Dict[str, object]:
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
+    out = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--probe", probe,
+         "--nodes", str(n_nodes), "--src", src],
+        env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def ledger(n_nodes: int, src: str) -> Dict[str, object]:
+    rss = _child("rss", n_nodes, src)
+    traced = _child("tracemalloc", n_nodes, src)
+    modules = traced["modules"]
+    groups = {
+        name: [sum(modules.get(m, (0.0, 0.0))[i] for m in members)
+               for i in (0, 1)]
+        for name, members in GROUPS.items()}
+    return {"nodes": n_nodes, "seed": SEED, "src": src, **rss,
+            "traced_kb_per_node": sum(kb for kb, _ in modules.values()),
+            "groups": groups, "modules": modules}
+
+
+def print_ledger(result: Dict[str, object]) -> None:
+    print(f"memory ledger: {result['nodes']} nodes, seed {result['seed']},"
+          f" sim t={result['sim_now']:.1f} s, src={result['src']}")
+    print(f"  RSS per node               {result['rss_kb_per_node']:8.1f} KB")
+    print(f"  traced per node            "
+          f"{result['traced_kb_per_node']:8.1f} KB")
+    print(f"  GC-tracked objects / node  "
+          f"{result['gc_objects_per_node']:8.1f}")
+    print(f"  one full collection        "
+          f"{result['full_collect_ms']:8.1f} ms")
+    print(f"  {'group / module':34s} {'KB/node':>8s} {'blocks/node':>12s}")
+    for name, (kb, blocks) in result["groups"].items():
+        print(f"  {name:34s} {kb:8.2f} {blocks:12.1f}")
+    ranked = sorted(result["modules"].items(), key=lambda kv: -kv[1][0])
+    for name, (kb, blocks) in ranked[:TOP_MODULES]:
+        print(f"    {name:32s} {kb:8.2f} {blocks:12.1f}")
+
+
+def main(argv=None) -> int:
+    here = os.path.dirname(os.path.abspath(__file__))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--nodes", type=int, default=2000)
+    parser.add_argument("--src", default=os.path.join(here, "..", "src"),
+                        help="the src/ directory to measure "
+                             "(default: this checkout's)")
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write the ledger to PATH")
+    parser.add_argument("--probe", choices=("rss", "tracemalloc"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    src = os.path.realpath(args.src)
+    if args.probe == "rss":
+        print(json.dumps(probe_rss(args.nodes)))
+        return 0
+    if args.probe == "tracemalloc":
+        print(json.dumps(probe_tracemalloc(args.nodes, src)))
+        return 0
+    result = ledger(args.nodes, src)
+    print_ledger(result)
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(result, fh, indent=1)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,7 +17,7 @@ through the single simulation timeline.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from typing import Dict, List, Mapping, Optional
 
 from repro.core.auth import AuthManager, Role
@@ -131,9 +131,10 @@ class ClusterWorXServer:
         self._console_archive: Dict[str, List[tuple[float, str]]] = {}
         self._console_hosts: List[str] = []
         self.console_archive_limit = 2000
-        #: the nodes this server manages, in tracking order (sweep order
-        #: must be deterministic for golden-trace parity).
-        self._managed: List[SimulatedNode] = []
+        #: hostname -> node for the nodes this server manages; insertion
+        #: order is tracking order, which is the sweep order (it must be
+        #: deterministic for golden-trace parity).
+        self._managed: Dict[str, SimulatedNode] = {}
         #: hostname -> (console, sink) so forget_node can detach the
         #: archive subscription instead of leaking it on the ICE Box.
         self._console_subs: Dict[str, tuple] = {}
@@ -149,7 +150,7 @@ class ClusterWorXServer:
         if self.store.is_tracked(node.hostname):
             return
         self.store.track(node.hostname)
-        self._managed.append(node)
+        self._managed[node.hostname] = node
         located = self.cluster.locate(node)
         if located is not None:
             box, port = located
@@ -169,23 +170,23 @@ class ClusterWorXServer:
         self.store.forget(hostname)
         self.history.forget(hostname)
         if self._console_archive.pop(hostname, None) is not None:
-            self._console_hosts.remove(hostname)
+            del self._console_hosts[
+                bisect_left(self._console_hosts, hostname)]
         sub = self._console_subs.pop(hostname, None)
         if sub is not None:
             console, sink = sub
             console.unsubscribe(sink)
-        self._managed = [n for n in self._managed
-                         if n.hostname != hostname]
+        self._managed.pop(hostname, None)
         self.engine.forget_node(hostname)
 
     @property
     def managed_nodes(self) -> List[SimulatedNode]:
         """The nodes this server manages, in tracking order."""
-        return list(self._managed)
+        return list(self._managed.values())
 
     @property
     def managed_hostnames(self) -> List[str]:
-        return sorted(n.hostname for n in self._managed)
+        return sorted(self._managed)
 
     def _make_console_sink(self, hostname: str):
         def _sink(text: str) -> None:
@@ -268,7 +269,7 @@ class ClusterWorXServer:
                 None if self.self_healing else []
             # Snapshot the membership: a health transition observed
             # mid-sweep can trigger forget_node from a subscriber.
-            for node in list(self._managed):
+            for node in list(self._managed.values()):
                 if not self.store.is_tracked(node.hostname):
                     continue  # hot-removed earlier in this same pass
                 reachable = 1 if (node.is_running()
@@ -395,7 +396,7 @@ class ClusterWorXServer:
         """
         image = self.images.get(image_name)
         if hostnames is None:
-            targets = list(self._managed)
+            targets = list(self._managed.values())
         else:
             targets = [self.cluster.node(h) for h in hostnames]
         self.images.assign(targets, image_name)

@@ -1,7 +1,7 @@
 """The event engine (§5.2): evaluates rules against monitor updates,
 drives actions, and feeds the notifier.
 
-Per (rule, node) the engine keeps a tiny state machine::
+Per (node, rule) the engine keeps a tiny state machine::
 
     OK --condition met--> PENDING (hold_time running)
     PENDING --still met after hold_time--> TRIGGERED (action + notify)
@@ -56,13 +56,15 @@ class EventEngine:
             else ActionDispatcher()
         self.notifier = notifier
         self._rules: Dict[str, ThresholdRule] = {}
-        self._state: Dict[Tuple[str, str], _RuleState] = {}
+        #: hostname -> {rule name: state}.  All per-node memory is keyed
+        #: by host first, so forgetting a node never scans other nodes.
+        self._state: Dict[str, Dict[str, _RuleState]] = {}
         #: currently-triggered (rule, hostname) pairs, maintained
         #: incrementally so active_count() is O(1).
         self._active: set[Tuple[str, str]] = set()
-        #: last value seen per (hostname, metric): change suppression
+        #: hostname -> {metric: last value seen}: change suppression
         #: means a delta without a metric implies "same as before".
-        self._last: Dict[Tuple[str, str], object] = {}
+        self._last: Dict[str, Dict[str, object]] = {}
         self.fired: List[FiredEvent] = []
         #: fn(fired_event, rule) called after every firing — the hook
         #: the health tracker uses to treat critical events as evidence.
@@ -103,9 +105,9 @@ class EventEngine:
 
     def remove_rule(self, name: str) -> None:
         rule = self._rules.pop(name, None)
-        for key in [k for k in self._state if k[0] == name]:
-            del self._state[key]
-            self._active.discard(key)
+        for hostname, states in self._state.items():
+            if states.pop(name, None) is not None:
+                self._active.discard((name, hostname))
         if rule is None:
             return
         self._order.pop(name, None)
@@ -119,11 +121,9 @@ class EventEngine:
         """Drop all per-node rule state and change-suppression memory —
         the hot-remove path (a decommissioned node must not keep events
         active or ghost-evaluate against stale values)."""
-        for key in [k for k in self._state if k[1] == hostname]:
-            del self._state[key]
-            self._active.discard(key)
-        for key in [k for k in self._last if k[0] == hostname]:
-            del self._last[key]
+        for rule_name in self._state.pop(hostname, ()):
+            self._active.discard((rule_name, hostname))
+        self._last.pop(hostname, None)
         self._pending.pop(hostname, None)
         self._rules_seen.pop(hostname, None)
 
@@ -131,8 +131,13 @@ class EventEngine:
     def rules(self) -> List[ThresholdRule]:
         return [self._rules[n] for n in sorted(self._rules)]
 
+    def _rule_state(self, rule_name: str,
+                    hostname: str) -> Optional[_RuleState]:
+        states = self._state.get(hostname)
+        return states.get(rule_name) if states is not None else None
+
     def is_triggered(self, rule_name: str, hostname: str) -> bool:
-        state = self._state.get((rule_name, hostname))
+        state = self._rule_state(rule_name, hostname)
         return bool(state and state.triggered)
 
     def active_events(self) -> List[Tuple[str, str]]:
@@ -193,26 +198,30 @@ class EventEngine:
         """
         now = self.kernel.now
         hostname = node.hostname
-        last = self._last
-        for name, value in values.items():
-            last[(hostname, name)] = value
+        last = self._last.get(hostname)
+        if last is None:
+            last = self._last[hostname] = {}
+        # The items view, not the mapping: an Update's values are a
+        # mapping proxy, which dict.update() would walk key by key.
+        last.update(values.items())
+        states = self._state.get(hostname)
         fired: List[FiredEvent] = []
         missing = object()
         for rule in self._candidates(hostname, values):
             if not rule.applies_to(hostname):
                 continue
             # Absent metrics mean "unchanged" under change suppression —
-            # evaluate against the last known value so hold-time rules
-            # still mature while a breached value sits constant.
-            value = values.get(
-                rule.metric,
-                last.get((hostname, rule.metric), missing))
+            # ``last`` now holds this delta over everything seen before,
+            # so hold-time rules still mature while a breached value
+            # sits constant.
+            value = last.get(rule.metric, missing)
             if value is missing:
                 continue
-            key = (rule.name, hostname)
-            state = self._state.get(key)
+            if states is None:
+                states = self._state[hostname] = {}
+            state = states.get(rule.name)
             if state is None:
-                state = self._state[key] = _RuleState()
+                state = states[rule.name] = _RuleState()
 
             if not state.triggered:
                 if rule.breached(value):
@@ -224,7 +233,7 @@ class EventEngine:
                         state.triggered = True
                         state.pending_since = None
                         self._pending[hostname].discard(rule.name)
-                        self._active.add(key)
+                        self._active.add((rule.name, hostname))
                         fired.append(self._fire(rule, node, value))
                 else:
                     if state.pending_since is not None:
@@ -233,7 +242,7 @@ class EventEngine:
             else:
                 if rule.cleared(value):
                     state.triggered = False
-                    self._active.discard(key)
+                    self._active.discard((rule.name, hostname))
                     if self.notifier is not None:
                         self.notifier.event_cleared(rule.name,
                                                     hostname)
@@ -272,7 +281,7 @@ class EventEngine:
     def mark_fixed(self, rule_name: str, hostname: str) -> None:
         """An administrator fixed the node out-of-band: clear the trigger
         so the event can re-fire (§5.2's re-fire semantics)."""
-        state = self._state.get((rule_name, hostname))
+        state = self._rule_state(rule_name, hostname)
         if state is not None:
             state.triggered = False
             state.pending_since = None

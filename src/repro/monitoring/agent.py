@@ -16,6 +16,7 @@ the quoted "approximately 5 seconds of CPU time per hour".
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.hardware.node import SimulatedNode
@@ -60,12 +61,17 @@ class NodeAgent:
         #: transmitter ships (the server's ``ingest`` plugs in here).
         self.on_sample = on_sample
         self._seq = 0
-        self.procfs = ProcFilesystem(node)
         #: (time, monitor name, error text) for failed monitor evaluations.
         self.errors: List[Tuple[float, str, str]] = []
         self.samples_taken = 0
         self._process = None
         self._running = False
+
+    @cached_property
+    def procfs(self) -> ProcFilesystem:
+        """The node's simulated /proc, built on first use: only the
+        validation path (:meth:`gather_proc`) reads it."""
+        return ProcFilesystem(self.node)
 
     # -- lifecycle -------------------------------------------------------
     @property

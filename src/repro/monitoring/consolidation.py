@@ -15,7 +15,7 @@ server only ever sees the deltas the consolidator releases.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, FrozenSet, Iterable, Optional
 
 __all__ = ["Consolidator"]
 
@@ -32,12 +32,13 @@ class Consolidator:
         a consolidated snapshot may serve simultaneous requests."""
         if deadband < 0:
             raise ValueError("deadband must be >= 0")
-        self.static_names: Set[str] = set(static_names)
+        #: a registry hands every agent of a cohort the same frozenset,
+        #: and ``frozenset()`` of one is that object, not a copy per node.
+        self.static_names: FrozenSet[str] = frozenset(static_names)
         self.deadband = deadband
         self.cache_ttl = cache_ttl
         self._current: Dict[str, object] = {}
         self._transmitted: Dict[str, object] = {}
-        self._static_sent: Set[str] = set()
         self._cache_time: Optional[float] = None
         # -- statistics for E6 --
         self.values_seen = 0
@@ -83,8 +84,6 @@ class Consolidator:
             delta = {name: value for name, value in values.items()
                      if value != last(name, _MISSING)}
         transmitted.update(delta)
-        if not self.static_names.isdisjoint(delta):
-            self._static_sent.update(self.static_names.intersection(delta))
         self.values_seen += len(values)
         self.values_released += len(delta)
         self._cache_time = t
@@ -123,4 +122,3 @@ class Consolidator:
     def force_full_retransmit(self) -> None:
         """Invalidate transmitted state (server reconnect, agent restart)."""
         self._transmitted.clear()
-        self._static_sent.clear()

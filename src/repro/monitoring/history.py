@@ -5,8 +5,9 @@ over time ... view cluster use and performance trends over a selected time
 interval, analyze the relationships between monitored values, or compare
 performance between nodes."
 
-:class:`HistoryStore` keeps one numpy-backed ring per (node, metric) and
-provides windowed queries, RRD-style downsampling for chart rendering,
+:class:`HistoryStore` keeps one table per host — ``{metric: ring}``, each
+ring a :class:`~repro.util.ringbuffer.TimeSeriesRing` — and provides
+windowed queries, RRD-style downsampling for chart rendering,
 cross-node comparison, and a correlation helper for the "relationships
 between monitored values" use case.
 """
@@ -23,26 +24,41 @@ __all__ = ["HistoryStore", "TieredHistory"]
 
 
 class HistoryStore:
-    """Time-series history for every (node, metric) pair."""
+    """Time-series history for every (node, metric) pair.
+
+    Keyed by host first: one update, one drain step and one decommission
+    each touch a single host's table, never the whole cluster's.
+    """
 
     def __init__(self, capacity: int = 4096):
         self.capacity = capacity
-        self._series: Dict[Tuple[str, str], TimeSeriesRing] = {}
+        #: hostname -> {metric: ring}; a host appears with its first
+        #: numeric value, so a host that only reports strings has no entry.
+        self._series: Dict[str, Dict[str, TimeSeriesRing]] = {}
+
+    def _ring(self, hostname: str, metric: str
+              ) -> Optional[TimeSeriesRing]:
+        table = self._series.get(hostname)
+        return table.get(metric) if table is not None else None
 
     def record(self, hostname: str, t: float,
                values: Dict[str, object]) -> None:
         """Store the numeric subset of one update."""
+        table = self._series.get(hostname)
+        known = table is not None
+        if not known:
+            table = {}
         for name, value in values.items():
             if isinstance(value, bool):
                 value = int(value)
             if not isinstance(value, (int, float)):
                 continue
-            key = (hostname, name)
-            ring = self._series.get(key)
+            ring = table.get(name)
             if ring is None:
-                ring = TimeSeriesRing(self.capacity)
-                self._series[key] = ring
+                ring = table[name] = TimeSeriesRing(self.capacity)
             ring.append(t, float(value))
+        if not known and table:
+            self._series[hostname] = table
 
     def ingest(self, update) -> None:
         """Typed entry point: store one
@@ -52,33 +68,32 @@ class HistoryStore:
 
     def forget(self, hostname: str) -> None:
         """Drop every series for a decommissioned node."""
-        for key in [k for k in self._series if k[0] == hostname]:
-            del self._series[key]
+        self._series.pop(hostname, None)
 
     # -- queries ------------------------------------------------------------
     def series(self, hostname: str, metric: str
                ) -> Tuple[np.ndarray, np.ndarray]:
-        ring = self._series.get((hostname, metric))
+        ring = self._ring(hostname, metric)
         if ring is None:
             return np.empty(0), np.empty(0)
         return ring.arrays()
 
     def window(self, hostname: str, metric: str, t0: float, t1: float
                ) -> Tuple[np.ndarray, np.ndarray]:
-        ring = self._series.get((hostname, metric))
+        ring = self._ring(hostname, metric)
         if ring is None:
             return np.empty(0), np.empty(0)
         return ring.window(t0, t1)
 
     def latest(self, hostname: str, metric: str
                ) -> Optional[Tuple[float, float]]:
-        ring = self._series.get((hostname, metric))
+        ring = self._ring(hostname, metric)
         return ring.latest() if ring is not None else None
 
     def graph(self, hostname: str, metric: str, buckets: int = 60
               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Downsampled (centers, mean, min, max) for chart rendering."""
-        ring = self._series.get((hostname, metric))
+        ring = self._ring(hostname, metric)
         if ring is None:
             empty = np.empty(0)
             return empty, empty, empty, empty
@@ -184,20 +199,25 @@ class HistoryStore:
         The shard-rebalance path: a drained shard exports a node's
         history so the adopting shard keeps the trend lines intact.
         """
-        out: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        for (host, metric) in self._series:
-            if host == hostname:
-                out[metric] = self.series(host, metric)
-        return out
+        return {metric: ring.arrays() for metric, ring
+                in self._series.get(hostname, {}).items()}
 
     def adopt_host(self, hostname: str,
                    series: Dict[str, Tuple[np.ndarray, np.ndarray]]
                    ) -> None:
-        """Replay an :meth:`export_host` payload into this store."""
+        """Append an :meth:`export_host` payload to this store's series
+        for the host, one bulk extend per metric."""
+        table = self._series.get(hostname)
         for metric in sorted(series):
             t, v = series[metric]
-            for ti, vi in zip(t, v):
-                self.record(hostname, float(ti), {metric: float(vi)})
+            if not len(t):
+                continue
+            if table is None:
+                table = self._series[hostname] = {}
+            ring = table.get(metric)
+            if ring is None:
+                ring = table[metric] = TimeSeriesRing(self.capacity)
+            ring.extend(zip(t.tolist(), v.tolist()))
 
     # -- persistence ------------------------------------------------------
     def export_text(self) -> str:
@@ -208,11 +228,12 @@ class HistoryStore:
         care about bytes.
         """
         lines = []
-        for (host, metric) in sorted(self._series):
-            t, v = self.series(host, metric)
-            for ti, vi in zip(t, v):
-                lines.append(f"{host} {metric} "
-                             f"{float(ti)!r} {float(vi)!r}")
+        for host in sorted(self._series):
+            table = self._series[host]
+            for metric in sorted(table):
+                t, v = table[metric].arrays()
+                for ti, vi in zip(t.tolist(), v.tolist()):
+                    lines.append(f"{host} {metric} {ti!r} {vi!r}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
@@ -236,14 +257,16 @@ class HistoryStore:
     # -- bookkeeping ----------------------------------------------------------
     @property
     def metric_names(self) -> List[str]:
-        return sorted({metric for _, metric in self._series})
+        return sorted({metric for table in self._series.values()
+                       for metric in table})
 
     @property
     def hostnames(self) -> List[str]:
-        return sorted({host for host, _ in self._series})
+        return sorted(self._series)
 
     def __len__(self) -> int:
-        return len(self._series)
+        """Number of stored (host, metric) series."""
+        return sum(map(len, self._series.values()))
 
 
 class TieredHistory:

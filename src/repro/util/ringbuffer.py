@@ -6,13 +6,15 @@ Two variants are used throughout the framework:
   buffer (§3.3 of the paper): appending past capacity silently discards the
   oldest bytes, which is exactly the post-mortem semantics the paper
   describes ("logging and buffering (up to 16k) of the output").
-* :class:`TimeSeriesRing` — numpy-backed (timestamp, value) history used by
-  the monitoring server for historical graphing (§5.1).
+* :class:`TimeSeriesRing` — the (timestamp, value) history the monitoring
+  server keeps per metric per host for historical graphing (§5.1): one
+  interleaved ``array('d')``, read out as numpy arrays.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import chain
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -70,51 +72,67 @@ class ByteRingBuffer:
 class TimeSeriesRing:
     """Fixed-capacity (timestamp, value) series with lazy growth.
 
-    Storage is a pair of ``array('d')`` buffers that grow with the data
-    and wrap once ``capacity`` is reached — a monitoring server holds one
-    ring per (host, metric), so hundreds of thousands of mostly-short
-    series must not each pre-pay the full capacity (two 32 KiB numpy
-    blocks per ring ≈ 36 GB at 10k nodes).  Range queries still hand out
-    chronological numpy float64 arrays (zero-copy views of the buffers
-    until the wrap seam forces a copy), so downsampling for historical
-    graphs stays vectorized.
+    Storage is one interleaved ``array('d')`` — ``t0, v0, t1, v1, …`` —
+    that grows with the data and wraps once ``capacity`` samples are
+    held.  A monitoring server holds one ring per metric per host, so
+    hundreds of thousands of mostly-short series must neither pre-pay
+    the full capacity nor carry a second buffer object and an instance
+    dict each (``__slots__``).  Range queries hand out chronological
+    numpy float64 arrays — always fresh contiguous copies of the two
+    strided halves, never a view: a live export of the buffer would make
+    the next growing ``append`` raise ``BufferError``.
     """
+
+    __slots__ = ("capacity", "_buf", "_head")
 
     def __init__(self, capacity: int = 4096):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._t = array("d")
-        self._v = array("d")
-        self._head = 0   # index of next write
+        self._buf = array("d")
+        #: sample index of the oldest sample, which is also the next one
+        #: overwritten; stays 0 until the ring is full.
+        self._head = 0
 
     def __len__(self) -> int:
-        return len(self._t)
+        return len(self._buf) >> 1
 
     def append(self, t: float, value: float) -> None:
-        if len(self._t) < self.capacity:
-            self._t.append(t)
-            self._v.append(value)
-            self._head = len(self._t) % self.capacity
+        buf = self._buf
+        if len(buf) < 2 * self.capacity:
+            buf.append(t)
+            buf.append(value)
         else:
             head = self._head
-            self._t[head] = t
-            self._v[head] = value
+            buf[2 * head] = t
+            buf[2 * head + 1] = value
             self._head = (head + 1) % self.capacity
 
     def extend(self, pairs: Iterable[Tuple[float, float]]) -> None:
-        for t, v in pairs:
-            self.append(t, v)
+        """Append many samples at once (same result as repeated
+        :meth:`append`, one buffer operation instead of one per sample)."""
+        new = array("d", chain.from_iterable(pairs))
+        if len(new) & 1:
+            raise ValueError("extend() takes (t, value) pairs")
+        buf = self._buf
+        limit = 2 * self.capacity
+        if len(buf) + len(new) <= limit:
+            buf.extend(new)    # still growing, so _head is 0
+            return
+        # Overflow: lay the survivors out oldest first, which is a full
+        # ring whose next write lands on index 0.
+        cut = 2 * self._head
+        self._buf = (buf[cut:] + buf[:cut] + new)[-limit:]
+        self._head = 0
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """All stored samples in chronological order (fresh arrays)."""
-        t = np.frombuffer(self._t, dtype=np.float64)
-        v = np.frombuffer(self._v, dtype=np.float64)
-        head = self._head
-        if len(t) < self.capacity or head == 0:
-            return t.copy(), v.copy()
-        return (np.concatenate([t[head:], t[:head]]),
-                np.concatenate([v[head:], v[:head]]))
+        flat = np.frombuffer(self._buf, dtype=np.float64)
+        cut = 2 * self._head
+        if not cut:
+            return flat[0::2].copy(), flat[1::2].copy()
+        return (np.concatenate([flat[cut::2], flat[:cut:2]]),
+                np.concatenate([flat[cut + 1::2], flat[1:cut:2]]))
 
     def window(self, t0: float, t1: float) -> Tuple[np.ndarray, np.ndarray]:
         """Samples with ``t0 <= t <= t1`` in chronological order."""
@@ -123,12 +141,13 @@ class TimeSeriesRing:
         return t[mask], v[mask]
 
     def latest(self) -> Optional[Tuple[float, float]]:
-        size = len(self._t)
-        if size == 0:
+        buf = self._buf
+        if not buf:
             return None
-        idx = (self._head - 1) % self.capacity if size == self.capacity \
-            else size - 1
-        return self._t[idx], self._v[idx]
+        # The newest sample sits just before the oldest (index -1 while
+        # the ring is still growing and _head is 0).
+        idx = 2 * self._head - 2
+        return buf[idx], buf[idx + 1]
 
     def downsample(self, buckets: int) -> Tuple[np.ndarray, np.ndarray,
                                                 np.ndarray, np.ndarray]:

@@ -213,6 +213,16 @@ def test_console_search_returns_sorted_hosts():
     hosts = [hostname for hostname, _t, _text in hits]
     assert hosts == sorted(hosts)
     assert cwx.server.console_search("no-such-needle-xyzzy") == []
+    # a forgotten node leaves the search, and the sweep order of the
+    # rest (tracking order) is untouched
+    tracked = [n.hostname for n in cwx.server.managed_nodes]
+    victim = sorted(set(hosts))[1]
+    cwx.server.forget_node(victim)
+    remaining = [hostname for hostname, _t, _text
+                 in cwx.server.console_search("Linux")]
+    assert remaining == [h for h in hosts if h != victim]
+    assert [n.hostname for n in cwx.server.managed_nodes] == \
+        [h for h in tracked if h != victim]
 
 
 #: what the unindexed engine (every rule scanned on every update) fired

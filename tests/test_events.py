@@ -212,6 +212,57 @@ class TestEventEngine:
         engine.mark_fixed("hot", node.hostname)
         assert len(engine.feed(node, {"temp": 80.0})) == 1
 
+    def test_forgotten_node_readded_evaluates_from_scratch(
+            self, engine, kernel, make_node_set):
+        gone, stays = make_node_set(2)
+        engine.add_rule(self._rule())
+        engine.add_rule(self._rule(name="slow", hold_time=10.0))
+        engine.feed(gone, {"temp": 80.0})     # hot fires, slow matures
+        engine.feed(stays, {"temp": 80.0})
+        engine.forget_node(gone.hostname)
+        assert engine.active_events() == [("hot", stays.hostname)]
+        assert not engine.is_triggered("hot", gone.hostname)
+        # the re-added host has no remembered temp and no running clock
+        kernel.run(until=12.0)
+        assert engine.feed(gone, {"other": 1}) == []
+        fired = engine.feed(gone, {"temp": 80.0})
+        assert [e.rule for e in fired] == ["hot"]   # slow restarts at 12
+        kernel.run(until=20.0)
+        assert engine.feed(gone, {"other": 2}) == []
+        kernel.run(until=22.0)
+        assert [e.rule for e in engine.feed(gone, {"other": 3})] == ["slow"]
+        # the neighbour's memory was never touched
+        assert [e.rule for e in engine.feed(stays, {"other": 1})] == ["slow"]
+
+    def test_rule_added_midstream_sees_suppressed_values(
+            self, engine, make_node_set):
+        hot, cool = make_node_set(2)
+        engine.feed(hot, {"temp": 80.0, "other": 0})
+        engine.feed(cool, {"temp": 40.0})
+        engine.add_rule(self._rule())
+        # neither delta carries temp: the rule reads what it remembers
+        fired = engine.feed(hot, {"other": 1})
+        assert [(e.node, e.value) for e in fired] == [(hot.hostname, 80.0)]
+        assert engine.feed(cool, {"other": 1}) == []
+
+    def test_remove_rule_drops_state_on_every_host(
+            self, engine, make_node_set):
+        nodes = make_node_set(3)
+        engine.add_rule(self._rule())
+        engine.add_rule(self._rule(name="other-rule", metric="load"))
+        for n in nodes:
+            engine.feed(n, {"temp": 80.0, "load": 99.0})
+        assert engine.active_count() == 6
+        engine.remove_rule("hot")
+        assert engine.active_events() == [
+            ("other-rule", n.hostname) for n in nodes]
+        assert not any(engine.is_triggered("hot", n.hostname)
+                       for n in nodes)
+        # a rule re-added under the old name starts clean on every host
+        engine.add_rule(self._rule())
+        for n in nodes:
+            assert [e.rule for e in engine.feed(n, {"x": 1})] == ["hot"]
+
 
 class TestSmartNotification:
     def test_one_email_for_many_nodes(self, kernel):

@@ -1,0 +1,102 @@
+"""Deterministic footprint guards for the server's per-node state.
+
+RSS and wall time are not assertable in tier-1; allocation sizes and
+executed-bytecode counts are.  The ceilings sit about a third above what
+the host-first layout measures here (9.6 KB history + ring, 1.8 KB
+engine per node) and well under what the per-(host, metric) layout cost
+(19.1 and 6.1), so a return of per-value objects or key tuples fails
+here before it shows up as `peak_rss_mb` in the repo benchmark.
+`make mem-ledger` prints the full table these two rows come from.
+"""
+
+import gc
+import sys
+import tracemalloc
+
+import pytest
+
+from repro import ClusterWorX
+from repro.events import EventEngine, ThresholdRule
+from repro.monitoring import HistoryStore
+
+N_NODES = 200
+INTERVAL = 5.0
+HISTORY_FILES = ("monitoring/history.py", "util/ringbuffer.py")
+ENGINE_FILES = ("events/engine.py",)
+
+
+def _kb_per_node(snapshot, suffixes):
+    total = sum(stat.size for stat in snapshot.statistics("filename")
+                if stat.traceback[0].filename.replace("\\", "/")
+                .endswith(suffixes))
+    return total / 1024 / N_NODES
+
+
+def test_server_state_per_node_stays_small():
+    tracemalloc.start()
+    try:
+        cwx = ClusterWorX(n_nodes=N_NODES, seed=1610, self_healing=True,
+                          monitor_interval=INTERVAL)
+        cwx.add_threshold("hot-cpu", metric="cpu_temp_c", op=">",
+                          threshold=85.0, action="none")
+        cwx.start()
+        cwx.run(2.5 * INTERVAL)      # boot tick + two more
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert min(a.samples_taken for a in cwx.agents.values()) == 3
+    assert _kb_per_node(snapshot, HISTORY_FILES) <= 13.0
+    assert _kb_per_node(snapshot, ENGINE_FILES) <= 2.5
+
+
+def _bytecodes_executed(fn, *args):
+    """How many bytecodes ``fn(*args)`` runs in Python frames."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            count += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def _filled(n_hosts, kernel, make_node_set):
+    history = HistoryStore()
+    engine = EventEngine(kernel)
+    engine.add_rule(ThresholdRule(name="hot", metric="m0", op=">",
+                                  threshold=0.5, action="none",
+                                  notify=False))
+    values = {f"m{i}": float(i) for i in range(40)}
+    for node in make_node_set(n_hosts):
+        history.record(node.hostname, 1.0, values)
+        engine.feed(node, values)
+    return history, engine
+
+
+@pytest.mark.parametrize("operation", [
+    lambda history, engine: history.export_host("n003"),
+    lambda history, engine: history.forget("n003"),
+    lambda history, engine: engine.forget_node("n003"),
+], ids=["export_host", "forget", "forget_node"])
+def test_one_hosts_work_does_not_grow_with_the_fleet(
+        operation, kernel, make_node_set):
+    """Dropping or exporting one host touches that host's table only:
+    the same bytecode count beside 9 other hosts as beside 199.  (The
+    flat ``{(host, metric): …}`` maps scanned every key of every host;
+    their comprehension kept only the matches, so allocation alone could
+    not see it — executed work can.)"""
+    small = _bytecodes_executed(
+        operation, *_filled(10, kernel, make_node_set))
+    large = _bytecodes_executed(
+        operation, *_filled(N_NODES, kernel, make_node_set))
+    assert 0 < small == large

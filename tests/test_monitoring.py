@@ -55,6 +55,15 @@ class TestBuiltinRegistry:
         assert "udp_echo" not in reg
         assert "hostname" in reg
 
+    def test_static_names_is_one_set_until_the_monitors_change(self):
+        reg = builtin_registry()
+        static = reg.static_names()
+        assert reg.static_names() is static
+        reg.add(Monitor(name="bios_rev", fn=lambda c: "1.0", static=True))
+        assert reg.static_names() == static | {"bios_rev"}
+        reg.remove("bios_rev")
+        assert reg.static_names() == static
+
 
 class TestSamplerWorkCounts:
     """The hoisted sampler reads each model input once per tick.  Counts,
@@ -390,3 +399,15 @@ class TestNodeAgent:
     def test_invalid_interval(self, kernel, loaded_node):
         with pytest.raises(ValueError):
             self._agent(kernel, loaded_node, interval=0.0)
+
+    def test_cohort_shares_static_names_and_builds_procfs_on_demand(
+            self, kernel, make_node_set):
+        registry = builtin_registry()
+        first, second = (NodeAgent(kernel, n, registry)
+                         for n in make_node_set(2))
+        assert first.consolidator.static_names \
+            is second.consolidator.static_names
+        first.sample_once()
+        assert "procfs" not in vars(first)     # sampling never needs it
+        assert first.procfs is first.procfs
+        assert first.procfs.node is first.node

@@ -1,6 +1,8 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import math
+from bisect import bisect_right
+from collections import deque
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from hypothesis import strategies as st
 from repro.hardware import (SimulatedNode, Workload, WorkloadGenerator,
                             WorkloadSegment)
 from repro.icebox.security import IPFilter
-from repro.monitoring import (BinaryCodec, Consolidator, MonitorContext,
-                              TextCodec, builtin_registry)
+from repro.monitoring import (BinaryCodec, Consolidator, HistoryStore,
+                              MonitorContext, TextCodec, builtin_registry)
 from repro.monitoring.gathering import parse_apriori, parse_generic
 from repro.procfs import ProcFilesystem
 from repro.sim import RandomStreams, SimKernel
@@ -40,6 +42,9 @@ metric_values = st.one_of(
     st.integers(-2**53, 2**53),
     st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False),
 )
+
+
+ring_values = st.floats(-1e9, 1e9, allow_nan=False)
 
 
 class TestWorkloadProperties:
@@ -242,6 +247,180 @@ class TestRingBufferProperties:
         assert len(t) == len(expected)
         assert np.allclose(t, [p[0] for p in expected])
         assert np.allclose(v, [p[1] for p in expected])
+
+    @given(st.sampled_from([1, 2, 3, 5, 8, 64]),
+           st.lists(st.one_of(
+               st.tuples(st.just("append"), ring_values),
+               st.tuples(st.just("extend"),
+                         st.lists(ring_values, max_size=12)),
+               st.tuples(st.just("arrays")),
+               st.tuples(st.just("latest")),
+               st.tuples(st.just("window"), st.floats(-2, 80),
+                         st.floats(-2, 80)),
+               st.tuples(st.just("downsample"), st.integers(1, 7))),
+               max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_timeseries_ring_matches_deque_model(self, cap, ops):
+        """Any sequence of writes and reads agrees with a
+        ``deque(maxlen=capacity)`` of pairs — through growth, the wrap
+        seam and ``head == 0`` — and no read leaves the buffer exported
+        (the growing ``append`` that follows would raise BufferError)."""
+        ring = TimeSeriesRing(cap)
+        model = deque(maxlen=cap)
+        clock = 0.0
+
+        def write(values):
+            nonlocal clock
+            pairs = []
+            for value in values:
+                clock += 0.5
+                pairs.append((clock, value))
+            return pairs
+
+        for op, *args in ops:
+            if op == "append":
+                (pair,) = write(args)
+                ring.append(*pair)
+                model.append(pair)
+                continue
+            if op == "extend":
+                pairs = write(args[0])
+                ring.extend(iter(pairs))
+                model.extend(pairs)
+                continue
+            held = list(model)
+            if op == "arrays":
+                t, v = ring.arrays()
+                assert list(zip(t.tolist(), v.tolist())) == held
+                assert t.flags.c_contiguous and v.flags.c_contiguous
+                assert t.flags.owndata and v.flags.owndata
+            elif op == "latest":
+                assert ring.latest() == (held[-1] if held else None)
+            elif op == "window":
+                t, v = ring.window(*args)
+                assert list(zip(t.tolist(), v.tolist())) == [
+                    p for p in held if args[0] <= p[0] <= args[1]]
+            else:
+                got = ring.downsample(args[0])
+                want = _downsample_model(held, args[0])
+                for got_col, want_col in zip(got, want):
+                    assert got_col.tolist() == pytest.approx(
+                        want_col, nan_ok=True)
+            assert len(ring) == len(model)
+            (pair,) = write([float(len(held))])
+            ring.append(*pair)      # must not raise: nothing is exported
+            model.append(pair)
+        t, v = ring.arrays()
+        assert list(zip(t.tolist(), v.tolist())) == list(model)
+
+    def test_extend_rejects_a_ragged_pair(self):
+        ring = TimeSeriesRing(4)
+        with pytest.raises(ValueError):
+            ring.extend([(1.0, 2.0), (3.0,)])
+
+
+def _downsample_model(pairs, buckets):
+    """Plain-loop (centers, mean, min, max) over equal time bins."""
+    if not pairs:
+        return [], [], [], []
+    lo, hi = pairs[0][0], pairs[-1][0]
+    if hi == lo:
+        hi = lo + 1.0
+    edges = np.linspace(lo, hi, buckets + 1).tolist()
+    bins = [[] for _ in range(buckets)]
+    for t, v in pairs:
+        bins[min(max(bisect_right(edges, t) - 1, 0),
+                 buckets - 1)].append(v)
+    nan = float("nan")
+    return ([(a + b) / 2.0 for a, b in zip(edges, edges[1:])],
+            [sum(b) / len(b) if b else nan for b in bins],
+            [min(b) if b else nan for b in bins],
+            [max(b) if b else nan for b in bins])
+
+
+# -- HistoryStore against a dict-of-lists model ----------------------------
+
+HISTORY_CAPACITY = 3
+history_hosts = st.sampled_from(["n1", "n2", "n10"])
+history_values = st.dictionaries(
+    st.sampled_from(["load", "temp", "up", "kernel"]),
+    st.one_of(st.integers(-2**53, 2**53),
+              st.floats(-1e9, 1e9, allow_nan=False),
+              st.booleans(),
+              st.sampled_from(["2.4.18", "up"])),
+    max_size=4)
+
+
+def _history_text(model):
+    return "".join(
+        f"{host} {metric} {t!r} {v!r}\n"
+        for host in sorted(model) for metric in sorted(model[host])
+        for t, v in model[host][metric])
+
+
+class TestHistoryStoreModel:
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("record"), history_hosts, history_values),
+        st.tuples(st.just("forget"), history_hosts),
+        st.tuples(st.just("migrate"), history_hosts),
+        st.tuples(st.just("adopt_twice"), history_hosts),
+        st.tuples(st.just("text_roundtrip"))), max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_history_store_matches_dict_of_lists(self, ops):
+        store = HistoryStore(capacity=HISTORY_CAPACITY)
+        peer = HistoryStore(capacity=HISTORY_CAPACITY)
+        model = {}          # host -> metric -> [(t, v)], newest last
+        clock = 0.0
+        for op, *args in ops:
+            clock += 1.0
+            if op == "record":
+                host, values = args
+                store.record(host, clock, values)
+                for metric, value in values.items():
+                    if isinstance(value, str):
+                        continue
+                    kept = model.setdefault(host, {}).setdefault(
+                        metric, [])
+                    kept.append((clock, float(value)))
+                    del kept[:-HISTORY_CAPACITY]
+            elif op == "forget":
+                store.forget(args[0])
+                model.pop(args[0], None)
+            elif op == "migrate":
+                # there and back again: a drain moves the host to a
+                # peer shard, a second drain brings it home
+                host = args[0]
+                peer.adopt_host(host, store.export_host(host))
+                store.forget(host)
+                assert host not in store.hostnames
+                store.adopt_host(host, peer.export_host(host))
+                peer.forget(host)
+                assert len(peer) == 0
+            elif op == "adopt_twice":
+                # adopting onto existing series appends, within capacity
+                host = args[0]
+                store.adopt_host(host, store.export_host(host))
+                for kept in model.get(host, {}).values():
+                    kept.extend(list(kept))
+                    del kept[:-HISTORY_CAPACITY]
+            else:
+                store = HistoryStore.import_text(
+                    store.export_text(), capacity=HISTORY_CAPACITY)
+
+            assert store.hostnames == sorted(model)
+            assert store.metric_names == sorted(
+                {m for table in model.values() for m in table})
+            assert len(store) == sum(map(len, model.values()))
+            assert store.export_text() == _history_text(model)
+            for host in ("n1", "n2", "n10"):
+                exported = store.export_host(host)
+                assert sorted(exported) == sorted(model.get(host, {}))
+                for metric in ("load", "temp", "up", "kernel"):
+                    want = model.get(host, {}).get(metric, [])
+                    t, v = store.series(host, metric)
+                    assert list(zip(t.tolist(), v.tolist())) == want
+                    assert store.latest(host, metric) == (
+                        want[-1] if want else None)
 
 
 class TestStatsProperties:
