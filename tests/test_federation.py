@@ -1,14 +1,24 @@
 """The sharded control plane: partition planning, ingest routing,
 cross-shard aggregation, drain/rebalance, and flat-equivalence."""
 
+import inspect
+from collections.abc import Mapping
+
+import numpy as np
 import pytest
 
 from repro import ClusterWorX
 from repro.core.statestore import Update
+from repro.events.engine import FiredEvent
 from repro.events.rules import ThresholdRule
-from repro.federation import (FederationServer, RollupCache,
-                              plan_partitions)
+from repro.federation import (FederatedEvents, FederatedHealth,
+                              FederatedHistory, FederatedRecovery,
+                              FederatedStore, FederationServer,
+                              RollupCache, plan_partitions)
 from repro.gateway import GatewayState, WatchClient, WatchHub
+from repro.remote.nodeset import NodeSetParseError
+from repro.resilience.health import HealthRecord, HealthState
+from repro.resilience.orchestrator import RecoveryRecord
 
 
 def make_fed(n=20, shards=4, seed=7, **kwargs):
@@ -351,3 +361,553 @@ class TestKnobs:
         view = cwx.client().cluster_view()
         for host in cwx.cluster.hostnames:
             assert view[host]["disk_image"] == "compute-harddisk"
+
+
+# -- characterisation: the federated read surface, frozen -------------------
+# Frozen from the hand-written views at 0698297, before they were
+# replaced by the routing table: every public name of the five views,
+# answered for a host whose owner is reachable, for the same host with
+# the owner's channel killed (not yet drained), and for a hostname no
+# shard owns.  ``killed``/``unowned`` list only the rows that differ
+# from ``reachable``.  Regenerate a row by printing ``_walk(...)``.
+VIEWS = {"store": FederatedStore, "engine": FederatedEvents,
+         "history": FederatedHistory, "health": FederatedHealth,
+         "recovery": FederatedRecovery}
+_DUNDERS = ("__init__", "__contains__", "__len__")
+
+
+def _surface(cls):
+    """Public name -> ``"property"`` or its parameter list: names,
+    kinds and defaults (annotations are documentation, not surface)."""
+    out = {}
+    for name in dir(cls):
+        if name.startswith("_") and name not in _DUNDERS:
+            continue
+        member = inspect.getattr_static(cls, name)
+        if isinstance(member, property):
+            out[name] = "property"
+            continue
+        sig = inspect.signature(member)
+        out[name] = str(sig.replace(
+            return_annotation=inspect.Signature.empty,
+            parameters=[param.replace(annotation=inspect.Parameter.empty)
+                        for param in sig.parameters.values()]))
+    return out
+
+
+def _norm(value):
+    if isinstance(value, np.ndarray):
+        return _norm(value.tolist())
+    if isinstance(value, float) and value != value:
+        return "nan"
+    if isinstance(value, (list, tuple)):
+        return type(value)(_norm(item) for item in value)
+    if isinstance(value, (set, frozenset)):
+        return {"set": sorted(value)}
+    if isinstance(value, Mapping):
+        return {key: _norm(item) for key, item in value.items()}
+    if isinstance(value, FiredEvent):
+        return (value.time, value.rule, value.node)
+    if isinstance(value, HealthRecord):
+        return (value.hostname, value.state.value, value.since,
+                len(value.history))
+    if isinstance(value, RecoveryRecord):
+        return (value.hostname, value.reason, value.outcome,
+                [(a.rung, a.ok) for a in value.attempts])
+    if isinstance(value, HealthState):
+        return value.value
+    assert value is None or isinstance(value, (bool, int, float, str)), \
+        value
+    return value
+
+
+def _make_reference():
+    cwx = ClusterWorX(n_nodes=8, seed=7, name="c", monitor_interval=5.0,
+                      topology="federation", shards=4,
+                      self_healing=True)
+    cwx.start()
+    hosts = cwx.cluster.hostnames
+    cwx.add_threshold("hot", metric="cpu_temp_c", op=">", threshold=20.0,
+                      notify=False, hosts=[hosts[0], hosts[3], hosts[6]])
+    cwx.run(10)
+    cwx.inject_fault(hosts[0], "kernel_panic")
+    cwx.run(30)
+    # recovery logs are empty in so short a run: seed two shards' logs
+    # with interleaved rows so the by-time merge has something to order
+    for index, t in ((2, 3.0), (0, 2.0), (2, 1.0)):
+        recovery = cwx.server.shards[index].server.recovery
+        recovery.notifications.append((t, hosts[2 * index], "drill"))
+        recovery.notifications.sort()
+        recovery.errors.append((t, hosts[2 * index], "probe", "boom"))
+        recovery.errors.sort()
+    # prime the per-shard last-good snapshot parts the degraded store
+    # reads serve from
+    cwx.server.current_all()
+    return cwx
+
+
+def _walk(cwx, host):
+    server = cwx.server
+    shards = server.shards
+    store, engine, history = server.store, server.engine, server.history
+    health, recovery = server.health, server.recovery
+    metric = "uptime_seconds"
+    peer = cwx.cluster.hostnames[2]
+
+    class Rows(dict):
+        """Normalises at record time: later mutators must not leak
+        into an earlier row through a shared object."""
+
+        def __setitem__(self, name, value):
+            super().__setitem__(name, _norm(value))
+
+    rows = Rows()
+
+    def where(fsub):
+        return [shard.index for part in fsub.parts for shard in shards
+                if part.store is shard.server.store]
+
+    def few(values):
+        return {"n": len(values),
+                **{key: values[key] for key in ("hostname", "node_state")
+                   if key in values}}
+
+    # -- store reads
+    rows["store.tracked"] = store.tracked
+    rows["store.is_tracked"] = store.is_tracked(host)
+    rows["store.get"] = few(store.get(host))
+    rows["store.last_seen"] = store.last_seen(host)
+    rows["store.last_agent_seen"] = store.last_agent_seen(host)
+    rows["store.hostnames"] = store.hostnames
+    rows["store.__contains__"] = host in store
+    rows["store.__len__"] = len(store)
+    rows["store.generation"] = store.generation
+    rows["store.summary"] = store.summary()
+    snap = store.snapshot()
+    rows["store.snapshot"] = [repr(snap), sorted(snap),
+                              few(snap.get(host, {}))]
+    rows["store.subscriptions"] = [sub.name for sub in store.subscriptions]
+    for name in ("updates_applied", "full_copies", "cow_forks",
+                 "snapshots_taken", "snapshot_reuses", "notifications",
+                 "errors", "detached"):
+        rows["store." + name] = getattr(store, name)
+    # -- engine reads
+    rows["engine.rules"] = [rule.name for rule in engine.rules]
+    rows["engine.fired"] = engine.fired
+    rows["engine.active_events"] = engine.active_events()
+    rows["engine.active_count"] = engine.active_count()
+    rows["engine.is_triggered"] = engine.is_triggered("hot", host)
+    rows["engine.event_log"] = engine.event_log()
+    rows["engine.event_log(node,limit)"] = engine.event_log(
+        since=1.0, rule="hot", node=host, limit=1)
+    rows["engine.event_log(limit)"] = engine.event_log(limit=2)
+    # -- history reads
+    rows["history.series"] = history.series(host, metric)
+    rows["history.window"] = history.window(host, metric, 0.0, 30.0)
+    rows["history.latest"] = history.latest(host, metric)
+    rows["history.graph"] = history.graph(host, metric, 2)
+    rows["history.correlate"] = history.correlate(host, metric,
+                                                  "cpu_idle_jiffies")
+    rows["history.trend"] = history.trend(host, metric, window=20.0)
+    rows["history.forecast"] = history.forecast(host, metric, 100.0)
+    rows["history.compare_nodes"] = history.compare_nodes(
+        [host, peer, "ghost"], metric)
+    rows["history.metric_names"] = len(history.metric_names)
+    rows["history.hostnames"] = history.hostnames
+    # -- health / recovery reads
+    rows["health.record"] = health.record(host)
+    rows["health.state"] = health.state(host)
+    rows["health.counts"] = health.counts()
+    rows["recovery.notifications"] = recovery.notifications
+    rows["recovery.errors"] = recovery.errors
+    rows["recovery.record_for"] = recovery.record_for(host)
+    # -- any-one reads on the remote surface
+    rows["remote.fanout"] = server.remote.fanout
+    try:
+        rows["remote.nodeset"] = str(server.remote.nodeset("@all"))
+    except NodeSetParseError as exc:
+        rows["remote.nodeset"] = "raises " + type(exc).__name__
+    # -- mutators, each followed by the read that shows its effect
+    rows["engine.mark_fixed"] = [engine.mark_fixed("hot", host),
+                                 engine.is_triggered("hot", host)]
+    heard = []
+    rows["engine.add_listener"] = [
+        engine.add_listener(heard.append),
+        [heard.append in shard.server.engine._listeners
+         for shard in shards]]
+    rows["health.add_listener"] = [
+        health.add_listener(heard.append),
+        [heard.append in shard.server.health._listeners
+         for shard in shards]]
+    extra = ThresholdRule(name="extra", metric="load_1min", op=">",
+                          threshold=99.0)
+    rows["engine.add_rule"] = [
+        engine.add_rule(extra),
+        [len(shard.server.engine.rules) for shard in shards]]
+    rows["engine.remove_rule"] = [
+        engine.remove_rule("extra"),
+        [len(shard.server.engine.rules) for shard in shards]]
+    rows["engine.forget_node"] = [engine.forget_node(host),
+                                  engine.active_events()]
+    rows["history.forget"] = [history.forget(host),
+                              history.series(host, metric),
+                              history.hostnames]
+    rows["recovery.forget"] = [recovery.forget(host),
+                               recovery.record_for(host)]
+    # -- subscription bus
+    seen = []
+    base = len(store.subscriptions)
+    filtered = store.subscribe(seen.append, name="w",
+                               hosts=[host, peer], metrics=[metric])
+    spanning = store.subscribe(seen.append, name="all")
+    rows["store.subscribe"] = [
+        type(filtered).__name__, where(filtered), where(spanning),
+        filtered.active, len(store.subscriptions) - base]
+    source = server.owner_of(host) or shards[0]
+    rows["store.rehome"] = [store.rehome(source), where(filtered),
+                            where(spanning),
+                            len(store.subscriptions) - base]
+    filtered.cancel()
+    spanning.cancel()
+    rows["store.subscribe.cancelled"] = [
+        filtered.active, spanning.active,
+        len(store.subscriptions) - base]
+    return dict(rows)
+
+
+ORACLE = {'reachable': {'store.tracked': {'set': ['c-n0000', 'c-n0001',
+                                         'c-n0002', 'c-n0003',
+                                         'c-n0004', 'c-n0005',
+                                         'c-n0006', 'c-n0007']},
+               'store.is_tracked': True,
+               'store.get': {'n': 57,
+                             'hostname': 'c-n0000',
+                             'node_state': 'booting'},
+               'store.last_seen': 54.85991862857143,
+               'store.last_agent_seen': 34.85991862857143,
+               'store.hostnames': ['c-n0000', 'c-n0001', 'c-n0002',
+                                   'c-n0003', 'c-n0004', 'c-n0005',
+                                   'c-n0006', 'c-n0007'],
+               'store.__contains__': True,
+               'store.__len__': 8,
+               'store.generation': 77,
+               'store.summary': {'nodes_total': 8,
+                                 'nodes_up': 7,
+                                 'nodes_down': 1,
+                                 'cpu_util_mean_pct': 0.0,
+                                 'mem_used_bytes': 805306368,
+                                 'mem_total_bytes': 8589934592,
+                                 'cpu_temp_max_c': 22.0,
+                                 'generation': 77},
+               'store.snapshot': ['FederatedSnapshot(gen=77, shards=4, '
+                                  'hosts=8)',
+                                  ['c-n0000', 'c-n0001', 'c-n0002',
+                                   'c-n0003', 'c-n0004', 'c-n0005',
+                                   'c-n0006', 'c-n0007'],
+                                  {'n': 57,
+                                   'hostname': 'c-n0000',
+                                   'node_state': 'booting'}],
+               'store.subscriptions': ['history', 'events', 'history',
+                                       'events', 'history', 'events',
+                                       'history', 'events'],
+               'store.updates_applied': 69,
+               'store.full_copies': 0,
+               'store.cow_forks': 0,
+               'store.snapshots_taken': 4,
+               'store.snapshot_reuses': 0,
+               'store.notifications': 138,
+               'store.errors': [],
+               'store.detached': [],
+               'engine.rules': ['hot'],
+               'engine.fired': [(24.859918628571428, 'hot', 'c-n0000'),
+                                (24.859918628571428, 'hot', 'c-n0003'),
+                                (24.859918628571428, 'hot', 'c-n0006')],
+               'engine.active_events': [('hot', 'c-n0000'),
+                                        ('hot', 'c-n0003'),
+                                        ('hot', 'c-n0006')],
+               'engine.active_count': 3,
+               'engine.is_triggered': True,
+               'engine.event_log': [(24.859918628571428, 'hot',
+                                     'c-n0000'),
+                                    (24.859918628571428, 'hot',
+                                     'c-n0003'),
+                                    (24.859918628571428, 'hot',
+                                     'c-n0006')],
+               'engine.event_log(node,limit)': [(24.859918628571428,
+                                                 'hot', 'c-n0000')],
+               'engine.event_log(limit)': [(24.859918628571428, 'hot',
+                                            'c-n0003'),
+                                           (24.859918628571428, 'hot',
+                                            'c-n0006')],
+               'history.series': ([24.859918628571428,
+                                   29.859918628571428,
+                                   34.85991862857143],
+                                  [0.0, 5.0, 10.0]),
+               'history.window': ([24.859918628571428,
+                                   29.859918628571428],
+                                  [0.0, 5.0]),
+               'history.latest': (34.85991862857143, 10.0),
+               'history.graph': ([27.359918628571428,
+                                  32.35991862857143],
+                                 [0.0, 7.5], [0.0, 5.0], [0.0, 10.0]),
+               'history.correlate': 0.9999998329995412,
+               'history.trend': (0.9999999999999998,
+                                 -24.859918628571414),
+               'history.forecast': 75.14008137142855,
+               'history.compare_nodes': {'c-n0000': 5.0,
+                                         'c-n0002': 20.0},
+               'history.metric_names': 47,
+               'history.hostnames': ['c-n0000', 'c-n0001', 'c-n0002',
+                                     'c-n0003', 'c-n0004', 'c-n0005',
+                                     'c-n0006', 'c-n0007'],
+               'health.record': ('c-n0000', 'recovering',
+                                 44.85991862857143, 2),
+               'health.state': 'recovering',
+               'health.counts': {'healthy': 0,
+                                 'suspect': 0,
+                                 'down': 0,
+                                 'recovering': 1,
+                                 'quarantined': 0},
+               'recovery.notifications': [(1.0, 'c-n0004', 'drill'),
+                                          (2.0, 'c-n0000', 'drill'),
+                                          (3.0, 'c-n0004', 'drill')],
+               'recovery.errors': [(1.0, 'c-n0004', 'probe', 'boom'),
+                                   (2.0, 'c-n0000', 'probe', 'boom'),
+                                   (3.0, 'c-n0004', 'probe', 'boom')],
+               'recovery.record_for': ('c-n0000', 'node_state=crashed',
+                                       'active',
+                                       [('probe', False),
+                                        ('probe', False),
+                                        ('ice_reset', True)]),
+               'remote.fanout': 64,
+               'remote.nodeset': 'c-n[0000-0007]',
+               'engine.mark_fixed': [None, False],
+               'engine.add_listener': [None, [True, True, True, True]],
+               'health.add_listener': [None, [True, True, True, True]],
+               'engine.add_rule': [None, [2, 2, 2, 2]],
+               'engine.remove_rule': [None, [1, 1, 1, 1]],
+               'engine.forget_node': [None,
+                                      [('hot', 'c-n0003'),
+                                       ('hot', 'c-n0006')]],
+               'history.forget': [None, ([], []),
+                                  ['c-n0001', 'c-n0002', 'c-n0003',
+                                   'c-n0004', 'c-n0005', 'c-n0006',
+                                   'c-n0007']],
+               'recovery.forget': [None,
+                                   ('c-n0000', 'node_state=crashed',
+                                    'aborted',
+                                    [('probe', False), ('probe', False),
+                                     ('ice_reset', True)])],
+               'store.subscribe': ['FederatedSubscription', [0, 1],
+                                   [0, 1, 2, 3], True, 6],
+               'store.rehome': [2, [1, 0], [1, 2, 3], 5],
+               'store.subscribe.cancelled': [False, False, 0]},
+ 'killed': {'store.last_seen': None,
+            'store.last_agent_seen': None,
+            'store.generation': 62,
+            'store.summary': {'nodes_total': 8,
+                              'nodes_up': 6,
+                              'nodes_down': 2,
+                              'cpu_util_mean_pct': 0.0,
+                              'mem_used_bytes': 603979776,
+                              'mem_total_bytes': 6442450944,
+                              'cpu_temp_max_c': 22.0,
+                              'generation': 62},
+            'store.subscriptions': ['history', 'events', 'history',
+                                    'events', 'history', 'events'],
+            'store.updates_applied': 54,
+            'store.snapshots_taken': 3,
+            'store.notifications': 108,
+            'engine.rules': [],
+            'engine.fired': [(24.859918628571428, 'hot', 'c-n0003'),
+                             (24.859918628571428, 'hot', 'c-n0006')],
+            'engine.active_events': [('hot', 'c-n0003'),
+                                     ('hot', 'c-n0006')],
+            'engine.active_count': 2,
+            'engine.is_triggered': False,
+            'engine.event_log': [(24.859918628571428, 'hot', 'c-n0003'),
+                                 (24.859918628571428, 'hot',
+                                  'c-n0006')],
+            'engine.event_log(node,limit)': [],
+            'history.series': ([], []),
+            'history.window': ([], []),
+            'history.latest': None,
+            'history.graph': ([], [], [], []),
+            'history.correlate': 'nan',
+            'history.trend': ('nan', 'nan'),
+            'history.forecast': 'nan',
+            'history.compare_nodes': {'c-n0002': 20.0},
+            'history.metric_names': 46,
+            'history.hostnames': ['c-n0002', 'c-n0003', 'c-n0004',
+                                  'c-n0005', 'c-n0006', 'c-n0007'],
+            'health.record': None,
+            'health.state': None,
+            'health.counts': {'healthy': 0,
+                              'suspect': 0,
+                              'down': 0,
+                              'recovering': 0,
+                              'quarantined': 0},
+            'recovery.notifications': [(1.0, 'c-n0004', 'drill'),
+                                       (3.0, 'c-n0004', 'drill')],
+            'recovery.errors': [(1.0, 'c-n0004', 'probe', 'boom'),
+                                (3.0, 'c-n0004', 'probe', 'boom')],
+            'recovery.record_for': None,
+            'remote.nodeset': 'raises NodeSetParseError',
+            'engine.add_listener': [None, [False, True, True, True]],
+            'health.add_listener': [None, [False, True, True, True]],
+            'engine.add_rule': [None, [1, 2, 2, 2]],
+            'history.forget': [None, ([], []),
+                               ['c-n0002', 'c-n0003', 'c-n0004',
+                                'c-n0005', 'c-n0006', 'c-n0007']],
+            'recovery.forget': [None, None],
+            'store.subscribe': ['FederatedSubscription', [1], [1, 2, 3],
+                                True, 4],
+            'store.rehome': [0, [1], [1, 2, 3], 4]},
+ 'unowned': {'store.is_tracked': False,
+             'store.get': {'n': 0},
+             'store.last_seen': None,
+             'store.last_agent_seen': None,
+             'store.__contains__': False,
+             'store.snapshot': ['FederatedSnapshot(gen=77, shards=4, '
+                                'hosts=8)',
+                                ['c-n0000', 'c-n0001', 'c-n0002',
+                                 'c-n0003', 'c-n0004', 'c-n0005',
+                                 'c-n0006', 'c-n0007'],
+                                {'n': 0}],
+             'engine.is_triggered': False,
+             'engine.event_log(node,limit)': [],
+             'history.series': ([], []),
+             'history.window': ([], []),
+             'history.latest': None,
+             'history.graph': ([], [], [], []),
+             'history.correlate': 'nan',
+             'history.trend': ('nan', 'nan'),
+             'history.forecast': 'nan',
+             'history.compare_nodes': {'c-n0002': 20.0},
+             'health.record': None,
+             'health.state': 'healthy',
+             'recovery.record_for': None,
+             'engine.forget_node': [None,
+                                    [('hot', 'c-n0000'),
+                                     ('hot', 'c-n0003'),
+                                     ('hot', 'c-n0006')]],
+             'history.forget': [None, ([], []),
+                                ['c-n0000', 'c-n0001', 'c-n0002',
+                                 'c-n0003', 'c-n0004', 'c-n0005',
+                                 'c-n0006', 'c-n0007']],
+             'recovery.forget': [None, None]}}
+
+SURFACE = {'FederatedStore': {'__contains__': '(self, hostname)',
+                    '__init__': '(self, shards, owner_of)',
+                    '__len__': '(self)',
+                    'cow_forks': 'property',
+                    'detached': 'property',
+                    'errors': 'property',
+                    'full_copies': 'property',
+                    'generation': 'property',
+                    'get': '(self, hostname)',
+                    'hostnames': 'property',
+                    'is_tracked': '(self, hostname)',
+                    'last_agent_seen': '(self, hostname)',
+                    'last_seen': '(self, hostname)',
+                    'notifications': 'property',
+                    'rehome': '(self, source, owner_of=None)',
+                    'snapshot': '(self)',
+                    'snapshot_reuses': 'property',
+                    'snapshots_taken': 'property',
+                    'subscribe': "(self, callback, *, name='?', "
+                                 'hosts=None, metrics=None)',
+                    'subscriptions': 'property',
+                    'summary': '(self)',
+                    'tracked': 'property',
+                    'updates_applied': 'property'},
+ 'FederatedEvents': {'__init__': '(self, shards, owner_of)',
+                     'active_count': '(self)',
+                     'active_events': '(self)',
+                     'add_listener': '(self, listener)',
+                     'add_rule': '(self, rule)',
+                     'event_log': '(self, *, since=0.0, rule=None, '
+                                  'node=None, limit=None)',
+                     'fired': 'property',
+                     'forget_node': '(self, hostname)',
+                     'is_triggered': '(self, rule_name, hostname)',
+                     'mark_fixed': '(self, rule_name, hostname)',
+                     'remove_rule': '(self, name)',
+                     'rules': 'property'},
+ 'FederatedHistory': {'__init__': '(self, shards, owner_of)',
+                      'compare_nodes': '(self, hostnames, metric)',
+                      'correlate': '(self, hostname, metric_a, metric_b)',
+                      'forecast': '(self, hostname, metric, at, *, '
+                                  'window=None)',
+                      'forget': '(self, hostname)',
+                      'graph': '(self, hostname, metric, buckets=60)',
+                      'hostnames': 'property',
+                      'latest': '(self, hostname, metric)',
+                      'metric_names': 'property',
+                      'series': '(self, hostname, metric)',
+                      'trend': '(self, hostname, metric, *, window=None)',
+                      'window': '(self, hostname, metric, t0, t1)'},
+ 'FederatedHealth': {'__init__': '(self, shards, owner_of)',
+                     'add_listener': '(self, listener)',
+                     'counts': '(self)',
+                     'record': '(self, hostname)',
+                     'state': '(self, hostname)'},
+ 'FederatedRecovery': {'__init__': '(self, shards, owner_of)',
+                       'errors': 'property',
+                       'forget': '(self, hostname)',
+                       'notifications': 'property',
+                       'record_for': '(self, hostname)'}}
+
+
+class TestViewCharacterisation:
+    @pytest.mark.parametrize("situation",
+                             ["reachable", "killed", "unowned"])
+    def test_every_public_name_answers_as_frozen(self, situation):
+        cwx = _make_reference()
+        host = cwx.cluster.hostnames[0]
+        assert cwx.server.owner_of(host).index == 0
+        if situation == "killed":
+            cwx.server.owner_of(host).channel.killed = True
+        rows = _walk(cwx, "nope" if situation == "unowned" else host)
+        expected = {**ORACLE["reachable"], **ORACLE[situation]}
+        assert list(rows) == list(expected)
+        for name, value in rows.items():
+            assert value == expected[name], (situation, name)
+
+    def test_walk_covers_every_public_name(self):
+        rows = ORACLE["reachable"]
+        for prefix, cls in VIEWS.items():
+            for name in _surface(cls):
+                assert name == "__init__" or f"{prefix}.{name}" in rows, \
+                    (prefix, name)
+
+    def test_public_surface_is_pinned(self):
+        """Names, property-ness and signatures: a table entry must be
+        indistinguishable from the method it replaced."""
+        assert {cls.__name__: _surface(cls)
+                for cls in VIEWS.values()} == SURFACE
+
+    def test_unowned_host_policies(self):
+        """Three policies for a hostname no shard owns, kept as they
+        are: store/engine/recovery and ``health.record`` answer without
+        asking anyone; ``history.*`` and ``health.state`` ask shard 0 —
+        so the answer depends on whether shard 0 is up; subscriptions
+        and remote runs fall to the first active shard."""
+        cwx = _make_reference()
+        server = cwx.server
+        calls = [ch.calls for ch in server.channels]
+        assert server.store.get("nope") == {}
+        assert server.engine.is_triggered("hot", "nope") is False
+        assert server.recovery.record_for("nope") is None
+        assert server.health.record("nope") is None
+        assert [ch.calls for ch in server.channels] == calls
+        assert server.health.state("nope") is HealthState.HEALTHY
+        assert server.history.latest("nope", "uptime_seconds") is None
+        assert [ch.calls for ch in server.channels] == \
+            [calls[0] + 2] + calls[1:]
+        fsub = server.store.subscribe(lambda update: None, hosts=["nope"])
+        assert [part.store for part in fsub.parts] == \
+            [server.shards[0].server.store]
+        server.shards[0].channel.killed = True
+        assert server.health.state("nope") is None
+        assert server.history.latest("nope", "uptime_seconds") is None
