@@ -21,14 +21,19 @@ test:
 # worxsan runtime mode: a tier-1 subset re-run with WORXSAN=1, so every
 # published view is deep-frozen (any mutation raises) and annotated lock
 # checkpoints assert at runtime.  The subset covers the state store,
-# tooling gates, and the sanitizer's own end-to-end gateway run; suites
-# that drive GatewayState.refresh() by hand (without the slice lock)
-# stay in plain `make test` where the checkpoints are inactive.
+# tooling gates, the sanitizer's own end-to-end gateway run, and the
+# federation suites (sharded views, fail-over, the federated gateway,
+# the fault plane) — so the FederatedSnapshots the routing table
+# publishes are deep-frozen too.  A suite that drives
+# GatewayState.refresh() by hand must take the slice lock, as the
+# gateway's driver does, to join this list.
 sanitize:
 	WORXSAN=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q \
 		tests/test_sanitizer.py tests/test_statestore.py \
 		tests/test_tooling.py tests/test_worxlint.py \
-		tests/test_worxsan.py
+		tests/test_worxsan.py tests/test_federation.py \
+		tests/test_shard_failover.py \
+		tests/test_gateway_federation.py tests/test_faults.py
 
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only -s

@@ -35,17 +35,31 @@ from repro.sim import RandomStreams, SimKernel
 __all__ = ["ClusterWorX", "register_topology"]
 
 #: topology name -> builder(kernel, cluster, *, registry, notifier,
-#: shards, partition, **server_kwargs) -> server-like object.  Core
-#: never imports the packages providing alternative topologies (the
-#: layer DAG points down); they register here on import — the
-#: top-level :mod:`repro` package pulls :mod:`repro.federation` in, so
-#: ``ClusterWorX(topology="federation")`` always finds its builder.
+#: shards, partition, **server_kwargs) -> server-like object.  ``flat``
+#: registers below; core never imports the packages providing the
+#: other topologies (the layer DAG points down), they register here on
+#: import — the top-level :mod:`repro` package pulls
+#: :mod:`repro.federation` in, so ``ClusterWorX(topology="federation")``
+#: always finds its builder.
 _TOPOLOGY_BUILDERS: Dict[str, Callable] = {}
 
 
 def register_topology(name: str, builder: Callable) -> None:
     """Register a control-plane topology builder under ``name``."""
     _TOPOLOGY_BUILDERS[name] = builder
+
+
+def _build_flat(kernel: SimKernel, cluster: Cluster, *, registry,
+                notifier, shards: int, partition, **server_kwargs
+                ) -> ClusterWorXServer:
+    """The single-server topology.  Deliberately *not* a federation of
+    one: the flat server is the reference the 1-shard golden replay is
+    compared against."""
+    return ClusterWorXServer(kernel, cluster, registry=registry,
+                             notifier=notifier, **server_kwargs)
+
+
+register_topology("flat", _build_flat)
 
 
 class ClusterWorX:
@@ -87,28 +101,19 @@ class ClusterWorX:
         # Staleness thresholds scale with the agent cadence: a couple of
         # missed reports is suspicious, five is evidence (hard state
         # changes are still caught at sweep cadence regardless).
-        if topology == "flat":
-            self.server = ClusterWorXServer(
-                self.kernel, self.cluster,
-                registry=self.registry,
-                notifier=self.notifier,
-                self_healing=self_healing,
-                suspect_after=2.5 * monitor_interval,
-                down_after=5.0 * monitor_interval)
-        else:
-            builder = _TOPOLOGY_BUILDERS.get(topology)
-            if builder is None:
-                raise ValueError(
-                    f"unknown topology {topology!r} (registered: "
-                    f"{sorted(_TOPOLOGY_BUILDERS) + ['flat']})")
-            self.server = builder(
-                self.kernel, self.cluster,
-                registry=self.registry, notifier=self.notifier,
-                shards=shards, partition=partition,
-                self_healing=self_healing,
-                suspect_after=2.5 * monitor_interval,
-                down_after=5.0 * monitor_interval,
-                **(topology_options or {}))
+        builder = _TOPOLOGY_BUILDERS.get(topology)
+        if builder is None:
+            raise ValueError(
+                f"unknown topology {topology!r} (registered: "
+                f"{sorted(_TOPOLOGY_BUILDERS)})")
+        self.server = builder(
+            self.kernel, self.cluster,
+            registry=self.registry, notifier=self.notifier,
+            shards=shards, partition=partition,
+            self_healing=self_healing,
+            suspect_after=2.5 * monitor_interval,
+            down_after=5.0 * monitor_interval,
+            **(topology_options or {}))
         #: shared driver for the initial agent cohort.
         self.scheduler = AgentScheduler(self.kernel)
         self.monitor_interval = monitor_interval

@@ -23,9 +23,11 @@ onto the adopting shards, re-arming every affected run's ``done``.
 
 from __future__ import annotations
 
+from operator import attrgetter, methodcaller
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.federation.shard import Shard
+from repro.federation.shard import Shard, _first_active, _group_by_owner
+from repro.federation.views import _View, _concat, _each_attr
 from repro.remote.engine import TaskEngine, TaskRun
 from repro.remote.gather import GatheredGroup, format_gathered, gather
 from repro.remote.nodeset import NodeSet
@@ -196,33 +198,26 @@ class FederatedRun:
         return format_gathered(self.gather())
 
 
-class FederatedRemote:
+class FederatedRemote(_View, organ="remote"):
     """The ``server.remote`` surface: NodeSet-routed fan-out."""
 
     def __init__(self, kernel: SimKernel, shards: Sequence[Shard],
                  owner_of):
+        super().__init__(shards, owner_of)
         self.kernel = kernel
-        self._shards = list(shards)
-        self._owner_of = owner_of
         #: every logical run ever dispatched — the fail-over path scans
         #: these for in-flight work on a dead shard.
         self.federated_runs: List[FederatedRun] = []
-
-    def _default_shard(self) -> Shard:
-        return next((s for s in self._shards if s.active),
-                    self._shards[0])
 
     def nodeset(self, nodes: Union[str, NodeSet, Iterable[str]]
                 ) -> NodeSet:
         """Parse with the cluster's @group resolver (any shard's
         engine resolves identically — they share the cluster)."""
-        shard = self._default_shard()
-        parsed = shard.call(
-            lambda: shard.server.remote.nodeset(nodes),
-            default=None, label="nodeset")
+        parsed = self._from_any("nodeset", methodcaller("nodeset", nodes),
+                                None)
         if parsed is not None:
             return parsed
-        # Resolver shard unreachable: parse without @group expansion.
+        # No shard reachable: parse without @group expansion.
         return nodes if isinstance(nodes, NodeSet) else NodeSet(nodes)
 
     def split_by_owner(self, nodes: Union[str, NodeSet, Iterable[str]]
@@ -233,25 +228,17 @@ class FederatedRemote:
         engine reports them unreachable, exactly as the flat engine
         does for unknown names).
         """
-        by_shard: Dict[int, List[str]] = {}
-        fallback = self._default_shard()
-        for hostname in self.nodeset(nodes):
-            shard = self._owner_of(hostname)
-            if shard is None:
-                shard = fallback
-            by_shard.setdefault(shard.index, []).append(hostname)
-        return {index: NodeSet(names)
-                for index, names in sorted(by_shard.items())}
+        return {shard.index: NodeSet(names)
+                for shard, names in _group_by_owner(
+                    self.nodeset(nodes), self._owner_of, self._shards)}
 
     def _dispatch(self, task: FederatedRun, index: int,
                   share: NodeSet) -> None:
         """Start one sub-run on shard ``index`` through its channel;
         an unreachable shard yields an UnreachableRun stub instead."""
         shard = self._shards[index]
-        sub = shard.call(
-            lambda: shard.server.remote.run(task.command, share,
-                                            **task.options),
-            default=None, label="dispatch")
+        sub = self._ask(shard, "run", methodcaller(
+            "run", task.command, share, **task.options), None)
         if sub is None:
             sub = UnreachableRun(self.kernel, share, shard.name)
             task.unreachable_shards.append(shard.name)
@@ -272,7 +259,7 @@ class FederatedRemote:
         if not split:
             # Empty target set: one empty run keeps the TaskRun
             # surface (done fires immediately, results == {}).
-            self._dispatch(task, self._default_shard().index,
+            self._dispatch(task, _first_active(self._shards).index,
                            NodeSet())
         else:
             for index, share in split.items():
@@ -329,20 +316,11 @@ class FederatedRemote:
         for index, share in self.split_by_owner(nodes).items():
             self._dispatch(task, index, share)
 
-    @property
-    def runs(self) -> List[TaskRun]:
-        """Every sub-run ever scheduled, across all shard engines."""
-        out: List[TaskRun] = []
-        for shard in self._shards:
-            out.extend(shard.call(
-                lambda: shard.server.remote.runs,
-                default=(), label="runs"))
-        return out
+    #: every sub-run ever scheduled, across all shard engines.
+    runs = _each_attr("runs", _concat)
 
     @property
     def fanout(self) -> int:
         """Per-shard window size (the flat engine default)."""
-        shard = self._default_shard()
-        return shard.call(lambda: shard.server.remote.fanout,
-                          default=TaskEngine.DEFAULT_FANOUT,
-                          label="fanout")
+        return self._from_any("fanout", attrgetter("fanout"),
+                              TaskEngine.DEFAULT_FANOUT)

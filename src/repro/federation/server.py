@@ -32,7 +32,8 @@ from repro.events.rules import ThresholdRule
 from repro.federation.channel import ShardChannel
 from repro.federation.monitor import ShardHealthMonitor
 from repro.federation.remote import FederatedRemote
-from repro.federation.shard import DEAD, DRAINING, SUSPECT, Shard
+from repro.federation.shard import (DEAD, DRAINING, SUSPECT, Shard,
+                                    _first_active)
 from repro.federation.views import (FederatedEvents, FederatedHealth,
                                     FederatedHistory, FederatedRecovery,
                                     FederatedSnapshot, FederatedStore,
@@ -113,10 +114,6 @@ class FederationServer:
     def owner_of(self, hostname: str) -> Optional[Shard]:
         """The shard that owns ``hostname`` (O(1)), or None."""
         return self._owner.get(hostname)
-
-    def _default_shard(self) -> Shard:
-        return next((s for s in self.shards if s.active),
-                    self.shards[0])
 
     def _least_loaded(self) -> Shard:
         """Deterministic assignment target: the active shard managing
@@ -416,16 +413,16 @@ class FederationServer:
         self.engine.add_rule(rule)
 
     def power(self, hostname: str, operation: str) -> str:
-        shard = self._owner.get(hostname) or self._default_shard()
+        shard = self._owner.get(hostname) or _first_active(self.shards)
         return shard.server.power(hostname, operation)
 
     def console_tail(self, hostname: str, lines: int = 20) -> List[str]:
-        shard = self._owner.get(hostname) or self._default_shard()
+        shard = self._owner.get(hostname) or _first_active(self.shards)
         return shard.server.console_tail(hostname, lines)
 
     def console_archive(self, hostname: str, *,
                         since: float = 0.0) -> List[tuple]:
-        shard = self._owner.get(hostname) or self._default_shard()
+        shard = self._owner.get(hostname) or _first_active(self.shards)
         return shard.server.console_archive(hostname, since=since)
 
     def console_search(self, pattern: str) -> List[tuple]:

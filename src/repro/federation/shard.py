@@ -18,7 +18,7 @@ marks the window while a dead shard's nodes migrate to survivors.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.server import ClusterWorXServer
 
@@ -77,3 +77,25 @@ class Shard:
         state = "active" if self.active else "drained"
         return (f"Shard({self.index}, {self.name!r}, {state}, "
                 f"{self.health}, nodes={self.n_nodes})")
+
+
+def _first_active(shards: Sequence[Shard]) -> Shard:
+    """Where work with no owner goes: the lowest-index active shard."""
+    return next((s for s in shards if s.active), shards[0])
+
+
+def _group_by_owner(hostnames: Iterable[str],
+                    owner_of: Callable[[str], Optional[Shard]],
+                    shards: Sequence[Shard]
+                    ) -> List[Tuple[Shard, List[str]]]:
+    """``[(shard, its share of hostnames)]`` in shard-index order;
+    hosts with no active owner fall to the first active shard."""
+    fallback = _first_active(shards)
+    shares: Dict[int, List[str]] = {}
+    for hostname in hostnames:
+        shard = owner_of(hostname)
+        if shard is None or not shard.active:
+            shard = fallback
+        shares.setdefault(shard.index, []).append(hostname)
+    return [(shards[index], share)
+            for index, share in sorted(shares.items())]

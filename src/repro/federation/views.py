@@ -1,49 +1,64 @@
 """Federated read-side facades over the shard servers.
 
 Every tier-3 consumer of the flat server — client sessions, the
-gateway, the chaos harness, the CLI — reads through a small surface:
-``server.store``, ``server.engine``, ``server.history``,
-``server.health``, ``server.recovery``.  This module reproduces each of
-those surfaces over N shards, with the same shapes and the same cost
-discipline:
+gateway, the chaos harness, the CLI — reads ``server.store``,
+``.engine``, ``.history``, ``.health`` and ``.recovery``.  This module
+reproduces each surface over N shards as a **declared table**: an entry
+names the flat organ method it mirrors (and so takes its signature),
+one of three verbs, and what an unreachable shard answers.  One
+function, :meth:`_View._ask`, makes every cross-shard read through the
+shard's :class:`~repro.federation.channel.ShardChannel`, so "a read on
+a dead shard degrades to its declared default, never raises" is a
+property of that function — and WORX107 (no bare ``.server`` outside
+``shard.call``) guards one read site, not an idiom per method.
 
-* reads that were O(1) on the flat server stay O(shards) here (summary
-  via the :class:`~repro.federation.rollup.RollupCache`, active-event
-  counts, snapshot stamping) — never O(N);
-* per-host reads route straight to the owning shard (O(1) owner lookup
-  plus the flat cost);
-* merge-reads (fired events, recovery logs) are O(total results), paid
-  only by the caller who asked for the whole list.
+* **owner** routes ``f(hostname, ...)`` to the owning shard: an O(1)
+  lookup plus the flat cost.  An unreachable owner answers the default
+  (the flat "unknown host" shape) or, store only, from the shard's last
+  good snapshot part.
+* **each** asks every shard and merges — ``sum``, concat,
+  sorted-concat, (sorted-)union, by-time (``heapq.merge``),
+  sum-of-dicts, discard for broadcasts — an unreachable shard giving
+  its default or last good part.  O(shards), never O(N).
+* **any-one** serves what every shard holds identically
+  (``engine.rules``, ``remote.nodeset``/``fanout``): active shards are
+  tried in index order until one answers.
 
-Every cross-shard read goes through the owning shard's
-:class:`~repro.federation.channel.ShardChannel` (``shard.call``) — the
-WORX107 lint forbids bare ``.server.`` access in this module — and
-degrades instead of raising: an unreachable shard contributes its
-last-good snapshot (or nothing) to merged reads, per-host reads on a
-dead owner return the flat store's "unknown host" shape, and callers
-learn *why* from :meth:`FederationServer.degraded_info`, not from
-exceptions.
-
-Ownership is injected as a lookup callable so these views never hold —
-or mutate — the federation's owner map.
+A hostname *no* shard owns meets one of three policies, kept as the
+hand-written views had them: store, engine, recovery and
+``health.record`` answer the default without asking; ``history.*`` and
+``health.state`` ask shard 0 (``via_first``) for the flat organ's own
+unknown-host answer; subscriptions and remote runs fall to the first
+active shard.  Callers learn *why* a read degraded from
+:meth:`FederationServer.degraded_info`, not from exceptions.  Ownership
+is injected as a lookup callable: the views never hold the owner map.
 """
 
 from __future__ import annotations
 
 import heapq
+import inspect
 import math
+from collections import Counter
 from collections.abc import Mapping as MappingABC
+from functools import wraps
+from itertools import chain
+from operator import attrgetter, contains, itemgetter, methodcaller
 from types import MappingProxyType
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Sequence, Set, Tuple)
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
-from repro.core.statestore import Snapshot, Subscription, Update
-from repro.events.engine import FiredEvent
+from repro.core.statestore import (Snapshot, StateStore, Subscription,
+                                   Update)
+from repro.events.engine import EventEngine, FiredEvent
 from repro.events.rules import ThresholdRule
 from repro.federation.rollup import RollupCache
-from repro.federation.shard import Shard
+from repro.federation.shard import Shard, _group_by_owner
+from repro.monitoring.history import HistoryStore
+from repro.resilience.health import HealthTracker
+from repro.resilience.orchestrator import RecoveryOrchestrator
 
 __all__ = ["FederatedSnapshot", "FederatedSubscription",
            "FederatedStore", "FederatedEvents", "FederatedHistory",
@@ -61,6 +76,10 @@ _EMPTY_SERIES: Tuple[np.ndarray, np.ndarray] = (np.empty(0),
                                                 np.empty(0))
 _EMPTY_GRAPH: Tuple[np.ndarray, ...] = (np.empty(0), np.empty(0),
                                         np.empty(0), np.empty(0))
+
+#: what :meth:`_View._ask` answers for an unreachable shard, so that a
+#: real answer of ``None``/``False``/``0`` is never mistaken for "down".
+_DOWN = object()
 
 #: hostname -> owning shard (or None for unknown hosts).
 OwnerLookup = Callable[[str], Optional[Shard]]
@@ -116,11 +135,13 @@ class FederatedSubscription:
     the consumer's handle keeps working across the move.
     """
 
-    __slots__ = ("parts", "name")
+    __slots__ = ("parts", "name", "_on_cancel")
 
     def __init__(self, parts: Sequence[Subscription], name: str):
         self.parts = list(parts)
         self.name = name
+        #: the tracking FederatedStore's "forget this handle" hook.
+        self._on_cancel: Optional[Callable[[], object]] = None
 
     @property
     def active(self) -> bool:
@@ -133,14 +154,131 @@ class FederatedSubscription:
     def cancel(self) -> None:
         for part in self.parts:
             part.cancel()
+        if self._on_cancel is not None:
+            self._on_cancel()
 
 
-class FederatedStore:
-    """The ``server.store`` surface, merged across shards."""
+# -- the routing core ---------------------------------------------------------
+class _View:
+    """One server organ over N shards: the single guarded read and the
+    three verbs over it.  A subclass names its ``organ`` and declares
+    its surface with :func:`_owner`, :func:`_each`, :func:`_each_attr`."""
+
+    def __init_subclass__(cls, organ: str = "", **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._organ = organ
 
     def __init__(self, shards: Sequence[Shard], owner_of: OwnerLookup):
         self._shards = list(shards)
         self._owner_of = owner_of
+
+    def _ask(self, shard, name, read, default=_DOWN, last_good=None, *key):
+        """THE cross-shard read: ``read`` (an ``attrgetter`` or
+        ``methodcaller`` for ``name``) applied to the shard's organ
+        through its channel.  An unreachable shard answers from its
+        last good snapshot part when the entry says how
+        (``last_good(part, *key)``, store only), else ``default``."""
+        answer = shard.call(lambda: read(getattr(shard.server, self._organ)),
+                            default=_DOWN, label=name)
+        if answer is not _DOWN:
+            return answer
+        if last_good is None:
+            return default
+        return last_good(self._last_part(shard), *key)
+
+    def _to_owner(self, hostname, name, read, default=None, *,
+                  via_first=False, last_good=None):
+        shard = self._owner_of(hostname)
+        if shard is None:
+            if not via_first:
+                return default
+            shard = self._shards[0]
+        return self._ask(shard, name, read, default, last_good, hostname)
+
+    def _from_each(self, name, read, merge, default=(), *, last_good=None):
+        return merge([self._ask(shard, name, read, default, last_good)
+                      for shard in self._shards])
+
+    def _from_any(self, name, read, default):
+        """A killed shard stays ``active`` for the whole detection
+        window, so stopping at the first active shard would take an
+        answer the healthy ones still hold down with it."""
+        for shard in self._shards:
+            if shard.active:
+                answer = self._ask(shard, name, read)
+                if answer is not _DOWN:
+                    return answer
+        return default
+
+
+def _owner(flat, default=None, **policy):
+    """Table entry: ``flat``'s call, routed to its ``hostname``'s owner.
+    It takes ``flat``'s signature: what the shard will be handed."""
+    name = flat.__name__
+    at = list(inspect.signature(flat).parameters).index("hostname") - 1
+
+    @wraps(flat)
+    def method(self, *args, **kwargs):
+        hostname = kwargs["hostname"] if "hostname" in kwargs else args[at]
+        read = methodcaller(name, *args, **kwargs)
+        return self._to_owner(hostname, name, read, default, **policy)
+    method.route = ("owner", default, policy)
+    return method
+
+
+def _each(flat, merge, default=(), **policy):
+    """Table entry: ``flat``'s call, made on every shard and merged."""
+    name = flat.__name__
+
+    @wraps(flat)
+    def method(self, *args, **kwargs):
+        read = methodcaller(name, *args, **kwargs)
+        return self._from_each(name, read, merge, default, **policy)
+    method.route = ("each", merge, default, policy)
+    return method
+
+
+def _each_attr(name: str, merge, default=(), **policy) -> property:
+    """Table entry: attribute ``name`` read on every shard, merged."""
+    read = attrgetter(name)
+
+    def fget(self):
+        return self._from_each(name, read, merge, default, **policy)
+    fget.route = ("each", merge, default, policy)
+    return property(fget)
+
+
+# -- the merge vocabulary: a list of per-shard answers -> one answer ----------
+def _flat(collect):
+    """Per-shard collections chained into one ``collect``-ed whole."""
+    return lambda parts: collect(chain.from_iterable(parts))
+
+
+_concat, _sorted_concat, _union = _flat(list), _flat(sorted), _flat(set)
+_sorted_union = _flat(lambda names: sorted(set(names)))
+
+
+def _by_time(key):
+    """Ordered by ``key`` (a time), stable by shard index on ties."""
+    return lambda parts: list(heapq.merge(*parts, key=key))
+
+
+def _sum_dicts(parts) -> Dict[str, int]:
+    merged: Counter = Counter()
+    for part in parts:
+        merged.update(part)
+    return dict(merged)
+
+
+def _discard(parts) -> None:
+    """A broadcast: every reachable shard was told, nothing to merge."""
+
+
+class FederatedStore(_View, organ="store"):
+    """The ``server.store`` surface, merged across shards."""
+
+    def __init__(self, shards: Sequence[Shard], owner_of: OwnerLookup):
+        super().__init__(shards, owner_of)
         self.rollups = RollupCache(shards)
         #: (shard-generations, snapshot) cache so a quiescent
         #: federation re-serves one FederatedSnapshot object.
@@ -149,13 +287,9 @@ class FederatedStore:
         #: per-shard last good snapshot part, re-served while the shard
         #: is unreachable (the degraded-mode read path).
         self._last_parts: Dict[int, Snapshot] = {}
-        #: live logical subscriptions, so a drain can re-home the parts
-        #: that were bound to the drained shard's bus.
-        self._federated_subs: List[FederatedSubscription] = []
-
-    def _fallback(self) -> Shard:
-        return next((s for s in self._shards if s.active),
-                    self._shards[0])
+        #: live logical subscriptions (an ordered set), so a drain can
+        #: re-home the parts that were bound to the drained shard's bus.
+        self._federated_subs: Dict[FederatedSubscription, None] = {}
 
     def _last_part(self, shard: Shard) -> Snapshot:
         """The shard's last good snapshot part (degraded reads serve
@@ -167,85 +301,19 @@ class FederatedStore:
         return self._last_parts.get(shard.index, _EMPTY_SNAPSHOT)
 
     # -- membership / routing ------------------------------------------------
-    @property
-    def tracked(self) -> Set[str]:
-        out: Set[str] = set()
-        for shard in self._shards:
-            part = shard.call(lambda: shard.server.store.tracked,
-                              default=None, label="tracked")
-            if part is None:
-                out |= set(self._last_part(shard))
-            else:
-                out |= part
-        return out
+    tracked = _each_attr("tracked", _union, last_good=set)
+    hostnames = _each_attr("hostnames", _sorted_concat, last_good=list)
 
-    def is_tracked(self, hostname: str) -> bool:
-        shard = self._owner_of(hostname)
-        if shard is None:
-            return False
-        found = shard.call(
-            lambda: shard.server.store.is_tracked(hostname),
-            default=None, label="is_tracked")
-        if found is None:
-            return hostname in self._last_part(shard)
-        return found
+    is_tracked = _owner(StateStore.is_tracked, False, last_good=contains)
+    get = _owner(StateStore.get, _EMPTY, last_good=lambda part, hostname:
+                 part.get(hostname, _EMPTY))
+    last_seen = _owner(StateStore.last_seen)
+    last_agent_seen = _owner(StateStore.last_agent_seen)
+    __contains__ = _owner(StateStore.__contains__, False,
+                          last_good=contains)
+    __len__ = _each(StateStore.__len__, sum, last_good=len)
 
-    def get(self, hostname: str) -> Mapping[str, object]:
-        shard = self._owner_of(hostname)
-        if shard is None:
-            return _EMPTY
-        values = shard.call(lambda: shard.server.store.get(hostname),
-                            default=None, label="get")
-        if values is None:
-            return self._last_part(shard).get(hostname, _EMPTY)
-        return values
-
-    def last_seen(self, hostname: str) -> Optional[float]:
-        shard = self._owner_of(hostname)
-        if shard is None:
-            return None
-        return shard.call(
-            lambda: shard.server.store.last_seen(hostname),
-            default=None, label="last_seen")
-
-    def last_agent_seen(self, hostname: str) -> Optional[float]:
-        shard = self._owner_of(hostname)
-        if shard is None:
-            return None
-        return shard.call(
-            lambda: shard.server.store.last_agent_seen(hostname),
-            default=None, label="last_agent_seen")
-
-    @property
-    def hostnames(self) -> List[str]:
-        out: List[str] = []
-        for shard in self._shards:
-            names = shard.call(
-                lambda: shard.server.store.hostnames,
-                default=None, label="hostnames")
-            out.extend(list(self._last_part(shard))
-                       if names is None else names)
-        return sorted(out)
-
-    def __contains__(self, hostname: str) -> bool:
-        shard = self._owner_of(hostname)
-        if shard is None:
-            return False
-        found = shard.call(lambda: hostname in shard.server.store,
-                           default=None, label="contains")
-        if found is None:
-            return hostname in self._last_part(shard)
-        return found
-
-    def __len__(self) -> int:
-        total = 0
-        for shard in self._shards:
-            n = shard.call(lambda: len(shard.server.store),
-                           default=None, label="len")
-            total += len(self._last_part(shard)) if n is None else n
-        return total
-
-    # -- read path -----------------------------------------------------------
+    # -- read path: hand-written (cached; the gateway's publish path) --------
     @property
     def generation(self) -> int:
         return self.rollups.generation
@@ -284,6 +352,14 @@ class FederatedStore:
         return snap
 
     # -- subscription bus ------------------------------------------------------
+    def _subscribe_on(self, shares, callback, name, metrics
+                      ) -> List[Subscription]:
+        """One bus registration per reachable ``(shard, hosts)`` share."""
+        asked = (self._ask(shard, "subscribe", methodcaller(
+            "subscribe", callback, name=name, hosts=share,
+            metrics=metrics)) for shard, share in shares)
+        return [part for part in asked if part is not _DOWN]
+
     def subscribe(self, callback: Callable[[Update], None], *,
                   name: str = "?",
                   hosts: Optional[Iterable[str]] = None,
@@ -297,34 +373,16 @@ class FederatedStore:
         fan-in.  Hosts no shard owns yet fall to the first active shard
         so a later ``track_node`` there starts delivering.
         """
-        parts: List[Subscription] = []
         if hosts is None:
-            for shard in self._shards:
-                part = shard.call(
-                    lambda: shard.server.store.subscribe(
-                        callback, name=name, metrics=metrics),
-                    default=None, label="subscribe")
-                if part is not None:
-                    parts.append(part)
+            shares = [(shard, None) for shard in self._shards]
         else:
-            by_shard: Dict[int, List[str]] = {}
-            fallback = self._fallback()
-            for hostname in hosts:
-                shard = self._owner_of(hostname)
-                if shard is None:
-                    shard = fallback
-                by_shard.setdefault(shard.index, []).append(hostname)
-            for index, share in sorted(by_shard.items()):
-                shard = self._shards[index]
-                part = shard.call(
-                    lambda: shard.server.store.subscribe(
-                        callback, name=name, hosts=share,
-                        metrics=metrics),
-                    default=None, label="subscribe")
-                if part is not None:
-                    parts.append(part)
-        fsub = FederatedSubscription(parts, name)
-        self._federated_subs.append(fsub)
+            shares = _group_by_owner(hosts, self._owner_of, self._shards)
+        fsub = FederatedSubscription(
+            self._subscribe_on(shares, callback, name, metrics), name)
+        # Forgotten when cancelled, not at the next drain — else every
+        # ClientSession.watch that ever closed piles up here.
+        fsub._on_cancel = lambda: self._federated_subs.pop(fsub, None)
+        self._federated_subs[fsub] = None
         return fsub
 
     def rehome(self, source: Shard,
@@ -346,203 +404,68 @@ class FederatedStore:
         # a deliberate direct read of the shard being drained.
         store = source.server.store  # worx: ok WORX107
         moved = 0
-        alive: List[FederatedSubscription] = []
+        self._federated_subs = {
+            fsub: None for fsub in self._federated_subs if fsub.active}
         for fsub in self._federated_subs:
-            if not fsub.active:
-                continue
-            alive.append(fsub)
             for part in list(fsub.parts):
                 if part.store is not store or not part.active:
                     continue
                 part.cancel()
                 fsub.parts.remove(part)
                 moved += 1
-                if part.hosts is None:
-                    continue
-                by_shard: Dict[int, List[str]] = {}
-                for hostname in part.hosts:
-                    shard = lookup(hostname)
-                    if shard is None or not shard.active:
-                        shard = self._fallback()
-                    by_shard.setdefault(shard.index,
-                                        []).append(hostname)
-                for index, share in sorted(by_shard.items()):
-                    shard = self._shards[index]
-                    repl = shard.call(
-                        lambda: shard.server.store.subscribe(
-                            part.callback, name=part.name,
-                            hosts=share, metrics=part.metrics),
-                        default=None, label="rehome")
-                    if repl is not None:
-                        fsub.parts.append(repl)
-        self._federated_subs = alive
+                if part.hosts is not None:
+                    fsub.parts.extend(self._subscribe_on(
+                        _group_by_owner(part.hosts, lookup,
+                                        self._shards),
+                        part.callback, part.name, part.metrics))
         return moved
 
-    @property
-    def subscriptions(self) -> List[Subscription]:
-        out: List[Subscription] = []
-        for shard in self._shards:
-            out.extend(shard.call(
-                lambda: shard.server.store.subscriptions,
-                default=(), label="subscriptions"))
-        return out
-
-    # -- merged observability counters ----------------------------------------
-    @property
-    def updates_applied(self) -> int:
-        return sum(shard.call(
-            lambda: shard.server.store.updates_applied,
-            default=0, label="counters") for shard in self._shards)
-
-    @property
-    def full_copies(self) -> int:
-        return sum(shard.call(
-            lambda: shard.server.store.full_copies,
-            default=0, label="counters") for shard in self._shards)
-
-    @property
-    def cow_forks(self) -> int:
-        return sum(shard.call(
-            lambda: shard.server.store.cow_forks,
-            default=0, label="counters") for shard in self._shards)
-
-    @property
-    def snapshots_taken(self) -> int:
-        return sum(shard.call(
-            lambda: shard.server.store.snapshots_taken,
-            default=0, label="counters") for shard in self._shards)
-
-    @property
-    def snapshot_reuses(self) -> int:
-        return sum(shard.call(
-            lambda: shard.server.store.snapshot_reuses,
-            default=0, label="counters") for shard in self._shards)
-
-    @property
-    def notifications(self) -> int:
-        return sum(shard.call(
-            lambda: shard.server.store.notifications,
-            default=0, label="counters") for shard in self._shards)
-
-    @property
-    def errors(self) -> List[Tuple[str, str, str]]:
-        out: List[Tuple[str, str, str]] = []
-        for shard in self._shards:
-            out.extend(shard.call(
-                lambda: shard.server.store.errors,
-                default=(), label="errors"))
-        return out
-
-    @property
-    def detached(self) -> List[Tuple[str, str]]:
-        out: List[Tuple[str, str]] = []
-        for shard in self._shards:
-            out.extend(shard.call(
-                lambda: shard.server.store.detached,
-                default=(), label="detached"))
-        return out
+    # -- merged bus and observability reads ------------------------------------
+    subscriptions = _each_attr("subscriptions", _concat)
+    updates_applied = _each_attr("updates_applied", sum, 0)
+    full_copies = _each_attr("full_copies", sum, 0)
+    cow_forks = _each_attr("cow_forks", sum, 0)
+    snapshots_taken = _each_attr("snapshots_taken", sum, 0)
+    snapshot_reuses = _each_attr("snapshot_reuses", sum, 0)
+    notifications = _each_attr("notifications", sum, 0)
+    errors = _each_attr("errors", _concat)
+    detached = _each_attr("detached", _concat)
 
 
-class FederatedEvents:
+class FederatedEvents(_View, organ="engine"):
     """The ``server.engine`` surface, merged across shards."""
 
-    def __init__(self, shards: Sequence[Shard], owner_of: OwnerLookup):
-        self._shards = list(shards)
-        self._owner_of = owner_of
-
-    def _first_active(self) -> Shard:
-        return next((s for s in self._shards if s.active),
-                    self._shards[0])
-
-    # -- rule management (fan-out: rules are global) --------------------------
-    def add_rule(self, rule: ThresholdRule) -> None:
-        for shard in self._shards:
-            shard.call(lambda: shard.server.engine.add_rule(rule),
-                       default=None, label="add_rule")
-
-    def remove_rule(self, name: str) -> None:
-        for shard in self._shards:
-            shard.call(lambda: shard.server.engine.remove_rule(name),
-                       default=None, label="remove_rule")
-
-    def add_listener(self, listener) -> None:
-        for shard in self._shards:
-            shard.call(
-                lambda: shard.server.engine.add_listener(listener),
-                default=None, label="add_listener")
-
-    def forget_node(self, hostname: str) -> None:
-        shard = self._owner_of(hostname)
-        if shard is not None:
-            shard.call(
-                lambda: shard.server.engine.forget_node(hostname),
-                default=None, label="forget_node")
+    # -- rule management (broadcast: rules are global) ------------------------
+    add_rule = _each(EventEngine.add_rule, _discard, None)
+    remove_rule = _each(EventEngine.remove_rule, _discard, None)
+    add_listener = _each(EventEngine.add_listener, _discard, None)
+    forget_node = _owner(EventEngine.forget_node)
 
     @property
     def rules(self) -> List[ThresholdRule]:
-        shard = self._first_active()
-        return shard.call(lambda: shard.server.engine.rules,
-                          default=[], label="rules")
+        return self._from_any("rules", attrgetter("rules"), [])
 
     # -- merged event reads ----------------------------------------------------
-    @property
-    def fired(self) -> List[FiredEvent]:
-        """All shards' fired events, merged by firing time (stable by
-        shard index on ties) — the flat ``engine.fired`` shape."""
-        return list(heapq.merge(
-            *(shard.call(lambda: shard.server.engine.fired,
-                         default=(), label="fired")
-              for shard in self._shards),
-            key=lambda event: event.time))
-
-    def active_events(self) -> List[Tuple[str, str]]:
-        out: List[Tuple[str, str]] = []
-        for shard in self._shards:
-            out.extend(shard.call(
-                lambda: shard.server.engine.active_events(),
-                default=(), label="active_events"))
-        return sorted(out)
-
-    def active_count(self) -> int:
-        return sum(shard.call(
-            lambda: shard.server.engine.active_count(),
-            default=0, label="active_count")
-            for shard in self._shards)
-
-    def is_triggered(self, rule_name: str, hostname: str) -> bool:
-        shard = self._owner_of(hostname)
-        if shard is None:
-            return False
-        return shard.call(
-            lambda: shard.server.engine.is_triggered(rule_name,
-                                                     hostname),
-            default=False, label="is_triggered")
+    #: every shard's fired events — the flat ``engine.fired`` shape.
+    fired = _each_attr("fired", _by_time(attrgetter("time")))
+    active_events = _each(EventEngine.active_events, _sorted_concat)
+    active_count = _each(EventEngine.active_count, sum, 0)
+    is_triggered = _owner(EventEngine.is_triggered, False)
+    mark_fixed = _owner(EventEngine.mark_fixed)
 
     def event_log(self, *, since: float = 0.0,
                   rule: Optional[str] = None,
                   node: Optional[str] = None,
                   limit: Optional[int] = None) -> List[FiredEvent]:
-        merged = list(heapq.merge(
-            *(shard.call(
-                lambda: shard.server.engine.event_log(
-                    since=since, rule=rule, node=node),
-                default=(), label="event_log")
-              for shard in self._shards),
-            key=lambda event: event.time))
-        if limit is not None:
-            merged = merged[-limit:]
-        return merged
-
-    def mark_fixed(self, rule_name: str, hostname: str) -> None:
-        shard = self._owner_of(hostname)
-        if shard is not None:
-            shard.call(
-                lambda: shard.server.engine.mark_fixed(rule_name,
-                                                       hostname),
-                default=None, label="mark_fixed")
+        merged = self._from_each(
+            "event_log", methodcaller("event_log", since=since,
+                                      rule=rule, node=node),
+            _by_time(attrgetter("time")))
+        # ``limit`` bounds the merged log, not each shard's share.
+        return merged if limit is None else merged[-limit:]
 
 
-class FederatedHistory:
+class FederatedHistory(_View, organ="history"):
     """The ``server.history`` surface: per-host series live with the
     owning shard; cross-node queries route per host and merge.
 
@@ -552,174 +475,44 @@ class FederatedHistory:
     degraded answer.
     """
 
-    def __init__(self, shards: Sequence[Shard], owner_of: OwnerLookup):
-        self._shards = list(shards)
-        self._owner_of = owner_of
-
-    def _route(self, hostname: str) -> Shard:
-        shard = self._owner_of(hostname)
-        return shard if shard is not None else self._shards[0]
-
-    def series(self, hostname: str, metric: str):
-        shard = self._route(hostname)
-        return shard.call(
-            lambda: shard.server.history.series(hostname, metric),
-            default=_EMPTY_SERIES, label="series")
-
-    def window(self, hostname: str, metric: str, t0: float, t1: float):
-        shard = self._route(hostname)
-        return shard.call(
-            lambda: shard.server.history.window(hostname, metric,
-                                                t0, t1),
-            default=_EMPTY_SERIES, label="window")
-
-    def latest(self, hostname: str, metric: str):
-        shard = self._route(hostname)
-        return shard.call(
-            lambda: shard.server.history.latest(hostname, metric),
-            default=None, label="latest")
-
-    def graph(self, hostname: str, metric: str, buckets: int = 60):
-        shard = self._route(hostname)
-        return shard.call(
-            lambda: shard.server.history.graph(hostname, metric,
-                                               buckets),
-            default=_EMPTY_GRAPH, label="graph")
-
-    def correlate(self, hostname: str, metric_a: str, metric_b: str
-                  ) -> float:
-        shard = self._route(hostname)
-        return shard.call(
-            lambda: shard.server.history.correlate(hostname, metric_a,
-                                                   metric_b),
-            default=math.nan, label="correlate")
-
-    def trend(self, hostname: str, metric: str, *,
-              window: Optional[float] = None):
-        shard = self._route(hostname)
-        return shard.call(
-            lambda: shard.server.history.trend(hostname, metric,
-                                               window=window),
-            default=(math.nan, math.nan), label="trend")
-
-    def forecast(self, hostname: str, metric: str, at: float, *,
-                 window: Optional[float] = None) -> float:
-        shard = self._route(hostname)
-        return shard.call(
-            lambda: shard.server.history.forecast(hostname, metric,
-                                                  at, window=window),
-            default=math.nan, label="forecast")
+    series = _owner(HistoryStore.series, _EMPTY_SERIES, via_first=True)
+    window = _owner(HistoryStore.window, _EMPTY_SERIES, via_first=True)
+    latest = _owner(HistoryStore.latest, via_first=True)
+    graph = _owner(HistoryStore.graph, _EMPTY_GRAPH, via_first=True)
+    correlate = _owner(HistoryStore.correlate, math.nan, via_first=True)
+    trend = _owner(HistoryStore.trend, (math.nan, math.nan),
+                   via_first=True)
+    forecast = _owner(HistoryStore.forecast, math.nan, via_first=True)
+    forget = _owner(HistoryStore.forget, via_first=True)
 
     def compare_nodes(self, hostnames: Sequence[str], metric: str
                       ) -> Dict[str, float]:
         result: Dict[str, float] = {}
         for hostname in hostnames:
-            shard = self._route(hostname)
-            result.update(shard.call(
-                lambda: shard.server.history.compare_nodes(
-                    [hostname], metric),
-                default={}, label="compare_nodes"))
+            result.update(self._to_owner(
+                hostname, "compare_nodes",
+                methodcaller("compare_nodes", [hostname], metric), {},
+                via_first=True))
         return result
 
-    def forget(self, hostname: str) -> None:
-        shard = self._route(hostname)
-        shard.call(lambda: shard.server.history.forget(hostname),
-                   default=None, label="forget")
-
-    @property
-    def metric_names(self) -> List[str]:
-        names: Set[str] = set()
-        for shard in self._shards:
-            names.update(shard.call(
-                lambda: shard.server.history.metric_names,
-                default=(), label="metric_names"))
-        return sorted(names)
-
-    @property
-    def hostnames(self) -> List[str]:
-        names: Set[str] = set()
-        for shard in self._shards:
-            names.update(shard.call(
-                lambda: shard.server.history.hostnames,
-                default=(), label="hostnames"))
-        return sorted(names)
+    metric_names = _each_attr("metric_names", _sorted_union)
+    hostnames = _each_attr("hostnames", _sorted_union)
 
 
-class FederatedHealth:
+class FederatedHealth(_View, organ="health"):
     """The ``server.health`` read surface (per-host routing)."""
 
-    def __init__(self, shards: Sequence[Shard], owner_of: OwnerLookup):
-        self._shards = list(shards)
-        self._owner_of = owner_of
-
-    def record(self, hostname: str):
-        shard = self._owner_of(hostname)
-        if shard is None:
-            return None
-        return shard.call(
-            lambda: shard.server.health.record(hostname),
-            default=None, label="record")
-
-    def state(self, hostname: str):
-        shard = self._owner_of(hostname)
-        if shard is None:
-            shard = self._shards[0]
-        return shard.call(
-            lambda: shard.server.health.state(hostname),
-            default=None, label="state")
-
-    def counts(self) -> Dict[str, int]:
-        merged: Dict[str, int] = {}
-        for shard in self._shards:
-            part = shard.call(
-                lambda: shard.server.health.counts(),
-                default=_EMPTY, label="counts")
-            for state, count in part.items():
-                merged[state] = merged.get(state, 0) + count
-        return merged
-
-    def add_listener(self, listener) -> None:
-        for shard in self._shards:
-            shard.call(
-                lambda: shard.server.health.add_listener(listener),
-                default=None, label="add_listener")
+    record = _owner(HealthTracker.record)
+    state = _owner(HealthTracker.state, via_first=True)
+    counts = _each(HealthTracker.counts, _sum_dicts, _EMPTY)
+    add_listener = _each(HealthTracker.add_listener, _discard, None)
 
 
-class FederatedRecovery:
+class FederatedRecovery(_View, organ="recovery"):
     """The ``server.recovery`` read surface (merged logs, routed
     records) — what the chaos harness scores against."""
 
-    def __init__(self, shards: Sequence[Shard], owner_of: OwnerLookup):
-        self._shards = list(shards)
-        self._owner_of = owner_of
-
-    @property
-    def notifications(self) -> List[Tuple[float, str, str]]:
-        return list(heapq.merge(
-            *(shard.call(lambda: shard.server.recovery.notifications,
-                         default=(), label="notifications")
-              for shard in self._shards),
-            key=lambda row: row[0]))
-
-    @property
-    def errors(self) -> List[Tuple[float, str, str, str]]:
-        return list(heapq.merge(
-            *(shard.call(lambda: shard.server.recovery.errors,
-                         default=(), label="errors")
-              for shard in self._shards),
-            key=lambda row: row[0]))
-
-    def record_for(self, hostname: str):
-        shard = self._owner_of(hostname)
-        if shard is None:
-            return None
-        return shard.call(
-            lambda: shard.server.recovery.record_for(hostname),
-            default=None, label="record_for")
-
-    def forget(self, hostname: str) -> None:
-        shard = self._owner_of(hostname)
-        if shard is not None:
-            shard.call(
-                lambda: shard.server.recovery.forget(hostname),
-                default=None, label="forget")
+    notifications = _each_attr("notifications", _by_time(itemgetter(0)))
+    errors = _each_attr("errors", _by_time(itemgetter(0)))
+    record_for = _owner(RecoveryOrchestrator.record_for)
+    forget = _owner(RecoveryOrchestrator.forget)

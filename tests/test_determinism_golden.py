@@ -75,9 +75,10 @@ def test_both_kernels_agree_on_interleaved_timers():
 
 
 def test_knob_surface_is_pinned():
-    """There is one hot path: none of its four constructors carries an
+    """There is one hot path: none of these constructors carries an
     implementation switch, so a new knob is a conscious diff here."""
     from repro.events.engine import EventEngine
+    from repro.federation import FederationServer
     from repro.monitoring.scheduler import AgentScheduler
 
     def keywords(cls):
@@ -90,6 +91,10 @@ def test_knob_surface_is_pinned():
     assert keywords(SimKernel) == {"start_time"}
     assert keywords(EventEngine) == {"kernel", "dispatcher", "notifier"}
     assert keywords(AgentScheduler) == {"kernel"}
+    assert keywords(FederationServer) == {
+        "kernel", "cluster", "shards", "registry", "notifier", "images",
+        "shard_heartbeat", "shard_suspect_after", "shard_down_after",
+        "auto_failover"}
 
 
 # -- topology equivalence --------------------------------------------------

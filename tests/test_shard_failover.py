@@ -11,6 +11,7 @@ from repro.federation import (DEAD, DRAINING, HEALTHY, SUSPECT,
                               ShardUnavailable)
 from repro.gateway import (GatewayState, WatchClient, WatchHub,
                            build_router, parse_request)
+from repro.remote.nodeset import NodeSet
 
 
 def make_fed(n=20, shards=4, seed=7, **kwargs):
@@ -316,6 +317,40 @@ class TestWatchRehome:
         assert burst == [], "drain migration leaked synthetic deltas"
         hub.close()
 
+    def test_cancelled_subscriptions_are_forgotten(self):
+        """A logical subscription is tracked for re-homing only while it
+        lives: 500 closed watches used to stay listed until the next
+        shard death."""
+        cwx = make_fed()
+        store = cwx.server.store
+        baseline = len(store.subscriptions)
+        host = cwx.cluster.hostnames[0]  # owned by shard 0
+        got = []
+        live = cwx.server.subscribe(
+            lambda update: got.append(update.hostname), hosts=[host])
+        for _ in range(500):
+            cwx.server.subscribe(lambda update: None,
+                                 hosts=[host]).cancel()
+            assert len(store._federated_subs) == 1
+        assert len(store.subscriptions) == baseline + 1
+        live.cancel()
+        live.cancel()  # idempotent
+        assert len(store._federated_subs) == 0
+        # ... and the live ones are still re-homed by a drain
+        live = cwx.server.subscribe(
+            lambda update: got.append(update.hostname), hosts=[host])
+        cwx.server.drain(0)
+        del got[:]
+        cwx.run(15)
+        assert live.active and set(got) == {host}
+
+
+def _publish(state):
+    """One slice boundary, taken the way the gateway's driver takes it:
+    under the slice lock (worxsan asserts it at the checkpoint)."""
+    with state.lock:
+        state.refresh()
+
 
 def _get(router, path):
     """Invoke one route handler socket-free; returns (status, frames)."""
@@ -323,6 +358,43 @@ def _get(router, path):
         f"GET {path} HTTP/1.1\r\n\r\n".encode("ascii"))
     route, params = router.resolve(request.path)
     return route.handler(request, params)
+
+
+class TestAnyOneReads:
+    """What every shard holds identically (the rule list, the @group
+    resolver, the fanout width) must not die with shard 0: a killed
+    shard stays ``active`` until the monitor drains it, so "first
+    active shard" kept picking the corpse for the whole detection
+    window."""
+
+    def test_rules_survive_a_killed_first_shard(self):
+        cwx = make_fed()
+        cwx.add_threshold("hot", metric="cpu_temp_c", op=">",
+                          threshold=70.0)
+        cwx.server.shards[0].channel.killed = True
+        assert [rule.name for rule in cwx.server.engine.rules] == ["hot"]
+        assert cwx.server.remote.fanout == \
+            cwx.server.shards[1].server.remote.fanout
+
+    def test_group_targets_survive_a_killed_first_shard(self):
+        cwx = make_fed()
+        cwx.server.shards[0].channel.killed = True
+        everyone = cwx.server.remote.nodeset("@all")
+        assert list(everyone) == cwx.cluster.hostnames
+        task = cwx.server.remote.run_sync("uname -r", "@all")
+        assert task.counts() == {"unreachable": 5, "ok": 15}
+        assert task.unreachable_shards == ["shard0"]
+        assert cwx.remote_run("uname -r", "@all").counts() == \
+            {"unreachable": 5, "ok": 15}
+
+    def test_declared_default_only_when_no_shard_answers(self):
+        cwx = make_fed()
+        cwx.add_threshold("hot", metric="cpu_temp_c", op=">",
+                          threshold=70.0)
+        for shard in cwx.server.shards:
+            shard.channel.killed = True
+        assert cwx.server.engine.rules == []
+        assert cwx.server.remote.nodeset("n[1-2]") == NodeSet("n[1-2]")
 
 
 class TestGatewayDegraded:
@@ -335,7 +407,7 @@ class TestGatewayDegraded:
         cwx = make_fed()
         cwx.run(30)
         state, router = self._gateway(cwx)
-        state.refresh()
+        _publish(state)
         status, frames = _get(router, "/v1/shards")
         assert status == 200 and len(frames) == 4
         for _, _, _, values in frames:
@@ -350,11 +422,11 @@ class TestGatewayDegraded:
         cwx = make_fed()
         state, router = self._gateway(cwx)
         cwx.run(30)
-        state.refresh()
+        _publish(state)
         assert "degraded" not in _get(router, "/v1/summary")[1][0][3]
         kill(cwx, 1)
         cwx.run(cwx.server.monitor.suspect_after + 6.0)
-        state.refresh()
+        _publish(state)
         status, frames = _get(router, "/v1/summary")
         summary = frames[0][3]
         assert status == 200
@@ -376,7 +448,7 @@ class TestGatewayDegraded:
             assert _get(router, path)[0] == 200
         # ... fail-over completes: tags clear, fleet intact
         cwx.run(60)
-        state.refresh()
+        _publish(state)
         _, frames = _get(router, "/v1/summary")
         assert "degraded" not in frames[0][3]
         assert frames[0][3]["nodes_total"] == 20
@@ -385,17 +457,17 @@ class TestGatewayDegraded:
         cwx = make_fed()
         state, router = self._gateway(cwx)
         cwx.run(30)
-        state.refresh()
+        _publish(state)
         before = _get(router, "/v1/summary")[1][0][3]
         plane = FaultPlane(cwx.kernel, federation=cwx.server,
                            gateway_state=state)
         plane.stall_gateway(cwx.kernel.now, 60.0)
         cwx.run(30)
-        state.refresh()
+        _publish(state)
         during = _get(router, "/v1/summary")[1][0][3]
         assert during["sim_time"] == before["sim_time"]
         assert state.publish_stalls > 0
         cwx.run(60)
-        state.refresh()
+        _publish(state)
         after = _get(router, "/v1/summary")[1][0][3]
         assert after["sim_time"] > before["sim_time"]
