@@ -135,13 +135,13 @@ class FederatedSubscription:
     the consumer's handle keeps working across the move.
     """
 
-    __slots__ = ("parts", "name", "_on_cancel")
+    __slots__ = ("parts", "name", "_listed_in")
 
     def __init__(self, parts: Sequence[Subscription], name: str):
         self.parts = list(parts)
         self.name = name
-        #: the tracking FederatedStore's "forget this handle" hook.
-        self._on_cancel: Optional[Callable[[], object]] = None
+        #: the FederatedStore's set of live handles this one is in.
+        self._listed_in: Optional[Dict[FederatedSubscription, None]] = None
 
     @property
     def active(self) -> bool:
@@ -154,8 +154,8 @@ class FederatedSubscription:
     def cancel(self) -> None:
         for part in self.parts:
             part.cancel()
-        if self._on_cancel is not None:
-            self._on_cancel()
+        if self._listed_in is not None:
+            self._listed_in.pop(self, None)
 
 
 # -- the routing core ---------------------------------------------------------
@@ -164,7 +164,7 @@ class _View:
     three verbs over it.  A subclass names its ``organ`` and declares
     its surface with :func:`_owner`, :func:`_each`, :func:`_each_attr`."""
 
-    def __init_subclass__(cls, organ: str = "", **kwargs):
+    def __init_subclass__(cls, organ: str, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._organ = organ
 
@@ -254,13 +254,15 @@ def _flat(collect):
     return lambda parts: collect(chain.from_iterable(parts))
 
 
-_concat, _sorted_concat, _union = _flat(list), _flat(sorted), _flat(set)
-_sorted_union = _flat(lambda names: sorted(set(names)))
-
-
 def _by_time(key):
     """Ordered by ``key`` (a time), stable by shard index on ties."""
     return lambda parts: list(heapq.merge(*parts, key=key))
+
+
+_concat, _sorted_concat, _union = _flat(list), _flat(sorted), _flat(set)
+_sorted_union = _flat(lambda names: sorted(set(names)))
+_by_event_time = _by_time(attrgetter("time"))
+_by_row_time = _by_time(itemgetter(0))
 
 
 def _sum_dicts(parts) -> Dict[str, int]:
@@ -381,7 +383,7 @@ class FederatedStore(_View, organ="store"):
             self._subscribe_on(shares, callback, name, metrics), name)
         # Forgotten when cancelled, not at the next drain — else every
         # ClientSession.watch that ever closed piles up here.
-        fsub._on_cancel = lambda: self._federated_subs.pop(fsub, None)
+        fsub._listed_in = self._federated_subs
         self._federated_subs[fsub] = None
         return fsub
 
@@ -404,8 +406,8 @@ class FederatedStore(_View, organ="store"):
         # a deliberate direct read of the shard being drained.
         store = source.server.store  # worx: ok WORX107
         moved = 0
-        self._federated_subs = {
-            fsub: None for fsub in self._federated_subs if fsub.active}
+        for fsub in [f for f in self._federated_subs if not f.active]:
+            del self._federated_subs[fsub]  # in place: handles hold it
         for fsub in self._federated_subs:
             for part in list(fsub.parts):
                 if part.store is not store or not part.active:
@@ -420,7 +422,7 @@ class FederatedStore(_View, organ="store"):
                         part.callback, part.name, part.metrics))
         return moved
 
-    # -- merged bus and observability reads ------------------------------------
+    # -- merged bus and observability reads -----------------------------------
     subscriptions = _each_attr("subscriptions", _concat)
     updates_applied = _each_attr("updates_applied", sum, 0)
     full_copies = _each_attr("full_copies", sum, 0)
@@ -447,7 +449,7 @@ class FederatedEvents(_View, organ="engine"):
 
     # -- merged event reads ----------------------------------------------------
     #: every shard's fired events — the flat ``engine.fired`` shape.
-    fired = _each_attr("fired", _by_time(attrgetter("time")))
+    fired = _each_attr("fired", _by_event_time)
     active_events = _each(EventEngine.active_events, _sorted_concat)
     active_count = _each(EventEngine.active_count, sum, 0)
     is_triggered = _owner(EventEngine.is_triggered, False)
@@ -457,10 +459,9 @@ class FederatedEvents(_View, organ="engine"):
                   rule: Optional[str] = None,
                   node: Optional[str] = None,
                   limit: Optional[int] = None) -> List[FiredEvent]:
-        merged = self._from_each(
-            "event_log", methodcaller("event_log", since=since,
-                                      rule=rule, node=node),
-            _by_time(attrgetter("time")))
+        merged = self._from_each("event_log", methodcaller(
+            "event_log", since=since, rule=rule, node=node),
+            _by_event_time)
         # ``limit`` bounds the merged log, not each shard's share.
         return merged if limit is None else merged[-limit:]
 
@@ -512,7 +513,7 @@ class FederatedRecovery(_View, organ="recovery"):
     """The ``server.recovery`` read surface (merged logs, routed
     records) — what the chaos harness scores against."""
 
-    notifications = _each_attr("notifications", _by_time(itemgetter(0)))
-    errors = _each_attr("errors", _by_time(itemgetter(0)))
+    notifications = _each_attr("notifications", _by_row_time)
+    errors = _each_attr("errors", _by_row_time)
     record_for = _owner(RecoveryOrchestrator.record_for)
     forget = _owner(RecoveryOrchestrator.forget)

@@ -931,17 +931,18 @@ _ORGANS = {**VIEWS, "remote": FederatedRemote}
 
 
 def _table(cls):
-    """``(name, is_attribute, entry, route)`` per declared entry,
-    commands (``-> None``) last so reads see unmutated state."""
+    """``(name, is_attribute, is_command, entry, route)`` per declared
+    entry; commands (``-> None``) last so reads see unmutated state."""
     rows = []
     for name, member in vars(cls).items():
         is_attribute = isinstance(member, property)
         entry = member.fget if is_attribute else member
         if hasattr(entry, "route"):
-            rows.append((name, is_attribute, entry, entry.route))
-    return sorted(rows, key=lambda row: (
-        not row[1]
-        and inspect.signature(row[2]).return_annotation == "None"))
+            is_command = not is_attribute and inspect.signature(
+                entry).return_annotation == "None"
+            rows.append((name, is_attribute, is_command, entry,
+                         entry.route))
+    return sorted(rows, key=lambda row: row[2])
 
 
 def _arguments(entry):
@@ -953,7 +954,7 @@ def _arguments(entry):
 class TestRoutingTable:
     def test_every_public_name_is_declared_or_known_handwritten(self):
         for cls in VIEWS.values():
-            declared = {name for name, _, _, _ in _table(cls)}
+            declared = {row[0] for row in _table(cls)}
             assert declared.isdisjoint(_HANDWRITTEN)
             assert declared | _HANDWRITTEN >= set(_surface(cls)), cls
         with pytest.raises(AttributeError):
@@ -973,7 +974,8 @@ class TestRoutingTable:
             server.shards[index].channel.killed = True
         for organ, cls in _ORGANS.items():
             view = getattr(server, organ)
-            for name, is_attribute, entry, (verb, *spec) in _table(cls):
+            for name, is_attribute, is_command, entry, (verb, *spec) \
+                    in _table(cls):
                 args = () if is_attribute else _arguments(entry)
 
                 def share(shard, default, last_good, *key):
@@ -985,9 +987,7 @@ class TestRoutingTable:
                         return default
                     return last_good(view._last_part(shard), *key)
 
-                command = not is_attribute and inspect.signature(
-                    entry).return_annotation == "None"
-                if command:
+                if is_command:
                     expected = None
                 elif verb == "each":
                     merge, default, policy = spec
