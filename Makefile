@@ -60,11 +60,16 @@ perf-compare:
 
 # What one managed node costs the server process: RSS per node,
 # tracemalloc KB and blocks per node by src/repro module, GC-tracked
-# objects per node (benchmarks/mem_ledger.py; --src measures another
-# checkout for the "before" row):  make mem-ledger N=2000
+# objects per node — and the collector section: over TICKS further agent
+# ticks, collections per generation with total and longest pause, kernel
+# events per update, us per update with the collector on and off, one
+# full collection as built and after gc.freeze()
+# (benchmarks/mem_ledger.py; --src measures another checkout for the
+# "before" row):  make mem-ledger N=2000 TICKS=4
 N ?= 2000
+TICKS ?= 4
 mem-ledger:
-	$(PYTHON) benchmarks/mem_ledger.py --nodes $(N)
+	$(PYTHON) benchmarks/mem_ledger.py --nodes $(N) --ticks $(TICKS)
 
 # Serve a simulated cluster's state over HTTP on 127.0.0.1:8137:
 # /v1/summary /v1/hosts /v1/query /v1/events /v1/history /v1/watch /stats.

@@ -8,10 +8,17 @@ of warm-up) and prints, per node:
 * RSS (``ru_maxrss`` growth across the build, tracing off);
 * tracemalloc KB and allocated blocks by ``src/repro`` module, with the
   two groups memory issues cite — history + ring, event engine;
-* GC-tracked objects, and the cost of one full collection.
+* GC-tracked objects;
+* the collector on the per-update path, over ``--ticks K`` further agent
+  ticks with it on, alternating (in sweep periods of two ticks) with K
+  ticks with it off: collections per generation with their total and
+  longest pause (``gc.callbacks``), kernel events per update, µs per
+  update on and off, and the cost of one full collection — as built,
+  and again K ticks after ``gc.freeze()`` (what ``repro-cli serve``
+  does once the cluster is up).
 
 Each probe runs in its own child process: tracemalloc roughly doubles
-RSS, so the two cannot share one.  Run modes::
+RSS, so the probes cannot share one.  Run modes::
 
     python benchmarks/mem_ledger.py --nodes 2000           # make mem-ledger N=2000
     python benchmarks/mem_ledger.py --nodes 1000 --src /path/to/other/checkout/src
@@ -37,6 +44,8 @@ from typing import Dict, List
 SEED = 1610
 AGENT_INTERVAL = 5.0
 WARM_INTERVALS = 6.5
+#: agent ticks per connectivity sweep (the server's 10 s default).
+ROUND_TICKS = 2
 RULE = dict(metric="cpu_temp_c", op=">", threshold=85.0, action="none")
 GROUPS = {
     "history + ring": ("monitoring/history.py", "util/ringbuffer.py"),
@@ -59,6 +68,12 @@ def _maxrss_kb() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
+def _timed_collect_ms() -> float:
+    start = time.perf_counter()
+    gc.collect()
+    return (time.perf_counter() - start) * 1e3
+
+
 def probe_rss(n_nodes: int) -> Dict[str, object]:
     """RSS and GC-tracked objects per node, tracing off."""
     import repro  # noqa: F401  (import cost is not per-node cost)
@@ -68,14 +83,10 @@ def probe_rss(n_nodes: int) -> Dict[str, object]:
     rss_after = _maxrss_kb()
     gc.collect()
     objects_after = len(gc.get_objects())
-    start = time.perf_counter()
-    gc.collect()
-    full_collect_ms = (time.perf_counter() - start) * 1e3
     return {"sim_now": cwx.kernel.now,
             "rss_kb_per_node": (rss_after - rss_before) / n_nodes,
             "gc_objects_per_node":
-                (objects_after - objects_before) / n_nodes,
-            "full_collect_ms": full_collect_ms}
+                (objects_after - objects_before) / n_nodes}
 
 
 def probe_tracemalloc(n_nodes: int, src: str) -> Dict[str, object]:
@@ -99,18 +110,72 @@ def probe_tracemalloc(n_nodes: int, src: str) -> Dict[str, object]:
     return {"sim_now": cwx.kernel.now, "modules": modules}
 
 
-def _child(probe: str, n_nodes: int, src: str) -> Dict[str, object]:
+def probe_collector(n_nodes: int, ticks: int) -> Dict[str, object]:
+    """The cyclic collector and the kernel on the per-update path."""
+    cwx = _build(n_nodes)
+    collections, pauses, started = [0, 0, 0], [], [0.0]
+
+    def on_gc(phase, info):
+        if phase == "start":
+            started[0] = time.perf_counter()
+        else:
+            collections[info["generation"]] += 1
+            pauses.append(time.perf_counter() - started[0])
+
+    def run_round(tally):
+        """One sweep period; adds [wall s, updates, kernel events]."""
+        updates = cwx.server.store.updates_applied
+        events = cwx.kernel.events_processed
+        start = time.perf_counter()
+        cwx.run(ROUND_TICKS * AGENT_INTERVAL)
+        tally[0] += time.perf_counter() - start
+        tally[1] += cwx.server.store.updates_applied - updates
+        tally[2] += cwx.kernel.events_processed - events
+
+    # On and off alternate round by round, so neither side gets the
+    # earlier (rings still growing) or the later half of the window,
+    # and each round holds exactly one connectivity sweep.
+    rounds = -(-ticks // ROUND_TICKS)
+    ticks = rounds * ROUND_TICKS
+    on, off = [0.0, 0, 0], [0.0, 0, 0]
+    gc.collect()
+    for _ in range(rounds):
+        gc.callbacks.append(on_gc)
+        run_round(on)
+        gc.callbacks.remove(on_gc)
+        gc.disable()
+        run_round(off)
+        gc.enable()
+    gc.collect()
+    full_ms = _timed_collect_ms()
+    gc.freeze()
+    for _ in range(rounds):
+        run_round([0.0, 0, 0])
+    frozen_ms = _timed_collect_ms()
+    return {"ticks": ticks,
+            "collections_per_tick": [c / ticks for c in collections],
+            "pause_total_ms": sum(pauses) * 1e3,
+            "pause_max_ms": max(pauses, default=0.0) * 1e3,
+            "kernel_events_per_update": on[2] / on[1],
+            "us_per_update_gc_on": on[0] / on[1] * 1e6,
+            "us_per_update_gc_off": off[0] / off[1] * 1e6,
+            "full_collect_ms": full_ms,
+            "full_collect_frozen_ms": frozen_ms}
+
+
+def _child(probe: str, n_nodes: int, src: str,
+           ticks: int) -> Dict[str, object]:
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
     out = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--probe", probe,
-         "--nodes", str(n_nodes), "--src", src],
+         "--nodes", str(n_nodes), "--src", src, "--ticks", str(ticks)],
         env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
 
-def ledger(n_nodes: int, src: str) -> Dict[str, object]:
-    rss = _child("rss", n_nodes, src)
-    traced = _child("tracemalloc", n_nodes, src)
+def ledger(n_nodes: int, src: str, ticks: int) -> Dict[str, object]:
+    rss = _child("rss", n_nodes, src, ticks)
+    traced = _child("tracemalloc", n_nodes, src, ticks)
     modules = traced["modules"]
     groups = {
         name: [sum(modules.get(m, (0.0, 0.0))[i] for m in members)
@@ -118,7 +183,8 @@ def ledger(n_nodes: int, src: str) -> Dict[str, object]:
         for name, members in GROUPS.items()}
     return {"nodes": n_nodes, "seed": SEED, "src": src, **rss,
             "traced_kb_per_node": sum(kb for kb, _ in modules.values()),
-            "groups": groups, "modules": modules}
+            "groups": groups, "modules": modules,
+            "collector": _child("collector", n_nodes, src, ticks)}
 
 
 def print_ledger(result: Dict[str, object]) -> None:
@@ -129,14 +195,27 @@ def print_ledger(result: Dict[str, object]) -> None:
           f"{result['traced_kb_per_node']:8.1f} KB")
     print(f"  GC-tracked objects / node  "
           f"{result['gc_objects_per_node']:8.1f}")
-    print(f"  one full collection        "
-          f"{result['full_collect_ms']:8.1f} ms")
     print(f"  {'group / module':34s} {'KB/node':>8s} {'blocks/node':>12s}")
     for name, (kb, blocks) in result["groups"].items():
         print(f"  {name:34s} {kb:8.2f} {blocks:12.1f}")
     ranked = sorted(result["modules"].items(), key=lambda kv: -kv[1][0])
     for name, (kb, blocks) in ranked[:TOP_MODULES]:
         print(f"    {name:32s} {kb:8.2f} {blocks:12.1f}")
+    gcs = result["collector"]
+    per_tick = " / ".join(f"{c:.3g}" for c in gcs["collections_per_tick"])
+    print(f"  collector, over {gcs['ticks']} further agent ticks on, "
+          f"alternating with {gcs['ticks']} off:")
+    print(f"    collections per tick, gen 0 / 1 / 2   {per_tick}")
+    print(f"    pauses, total and longest         "
+          f"{gcs['pause_total_ms']:8.1f} {gcs['pause_max_ms']:8.1f} ms")
+    print(f"    kernel events per update          "
+          f"{gcs['kernel_events_per_update']:8.4f}")
+    print(f"    per update, collector on and off  "
+          f"{gcs['us_per_update_gc_on']:8.1f} "
+          f"{gcs['us_per_update_gc_off']:8.1f} us")
+    print(f"    one full collection; after freeze "
+          f"{gcs['full_collect_ms']:8.1f} "
+          f"{gcs['full_collect_frozen_ms']:8.1f} ms")
 
 
 def main(argv=None) -> int:
@@ -146,9 +225,13 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=os.path.join(here, "..", "src"),
                         help="the src/ directory to measure "
                              "(default: this checkout's)")
+    parser.add_argument("--ticks", type=int, default=4,
+                        help="agent ticks the collector section runs "
+                             "with the collector on (and as many off)")
     parser.add_argument("--json", metavar="PATH",
                         help="also write the ledger to PATH")
-    parser.add_argument("--probe", choices=("rss", "tracemalloc"),
+    parser.add_argument("--probe",
+                        choices=("rss", "tracemalloc", "collector"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     src = os.path.realpath(args.src)
@@ -158,7 +241,10 @@ def main(argv=None) -> int:
     if args.probe == "tracemalloc":
         print(json.dumps(probe_tracemalloc(args.nodes, src)))
         return 0
-    result = ledger(args.nodes, src)
+    if args.probe == "collector":
+        print(json.dumps(probe_collector(args.nodes, args.ticks)))
+        return 0
+    result = ledger(args.nodes, src, args.ticks)
     print_ledger(result)
     if args.json:
         with open(args.json, "w") as fh:

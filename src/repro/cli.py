@@ -421,6 +421,7 @@ def _cmd_exec(args) -> int:
 def _cmd_serve(args) -> int:
     """Run the asyncio gateway over a live simulated cluster."""
     import asyncio
+    import gc
 
     from repro import ClusterWorX
     from repro.gateway import GatewayService, WatchPolicy
@@ -437,6 +438,12 @@ def _cmd_serve(args) -> int:
             host=args.host, port=args.port,
             policy=WatchPolicy(queue_limit=args.queue_limit))
         await service.start()
+        # The built cluster is ~145 collector-tracked objects per node
+        # that live as long as the process: move them out of the
+        # collector's sight, so the full collection an all-hosts request
+        # can trigger walks only what was allocated since.
+        gc.collect()
+        gc.freeze()
         service.driver.start()
         plane = "flat control plane" if args.shards <= 1 else \
             f"{args.shards} control-plane shards"

@@ -140,7 +140,8 @@ class Cluster:
         return box
 
     def remove_node(self, node: SimulatedNode) -> None:
-        """Decommission: power off, free the ICE Box port, drop the lease."""
+        """Decommission: power off, free the ICE Box port, drop the lease,
+        unplug from the fabric."""
         if node not in self.nodes:
             raise KeyError(f"{node.hostname} is not in this cluster")
         located = self._location.pop(node.hostname, None)
@@ -150,6 +151,7 @@ class Cluster:
         else:
             node.power_off()
         self.dhcp.release(node.mac)
+        self.fabric.detach(node)
         self.nodes.remove(node)
         self._by_name.pop(node.hostname, None)
 

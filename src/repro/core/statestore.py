@@ -147,9 +147,10 @@ class StateStore:
         self._generation = 0
         self._time = 0.0
         self._snapshot: Optional[Snapshot] = None
-        self._subs: List[Subscription] = []
-        #: bumped on (un)subscribe so batch publishes can cache the list.
-        self._subs_version = 0
+        #: replaced, never mutated, on (un)subscribe: a publish iterates
+        #: the tuple it started with, so a callback may cancel or
+        #: subscribe mid-publish and no publish pays for a copy.
+        self._subs: Tuple[Subscription, ...] = ()
         # -- incremental rollup state --
         self._up: Set[str] = set()
         self._cpu_sum = 0.0
@@ -242,13 +243,11 @@ class StateStore:
         Observably equivalent to calling :meth:`apply` in a loop —
         rollup maintenance, copy-on-write forks, generation stamping and
         subscriber dispatch stay interleaved per update, in batch order —
-        but the fixed costs (the subscriber-list snapshot, counter
-        updates) are amortized across the batch.  The sweep loop and
-        bulk re-ingest paths use this; returns the number applied.
+        but the counter updates are amortized across the batch.  The
+        sweep loop and bulk re-ingest paths use this; returns the number
+        applied.
         """
         applied = 0
-        subs: List[Subscription] = []
-        subs_version = -1
         for update in updates:
             values = update.values
             if not values:
@@ -269,22 +268,7 @@ class StateStore:
                 self._time = update.time
             self._generation += 1
             applied += 1
-            # Re-snapshot the subscriber list only when a mid-batch
-            # callback (un)subscribed — apply() pays this copy per update.
-            if subs_version != self._subs_version:
-                subs = list(self._subs)
-                subs_version = self._subs_version
-            for sub in subs:
-                if not sub.active or not sub.wants(update):
-                    continue
-                try:
-                    sub.callback(update)
-                except Exception as exc:  # consumer code is arbitrary
-                    self._note_failure(sub, update, exc)
-                    continue
-                sub.delivered += 1
-                sub.consecutive_errors = 0
-                self.notifications += 1
+            self._publish(update)
         self.updates_applied += applied
         return applied
 
@@ -460,21 +444,18 @@ class StateStore:
         delivery; the callback always receives the full Update."""
         sub = Subscription(self, callback, name=name, hosts=hosts,
                            metrics=metrics)
-        self._subs.append(sub)
-        self._subs_version += 1
+        self._subs += (sub,)
         return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
-        if sub in self._subs:
-            self._subs.remove(sub)
-            self._subs_version += 1
+        self._subs = tuple(s for s in self._subs if s is not sub)
 
     @property
     def subscriptions(self) -> List[Subscription]:
         return list(self._subs)
 
     def _publish(self, update: Update) -> None:
-        for sub in list(self._subs):
+        for sub in self._subs:
             if not sub.active or not sub.wants(update):
                 continue
             try:

@@ -16,10 +16,10 @@ transmission matters through the *bytes it puts on a shared segment*
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.hardware.node import SimulatedNode
-from repro.sim import Event, SimKernel
+from repro.sim import Event, SimKernel, Timeout
 
 __all__ = ["BandwidthPool", "Flow", "NetworkFabric"]
 
@@ -81,12 +81,17 @@ class NetworkFabric:
         #: the shared backbone segment (fast Ethernet by default).
         self.segment = BandwidthPool("segment", segment_capacity)
         self.latency = latency
-        self._nic_pools: Dict[int, BandwidthPool] = {}
+        self._nic_pools: Dict[SimulatedNode, BandwidthPool] = {}
         self._flows: set[Flow] = set()
         self._wake_token = 0
         #: total bytes completed, per tag.
         self.bytes_by_tag: Dict[str, float] = {}
         self.nodes: Dict[str, SimulatedNode] = {}
+        #: undelivered datagrams: (fire instant, nbytes) -> the instant's
+        #: one timer and a flat ``[src, dst, tag, src, dst, tag, ...]`` in
+        #: send order.  Flat, so a pending datagram is three list slots
+        #: and no object the cyclic collector has to track.
+        self._batches: Dict[Tuple[float, float], Tuple[Timeout, list]] = {}
 
     # -- topology ---------------------------------------------------------
     def attach(self, node: SimulatedNode) -> None:
@@ -94,16 +99,24 @@ class NetworkFabric:
         if node.hostname in self.nodes:
             raise ValueError(f"{node.hostname} already attached")
         self.nodes[node.hostname] = node
-        nic = node.nic
-        self._nic_pools[id(nic)] = BandwidthPool(
-            f"nic:{node.hostname}", nic.effective_rate)
+        self._nic_pools[node] = BandwidthPool(
+            f"nic:{node.hostname}", node.nic.effective_rate)
 
     def attach_all(self, nodes: Iterable[SimulatedNode]) -> None:
         for node in nodes:
             self.attach(node)
 
+    def detach(self, node: SimulatedNode) -> None:
+        """Undo :meth:`attach` (hot-remove): the node can no longer send
+        or be looked up.  Transfers already under way hold their own
+        references and still complete and credit its NIC."""
+        if node not in self._nic_pools:
+            raise KeyError(f"{node.hostname} is not attached")
+        del self._nic_pools[node]
+        del self.nodes[node.hostname]
+
     def nic_pool(self, node: SimulatedNode) -> BandwidthPool:
-        pool = self._nic_pools.get(id(node.nic))
+        pool = self._nic_pools.get(node)
         if pool is None:
             raise KeyError(f"{node.hostname} is not attached")
         # NIC degradation faults change the effective rate; reflect lazily.
@@ -235,22 +248,38 @@ class NetworkFabric:
         not contend (monitoring traffic is orders of magnitude below link
         rate — when it is not, use :meth:`unicast`).
 
-        The returned event is the delivery timer itself, valued
-        ``nbytes``; the bytes are credited before any waiter's callback.
+        All datagrams of one size due at one instant share one delivery
+        timer, and that timer is the returned event: it fires at
+        ``now + latency + nbytes / capacity`` with value ``nbytes``, after
+        crediting every datagram of the batch in send order — so any
+        waiter's callback, and any read once the kernel has drained that
+        instant, sees its own bytes (and its batch-mates') credited.
         """
         delay = self.latency + nbytes / self.nic_pool(src).capacity
+        # The key carries nbytes because the instant alone does not fix
+        # the timer's value: a slower NIC sending fewer bytes can land on
+        # the bit-identical instant.  This is the highest-frequency send
+        # in the system (every agent sample, a whole cohort per instant).
+        key = (self.kernel.now + delay, nbytes)
+        batch = self._batches.get(key)
+        if batch is None:
+            timer = self.kernel.timeout(delay, nbytes)
+            timer.callbacks.append(self._deliver_batch)
+            batch = self._batches[key] = (timer, [])
+        timer, sends = batch
+        sends += (src, dst, tag)
+        return timer
 
-        # The timer with a direct callback, not a process and not a
-        # second "done" event: one kernel event per message — this is the
-        # highest-frequency send in the system (every agent sample).
-        def _delivered(_event):
-            src.nic.credit_tx(int(nbytes))
-            dst.nic.credit_rx(int(nbytes))
-            self.bytes_by_tag[tag] = self.bytes_by_tag.get(tag, 0.0) + nbytes
-
-        delivery = self.kernel.timeout(delay, nbytes)
-        delivery.callbacks.append(_delivered)
-        return delivery
+    def _deliver_batch(self, timer: Event) -> None:
+        nbytes = timer.value
+        _, sends = self._batches.pop((self.kernel.now, nbytes))
+        whole = int(nbytes)
+        ledger = self.bytes_by_tag
+        each = iter(sends)
+        for src, dst, tag in zip(each, each, each):
+            src.nic.credit_tx(whole)
+            dst.nic.credit_rx(whole)
+            ledger[tag] = ledger.get(tag, 0.0) + nbytes
 
     # -- introspection -----------------------------------------------------
     @property

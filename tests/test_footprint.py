@@ -7,6 +7,13 @@ engine per node) and well under what the per-(host, metric) layout cost
 (19.1 and 6.1), so a return of per-value objects or key tuples fails
 here before it shows up as `peak_rss_mb` in the repo benchmark.
 `make mem-ledger` prints the full table these two rows come from.
+
+The last guard is the per-update path's: a steady-state agent tick runs
+no collection of any generation and a handful of kernel events.  One
+timer, closure and callback list per monitoring datagram (about ten
+collector-tracked objects each, all alive until the clock moved) gave one
+kernel event per update and ~20 gen-0 plus 2 gen-1 collections per
+2 000-node tick.
 """
 
 import gc
@@ -48,6 +55,56 @@ def test_server_state_per_node_stays_small():
     assert min(a.samples_taken for a in cwx.agents.values()) == 3
     assert _kb_per_node(snapshot, HISTORY_FILES) <= 13.0
     assert _kb_per_node(snapshot, ENGINE_FILES) <= 2.5
+
+
+@pytest.fixture(scope="module")
+def steady_ticks():
+    """Three steady-state agent ticks of 2 000 nodes: collections per
+    generation over the whole window, and per tick (kernel events,
+    distinct frame sizes sent)."""
+    n_nodes, ticks = 2000, 3
+    cwx = ClusterWorX(n_nodes=n_nodes, seed=1610, self_healing=True,
+                      monitor_interval=INTERVAL)
+    cwx.add_threshold("hot-cpu", metric="cpu_temp_c", op=">",
+                      threshold=85.0, action="none")
+    cwx.start()
+    cwx.run(3.5 * INTERVAL)          # warm-up: rings and deltas settle
+    agents = list(cwx.agents.values())
+    collections = [0, 0, 0]
+    per_tick = []
+
+    def count(phase, info):
+        if phase == "stop":
+            collections[info["generation"]] += 1
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        for _ in range(ticks):
+            sent = [a.transmitter.bytes_sent for a in agents]
+            events = cwx.kernel.events_processed
+            cwx.run(INTERVAL)
+            per_tick.append((
+                cwx.kernel.events_processed - events,
+                len({a.transmitter.bytes_sent - before
+                     for a, before in zip(agents, sent)})))
+    finally:
+        gc.callbacks.remove(count)
+    assert min(a.samples_taken for a in agents) >= 3 + ticks
+    return collections, per_tick
+
+
+def test_steady_tick_runs_no_collection(steady_ticks):
+    collections, _ = steady_ticks
+    assert collections == [0, 0, 0]
+
+
+def test_steady_tick_costs_one_kernel_event_per_frame_size(steady_ticks):
+    """One delivery timer per distinct frame size, plus the cohort's own
+    timer and the sweep's — not one event per update."""
+    _, per_tick = steady_ticks
+    for events, frame_sizes in per_tick:
+        assert events <= frame_sizes + 4
 
 
 def _bytecodes_executed(fn, *args):

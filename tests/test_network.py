@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import ClusterWorX
 from repro.network import (
     FAST_ETHERNET,
     GIGABIT_ETHERNET,
@@ -168,19 +169,92 @@ class TestMessage:
         assert nodes[1].nic.rx_bytes(kernel.now) >= 256
 
     def test_message_event_is_the_delivery_itself(self, kernel, net):
-        """One kernel event per datagram: the returned event carries
-        ``nbytes`` and a waiter added to it sees the bytes credited."""
+        """One kernel event per distinct (instant, size), not per
+        datagram: same-size sends at one instant share the returned
+        timer, and every waiter on it sees its own bytes credited."""
         fabric, nodes = net
+        server, senders = nodes[0], nodes[1:]
         before = kernel.events_processed
-        event = fabric.message(nodes[0], nodes[1], 256, tag="mon")
         seen = []
-        event.callbacks.append(lambda ev: seen.append(
-            (ev.value, fabric.total_bytes("mon"),
-             nodes[0].nic.tx_bytes(kernel.now),
-             nodes[1].nic.rx_bytes(kernel.now))))
-        assert kernel.run(event) == 256
-        assert seen == [(256, 256, 256, 256)]
+
+        def waiter(src):
+            return lambda ev: seen.append(
+                (src.hostname, ev.value, kernel.now,
+                 src.nic.tx_bytes(kernel.now),
+                 src.nic.tx_packets(kernel.now)))
+
+        same = [fabric.message(src, server, 256, tag="mon")
+                for src in senders]
+        assert all(event is same[0] for event in same)
+        for src, event in zip(senders, same):
+            event.callbacks.append(waiter(src))
+        assert kernel.run(same[0]) == 256
         assert kernel.events_processed - before == 1
+        due = fabric.latency + 256 / senders[0].nic.effective_rate
+        assert seen == [(src.hostname, 256, due, 256, 1) for src in senders]
+        assert fabric.total_bytes("mon") == 256 * len(senders)
+        assert server.nic.rx_bytes(kernel.now) == 256 * len(senders)
+
+        # k distinct sizes at one instant -> k events, each waiter its own.
+        before, start = kernel.events_processed, kernel.now
+        del seen[:]
+        sizes = [100, 200, 300]
+        for src, size in zip(senders, sizes):
+            for _ in range(2):      # two sends per size still share
+                event = fabric.message(src, server, size, tag="mon")
+            event.callbacks.append(waiter(src))
+        kernel.run()
+        assert kernel.events_processed - before == len(sizes)
+        assert seen == [
+            (src.hostname, size,
+             start + (fabric.latency + size / src.nic.effective_rate),
+             256 + 2 * size, 3)
+            for src, size in zip(senders, sizes)]
+
+
+class TestDetach:
+    def test_detach_forgets_node_and_pool(self, kernel, net):
+        fabric, nodes = net
+        fabric.detach(nodes[2])
+        assert nodes[2].hostname not in fabric.nodes
+        with pytest.raises(KeyError):
+            fabric.nic_pool(nodes[2])
+        with pytest.raises(KeyError):
+            fabric.detach(nodes[2])
+        fabric.attach(nodes[2])      # the name is free again
+        kernel.run(fabric.message(nodes[2], nodes[0], 64))
+        assert nodes[2].nic.tx_bytes(kernel.now) == 64
+
+    def test_hot_remove_unplugs_from_the_fabric(self):
+        """``remove_node`` used to leave the node and its NIC pool in the
+        fabric for the life of the cluster."""
+        cwx = ClusterWorX(n_nodes=4, seed=3, monitor_interval=5.0)
+        cwx.start()
+        fabric, server = cwx.cluster.fabric, cwx.cluster.management
+        victim = cwx.cluster.hostnames[1]
+        node = cwx.cluster.node(victim)
+        # A datagram still in an undelivered batch when its sender goes.
+        pending = fabric.message(node, server, 512, tag="late")
+        sent_before = node.nic.tx_bytes(cwx.kernel.now)
+        attached = len(fabric.nodes)
+
+        cwx.remove_node(victim)
+        assert victim not in fabric.nodes
+        assert len(fabric.nodes) == attached - 1
+        with pytest.raises(KeyError):
+            fabric.message(node, server, 512, tag="late")
+        with pytest.raises(KeyError):
+            fabric.nic_pool(node)
+
+        assert not pending.processed
+        assert fabric.total_bytes("late") == 0
+        due = cwx.kernel.now + fabric.latency + 512 / node.nic.effective_rate
+        cwx.kernel.run(pending)
+        assert cwx.kernel.now == pytest.approx(due, abs=1e-12)
+        assert fabric.total_bytes("late") == 512
+        assert node.nic.tx_bytes(cwx.kernel.now) == sent_before + 512
+        cwx.run(12.0)                # survivors keep reporting
+        assert victim not in cwx.server.store
 
 
 class TestInterconnects:

@@ -578,3 +578,75 @@ class TestFabricConservation:
         for node in nodes:
             assert node.nic._fabric_rx == expected_rx[node.hostname]
         assert fabric.active_flows == 0
+
+
+# One step of a fabric.message() interleaving.  The advances straddle the
+# 0.2 ms latency, so reads land before, between and after deliveries;
+# 128 B on a NIC degraded to half rate and 256 B on a healthy one are due
+# at the bit-identical instant with different values.
+_message_steps = st.one_of(
+    st.tuples(st.just("send"), st.integers(0, 3), st.integers(0, 3),
+              st.sampled_from([0, 64, 128, 256, 256, 1460, 5000]),
+              st.sampled_from(["monitoring", "other"])),
+    st.tuples(st.just("advance"),
+              st.sampled_from([0.0, 1e-5, 2e-4, 2.1e-4, 2.2048e-4, 1e-3,
+                               5.0])),
+    st.tuples(st.just("degrade"), st.integers(0, 3),
+              st.sampled_from([0.5, 1.0])),
+)
+
+
+class TestMessageReferenceModel:
+    @given(st.lists(_message_steps, min_size=1, max_size=40))
+    @settings(max_examples=120, deadline=None)
+    def test_batched_delivery_equals_one_timer_per_datagram(self, steps):
+        """``fabric.message`` shares one timer per (instant, size); at
+        every read instant the NIC counters, the tag ledger and every
+        returned event are what one timer per datagram would give."""
+        from repro.network import NetworkFabric
+
+        kernel = SimKernel()
+        fabric = NetworkFabric(kernel)
+        nodes = [SimulatedNode(kernel, f"m{i}", node_id=i + 1)
+                 for i in range(4)]
+        fabric.attach_all(nodes)
+        sent = []       # the model: (due, src, dst, nbytes, tag)
+        fired = []      # what the waiters saw: (index, instant, value)
+
+        def check():
+            now = kernel.now
+            due = [d for d in sent if d[0] <= now]
+            for i, node in enumerate(nodes):
+                tx = [n for _, src, _, n, _ in due if src == i]
+                rx = [n for _, _, dst, n, _ in due if dst == i]
+                assert node.nic.tx_bytes(now) == sum(tx)
+                assert node.nic.rx_bytes(now) == sum(rx)
+                assert node.nic.tx_packets(now) == sum(tx) // 1460 + sum(
+                    max(1, n // 1460) for n in tx)
+                assert node.nic.rx_packets(now) == sum(rx) // 1460 + sum(
+                    max(1, n // 1460) for n in rx)
+            for tag in ("monitoring", "other"):
+                assert fabric.total_bytes(tag) == sum(
+                    n for *_, n, t in due if t == tag)
+            assert sorted(fired) == sorted(
+                (index, d[0], d[3]) for index, d in enumerate(sent)
+                if d[0] <= now)
+
+        for step in steps:
+            if step[0] == "send":
+                _, src, dst, nbytes, tag = step
+                delay = fabric.latency + nbytes / nodes[src].nic.effective_rate
+                event = fabric.message(nodes[src], nodes[dst], nbytes,
+                                       tag=tag)
+                event.callbacks.append(
+                    lambda ev, index=len(sent): fired.append(
+                        (index, kernel.now, ev.value)))
+                sent.append((kernel.now + delay, src, dst, nbytes, tag))
+            elif step[0] == "advance":
+                kernel.run(until=kernel.now + step[1])
+                check()
+            else:
+                nodes[step[1]].nic.degrade(step[2])
+        kernel.run()
+        check()
+        assert len(fired) == len(sent)

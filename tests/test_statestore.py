@@ -248,6 +248,52 @@ class TestSubscriptionBus:
         assert len(seen) == 1 and good.delivered == 1
         assert store.errors == [("bad", "a", "consumer bug")]
 
+    @pytest.mark.parametrize("write", [
+        lambda store, updates: [store.apply(u) for u in updates],
+        lambda store, updates: store.apply_many(updates),
+    ], ids=["apply", "apply_many"])
+    def test_subscriber_set_may_change_mid_publish(self, write):
+        """A callback may cancel itself, cancel a later subscriber or
+        subscribe a new one while an update is being published.  The
+        publish under way still goes to the set it started with (minus
+        anything cancelled before its turn); the change takes effect
+        from the next update — the same through either write path."""
+        store = StateStore()
+        log = []
+
+        def once(update):
+            log.append(("once", update.hostname))
+            subs["once"].cancel()
+
+        def meddler(update):
+            log.append(("meddler", update.hostname))
+            if update.hostname == "b":
+                subs["victim"].cancel()
+                subs["late"] = store.subscribe(
+                    lambda u: log.append(("late", u.hostname)),
+                    name="late")
+
+        subs = {
+            "once": store.subscribe(once, name="once"),
+            "meddler": store.subscribe(meddler, name="meddler"),
+            "victim": store.subscribe(
+                lambda u: log.append(("victim", u.hostname)),
+                name="victim"),
+            "tail": store.subscribe(
+                lambda u: log.append(("tail", u.hostname)), name="tail"),
+        }
+        write(store, [up(host, float(i)) for i, host in enumerate("abc")])
+        assert log == [
+            ("once", "a"), ("meddler", "a"), ("victim", "a"), ("tail", "a"),
+            ("meddler", "b"), ("tail", "b"),
+            ("meddler", "c"), ("tail", "c"), ("late", "c"),
+        ]
+        assert {name: sub.delivered for name, sub in subs.items()} == {
+            "once": 1, "meddler": 3, "victim": 1, "tail": 3, "late": 1}
+        assert store.notifications == 9
+        assert [s.name for s in store.subscriptions] == [
+            "meddler", "tail", "late"]
+
 
 class TestEventEngineActive:
     def _rule(self, **kw):
