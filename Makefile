@@ -5,13 +5,13 @@ PYTHON    ?= python
 PYTHONPATH := src
 
 .PHONY: check lint test sanitize bench bench-smoke perf-smoke \
-	perf-compare mem-ledger baseline chaos chaos-federation serve
+	perf-compare mem-ledger chaos chaos-federation serve
 
 check: lint test
 
 # worxlint: layer DAG, determinism, encapsulation, subscriber safety,
-# API surface.  Rules and suppression pragmas are documented in the
-# "worxlint" section of DESIGN.md.
+# handler hygiene, thread and lock discipline.  Rules and suppression
+# pragmas are documented in the "worxlint" section of DESIGN.md.
 lint:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli lint
 
@@ -89,10 +89,3 @@ chaos-federation:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli chaos --nodes 64 \
 		--faults 8 --shards 8 --shard-kills 2 --interval 5 \
 		--horizon 300 --settle 1800
-
-# Grandfather the current findings into worxlint.baseline so a new rule
-# can land before the tree is clean.  Prefer fixing, or an inline
-# `# worx: ok RULE` pragma with a justification, over baselining;
-# tests/test_tooling.py asserts the committed baseline stays empty.
-baseline:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli lint --refresh-baseline

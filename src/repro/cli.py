@@ -255,96 +255,16 @@ def _cmd_nodeset(args) -> int:
     return 0
 
 
-def _changed_rel_paths(root):
-    """Git-modified/untracked ``*.py`` files under ``root`` as rel
-    posix paths, or ``None`` when ``root`` is not in a git checkout.
-    The whole tree is still parsed (the passes are whole-program);
-    this only scopes which findings get *reported*."""
-    import pathlib
-    import subprocess
-
-    try:
-        out = subprocess.run(
-            ["git", "-C", str(root), "status", "--porcelain"],
-            capture_output=True, text=True, check=True,
-            timeout=30).stdout
-        top = subprocess.run(
-            ["git", "-C", str(root), "rev-parse", "--show-toplevel"],
-            capture_output=True, text=True, check=True,
-            timeout=30).stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        return None
-    root = pathlib.Path(root).resolve()
-    changed = set()
-    for line in out.splitlines():
-        if len(line) < 4:
-            continue
-        name = line[3:].strip()
-        if " -> " in name:  # renames report "old -> new"
-            name = name.split(" -> ", 1)[1]
-        name = name.strip('"')
-        if not name.endswith(".py"):
-            continue
-        path = (pathlib.Path(top) / name).resolve()
-        try:
-            changed.add(path.relative_to(root).as_posix())
-        except ValueError:
-            continue  # changed, but outside the linted root
-    return changed
-
-
 def _cmd_lint(args) -> int:
     """worxlint: run the architectural-invariant passes over src/."""
     import json
     import pathlib
 
-    from repro.tooling import (LintConfig, default_config,
-                               refresh_baseline, run_lint)
+    from repro.tooling import default_config, run_lint
 
     root = pathlib.Path(args.root).resolve() if args.root else None
-    baseline = pathlib.Path(args.baseline) if args.baseline else None
-    rules = frozenset(args.rules) if args.rules else None
-    only_paths = None
-    if args.changed:
-        resolved_root = root if root is not None \
-            else pathlib.Path(default_config().root)
-        only_paths = _changed_rel_paths(resolved_root)
-        if only_paths is None:
-            print("lint: --changed requires a git checkout",
-                  file=sys.stderr)
-            return 2
-        if not only_paths:
-            print("worxlint: no changed python files under the linted "
-                  "root; nothing to report")
-            return 0
-    if args.package != "repro" or args.layers:
-        layers = {}
-        for part in (args.layers or "").split(","):
-            if not part:
-                continue
-            name, _, layer = part.partition("=")
-            layers[name] = int(layer)
-        if root is None:
-            print("lint: --package/--layers require --root",
-                  file=sys.stderr)
-            return 2
-        config = LintConfig(root=root, package=args.package,
-                            layers=layers, baseline=baseline,
-                            rules=rules, no_cache=args.no_cache,
-                            only_paths=only_paths)
-    else:
-        config = default_config(root=root, baseline=baseline,
-                                rules=set(rules) if rules else None,
-                                no_cache=args.no_cache,
-                                only_paths=only_paths)
-    if args.refresh_baseline:
-        path = baseline if baseline is not None \
-            else config.root.parent / "worxlint.baseline"
-        result = refresh_baseline(config, path)
-        print(f"worxlint: baselined {len(result.findings)} finding(s) "
-              f"into {path}")
-        return 0
-    result = run_lint(config)
+    result = run_lint(default_config(
+        root=root, rules=set(args.rules) if args.rules else None))
     if args.json:
         print(json.dumps(result.to_json(), indent=2, sort_keys=True))
     else:
@@ -558,26 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="machine-readable findings on stdout")
     p.add_argument("--root", default=None,
                    help="tree to lint (default: the installed src/)")
-    p.add_argument("--baseline", default=None, metavar="PATH",
-                   help="grandfathered-findings file (default: "
-                        "<root>/../worxlint.baseline when present)")
-    p.add_argument("--refresh-baseline", action="store_true",
-                   help="rewrite the baseline from the current findings "
-                        "and exit 0 (intentional grandfathering only)")
     p.add_argument("--rules", nargs="+", metavar="WORXNNN", default=None,
                    help="run only these rule ids")
-    p.add_argument("--changed", action="store_true",
-                   help="report findings only for git-modified files "
-                        "(the whole tree is still parsed — passes are "
-                        "whole-program)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="bypass the parsed-module cache and re-parse "
-                        "every file")
-    p.add_argument("--package", default="repro",
-                   help="root package of the linted tree")
-    p.add_argument("--layers", default=None, metavar="SPEC",
-                   help="layer map for a non-repro tree, e.g. "
-                        "'lib=0,mid=1,app=2' ('' names the facade)")
     p.set_defaults(fn=_cmd_lint)
 
     p = sub.add_parser("chaos",

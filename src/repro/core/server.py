@@ -349,6 +349,28 @@ class ClusterWorXServer:
         summary["events_active"] = self.engine.active_count()
         return summary
 
+    # -- topology questions (the federation's answers, for one server) -----
+    def degraded_info(self) -> Dict[str, object]:
+        """The gateway's degradation verdict.  A flat server has no
+        shard to lose, so it is never degraded."""
+        return {"degraded": False, "stale_shards": [], "staleness_s": 0.0}
+
+    def shard_stats(self) -> List[Dict[str, object]]:
+        """Per-shard observability rows (the gateway's /v1/shards): the
+        flat server reports itself as one synthetic shard, so the
+        endpoint shape is topology-independent."""
+        return [{
+            "index": 0,
+            "name": "flat",
+            "active": True,
+            "health": "healthy",
+            "heartbeat_age": 0.0,
+            "nodes": len(self.store),
+            "updates_received": self.updates_received,
+            "generation": self.store.generation,
+            "events_active": self.engine.active_count(),
+        }]
+
     # -- tier-3 commands ----------------------------------------------------
     def add_rule(self, rule: ThresholdRule) -> None:
         self.engine.add_rule(rule)

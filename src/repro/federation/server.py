@@ -62,7 +62,7 @@ class FederationServer:
         self.cluster = cluster
         self.shards = shards
         #: the guarded RPC boundary to each shard; every federated
-        #: fan-out read goes through these (WORX107 enforces it).
+        #: fan-out read goes through these.
         self.channels: List[ShardChannel] = []
         for shard in shards:
             shard.channel = ShardChannel(kernel, shard)

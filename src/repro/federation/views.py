@@ -9,8 +9,8 @@ one of three verbs, and what an unreachable shard answers.  One
 function, :meth:`_View._ask`, makes every cross-shard read through the
 shard's :class:`~repro.federation.channel.ShardChannel`, so "a read on
 a dead shard degrades to its declared default, never raises" is a
-property of that function — and WORX107 (no bare ``.server`` outside
-``shard.call``) guards one read site, not an idiom per method.
+property of that function, fenced by the killed-shard characterisation
+oracle in ``tests/test_federation.py``, not an idiom per method.
 
 * **owner** routes ``f(hostname, ...)`` to the owning shard: an O(1)
   lookup plus the flat cost.  An unreachable owner answers the default
@@ -404,7 +404,7 @@ class FederatedStore(_View, organ="store"):
         lookup = owner_of if owner_of is not None else self._owner_of
         # Identity anchor for "was this part on the drained shard" —
         # a deliberate direct read of the shard being drained.
-        store = source.server.store  # worx: ok WORX107
+        store = source.server.store
         moved = 0
         for fsub in [f for f in self._federated_subs if not f.active]:
             del self._federated_subs[fsub]  # in place: handles hold it

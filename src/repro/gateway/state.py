@@ -111,13 +111,12 @@ class GatewayState:
         summary = store.summary()
         summary["events_active"] = self.server.engine.active_count()
         summary["sim_time"] = round(self.server.kernel.now, 3)
-        # Degradation verdict: only a federation reports one (the flat
-        # server has no shard to lose).  The degraded keys are added to
-        # payloads ONLY while degraded, so a healthy run's responses
-        # stay byte-identical to the pre-failover wire format.
-        degraded_of = getattr(self.server, "degraded_info", None)
-        info = degraded_of() if degraded_of is not None else None
-        degraded = bool(info and info["degraded"])
+        # Degradation verdict (a flat server is never degraded).  The
+        # degraded keys are added to payloads ONLY while degraded, so a
+        # healthy run's responses stay byte-identical to the
+        # pre-failover wire format.
+        info = self.server.degraded_info()
+        degraded = bool(info["degraded"])
         stale: Tuple[str, ...] = ()
         staleness = 0.0
         if degraded:
@@ -222,32 +221,17 @@ class GatewayState:
         return view.sim_time, view.events
 
     def shards(self) -> List[Dict[str, object]]:
-        """Per-shard control-plane rows; a flat server reports itself
-        as a single synthetic shard so the endpoint shape is
-        topology-independent.
+        """Per-shard control-plane rows (a flat server reports itself
+        as a single synthetic shard).
 
         This is a *cold* endpoint: the rows read live control-plane
         counters (update totals, active-event counts), so it
         serializes with the sim driver's slice lock like the other
-        cold paths — worxsan (WORX201/203) caught the original
-        lock-free version reading them mid-slice.
+        cold paths — WORX201 caught the original lock-free version
+        reading them mid-slice.
         """
         with self.lock:
-            stats = getattr(self.server, "shard_stats", None)
-            if stats is not None:
-                return stats()
-            view = self.view
-            return [{
-                "index": 0,
-                "name": "flat",
-                "active": True,
-                "health": "healthy",
-                "heartbeat_age": 0.0,
-                "nodes": len(view.hostnames),
-                "updates_received": self.server.updates_received,
-                "generation": view.generation,
-                "events_active": self.server.engine.active_count(),
-            }]
+            return self.server.shard_stats()
 
     # -- serving side, cold (serialized with the sim slice lock) -------------
     def history_graph(self, hostname: str, metric: str, *,

@@ -1,37 +1,27 @@
 """worxlint — AST-based static analysis enforcing this codebase's
 architectural invariants (layer DAG, determinism, encapsulation,
-subscriber safety, API surface) and, since the worxsan family
-(WORX201-205), its concurrency contracts: execution-context thread
-discipline, snapshot immutability, lock discipline, non-blocking
-coroutines and shard ownership — plus the opt-in runtime sanitizer
-(:mod:`repro.tooling.sanitizer`) that checks the same contracts
+subscriber safety, exception-handler hygiene, thread and lock
+discipline) — plus the opt-in runtime sanitizer
+(:mod:`repro.tooling.sanitizer`) that checks the concurrency contract
 against the live process.
 
 The framework parses every module under the linted root **once**
-(:mod:`repro.tooling.parse`; unchanged files are additionally served
-from an mtime+size cache across runs), runs a registry of
-whole-program visitor passes over the shared parse
-(:mod:`repro.tooling.passes`), and emits typed
-:class:`~repro.tooling.findings.Finding` records with per-line pragma
-suppression (``# worx: ok WORX103``), interprocedural lock
-annotations (``# worx: holds lock``) and a committed baseline for
-grandfathered findings.  ``repro-cli lint`` is the operator entry
-point; ``tests/test_tooling.py`` is the tier-1 gate.
+(:mod:`repro.tooling.parse`), runs a registry of whole-program visitor
+passes over the shared parse (:mod:`repro.tooling.passes`), and emits
+typed :class:`~repro.tooling.findings.Finding` records with per-line
+pragma suppression (``# worx: ok WORX103``) and interprocedural lock
+annotations (``# worx: holds lock``).  ``repro-cli lint`` is the
+operator entry point; ``tests/test_tooling.py`` is the tier-1 gate.
 """
 
-from repro.tooling.concurrency import (CONTEXT_MAP, FROZEN_TYPES,
-                                       LOCK_GUARDED, PUBLISHED_ATTRS,
-                                       SHARD_ROOTS, SIM_OWNED)
-from repro.tooling.findings import (Finding, load_baseline,
-                                    render_baseline, write_baseline)
+from repro.tooling.concurrency import CONTEXT_MAP, LOCK_GUARDED
+from repro.tooling.findings import Finding
 from repro.tooling.layers import LAYER_MAP
-from repro.tooling.parse import (ParsedModule, cache_size, clear_cache,
-                                 parse_count, parse_tree)
+from repro.tooling.parse import ParsedModule, parse_count, parse_tree
 from repro.tooling.registry import (LintConfig, LintContext, LintPass,
                                     all_passes, get_passes, register)
 from repro.tooling.runner import (JSON_SCHEMA_VERSION, LintResult,
-                                  default_config, refresh_baseline,
-                                  run_lint)
+                                  default_config, run_lint)
 from repro.tooling.sanitizer import (FrozenDict, Sanitizer,
                                      SanitizerViolation,
                                      current_sanitizer, deep_freeze,
@@ -39,7 +29,6 @@ from repro.tooling.sanitizer import (FrozenDict, Sanitizer,
 
 __all__ = [
     "CONTEXT_MAP",
-    "FROZEN_TYPES",
     "Finding",
     "FrozenDict",
     "JSON_SCHEMA_VERSION",
@@ -49,27 +38,18 @@ __all__ = [
     "LintContext",
     "LintPass",
     "LintResult",
-    "PUBLISHED_ATTRS",
     "ParsedModule",
-    "SHARD_ROOTS",
-    "SIM_OWNED",
     "Sanitizer",
     "SanitizerViolation",
     "all_passes",
-    "cache_size",
-    "clear_cache",
     "current_sanitizer",
     "deep_freeze",
     "default_config",
     "get_passes",
     "install",
-    "load_baseline",
     "parse_count",
     "parse_tree",
-    "refresh_baseline",
     "register",
-    "render_baseline",
     "run_lint",
     "uninstall",
-    "write_baseline",
 ]

@@ -1,30 +1,18 @@
-"""The declared concurrency contract of the ``repro`` codebase
-(WORX201–WORX205 — the worxsan rule family).
+"""The declared concurrency contract of the ``repro`` codebase (WORX201).
 
 Since the gateway (PR 6) the process hosts *real* threads: the sim
 driver advances the kernel in slices, the asyncio serving loop answers
-HTTP off published views, and the operator shell owns everything before
-and after.  The invariants that make that safe were prose until this
-module; now they are data the passes enforce:
+HTTP off published views.  The invariants that make that safe were
+prose until this module; now they are data the pass enforces:
 
-* :data:`CONTEXT_MAP` — which execution context each bridge function
-  runs in (WORX201 seeds; same-module call graphs propagate them).
-  Contexts: ``sim`` (the SimDriver thread), ``serving`` (the asyncio
-  loop thread), ``coroutine`` (async handlers — same thread as
-  ``serving``), ``shell`` (the operator's main thread).
-* :data:`SIM_OWNED` — per file, instance attributes that belong to the
-  simulation thread.  A serving-context function may touch them only
-  inside a ``with <lock>`` block (WORX201).
+* :data:`CONTEXT_MAP` — which thread each bridge function runs on
+  (same-module call graphs propagate the seeds): ``sim`` (the SimDriver
+  thread) or ``serving`` (the asyncio loop thread; ``async def``
+  handlers are implicitly ``serving``).
 * :data:`LOCK_GUARDED` — per file, attribute chains that must only be
-  accessed under the named lock (WORX203), or — with lock name ``""``
-  — replaced wholesale and never mutated in place (the federation
-  owner-map discipline).
-* :data:`SHARD_ROOTS` — path prefixes where the shard-ownership rule
-  (WORX205) applies: code there must never hand one shard's
-  server/store/engine to another shard or upward to core.
-* :data:`FROZEN_TYPES` / :data:`PUBLISHED_ATTRS` — the immutable-after-
-  publish value types and the attributes that hold them (WORX202 taint
-  roots).
+  accessed under the named lock, or — with lock name ``""`` — replaced
+  wholesale and never mutated in place (the federation owner-map
+  discipline).
 
 Keep this table in sync with the DESIGN.md "execution-context model"
 section when a thread boundary moves.
@@ -32,10 +20,9 @@ section when a thread boundary moves.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Mapping
+from typing import Mapping
 
-__all__ = ["CONTEXT_MAP", "SIM_OWNED", "LOCK_GUARDED", "SHARD_ROOTS",
-           "FANOUT_GUARDED", "FROZEN_TYPES", "PUBLISHED_ATTRS"]
+__all__ = ["CONTEXT_MAP", "LOCK_GUARDED"]
 
 #: ``"rel/path.py"`` (every function in the file) or
 #: ``"rel/path.py::Qual.name"`` -> execution context.
@@ -64,47 +51,16 @@ CONTEXT_MAP: Mapping[str, str] = {
     "repro/gateway/watch.py::WatchClient.drain": "serving",
     "repro/gateway/watch.py::WatchHub.register": "serving",
     "repro/gateway/watch.py::WatchHub.unregister": "serving",
-    # The operator shell (main thread, before/after the driver runs).
-    "repro/cli.py": "shell",
-}
-
-#: per rel path: instance-attribute prefixes owned by the sim thread.
-SIM_OWNED: Mapping[str, FrozenSet[str]] = {
-    # Everything behind GatewayState.server is live simulation state;
-    # serving code reads the published view or takes the slice lock.
-    "repro/gateway/state.py": frozenset({"server"}),
 }
 
 #: per rel path: attribute chain -> guarding lock attribute ("" means
 #: replace-only: the structure is swapped wholesale, never mutated).
 LOCK_GUARDED: Mapping[str, Mapping[str, str]] = {
-    "repro/gateway/state.py": {
-        "server.store": "lock",
-        "server.engine": "lock",
-        "server.history": "lock",
-        "server.kernel": "lock",
-    },
+    # Everything behind GatewayState.server is live simulation state
+    # owned by the sim thread; serving code reads the published view or
+    # takes the slice lock.
+    "repro/gateway/state.py": {"server": "lock"},
     # The owner map is read lock-free on the ingest hot path; safety
     # rests on membership changes replacing the dict, never editing it.
     "repro/federation/server.py": {"_owner": ""},
 }
-
-#: path prefixes whose code the shard-ownership rule (WORX205) covers.
-SHARD_ROOTS: FrozenSet[str] = frozenset({"repro/federation/"})
-
-#: the federation fan-out modules (WORX107): every ``.server`` read in
-#: these files must run through the breaker-guarded ``call(...)`` idiom
-#: so a dead shard degrades reads instead of crashing them.
-FANOUT_GUARDED: FrozenSet[str] = frozenset({
-    "repro/federation/views.py", "repro/federation/remote.py",
-    "repro/federation/rollup.py"})
-
-#: value types that are immutable once published (WORX202 flags any
-#: mutation reachable from them; their own class bodies are exempt).
-FROZEN_TYPES: FrozenSet[str] = frozenset({
-    "PublishedView", "Snapshot", "FederatedSnapshot", "Update",
-    "Sample"})
-
-#: attribute names that hold the published view: reading ``<x>.view``
-#: (or calling ``<x>.snapshot()``) taints the result for WORX202.
-PUBLISHED_ATTRS: FrozenSet[str] = frozenset({"view"})

@@ -1,26 +1,16 @@
-"""Typed lint findings and the committed-baseline format.
+"""The typed lint finding.
 
 A :class:`Finding` is the single currency of the framework: every pass
-emits them, the runner partitions them (active / pragma-suppressed /
-baselined), and both the text and ``--json`` renderers consume them
-unchanged.  The baseline file grandfathers known findings by their
-``rule:path:line`` key so a new rule can land before every violation is
-fixed — without turning the gate off.
+emits them, the runner partitions them (active / pragma-suppressed),
+and both the text and ``--json`` renderers consume them unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Iterable, List, Set
+from typing import Dict
 
-__all__ = ["Finding", "SEVERITIES", "load_baseline", "render_baseline",
-           "write_baseline"]
-
-#: Recognised severity grades, mildest last.  Severity is informational
-#: (the gate fails on any active finding); it tells a reader how urgently
-#: a grandfathered entry should be burned down.
-SEVERITIES = ("error", "warning")
+__all__ = ["Finding"]
 
 
 @dataclass(frozen=True, order=True)
@@ -31,56 +21,16 @@ class Finding:
     line: int        #: 1-based physical line of the offending node
     rule_id: str     #: e.g. ``"WORX101"``
     message: str     #: human explanation, one line
-    severity: str = "error"
 
     @property
     def key(self) -> str:
-        """Stable identity used by baselines and the planted-fixture
-        tests: ``rule:path:line``."""
+        """Stable identity used by the planted-fixture tests:
+        ``rule:path:line``."""
         return f"{self.rule_id}:{self.path}:{self.line}"
 
     def render(self) -> str:
-        return (f"{self.path}:{self.line}: {self.rule_id} "
-                f"[{self.severity}] {self.message}")
+        return f"{self.path}:{self.line}: {self.rule_id} {self.message}"
 
     def to_json(self) -> Dict[str, object]:
         return {"rule": self.rule_id, "path": self.path,
-                "line": self.line, "severity": self.severity,
-                "message": self.message}
-
-
-_BASELINE_HEADER = """\
-# worxlint baseline — grandfathered findings, one `rule:path:line` key
-# per line (text after the key is a comment).  Regenerate with
-#     repro-cli lint --refresh-baseline
-# New code must stay clean: only keys listed here are exempt.
-"""
-
-
-def load_baseline(path: Path) -> Set[str]:
-    """The set of grandfathered ``rule:path:line`` keys in ``path``.
-
-    Missing file means an empty baseline; blank and ``#`` lines are
-    ignored; anything after the key on a line is commentary.
-    """
-    if not path.is_file():
-        return set()
-    keys: Set[str] = set()
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        keys.add(line.split()[0])
-    return keys
-
-
-def render_baseline(findings: Iterable[Finding]) -> str:
-    """The canonical baseline text for ``findings`` (sorted, annotated)."""
-    lines: List[str] = [_BASELINE_HEADER]
-    for finding in sorted(findings):
-        lines.append(f"{finding.key}  # {finding.message}")
-    return "\n".join(lines) + "\n"
-
-
-def write_baseline(path: Path, findings: Iterable[Finding]) -> None:
-    path.write_text(render_baseline(findings))
+                "line": self.line, "message": self.message}

@@ -5,40 +5,46 @@ Passes never touch the filesystem or call :func:`ast.parse` themselves —
 they receive :class:`ParsedModule` objects carrying the tree, the source,
 and the pre-extracted pragma map.  :data:`PARSE_COUNT` counts calls to
 :func:`parse_file` so the test suite can assert the single-parse property
-instead of trusting it.
-
-Repeated runs additionally skip *unchanged* files through a cache keyed
-by ``(path, mtime_ns, size)`` — in-process always, and across processes
-via an optional pickle file (``.worxlint.cache`` beside the baseline) so
-back-to-back ``make check`` invocations only re-parse what was edited.
-Cache hits do not bump :data:`PARSE_COUNT`, which is exactly how the
-tests observe the cache working (and ``--no-cache`` bypassing it).
+instead of trusting it.  Nothing is cached between runs: a cold parse
+of the whole of ``src/`` is well under two seconds.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import pickle
 import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-__all__ = ["ParsedModule", "PARSE_COUNT", "parse_count", "parse_file",
-           "parse_tree", "clear_cache", "cache_size"]
+__all__ = ["ParsedModule", "PARSE_COUNT", "attr_chain", "parse_count",
+           "parse_file", "parse_tree"]
 
 #: Total ast.parse invocations since import — the re-parse canary.
 PARSE_COUNT = 0
 
-#: ``# worx: ok`` / ``# worx: ok WORX103`` / ``# worx: ok WORX101, WORX105``
+#: ``# worx: ok`` / ``# worx: ok WORX103`` / ``# worx: ok WORX101, WORX103``
 _PRAGMA = re.compile(r"#\s*worx:\s*ok\b\s*([A-Za-z0-9_,\s]*)")
 
 #: ``# worx: holds <lock>`` — the interprocedural lock annotation: the
 #: function defined on that line runs with ``self.<lock>`` already held
-#: by its caller (WORX201/WORX203 treat its whole body as locked).
+#: by its caller (WORX201 treats its whole body as locked).
 _HOLDS = re.compile(r"#\s*worx:\s*holds\s+([A-Za-z_][A-Za-z0-9_.]*)")
+
+
+def attr_chain(node: ast.AST) -> Optional[List[str]]:
+    """``a.b.c`` -> ``["a", "b", "c"]``; ``None`` for non-name chains
+    (anything routed through a call, subscript or literal)."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return parts[::-1]
+    return None
 
 
 def parse_count() -> int:
@@ -117,56 +123,6 @@ def _module_name(rel: str) -> str:
     return ".".join(parts)
 
 
-# -- the unchanged-file cache ------------------------------------------------
-#: (abs path, rel) -> (mtime_ns, size, parsed module).  The rel is part
-#: of the key because the same file linted under a different root gets
-#: different ``rel``/``module`` fields.
-_CACHE: Dict[Tuple[str, str], Tuple[int, int, ParsedModule]] = {}
-
-#: pickle format tag; bump to invalidate stale on-disk caches.
-_CACHE_MAGIC = "worxlint-cache-v1"
-
-
-def clear_cache() -> None:
-    """Drop every in-process cache entry (tests use this for cold runs)."""
-    _CACHE.clear()
-
-
-def cache_size() -> int:
-    return len(_CACHE)
-
-
-def _stat_key(path: Path) -> Optional[Tuple[int, int]]:
-    try:
-        st = path.stat()
-    except OSError:
-        return None
-    return (st.st_mtime_ns, st.st_size)
-
-
-def _load_disk_cache(cache_path: Path) -> None:
-    """Merge a pickled cache into the in-process one; stale or unreadable
-    entries are simply ignored — the cache is purely an accelerator."""
-    try:
-        with open(cache_path, "rb") as fh:
-            payload = pickle.load(fh)
-    except (OSError, pickle.PickleError, EOFError, AttributeError,
-            ValueError):
-        return
-    if not isinstance(payload, dict) or payload.get("magic") != _CACHE_MAGIC:
-        return
-    for key, entry in payload.get("entries", {}).items():
-        _CACHE.setdefault(key, entry)
-
-
-def _save_disk_cache(cache_path: Path) -> None:
-    try:
-        with open(cache_path, "wb") as fh:
-            pickle.dump({"magic": _CACHE_MAGIC, "entries": _CACHE}, fh)
-    except (OSError, pickle.PickleError):
-        pass  # best-effort persistence only
-
-
 def parse_file(path: Path, root: Path) -> ParsedModule:
     """Read + parse one file; the only place ``ast.parse`` is called."""
     global PARSE_COUNT
@@ -180,35 +136,7 @@ def parse_file(path: Path, root: Path) -> ParsedModule:
                         pragmas=pragmas, holds=holds)
 
 
-def parse_tree(root: Path, *, use_cache: bool = True,
-               cache_path: Optional[Path] = None) -> List[ParsedModule]:
-    """Parse every ``*.py`` under ``root`` once, sorted by path.
-
-    With ``use_cache`` (the default) files whose ``(mtime_ns, size)``
-    match a cached entry are returned without re-parsing; pass
-    ``use_cache=False`` to force a full re-parse (``--no-cache``).
-    ``cache_path`` additionally persists the cache across processes.
-    """
-    if use_cache and cache_path is not None and cache_path.is_file():
-        _load_disk_cache(cache_path)
-    modules: List[ParsedModule] = []
-    dirty = False
-    for path in sorted(root.rglob("*.py")):
-        if "__pycache__" in path.parts:
-            continue
-        rel = path.relative_to(root).as_posix()
-        key = (str(path), rel)
-        stat = _stat_key(path) if use_cache else None
-        if stat is not None:
-            entry = _CACHE.get(key)
-            if entry is not None and (entry[0], entry[1]) == stat:
-                modules.append(entry[2])
-                continue
-        parsed = parse_file(path, root)
-        modules.append(parsed)
-        if stat is not None:
-            _CACHE[key] = (stat[0], stat[1], parsed)
-            dirty = True
-    if use_cache and cache_path is not None and dirty:
-        _save_disk_cache(cache_path)
-    return modules
+def parse_tree(root: Path) -> List[ParsedModule]:
+    """Parse every ``*.py`` under ``root`` once, sorted by path."""
+    return [parse_file(path, root) for path in sorted(root.rglob("*.py"))
+            if "__pycache__" not in path.parts]

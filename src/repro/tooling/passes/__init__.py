@@ -5,27 +5,13 @@ pass with :mod:`repro.tooling.registry`:
     WORX102  determinism     no wall clocks / global RNG in sim code
     WORX103  encapsulation   no reaching into foreign ``_private`` state
     WORX104  subscriber-safety  store callbacks must not re-enter mutators
-    WORX105  api-surface     ``__all__`` resolves; imports use exports
-    WORX106  handlers        no swallowed exceptions outside handler shells
-    WORX107  fanout-discipline  federation fan-out reads go through the
-                             breaker-guarded channel call idiom
-
-and the worxsan concurrency family:
-
-    WORX201  thread-discipline   cross-context access to mutable state
-    WORX202  snapshot-immutability  no mutation through published views
-    WORX203  lock-discipline     guarded state accessed outside its lock
-    WORX204  async-blocking      no blocking calls inside coroutines
-    WORX205  shard-ownership     shard organs never escape their owner
+    WORX106  handlers        no swallowed exceptions
+    WORX201  thread-discipline  cross-thread mutation, guarded state
+                             outside its lock, replace-only maps
 """
 
-from repro.tooling.passes import (api_surface, async_blocking, determinism,
-                                  encapsulation, fanout_discipline,
-                                  handlers, layering, lock_discipline,
-                                  shard_ownership, snapshot_immutability,
-                                  subscribers, thread_context)
+from repro.tooling.passes import (determinism, encapsulation, handlers,
+                                  layering, subscribers, thread_context)
 
-__all__ = ["api_surface", "async_blocking", "determinism",
-           "encapsulation", "fanout_discipline", "handlers", "layering",
-           "lock_discipline", "shard_ownership",
-           "snapshot_immutability", "subscribers", "thread_context"]
+__all__ = ["determinism", "encapsulation", "handlers", "layering",
+           "subscribers", "thread_context"]

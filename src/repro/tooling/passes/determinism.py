@@ -22,10 +22,10 @@ Flagged (outside the configured shell allowlist):
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set
+from typing import Dict, Iterator, Set
 
 from repro.tooling.findings import Finding
-from repro.tooling.parse import ParsedModule
+from repro.tooling.parse import ParsedModule, attr_chain
 from repro.tooling.registry import LintContext, LintPass, register
 
 __all__ = ["DeterminismPass"]
@@ -104,23 +104,9 @@ def _collect_bindings(tree: ast.Module) -> _Bindings:
     return b
 
 
-def _attr_chain(node: ast.AST) -> Optional[list]:
-    """``a.b.c`` -> ["a", "b", "c"]; None for non-name chains."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return parts[::-1]
-    return None
-
-
 @register
 class DeterminismPass(LintPass):
     rule_id = "WORX102"
-    title = "simulation code must not read wall clocks or global RNGs"
-    severity = "error"
 
     def run(self, ctx: LintContext) -> Iterator[Finding]:
         shell = ctx.config.determinism_shell
@@ -154,7 +140,7 @@ class DeterminismPass(LintPass):
                 continue
             if not isinstance(node, ast.Attribute):
                 continue
-            chain = _attr_chain(node)
+            chain = attr_chain(node)
             if chain is None or len(chain) < 2:
                 continue
             yield from self._check_chain(module, node, chain, b)
@@ -218,7 +204,7 @@ def _seedless_default_rng(tree: ast.Module,
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        chain = _attr_chain(node.func)
+        chain = attr_chain(node.func)
         if chain is None or chain[-1] != "default_rng" \
                 or node.args or node.keywords:
             continue

@@ -18,6 +18,9 @@ scoping is understood structurally:
 * Anything else — ``name._attr`` where the attribute is not part of the
   current module's private surface — is a violation: add a public API
   on the owning class instead.
+* ``from other.package import _helper`` — importing an underscore-private
+  name from *another package* of the root is the same reach, spelled as
+  an import, and is flagged too.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import re
 from typing import Iterator, Set
 
 from repro.tooling.findings import Finding
-from repro.tooling.parse import ParsedModule
+from repro.tooling.passes._imports import iter_imports
 from repro.tooling.registry import LintContext, LintPass, register
 
 __all__ = ["EncapsulationPass"]
@@ -86,11 +89,22 @@ def _slots_entries(cls: ast.ClassDef) -> Set[str]:
 @register
 class EncapsulationPass(LintPass):
     rule_id = "WORX103"
-    title = "no cross-module private-attribute access"
-    severity = "warning"
 
     def run(self, ctx: LintContext) -> Iterator[Finding]:
         for module in ctx.modules:
+            component = ctx.component(module.module)
+            for imp in iter_imports(module):
+                if ctx.component(imp.target) in (None, component):
+                    continue  # outside the root, or this package's own
+                for imported in imp.names:
+                    name = imported.name
+                    if name.startswith("_") and not (
+                            name.startswith("__") and name.endswith("__")):
+                        yield self.finding(
+                            module, imp,
+                            f"imports private name {name!r} "
+                            f"from {imp.target}: private helpers are "
+                            f"not part of another package's surface")
             surface = _private_surface(module.tree)
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.Attribute):

@@ -15,9 +15,6 @@ nothing turns a playbook bug into an unexplained stall.  Flagged:
 
 Catching a *narrow* exception and passing (``except KeyError: pass``)
 stays legal: that is a considered statement about one failure mode.
-Files listed in ``LintConfig.handler_shells`` (files, or directory
-prefixes ending in ``/``) are exempt — declared outermost shells whose
-job is to defuse anything (e.g. a REPL loop).
 """
 
 from __future__ import annotations
@@ -32,15 +29,6 @@ from repro.tooling.registry import LintContext, LintPass, register
 __all__ = ["SwallowedExceptionsPass"]
 
 _CATCH_ALL = frozenset({"Exception", "BaseException"})
-
-
-def _in_shell(module: ParsedModule, shell: frozenset) -> bool:
-    for entry in shell:
-        if module.rel == entry:
-            return True
-        if entry.endswith("/") and module.rel.startswith(entry):
-            return True
-    return False
 
 
 def _catch_all_name(node: ast.AST) -> bool:
@@ -70,14 +58,9 @@ def _body_does_nothing(body) -> bool:
 @register
 class SwallowedExceptionsPass(LintPass):
     rule_id = "WORX106"
-    title = "exceptions must be handled or propagated, never swallowed"
-    severity = "error"
 
     def run(self, ctx: LintContext) -> Iterator[Finding]:
-        shell = ctx.config.handler_shells
         for module in ctx.modules:
-            if _in_shell(module, shell):
-                continue
             yield from self._check_module(module)
 
     def _check_module(self, module: ParsedModule) -> Iterator[Finding]:

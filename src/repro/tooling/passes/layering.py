@@ -1,7 +1,11 @@
 """WORX101 — the layer DAG.
 
-Two checks over the shared parse:
+Three checks over the shared parse:
 
+* **Coverage.**  Every package directory under the root package must be
+  in the layer map — one finding at its ``__init__.py`` otherwise,
+  whatever it imports (an unmapped package has no layer, so no
+  direction check could ever see it).
 * **Direction.**  Every import of a root-package module must target a
   layer at or below the importer's own (same package is always fine).
   Function-local imports count too: deferring an import changes *when*
@@ -99,29 +103,32 @@ def _edge_targets(ctx, imp) -> Iterator[str]:
 @register
 class LayeringPass(LintPass):
     rule_id = "WORX101"
-    title = "imports must respect the declared layer map"
-    severity = "error"
 
     def run(self, ctx: LintContext) -> Iterator[Finding]:
+        # -- coverage --------------------------------------------------------
+        for component in sorted(ctx.package_dirs
+                                - set(ctx.config.layers)):
+            prefix = f"{ctx.config.package}/{component}/"
+            members = [m for m in ctx.modules
+                       if m.rel.startswith(prefix)]
+            anchor = next((m for m in members
+                           if m.rel == prefix + "__init__.py"),
+                          members[0])
+            yield Finding(
+                path=anchor.rel, line=1, rule_id=self.rule_id,
+                message=(f"package {component!r} is missing from the "
+                         f"layer map; add it to "
+                         f"repro.tooling.layers.LAYER_MAP"))
+
         graph: Dict[str, Set[str]] = {}
         edge_lines: Dict[Tuple[str, str], int] = {}
         for module in ctx.modules:
             importer_layer = ctx.layer_of(module.module)
             importer_component = ctx.component(module.module)
-            reported_unmapped = False
             for imp in iter_imports(module):
                 target_component = ctx.component(imp.target)
                 if target_component is None:
                     continue  # stdlib / third-party: out of scope
-                if (importer_layer is None and importer_component
-                        is not None and not reported_unmapped):
-                    reported_unmapped = True
-                    yield self.finding(
-                        module, imp,
-                        f"package {importer_component!r} is missing from "
-                        f"the layer map; add it to "
-                        f"repro.tooling.layers.LAYER_MAP")
-                    continue
                 # -- direction -------------------------------------------
                 target_layer = ctx.layer_of(imp.target)
                 if (importer_layer is not None
@@ -155,5 +162,4 @@ class LayeringPass(LintPass):
             yield Finding(
                 path=module.rel, line=line, rule_id=self.rule_id,
                 message=("import cycle: " + " -> ".join(component)
-                         + f" -> {first}"),
-                severity=self.severity)
+                         + f" -> {first}"))

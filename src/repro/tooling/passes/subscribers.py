@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.tooling.findings import Finding
-from repro.tooling.parse import ParsedModule
+from repro.tooling.parse import ParsedModule, attr_chain
 from repro.tooling.registry import LintContext, LintPass, register
 
 __all__ = ["SubscriberSafetyPass"]
@@ -106,17 +106,6 @@ def _index_module(module: ParsedModule) -> _ModuleIndex:
     return index
 
 
-def _attr_chain(node: ast.AST) -> Optional[List[str]]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return parts[::-1]
-    return None
-
-
 class _Resolver:
     """Resolve a callback expression to its FunctionDef, cross-module."""
 
@@ -154,7 +143,7 @@ class _Resolver:
         if isinstance(callback, ast.Name):
             fn = index.functions.get(callback.id)
             return (module, fn) if fn is not None else None
-        chain = _attr_chain(callback)
+        chain = attr_chain(callback)
         if chain is None or len(chain) < 2:
             return None
         base, rest = chain[0], chain[1:]
@@ -212,8 +201,6 @@ def _registrations(module: ParsedModule
 @register
 class SubscriberSafetyPass(LintPass):
     rule_id = "WORX104"
-    title = "subscription callbacks must not re-enter store mutators"
-    severity = "error"
 
     def run(self, ctx: LintContext) -> Iterator[Finding]:
         resolver = _Resolver(ctx)
@@ -239,8 +226,7 @@ class SubscriberSafetyPass(LintPass):
                 continue
             if node.func.attr not in _MUTATORS:
                 continue
-            receiver = ast.unparse(node.func.value) \
-                if hasattr(ast, "unparse") else "<recv>"
+            receiver = ast.unparse(node.func.value)
             yield self.finding(
                 module, node,
                 f"subscription callback {fn.name!r} calls "

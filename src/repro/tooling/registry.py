@@ -3,9 +3,9 @@
 A pass is a class with a ``rule_id`` and a ``run(ctx)`` generator; the
 ``@register`` decorator adds it to the global registry in definition
 order.  Passes are *whole-program*: they see every parsed module at once
-(layering needs the import graph, API-surface needs foreign ``__all__``
-lists), and they must never re-read or re-parse a file — everything they
-need is on the :class:`LintContext`.
+(layering needs the import graph, subscriber safety follows callbacks
+into other modules), and they must never re-read or re-parse a file —
+everything they need is on the :class:`LintContext`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class LintConfig:
 
     root: Path
     #: root package name the layer rules apply to (imports of anything
-    #: else — stdlib, third-party — are out of scope for WORX101/105).
+    #: else — stdlib, third-party — are out of scope for WORX101/103).
     package: str = "repro"
     #: first path component under ``package`` -> layer number; ``""``
     #: names the package facade (``<package>/__init__.py``) and plain
@@ -39,44 +39,18 @@ class LintConfig:
     #: from the determinism rule — the interactive shell that is allowed
     #: to look at wall clocks.
     determinism_shell: FrozenSet[str] = frozenset()
-    #: rel paths exempt from the swallowed-exception rule (WORX106) —
-    #: declared outermost handler shells that may defuse anything.
-    handler_shells: FrozenSet[str] = frozenset()
-    #: optional committed baseline of grandfathered finding keys.
-    baseline: Optional[Path] = None
     #: run only these rule ids (``None`` = every registered pass).
     rules: Optional[FrozenSet[str]] = None
-    # -- worxsan concurrency policy (WORX201-205) ---------------------------
-    #: ``"rel/path.py"`` or ``"rel/path.py::Qual.name"`` -> execution
-    #: context (``sim`` / ``serving`` / ``coroutine`` / ``shell``) — the
-    #: WORX201 seeds that call-graph propagation grows from.
+    # -- concurrency policy (WORX201) ---------------------------------------
+    #: ``"rel/path.py"`` or ``"rel/path.py::Qual.name"`` -> the thread a
+    #: function runs on (``sim`` / ``serving``) — the seeds that
+    #: call-graph propagation grows from.
     contexts: Mapping[str, str] = field(default_factory=dict)
-    #: per rel path: ``self.``-rooted attribute prefixes owned by the
-    #: sim thread; serving code may touch them only under a lock.
-    sim_owned: Mapping[str, FrozenSet[str]] = field(default_factory=dict)
-    #: per rel path: attribute chain -> guarding lock name (WORX203);
-    #: the empty string means replace-only (swap, never mutate in place).
+    #: per rel path: ``self.``-rooted attribute chain -> guarding lock
+    #: name; the empty string means replace-only (swap, never mutate in
+    #: place).
     lock_guarded: Mapping[str, Mapping[str, str]] = field(
         default_factory=dict)
-    #: class names that are immutable once published (WORX202 taint).
-    frozen_types: FrozenSet[str] = frozenset(
-        {"PublishedView", "Snapshot"})
-    #: attribute names whose read yields a published (frozen) value.
-    published_attrs: FrozenSet[str] = frozenset({"view"})
-    #: rel-path prefixes where shard-ownership isolation (WORX205) holds.
-    shard_roots: FrozenSet[str] = frozenset()
-    #: rel paths where every ``.server`` access must go through the
-    #: breaker-guarded ``call(...)`` idiom (WORX107) — the federation
-    #: fan-out modules that must degrade, not raise, on a dead shard.
-    fanout_guarded: FrozenSet[str] = frozenset()
-    # -- run mechanics ------------------------------------------------------
-    #: bypass the parsed-module cache (``--no-cache``).
-    no_cache: bool = False
-    #: optional pickle file persisting the parse cache across runs.
-    cache_path: Optional[Path] = None
-    #: when set, only findings in these rel paths are reported (the
-    #: whole tree is still parsed — passes are whole-program).
-    only_paths: Optional[FrozenSet[str]] = None
 
 
 class LintContext:
@@ -88,6 +62,13 @@ class LintContext:
         self.modules: List[ParsedModule] = list(modules)
         self.by_module: Dict[str, ParsedModule] = {
             m.module: m for m in self.modules}
+        #: components that are package *directories* under the root
+        #: package (``repro/sim/...``), as opposed to plain top-level
+        #: modules (``repro/cli.py``).
+        self.package_dirs = {
+            m.rel.split("/")[1] for m in self.modules
+            if m.rel.count("/") >= 2
+            and m.rel.startswith(config.package + "/")}
 
     # -- layer helpers -------------------------------------------------------
     def component(self, module: str) -> Optional[str]:
@@ -108,10 +89,10 @@ class LintContext:
         layers = self.config.layers
         if component in layers:
             return layers[component]
+        if component in self.package_dirs:
+            return None  # an unmapped package: WORX101 reports it
         # Unlisted top-level modules (and the facade) sit at the top.
-        if component == "" or "." not in module[len(self.config.package) + 1:]:
-            return layers.get("", max(layers.values(), default=0))
-        return None
+        return layers.get("", max(layers.values(), default=0))
 
     def resolve_import(self, target: str) -> Optional[ParsedModule]:
         """Map an import target to a parsed module: exact module first,
@@ -128,15 +109,12 @@ class LintPass:
     """Base class: subclasses set the rule metadata and yield findings."""
 
     rule_id: str = "WORX000"
-    title: str = ""
-    severity: str = "error"
 
     def finding(self, module: ParsedModule, node: ast.AST,
                 message: str) -> Finding:
         return Finding(path=module.rel,
                        line=getattr(node, "lineno", 1),
-                       rule_id=self.rule_id, message=message,
-                       severity=self.severity)
+                       rule_id=self.rule_id, message=message)
 
     def run(self, ctx: LintContext) -> Iterator[Finding]:
         raise NotImplementedError

@@ -2,40 +2,31 @@
 
 ``run_lint`` parses the tree exactly once (asserted by the tier-1
 counting test), hands the same :class:`LintContext` to every registered
-pass, then partitions the raw findings three ways:
+pass, then splits the raw findings two ways:
 
-* **suppressed** — a same-line ``# worx: ok [RULES]`` pragma waives it;
-* **baselined** — its ``rule:path:line`` key is grandfathered in the
-  committed baseline file;
+* **suppressed** — a same-line ``# worx: ok [RULES]`` pragma waives it
+  (the one, reviewed way to waive a finding);
 * **active** — everything else; any active finding fails the gate.
-
-Two run-mechanics knobs ride on the config: the parsed-module cache
-(unchanged files skip re-parsing across runs; ``no_cache`` bypasses
-it) and ``only_paths`` (``repro-cli lint --changed``) which still
-parses the whole tree — the passes are whole-program — but reports
-findings only for the named files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set
 
-from repro.tooling.findings import Finding, write_baseline
+from repro.tooling.concurrency import CONTEXT_MAP, LOCK_GUARDED
+from repro.tooling.findings import Finding
 from repro.tooling.layers import LAYER_MAP
-from repro.tooling.concurrency import (CONTEXT_MAP, FANOUT_GUARDED,
-                                       FROZEN_TYPES, LOCK_GUARDED,
-                                       PUBLISHED_ATTRS, SHARD_ROOTS,
-                                       SIM_OWNED)
 from repro.tooling.parse import parse_tree
 from repro.tooling.registry import LintConfig, LintContext, get_passes
 
 __all__ = ["LintResult", "default_config", "run_lint",
-           "refresh_baseline", "JSON_SCHEMA_VERSION"]
+           "JSON_SCHEMA_VERSION"]
 
-#: bumped only when the shape of ``LintResult.to_json`` changes.
-JSON_SCHEMA_VERSION = 1
+#: bumped only when the shape of ``LintResult.to_json`` changes
+#: (2: ``severity`` and ``baselined`` dropped).
+JSON_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -44,7 +35,6 @@ class LintResult:
 
     findings: List[Finding]              #: active — these fail the gate
     suppressed: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     modules: int = 0
     rules: List[str] = field(default_factory=list)
 
@@ -56,8 +46,7 @@ class LintResult:
         lines = [finding.render() for finding in self.findings]
         lines.append(
             f"worxlint: {len(self.findings)} finding(s) "
-            f"({len(self.suppressed)} suppressed, "
-            f"{len(self.baselined)} baselined) across "
+            f"({len(self.suppressed)} suppressed) across "
             f"{self.modules} modules")
         return "\n".join(lines)
 
@@ -67,94 +56,44 @@ class LintResult:
             "ok": self.ok,
             "modules": self.modules,
             "rules": list(self.rules),
-            "findings": [f.to_json() for f in sorted(self.findings)],
+            "findings": [f.to_json() for f in self.findings],
             "suppressed": len(self.suppressed),
-            "baselined": len(self.baselined),
         }
 
 
 def default_config(root: Optional[Path] = None, *,
-                   baseline: Optional[Path] = None,
-                   rules: Optional[Set[str]] = None,
-                   no_cache: bool = False,
-                   only_paths: Optional[Set[str]] = None) -> LintConfig:
+                   rules: Optional[Set[str]] = None) -> LintConfig:
     """The repo's own policy: the ``repro`` layer map, ``cli.py`` and
-    the gateway's serving shell as the only wall-clock modules, the
-    concurrency contract from :mod:`repro.tooling.concurrency`, and
-    the committed baseline beside ``src/``."""
+    the gateway's serving shell as the only wall-clock modules, and the
+    concurrency contract from :mod:`repro.tooling.concurrency`."""
     if root is None:
         root = Path(__file__).resolve().parents[2]
-    if baseline is None:
-        candidate = root.parent / "worxlint.baseline"
-        baseline = candidate if candidate.is_file() else None
-    cache_path = root.parent / ".worxlint.cache"
     return LintConfig(root=root, package="repro", layers=dict(LAYER_MAP),
                       determinism_shell=frozenset(
                           {"repro/cli.py", "repro/gateway/shell.py"}),
-                      handler_shells=frozenset(),
-                      baseline=baseline,
                       rules=frozenset(rules) if rules else None,
                       contexts=dict(CONTEXT_MAP),
-                      sim_owned=dict(SIM_OWNED),
-                      lock_guarded=dict(LOCK_GUARDED),
-                      frozen_types=FROZEN_TYPES,
-                      published_attrs=PUBLISHED_ATTRS,
-                      shard_roots=SHARD_ROOTS,
-                      fanout_guarded=FANOUT_GUARDED,
-                      no_cache=no_cache,
-                      cache_path=cache_path,
-                      only_paths=(frozenset(only_paths)
-                                  if only_paths is not None else None))
-
-
-def _load_baseline_keys(config: LintConfig) -> Set[str]:
-    from repro.tooling.findings import load_baseline
-    if config.baseline is None:
-        return set()
-    return load_baseline(config.baseline)
+                      lock_guarded=dict(LOCK_GUARDED))
 
 
 def run_lint(config: LintConfig) -> LintResult:
-    """Parse once, run the selected passes, partition the findings."""
-    modules = parse_tree(config.root, use_cache=not config.no_cache,
-                         cache_path=config.cache_path)
+    """Parse once, run the selected passes, split off the waived."""
+    modules = parse_tree(config.root)
     ctx = LintContext(config, modules)
     by_rel = {m.rel: m for m in modules}
-    baseline_keys = _load_baseline_keys(config)
     passes = get_passes(config.rules)
-    only = config.only_paths
 
     active: List[Finding] = []
     suppressed: List[Finding] = []
-    baselined: List[Finding] = []
     for lint_pass in passes:
         for finding in lint_pass.run(ctx):
-            if only is not None and finding.path not in only:
-                continue
             module = by_rel.get(finding.path)
             if module is not None and module.suppresses(
                     finding.line, finding.rule_id):
                 suppressed.append(finding)
-            elif finding.key in baseline_keys:
-                baselined.append(finding)
             else:
                 active.append(finding)
     return LintResult(findings=sorted(active),
                       suppressed=sorted(suppressed),
-                      baselined=sorted(baselined),
                       modules=len(modules),
                       rules=[p.rule_id for p in passes])
-
-
-def refresh_baseline(config: LintConfig, path: Path) -> LintResult:
-    """Re-grandfather: write every *active* finding into ``path``.
-
-    Prefer fixing or pragma-annotating findings; the baseline is for
-    landing a new rule before the tree is clean, not for hiding debt.
-    The refresh runs the *full* tree (``only_paths`` cleared): a
-    baseline built from a partial view would silently drop every key
-    outside it.
-    """
-    result = run_lint(replace(config, baseline=None, only_paths=None))
-    write_baseline(path, result.findings)
-    return result

@@ -1,8 +1,5 @@
-"""Middle layer.  ``__all__`` lists a phantom name: WORX105."""
+"""Middle layer."""
 
 from acme.mid.clock import tick
 
-__all__ = [
-    "tick",
-    "missing",
-]
+__all__ = ["tick"]

@@ -1,8 +1,7 @@
-"""Serving-side bridge: planted WORX201, WORX202 and WORX203.
+"""Serving-side bridge: planted WORX201.
 
-The fixture policy (see tests/test_worxlint.py) declares
-``ServingState.stats`` serving-context, ``server.engine`` sim-owned,
-and ``server.history`` guarded by ``lock``.
+The fixture policy (see tests/test_worxlint.py) declares everything
+behind ``server`` guarded by ``lock``.
 """
 
 
@@ -16,12 +15,8 @@ class ServingState:
         self.view = self.server.capture()
 
     def stats(self):
-        return self.server.engine.count()  # WORX201: sim-owned, no lock
-
-    def summary(self):
-        view = self.view
-        view.summary["served"] = True  # WORX202: mutates published view
-        return view.summary
+        return self.server.engine.count()  # WORX201: guarded, no lock
 
     def history(self, host):
-        return self.server.history.window(host)  # WORX203: lock-free
+        with self.lock:
+            return self.server.history.window(host)

@@ -5,12 +5,8 @@ link / restore / gateway stall fire at their planned sim times and
 leave an audit trail), the ControlPlan campaign hook (same seed + spec
 renders byte-identical CampaignReports, and adding a control plan
 never perturbs the node-fault schedule), fail-over scoring (a killed
-shard is detected, drained and re-owned by survivors), and the
-WORX107 fan-out discipline lint that keeps every federation fan-out
-read behind the breaker-guarded channel call idiom.
+shard is detected, drained and re-owned by survivors).
 """
-
-import textwrap
 
 import pytest
 
@@ -22,7 +18,6 @@ from repro.federation import DEAD, HEALTHY
 from repro.gateway import GatewayState
 from repro.resilience import ChaosCampaign
 from repro.resilience.chaos import FAILED_OVER, RODE_THROUGH
-from repro.tooling import LintConfig, run_lint
 
 
 def make_fed(n=16, shards=4, seed=7, **kwargs):
@@ -199,45 +194,3 @@ class TestControlPlan:
         # every node re-owned by a survivor: full fleet still readable
         assert len(cwx.server.current_all()) == 16
 
-
-class TestFanoutDisciplineLint:
-    def _lint(self, tmp_path, source):
-        (tmp_path / "mod.py").write_text(textwrap.dedent(source))
-        config = LintConfig(root=tmp_path, package="pkg", layers={},
-                            rules=frozenset({"WORX107"}),
-                            fanout_guarded=frozenset({"mod.py"}))
-        return run_lint(config)
-
-    def test_bare_server_access_flagged(self, tmp_path):
-        result = self._lint(tmp_path, """\
-            def snapshot(shard):
-                return shard.server.store.snapshot()
-            """)
-        assert [f.rule_id for f in result.findings] == ["WORX107"]
-
-    def test_channel_call_idiom_clean(self, tmp_path):
-        result = self._lint(tmp_path, """\
-            def snapshot(shard):
-                return shard.call(
-                    lambda shard=shard: shard.server.store.snapshot(),
-                    default=None)
-            """)
-        assert result.findings == []
-
-    def test_unguarded_files_exempt(self, tmp_path):
-        (tmp_path / "other.py").write_text(
-            "def f(shard):\n    return shard.server\n")
-        config = LintConfig(root=tmp_path, package="pkg", layers={},
-                            rules=frozenset({"WORX107"}),
-                            fanout_guarded=frozenset({"mod.py"}))
-        assert run_lint(config).findings == []
-
-    def test_repo_fanout_paths_hold_clean(self):
-        import pathlib
-
-        from repro.tooling import default_config
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
-        result = run_lint(default_config(root=src,
-                                         rules={"WORX107"}))
-        assert result.rules == ["WORX107"]
-        assert result.findings == []

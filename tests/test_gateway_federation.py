@@ -8,6 +8,9 @@ import json
 from repro import ClusterWorX
 from repro.gateway import (GatewayService, GatewayState, WatchClient,
                            WatchHub, WatchPolicy, fetch)
+from repro.gateway.httpd import parse_request
+from repro.gateway.routes import build_router
+from repro.gateway.wire import JsonWire
 
 
 def make_fed(n=12, shards=3, seed=5, interval=5.0):
@@ -33,6 +36,46 @@ class TestShardStats:
         rows = GatewayState(cwx.server).shards()
         assert len(rows) == 1
         assert rows[0]["name"] == "flat" and rows[0]["nodes"] == 4
+
+    def test_flat_server_answers_the_topology_questions_itself(self):
+        """The flat server gives the trivial answers, so the gateway
+        asks without probing — and a flat cluster's /v1/shards and
+        /v1/summary bodies are what they were when GatewayState built
+        the synthetic row from its own view."""
+        cwx = ClusterWorX(n_nodes=4, seed=5, monitor_interval=5.0)
+        cwx.start()
+        cwx.run(30)
+        assert cwx.server.degraded_info() == {
+            "degraded": False, "stale_shards": [], "staleness_s": 0.0}
+        state = GatewayState(cwx.server)
+        router = build_router(state, lambda: {})
+        view = state.view
+        row = {
+            "index": 0, "name": "flat", "active": True,
+            "health": "healthy", "heartbeat_age": 0.0,
+            "nodes": len(view.hostnames),
+            "updates_received": cwx.server.updates_received,
+            "generation": view.generation,
+            "events_active": cwx.server.engine.active_count()}
+        assert cwx.server.shard_stats() == [row]
+        bodies = {}
+        for path in ("/v1/shards", "/v1/summary"):
+            request = parse_request(
+                f"GET {path} HTTP/1.1\r\n\r\n".encode("ascii"))
+            route, params = router.resolve(request.path)
+            status, frames = route.handler(request, params)
+            assert status == 200
+            bodies[path] = JsonWire().encode(frames)
+        assert bodies["/v1/shards"] == JsonWire().encode(
+            [("shard", "flat", view.sim_time, row)])
+        summary = dict(cwx.server.cluster_summary(),
+                       sim_time=round(view.sim_time, 3))
+        assert bodies["/v1/summary"] == JsonWire().encode(
+            [("summary", "cluster", view.sim_time, summary)])
+        # healthy: the degraded keys are absent, not false
+        assert b"degraded" not in bodies["/v1/summary"]
+        assert b"stale" not in bodies["/v1/summary"]
+        assert b"degraded" not in bodies["/v1/shards"]
 
 
 class TestWatchFanIn:

@@ -124,7 +124,8 @@ def _flat_state(sanitizer, n_nodes=4):
 class TestFrozenPublishedView:
     def test_published_view_raises_on_mutation(self, sanitizer):
         """The acceptance criterion: a sanitizer-frozen view raises on
-        any mutation attempt, proving WORX202 against ground truth."""
+        any mutation attempt (the run-time guard that replaced the
+        static WORX202 rule)."""
         _cwx, state = _flat_state(sanitizer)
         view = state.view
         assert isinstance(view.summary, FrozenDict)

@@ -1,10 +1,10 @@
 """The worxlint framework's own behaviour.
 
 Covers: the planted-violation fixture tree (exactly one finding per
-WORX rule, exact ``rule:path:line``), pragma suppression, baseline
-load/refresh round-trip, the single-shared-parse property, JSON schema
-stability of ``--json``, and the string-literal regression that the old
-regex lint's ``_strip_comment`` mishandled.
+WORX rule, exact ``rule:path:line``), the replay of every real
+historical catch, pragma suppression, the single-shared-parse property,
+JSON schema stability of ``--json``, and the string-literal regression
+that the old regex lint's ``_strip_comment`` mishandled.
 """
 
 import json
@@ -14,24 +14,11 @@ import textwrap
 import pytest
 
 from repro.cli import main as cli_main
-from repro.tooling import (Finding, LintConfig, clear_cache,
-                           default_config, load_baseline, parse_count,
-                           refresh_baseline, render_baseline, run_lint,
-                           write_baseline)
+from repro.tooling import (LintConfig, default_config, parse_count,
+                           run_lint)
 
 FIXTURE = pathlib.Path(__file__).resolve().parent / "fixtures" / "worxtree"
-FIXTURE_LAYERS = {"lib": 0, "mid": 1, "app": 2, "srv": 2, "fed": 2,
-                  "": 3}
-
-#: the concurrency contract of the fixture tree — what the WORX2xx
-#: policy-driven rules (201/203/205) key off.
-FIXTURE_POLICY = {
-    "contexts": {"acme/srv/state.py::ServingState.stats": "serving"},
-    "sim_owned": {"acme/srv/state.py": frozenset({"server.engine"})},
-    "lock_guarded": {"acme/srv/state.py": {"server.history": "lock"}},
-    "shard_roots": frozenset({"acme/fed/"}),
-    "fanout_guarded": frozenset({"acme/fed/fanout.py"}),
-}
+FIXTURE_LAYERS = {"lib": 0, "mid": 1, "app": 2, "srv": 2, "": 3}
 
 #: the one planted violation per rule, by exact rule:path:line key.
 PLANTED = {
@@ -39,33 +26,36 @@ PLANTED = {
     "WORX102": "WORX102:acme/mid/clock.py:7",
     "WORX103": "WORX103:acme/app/flows.py:10",
     "WORX104": "WORX104:acme/app/flows.py:15",
-    "WORX105": "WORX105:acme/mid/__init__.py:7",
     "WORX106": "WORX106:acme/lib/store.py:24",
-    "WORX107": "WORX107:acme/fed/fanout.py:12",
-    "WORX201": "WORX201:acme/srv/state.py:19",
-    "WORX202": "WORX202:acme/srv/state.py:23",
-    "WORX203": "WORX203:acme/srv/state.py:27",
-    "WORX204": "WORX204:acme/srv/aio.py:7",
-    "WORX205": "WORX205:acme/fed/spread.py:8",
+    "WORX201": "WORX201:acme/srv/state.py:18",
 }
 
-#: what fires without the policy (a bare CLI run on the fixture tree):
-#: WORX107/201/203/205 need the fanout-guarded/contexts/guards/
-#: shard-roots declarations, which only ``fixture_config`` supplies.
+#: what fires on a bare CLI run over the fixture tree, which carries
+#: the repo's own policy: no ``acme`` layer map (WORX101) and no guarded
+#: chains in ``acme/srv/state.py`` (WORX201).
 CLI_PLANTED = {rule: key for rule, key in PLANTED.items()
-               if rule not in ("WORX107", "WORX201", "WORX203",
-                               "WORX205")}
+               if rule not in ("WORX101", "WORX201")}
 
 
 def fixture_config(**kwargs):
-    merged = {**FIXTURE_POLICY, **kwargs}
-    return LintConfig(root=FIXTURE, package="acme",
-                      layers=dict(FIXTURE_LAYERS), **merged)
+    """The fixture tree's policy: its layer map, and everything behind
+    ``ServingState.server`` guarded by ``lock`` (what WORX201 keys off)."""
+    return LintConfig(
+        root=FIXTURE, package="acme", layers=dict(FIXTURE_LAYERS),
+        lock_guarded={"acme/srv/state.py": {"server": "lock"}}, **kwargs)
+
+
+def write_tree(root, files):
+    """Write ``{rel path: source}`` under ``root``."""
+    for rel, source in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source))
 
 
 def lint_snippet(tmp_path, source, *, rules=None, name="mod.py"):
     """Lint a single-file tree holding ``source``."""
-    (tmp_path / name).write_text(textwrap.dedent(source))
+    write_tree(tmp_path, {name: source})
     config = LintConfig(root=tmp_path, package="pkg", layers={},
                         rules=frozenset(rules) if rules else None)
     return run_lint(config)
@@ -85,6 +75,129 @@ def test_rule_selection_runs_single_pass():
     result = run_lint(fixture_config(rules=frozenset({"WORX102"})))
     assert result.rules == ["WORX102"]
     assert [f.key for f in result.findings] == [PLANTED["WORX102"]]
+
+
+# -- the historical catches, replayed ----------------------------------------
+
+#: minimal snippets of what each surviving rule has really caught on a
+#: committed tree (the 26-commit audit in ROADMAP item 5), or — for the
+#: two rules that have never fired — the hazard they alone guard.  Each
+#: is linted under the repo's own policy (``default_config``), so a
+#: change to the layer map, the context map or the guarded chains that
+#: would have let the catch through fails here.
+REPLAY = {
+    "layer-2 producer imports Update from core.statestore": (
+        "WORX101", {
+            "repro/core/statestore.py": "class Update:\n    pass\n",
+            "repro/monitoring/agent.py":
+                "from repro.core.statestore import Update\n"},
+        "repro/monitoring/agent.py:1"),
+    "monitoring reaches into a hardware model's private state": (
+        "WORX103", {"repro/monitoring/builtin.py": """\
+            def sample_cpu(cpu, t):
+                return cpu._demand_at(t)
+            """},
+        "repro/monitoring/builtin.py:2"),
+    "GatewayState.shards() reads live counters lock-free": (
+        "WORX201", {"repro/gateway/state.py": """\
+            class GatewayState:
+                def __init__(self, server, lock):
+                    self.server = server
+                    self.lock = lock
+
+                def shards(self):
+                    return [{"updates": self.server.updates_received}]
+            """},
+        "repro/gateway/state.py:7"),
+    "a helper both threads run does += outside the lock": (
+        "WORX201", {"repro/gateway/watch.py": """\
+            class WatchClient:
+                def push(self, frame):
+                    self._count()
+
+                def drain(self):
+                    self._count()
+
+                def _count(self):
+                    self.frames_seen += 1
+            """},
+        "repro/gateway/watch.py:9"),
+    "the replace-only owner map is edited in place": (
+        "WORX201", {"repro/federation/server.py": """\
+            class FederationServer:
+                def forget_node(self, hostname):
+                    del self._owner[hostname]
+            """},
+        "repro/federation/server.py:3"),
+    "the fast sampler's failure is swallowed": (
+        "WORX106", {"repro/monitoring/agent.py": """\
+            def evaluate(fast, ctx):
+                try:
+                    return fast(ctx)
+                except Exception:
+                    pass
+            """},
+        "repro/monitoring/agent.py:4"),
+    "a bare except": (
+        "WORX106", {"repro/remote/worker.py": """\
+            def run(task):
+                try:
+                    task()
+                except:
+                    return None
+            """},
+        "repro/remote/worker.py:4"),
+    "time.time() in sim code": (
+        "WORX102", {"repro/sim/kernel.py": """\
+            import time
+
+
+            def now():
+                return time.time()
+            """},
+        "repro/sim/kernel.py:5"),
+    "a store callback calls store.apply": (
+        "WORX104", {"repro/core/server.py": """\
+            class Server:
+                def __init__(self, store):
+                    self.store = store
+                    store.subscribe(self._mirror)
+
+                def _mirror(self, update):
+                    self.store.apply(update)
+            """},
+        "repro/core/server.py:7"),
+}
+
+
+@pytest.mark.parametrize("catch", sorted(REPLAY))
+def test_historical_catch_still_caught(tmp_path, catch):
+    rule, files, where = REPLAY[catch]
+    write_tree(tmp_path, files)
+    result = run_lint(default_config(root=tmp_path))
+    assert [f.key for f in result.findings] == [f"{rule}:{where}"]
+
+
+def test_unmapped_package_reported_whatever_it_imports(tmp_path):
+    """WORX101 regression: a package directory the layer map omits is
+    one finding at its ``__init__.py`` — even when it imports nothing
+    from the root, and even when only a layer-0 module imports *it*
+    (``target_layer is None`` used to skip the direction check, so the
+    edge went unreported from both ends)."""
+    write_tree(tmp_path, {
+        "pkg/__init__.py": "",
+        "pkg/lib/__init__.py": "",
+        "pkg/lib/low.py": "from pkg.newpkg.thing import THING\n",
+        "pkg/newpkg/__init__.py": "",
+        "pkg/newpkg/thing.py": "THING = 1\n"})
+    config = LintConfig(root=tmp_path, package="pkg",
+                        layers={"lib": 0, "": 1},
+                        rules=frozenset({"WORX101"}))
+    result = run_lint(config)
+    assert [f.key for f in result.findings] == \
+        ["WORX101:pkg/newpkg/__init__.py:1"]
+    assert "'newpkg' is missing from the layer map" in \
+        result.findings[0].message
 
 
 # -- pragma suppression ------------------------------------------------------
@@ -134,152 +247,79 @@ def test_pragma_inside_string_literal_is_data_not_annotation(tmp_path):
     assert [f.rule_id for f in result.findings] == ["WORX102"]
 
 
-# -- baseline ----------------------------------------------------------------
-
-def test_baseline_roundtrip(tmp_path):
-    baseline = tmp_path / "worxlint.baseline"
-    first = refresh_baseline(fixture_config(), baseline)
-    assert len(first.findings) == len(PLANTED)
-    assert load_baseline(baseline) == set(PLANTED.values())
-
-    second = run_lint(fixture_config(baseline=baseline))
-    assert second.ok
-    assert sorted(f.key for f in second.baselined) == \
-        sorted(PLANTED.values())
-
-
-def test_baseline_render_load_identity(tmp_path):
-    findings = [
-        Finding(path="a/b.py", line=3, rule_id="WORX101", message="up"),
-        Finding(path="a/c.py", line=9, rule_id="WORX105", message="gone",
-                severity="warning"),
-    ]
-    path = tmp_path / "base"
-    write_baseline(path, findings)
-    assert load_baseline(path) == {f.key for f in findings}
-    # idempotent: re-rendering the same findings is byte-identical
-    assert path.read_text() == render_baseline(findings)
-
-
-def test_missing_baseline_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "nope") == set()
-
-
 # -- single shared parse -----------------------------------------------------
 
 def test_every_file_parsed_exactly_once():
-    """All twelve passes run off one shared parse: the ast.parse
-    counter grows by exactly the number of files in the tree, never
-    more.  ``no_cache`` keeps the count honest — with the cache on, a
-    warm run parses *zero* files (covered separately below)."""
+    """All six passes run off one shared parse: the ast.parse counter
+    grows by exactly the number of files in the tree, never more."""
     n_files = len([p for p in FIXTURE.rglob("*.py")
                    if "__pycache__" not in p.parts])
     before = parse_count()
-    result = run_lint(fixture_config(no_cache=True))
-    assert len(result.rules) == 12
+    result = run_lint(fixture_config())
+    assert len(result.rules) == 6
     assert parse_count() - before == n_files == result.modules
 
 
-# -- parsed-module cache -----------------------------------------------------
-
-def test_warm_cache_skips_unchanged_modules():
-    """Second run over an unchanged tree re-parses nothing; findings
-    are identical to the cold run's."""
-    clear_cache()
-    cold = run_lint(fixture_config())
-    before = parse_count()
-    warm = run_lint(fixture_config())
-    assert parse_count() - before == 0
-    assert [f.key for f in warm.findings] == \
-        [f.key for f in cold.findings]
-
-
-def test_no_cache_bypasses_warm_cache():
-    run_lint(fixture_config())  # ensure the cache is warm
-    n_files = len([p for p in FIXTURE.rglob("*.py")
-                   if "__pycache__" not in p.parts])
-    before = parse_count()
-    run_lint(fixture_config(no_cache=True))
-    assert parse_count() - before == n_files
-
-
 def test_edited_file_is_reparsed(tmp_path):
+    """Nothing is cached between runs: an edit is seen by the next."""
     mod = tmp_path / "mod.py"
     mod.write_text("import time\n\n\ndef t():\n    return time.time()\n")
     config = LintConfig(root=tmp_path, package="pkg", layers={},
                         rules=frozenset({"WORX102"}))
     assert len(run_lint(config).findings) == 1
-    before = parse_count()
-    assert len(run_lint(config).findings) == 1  # warm: no re-parse
-    assert parse_count() - before == 0
     mod.write_text("VALUE = 1\n")
-    import os
-    st = mod.stat()
-    os.utime(mod, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000))
-    result = run_lint(config)
-    assert parse_count() - before == 1  # stat changed -> re-parsed
-    assert not result.findings
-
-
-def test_disk_cache_persists_across_processes(tmp_path):
-    """A ``cache_path`` round-trips through pickle: a fresh in-process
-    cache (as a new ``make check`` process would have) loads it and
-    skips every unchanged file."""
-    (tmp_path / "mod.py").write_text("VALUE = 1\n")
-    cache = tmp_path / ".worxlint.cache"
-    config = LintConfig(root=tmp_path, package="pkg", layers={},
-                        cache_path=cache)
-    run_lint(config)
-    assert cache.is_file()
-    clear_cache()  # simulate a brand-new process
     before = parse_count()
-    result = run_lint(config)
-    assert parse_count() - before == 0
-    assert result.modules == 1
+    assert not run_lint(config).findings
+    assert parse_count() - before == 1
 
 
 # -- JSON output -------------------------------------------------------------
 
 def test_cli_json_schema_and_planted_findings(capsys):
-    code = cli_main([
-        "lint", "--json", "--root", str(FIXTURE), "--package", "acme",
-        "--layers", "lib=0,mid=1,app=2,srv=2,fed=2,=3"])
+    code = cli_main(["lint", "--json", "--root", str(FIXTURE)])
     assert code == 1  # active findings -> non-zero exit
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"version", "ok", "modules", "rules",
-                            "findings", "suppressed", "baselined"}
-    assert payload["version"] == 1
+                            "findings", "suppressed"}
+    assert payload["version"] == 2
     assert payload["ok"] is False
     assert payload["rules"] == sorted(PLANTED)  # every pass ran
-    assert payload["suppressed"] == 0 and payload["baselined"] == 0
+    assert payload["suppressed"] == 0
     findings = payload["findings"]
-    assert all(set(f) == {"rule", "path", "line", "severity", "message"}
+    assert all(set(f) == {"rule", "path", "line", "message"}
                for f in findings)
     keys = sorted(f"{f['rule']}:{f['path']}:{f['line']}"
                   for f in findings)
-    # a bare CLI run carries no concurrency policy, so only the
-    # policy-free rules fire; the full set is covered via
-    # fixture_config in test_one_finding_per_rule_with_exact_locations
+    # the full set is covered via fixture_config in
+    # test_one_finding_per_rule_with_exact_locations
     assert keys == sorted(CLI_PLANTED.values())
 
 
 def test_cli_text_mode_exit_codes(tmp_path, capsys):
     (tmp_path / "clean.py").write_text("VALUE = 1\n")
-    code = cli_main(["lint", "--root", str(tmp_path),
-                     "--package", "pkg", "--layers", "=0"])
-    assert code == 0
+    assert cli_main(["lint", "--root", str(tmp_path)]) == 0
+    assert "0 finding(s)" in capsys.readouterr().out
+    assert cli_main(["lint", "--root", str(FIXTURE),
+                     "--rules", "WORX102"]) == 1
     out = capsys.readouterr().out
-    assert "0 finding(s)" in out
+    assert out.startswith("acme/mid/clock.py:7: WORX102 ")
+    assert "1 finding(s) (0 suppressed)" in out
 
 
-def test_cli_refresh_baseline(tmp_path, capsys):
-    baseline = tmp_path / "base"
-    code = cli_main([
-        "lint", "--root", str(FIXTURE), "--package", "acme",
-        "--layers", "lib=0,mid=1,app=2,srv=2,fed=2", "--refresh-baseline",
-        "--baseline", str(baseline)])
-    assert code == 0
-    assert load_baseline(baseline) == set(CLI_PLANTED.values())
+def test_lint_surface_is_pinned():
+    """Three flags, seven config fields: a new lint option is a
+    conscious diff here."""
+    import dataclasses
+
+    from repro.cli import build_parser
+    sub = build_parser()._subparsers._group_actions[0].choices["lint"]
+    flags = sorted(opt for action in sub._actions
+                   for opt in action.option_strings
+                   if opt not in ("-h", "--help"))
+    assert flags == ["--json", "--root", "--rules"]
+    assert [f.name for f in dataclasses.fields(LintConfig)] == [
+        "root", "package", "layers", "determinism_shell", "rules",
+        "contexts", "lock_guarded"]
 
 
 # -- regression: strings and comments ----------------------------------------
@@ -337,6 +377,24 @@ def test_foreign_private_access_flagged_in_comprehension(tmp_path):
             return [s._hosts for s in stores]
         """, rules={"WORX103"})
     assert [f.rule_id for f in result.findings] == ["WORX103"]
+
+
+def test_private_name_imported_across_packages_flagged(tmp_path):
+    """The import spelling of the same reach (WORX105's surviving
+    half): ``from other.package import _helper``.  A package's own
+    privates, dunders and public names stay importable."""
+    write_tree(tmp_path, {
+        "pkg/lib/store.py": "_helper = 1\nPUBLIC = 2\n",
+        "pkg/lib/peer.py": "from pkg.lib.store import _helper\n",
+        "pkg/app/flows.py":
+            "from pkg.lib.store import PUBLIC\n"
+            "from pkg.lib.store import __doc__\n"
+            "from pkg.lib.store import _helper\n"})
+    config = LintConfig(root=tmp_path, package="pkg",
+                        layers={"lib": 0, "app": 1},
+                        rules=frozenset({"WORX103"}))
+    assert [f.key for f in run_lint(config).findings] == \
+        ["WORX103:pkg/app/flows.py:3"]
 
 
 def test_subscriber_method_callback_resolved(tmp_path):
@@ -424,23 +482,6 @@ def test_catch_all_that_records_is_allowed(tmp_path):
                 errors.append(repr(exc))
         """, rules={"WORX106"})
     assert not result.findings
-
-
-def test_handler_shell_exempts_file(tmp_path):
-    (tmp_path / "shell.py").write_text(textwrap.dedent("""\
-        def repl(fn):
-            try:
-                fn()
-            except Exception:
-                pass
-        """))
-    config = LintConfig(root=tmp_path, package="pkg", layers={},
-                        rules=frozenset({"WORX106"}))
-    assert len(run_lint(config).findings) == 1
-    shelled = LintConfig(root=tmp_path, package="pkg", layers={},
-                         handler_shells=frozenset({"shell.py"}),
-                         rules=frozenset({"WORX106"}))
-    assert not run_lint(shelled).findings
 
 
 def test_default_config_points_at_src():

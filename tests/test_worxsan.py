@@ -1,12 +1,10 @@
-"""worxsan static rules (WORX201-205): unit coverage per rule plus the
-pragma/baseline edge cases the WORX2xx rollout adds — suppression on
-decorated/async defs, pragma-on-wrong-line, holds-annotations, and
-WORX2xx keys surviving a baseline refresh."""
+"""The thread-and-lock rule (WORX201, which absorbed WORX201): unit
+coverage per check plus the pragma edge cases — suppression on
+decorated/async defs, pragma-on-wrong-line, holds-annotations."""
 
 import textwrap
 
-from repro.tooling import LintConfig, load_baseline, refresh_baseline, \
-    run_lint
+from repro.tooling import LintConfig, run_lint
 
 
 def lint_tree(tmp_path, files, *, rules=None, **policy):
@@ -102,7 +100,7 @@ def test_worx201_serving_only_touching_sim_owned(tmp_path):
     result = lint_tree(
         tmp_path, source, rules={"WORX201"},
         contexts={"mod.py": "serving"},
-        sim_owned={"mod.py": frozenset({"server"})})
+        lock_guarded={"mod.py": {"server": "lock"}})
     assert keys(result) == ["WORX201:mod.py:3"]
 
 
@@ -112,77 +110,11 @@ def test_worx201_holds_annotation_clears_sim_owned(tmp_path):
             def stats(self):  # worx: holds lock
                 return self.server.engine.count()
         """}, rules={"WORX201"}, contexts={"mod.py": "serving"},
-        sim_owned={"mod.py": frozenset({"server"})})
+        lock_guarded={"mod.py": {"server": "lock"}})
     assert not result.findings
 
 
-# -- WORX202: snapshot immutability ------------------------------------------
-
-def test_worx202_mutation_through_view_flagged(tmp_path):
-    result = lint_tree(tmp_path, {"mod.py": """\
-        def serve(state):
-            view = state.view
-            view.summary["served"] = True
-            return view
-        """}, rules={"WORX202"})
-    assert keys(result) == ["WORX202:mod.py:3"]
-
-
-def test_worx202_snapshot_call_result_is_tainted(tmp_path):
-    result = lint_tree(tmp_path, {"mod.py": """\
-        def mutate(store):
-            snap = store.snapshot()
-            snap.pop("node001")
-        """}, rules={"WORX202"})
-    assert keys(result) == ["WORX202:mod.py:3"]
-
-
-def test_worx202_frozen_annotated_param_is_tainted(tmp_path):
-    result = lint_tree(tmp_path, {"mod.py": """\
-        def on_update(update: Update):
-            update.values["cpu"] = 0
-        """}, rules={"WORX202"},
-        frozen_types=frozenset({"Update"}))
-    assert keys(result) == ["WORX202:mod.py:2"]
-
-
-def test_worx202_copy_out_and_rebind_are_clean(tmp_path):
-    """dict(view.summary) breaks taint (the sanctioned copy-out), and
-    rebinding the name to a fresh value clears it; republishing
-    ``state.view = fresh`` is the atomic swap, not a mutation."""
-    result = lint_tree(tmp_path, {"mod.py": """\
-        def refresh(state):
-            summary = dict(state.view.summary)
-            summary["served"] = True
-            view = state.view
-            view = object()
-            view.generation = 7
-            state.view = view
-        """}, rules={"WORX202"})
-    assert not result.findings
-
-
-def test_worx202_taint_flows_through_items_view(tmp_path):
-    result = lint_tree(tmp_path, {"mod.py": """\
-        def scrub(state):
-            for host, values in state.view.snapshot.items():
-                values.clear()
-        """}, rules={"WORX202"})
-    assert keys(result) == ["WORX202:mod.py:3"]
-
-
-def test_worx202_frozen_class_may_build_itself(tmp_path):
-    result = lint_tree(tmp_path, {"mod.py": """\
-        class PublishedView:
-            def __init__(self, snapshot):
-                self.snapshot = snapshot
-                self.index = {}
-                self.index["gen"] = snapshot.generation
-        """}, rules={"WORX202"})
-    assert not result.findings
-
-
-# -- WORX203: lock discipline ------------------------------------------------
+# -- guarded chains (the former WORX201 checks) -----------------------------
 
 GUARDED = {"mod.py": {"server.history": "lock"}}
 
@@ -196,8 +128,8 @@ def test_worx203_lock_free_access_flagged(tmp_path):
             def graph(self, host):
                 with self.lock:
                     return self.server.history.graph(host)
-        """}, rules={"WORX203"}, lock_guarded=GUARDED)
-    assert keys(result) == ["WORX203:mod.py:3"]
+        """}, rules={"WORX201"}, lock_guarded=GUARDED)
+    assert keys(result) == ["WORX201:mod.py:3"]
 
 
 def test_worx203_holds_annotation_trusted(tmp_path):
@@ -205,7 +137,7 @@ def test_worx203_holds_annotation_trusted(tmp_path):
         class State:
             def _capture(self):  # worx: holds lock
                 return self.server.history.export()
-        """}, rules={"WORX203"}, lock_guarded=GUARDED)
+        """}, rules={"WORX201"}, lock_guarded=GUARDED)
     assert not result.findings
 
 
@@ -214,8 +146,8 @@ def test_worx203_holds_for_wrong_lock_not_trusted(tmp_path):
         class State:
             def _capture(self):  # worx: holds other_lock
                 return self.server.history.export()
-        """}, rules={"WORX203"}, lock_guarded=GUARDED)
-    assert keys(result) == ["WORX203:mod.py:3"]
+        """}, rules={"WORX201"}, lock_guarded=GUARDED)
+    assert keys(result) == ["WORX201:mod.py:3"]
 
 
 def test_worx203_replace_only_discipline(tmp_path):
@@ -237,117 +169,9 @@ def test_worx203_replace_only_discipline(tmp_path):
 
             def evict(self, host):
                 self._owner.pop(host)
-        """}, rules={"WORX203"},
+        """}, rules={"WORX201"},
         lock_guarded={"mod.py": {"_owner": ""}})
-    assert keys(result) == ["WORX203:mod.py:12", "WORX203:mod.py:15"]
-
-
-# -- WORX204: blocking in coroutines -----------------------------------------
-
-def test_worx204_blocking_calls_flagged(tmp_path):
-    result = lint_tree(tmp_path, {"mod.py": """\
-        import asyncio
-        import time
-
-
-        async def handler(state):
-            time.sleep(0.1)
-            with state.lock:
-                pass
-            state.lock.acquire()
-            data = open("f").read()
-            await asyncio.sleep(0.1)
-            return data
-        """}, rules={"WORX204"})
-    assert keys(result) == [
-        "WORX204:mod.py:6", "WORX204:mod.py:7",
-        "WORX204:mod.py:9", "WORX204:mod.py:10"]
-
-
-def test_worx204_nested_sync_def_is_its_own_scope(tmp_path):
-    result = lint_tree(tmp_path, {"mod.py": """\
-        import time
-
-
-        async def handler():
-            def stage():
-                time.sleep(0.1)
-            return stage
-        """}, rules={"WORX204"})
-    assert not result.findings
-
-
-def test_worx204_sync_function_not_policed(tmp_path):
-    result = lint_tree(tmp_path, {"mod.py": """\
-        import time
-
-
-        def warmup():
-            time.sleep(0.1)
-        """}, rules={"WORX204"})
-    assert not result.findings
-
-
-# -- WORX205: shard-ownership escape -----------------------------------------
-
-SHARDED = {"shard_roots": frozenset({"fed/"})}
-
-
-def test_worx205_organ_passed_across_shards(tmp_path):
-    result = lint_tree(tmp_path, {"fed/spread.py": """\
-        def rebalance(first, second):
-            second.server.adopt(first.server.store)
-        """}, rules={"WORX205"}, **SHARDED)
-    assert keys(result) == ["WORX205:fed/spread.py:2"]
-
-
-def test_worx205_alias_of_organ_tracked(tmp_path):
-    result = lint_tree(tmp_path, {"fed/spread.py": """\
-        def rebalance(first, second):
-            store = first.server.store
-            second.server.adopt(store)
-        """}, rules={"WORX205"}, **SHARDED)
-    assert keys(result) == ["WORX205:fed/spread.py:3"]
-
-
-def test_worx205_copied_data_is_clean(tmp_path):
-    """The sanctioned migration idiom: call results (copies/exports)
-    break the taint, so drain-style rebalancing stays legal."""
-    result = lint_tree(tmp_path, {"fed/spread.py": """\
-        def rebalance(first, second, host):
-            values = dict(first.server.store.get(host))
-            series = first.server.history.export_host(host)
-            second.server.store.restore(host, values)
-            second.server.history.adopt_host(host, series)
-        """}, rules={"WORX205"}, **SHARDED)
-    assert not result.findings
-
-
-def test_worx205_storing_and_returning_organs(tmp_path):
-    result = lint_tree(tmp_path, {"fed/views.py": """\
-        class FedView:
-            def __init__(self, shard):
-                self.fast_path = shard.server.store
-
-            def engine(self, shard):
-                return shard.server.engine
-
-            def _engine(self, shard):
-                return shard.server.engine
-
-            def rules(self, shard):
-                return shard.server.engine.rules
-        """}, rules={"WORX205"}, **SHARDED)
-    assert keys(result) == ["WORX205:fed/views.py:3",
-                            "WORX205:fed/views.py:6"]
-
-
-def test_worx205_outside_shard_roots_not_policed(tmp_path):
-    result = lint_tree(tmp_path, {"core/glue.py": """\
-        def rebalance(first, second):
-            second.server.adopt(first.server.store)
-        """}, rules={"WORX205"}, **SHARDED)
-    assert not result.findings
+    assert keys(result) == ["WORX201:mod.py:12", "WORX201:mod.py:15"]
 
 
 # -- pragma edge cases (satellite) -------------------------------------------
@@ -360,10 +184,10 @@ def test_pragma_suppresses_inside_decorated_async_def(tmp_path):
 
         @functools.lru_cache(maxsize=None)
         async def handler():
-            time.sleep(0.1)  # worx: ok WORX204 (startup only)
-        """}, rules={"WORX204"})
+            time.time()  # worx: ok WORX102 (startup only)
+        """}, rules={"WORX102"})
     assert not result.findings
-    assert [f.rule_id for f in result.suppressed] == ["WORX204"]
+    assert [f.rule_id for f in result.suppressed] == ["WORX102"]
 
 
 def test_pragma_on_def_line_does_not_cover_body(tmp_path):
@@ -373,10 +197,10 @@ def test_pragma_on_def_line_does_not_cover_body(tmp_path):
         import time
 
 
-        async def handler():  # worx: ok WORX204
-            time.sleep(0.1)
-        """}, rules={"WORX204"})
-    assert keys(result) == ["WORX204:mod.py:5"]
+        async def handler():  # worx: ok WORX102
+            time.time()
+        """}, rules={"WORX102"})
+    assert keys(result) == ["WORX102:mod.py:5"]
     assert not result.suppressed
 
 
@@ -386,44 +210,7 @@ def test_pragma_on_preceding_line_does_not_suppress(tmp_path):
 
 
         async def handler():
-            # worx: ok WORX204
-            time.sleep(0.1)
-        """}, rules={"WORX204"})
-    assert keys(result) == ["WORX204:mod.py:6"]
-
-
-# -- baseline refresh keeps WORX2xx keys (satellite) -------------------------
-
-def test_worx2xx_keys_survive_refresh_baseline(tmp_path):
-    root = tmp_path / "tree"
-    (root / "fed").mkdir(parents=True)
-    (root / "mod.py").write_text(textwrap.dedent("""\
-        def serve(state):
-            view = state.view
-            view.summary["served"] = True
-        """))
-    (root / "fed" / "spread.py").write_text(textwrap.dedent("""\
-        def rebalance(first, second):
-            second.server.adopt(first.server.store)
-        """))
-    config = LintConfig(root=root, package="pkg", layers={},
-                        rules=frozenset({"WORX202", "WORX205"}),
-                        shard_roots=frozenset({"fed/"}))
-    baseline = tmp_path / "worxlint.baseline"
-    first = refresh_baseline(config, baseline)
-    expected = {"WORX202:mod.py:3", "WORX205:fed/spread.py:2"}
-    assert {f.key for f in first.findings} == expected
-    assert load_baseline(baseline) == expected
-
-    # grandfathered: the same tree is now clean against the baseline
-    gated = run_lint(LintConfig(
-        root=root, package="pkg", layers={},
-        rules=frozenset({"WORX202", "WORX205"}),
-        shard_roots=frozenset({"fed/"}), baseline=baseline))
-    assert gated.ok
-    assert len(gated.baselined) == 2
-
-    # a second refresh re-derives the same keys — WORX2xx entries
-    # survive (refresh ignores the old baseline, not the findings)
-    refresh_baseline(config, baseline)
-    assert load_baseline(baseline) == expected
+            # worx: ok WORX102
+            time.time()
+        """}, rules={"WORX102"})
+    assert keys(result) == ["WORX102:mod.py:6"]
