@@ -18,22 +18,13 @@ lint:
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
-# worxsan runtime mode: a tier-1 subset re-run with WORXSAN=1, so every
-# published view is deep-frozen (any mutation raises) and annotated lock
-# checkpoints assert at runtime.  The subset covers the state store,
-# tooling gates, the sanitizer's own end-to-end gateway run, and the
-# federation suites (sharded views, fail-over, the federated gateway,
-# the fault plane) — so the FederatedSnapshots the routing table
-# publishes are deep-frozen too.  A suite that drives
-# GatewayState.refresh() by hand must take the slice lock, as the
-# gateway's driver does, to join this list.
+# worxsan runtime mode: tier-1 re-run with WORXSAN=1, so every published
+# view is deep-frozen (any mutation raises) and annotated lock
+# checkpoints assert at runtime.  A test that drives
+# GatewayState.refresh() by hand takes the slice lock, as the gateway's
+# driver does.
 sanitize:
-	WORXSAN=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q \
-		tests/test_sanitizer.py tests/test_statestore.py \
-		tests/test_tooling.py tests/test_worxlint.py \
-		tests/test_worxsan.py tests/test_federation.py \
-		tests/test_shard_failover.py \
-		tests/test_gateway_federation.py tests/test_faults.py
+	WORXSAN=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only -s

@@ -32,7 +32,7 @@ def main() -> None:
           f"{fmt_duration(cwx.kernel.now - t0)} "
           f"(first rack peak inrush {peak:.1f} A)")
     for agent in cwx.agents.values():
-        agent.start()
+        cwx.scheduler.register(agent)
     cwx.server.start_sweep()
 
     # -- 3: build and clone a custom image ---------------------------------

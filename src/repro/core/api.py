@@ -114,7 +114,7 @@ class ClusterWorX:
             suspect_after=2.5 * monitor_interval,
             down_after=5.0 * monitor_interval,
             **(topology_options or {}))
-        #: shared driver for the initial agent cohort.
+        #: the one driver of every agent, cohort and hot-added alike.
         self.scheduler = AgentScheduler(self.kernel)
         self.monitor_interval = monitor_interval
         self.deadband = deadband
@@ -225,10 +225,10 @@ class ClusterWorX:
         if power_on:
             box.power.power_on(port)
         if self._started:
-            # Hot-added agents get their own driver process: the first
-            # sample must land at the add instant, which in general
-            # shares no phase with any scheduler bucket.
-            agent.start()
+            # The first sample lands at the add instant: once the
+            # cohort's bucket has ticked the scheduler opens a fresh
+            # phase for the newcomer.
+            self.scheduler.register(agent)
         return node.hostname
 
     def remove_node(self, hostname: str) -> None:

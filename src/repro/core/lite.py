@@ -27,6 +27,7 @@ from repro.hardware.node import NodeState, SimulatedNode
 from repro.monitoring.agent import NodeAgent
 from repro.monitoring.history import HistoryStore
 from repro.monitoring.monitors import MonitorRegistry, builtin_registry
+from repro.monitoring.scheduler import AgentScheduler
 from repro.sim import RandomStreams, SimKernel
 
 __all__ = ["ClusterWorXLite"]
@@ -70,6 +71,7 @@ class ClusterWorXLite:
                 interval=monitor_interval,
                 on_sample=self.store.apply)
             for node in self.nodes}
+        self.scheduler = AgentScheduler(self.kernel)
         self._started = False
 
     # ------------------------------------------------------------------
@@ -97,7 +99,7 @@ class ClusterWorXLite:
             [n.wait_state(NodeState.UP, NodeState.CRASHED)
              for n in self.nodes]))
         for agent in self.agents.values():
-            agent.start()
+            self.scheduler.register(agent)
 
     def run(self, seconds: float) -> None:
         self.kernel.run(until=self.kernel.now + seconds)

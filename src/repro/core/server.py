@@ -122,7 +122,6 @@ class ClusterWorXServer:
         #: staleness baseline for nodes whose agent has never reported.
         self._health_epoch: Optional[float] = None
         self.updates_received = 0
-        self.queries_served = 0
         self._sweep_seq = 0
         self._sweeping = False
         # §3.3: console output "is captured and logged through the ICE
@@ -232,12 +231,6 @@ class ClusterWorXServer:
         self.updates_received += 1
         self.store.apply(update)
 
-    def ingest_many(self, updates: List[Update]) -> int:
-        """Bulk tier-1 entry point: batch-apply typed updates in order
-        (re-ingest after a clone/recovery, sweep passes, replays)."""
-        self.updates_received += len(updates)
-        return self.store.apply_many(updates)
-
     def _feed_engine(self, update: Update) -> None:
         """Store subscriber: evaluate threshold rules on each update."""
         try:
@@ -261,14 +254,12 @@ class ClusterWorXServer:
     def _sweep_loop(self):
         while self._sweeping:
             now = self.kernel.now
-            # Each pass's updates batch through ``store.apply_many`` —
-            # except under self-healing, where health evidence must
-            # observe each update the instant it lands (event firings
-            # feed the tracker), so that sweep stays interleaved.
-            batch: Optional[List[Update]] = \
-                None if self.self_healing else []
-            # Snapshot the membership: a health transition observed
-            # mid-sweep can trigger forget_node from a subscriber.
+            # Each sentinel update is ingested the instant the pass
+            # finds it: under self-healing the event firings it causes
+            # are health evidence for the ``evaluate`` just below.
+            # So the membership is snapshotted: a health transition
+            # observed mid-sweep can trigger forget_node from a
+            # subscriber.
             for node in list(self._managed.values()):
                 if not self.store.is_tracked(node.hostname):
                     continue  # hot-removed earlier in this same pass
@@ -280,23 +271,17 @@ class ClusterWorXServer:
                         or current.get("node_state")
                         != node.state.value):
                     self._sweep_seq += 1
-                    update = Update(
+                    self.ingest(Update(
                         hostname=node.hostname, time=now,
                         values={"udp_echo": reachable,
                                 "node_state": node.state.value},
-                        source="sweep", seq=self._sweep_seq)
-                    if batch is None:
-                        self.ingest(update)
-                    else:
-                        batch.append(update)
+                        source="sweep", seq=self._sweep_seq))
                 if self.self_healing:
                     self.health.evaluate(
                         node.hostname,
                         age=self._staleness_age(node.hostname),
                         reachable=bool(reachable),
                         node_state=node.state.value)
-            if batch:
-                self.ingest_many(batch)
             yield self.kernel.timeout(self.sweep_interval)
 
     def _staleness_age(self, hostname: str) -> float:
@@ -311,13 +296,11 @@ class ClusterWorXServer:
     # -- tier-3 queries ------------------------------------------------------
     def current(self, hostname: str) -> Mapping[str, object]:
         """One node's merged current values (immutable, zero-copy)."""
-        self.queries_served += 1
         return self.store.get(hostname)
 
     def current_all(self) -> Snapshot:
         """The versioned all-nodes view.  O(1): snapshots share state
         copy-on-write instead of deep-copying per query."""
-        self.queries_served += 1
         return self.store.snapshot()
 
     def subscribe(self, callback, *, name: str = "client",
@@ -344,7 +327,6 @@ class ClusterWorXServer:
         """Cluster-level rollup for the main monitoring screen (§5.1
         "view cluster use and performance trends").  An O(1) read of the
         store's running aggregates — no per-node rescan."""
-        self.queries_served += 1
         summary = self.store.summary()
         summary["events_active"] = self.engine.active_count()
         return summary

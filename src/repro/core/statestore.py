@@ -216,61 +216,15 @@ class StateStore:
 
     # -- write path ---------------------------------------------------------
     def apply(self, update: Update) -> Update:
-        """Merge one typed delta; O(len(update.values) + host metrics)."""
+        """Merge one typed delta and publish it to the subscribers;
+        O(len(update.values) + host metrics)."""
         if not update.values:
             return update
-        host = update.hostname
-        old = self._hosts.get(host)
-        old_values: Mapping[str, object] = old if old is not None \
-            else _EMPTY
-        self._rollup_delta(host, old_values, update.values)
-        merged = dict(old_values)
-        merged.update(update.values)
-        self._fork_if_frozen()
-        self._hosts[host] = merged
-        self._last_update[host] = update.time
-        if update.source == "agent":
-            self._last_agent[host] = update.time
-        self._time = max(self._time, update.time)
-        self._generation += 1
+        self._merge(update.hostname, update.values, update.time,
+                    update.time if update.source == "agent" else None)
         self.updates_applied += 1
         self._publish(update)
         return update
-
-    def apply_many(self, updates: Iterable[Update]) -> int:
-        """Batch write: apply and publish each update, in order.
-
-        Observably equivalent to calling :meth:`apply` in a loop —
-        rollup maintenance, copy-on-write forks, generation stamping and
-        subscriber dispatch stay interleaved per update, in batch order —
-        but the counter updates are amortized across the batch.  The
-        sweep loop and bulk re-ingest paths use this; returns the number
-        applied.
-        """
-        applied = 0
-        for update in updates:
-            values = update.values
-            if not values:
-                continue
-            host = update.hostname
-            old = self._hosts.get(host)
-            old_values: Mapping[str, object] = old if old is not None \
-                else _EMPTY
-            self._rollup_delta(host, old_values, values)
-            merged = dict(old_values)
-            merged.update(values)
-            self._fork_if_frozen()
-            self._hosts[host] = merged
-            self._last_update[host] = update.time
-            if update.source == "agent":
-                self._last_agent[host] = update.time
-            if update.time > self._time:
-                self._time = update.time
-            self._generation += 1
-            applied += 1
-            self._publish(update)
-        self.updates_applied += applied
-        return applied
 
     def restore(self, hostname: str, values: Mapping[str, object], *,
                 time: float, agent_time: Optional[float] = None) -> None:
@@ -286,20 +240,27 @@ class StateStore:
         already fired on the old shard.
         """
         self.track(hostname)
-        if not values:
-            return
-        old = self._hosts.get(hostname)
+        if values:
+            self._merge(hostname, values, time, agent_time)
+
+    def _merge(self, host: str, values: Mapping[str, object],
+               time: float, agent_time: Optional[float]) -> None:
+        """The one write: rollup delta, merged value dict, copy-on-write
+        fork, freshness (``agent_time`` only for tier-1 evidence),
+        generation."""
+        old = self._hosts.get(host)
         old_values: Mapping[str, object] = old if old is not None \
             else _EMPTY
-        self._rollup_delta(hostname, old_values, values)
+        self._rollup_delta(host, old_values, values)
         merged = dict(old_values)
         merged.update(values)
         self._fork_if_frozen()
-        self._hosts[hostname] = merged
-        self._last_update[hostname] = time
+        self._hosts[host] = merged
+        self._last_update[host] = time
         if agent_time is not None:
-            self._last_agent[hostname] = agent_time
-        self._time = max(self._time, time)
+            self._last_agent[host] = agent_time
+        if time > self._time:
+            self._time = time
         self._generation += 1
 
     def _fork_if_frozen(self) -> None:

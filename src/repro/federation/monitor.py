@@ -60,7 +60,6 @@ class ShardHealthMonitor:
         #: the fault plane scores time-to-detect from these rows.
         self.transitions: List[Tuple[float, int, str, str]] = []
         self.probes = 0
-        self.probe_failures = 0
         self._attempts: dict = {}
         self._proc = None
 
@@ -120,7 +119,6 @@ class ShardHealthMonitor:
                 # single-survivor case, where fail-over is impossible).
                 self._move(shard, HEALTHY)
             return self.interval
-        self.probe_failures += 1
         attempts = self._attempts.get(shard.index, 0) + 1
         self._attempts[shard.index] = attempts
         age = now - shard.last_heartbeat

@@ -97,7 +97,6 @@ class FederationServer:
         self.health = FederatedHealth(shards, self.owner_of)
         self.recovery = FederatedRecovery(shards, self.owner_of)
         self.remote = FederatedRemote(kernel, shards, self.owner_of)
-        self.queries_served = 0
         #: ingests that found no owner and were dropped.
         self.unrouted_updates = 0
         #: ingests dropped because the owning shard was unreachable —
@@ -250,7 +249,7 @@ class FederationServer:
         return {"degraded": bool(stale), "stale_shards": stale,
                 "staleness_s": worst if stale else 0.0}
 
-    # -- tier-1 entry points ---------------------------------------------------
+    # -- tier-1 entry point ----------------------------------------------------
     def ingest(self, update: Update) -> None:
         """Route one agent update to its owning shard (O(1)).
 
@@ -274,33 +273,6 @@ class FederationServer:
             channel.dropped_ingests += 1
             return
         shard.server.ingest(update)
-
-    def ingest_many(self, updates: List[Update]) -> int:
-        """Bulk routing: consecutive same-owner updates batch through
-        the owner's ``ingest_many`` so the per-batch amortization the
-        flat path gets survives the split.  Unowned updates drop, as in
-        :meth:`ingest`."""
-        applied = 0
-        run: List[Update] = []
-        run_shard: Optional[Shard] = None
-        for update in updates:
-            shard = self._owner.get(update.hostname)
-            if shard is None:
-                self.unrouted_updates += 1
-                continue
-            channel = shard.channel
-            if channel is not None and not channel.up:
-                self.updates_dropped += 1
-                channel.dropped_ingests += 1
-                continue
-            if shard is not run_shard and run:
-                applied += run_shard.server.ingest_many(run)
-                run = []
-            run_shard = shard
-            run.append(update)
-        if run:
-            applied += run_shard.server.ingest_many(run)
-        return applied
 
     # -- sweep lifecycle -------------------------------------------------------
     def start_sweep(self) -> None:
@@ -331,11 +303,9 @@ class FederationServer:
 
     # -- tier-3 queries --------------------------------------------------------
     def current(self, hostname: str) -> Mapping[str, object]:
-        self.queries_served += 1
         return self.store.get(hostname)
 
     def current_all(self) -> FederatedSnapshot:
-        self.queries_served += 1
         return self.store.snapshot()
 
     def subscribe(self, callback, *, name: str = "client",
@@ -357,7 +327,6 @@ class FederationServer:
     def cluster_summary(self) -> Dict[str, object]:
         """The merged rollup: O(shards) cached aggregation, flat key
         set plus nothing — consumers cannot tell the topologies apart."""
-        self.queries_served += 1
         summary = self.store.summary()
         summary["events_active"] = self.engine.active_count()
         return summary

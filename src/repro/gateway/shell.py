@@ -57,7 +57,6 @@ class SimDriver(threading.Thread):
         self.slice_seconds = slice_seconds
         self.pace_seconds = pace_seconds
         self._stop_flag = threading.Event()
-        self.slices = 0
         self.error: Optional[BaseException] = None
 
     def run(self) -> None:
@@ -67,7 +66,6 @@ class SimDriver(threading.Thread):
                 with self.state.lock:
                     kernel.run(until=kernel.now + self.slice_seconds)
                     self.state.refresh()
-                self.slices += 1
                 if self.pace_seconds:
                     time.sleep(self.pace_seconds)
         except BaseException as exc:  # surfaced by stop(); never silent

@@ -161,7 +161,6 @@ class WatchHub:
         #: in the wildcard list (they match every host).
         self._by_host: Dict[str, Set[WatchClient]] = {}
         self._wildcard: Set[WatchClient] = set()
-        self.pushes = 0
         self.evictions = 0
         #: counters carried over from unregistered clients, so /stats
         #: totals are cumulative rather than only-currently-connected.
@@ -231,7 +230,6 @@ class WatchHub:
 
     # -- the bus callback (sim thread; must stay cheap and non-mutating) -----
     def _on_update(self, update: Update) -> None:
-        self.pushes += 1
         with self._lock:
             targets = self._by_host.get(update.hostname)
             if targets:

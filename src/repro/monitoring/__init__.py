@@ -14,7 +14,7 @@ from repro.monitoring.gathering import (
     parse_apriori,
     parse_generic,
 )
-from repro.monitoring.history import HistoryStore, TieredHistory
+from repro.monitoring.history import HistoryStore
 from repro.monitoring.monitors import (
     Monitor,
     MonitorContext,
@@ -32,7 +32,6 @@ from repro.monitoring.transmission import (
     BinaryCodec,
     TextCodec,
     Transmitter,
-    decode_update,
 )
 
 __all__ = [
@@ -55,11 +54,9 @@ __all__ = [
     "Sample",
     "ScriptMonitor",
     "TextCodec",
-    "TieredHistory",
     "Transmitter",
     "Update",
     "builtin_registry",
-    "decode_update",
     "load_plugin_dir",
     "make_gatherer",
     "parse_apriori",

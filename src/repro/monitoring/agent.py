@@ -1,11 +1,11 @@
 """The per-node monitoring agent: gather → consolidate → transmit (§5.3).
 
-One :class:`NodeAgent` runs on each node as a simulation process.  Every
-``interval`` seconds it evaluates the monitor registry, feeds the result
-through its :class:`~repro.monitoring.consolidation.Consolidator`, and
-transmits the surviving delta to the management node (and/or hands it to a
-direct server callback — the in-process fast path the ClusterWorX server
-uses).
+One :class:`NodeAgent` runs on each node, driven by the cluster's
+:class:`~repro.monitoring.scheduler.AgentScheduler`.  Every ``interval``
+seconds it evaluates the monitor registry, feeds the result through its
+:class:`~repro.monitoring.consolidation.Consolidator`, and transmits
+the surviving delta to the management node (and/or hands it to a direct
+server callback — the in-process fast path the ClusterWorX server uses).
 
 The agent also *charges itself* to the node: the measured per-sample CPU
 cost (E1/E2 territory — ~110 us across the standard proc files at rung 4)
@@ -64,7 +64,6 @@ class NodeAgent:
         #: (time, monitor name, error text) for failed monitor evaluations.
         self.errors: List[Tuple[float, str, str]] = []
         self.samples_taken = 0
-        self._process = None
         self._running = False
 
     @cached_property
@@ -76,24 +75,15 @@ class NodeAgent:
     # -- lifecycle -------------------------------------------------------
     @property
     def running(self) -> bool:
-        """Whether the agent is active (self-driven or scheduler-driven)."""
+        """Whether the agent is active (an
+        :class:`~repro.monitoring.scheduler.AgentScheduler` calls
+        :meth:`tick` while it is)."""
         return self._running
 
-    def start(self) -> None:
-        """Activate with a dedicated driver process (hot-added and
-        stand-alone agents; cohorts share an ``AgentScheduler``)."""
-        if self._running:
-            return
-        self.scheduled_start()
-        self._process = self.kernel.process(
-            self._loop(), name=f"agent:{self.node.hostname}")
-
-    def scheduled_start(self) -> None:
-        """Activate without a process — an
-        :class:`~repro.monitoring.scheduler.AgentScheduler` will call
-        :meth:`tick` instead."""
-        if self._running:
-            return
+    def activate(self) -> None:
+        """Mark the agent active and charge its sampling cost to the
+        node.  The agent owns no process: ``AgentScheduler.register``
+        calls this and drives :meth:`tick`."""
         self._running = True
         self.node.cpu.set_overhead(
             "monitoring", PER_SAMPLE_CPU_SECONDS / self.interval)
@@ -106,11 +96,6 @@ class NodeAgent:
         """One scheduled sample (skipped while the node is down or hung)."""
         if self.node.is_running() and self.node.state.value != "hung":
             self.sample_once()
-
-    def _loop(self):
-        while self._running:
-            self.tick()
-            yield self.kernel.timeout(self.interval)
 
     # -- one sample ---------------------------------------------------------
     def evaluate(self) -> Dict[str, object]:

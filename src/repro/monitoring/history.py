@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.util.ringbuffer import TimeSeriesRing
 
-__all__ = ["HistoryStore", "TieredHistory"]
+__all__ = ["HistoryStore"]
 
 
 class HistoryStore:
@@ -267,88 +267,3 @@ class HistoryStore:
     def __len__(self) -> int:
         """Number of stored (host, metric) series."""
         return sum(map(len, self._series.values()))
-
-
-class TieredHistory:
-    """RRD-style multi-resolution archive for one metric stream.
-
-    The raw ring holds recent samples at full resolution; each coarser
-    tier stores fixed-width bin aggregates (mean/min/max) covering a
-    longer horizon in the same memory.  This is how a 2002-era monitoring
-    server kept "performance trends over a selected time interval"
-    without unbounded storage: recent data sharp, old data summarized.
-    """
-
-    def __init__(self, *, raw_capacity: int = 512,
-                 tier_widths: Sequence[float] = (60.0, 3600.0),
-                 tier_capacity: int = 512):
-        widths = list(tier_widths)
-        if sorted(widths) != widths or len(set(widths)) != len(widths):
-            raise ValueError("tier widths must be strictly increasing")
-        self.raw = TimeSeriesRing(raw_capacity)
-        self.tier_widths = widths
-        #: per tier: ring of (bin start time, mean) plus min/max rings.
-        self._tiers = [
-            {"mean": TimeSeriesRing(tier_capacity),
-             "min": TimeSeriesRing(tier_capacity),
-             "max": TimeSeriesRing(tier_capacity)}
-            for _ in widths]
-        # open bin accumulators per tier: [start, count, total, lo, hi]
-        self._open = [None] * len(widths)
-
-    def append(self, t: float, value: float) -> None:
-        self.raw.append(t, value)
-        for idx, width in enumerate(self.tier_widths):
-            bin_start = (t // width) * width
-            acc = self._open[idx]
-            if acc is None or acc[0] != bin_start:
-                if acc is not None:
-                    self._flush(idx, acc)
-                acc = [bin_start, 0, 0.0, value, value]
-                self._open[idx] = acc
-            acc[1] += 1
-            acc[2] += value
-            acc[3] = min(acc[3], value)
-            acc[4] = max(acc[4], value)
-
-    def _flush(self, idx: int, acc) -> None:
-        start, count, total, lo, hi = acc
-        tier = self._tiers[idx]
-        tier["mean"].append(start, total / count)
-        tier["min"].append(start, lo)
-        tier["max"].append(start, hi)
-
-    def flush(self) -> None:
-        """Close all open bins (call before reading tiers at a boundary)."""
-        for idx, acc in enumerate(self._open):
-            if acc is not None:
-                self._flush(idx, acc)
-                self._open[idx] = None
-
-    def tier(self, idx: int) -> dict:
-        """Closed-bin arrays for tier ``idx``: keys mean/min/max."""
-        tier = self._tiers[idx]
-        return {key: ring.arrays() for key, ring in tier.items()}
-
-    def best_series(self, t0: float, t1: float
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The finest series that still covers ``[t0, t1]``.
-
-        Falls back through coarser tiers as the raw ring's horizon is
-        exceeded — exactly the RRD read path.
-        """
-        t, v = self.raw.window(t0, t1)
-        raw_t, _ = self.raw.arrays()
-        if len(raw_t) and raw_t[0] <= t0:
-            return t, v
-        for idx in range(len(self.tier_widths)):
-            mt, mv = self.tier(idx)["mean"]
-            if len(mt) and mt[0] <= t0:
-                mask = (mt >= t0) & (mt <= t1)
-                return mt[mask], mv[mask]
-        # Nothing covers the start: return the coarsest we have.
-        if self.tier_widths:
-            mt, mv = self.tier(len(self.tier_widths) - 1)["mean"]
-            mask = (mt >= t0) & (mt <= t1)
-            return mt[mask], mv[mask]
-        return t, v

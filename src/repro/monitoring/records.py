@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator, Mapping, Tuple
+from typing import Mapping
 
 __all__ = ["Update", "Sample"]
 
@@ -44,14 +44,6 @@ class Update:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def numeric_items(self) -> Iterator[Tuple[str, float]]:
-        """The (name, float value) subset history cares about."""
-        for name, value in self.values.items():
-            if isinstance(value, bool):
-                yield name, float(int(value))
-            elif isinstance(value, (int, float)):
-                yield name, float(value)
 
 
 #: A sample *is* an update — the agent-side name for the same value.

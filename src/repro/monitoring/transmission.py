@@ -22,20 +22,7 @@ from repro.monitoring.records import Update
 from repro.network.fabric import NetworkFabric
 from repro.sim import Event
 
-__all__ = ["TextCodec", "BinaryCodec", "Transmitter", "decode_update"]
-
-
-def decode_update(codec: "TextCodec | BinaryCodec", payload: bytes, *,
-                  source: str = "wire", seq: int = 0) -> Update:
-    """Decode one frame back into a typed :class:`Update`.
-
-    The wire format stays the paper's plain ``name value`` text (§5.3.3
-    keeps text for platform independence); ``source``/``seq`` are
-    in-process provenance re-attached at the receiving end.
-    """
-    hostname, t, values = codec.decode(payload)
-    return Update(hostname=hostname, time=t, values=values,
-                  source=source, seq=seq)
+__all__ = ["TextCodec", "BinaryCodec", "Transmitter"]
 
 
 class TextCodec:
@@ -49,13 +36,19 @@ class TextCodec:
 
     def encode(self, hostname: str, t: float,
                values: Dict[str, object]) -> bytes:
+        return self.encode_counted(hostname, t, values)[0]
+
+    def encode_counted(self, hostname: str, t: float,
+                       values: Dict[str, object]) -> Tuple[bytes, int]:
+        """``(frame, uncompressed size)``: the one place a text frame is
+        formatted (the size is the E7 'text, no compression' row)."""
         lines = [f"@ {hostname} {t:.3f}"]
         for name in sorted(values):
             lines.append(f"{name} {values[name]}")
         raw = ("\n".join(lines) + "\n").encode("utf-8")
         if self.compress:
-            return zlib.compress(raw, self.level)
-        return raw
+            return zlib.compress(raw, self.level), len(raw)
+        return raw, len(raw)
 
     def decode(self, payload: bytes
                ) -> Tuple[str, float, Dict[str, object]]:
@@ -72,25 +65,6 @@ class TextCodec:
                 continue
             values[name] = _parse_value(raw_value)
         return hostname, float(t_s), values
-
-    def raw_size(self, hostname: str, t: float,
-                 values: Dict[str, object]) -> int:
-        """Uncompressed size (the E7 'text, no compression' row)."""
-        lines = [f"@ {hostname} {t:.3f}"]
-        for name in sorted(values):
-            lines.append(f"{name} {values[name]}")
-        return len(("\n".join(lines) + "\n").encode("utf-8"))
-
-    def encode_counted(self, hostname: str, t: float,
-                       values: Dict[str, object]) -> Tuple[bytes, int]:
-        """``(encode(...), raw_size(...))`` formatting the text once."""
-        lines = [f"@ {hostname} {t:.3f}"]
-        for name in sorted(values):
-            lines.append(f"{name} {values[name]}")
-        raw = ("\n".join(lines) + "\n").encode("utf-8")
-        if self.compress:
-            return zlib.compress(raw, self.level), len(raw)
-        return raw, len(raw)
 
 
 def _parse_value(raw: str) -> object:
@@ -224,6 +198,13 @@ class BinaryCodec:
                            + value_b)
         return b"".join(out)
 
+    def encode_counted(self, hostname: str, t: float,
+                       values: Dict[str, object]) -> Tuple[bytes, int]:
+        """``(frame, uncompressed size)``; a binary frame is sent as
+        packed, so the two sizes are one."""
+        payload = self.encode(hostname, t, values)
+        return payload, len(payload)
+
     def decode(self, payload: bytes
                ) -> Tuple[str, float, Dict[str, object]]:
         if self.schema is not None:
@@ -270,21 +251,14 @@ class Transmitter:
 
     def transmit_update(self, update: Update
                         ) -> Tuple[bytes, Optional[Event]]:
-        """Typed entry point: encode and send one :class:`Update`."""
-        return self.transmit(update.time, update.values)
-
-    def transmit(self, t: float, values: Dict[str, object]
-                 ) -> Tuple[bytes, Optional[Event]]:
-        """Encode and (if wired to a fabric) send. Returns (payload, event)."""
+        """Encode one :class:`Update` and (if wired to a fabric) send
+        it.  Returns (payload, event)."""
+        values = update.values
         if not values:
             return b"", None
-        if isinstance(self.codec, TextCodec):
-            payload, raw = self.codec.encode_counted(self.src.hostname, t,
-                                                     values)
-            self.raw_bytes += raw
-        else:
-            payload = self.codec.encode(self.src.hostname, t, values)
-            self.raw_bytes += len(payload)
+        payload, raw = self.codec.encode_counted(self.src.hostname,
+                                                 update.time, values)
+        self.raw_bytes += raw
         self.frames_sent += 1
         self.bytes_sent += len(payload)
         event = None

@@ -6,9 +6,9 @@ validated against ground truth:
 
 * **published-view freezing** — :meth:`Sanitizer.freeze_view` replaces
   a published view's mutable containers with deep-frozen equivalents
-  (:class:`FrozenDict` raises on every mutator), so any WORX202
-  violation that slips past the dataflow pass raises
-  :class:`SanitizerViolation` the moment it executes;
+  (:class:`FrozenDict` raises on every mutator): a published view is
+  immutable, and a write to one raises :class:`SanitizerViolation`
+  the moment it executes;
 * **lock checkpoints** — :meth:`Sanitizer.assert_locked` backs the
   ``# worx: holds <lock>`` annotations: code annotated as
   caller-locked asserts the lock really is held when the sanitizer is
@@ -20,7 +20,7 @@ validated against ground truth:
 Activation is opt-in and costs one ``is None`` check per call site
 when off: export ``WORXSAN=1`` (picked up at import), or call
 :func:`install` / :func:`uninstall` from a test.  ``make sanitize``
-runs a tier-1 subset this way.
+runs the whole tier-1 suite this way.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class SanitizerViolation(AssertionError):
 
 def _frozen(self, *args, **kwargs):
     raise SanitizerViolation(
-        "mutation of a sanitizer-frozen published mapping: snapshots "
-        "are immutable after publish (WORX202)")
+        "mutation of a sanitizer-frozen published mapping: a "
+        "published view is immutable")
 
 
 class FrozenDict(dict):
@@ -135,7 +135,7 @@ class Sanitizer:
             raise SanitizerViolation(
                 f"lock checkpoint failed at {where}: caller was "
                 f"annotated '# worx: holds' but the lock is free "
-                f"(WORX203)")
+                f"(WORX201)")
         self.record("lock", where)
 
 

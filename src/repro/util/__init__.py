@@ -1,7 +1,6 @@
-"""Shared utilities: ring buffers, units, streaming statistics, compression."""
+"""Shared utilities: ring buffers, units."""
 
 from repro.util.ringbuffer import ByteRingBuffer, TimeSeriesRing
-from repro.util.stats import StreamingStats
 from repro.util.units import (
     GIB,
     KIB,
@@ -16,7 +15,6 @@ __all__ = [
     "GIB",
     "KIB",
     "MIB",
-    "StreamingStats",
     "TimeSeriesRing",
     "fmt_bytes",
     "fmt_duration",

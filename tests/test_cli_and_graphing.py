@@ -124,10 +124,12 @@ class TestHotAddRemove:
         cwx.run(60)
         node = cwx.cluster.node(new_host)
         assert node.state is NodeState.UP
-        # sampled from the add instant by its own driver, with the
-        # cluster's consolidation settings
-        assert ticks[0] == t_add
-        assert cwx.scheduler.agent_count == 3
+        # sampled from the add instant — the scheduler opened a fresh
+        # phase for it — then on its own cadence, with the cluster's
+        # consolidation settings
+        assert ticks[:3] == [t_add, t_add + 5.0, t_add + 10.0]
+        assert cwx.scheduler.agent_count == 4
+        assert cwx.scheduler.bucket_count == 2
         assert agent.consolidator.deadband == 2.5
         # monitored
         assert cwx.server.current(new_host).get("hostname") == new_host

@@ -8,7 +8,7 @@ from repro.core import ClusterWorX
 from repro.events import ActionDispatcher
 from repro.hardware import SimulatedNode
 from repro.icebox import IceBox
-from repro.monitoring import TextCodec, Transmitter
+from repro.monitoring import TextCodec, Transmitter, Update
 from repro.network import NetworkFabric
 from repro.network.dhcp import BootOptions, DHCPServer
 from repro.slurm import Job, JobState, Partition, SlurmController
@@ -114,7 +114,8 @@ class TestTransmitterOverFabric:
         src, dst = make_node_set(2)
         fabric.attach_all([src, dst])
         tx = Transmitter(fabric, src, dst, codec=TextCodec())
-        payload, event = tx.transmit(0.0, {"cpu": 42})
+        payload, event = tx.transmit_update(
+            Update(hostname=src.hostname, time=0.0, values={"cpu": 42}))
         assert event is not None
         kernel.run(event)
         assert fabric.total_bytes("monitoring") == len(payload)

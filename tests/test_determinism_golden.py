@@ -1,7 +1,7 @@
 """Determinism regression suite for the E16 hot path.
 
 The hot path (timer-wheel kernel, shared agent scheduler, metric-indexed
-event engine, batched store writes, hoisted builtin sampler) must stay
+event engine, hoisted builtin sampler) must stay
 *observably invisible*: it replays, byte for byte, the golden traces
 captured before it replaced the heap-only kernel, per-agent processes
 and full rule scan.  See ``tests/goldentrace.py`` for the scenarios and
@@ -182,31 +182,79 @@ def test_scheduler_prunes_stopped_agents():
     assert cwx.scheduler.agent_count == 9
 
 
-def test_apply_many_equals_repeated_apply():
-    """The batched store path publishes the same states and
-    notifications as N single applies."""
-    from repro.core.statestore import StateStore, Update
+def test_reregistering_a_listed_agent_does_not_list_it_twice():
+    """Stopped and re-registered between two ticks, an agent is still in
+    its bucket: it is re-activated there, not appended a second time
+    (which sampled it twice per interval forever)."""
+    cwx = ClusterWorX(n_nodes=3, seed=5)
+    cwx.start()
+    cwx.run(2.0)
+    agent = next(iter(cwx.agents.values()))
+    taken = agent.samples_taken
+    agent.stop()
+    cwx.scheduler.register(agent)
+    cwx.run(10.0)                       # two ticks of the 5 s cadence
+    assert agent.running
+    assert agent.samples_taken - taken == 2
+    assert cwx.scheduler.agent_count == 3
 
-    def drive(batched):
-        store = StateStore()
-        seen = []
-        store.subscribe(
-            lambda u: seen.append((u.hostname, u.time,
-                                   dict(u.values))),
-            name="t")
-        updates = [Update(hostname=f"n{i % 3}", time=float(i),
-                          values={"x": i, "y": i * 2}, source="agent",
-                          seq=i)
-                   for i in range(30)]
-        if batched:
-            store.apply_many(updates)
-        else:
-            for update in updates:
-                store.apply(update)
-        view = {h: dict(store.get(h)) for h in store.hostnames}
-        return seen, view, store.summary()
 
-    assert drive(True) == drive(False)
+#: what the parent of the one-sweep-order change (7361b86) logged for
+#: the scenario below with the pass's updates collected and applied at
+#: the end of the pass: fired events, the sentinel publishes with the
+#: store generation each saw, and the summary.  Times are sim-seconds
+#: after ``start()`` returns.
+SWEEP_PASS_FIRED = [
+    (20.0, "echo-lost", "cluster-n0001", 0, "reboot", True),
+    (20.0, "crashed", "cluster-n0001", "crashed", "none", True),
+    (20.0, "echo-lost", "cluster-n0002", 0, "reboot", True),
+    (20.0, "echo-lost", "cluster-n0004", 0, "reboot", True),
+    (20.0, "crashed", "cluster-n0004", "crashed", "none", True),
+]
+SWEEP_PASS_PUBLISHES = [
+    (20.0, "cluster-n0001", 1, 28), (20.0, "cluster-n0002", 2, 29),
+    (20.0, "cluster-n0004", 3, 30), (30.0, "cluster-n0001", 4, 37),
+    (30.0, "cluster-n0002", 5, 38), (30.0, "cluster-n0004", 6, 39),
+    (50.0, "cluster-n0001", 7, 55), (50.0, "cluster-n0002", 8, 56),
+    (50.0, "cluster-n0004", 9, 57),
+]
+SWEEP_PASS_SUMMARY = {
+    "nodes_total": 6, "nodes_up": 6, "nodes_down": 0,
+    "cpu_util_mean_pct": 0.0, "mem_used_bytes": 603979776,
+    "mem_total_bytes": 6442450944, "cpu_temp_max_c": 22.0,
+    "generation": 63, "events_active": 0,
+}
+
+
+def test_interleaved_sweep_reproduces_the_end_of_pass_batch():
+    """Without self-healing the sweep used to collect a pass's sentinel
+    updates and apply them after the loop; it now ingests each as it
+    finds it.  Three faults found by one pass, with a rule that resets
+    the node from inside that pass: same firings in the same order, same
+    generation at every publish, same summary."""
+    cwx = ClusterWorX(n_nodes=6, seed=23, monitor_interval=5.0)
+    cwx.add_threshold("echo-lost", metric="udp_echo", op="==",
+                      threshold=0, action="reboot", severity="critical")
+    cwx.add_threshold("crashed", metric="node_state", op="==",
+                      threshold="crashed", action="none")
+    cwx.start()
+    t0 = cwx.kernel.now
+    store = cwx.server.store
+    publishes = []
+    store.subscribe(
+        lambda u: u.source == "sweep" and publishes.append(
+            (round(u.time - t0, 6), u.hostname, u.seq, store.generation)),
+        name="oracle")
+    cwx.run(12.0)
+    hosts = cwx.cluster.hostnames
+    cwx.cluster.node(hosts[1]).crash("oops")
+    cwx.cluster.node(hosts[4]).crash("oops")
+    cwx.cluster.node(hosts[2]).hang()
+    cwx.run(40.0)
+    assert [(round(e.time - t0, 6), e.rule, e.node, e.value, e.action,
+             e.action_ok) for e in cwx.fired_events()] == SWEEP_PASS_FIRED
+    assert publishes == SWEEP_PASS_PUBLISHES
+    assert cwx.server.cluster_summary() == SWEEP_PASS_SUMMARY
 
 
 def test_console_search_returns_sorted_hosts():

@@ -101,17 +101,6 @@ class TestIngestRouting:
         assert all("ghost" not in s.server.store.tracked
                    for s in cwx.server.shards)
 
-    def test_ingest_many_batches_per_owner(self):
-        cwx = make_fed(n=8, shards=2)
-        names = cwx.cluster.hostnames
-        batch = [Update(hostname=h, time=1.0, values={"x": i},
-                        source="agent")
-                 for i, h in enumerate(names)]
-        applied = cwx.server.ingest_many(batch)
-        assert applied == len(names)
-        for i, h in enumerate(names):
-            assert cwx.server.store.get(h)["x"] == i
-
 
 class TestAggregation:
     def test_summary_matches_flat_exactly(self):

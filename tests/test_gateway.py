@@ -213,12 +213,14 @@ class TestGatewayState:
         cwx.start()
         cwx.run(20)
         state = GatewayState(cwx.server)
-        view1 = state.refresh()
-        view2 = state.refresh()
+        with state.lock:    # refresh() is called under the slice lock
+            view1 = state.refresh()
+            view2 = state.refresh()
         assert view2 is view1
         assert state.publish_reuses >= 1
         cwx.run(10)
-        view3 = state.refresh()
+        with state.lock:
+            view3 = state.refresh()
         assert view3 is not view1
         assert view3.generation > view1.generation
         assert cwx.server.store.full_copies == 0

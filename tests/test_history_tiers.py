@@ -1,5 +1,4 @@
-"""Tests for tiered (RRD-style) history, export/import, and severity
-routing."""
+"""Tests for history export/import and severity routing."""
 
 import numpy as np
 import pytest
@@ -11,81 +10,8 @@ from repro.events import (
     Severity,
     SmartNotifier,
 )
-from repro.monitoring import HistoryStore, TieredHistory
+from repro.monitoring import HistoryStore
 from repro.sim import SimKernel
-
-
-class TestTieredHistory:
-    def _filled(self, seconds=7200, step=1.0):
-        tiers = TieredHistory(raw_capacity=600,
-                              tier_widths=(60.0, 600.0))
-        for i in range(int(seconds / step)):
-            t = i * step
-            tiers.append(t, float(i % 100))
-        tiers.flush()
-        return tiers
-
-    def test_raw_keeps_recent_full_resolution(self):
-        tiers = self._filled()
-        t, v = tiers.raw.arrays()
-        assert len(t) == 600
-        assert t[-1] == 7199.0
-
-    def test_tier_bins_aggregate_correctly(self):
-        tiers = TieredHistory(tier_widths=(10.0,))
-        for i in range(30):
-            tiers.append(float(i), float(i))
-        tiers.flush()
-        data = tiers.tier(0)
-        bin_t, bin_mean = data["mean"]
-        assert list(bin_t) == [0.0, 10.0, 20.0]
-        assert bin_mean[0] == pytest.approx(np.mean(range(10)))
-        _, bin_min = data["min"]
-        _, bin_max = data["max"]
-        assert bin_min[0] == 0.0 and bin_max[0] == 9.0
-
-    def test_best_series_prefers_raw_for_recent(self):
-        tiers = self._filled()
-        t, v = tiers.best_series(7000.0, 7199.0)
-        assert len(t) == 200  # raw, 1 sample/s
-
-    def test_best_series_falls_back_for_old_windows(self):
-        tiers = self._filled()
-        # raw only reaches back 600 s; this window is older
-        t, v = tiers.best_series(0.0, 3000.0)
-        assert len(t) > 0
-        assert len(t) < 3000          # coarse bins, not raw samples
-        assert t[0] <= 60.0
-
-    def test_coarser_horizon_longer_once_fine_tier_wraps(self):
-        # 40000 s at 5 s cadence: the 60 s tier (512-bin cap) wraps and
-        # forgets the early hours; the 600 s tier still covers them.
-        tiers = TieredHistory(raw_capacity=600,
-                              tier_widths=(60.0, 600.0),
-                              tier_capacity=512)
-        for i in range(8000):
-            tiers.append(i * 5.0, float(i % 100))
-        tiers.flush()
-        t60, _ = tiers.tier(0)["mean"]
-        t600, _ = tiers.tier(1)["mean"]
-        assert len(t60) == 512                       # wrapped
-        assert (t600[-1] - t600[0]) > (t60[-1] - t60[0])
-        assert t600[0] == 0.0 and t60[0] > 0.0
-
-    def test_invalid_widths(self):
-        with pytest.raises(ValueError):
-            TieredHistory(tier_widths=(600.0, 60.0))
-        with pytest.raises(ValueError):
-            TieredHistory(tier_widths=(60.0, 60.0))
-
-    def test_out_of_order_bins_flush(self):
-        tiers = TieredHistory(tier_widths=(10.0,))
-        tiers.append(5.0, 1.0)
-        tiers.append(15.0, 2.0)   # closes the first bin
-        data = tiers.tier(0)
-        t, mean = data["mean"]
-        assert list(t) == [0.0]
-        assert mean[0] == 1.0
 
 
 class TestHistoryExportImport:

@@ -14,8 +14,10 @@ from repro.monitoring import (
     PER_SAMPLE_CPU_SECONDS,
     TextCodec,
     Transmitter,
+    Update,
     builtin_registry,
 )
+from repro.monitoring.scheduler import AgentScheduler
 from repro.sim import RandomStreams
 
 
@@ -230,23 +232,36 @@ class TestCodecs:
             TextCodec(compress=False).decode(b"garbage\n")
 
 
+def _update(node, values):
+    return Update(hostname=node.hostname, time=1.0, values=values)
+
+
 class TestTransmitter:
     def test_counts_bytes_and_frames(self, kernel, node):
         tx = Transmitter(None, node, None)
-        payload, event = tx.transmit(1.0, {"a": 1})
+        payload, event = tx.transmit_update(_update(node, {"a": 1}))
         assert tx.frames_sent == 1
         assert tx.bytes_sent == len(payload)
         assert event is None  # no fabric wired
 
     def test_empty_delta_sends_nothing(self, kernel, node):
         tx = Transmitter(None, node, None)
-        payload, event = tx.transmit(1.0, {})
+        payload, event = tx.transmit_update(_update(node, {}))
         assert payload == b"" and tx.frames_sent == 0
 
     def test_compression_ratio_tracked(self, kernel, node):
         tx = Transmitter(None, node, None)
-        tx.transmit(1.0, {f"m{i}": i for i in range(50)})
+        tx.transmit_update(_update(node, {f"m{i}": i for i in range(50)}))
         assert tx.compression_ratio > 1.0
+
+    def test_binary_codec_sends_its_packed_size(self, kernel, node):
+        """Every codec answers ``encode_counted``; the transmitter never
+        asks which one it holds."""
+        tx = Transmitter(None, node, None, codec=BinaryCodec())
+        payload, _ = tx.transmit_update(_update(node, {"a": 1, "b": "x"}))
+        assert BinaryCodec().decode(payload) == (
+            node.hostname, 1.0, {"a": 1, "b": "x"})
+        assert tx.raw_bytes == tx.bytes_sent == len(payload)
 
 
 class TestHistoryStore:
@@ -329,13 +344,13 @@ class TestNodeAgent:
         updates = []
         agent = self._agent(kernel, loaded_node, interval=5.0,
                             on_sample=lambda u: updates.append(u.time))
-        agent.start()
+        AgentScheduler(kernel).register(agent)
         kernel.run(until=31.0)
         assert len(updates) >= 2  # first full + at least one delta
 
     def test_agent_charges_cpu_overhead(self, kernel, loaded_node):
         agent = self._agent(kernel, loaded_node, interval=1.0)
-        agent.start()
+        AgentScheduler(kernel).register(agent)
         expected = PER_SAMPLE_CPU_SECONDS / 1.0
         assert loaded_node.cpu.overhead == pytest.approx(expected)
         agent.stop()
@@ -345,7 +360,7 @@ class TestNodeAgent:
         updates = []
         agent = self._agent(kernel, loaded_node, interval=5.0,
                             on_sample=lambda u: updates.append(u.time))
-        agent.start()
+        AgentScheduler(kernel).register(agent)
         kernel.run(until=11)
         loaded_node.crash("dead")
         count = len(updates)

@@ -17,7 +17,7 @@ from repro.monitoring import (BinaryCodec, Consolidator, HistoryStore,
 from repro.monitoring.gathering import parse_apriori, parse_generic
 from repro.procfs import ProcFilesystem
 from repro.sim import RandomStreams, SimKernel
-from repro.util import ByteRingBuffer, StreamingStats, TimeSeriesRing
+from repro.util import ByteRingBuffer, TimeSeriesRing
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -423,37 +423,6 @@ class TestHistoryStoreModel:
                         want[-1] if want else None)
 
 
-class TestStatsProperties:
-    @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=2,
-                    max_size=200))
-    @settings(max_examples=80, deadline=None)
-    def test_matches_numpy(self, values):
-        s = StreamingStats()
-        s.update(values)
-        assert s.mean == pytest.approx(np.mean(values), rel=1e-6,
-                                       abs=1e-6)
-        assert s.variance == pytest.approx(np.var(values, ddof=1),
-                                           rel=1e-4, abs=1e-4)
-
-    @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1,
-                    max_size=50),
-           st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1,
-                    max_size=50))
-    @settings(max_examples=60, deadline=None)
-    def test_merge_associative_with_concat(self, a_vals, b_vals):
-        merged = StreamingStats()
-        merged.update(a_vals)
-        other = StreamingStats()
-        other.update(b_vals)
-        merged.merge(other)
-        direct = StreamingStats()
-        direct.update(a_vals + b_vals)
-        assert merged.n == direct.n
-        assert merged.mean == pytest.approx(direct.mean, rel=1e-6,
-                                            abs=1e-6)
-        assert merged.min == direct.min and merged.max == direct.max
-
-
 class TestCodecProperties:
     @given(st.dictionaries(metric_names, metric_values, max_size=30),
            st.floats(0, 1e8, allow_nan=False))
@@ -650,3 +619,83 @@ class TestMessageReferenceModel:
         kernel.run()
         check()
         assert len(fired) == len(sent)
+
+
+#: on and off the phases of every interval below; duplicates are likely,
+#: so several groups land at one instant.
+_instants = st.sampled_from([1.0, 2.5, 3.7, 5.0, 7.5, 10.0, 12.3, 20.0])
+_intervals = st.sampled_from([1.0, 2.0, 2.5, 5.0])
+_groups = st.tuples(_intervals, st.integers(1, 4))
+
+
+class TestAgentSchedulerSchedule:
+    @given(cohort=st.lists(_groups, max_size=3, unique_by=lambda g: g[0]),
+           adds=st.lists(st.tuples(_instants, _groups), max_size=5,
+                         unique_by=lambda a: (a[0], a[1][0])),
+           stops=st.lists(st.tuples(_instants, st.integers(0, 30)),
+                          max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_scheduler_ticks_when_one_process_per_agent_would(
+            self, cohort, adds, stops):
+        """The shared driver's ``(time, hostname)`` tick log is the log
+        of one kernel process per agent — for a start-up cohort, for
+        groups hot-added at any instant (each opens its own phase and
+        samples first at the add instant) and across stops.  Agents of
+        one interval added at one instant form one contiguous group, as
+        the facade adds them."""
+        from repro.monitoring import NodeAgent
+        from repro.monitoring.scheduler import AgentScheduler
+
+        registry = builtin_registry()
+        ops = sorted([(0.0, "add", group) for group in cohort]
+                     + [(t, "add", group) for t, group in adds]
+                     + [(t, "stop", index) for t, index in stops],
+                     key=lambda op: op[0])
+
+        def scheduled(kernel, log):
+            scheduler = AgentScheduler(kernel)
+            agents = []
+
+            def add(interval):
+                name = f"a{len(agents)}"
+                agent = NodeAgent(
+                    kernel, SimulatedNode(kernel, name,
+                                          node_id=len(agents) + 1),
+                    registry, interval=interval)
+                agent.tick = lambda: log.append((kernel.now, name))
+                agents.append(agent)
+                scheduler.register(agent)
+
+            return add, lambda index: agents[index].stop(), agents
+
+        def one_process_each(kernel, log):
+            alive = []
+
+            def loop(index, interval):
+                while alive[index]:
+                    log.append((kernel.now, f"a{index}"))
+                    yield kernel.timeout(interval)
+
+            def add(interval):
+                alive.append(True)
+                kernel.process(loop(len(alive) - 1, interval))
+
+            def stop(index):
+                alive[index] = False
+
+            return add, stop, alive
+
+        logs = []
+        for driver in (scheduled, one_process_each):
+            kernel, log = SimKernel(), []
+            add, stop, members = driver(kernel, log)
+            for t, kind, arg in ops:
+                kernel.run(until=t)
+                if kind == "add":
+                    for _ in range(arg[1]):
+                        add(arg[0])
+                elif members:
+                    stop(arg % len(members))
+            kernel.run(until=40.0)
+            logs.append(log)
+        assert logs[0] == logs[1]

@@ -12,6 +12,7 @@ replayed catches, single-parse) is covered in ``tests/test_worxlint.py``.
 
 import compileall
 import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -78,6 +79,38 @@ def test_compileall_src():
     assert SRC.is_dir()
     ok = compileall.compile_dir(str(SRC), quiet=2, force=False)
     assert ok, "python -m compileall src failed"
+
+
+def test_write_path_surface_is_pinned():
+    """An update's road from agent tick to store write exists once: one
+    activation, one send, one ``ingest``, ``apply`` + ``restore``.  A
+    second form of any stage is a conscious diff here."""
+    from repro.core.server import ClusterWorXServer
+    from repro.core.statestore import StateStore
+    from repro.federation import FederationServer
+    from repro.monitoring import NodeAgent, Transmitter
+    from repro.monitoring.scheduler import AgentScheduler
+
+    def methods(cls):
+        return {name: fn for name, fn in vars(cls).items()
+                if not name.startswith("_") and inspect.isfunction(fn)}
+
+    def update_takers(cls):
+        return {name for name, fn in methods(cls).items()
+                if any("Update" in str(p.annotation) for p in
+                       inspect.signature(fn).parameters.values())}
+
+    assert set(methods(NodeAgent)) == {
+        "activate", "stop", "tick", "evaluate", "sample_once",
+        "gather_proc"}
+    assert set(methods(AgentScheduler)) == {"register"}
+    assert set(methods(Transmitter)) == {"transmit_update"}
+    assert set(methods(StateStore)) == {
+        "track", "forget", "is_tracked", "apply", "restore", "get",
+        "last_seen", "last_agent_seen", "snapshot", "rollup", "summary",
+        "subscribe", "unsubscribe"}
+    assert update_takers(ClusterWorXServer) == {"ingest"}
+    assert update_takers(FederationServer) == {"ingest"}
 
 
 # -- the guards that replaced the retired rules ------------------------------

@@ -1,13 +1,10 @@
-"""Unit tests for repro.util: ring buffers, stats, units."""
-
-import math
+"""Unit tests for repro.util: ring buffers, units."""
 
 import numpy as np
 import pytest
 
 from repro.util import (
     ByteRingBuffer,
-    StreamingStats,
     TimeSeriesRing,
     fmt_bytes,
     fmt_duration,
@@ -108,42 +105,6 @@ class TestTimeSeriesRing:
     def test_downsample_invalid_buckets(self):
         with pytest.raises(ValueError):
             TimeSeriesRing(4).downsample(0)
-
-
-class TestStreamingStats:
-    def test_mean_matches_numpy(self):
-        values = [1.5, 2.5, -3.0, 8.25, 0.0]
-        s = StreamingStats()
-        s.update(values)
-        assert s.mean == pytest.approx(np.mean(values))
-        assert s.std == pytest.approx(np.std(values, ddof=1))
-
-    def test_min_max(self):
-        s = StreamingStats()
-        s.update([3, -1, 7])
-        assert s.min == -1 and s.max == 7
-
-    def test_empty_stats_are_nan(self):
-        s = StreamingStats()
-        assert math.isnan(s.mean) and math.isnan(s.variance)
-
-    def test_merge_equals_single_pass(self):
-        a_vals = [1.0, 2.0, 3.0]
-        b_vals = [10.0, 20.0]
-        a, b, c = StreamingStats(), StreamingStats(), StreamingStats()
-        a.update(a_vals)
-        b.update(b_vals)
-        c.update(a_vals + b_vals)
-        a.merge(b)
-        assert a.n == c.n
-        assert a.mean == pytest.approx(c.mean)
-        assert a.variance == pytest.approx(c.variance)
-
-    def test_merge_with_empty(self):
-        a = StreamingStats()
-        a.update([1.0, 2.0])
-        a.merge(StreamingStats())
-        assert a.n == 2
 
 
 class TestUnits:
