@@ -51,7 +51,8 @@ perf-compare:
 
 # What one managed node costs the server process: RSS per node,
 # tracemalloc KB and blocks per node by src/repro module, GC-tracked
-# objects per node — and the collector section: over TICKS further agent
+# objects per node and which types they are (growth between an N/4- and
+# an N/2-node build) — and the collector section: over TICKS further agent
 # ticks, collections per generation with total and longest pause, kernel
 # events per update, us per update with the collector on and off, one
 # full collection as built and after gc.freeze()

@@ -89,8 +89,7 @@ def test_request_cache_serves_simultaneous_clients(benchmark):
         node.power_on()
         node.workload.add(WorkloadSegment(start=0, duration=1e5, cpu=0.5))
         registry = builtin_registry()
-        consolidator = Consolidator(
-            static_names=registry.static_names(), cache_ttl=1.0)
+        consolidator = Consolidator(cache_ttl=1.0)
         gathers = []
 
         def regather():

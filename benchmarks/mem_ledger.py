@@ -8,7 +8,10 @@ of warm-up) and prints, per node:
 * RSS (``ru_maxrss`` growth across the build, tracing off);
 * tracemalloc KB and allocated blocks by ``src/repro`` module, with the
   two groups memory issues cite — history + ring, event engine;
-* GC-tracked objects;
+* GC-tracked objects, and which types they are: the per-type growth
+  between an N/4- and an N/2-node build, so everything that does not
+  scale with the cluster cancels (the census that found a wrapper beside
+  every ring buffer and a finished boot process kept per node);
 * the collector on the per-update path, over ``--ticks K`` further agent
   ticks with it on, alternating (in sweep periods of two ticks) with K
   ticks with it off: collections per generation with their total and
@@ -31,6 +34,7 @@ counts run to run; RSS moves by about 1 %.
 from __future__ import annotations
 
 import argparse
+import collections
 import gc
 import json
 import os
@@ -52,6 +56,7 @@ GROUPS = {
     "event engine": ("events/engine.py",),
 }
 TOP_MODULES = 12
+TOP_TYPES = 15
 
 
 def _build(n_nodes: int):
@@ -108,6 +113,27 @@ def probe_tracemalloc(n_nodes: int, src: str) -> Dict[str, object]:
         row[1] += stat.count / n_nodes
     modules["(outside src/repro)"] = elsewhere
     return {"sim_now": cwx.kernel.now, "modules": modules}
+
+
+def probe_census(n_nodes: int) -> Dict[str, object]:
+    """Collector-tracked objects one more node adds, by type."""
+    def tracked() -> collections.Counter:
+        gc.collect()
+        return collections.Counter(
+            f"{type(o).__module__}.{type(o).__qualname__}"
+            for o in gc.get_objects())
+
+    _build(8)       # what only the first build in a process allocates
+    sizes = (n_nodes // 4, n_nodes // 2)
+    counts, clusters = [tracked()], []
+    for size in sizes:
+        clusters.append(_build(size))
+        counts.append(tracked())
+    small, large = counts[1] - counts[0], counts[2] - counts[1]
+    return {"sizes": sizes,
+            "per_node": {name: (large[name] - small[name])
+                         / (sizes[1] - sizes[0])
+                         for name in large | small}}
 
 
 def probe_collector(n_nodes: int, ticks: int) -> Dict[str, object]:
@@ -184,6 +210,7 @@ def ledger(n_nodes: int, src: str, ticks: int) -> Dict[str, object]:
     return {"nodes": n_nodes, "seed": SEED, "src": src, **rss,
             "traced_kb_per_node": sum(kb for kb, _ in modules.values()),
             "groups": groups, "modules": modules,
+            "census": _child("census", n_nodes, src, ticks),
             "collector": _child("collector", n_nodes, src, ticks)}
 
 
@@ -201,6 +228,14 @@ def print_ledger(result: Dict[str, object]) -> None:
     ranked = sorted(result["modules"].items(), key=lambda kv: -kv[1][0])
     for name, (kb, blocks) in ranked[:TOP_MODULES]:
         print(f"    {name:32s} {kb:8.2f} {blocks:12.1f}")
+    census = result["census"]
+    print("  collector-tracked objects per node by type "
+          "(growth from {} to {} nodes):".format(*census["sizes"]))
+    by_count = sorted(census["per_node"].items(), key=lambda kv: -kv[1])
+    for name, count in by_count[:TOP_TYPES]:
+        print(f"    {name:44s} {count:8.1f}")
+    print(f"    {'(every type)':44s} "
+          f"{sum(census['per_node'].values()):8.1f}")
     gcs = result["collector"]
     per_tick = " / ".join(f"{c:.3g}" for c in gcs["collections_per_tick"])
     print(f"  collector, over {gcs['ticks']} further agent ticks on, "
@@ -231,7 +266,8 @@ def main(argv=None) -> int:
     parser.add_argument("--json", metavar="PATH",
                         help="also write the ledger to PATH")
     parser.add_argument("--probe",
-                        choices=("rss", "tracemalloc", "collector"),
+                        choices=("rss", "tracemalloc", "census",
+                                 "collector"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     src = os.path.realpath(args.src)
@@ -240,6 +276,9 @@ def main(argv=None) -> int:
         return 0
     if args.probe == "tracemalloc":
         print(json.dumps(probe_tracemalloc(args.nodes, src)))
+        return 0
+    if args.probe == "census":
+        print(json.dumps(probe_census(args.nodes)))
         return 0
     if args.probe == "collector":
         print(json.dumps(probe_collector(args.nodes, args.ticks)))

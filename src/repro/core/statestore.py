@@ -54,15 +54,18 @@ class Snapshot(MappingABC):
     holds it, across any number of concurrent receives.
     """
 
-    __slots__ = ("_hosts", "generation", "time")
+    __slots__ = ("_hosts", "generation", "time", "membership")
 
     def __init__(self, hosts: Dict[str, Mapping[str, object]],
-                 generation: int, time: float):
+                 generation: int, time: float, membership: int):
         self._hosts = hosts
         #: store generation this view is stamped with (monotone).
         self.generation = generation
         #: simulation time of the last applied update.
         self.time = time
+        #: the store's membership stamp: two snapshots of one store with
+        #: equal stamps hold the same hostnames.
+        self.membership = membership
 
     def __getitem__(self, hostname: str) -> Mapping[str, object]:
         return MappingProxyType(self._hosts[hostname])
@@ -145,6 +148,10 @@ class StateStore:
         self._last_agent: Dict[str, float] = {}
         self._tracked: Set[str] = set()
         self._generation = 0
+        #: moves only when the host map gains or loses a key (a host's
+        #: first write, ``forget``), unlike the generation, which moves
+        #: with every update.
+        self._membership = 0
         self._time = 0.0
         self._snapshot: Optional[Snapshot] = None
         #: replaced, never mutated, on (un)subscribe: a publish iterates
@@ -205,6 +212,7 @@ class StateStore:
         self._fork_if_frozen()
         del self._hosts[hostname]
         self._generation += 1
+        self._membership += 1
 
     @property
     def tracked(self) -> Set[str]:
@@ -251,6 +259,8 @@ class StateStore:
         old = self._hosts.get(host)
         old_values: Mapping[str, object] = old if old is not None \
             else _EMPTY
+        if old is None:
+            self._membership += 1
         self._rollup_delta(host, old_values, values)
         merged = dict(old_values)
         merged.update(values)
@@ -342,7 +352,7 @@ class StateStore:
         """The versioned all-hosts view; O(1), shared until a write."""
         if self._snapshot is None:
             self._snapshot = Snapshot(self._hosts, self._generation,
-                                      self._time)
+                                      self._time, self._membership)
             self.snapshots_taken += 1
         else:
             self.snapshot_reuses += 1

@@ -68,7 +68,7 @@ _EMPTY: Mapping[str, object] = MappingProxyType({})
 
 #: what an unreachable shard contributes to a federated snapshot when
 #: it has never published a part before (no last-good to re-serve).
-_EMPTY_SNAPSHOT = Snapshot({}, 0, 0.0)
+_EMPTY_SNAPSHOT = Snapshot({}, 0, 0.0, 0)
 
 #: guard defaults for history reads on an unreachable owner — the same
 #: shapes the flat HistoryStore returns for an unknown host.
@@ -94,12 +94,15 @@ class FederatedSnapshot(MappingABC):
     under the caller regardless of how the simulation moves on.
     """
 
-    __slots__ = ("_parts", "generation", "time")
+    __slots__ = ("_parts", "generation", "time", "membership")
 
     def __init__(self, parts: Sequence[Snapshot]):
         self._parts = tuple(parts)
         #: sum of shard generations (monotone, like the flat stamp).
         self.generation = sum(p.generation for p in self._parts)
+        #: every part's membership stamp: equal only while no shard
+        #: gained, lost or handed over a host.
+        self.membership = tuple(p.membership for p in self._parts)
         #: simulation time of the newest applied update across shards.
         self.time = max((p.time for p in self._parts), default=0.0)
 

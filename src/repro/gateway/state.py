@@ -55,6 +55,7 @@ class PublishedView:
                  "staleness_s")
 
     def __init__(self, snapshot: Snapshot,
+                 hostnames: Tuple[str, ...],
                  summary: Mapping[str, object],
                  events: Tuple[Tuple[str, str], ...],
                  sim_time: float, *,
@@ -66,7 +67,9 @@ class PublishedView:
         self.events = events
         self.sim_time = sim_time
         self.generation = snapshot.generation
-        self.hostnames: Tuple[str, ...] = tuple(sorted(snapshot))
+        #: the snapshot's hosts, sorted — the same tuple object from
+        #: view to view for as long as the membership does not change.
+        self.hostnames = hostnames
         #: True while any shard's contribution to this view is stale
         #: (suspect, mid-drain, or dead-with-nodes); the data served is
         #: that shard's last good snapshot, and responses say so.
@@ -91,8 +94,8 @@ class GatewayState:
         #: refreshes that found the generation unchanged and republished
         #: the existing view object — the cross-thread snapshot reuse.
         self.publish_reuses = 0
-        #: (generation, folded nodeset) cache for the membership view.
-        self._folded: Optional[Tuple[int, str]] = None
+        #: (hostnames tuple, its folded nodeset) for the membership view.
+        self._folded: Optional[Tuple[Tuple[str, ...], str]] = None
         #: worxsan runtime hook; None (one pointer test per call) when
         #: the sanitizer is off, which is the production configuration.
         self._san = current_sanitizer()
@@ -104,7 +107,9 @@ class GatewayState:
             self.view: PublishedView = self._capture()
 
     # -- sim-thread side -----------------------------------------------------
-    def _capture(self) -> PublishedView:  # worx: holds lock
+    def _capture(  # worx: holds lock
+            self, previous: Optional[PublishedView] = None
+            ) -> PublishedView:
         if self._san is not None:
             self._san.assert_locked(self.lock, "GatewayState._capture")
         store = self.server.store
@@ -125,8 +130,14 @@ class GatewayState:
             summary["degraded"] = True
             summary["stale_shards"] = ",".join(stale)
             summary["staleness_s"] = staleness
+        snapshot = store.snapshot()
+        if previous is not None and \
+                previous.snapshot.membership == snapshot.membership:
+            hostnames = previous.hostnames
+        else:
+            hostnames = tuple(sorted(snapshot))
         view = PublishedView(
-            snapshot=store.snapshot(),
+            snapshot=snapshot, hostnames=hostnames,
             summary=summary,
             events=tuple(self.server.engine.active_events()),
             sim_time=self.server.kernel.now,
@@ -143,8 +154,9 @@ class GatewayState:
         this publish).
 
         O(1) when nothing changed (the old view is republished) and
-        O(1)+COW bookkeeping when it did — never a per-node scan, never
-        a value copy.
+        O(1)+COW bookkeeping when it did — never a value copy, and a
+        per-node scan (sorting the hostnames) only when the membership
+        changed.
         """
         view = self.view
         if self.server.kernel.now < self.stalled_until:
@@ -157,7 +169,7 @@ class GatewayState:
                 and view.sim_time == self.server.kernel.now:
             self.publish_reuses += 1
             return view
-        view = self._capture()
+        view = self._capture(view)
         self.view = view  # atomic reference swap; readers see old or new
         self.publishes += 1
         return view
@@ -185,16 +197,16 @@ class GatewayState:
 
     def folded_hosts(self) -> str:
         """The membership as folded NodeSet range algebra
-        (``node[001-400]``), cached per store generation — folding ten
-        thousand names per request would be the exact per-query scan
-        the gateway exists to avoid."""
-        view = self.view
+        (``node[001-400]``), folded once per hostnames tuple — which a
+        publish carries forward until the membership changes; folding
+        ten thousand names per request, or per publish, would be the
+        exact scan the gateway exists to avoid."""
+        hostnames = self.view.hostnames
         cached = self._folded
-        if cached is not None and cached[0] == view.generation:
+        if cached is not None and cached[0] is hostnames:
             return cached[1]
-        folded = NodeSet(",".join(view.hostnames)).fold() \
-            if view.hostnames else ""
-        self._folded = (view.generation, folded)
+        folded = NodeSet(",".join(hostnames)).fold() if hostnames else ""
+        self._folded = (hostnames, folded)
         return folded
 
     def query(self, nodes: Optional[str] = None,

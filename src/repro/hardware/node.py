@@ -177,6 +177,9 @@ class SimulatedNode:
         """Called by the firmware when the OS reaches multi-user mode."""
         if self.state is not NodeState.BOOTING:
             return
+        # The boot is over: keep no finished process (with its generator
+        # and last timeout) per node for the life of the cluster.
+        self._boot_process = None
         self.boot_completed_at = self.kernel.now
         self._set_state(NodeState.UP)
         self.serial_write(f"{self.hostname} login: \n")

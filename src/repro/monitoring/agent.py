@@ -53,8 +53,7 @@ class NodeAgent:
         self.node = node
         self.registry = registry
         self.interval = interval
-        self.consolidator = Consolidator(
-            static_names=registry.static_names(), deadband=deadband)
+        self.consolidator = Consolidator(deadband=deadband)
         self.transmitter = Transmitter(fabric, node, server_node,
                                        codec=codec)
         #: typed callback: receives the same :class:`Update` the

@@ -15,7 +15,7 @@ server only ever sees the deltas the consolidator releases.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional
+from typing import Dict, Optional
 
 __all__ = ["Consolidator"]
 
@@ -23,22 +23,28 @@ _MISSING = object()
 
 
 class Consolidator:
-    """Per-node change-suppressing merge of monitor values."""
+    """Per-node change-suppressing merge of monitor values.
 
-    def __init__(self, *, static_names: Iterable[str] = (),
-                 deadband: float = 0.0, cache_ttl: float = 1.0):
+    A node's values are kept once.  ``_transmitted`` holds the value last
+    released per name; a newer value seen but not sent — inside the
+    deadband, gathered only to serve a :meth:`snapshot`, or awaiting the
+    resend :meth:`force_full_retransmit` asked for — sits in ``_held``,
+    empty on an exact-comparison agent between reconnects.  The current
+    view is the first overlaid with the second.  Static values need no
+    table: what never changes is released once, like any other value.
+    """
+
+    def __init__(self, *, deadband: float = 0.0, cache_ttl: float = 1.0):
         """``deadband``: relative change below which a numeric dynamic value
         counts as unchanged (0 = exact comparison).  ``cache_ttl``: how long
         a consolidated snapshot may serve simultaneous requests."""
         if deadband < 0:
             raise ValueError("deadband must be >= 0")
-        #: a registry hands every agent of a cohort the same frozenset,
-        #: and ``frozenset()`` of one is that object, not a copy per node.
-        self.static_names: FrozenSet[str] = frozenset(static_names)
         self.deadband = deadband
         self.cache_ttl = cache_ttl
-        self._current: Dict[str, object] = {}
         self._transmitted: Dict[str, object] = {}
+        #: seen but not sent: name -> the newer value.
+        self._held: Dict[str, object] = {}
         self._cache_time: Optional[float] = None
         # -- statistics for E6 --
         self.values_seen = 0
@@ -72,7 +78,6 @@ class Consolidator:
         more than the deadband.
         """
         transmitted = self._transmitted
-        self._current.update(values)
         if self.deadband > 0.0:
             changed = self._changed
             delta = {name: value for name, value in values.items()
@@ -84,10 +89,24 @@ class Consolidator:
             delta = {name: value for name, value in values.items()
                      if value != last(name, _MISSING)}
         transmitted.update(delta)
+        if self._held or self.deadband > 0.0:
+            self._hold(values)
         self.values_seen += len(values)
         self.values_released += len(delta)
         self._cache_time = t
         return delta
+
+    def _hold(self, values: Dict[str, object]) -> None:
+        """Keep ``_held`` to its rule for the names just seen: there iff
+        the value seen is not the one sent."""
+        held = self._held
+        last = self._transmitted.get
+        for name, value in values.items():
+            sent = last(name, _MISSING)
+            if sent is value or sent == value:   # `is`: a NaN just sent
+                held.pop(name, None)
+            else:
+                held[name] = value
 
     @property
     def suppressed(self) -> int:
@@ -111,14 +130,15 @@ class Consolidator:
         if (self._cache_time is not None
                 and t - self._cache_time <= self.cache_ttl):
             self.cache_hits += 1
-            return dict(self._current)
-        self.cache_misses += 1
-        if regather is not None:
-            fresh = regather()
-            self._current.update(fresh)
-        self._cache_time = t
-        return dict(self._current)
+        else:
+            self.cache_misses += 1
+            if regather is not None:
+                self._hold(regather())
+            self._cache_time = t
+        return {**self._transmitted, **self._held}
 
     def force_full_retransmit(self) -> None:
-        """Invalidate transmitted state (server reconnect, agent restart)."""
-        self._transmitted.clear()
+        """Invalidate transmitted state (server reconnect, agent restart):
+        every value becomes seen-but-not-sent until it is next gathered."""
+        self._held = {**self._transmitted, **self._held}
+        self._transmitted = {}

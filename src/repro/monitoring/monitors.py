@@ -14,7 +14,7 @@ readings, identification data, and the UDP-echo connectivity check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.hardware.node import SimulatedNode
 
@@ -58,14 +58,12 @@ class MonitorRegistry:
     def __init__(self) -> None:
         self._monitors: Dict[str, Monitor] = {}
         self._sorted: Optional[List[Monitor]] = None
-        self._static: Optional[FrozenSet[str]] = None
         #: equivalent one-shot sampler ``fn(ctx) -> dict`` or None.
         self.fast_sampler: Optional[
             Callable[["MonitorContext"], Dict[str, object]]] = None
 
     def _invalidate(self) -> None:
         self._sorted = None
-        self._static = None
         self.fast_sampler = None
 
     def add(self, monitor: Monitor) -> None:
@@ -99,14 +97,6 @@ class MonitorRegistry:
         if self._sorted is None:
             self._sorted = [self._monitors[n] for n in sorted(self._monitors)]
         return self._sorted
-
-    def static_names(self) -> FrozenSet[str]:
-        """Names of the static monitors — one shared set per registry,
-        rebuilt only after the monitor set changes."""
-        if self._static is None:
-            self._static = frozenset(
-                m.name for m in self._monitors.values() if m.static)
-        return self._static
 
     def evaluate_all(self, ctx: MonitorContext) -> Dict[str, object]:
         return {m.name: m.evaluate(ctx) for m in self.monitors()}

@@ -235,6 +235,11 @@ class BinaryCodec:
         return hostname, t, values
 
 
+#: what a transmitter given no codec sends with; a codec keeps no state
+#: between frames, so every agent shares this one.
+_DEFAULT_CODEC = TextCodec()
+
+
 class Transmitter:
     """Sends consolidated deltas to the management node over the fabric."""
 
@@ -244,7 +249,7 @@ class Transmitter:
         self.fabric = fabric
         self.src = src
         self.dst = dst
-        self.codec = codec if codec is not None else TextCodec()
+        self.codec = codec if codec is not None else _DEFAULT_CODEC
         self.frames_sent = 0
         self.bytes_sent = 0
         self.raw_bytes = 0

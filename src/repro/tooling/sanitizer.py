@@ -117,7 +117,9 @@ class Sanitizer:
         place (``__slots__`` attributes are reassigned to their frozen
         equivalents), so post-publish mutation raises instead of
         racing."""
-        for attr in ("summary", "events", "hostnames"):
+        # ``hostnames`` is a tuple of str, immutable as built, and views
+        # share it by identity: it must not be rebuilt per publish.
+        for attr in ("summary", "events"):
             if hasattr(view, attr):
                 setattr(view, attr, deep_freeze(getattr(view, attr)))
         self.frozen_views += 1

@@ -21,6 +21,9 @@ import numpy as np
 
 __all__ = ["ByteRingBuffer", "TimeSeriesRing"]
 
+#: append one double (``TimeSeriesRing.append`` takes a sample).
+_push = array.append
+
 
 class ByteRingBuffer:
     """A bounded byte buffer that keeps only the most recent ``capacity`` bytes."""
@@ -69,44 +72,54 @@ class ByteRingBuffer:
         self._buf.clear()
 
 
-class TimeSeriesRing:
+class TimeSeriesRing(array):
     """Fixed-capacity (timestamp, value) series with lazy growth.
 
-    Storage is one interleaved ``array('d')`` — ``t0, v0, t1, v1, …`` —
-    that grows with the data and wraps once ``capacity`` samples are
-    held.  A monitoring server holds one ring per metric per host, so
-    hundreds of thousands of mostly-short series must neither pre-pay
-    the full capacity nor carry a second buffer object and an instance
-    dict each (``__slots__``).  Range queries hand out chronological
-    numpy float64 arrays — always fresh contiguous copies of the two
-    strided halves, never a view: a live export of the buffer would make
-    the next growing ``append`` raise ``BufferError``.
+    The ring *is* its storage: an ``array('d')`` subclass holding one
+    interleaved run — ``t0, v0, t1, v1, …`` — that grows with the data
+    and wraps once ``capacity`` samples are held.  A monitoring server
+    holds one ring per metric per host, so hundreds of thousands of
+    mostly-short series must neither pre-pay the full capacity nor cost
+    the collector a wrapper *and* a buffer each: one tracked object per
+    series, two slots, no instance dict.  ``len``, ``append`` and
+    ``extend`` speak samples; inherited item access sees the raw
+    doubles, and ``copy``/``pickle`` (array's, which know no slots) do
+    not give a ring.  Range queries hand out chronological numpy float64
+    arrays — always fresh contiguous copies of the two strided halves,
+    never a view: a live export of the buffer would make the next
+    growing ``append`` raise ``BufferError``.
     """
 
-    __slots__ = ("capacity", "_buf", "_head")
+    __slots__ = ("capacity", "_head")
 
-    def __init__(self, capacity: int = 4096):
+    def __new__(cls, capacity: int = 4096):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
+        self = array.__new__(cls, "d")
         self.capacity = capacity
-        self._buf = array("d")
-        #: sample index of the oldest sample, which is also the next one
-        #: overwritten; stays 0 until the ring is full.
+        #: while the ring grows, the samples held (< capacity); once it
+        #: is full, ``~index`` of the oldest sample, the next one
+        #: overwritten.  One slot read tells ``append`` which: asking
+        #: ``array.__len__`` from a subclass costs a third of an append.
         self._head = 0
+        return self
 
     def __len__(self) -> int:
-        return len(self._buf) >> 1
+        head = self._head
+        return head if head >= 0 else self.capacity
 
     def append(self, t: float, value: float) -> None:
-        buf = self._buf
-        if len(buf) < 2 * self.capacity:
-            buf.append(t)
-            buf.append(value)
+        head = self._head
+        if head >= 0:
+            _push(self, t)
+            _push(self, value)
+            head += 1
+            self._head = head if head < self.capacity else -1
         else:
-            head = self._head
-            buf[2 * head] = t
-            buf[2 * head + 1] = value
-            self._head = (head + 1) % self.capacity
+            head = ~head
+            self[2 * head] = t
+            self[2 * head + 1] = value
+            self._head = ~((head + 1) % self.capacity)
 
     def extend(self, pairs: Iterable[Tuple[float, float]]) -> None:
         """Append many samples at once (same result as repeated
@@ -114,21 +127,22 @@ class TimeSeriesRing:
         new = array("d", chain.from_iterable(pairs))
         if len(new) & 1:
             raise ValueError("extend() takes (t, value) pairs")
-        buf = self._buf
-        limit = 2 * self.capacity
-        if len(buf) + len(new) <= limit:
-            buf.extend(new)    # still growing, so _head is 0
+        head = self._head
+        held = head + (len(new) >> 1)
+        if 0 <= head and held < self.capacity:
+            array.extend(self, new)    # still growing afterwards
+            self._head = held
             return
-        # Overflow: lay the survivors out oldest first, which is a full
-        # ring whose next write lands on index 0.
-        cut = 2 * self._head
-        self._buf = (buf[cut:] + buf[:cut] + new)[-limit:]
-        self._head = 0
+        # Filled or overflowed: lay the survivors out oldest first, which
+        # is a full ring whose next write lands on index 0.
+        cut = 2 * ~head if head < 0 else 0
+        self[:] = (self[cut:] + self[:cut] + new)[-2 * self.capacity:]
+        self._head = -1
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """All stored samples in chronological order (fresh arrays)."""
-        flat = np.frombuffer(self._buf, dtype=np.float64)
-        cut = 2 * self._head
+        flat = np.frombuffer(self, dtype=np.float64)
+        cut = 2 * ~self._head if self._head < 0 else 0
         if not cut:
             return flat[0::2].copy(), flat[1::2].copy()
         return (np.concatenate([flat[cut::2], flat[:cut:2]]),
@@ -141,13 +155,13 @@ class TimeSeriesRing:
         return t[mask], v[mask]
 
     def latest(self) -> Optional[Tuple[float, float]]:
-        buf = self._buf
-        if not buf:
+        head = self._head
+        if not head:
             return None
-        # The newest sample sits just before the oldest (index -1 while
-        # the ring is still growing and _head is 0).
-        idx = 2 * self._head - 2
-        return buf[idx], buf[idx + 1]
+        # The newest sample is the last one stored while the ring still
+        # grows, and sits just before the oldest once it is full.
+        idx = 2 * ~head - 2 if head < 0 else -2
+        return self[idx], self[idx + 1]
 
     def downsample(self, buckets: int) -> Tuple[np.ndarray, np.ndarray,
                                                 np.ndarray, np.ndarray]:

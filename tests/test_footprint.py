@@ -1,12 +1,15 @@
-"""Deterministic footprint guards for the server's per-node state.
+"""Deterministic footprint guards for what the process keeps per node.
 
-RSS and wall time are not assertable in tier-1; allocation sizes and
-executed-bytecode counts are.  The ceilings sit about a third above what
-the host-first layout measures here (9.6 KB history + ring, 1.8 KB
-engine per node) and well under what the per-(host, metric) layout cost
-(19.1 and 6.1), so a return of per-value objects or key tuples fails
-here before it shows up as `peak_rss_mb` in the repo benchmark.
-`make mem-ledger` prints the full table these two rows come from.
+RSS and wall time are not assertable in tier-1; allocation sizes, object
+counts and executed-bytecode counts are.  The byte ceilings sit about a
+third above what the layouts measure here per node — 7.8 KB history +
+ring, 1.8 KB event engine, 1.6 KB consolidator — so a return of
+per-value objects, key tuples (19.1 and 6.1 KB) or a second value table
+per agent (3.1 KB) fails here before it shows up as `peak_rss_mb` in the
+repo benchmark.  The collector-tracked object count is what every full
+collection, and so every build, walks: 90 per node, against 140 with a
+wrapper beside every ring buffer and a finished boot process kept per
+node.  `make mem-ledger` prints the full tables these rows come from.
 
 The last guard is the per-update path's: a steady-state agent tick runs
 no collection of any generation and a handful of kernel events.  One
@@ -25,11 +28,13 @@ import pytest
 from repro import ClusterWorX
 from repro.events import EventEngine, ThresholdRule
 from repro.monitoring import HistoryStore
+from repro.sim.kernel import Process
 
 N_NODES = 200
 INTERVAL = 5.0
 HISTORY_FILES = ("monitoring/history.py", "util/ringbuffer.py")
 ENGINE_FILES = ("events/engine.py",)
+AGENT_FILES = ("monitoring/consolidation.py",)
 
 
 def _kb_per_node(snapshot, suffixes):
@@ -39,22 +44,48 @@ def _kb_per_node(snapshot, suffixes):
     return total / 1024 / N_NODES
 
 
+def _warm_cluster(n_nodes, intervals=2.5):
+    """The repo benchmark's ``steady_*`` shape, by default run through
+    the boot tick and two more."""
+    cwx = ClusterWorX(n_nodes=n_nodes, seed=1610, self_healing=True,
+                      monitor_interval=INTERVAL)
+    cwx.add_threshold("hot-cpu", metric="cpu_temp_c", op=">",
+                      threshold=85.0, action="none")
+    cwx.start()
+    cwx.run(intervals * INTERVAL)
+    gc.collect()
+    return cwx
+
+
 def test_server_state_per_node_stays_small():
     tracemalloc.start()
     try:
-        cwx = ClusterWorX(n_nodes=N_NODES, seed=1610, self_healing=True,
-                          monitor_interval=INTERVAL)
-        cwx.add_threshold("hot-cpu", metric="cpu_temp_c", op=">",
-                          threshold=85.0, action="none")
-        cwx.start()
-        cwx.run(2.5 * INTERVAL)      # boot tick + two more
-        gc.collect()
+        cwx = _warm_cluster(N_NODES)
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
     assert min(a.samples_taken for a in cwx.agents.values()) == 3
-    assert _kb_per_node(snapshot, HISTORY_FILES) <= 13.0
+    assert _kb_per_node(snapshot, HISTORY_FILES) <= 10.5
     assert _kb_per_node(snapshot, ENGINE_FILES) <= 2.5
+    assert _kb_per_node(snapshot, AGENT_FILES) <= 2.2
+
+
+def test_collector_tracked_objects_per_node_stay_few():
+    """What one more node adds to every full collection's walk, as the
+    difference of two cluster sizes; and nothing finished is kept — no
+    ``boot:*`` process outlives its node's boot."""
+    sizes = (100, 300)
+    _warm_cluster(8)    # what only the first build in a process allocates
+    counts = [len(gc.get_objects())]
+    clusters = []
+    for n_nodes in sizes:
+        clusters.append(_warm_cluster(n_nodes))
+        counts.append(len(gc.get_objects()))
+    small, large = (after - before
+                    for before, after in zip(counts, counts[1:]))
+    assert (large - small) / (sizes[1] - sizes[0]) <= 105
+    assert not [p.name for p in gc.get_objects()
+                if isinstance(p, Process) and p.name.startswith("boot:")]
 
 
 @pytest.fixture(scope="module")
@@ -62,13 +93,8 @@ def steady_ticks():
     """Three steady-state agent ticks of 2 000 nodes: collections per
     generation over the whole window, and per tick (kernel events,
     distinct frame sizes sent)."""
-    n_nodes, ticks = 2000, 3
-    cwx = ClusterWorX(n_nodes=n_nodes, seed=1610, self_healing=True,
-                      monitor_interval=INTERVAL)
-    cwx.add_threshold("hot-cpu", metric="cpu_temp_c", op=">",
-                      threshold=85.0, action="none")
-    cwx.start()
-    cwx.run(3.5 * INTERVAL)          # warm-up: rings and deltas settle
+    ticks = 3
+    cwx = _warm_cluster(2000, 3.5)   # warm-up: rings and deltas settle
     agents = list(cwx.agents.values())
     collections = [0, 0, 0]
     per_tick = []
@@ -77,7 +103,6 @@ def steady_ticks():
         if phase == "stop":
             collections[info["generation"]] += 1
 
-    gc.collect()
     gc.callbacks.append(count)
     try:
         for _ in range(ticks):

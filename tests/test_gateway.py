@@ -13,6 +13,7 @@ from repro.gateway import (BINARY_CONTENT_TYPE, BinaryWire, GatewayService,
                            WatchClient, WatchHub, WatchPolicy, fetch,
                            negotiate, parse_request, read_stream_frames)
 from repro.gateway.metrics import GatewayMetrics
+from repro.remote.nodeset import NodeSet
 
 
 def up(host, t, **values):
@@ -261,6 +262,43 @@ class TestGatewayState:
         folded = state.folded_hosts()
         assert "[" in folded  # actually folded to range algebra
         assert state.folded_hosts() is folded  # cached
+
+    def test_unchanged_membership_sorts_and_folds_once(self, monkeypatch):
+        """K publishes over an unchanged membership carry one hostnames
+        tuple forward and fold it once; a hot-add and a removal each
+        sort and fold again."""
+        folds = []
+        fold = NodeSet.fold
+        monkeypatch.setattr(
+            NodeSet, "fold", lambda self: folds.append(1) or fold(self))
+        cwx = ClusterWorX(n_nodes=5, seed=4, monitor_interval=5.0)
+        cwx.start()
+        cwx.run(20)
+        state = GatewayState(cwx.server)
+        names, folded = state.view.hostnames, state.folded_hosts()
+        for _ in range(4):
+            cwx.run(5)
+            with state.lock:
+                state.refresh()
+            assert state.view.hostnames is names
+            assert state.folded_hosts() is folded
+        assert state.publishes == 4 and len(folds) == 1
+
+        added = cwx.add_node()
+        cwx.run(60)                     # boots, then its first update
+        with state.lock:
+            state.refresh()
+        grown = state.view.hostnames
+        assert grown == tuple(sorted(names + (added,)))
+        assert state.folded_hosts() != folded and len(folds) == 2
+
+        cwx.remove_node(names[0])
+        cwx.run(5)
+        with state.lock:
+            state.refresh()
+        assert state.view.hostnames == grown[1:]
+        assert state.folded_hosts() == fold(NodeSet(",".join(grown[1:])))
+        assert len(folds) == 3
 
 
 # -- request metrics ----------------------------------------------------------

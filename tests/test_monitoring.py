@@ -27,7 +27,7 @@ class TestBuiltinRegistry:
 
     def test_static_dynamic_split(self):
         reg = builtin_registry()
-        static = reg.static_names()
+        static = {m.name for m in reg.monitors() if m.static}
         assert "cpu_model" in static and "mem_total_bytes" in static
         assert "cpu_util_pct" not in static
 
@@ -56,15 +56,6 @@ class TestBuiltinRegistry:
         reg.remove("udp_echo")
         assert "udp_echo" not in reg
         assert "hostname" in reg
-
-    def test_static_names_is_one_set_until_the_monitors_change(self):
-        reg = builtin_registry()
-        static = reg.static_names()
-        assert reg.static_names() is static
-        reg.add(Monitor(name="bios_rev", fn=lambda c: "1.0", static=True))
-        assert reg.static_names() == static | {"bios_rev"}
-        reg.remove("bios_rev")
-        assert reg.static_names() == static
 
 
 class TestSamplerWorkCounts:
@@ -122,12 +113,12 @@ class TestConsolidator:
         assert c.suppressed == 1
 
     def test_static_sent_once(self):
-        c = Consolidator(static_names={"model"})
+        c = Consolidator()
         assert "model" in c.update({"model": "P3"}, t=0.0)
         assert "model" not in c.update({"model": "P3"}, t=1.0)
 
     def test_static_resent_on_actual_change(self):
-        c = Consolidator(static_names={"image"})
+        c = Consolidator()
         c.update({"image": "v1"}, t=0.0)
         delta = c.update({"image": "v2"}, t=1.0)  # node was recloned
         assert delta == {"image": "v2"}
@@ -175,7 +166,7 @@ class TestConsolidator:
         assert len(calls) == 2
 
     def test_force_full_retransmit(self):
-        c = Consolidator(static_names={"s"})
+        c = Consolidator()
         c.update({"s": 1, "d": 2}, t=0.0)
         c.force_full_retransmit()
         delta = c.update({"s": 1, "d": 2}, t=1.0)
@@ -415,13 +406,12 @@ class TestNodeAgent:
         with pytest.raises(ValueError):
             self._agent(kernel, loaded_node, interval=0.0)
 
-    def test_cohort_shares_static_names_and_builds_procfs_on_demand(
+    def test_cohort_shares_one_codec_and_builds_procfs_on_demand(
             self, kernel, make_node_set):
         registry = builtin_registry()
         first, second = (NodeAgent(kernel, n, registry)
                          for n in make_node_set(2))
-        assert first.consolidator.static_names \
-            is second.consolidator.static_names
+        assert first.transmitter.codec is second.transmitter.codec
         first.sample_once()
         assert "procfs" not in vars(first)     # sampling never needs it
         assert first.procfs is first.procfs

@@ -475,6 +475,121 @@ class TestConsolidatorProperties:
         assert c.update(dict(update), t=1.0) == {}
 
 
+# -- Consolidator against "latest value seen per name" ---------------------
+
+CONSOLIDATOR_NAMES = ("load", "temp", "up", "image", "zero")
+consolidator_values = st.one_of(
+    # close enough together that a 5 % band holds some steps back
+    st.sampled_from([100.0, 101.0, 104.0, 106.0, 0.0, 1e-13, -100.0,
+                     float("nan")]),
+    st.integers(99, 102), st.booleans(), st.sampled_from(["v1", "v2"]))
+consolidator_gathers = st.one_of(
+    st.fixed_dictionaries(dict.fromkeys(CONSOLIDATOR_NAMES,
+                                        consolidator_values)),
+    st.dictionaries(st.sampled_from(CONSOLIDATOR_NAMES),
+                    consolidator_values, max_size=4))
+#: seconds to the next operation: inside and outside a 1 s cache_ttl.
+consolidator_steps = st.sampled_from([0.0, 0.4, 2.5])
+
+
+class _TwoTableConsolidator:
+    """The reference: every name's latest value seen, kept whole beside
+    the last value sent — the layout the one-table consolidator
+    replaced."""
+
+    def __init__(self, deadband):
+        self.deadband = deadband
+        self.seen, self.sent = {}, {}
+        self.cache_time = None
+        self.counters = dict.fromkeys(
+            ("values_seen", "values_released", "cache_hits",
+             "cache_misses"), 0)
+
+    def _differs(self, name, new):
+        if name not in self.sent:
+            return True
+        old = self.sent[name]
+        numeric = all(isinstance(x, (int, float)) for x in (old, new))
+        if self.deadband and numeric and not isinstance(new, bool):
+            scale = abs(old) if old != 0 else max(abs(new), 1e-12)
+            return not abs(new - old) / scale <= self.deadband
+        return new != old
+
+    def update(self, values, t):
+        self.seen.update(values)
+        delta = {name: value for name, value in values.items()
+                 if self._differs(name, value)}
+        self.sent.update(delta)
+        self.counters["values_seen"] += len(values)
+        self.counters["values_released"] += len(delta)
+        self.cache_time = t
+        return delta
+
+    def snapshot(self, t, fresh=None):
+        if self.cache_time is not None and t - self.cache_time <= 1.0:
+            self.counters["cache_hits"] += 1
+            return dict(self.seen)
+        self.counters["cache_misses"] += 1
+        self.seen.update(fresh or {})
+        self.cache_time = t
+        return dict(self.seen)
+
+
+def _same_values(got, want):
+    """Dict equality that lets a NaN equal a NaN."""
+    return got.keys() == want.keys() and all(
+        got[k] == want[k] or (got[k] != got[k] and want[k] != want[k])
+        for k in want)
+
+
+class TestConsolidatorModel:
+    @given(st.sampled_from([0.0, 0.05]),
+           st.lists(st.tuples(consolidator_steps, st.one_of(
+               st.tuples(st.just("update"), consolidator_gathers),
+               st.tuples(st.just("snapshot"),
+                         st.none() | consolidator_gathers),
+               st.tuples(st.just("retransmit")))), max_size=25))
+    @settings(max_examples=200, deadline=None)
+    def test_consolidator_matches_latest_value_seen(self, deadband, ops):
+        """Complete and partial gathers, cached and regathered
+        snapshots and forced retransmits, exact and with a deadband:
+        deltas, the current view and the four counters equal a
+        reference that keeps the latest value seen per name."""
+        real = Consolidator(deadband=deadband, cache_ttl=1.0)
+        model = _TwoTableConsolidator(deadband)
+        clock = 0.0
+        for step, (op, *args) in ops:
+            clock += step
+            if op == "update":
+                delta = real.update(args[0], clock)
+                assert _same_values(delta, model.update(args[0], clock))
+            elif op == "snapshot":
+                fresh = args[0]
+                calls = []
+                view = real.snapshot(clock, None if fresh is None else
+                                     lambda: calls.append(1) or fresh)
+                misses = model.counters["cache_misses"]
+                assert _same_values(view, model.snapshot(clock, fresh))
+                # regathered exactly when the cache missed
+                assert len(calls) == (fresh is not None) * (
+                    model.counters["cache_misses"] - misses)
+            else:
+                real.force_full_retransmit()
+                model.sent.clear()
+            # the current view, read without a regather on both sides
+            assert _same_values(real.snapshot(clock),
+                                model.snapshot(clock))
+            assert {name: getattr(real, name)
+                    for name in model.counters} == model.counters
+            assert real.suppressed == (model.counters["values_seen"]
+                                       - model.counters["values_released"])
+            if not deadband and op == "update" \
+                    and len(args[0]) == len(CONSOLIDATOR_NAMES):
+                # exact comparison holds nothing back: after a complete
+                # gather the overlay is empty and one table is all
+                assert not real._held
+
+
 class TestProcfsProperties:
     @given(st.floats(0, 0.99, allow_nan=False),
            st.integers(0, 3 << 30))

@@ -453,6 +453,29 @@ class TestGatewayDegraded:
         assert "degraded" not in frames[0][3]
         assert frames[0][3]["nodes_total"] == 20
 
+    def test_failover_sorts_the_membership_again(self):
+        """Hosts changing owner is a membership change for the gateway:
+        the publish after a fail-over sorts (and `/v1/hosts` folds) the
+        hostnames afresh, the publishes around it carry them forward."""
+        cwx = make_fed()
+        state, _ = self._gateway(cwx)
+        cwx.run(30)
+        _publish(state)
+        names, folded = state.view.hostnames, state.folded_hosts()
+        cwx.run(5)
+        _publish(state)
+        assert state.view.hostnames is names
+        cwx.server.fail_over(1)
+        cwx.run(5)
+        _publish(state)
+        moved = state.view.hostnames
+        assert moved is not names and moved == names
+        assert state.folded_hosts() is not folded
+        assert state.folded_hosts() == folded
+        cwx.run(5)
+        _publish(state)
+        assert state.view.hostnames is moved
+
     def test_publish_stall_keeps_serving_last_view(self):
         cwx = make_fed()
         state, router = self._gateway(cwx)

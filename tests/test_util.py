@@ -1,5 +1,8 @@
 """Unit tests for repro.util: ring buffers, units."""
 
+import gc
+from array import array
+
 import numpy as np
 import pytest
 
@@ -105,6 +108,50 @@ class TestTimeSeriesRing:
     def test_downsample_invalid_buckets(self):
         with pytest.raises(ValueError):
             TimeSeriesRing(4).downsample(0)
+
+    def test_ring_is_its_own_buffer(self):
+        """One collector-tracked object per series: the ring is the
+        ``array('d')``, with no wrapper and no instance dict beside it."""
+        ring = TimeSeriesRing(4)
+        ring.append(1.0, 10.0)
+        assert isinstance(ring, array) and ring.typecode == "d"
+        assert not hasattr(ring, "__dict__")
+        assert not any(isinstance(held, array)
+                       for held in gc.get_referents(ring))
+        assert ring.capacity == 4 and len(ring) == 1
+
+    @pytest.mark.parametrize("held", [0, 2, 4, 6])
+    @pytest.mark.parametrize("more", [0, 1, 2, 3, 9])
+    def test_extend_equals_repeated_append(self, held, more):
+        """From empty, growing, just full and wrapped (head != 0), into
+        still growing, exactly full and overflowing."""
+        bulk, single = TimeSeriesRing(4), TimeSeriesRing(4)
+        pairs = [(float(i), float(-i)) for i in range(held + more)]
+        for ring in (bulk, single):
+            for pair in pairs[:held]:
+                ring.append(*pair)
+        bulk.extend(pairs[held:])
+        for pair in pairs[held:]:
+            single.append(*pair)
+        assert len(bulk) == len(single) == min(held + more, 4)
+        assert bulk.latest() == single.latest()
+        for got, want in zip(bulk.arrays(), single.arrays()):
+            assert got.tolist() == want.tolist()
+        bulk.append(99.0, 99.0)
+        assert bulk.latest() == (99.0, 99.0)
+        assert bulk.arrays()[0].tolist() == (
+            [p[0] for p in pairs] + [99.0])[-4:]
+
+    def test_arrays_never_hands_out_a_view(self):
+        ring = TimeSeriesRing(64)
+        ring.extend((float(i), float(i)) for i in range(8))
+        reads = [ring.arrays(), ring.window(2.0, 5.0), ring.downsample(2)]
+        for i in range(8, 40):      # growth reallocates the buffer:
+            ring.append(float(i), float(i))     # no BufferError
+        t, v = reads[0]
+        t[:] = -1.0                 # and the arrays are the caller's own
+        assert ring.arrays()[0].tolist() == [float(i) for i in range(40)]
+        assert v.tolist() == [float(i) for i in range(8)]
 
 
 class TestUnits:
