@@ -55,7 +55,8 @@ perf-compare:
 # an N/2-node build) — and the collector section: over TICKS further agent
 # ticks, collections per generation with total and longest pause, kernel
 # events per update, us per update with the collector on and off, one
-# full collection as built and after gc.freeze()
+# full collection as built and after gc.freeze(), and one all-hosts
+# JSON /v1/query: ms, collections per generation, bytes
 # (benchmarks/mem_ledger.py; --src measures another checkout for the
 # "before" row):  make mem-ledger N=2000 TICKS=4
 N ?= 2000

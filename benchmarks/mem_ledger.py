@@ -18,7 +18,10 @@ of warm-up) and prints, per node:
   longest pause (``gc.callbacks``), kernel events per update, µs per
   update on and off, and the cost of one full collection — as built,
   and again K ticks after ``gc.freeze()`` (what ``repro-cli serve``
-  does once the cluster is up).
+  does once the cluster is up); and the serving side's one O(N)
+  request, an all-hosts JSON ``/v1/query`` of the benchmark's three
+  metrics (handler + encode): median ms, collections per query by
+  generation, body bytes.
 
 Each probe runs in its own child process: tracemalloc roughly doubles
 RSS, so the probes cannot share one.  Run modes::
@@ -57,6 +60,9 @@ GROUPS = {
 }
 TOP_MODULES = 12
 TOP_TYPES = 15
+#: the repo benchmark's all-hosts request, and how many to time.
+QUERY = "/v1/query?metrics=cpu_util_pct,cpu_temp_c,mem_used_bytes"
+QUERIES = 5
 
 
 def _build(n_nodes: int):
@@ -136,8 +142,32 @@ def probe_census(n_nodes: int) -> Dict[str, object]:
                          for name in large | small}}
 
 
+def _query_all(cwx) -> Dict[str, object]:
+    """``QUERIES`` all-hosts JSON queries, as the gateway answers them."""
+    from repro.gateway import (GatewayState, JsonWire, build_router,
+                               parse_request)
+    router = build_router(GatewayState(cwx.server), dict)
+    request = parse_request(f"GET {QUERY} HTTP/1.1\r\n\r\n".encode())
+    route, params = router.resolve(request.path)
+    wire, collections, times = JsonWire(), [0, 0, 0], []
+
+    def on_gc(phase, info):
+        if phase == "stop":
+            collections[info["generation"]] += 1
+
+    gc.callbacks.append(on_gc)
+    for _ in range(QUERIES):
+        start = time.perf_counter()
+        body = wire.encode(route.handler(request, params)[1])
+        times.append(time.perf_counter() - start)
+    gc.callbacks.remove(on_gc)
+    return {"ms": sorted(times)[QUERIES // 2] * 1e3, "bytes": len(body),
+            "collections_per_query": [c / QUERIES for c in collections]}
+
+
 def probe_collector(n_nodes: int, ticks: int) -> Dict[str, object]:
-    """The cyclic collector and the kernel on the per-update path."""
+    """The cyclic collector and the kernel on the per-update path, and
+    on the all-hosts query."""
     cwx = _build(n_nodes)
     collections, pauses, started = [0, 0, 0], [], [0.0]
 
@@ -172,6 +202,7 @@ def probe_collector(n_nodes: int, ticks: int) -> Dict[str, object]:
         gc.disable()
         run_round(off)
         gc.enable()
+    query = _query_all(cwx)
     gc.collect()
     full_ms = _timed_collect_ms()
     gc.freeze()
@@ -186,7 +217,8 @@ def probe_collector(n_nodes: int, ticks: int) -> Dict[str, object]:
             "us_per_update_gc_on": on[0] / on[1] * 1e6,
             "us_per_update_gc_off": off[0] / off[1] * 1e6,
             "full_collect_ms": full_ms,
-            "full_collect_frozen_ms": frozen_ms}
+            "full_collect_frozen_ms": frozen_ms,
+            "query_all": query}
 
 
 def _child(probe: str, n_nodes: int, src: str,
@@ -251,6 +283,11 @@ def print_ledger(result: Dict[str, object]) -> None:
     print(f"    one full collection; after freeze "
           f"{gcs['full_collect_ms']:8.1f} "
           f"{gcs['full_collect_frozen_ms']:8.1f} ms")
+    query = gcs["query_all"]
+    per_query = " / ".join(f"{c:.3g}"
+                           for c in query["collections_per_query"])
+    print(f"    all-hosts /v1/query, JSON         {query['ms']:8.1f} ms, "
+          f"collections {per_query}, {query['bytes']} bytes")
 
 
 def main(argv=None) -> int:

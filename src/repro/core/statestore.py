@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Mapping as MappingABC
+from operator import itemgetter
 from types import MappingProxyType
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Set, Tuple)
@@ -78,6 +79,24 @@ class Snapshot(MappingABC):
 
     def __contains__(self, hostname: object) -> bool:
         return hostname in self._hosts
+
+    def select(self, hostnames: Iterable[str],
+               fields: Optional[Tuple[str, ...]] = None
+               ) -> Iterator[Tuple[Tuple[str, ...], Tuple[object, ...]]]:
+        """Per listed host, ``(names, values)``: the (distinct) ``fields``
+        it holds, or all its values by sorted name when ``fields`` is
+        None.  No proxy; each tuple is built at its final size, as one
+        resized on the way stays counted as a collector allocation."""
+        for hostname in hostnames:
+            values = self._hosts[hostname]
+            names = fields if fields is not None else tuple(sorted(values))
+            try:
+                row = (itemgetter(*names)(values) if len(names) > 1
+                       else tuple([values[name] for name in names]))
+            except KeyError:
+                names = tuple([name for name in names if name in values])
+                row = tuple([values[name] for name in names])
+            yield names, row
 
     def __repr__(self) -> str:
         return (f"Snapshot(gen={self.generation}, "

@@ -24,7 +24,7 @@ from repro.events.rules import ThresholdRule
 from repro.hardware.node import SimulatedNode
 from repro.sim import SimKernel
 
-__all__ = ["EventEngine", "FiredEvent"]
+__all__ = ["EventEngine", "FiredEvent", "newest"]
 
 
 @dataclass
@@ -35,6 +35,13 @@ class FiredEvent:
     value: object
     action: str
     action_ok: bool
+
+
+def newest(fired: List[FiredEvent], limit: Optional[int]) -> List[FiredEvent]:
+    """A log's last ``limit`` entries: none for 0, all for None."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must not be negative: {limit}")
+    return fired if limit is None else fired[max(len(fired) - limit, 0):]
 
 
 class _RuleState:
@@ -269,13 +276,10 @@ class EventEngine:
                   node: Optional[str] = None,
                   limit: Optional[int] = None) -> List[FiredEvent]:
         """Query the fired-event history (newest last)."""
-        out = [e for e in self.fired
-               if e.time >= since
-               and (rule is None or e.rule == rule)
-               and (node is None or e.node == node)]
-        if limit is not None:
-            out = out[-limit:]
-        return out
+        return newest([e for e in self.fired
+                       if e.time >= since
+                       and (rule is None or e.rule == rule)
+                       and (node is None or e.node == node)], limit)
 
     # -- manual administration -------------------------------------------------
     def mark_fixed(self, rule_name: str, hostname: str) -> None:

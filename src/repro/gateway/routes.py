@@ -24,16 +24,17 @@ The surface (all ``GET``):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Tuple
+import math
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.gateway.httpd import HttpError, HttpRequest, Router
 from repro.gateway.state import GatewayState
-from repro.gateway.wire import Frame
+from repro.gateway.wire import Frames
 
 __all__ = ["build_router"]
 
-#: handler result: HTTP status + response frames.
-Result = Tuple[int, List[Frame]]
+#: handler result: HTTP status + response frames (a list, or a table).
+Result = Tuple[int, Frames]
 
 
 def _split_param(request: HttpRequest, name: str) -> List[str]:
@@ -42,15 +43,18 @@ def _split_param(request: HttpRequest, name: str) -> List[str]:
 
 
 def _float_param(request: HttpRequest, name: str,
-                 default: float) -> float:
+                 default: Optional[float]) -> Optional[float]:
+    """A finite float, ``default`` when absent; else (``nan``...) a 400."""
     raw = request.param(name)
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise HttpError(400, f"bad float for {name!r}: {raw!r}") \
-            from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise HttpError(400, f"bad float for {name!r}: {raw!r}")
+    return value
 
 
 def build_router(state: GatewayState,
@@ -84,13 +88,10 @@ def build_router(state: GatewayState,
     def query(request: HttpRequest, params: Dict[str, str]) -> Result:
         metrics = _split_param(request, "metrics")
         try:
-            t, rows = state.query(request.param("nodes"),
-                                  metrics or None)
+            return 200, state.query(request.param("nodes"), metrics or None)
         except ValueError as exc:  # NodeSet parse errors surface as 400
             raise HttpError(400, f"bad nodes expression: {exc}") \
                 from None
-        return 200, [("host", hostname, t, values)
-                     for hostname, values in rows]
 
     def events(request: HttpRequest, params: Dict[str, str]) -> Result:
         t, active = state.active_events()
@@ -99,24 +100,28 @@ def build_router(state: GatewayState,
 
     def event_log(request: HttpRequest,
                   params: Dict[str, str]) -> Result:
-        limit = int(_float_param(request, "limit", 100))
-        entries = state.event_log(
-            since=_float_param(request, "since", 0.0),
-            node=request.param("node"), limit=limit)
+        try:
+            entries = state.event_log(
+                since=_float_param(request, "since", 0.0),
+                node=request.param("node"),
+                limit=int(_float_param(request, "limit", 100)))
+        except ValueError as exc:  # a negative limit
+            raise HttpError(400, str(exc)) from None
         return 200, [("event", e["rule"], e["time"], e)  # type: ignore
                      for e in entries]
 
     def history(request: HttpRequest, params: Dict[str, str]) -> Result:
         hostname, metric = params["hostname"], params["metric"]
         subject = f"{hostname}/{metric}"
-        t0 = request.param("t0")
+        t0 = _float_param(request, "t0", None)
         if t0 is not None:
             t1 = _float_param(request, "t1", state.view.sim_time)
-            rows = state.history_window(hostname, metric,
-                                        float(t0), t1)
+            rows = state.history_window(hostname, metric, t0, t1)
             return 200, [("history", subject, t, {"value": v})
                          for t, v in rows]
         buckets = int(_float_param(request, "buckets", 60))
+        if buckets < 1:
+            raise HttpError(400, f"buckets must be positive: {buckets}")
         graph = state.history_graph(hostname, metric, buckets=buckets)
         return 200, [("history", subject, center,
                       {"mean": mean, "min": lo, "max": hi})

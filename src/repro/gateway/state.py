@@ -36,6 +36,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.server import ClusterWorXServer
 from repro.core.statestore import Snapshot
+from repro.gateway.wire import FrameTable
 from repro.remote.nodeset import NodeSet
 from repro.tooling.sanitizer import current_sanitizer
 
@@ -210,23 +211,19 @@ class GatewayState:
         return folded
 
     def query(self, nodes: Optional[str] = None,
-              metrics: Optional[List[str]] = None
-              ) -> Tuple[float, List[Tuple[str, Mapping[str, object]]]]:
+              metrics: Optional[List[str]] = None) -> FrameTable:
         """NodeSet-filtered bulk read: ``nodes`` is range algebra
-        (``node[001-016]``, ``@rack2``), ``metrics`` projects columns."""
+        (``node[001-016]``, ``@rack2``), ``metrics`` projects columns.
+        One ``host`` row per node, read off the view's snapshot as the
+        response is written — nothing per row is built here."""
         view = self.view
         if nodes:
-            wanted = [h for h in NodeSet(nodes, resolver=self.resolver)
-                      if h in view.snapshot]
+            wanted = tuple(h for h in NodeSet(nodes, resolver=self.resolver)
+                           if h in view.snapshot)
         else:
-            wanted = list(view.hostnames)
-        rows: List[Tuple[str, Mapping[str, object]]] = []
-        for hostname in wanted:
-            values = view.snapshot[hostname]
-            if metrics:
-                values = {m: values[m] for m in metrics if m in values}
-            rows.append((hostname, values))
-        return view.sim_time, rows
+            wanted = view.hostnames
+        return FrameTable("host", view.sim_time, wanted, view.snapshot,
+                          tuple(sorted(set(metrics))) if metrics else None)
 
     def active_events(self) -> Tuple[float, Tuple[Tuple[str, str], ...]]:
         view = self.view

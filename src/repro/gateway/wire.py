@@ -29,13 +29,15 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Tuple, Union)
 
 from repro.monitoring.transmission import BinaryCodec
 
-__all__ = ["Frame", "JsonWire", "BinaryWire", "negotiate",
-           "BINARY_CONTENT_TYPE", "JSON_CONTENT_TYPE", "SUMMARY_SCHEMA",
-           "STATS_SCHEMA", "EVENT_SCHEMA"]
+__all__ = ["Frame", "FrameTable", "Frames", "JsonWire", "BinaryWire",
+           "negotiate", "BINARY_CONTENT_TYPE", "JSON_CONTENT_TYPE",
+           "SUMMARY_SCHEMA", "STATS_SCHEMA", "EVENT_SCHEMA"]
 
 #: one response/stream element: (kind, subject, t, values).
 Frame = Tuple[str, str, float, Mapping[str, object]]
@@ -70,6 +72,55 @@ _KIND_CODES: Dict[str, int] = {
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 
 
+class FrameTable:
+    """The frames of an O(N) response, not built: a row is read off
+    ``snapshot`` (a ``Snapshot`` or ``FederatedSnapshot``; sorted
+    ``fields`` projected, all when None) as it is written or iterated."""
+
+    __slots__ = ("kind", "t", "subjects", "snapshot", "fields")
+
+    def __init__(self, kind: str, t: float, subjects: Tuple[str, ...],
+                 snapshot, fields: Optional[Tuple[str, ...]] = None):
+        self.kind, self.t, self.subjects = kind, t, subjects
+        self.snapshot, self.fields = snapshot, fields
+
+    def __len__(self) -> int:
+        return len(self.subjects)
+
+    def rows(self) -> Iterator[Tuple[str, Tuple[tuple, tuple]]]:
+        return zip(self.subjects,
+                   self.snapshot.select(self.subjects, self.fields))
+
+    def __iter__(self) -> Iterator[Frame]:
+        for subject, (names, values) in self.rows():
+            yield self.kind, subject, self.t, dict(zip(names, values))
+
+
+#: a response body's frames: a list, or a table standing for one.
+Frames = Union[List[Frame], FrameTable]
+
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+#: by exact type: ``json`` writes an int/float subclass by its base's repr.
+_JSON_SCALARS: Dict[type, Callable[[object], str]] = {
+    float: _json_float, int: int.__repr__, str: encode_basestring_ascii,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null"}
+
+
+def _json_value(value: object) -> str:
+    """One value exactly as ``json.dumps`` writes it inside a body."""
+    write = _JSON_SCALARS.get(type(value))
+    return write(value) if write is not None else _dumps(value)
+
+
 class JsonWire:
     """Frames as JSON: self-describing, greppable, and ~2x the bytes."""
 
@@ -82,8 +133,30 @@ class JsonWire:
         return {"kind": kind, "subject": subject, "t": round(t, 3),
                 "values": dict(values)}
 
-    def encode(self, frames: List[Frame]) -> bytes:
+    def _encode_table(self, table: FrameTable) -> bytes:
+        """``encode(list(table))``, written row by row: one ``%``
+        template per (sorted) present-field set, the kind and ``t`` text
+        made once."""
+        head = ('{"kind":' + encode_basestring_ascii(table.kind)
+                + ',"subject":%s,"t":' + _json_value(round(table.t, 3))
+                + ',"values":{')
+        templates: Dict[Tuple[str, ...], str] = {}
+        out: List[str] = []
+        for subject, (names, values) in table.rows():
+            template = templates.get(names)
+            if template is None:
+                template = templates[names] = head + ",".join(
+                    encode_basestring_ascii(name).replace("%", "%%") + ":%s"
+                    for name in names) + "}}"
+            out.append(template % (encode_basestring_ascii(subject),
+                                   *map(_json_value, values)))
+        body = out[0] if len(out) == 1 else "[" + ",".join(out) + "]"
+        return body.encode("utf-8")
+
+    def encode(self, frames: Frames) -> bytes:
         """One response body: a single object, or an array of them."""
+        if isinstance(frames, FrameTable):
+            return self._encode_table(frames)
         if len(frames) == 1:
             payload: object = self._obj(frames[0])
         else:
@@ -148,7 +221,7 @@ class BinaryWire:
             raise ValueError(f"unknown frame kind {kind!r}")
         return struct.pack("<IB", len(body) + 1, code) + body
 
-    def encode(self, frames: List[Frame]) -> bytes:
+    def encode(self, frames: Frames) -> bytes:
         return b"".join(self.encode_frame(frame) for frame in frames)
 
     #: a watch stream uses the identical framing — that is the point.

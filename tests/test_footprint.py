@@ -16,17 +16,20 @@ no collection of any generation and a handful of kernel events.  One
 timer, closure and callback list per monitoring datagram (about ten
 collector-tracked objects each, all alive until the clock moved) gave one
 kernel event per update and ~20 gen-0 plus 2 gen-1 collections per
-2 000-node tick.
+2 000-node tick.  The serving side's one O(N) request, an all-hosts
+`/v1/query`, holds the same line: no collection while it is answered.
 """
 
 import gc
 import sys
 import tracemalloc
+from contextlib import contextmanager
 
 import pytest
 
 from repro import ClusterWorX
 from repro.events import EventEngine, ThresholdRule
+from repro.gateway import GatewayState, JsonWire, build_router, parse_request
 from repro.monitoring import HistoryStore
 from repro.sim.kernel import Process
 
@@ -89,22 +92,37 @@ def test_collector_tracked_objects_per_node_stay_few():
 
 
 @pytest.fixture(scope="module")
-def steady_ticks():
+def fleet():
+    """2 000 nodes past warm-up: rings and deltas settle."""
+    return _warm_cluster(2000, 3.5)
+
+
+@contextmanager
+def _collections():
+    """Collections per generation while the ``with`` body runs."""
+    counts = [0, 0, 0]
+
+    def count(phase, info):
+        if phase == "stop":
+            counts[info["generation"]] += 1
+
+    gc.callbacks.append(count)
+    try:
+        yield counts
+    finally:
+        gc.callbacks.remove(count)
+
+
+@pytest.fixture(scope="module")
+def steady_ticks(fleet):
     """Three steady-state agent ticks of 2 000 nodes: collections per
     generation over the whole window, and per tick (kernel events,
     distinct frame sizes sent)."""
     ticks = 3
-    cwx = _warm_cluster(2000, 3.5)   # warm-up: rings and deltas settle
+    cwx = fleet
     agents = list(cwx.agents.values())
-    collections = [0, 0, 0]
     per_tick = []
-
-    def count(phase, info):
-        if phase == "stop":
-            collections[info["generation"]] += 1
-
-    gc.callbacks.append(count)
-    try:
+    with _collections() as collections:
         for _ in range(ticks):
             sent = [a.transmitter.bytes_sent for a in agents]
             events = cwx.kernel.events_processed
@@ -113,8 +131,6 @@ def steady_ticks():
                 cwx.kernel.events_processed - events,
                 len({a.transmitter.bytes_sent - before
                      for a, before in zip(agents, sent)})))
-    finally:
-        gc.callbacks.remove(count)
     assert min(a.samples_taken for a in agents) >= 3 + ticks
     return collections, per_tick
 
@@ -130,6 +146,26 @@ def test_steady_tick_costs_one_kernel_event_per_frame_size(steady_ticks):
     _, per_tick = steady_ticks
     for events, frame_sizes in per_tick:
         assert events <= frame_sizes + 4
+
+
+@pytest.mark.parametrize("metrics", [
+    "?metrics=cpu_util_pct,cpu_temp_c,mem_used_bytes", ""])
+def test_all_hosts_query_runs_no_collection(fleet, metrics):
+    """One all-hosts JSON ``/v1/query``, handler and encode, keeps no
+    collector-tracked object per row alive: the body is written straight
+    off the snapshot.  Row tuples, projected dicts, frames and the
+    encoder's per-frame objects, all alive until the body was built,
+    ran 13 gen-0 and 1 gen-1 collections here."""
+    router = build_router(GatewayState(fleet.server), dict)
+    request = parse_request(
+        f"GET /v1/query{metrics} HTTP/1.1\r\n\r\n".encode("latin-1"))
+    route, params = router.resolve(request.path)
+    wire = JsonWire()
+    gc.collect()
+    with _collections() as collections:
+        body = wire.encode(route.handler(request, params)[1])
+    assert body.count(b'"kind":"host"') == 2000
+    assert collections == [0, 0, 0]
 
 
 def _bytecodes_executed(fn, *args):

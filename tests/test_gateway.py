@@ -10,8 +10,9 @@ from repro.core import ClusterWorX
 from repro.core.statestore import Update
 from repro.gateway import (BINARY_CONTENT_TYPE, BinaryWire, GatewayService,
                            GatewayState, HttpError, JsonWire, Router,
-                           WatchClient, WatchHub, WatchPolicy, fetch,
-                           negotiate, parse_request, read_stream_frames)
+                           WatchClient, WatchHub, WatchPolicy, build_router,
+                           fetch, negotiate, parse_request,
+                           read_stream_frames)
 from repro.gateway.metrics import GatewayMetrics
 from repro.remote.nodeset import NodeSet
 
@@ -247,10 +248,12 @@ class TestGatewayState:
                              resolver=cwx.cluster.group_resolver())
         state.refresh()
         names = cwx.cluster.hostnames
-        t, rows = state.query(f"{names[0]},{names[1]}",
-                              ["cpu_util_pct"])
-        assert [h for h, _ in rows] == sorted([names[0], names[1]])
-        for _, values in rows:
+        table = state.query(f"{names[0]},{names[1]}", ["cpu_util_pct"])
+        assert len(table) == 2
+        frames = list(table)
+        assert [f[1] for f in frames] == sorted([names[0], names[1]])
+        for kind, _, t, values in frames:
+            assert (kind, t) == ("host", state.view.sim_time)
             assert set(values) <= {"cpu_util_pct"}
 
     def test_folded_hosts_cached_per_generation(self):
@@ -299,6 +302,56 @@ class TestGatewayState:
         assert state.view.hostnames == grown[1:]
         assert state.folded_hosts() == fold(NodeSet(",".join(grown[1:])))
         assert len(folds) == 3
+
+
+# -- query parameters ---------------------------------------------------------
+
+@pytest.fixture(scope="module", params=["flat", "federation"])
+def routed(request):
+    """A router over a small cluster whose one rule has fired on every
+    node, so the event log holds entries to limit."""
+    topology = ({"topology": "federation", "shards": 2}
+                if request.param == "federation" else {})
+    cwx = ClusterWorX(n_nodes=4, seed=5, monitor_interval=5.0, **topology)
+    cwx.add_threshold("warm", metric="cpu_temp_c", op=">", threshold=0.0,
+                      action="none")
+    cwx.start()
+    cwx.run(20)
+    assert len(cwx.server.engine.event_log()) >= 2
+    return cwx.cluster.hostnames[0], build_router(GatewayState(cwx.server),
+                                                  dict)
+
+
+@pytest.mark.parametrize("path, status, frames", [
+    ("/v1/history/{host}/cpu_temp_c?buckets=4", 200, 4),
+    ("/v1/history/{host}/cpu_temp_c?t0=abc", 400, 0),
+    ("/v1/history/{host}/cpu_temp_c?t0=0&t1=nan", 400, 0),
+    ("/v1/history/{host}/cpu_temp_c?buckets=0", 400, 0),
+    ("/v1/history/{host}/cpu_temp_c?buckets=-3", 400, 0),
+    ("/v1/history/{host}/cpu_temp_c?buckets=nan", 400, 0),
+    ("/v1/history/{host}/cpu_temp_c?buckets=inf", 400, 0),
+    ("/v1/events/log?limit=1", 200, 1),
+    ("/v1/events/log?limit=0", 200, 0),
+    ("/v1/events/log?limit=-1", 400, 0),
+    ("/v1/events/log?limit=nan", 400, 0),
+    ("/v1/events/log?limit=inf", 400, 0),
+    ("/v1/events/log?since=-inf", 400, 0),
+])
+def test_malformed_numeric_parameters_are_400s(routed, path, status,
+                                               frames):
+    """What the shell would answer: a handler's HttpError is its status,
+    any other exception a 500."""
+    host, router = routed
+    request = parse_request(
+        f"GET {path.format(host=host)} HTTP/1.1\r\n\r\n".encode("latin-1"))
+    route, params = router.resolve(request.path)
+    try:
+        got = route.handler(request, params)
+    except HttpError as exc:
+        got = (exc.status, [])
+    except Exception:
+        got = (500, [])
+    assert (got[0], len(got[1])) == (status, frames)
 
 
 # -- request metrics ----------------------------------------------------------

@@ -3,12 +3,16 @@
 import math
 from bisect import bisect_right
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.statestore import Snapshot
+from repro.federation.views import FederatedSnapshot
+from repro.gateway import BinaryWire, GatewayState, JsonWire
 from repro.hardware import (SimulatedNode, Workload, WorkloadGenerator,
                             WorkloadSegment)
 from repro.icebox.security import IPFilter
@@ -16,6 +20,7 @@ from repro.monitoring import (BinaryCodec, Consolidator, HistoryStore,
                               MonitorContext, TextCodec, builtin_registry)
 from repro.monitoring.gathering import parse_apriori, parse_generic
 from repro.procfs import ProcFilesystem
+from repro.remote.nodeset import NodeSet
 from repro.sim import RandomStreams, SimKernel
 from repro.util import ByteRingBuffer, TimeSeriesRing
 
@@ -814,3 +819,101 @@ class TestAgentSchedulerSchedule:
             kernel.run(until=40.0)
             logs.append(log)
         assert logs[0] == logs[1]
+
+
+# ---------------------------------------------------------------------------
+# all-hosts /v1/query: a table written row by row == the frames it stands for
+# ---------------------------------------------------------------------------
+
+class _Int(int):
+    """``json`` writes an int subclass by ``int.__repr__``, never this."""
+
+    def __repr__(self):
+        return "not-json"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not-json"
+
+
+#: text a JSON writer must escape — quotes, backslashes, control
+#: characters, non-ASCII — and ``%``, a row template's own syntax.
+_awkward_text = st.text(alphabet='ab_"\\%\x00\x1f\n\té€\U0001f600',
+                        max_size=5)
+_field_names = st.one_of(st.sampled_from(["cpu", "mem", "temp", "a%s"]),
+                         _awkward_text.filter(bool))
+_host_names = st.one_of(st.sampled_from([f"n{i}" for i in range(12)]),
+                        _awkward_text.filter(bool))
+_table_values = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324,
+                     2.2250738585072014e-308 / 3]),
+    st.integers(-2**200, 2**200), st.integers(2**63, 2**80),
+    st.booleans(), st.none(),
+    st.builds(_Int, st.integers(-2**70, 2**70)),
+    st.builds(_Float, st.floats()),
+    _awkward_text,
+    st.lists(st.integers(0, 9), max_size=2),
+    st.dictionaries(st.sampled_from("ba"), st.none(), max_size=2))
+
+
+def _state_over(snapshot, now):
+    """A GatewayState whose server is nothing but ``snapshot``."""
+    server = SimpleNamespace(
+        store=SimpleNamespace(summary=dict, snapshot=lambda: snapshot),
+        engine=SimpleNamespace(active_count=int, active_events=tuple),
+        kernel=SimpleNamespace(now=now),
+        degraded_info=lambda: {"degraded": False})
+    return GatewayState(server)
+
+
+def _frames_before_tables(view, nodes, metrics):
+    """What ``/v1/query`` answered as a frame list: one frame per host,
+    the host's values projected to ``metrics`` when any are given."""
+    snapshot = view.snapshot
+    wanted = ([h for h in NodeSet(nodes) if h in snapshot] if nodes
+              else list(view.hostnames))
+    frames = []
+    for hostname in wanted:
+        values = snapshot[hostname]
+        if metrics:
+            values = {m: values[m] for m in metrics if m in values}
+        frames.append(("host", hostname, view.sim_time, values))
+    return frames
+
+
+class TestQueryTableProperties:
+    @given(st.dictionaries(_host_names,
+                           st.dictionaries(_field_names, _table_values,
+                                           max_size=6),
+                           max_size=8),
+           st.integers(0, 3), st.randoms(use_true_random=False),
+           st.one_of(st.none(), st.lists(_field_names, max_size=5)),
+           st.one_of(st.none(),
+                     st.lists(st.sampled_from(
+                         [f"n{i}" for i in range(14)]), max_size=4)),
+           st.floats(0, 1e6))
+    @settings(max_examples=200, deadline=None)
+    def test_table_body_is_the_frame_list_body(self, hosts, shards, rnd,
+                                               metrics, nodes, now):
+        """Flat (``shards == 0``) or split over shard parts: the table
+        iterates to the frames the route answered before, and both wires
+        write it to those frames' bytes."""
+        if shards:
+            parts = [{} for _ in range(shards)]
+            for hostname, values in hosts.items():
+                parts[rnd.randrange(shards)][hostname] = values
+            snapshot = FederatedSnapshot(
+                [Snapshot(part, 1, now, 1) for part in parts])
+        else:
+            snapshot = Snapshot(hosts, 1, now, 1)
+        state = _state_over(snapshot, now)
+        nodes = ",".join(nodes) if nodes else None
+        table = state.query(nodes, metrics)
+        frames = _frames_before_tables(state.view, nodes, metrics)
+        assert len(table) == len(frames)
+        assert list(table) == frames
+        assert JsonWire().encode(table) == JsonWire().encode(frames)
+        for wire in (BinaryWire(), BinaryWire(metric_schema=("cpu", "mem"))):
+            assert wire.encode(table) == wire.encode(frames)

@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from repro.core import ClusterWorX
-from repro.gateway import GatewayService, GatewayState, fetch
+from repro.gateway import GatewayService, GatewayState, JsonWire, fetch
 from repro.tooling import (FrozenDict, Sanitizer, SanitizerViolation,
                            current_sanitizer, deep_freeze, install,
                            uninstall)
@@ -141,8 +141,10 @@ class TestFrozenPublishedView:
         assert summary["nodes_total"] == 4
         host = cwx.cluster.hostnames[0]
         assert state.host(host) is not None
-        _t, rows = state.query(metrics=["cpu_util_pct"])
-        assert len(rows) == 4
+        table = state.query(metrics=["cpu_util_pct"])
+        assert len(table) == 4
+        wire = JsonWire()
+        assert wire.encode(table) == wire.encode(list(table))
 
     def test_capture_checkpoint_requires_lock(self, sanitizer):
         _cwx, state = _flat_state(sanitizer)
