@@ -13,8 +13,9 @@ Fault kinds:
 ========== =========================================================
 kind        effect
 ========== =========================================================
-shard-kill  the shard process dies (``channel.killed``); permanent
-            unless a duration is given
+shard-kill  the shard process dies (``channel.killed``); a duration
+            clears the switch later, but a shard already failed
+            over stays drained (no re-admission path yet)
 shard-hang  the shard wedges until ``at + duration``
 shard-slow  every call takes ``latency`` seconds; above the channel
             policy timeout this fails calls rather than slowing them
@@ -84,8 +85,12 @@ class FaultPlane:
     # -- shard faults --------------------------------------------------------
     def kill_shard(self, index: int, at: float,
                    duration: Optional[float] = None) -> None:
-        """The shard process dies at ``at``; ``duration=None`` means it
-        never comes back (the fail-over case)."""
+        """The shard process dies at ``at``.  With a ``duration`` the
+        kill switch clears at ``at + duration``: a shard revived before
+        the monitor fails it over resumes in place, but one already
+        failed over stays drained — inactive, ``dead``, owning no
+        nodes and never probed — because nothing re-admits a drained
+        shard yet."""
         channel = self._channel(index)
         self._record(at, SHARD_KILL, channel.shard.name, duration)
 

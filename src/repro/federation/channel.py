@@ -22,7 +22,11 @@ explicit:
 * **degradation, not exceptions** — callers pass a ``default`` and get
   partial results when the shard is unreachable;
   :exc:`ShardUnavailable` is raised only by callers who explicitly
-  opted out of a default.
+  opted out of a default;
+* **store-and-forward** — ``held`` is the shard's ingest backlog: the
+  federation router queues agent updates there, in arrival order,
+  while the shard is unreachable, and releases them when the shard
+  answers again or its nodes are drained to survivors.
 
 The healthy path is a transparent pass-through (one switch check, one
 breaker bookkeeping call): a federation whose channels never trip is
@@ -32,6 +36,7 @@ flat vs 1-shard golden traces byte-equal.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 from repro.resilience.policy import CircuitBreaker, RetryPolicy
@@ -60,7 +65,8 @@ class ShardChannel:
 
     __slots__ = ("kernel", "shard", "policy", "breaker",
                  "killed", "hung_until", "link_down_until", "latency",
-                 "calls", "failures", "fast_fails", "dropped_ingests")
+                 "held", "calls", "failures", "fast_fails",
+                 "dropped_ingests")
 
     def __init__(self, kernel: SimKernel, shard, *,
                  policy: Optional[RetryPolicy] = None,
@@ -85,12 +91,16 @@ class ShardChannel:
         self.link_down_until = 0.0
         #: per-call latency; above ``policy.timeout`` every call fails.
         self.latency = 0.0
+        #: agent updates waiting for this shard, oldest first; only the
+        #: federation router appends to or releases it.
+        self.held: deque = deque()
         # -- counters ------------------------------------------------------
         self.calls = 0
         self.failures = 0
         #: calls rejected by an open breaker without touching the shard.
         self.fast_fails = 0
-        #: ingest updates dropped while the shard was unreachable.
+        #: held updates that aged past the fail-over deadline before
+        #: anyone could apply them: the only ingest loss an outage has.
         self.dropped_ingests = 0
 
     # -- availability --------------------------------------------------------

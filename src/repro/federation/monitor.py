@@ -11,8 +11,10 @@ on a fixed cadence, and a shard whose last good heartbeat ages past
   is still active — automatically **failed over**:
   :meth:`~repro.federation.server.FederationServer.fail_over` aborts
   and re-routes the dead shard's in-flight remote runs, drains its
-  nodes (state + history migrate to survivors), and re-homes
-  host-filtered watch subscriptions.
+  nodes (state + history migrate to survivors), re-homes
+  host-filtered watch subscriptions, and forwards the agent updates
+  held for the shard since it went silent.  ``down_after + interval``
+  is therefore also how long the router holds an update.
 
 After a probe failure the monitor re-probes that shard on the channel
 policy's backoff schedule (``policy.delay``: 1 s, 2 s, 4 s … capped)

@@ -7,6 +7,8 @@ full :class:`~repro.core.server.ClusterWorXServer` owning its nodes
 exclusively — and keeps the coordination layer *thin*:
 
 * **ingest routing** is one dict lookup per update (the owner map);
+  updates for an unreachable shard wait on its channel and are
+  forwarded, in order, when it answers again or is drained;
 * **summaries** merge per-shard O(1) rollups through the
   :class:`~repro.federation.rollup.RollupCache` — O(shards), never
   O(N);
@@ -23,6 +25,7 @@ flat topology (the golden-trace suite proves it byte-for-byte).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, List, Mapping, Optional
 
 from repro.core.auth import AuthManager, Role
@@ -99,9 +102,6 @@ class FederationServer:
         self.remote = FederatedRemote(kernel, shards, self.owner_of)
         #: ingests that found no owner and were dropped.
         self.unrouted_updates = 0
-        #: ingests dropped because the owning shard was unreachable —
-        #: the E19 campaign's "updates dropped" cost of a shard outage.
-        self.updates_dropped = 0
         #: nodes moved per drain, for observability: (from, to, count).
         self.rebalances: List[tuple] = []
         #: automatic fail-overs: (time, shard index, reason, nodes moved).
@@ -154,8 +154,9 @@ class FederationServer:
         declare it stale) and its history series.  Event-rule state and
         the console archive intentionally start fresh on the new owner:
         rules re-evaluate from the node's next update, and console
-        capture re-subscribes going forward.  Returns
-        ``{hostname: new shard index}``.
+        capture re-subscribes going forward.  Updates held for the
+        shard while it was unreachable are then ingested, oldest first,
+        by the adopters.  Returns ``{hostname: new shard index}``.
         """
         shard = self.shards[index]
         if not shard.active:
@@ -191,11 +192,11 @@ class FederationServer:
         # Re-home live watch subscriptions whose host filter bound them
         # to the drained shard's bus: their hosts now publish on the
         # adopting shards.  Because ``restore`` above is a silent write,
-        # subscribers see no duplicate deltas — the first post-drain
-        # delta for a moved host is its next agent update, delivered via
-        # the new owner (the ISSUE's "resume without duplicate or lost
-        # deltas" guarantee).
+        # subscribers see no duplicate deltas; the updates held while
+        # the shard was unreachable follow, in order, through the new
+        # owners — so a watch resumes without duplicate or lost deltas.
         self.store.rehome(shard, self.owner_of)
+        self._release(shard.channel)
         return moved
 
     def fail_over(self, index: int, *,
@@ -258,21 +259,48 @@ class FederationServer:
         forgotten node (the flat store's known wart — its subscribers
         may still see raw deltas after a forget).  Dropping here is what
         makes a forgotten node vanish from every federated view — the
-        summary *and* live watch streams — within one slice."""
+        summary *and* live watch streams — within one slice.
+
+        Updates for an owner that cannot be reached are *held*, not
+        dropped, until it answers again or is drained (:meth:`_release`).
+        Only a held update older than the fail-over deadline — one
+        heartbeat past ``down_after``, by when the monitor has drained
+        the shard unless fail-over is off or has no survivor — is
+        dropped, and counted in ``channel.dropped_ingests``."""
         shard = self._owner.get(update.hostname)
         if shard is None:
             self.unrouted_updates += 1
             return
         channel = shard.channel
-        if channel is not None and not channel.up:
-            # The owning shard is unreachable: the update is lost, and
-            # counted — it is the E19 campaign's "updates dropped" cost.
-            # The cheap ``up`` check (no breaker bookkeeping) keeps the
-            # healthy hot path at one extra attribute test per update.
-            self.updates_dropped += 1
-            channel.dropped_ingests += 1
+        if channel.held or not channel.up:
+            # While the owner is unreachable, or still has a backlog,
+            # the update queues behind the backlog so none overtakes an
+            # older one.  The cheap ``up`` check (no breaker
+            # bookkeeping) and the empty-queue test are all the healthy
+            # hot path pays.
+            held = channel.held
+            held.append(update)
+            if channel.up:
+                self._release(channel)
+                return
+            cutoff = self.kernel.now - (self.monitor.down_after
+                                        + self.monitor.interval)
+            while held and held[0].time < cutoff:
+                held.popleft()
+                channel.dropped_ingests += 1
             return
         shard.server.ingest(update)
+
+    def _release(self, channel: ShardChannel) -> None:
+        """Re-route every held update, oldest first, through
+        :meth:`ingest`: to the shard itself once it answers again, to
+        the adopters once it is drained, and to ``unrouted_updates``
+        for a host forgotten meanwhile."""
+        # Swapped out first: an update re-ingested while the backlog
+        # were still on the channel would queue behind it again.
+        held, channel.held = channel.held, deque()
+        for update in held:
+            self.ingest(update)
 
     # -- sweep lifecycle -------------------------------------------------------
     def start_sweep(self) -> None:

@@ -421,9 +421,10 @@ class FederatedStore(_View, organ="store"):
         the new owner"); unfiltered parts are simply dropped — the
         logical subscription already spans every other shard's bus.
         Because drain's state migration writes silently, the first
-        delta a re-homed subscriber sees is the host's next agent
-        update: no duplicates, nothing lost.  Returns the number of
-        parts moved or dropped.
+        delta a re-homed subscriber sees is the host's oldest update
+        not yet applied (drain releases the shard's held updates right
+        after this): no duplicates, nothing lost.  Returns the number
+        of parts moved or dropped.
         """
         lookup = owner_of if owner_of is not None else self._owner_of
         # Identity anchor for "was this part on the drained shard" —

@@ -194,3 +194,28 @@ class TestControlPlan:
         # every node re-owned by a survivor: full fleet still readable
         assert len(cwx.server.current_all()) == 16
 
+    @pytest.mark.parametrize("seed,kinds,settle", [
+        (0, (SHARD_KILL,), 1800.0),      # the `make chaos-federation` spec
+        (2, CONTROL_KINDS, 300.0),       # one of each kind
+        (9, CONTROL_KINDS, 300.0)])
+    def test_no_update_lost_to_a_resolved_control_fault(self, seed, kinds,
+                                                        settle):
+        """Store-and-forward: a shard outage that ends in fail-over or
+        rides through delays its updates, it drops none."""
+        cwx = ClusterWorX(n_nodes=64, seed=seed, monitor_interval=5.0,
+                          self_healing=True, topology="federation",
+                          shards=8)
+        plane = FaultPlane(cwx.kernel, federation=cwx.server)
+        plan = ControlPlan(plane, n_faults=2 if kinds == (SHARD_KILL,)
+                           else 4, kinds=kinds, duration=18.0)
+        ChaosCampaign(cwx, n_faults=8, horizon=300.0, settle=settle,
+                      control_plane=plan).execute()
+        outcomes = plan.score()
+        resolved = [f for f in outcomes
+                    if f.outcome in (FAILED_OVER, RODE_THROUGH)]
+        assert resolved
+        assert all(f.updates_dropped == 0 for f in resolved), \
+            [(f.kind, f.outcome, f.updates_dropped) for f in outcomes]
+        if kinds == (SHARD_KILL,):
+            assert [f.outcome for f in outcomes] == [FAILED_OVER] * 2
+

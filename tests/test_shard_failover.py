@@ -1,7 +1,10 @@
 """Control-plane self-healing: shard health monitoring, automatic
-drain-on-death, degraded federated reads, and the drain-race /
-watch-rehome regressions."""
+drain-on-death, store-and-forward ingest across an outage, degraded
+federated reads, and the drain-race / watch-rehome regressions."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro import ClusterWorX
@@ -216,6 +219,191 @@ class TestFailover:
         assert cwx.server.failovers[0][2] == "manual"
         assert sorted(cwx.server.managed_hostnames) == \
             sorted(cwx.cluster.hostnames)
+
+    def test_revive_after_failover_stays_drained(self):
+        """A kill with a duration longer than detection: the revive
+        clears the switch on a shard that is already drained, and
+        nothing brings it back."""
+        cwx = make_fed()
+        cwx.run(30)
+        plane = FaultPlane(cwx.kernel, federation=cwx.server)
+        plane.kill_shard(1, at=cwx.kernel.now + 1.0, duration=60.0)
+        cwx.run(45)
+        shard = cwx.server.shards[1]
+        assert [row[1] for row in cwx.server.failovers] == [1]
+        beat = shard.last_heartbeat
+        transitions = list(cwx.server.monitor.transitions)
+        cwx.run(60)
+        assert not shard.channel.killed and shard.channel.up
+        assert shard.active is False and shard.health == DEAD
+        assert shard.n_nodes == 0
+        assert shard.last_heartbeat == beat  # never probed again
+        assert cwx.server.monitor.transitions == transitions
+        assert not shard.channel.held
+        assert shard.channel.dropped_ingests == 0
+
+
+def _watch_outage(fault, seed=11):
+    """Run a 40-node, 4-shard federation, optionally injecting
+    ``fault(plane, at)`` against shard 1, and return what its hosts
+    left behind: agent ``seq`` as a federated subscriber saw them, the
+    exported history series, and the channel's loss counter."""
+    cwx = make_fed(n=40, seed=seed)
+    cwx.run(30)
+    victim = cwx.server.shards[1]
+    hosts = list(victim.hostnames)
+    seqs = {host: [] for host in hosts}
+
+    def watch(update):
+        if update.source == "agent":
+            seqs[update.hostname].append(update.seq)
+    cwx.server.subscribe(watch, hosts=hosts)
+    if fault is not None:
+        fault(FaultPlane(cwx.kernel, federation=cwx.server),
+              cwx.kernel.now + 1.0)
+    cwx.run(90)
+    assert not victim.channel.held
+    history = {host: cwx.server.owner_of(host).server.history
+               .export_host(host) for host in hosts}
+    return seqs, history, victim.channel.dropped_ingests
+
+
+OUTAGES = {
+    "kill": lambda plane, at: plane.kill_shard(1, at),
+    "hang": lambda plane, at: plane.hang_shard(1, at, 8.0),
+    "link": lambda plane, at: plane.partition_link(1, at, 16.0),
+    "slow": lambda plane, at: plane.slow_shard(1, at, 8.0, latency=5.0),
+}
+
+
+class TestStoreAndForward:
+    """An unreachable shard delays its updates, it does not lose them:
+    the router holds them in arrival order on the shard's channel and
+    releases them when the shard answers again or is drained."""
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        return _watch_outage(None)
+
+    @pytest.mark.parametrize("kind", sorted(OUTAGES))
+    def test_outage_matches_the_fault_free_run(self, baseline, kind):
+        seqs, history, dropped = _watch_outage(OUTAGES[kind])
+        base_seqs, base_history, _ = baseline
+        assert dropped == 0
+        for host, seen in seqs.items():
+            assert seen == list(range(seen[0], seen[0] + len(seen))), \
+                f"{host}: agent seq has gaps or reorders"
+            assert seen == base_seqs[host]
+            assert sorted(history[host]) == sorted(base_history[host])
+            for metric, (t, v) in history[host].items():
+                base_t, base_v = base_history[host][metric]
+                assert np.array_equal(t, base_t), (host, metric)
+                assert np.array_equal(v, base_v), (host, metric)
+
+    def test_backlog_applies_before_the_first_new_update(self):
+        cwx = make_fed()
+        cwx.run(30)
+        shard = cwx.server.shards[2]
+        host = shard.hostnames[0]
+        seen = []
+        cwx.server.subscribe(seen.append, hosts=[host])
+        plane = FaultPlane(cwx.kernel, federation=cwx.server)
+        back_at = cwx.kernel.now + 11.0
+        plane.hang_shard(2, cwx.kernel.now, 11.0)
+        cwx.run(10.5)
+        held = [u for u in shard.channel.held if u.hostname == host]
+        assert len(held) >= 2 and seen == []
+        cwx.run(10.0)
+        assert not shard.channel.held
+        assert seen[:len(held)] == held
+        # every update held during the hang, then the ones after it
+        during = [u.time < back_at for u in seen]
+        assert during == sorted(during, reverse=True)
+        assert not during[-1]
+        assert [u.seq for u in seen] == list(
+            range(seen[0].seq, seen[0].seq + len(seen)))
+
+    def test_held_update_for_forgotten_host_is_unrouted(self):
+        cwx = make_fed(topology_options={"auto_failover": False})
+        cwx.run(30)
+        shard = cwx.server.shards[1]
+        host = shard.hostnames[0]
+        kill(cwx, 1)
+        cwx.run(12)
+        held = [u for u in shard.channel.held if u.hostname == host]
+        assert held
+        cwx.agents[host].stop()
+        cwx.server.forget_node(host)
+        before = cwx.server.unrouted_updates
+        shard.channel.restore()
+        cwx.run(6)
+        assert not shard.channel.held
+        assert cwx.server.unrouted_updates - before == len(held)
+        assert not shard.server.store.is_tracked(host)
+        assert host not in cwx.server.current_all()
+        assert shard.channel.dropped_ingests == 0
+
+    def _drain_unreachable(self, how):
+        cwx = make_fed(topology_options={"auto_failover": False})
+        cwx.run(30)
+        shard = cwx.server.shards[1]
+        hosts = shard.hostnames
+        seen = []
+        cwx.server.subscribe(seen.append, hosts=hosts)
+        kill(cwx, 1)
+        cwx.run(12)
+        held = list(shard.channel.held)
+        assert held and seen == []
+        getattr(cwx.server, how)(1)
+        assert not shard.channel.held
+        assert seen == held
+        values = {host: dict(cwx.server.current(host)) for host in hosts}
+        assert all(cwx.server.last_seen(host) == max(
+            u.time for u in held if u.hostname == host) for host in hosts)
+        return [(u.hostname, u.seq) for u in seen], values
+
+    def test_operator_drain_releases_like_fail_over(self):
+        assert self._drain_unreachable("drain") == \
+            self._drain_unreachable("fail_over")
+
+    def test_hold_is_bounded_by_the_fail_over_deadline(self):
+        """Fail-over off, a shard dead for good: the backlog ages out at
+        ``down_after + interval`` and every update is accounted for."""
+        cwx = make_fed(topology_options={"auto_failover": False})
+        cwx.run(30)
+        monitor = cwx.server.monitor
+        window = monitor.down_after + monitor.interval
+        shard = cwx.server.shards[1]
+        hosts = shard.hostnames
+        emitted, applied = [], set()
+        for host in hosts:
+            agent = cwx.agents[host]
+            agent.on_sample = (lambda update, send=agent.on_sample:
+                               (emitted.append(update), send(update)))
+
+        def apply(update):
+            if update.source == "agent":
+                applied.add(id(update))
+        cwx.server.subscribe(apply, hosts=hosts)
+        kill(cwx, 1, at=cwx.kernel.now + 1.0)
+        per_node = math.ceil(window / cwx.monitor_interval) + 1
+        saw_drops = False
+        cwx.run(cwx.monitor_interval)  # every agent has reported
+        for _ in range(60):
+            cwx.run(2.0)
+            held = shard.channel.held
+            dropped = shard.channel.dropped_ingests
+            cutoff = emitted[-1].time - window  # as of the last hold
+            aged = sum(1 for u in emitted
+                       if id(u) not in applied and u.time < cutoff)
+            assert all(u.time >= cutoff for u in held)
+            assert not held or cwx.kernel.now - held[0].time \
+                <= window + cwx.monitor_interval
+            assert len(held) <= len(hosts) * per_node
+            assert dropped == aged
+            assert len(applied) + dropped + len(held) == len(emitted)
+            saw_drops = saw_drops or dropped > 0
+        assert saw_drops and not cwx.server.failovers
 
 
 class TestDrainRaces:
