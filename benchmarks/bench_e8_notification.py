@@ -50,7 +50,7 @@ def _storm(n_nodes: int, evaluations: int = 10):
                                       action="none"))
         for round_no in range(evaluations):
             for node in nodes:
-                engine.feed(node, {"temp": 85.0})
+                engine.feed(node, {"temp": 85.0}, {"temp": 85.0})
                 if flavor == "naive" and engine.is_triggered(
                         "hot-cpu", node.hostname) and round_no > 0:
                     # naive systems nag while the condition persists
@@ -90,15 +90,15 @@ def test_refire_after_fix(benchmark):
         engine.add_rule(ThresholdRule(name="hot", metric="t", op=">",
                                       threshold=70.0))
         timeline = []
-        engine.feed(node, {"t": 90.0})            # fails
+        engine.feed(node, {"t": 90.0}, {"t": 90.0})  # fails
         kernel.run(until=20.0)
         timeline.append(("first failure", notifier.emails_sent))
-        engine.feed(node, {"t": 90.0})            # still failing
+        engine.feed(node, {"t": 90.0}, {"t": 90.0})  # still failing
         kernel.run(until=40.0)
         timeline.append(("still failing", notifier.emails_sent))
-        engine.feed(node, {"t": 40.0})            # admin fixed it
+        engine.feed(node, {"t": 40.0}, {"t": 40.0})  # admin fixed it
         kernel.run(until=60.0)
-        engine.feed(node, {"t": 90.0})            # fails again
+        engine.feed(node, {"t": 90.0}, {"t": 90.0})  # fails again
         kernel.run(until=90.0)
         timeline.append(("fails again", notifier.emails_sent))
         return timeline

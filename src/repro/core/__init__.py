@@ -14,7 +14,6 @@ __all__ = [
     "ClientSession",
     "Cluster",
     "ClusterWorX",
-    "ClusterWorXLite",
     "ClusterWorXServer",
     "Role",
     "Sample",
@@ -35,7 +34,6 @@ _LOCATIONS = {
     "ClientSession": "repro.core.client",
     "Cluster": "repro.core.cluster",
     "ClusterWorX": "repro.core.api",
-    "ClusterWorXLite": "repro.core.lite",
     "ClusterWorXServer": "repro.core.server",
     "Role": "repro.core.auth",
     "Sample": "repro.core.statestore",
@@ -56,7 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from repro.core.client import ClientSession, connect
     from repro.core.cluster import Cluster
     from repro.core.graphing import chart, node_comparison, sparkline
-    from repro.core.lite import ClusterWorXLite
     from repro.core.server import ClusterWorXServer
     from repro.core.statestore import (Sample, Snapshot, StateStore,
                                        Subscription, Update)

@@ -232,12 +232,15 @@ class ClusterWorXServer:
         self.store.apply(update)
 
     def _feed_engine(self, update: Update) -> None:
-        """Store subscriber: evaluate threshold rules on each update."""
+        """Store subscriber: evaluate threshold rules on each update,
+        against the row the store has just merged it into (the store
+        replaces a host's row on every write and never mutates one)."""
         try:
             node = self.cluster.node(update.hostname)
         except KeyError:
             return
-        self.engine.feed(node, update.values)
+        self.engine.feed(node, update.values,
+                         self.store.get(update.hostname))
 
     # -- connectivity sweep (the UDP echo check, §5.1) -------------------------
     def start_sweep(self) -> None:

@@ -263,8 +263,9 @@ class StateStore:
         tracker does not immediately declare it stale) as a silent
         write.  Subscribers are deliberately *not* published to — the
         values are not new observations, and replaying them would
-        double-count history points and re-trigger event rules that
-        already fired on the old shard.
+        double-count history points and re-send deltas watchers already
+        saw.  Event rules read the seeded row from the host's next
+        update on.
         """
         self.track(hostname)
         if values:

@@ -16,7 +16,7 @@ from burning)" — see tests/test_events for exactly that scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.events.actions import ActionDispatcher
 from repro.events.notification import SmartNotifier
@@ -69,9 +69,6 @@ class EventEngine:
         #: currently-triggered (rule, hostname) pairs, maintained
         #: incrementally so active_count() is O(1).
         self._active: set[Tuple[str, str]] = set()
-        #: hostname -> {metric: last value seen}: change suppression
-        #: means a delta without a metric implies "same as before".
-        self._last: Dict[str, Dict[str, object]] = {}
         self.fired: List[FiredEvent] = []
         #: fn(fired_event, rule) called after every firing — the hook
         #: the health tracker uses to treat critical events as evidence.
@@ -106,7 +103,7 @@ class EventEngine:
         self._order[rule.name] = self._next_order
         self._next_order += 1
         # Invalidate every host's sync marker: the new rule must get one
-        # full-scan evaluation per host against remembered values before
+        # full-scan evaluation per host against its current row before
         # indexed skipping is safe again.
         self._rules_version += 1
 
@@ -125,12 +122,11 @@ class EventEngine:
             pending.discard(name)
 
     def forget_node(self, hostname: str) -> None:
-        """Drop all per-node rule state and change-suppression memory —
-        the hot-remove path (a decommissioned node must not keep events
-        active or ghost-evaluate against stale values)."""
+        """Drop all per-node rule state — the hot-remove path (a
+        decommissioned node must not keep events active or a hold_time
+        running)."""
         for rule_name in self._state.pop(hostname, ()):
             self._active.discard((rule_name, hostname))
-        self._last.pop(hostname, None)
         self._pending.pop(hostname, None)
         self._rules_seen.pop(hostname, None)
 
@@ -156,7 +152,7 @@ class EventEngine:
         return len(self._active)
 
     # -- evaluation ---------------------------------------------------------
-    def _candidates(self, hostname: str, values: Dict[str, object]):
+    def _candidates(self, hostname: str, values: Mapping[str, object]):
         """The rules one update can possibly affect, in insertion order.
 
         An update touches a rule iff (a) the rule's metric is in the
@@ -166,7 +162,7 @@ class EventEngine:
         verdict, and a TRIGGERED rule cannot clear on a value that did
         not clear it last time.  Index invalidation: ``add_rule`` bumps
         the rule-set version, forcing one full scan per host (which
-        initialises the new rule against remembered values);
+        initialises the new rule against the host's row);
         ``remove_rule`` needs no invalidation because skipping a deleted
         rule is always correct.
         """
@@ -194,34 +190,26 @@ class EventEngine:
         return [rules[name] for name in
                 sorted(names, key=self._order.__getitem__)]
 
-    def feed(self, node: SimulatedNode,
-             values: Dict[str, object]) -> List[FiredEvent]:
-        """Evaluate the affected rules against one node's (partial)
-        update.
+    def feed(self, node: SimulatedNode, values: Mapping[str, object],
+             row: Mapping[str, object]) -> List[FiredEvent]:
+        """Evaluate the rules one node's update can affect.
 
-        Metrics absent from ``values`` leave their rules untouched — the
-        consolidation stage only ships changes, so absence means "same as
-        before", not "unknown".
+        ``values`` is the delta: it picks the candidate rules.  ``row``
+        is the node's merged current values after that delta — the
+        store's immutable row — and is what every candidate reads.  The
+        consolidation stage only ships changes, so a metric absent from
+        the delta is "same as before", and the row holds that value:
+        hold-time rules mature while a breached value sits constant.
         """
         now = self.kernel.now
         hostname = node.hostname
-        last = self._last.get(hostname)
-        if last is None:
-            last = self._last[hostname] = {}
-        # The items view, not the mapping: an Update's values are a
-        # mapping proxy, which dict.update() would walk key by key.
-        last.update(values.items())
         states = self._state.get(hostname)
         fired: List[FiredEvent] = []
         missing = object()
         for rule in self._candidates(hostname, values):
             if not rule.applies_to(hostname):
                 continue
-            # Absent metrics mean "unchanged" under change suppression —
-            # ``last`` now holds this delta over everything seen before,
-            # so hold-time rules still mature while a breached value
-            # sits constant.
-            value = last.get(rule.metric, missing)
+            value = row.get(rule.metric, missing)
             if value is missing:
                 continue
             if states is None:

@@ -153,8 +153,10 @@ class FederationServer:
         freshness (so the adopting health tracker does not instantly
         declare it stale) and its history series.  Event-rule state and
         the console archive intentionally start fresh on the new owner:
-        rules re-evaluate from the node's next update, and console
-        capture re-subscribes going forward.  Updates held for the
+        the node's next update there evaluates every rule against the
+        migrated row — so a breach that change suppression never re-sends
+        fires on the adopter at that update — and console capture
+        re-subscribes going forward.  Updates held for the
         shard while it was unreachable are then ingested, oldest first,
         by the adopters.  Returns ``{hostname: new shard index}``.
         """

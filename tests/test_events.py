@@ -96,10 +96,12 @@ class TestActionDispatcher:
         record = dispatcher.execute("power_down", node, 0.0)
         assert record.ok and node.state is NodeState.OFF
 
-    def test_soft_fallback_fails_on_dead_node(self, kernel, node):
+    @pytest.mark.parametrize("action", ["power_down", "reboot"])
+    def test_soft_fallback_fails_on_dead_node(self, kernel, node, action):
+        """Without an ICE Box a crashed node cannot be power-cycled."""
         node.crash("dead")
         dispatcher = ActionDispatcher()
-        record = dispatcher.execute("power_down", node, 0.0)
+        record = dispatcher.execute(action, node, 0.0)
         assert not record.ok
 
     def test_custom_action_plugin(self, kernel, node):
@@ -142,48 +144,50 @@ class TestEventEngine:
 
     def test_fires_on_breach(self, engine, node):
         engine.add_rule(self._rule())
-        fired = engine.feed(node, {"temp": 80.0})
+        fired = engine.feed(node, {"temp": 80.0}, {"temp": 80.0})
         assert len(fired) == 1
         assert fired[0].rule == "hot" and fired[0].value == 80.0
 
     def test_does_not_refire_while_breached(self, engine, node):
         engine.add_rule(self._rule())
-        engine.feed(node, {"temp": 80.0})
-        assert engine.feed(node, {"temp": 85.0}) == []
+        engine.feed(node, {"temp": 80.0}, {"temp": 80.0})
+        assert engine.feed(node, {"temp": 85.0}, {"temp": 85.0}) == []
 
     def test_refires_after_clear(self, engine, node):
         engine.add_rule(self._rule())
-        engine.feed(node, {"temp": 80.0})
-        engine.feed(node, {"temp": 50.0})   # clears
-        fired = engine.feed(node, {"temp": 90.0})
+        engine.feed(node, {"temp": 80.0}, {"temp": 80.0})
+        engine.feed(node, {"temp": 50.0}, {"temp": 50.0})   # clears
+        fired = engine.feed(node, {"temp": 90.0}, {"temp": 90.0})
         assert len(fired) == 1
 
     def test_missing_metric_leaves_state(self, engine, node):
         engine.add_rule(self._rule())
-        engine.feed(node, {"temp": 80.0})
-        engine.feed(node, {"other": 1})      # delta without temp
+        engine.feed(node, {"temp": 80.0}, {"temp": 80.0})
+        # delta without temp
+        engine.feed(node, {"other": 1}, {"temp": 80.0, "other": 1})
         assert engine.is_triggered("hot", node.hostname)
 
     def test_hold_time_debounces(self, engine, node, kernel):
         engine.add_rule(self._rule(hold_time=10.0))
-        assert engine.feed(node, {"temp": 80.0}) == []
+        assert engine.feed(node, {"temp": 80.0}, {"temp": 80.0}) == []
         kernel.run(until=5.0)
-        assert engine.feed(node, {"temp": 80.0}) == []
+        assert engine.feed(node, {"temp": 80.0}, {"temp": 80.0}) == []
         kernel.run(until=10.0)
-        assert len(engine.feed(node, {"temp": 80.0})) == 1
+        assert len(engine.feed(node, {"temp": 80.0}, {"temp": 80.0})) == 1
 
     def test_hold_time_resets_on_recovery(self, engine, node, kernel):
         engine.add_rule(self._rule(hold_time=10.0))
-        engine.feed(node, {"temp": 80.0})
+        engine.feed(node, {"temp": 80.0}, {"temp": 80.0})
         kernel.run(until=8.0)
-        engine.feed(node, {"temp": 50.0})    # back to normal: reset timer
+        # back to normal: reset timer
+        engine.feed(node, {"temp": 50.0}, {"temp": 50.0})
         kernel.run(until=12.0)
-        assert engine.feed(node, {"temp": 80.0}) == []
+        assert engine.feed(node, {"temp": 80.0}, {"temp": 80.0}) == []
 
     def test_action_dispatched_on_fire(self, kernel, node):
         engine = EventEngine(kernel)
         engine.add_rule(self._rule(action="halt"))
-        engine.feed(node, {"temp": 99.0})
+        engine.feed(node, {"temp": 99.0}, {"temp": 99.0})
         assert node.state is NodeState.HALTED
         assert engine.dispatcher.records[0].action == "halt"
 
@@ -191,8 +195,8 @@ class TestEventEngine:
                                         make_node_set):
         a, b = make_node_set(2)
         engine.add_rule(self._rule())
-        engine.feed(a, {"temp": 80.0})
-        fired = engine.feed(b, {"temp": 80.0})
+        engine.feed(a, {"temp": 80.0}, {"temp": 80.0})
+        fired = engine.feed(b, {"temp": 80.0}, {"temp": 80.0})
         assert len(fired) == 1  # b fires independently
 
     def test_duplicate_rule_rejected(self, engine):
@@ -202,56 +206,63 @@ class TestEventEngine:
 
     def test_remove_rule_clears_state(self, engine, node):
         engine.add_rule(self._rule())
-        engine.feed(node, {"temp": 80.0})
+        engine.feed(node, {"temp": 80.0}, {"temp": 80.0})
         engine.remove_rule("hot")
         assert not engine.is_triggered("hot", node.hostname)
 
     def test_mark_fixed_enables_refire(self, engine, node):
         engine.add_rule(self._rule())
-        engine.feed(node, {"temp": 80.0})
+        engine.feed(node, {"temp": 80.0}, {"temp": 80.0})
         engine.mark_fixed("hot", node.hostname)
-        assert len(engine.feed(node, {"temp": 80.0})) == 1
+        assert len(engine.feed(node, {"temp": 80.0}, {"temp": 80.0})) == 1
 
     def test_forgotten_node_readded_evaluates_from_scratch(
             self, engine, kernel, make_node_set):
         gone, stays = make_node_set(2)
         engine.add_rule(self._rule())
         engine.add_rule(self._rule(name="slow", hold_time=10.0))
-        engine.feed(gone, {"temp": 80.0})     # hot fires, slow matures
-        engine.feed(stays, {"temp": 80.0})
+        hot = {"temp": 80.0}
+        engine.feed(gone, hot, hot)     # hot fires, slow matures
+        engine.feed(stays, hot, hot)
         engine.forget_node(gone.hostname)
         assert engine.active_events() == [("hot", stays.hostname)]
         assert not engine.is_triggered("hot", gone.hostname)
-        # the re-added host has no remembered temp and no running clock
+        # the re-added host has no temp in its row and no running clock
         kernel.run(until=12.0)
-        assert engine.feed(gone, {"other": 1}) == []
-        fired = engine.feed(gone, {"temp": 80.0})
+        assert engine.feed(gone, {"other": 1}, {"other": 1}) == []
+        fired = engine.feed(gone, hot, {"other": 1, "temp": 80.0})
         assert [e.rule for e in fired] == ["hot"]   # slow restarts at 12
         kernel.run(until=20.0)
-        assert engine.feed(gone, {"other": 2}) == []
+        assert engine.feed(gone, {"other": 2},
+                           {"other": 2, "temp": 80.0}) == []
         kernel.run(until=22.0)
-        assert [e.rule for e in engine.feed(gone, {"other": 3})] == ["slow"]
-        # the neighbour's memory was never touched
-        assert [e.rule for e in engine.feed(stays, {"other": 1})] == ["slow"]
+        assert [e.rule for e in engine.feed(
+            gone, {"other": 3}, {"other": 3, "temp": 80.0})] == ["slow"]
+        # the neighbour's state was never touched
+        assert [e.rule for e in engine.feed(
+            stays, {"other": 1}, {"temp": 80.0, "other": 1})] == ["slow"]
 
     def test_rule_added_midstream_sees_suppressed_values(
             self, engine, make_node_set):
         hot, cool = make_node_set(2)
-        engine.feed(hot, {"temp": 80.0, "other": 0})
-        engine.feed(cool, {"temp": 40.0})
+        first = {"temp": 80.0, "other": 0}
+        engine.feed(hot, first, first)
+        engine.feed(cool, {"temp": 40.0}, {"temp": 40.0})
         engine.add_rule(self._rule())
-        # neither delta carries temp: the rule reads what it remembers
-        fired = engine.feed(hot, {"other": 1})
+        # neither delta carries temp: the rule reads the host's row
+        fired = engine.feed(hot, {"other": 1}, {"temp": 80.0, "other": 1})
         assert [(e.node, e.value) for e in fired] == [(hot.hostname, 80.0)]
-        assert engine.feed(cool, {"other": 1}) == []
+        assert engine.feed(cool, {"other": 1},
+                           {"temp": 40.0, "other": 1}) == []
 
     def test_remove_rule_drops_state_on_every_host(
             self, engine, make_node_set):
         nodes = make_node_set(3)
         engine.add_rule(self._rule())
         engine.add_rule(self._rule(name="other-rule", metric="load"))
+        first = {"temp": 80.0, "load": 99.0}
         for n in nodes:
-            engine.feed(n, {"temp": 80.0, "load": 99.0})
+            engine.feed(n, first, first)
         assert engine.active_count() == 6
         engine.remove_rule("hot")
         assert engine.active_events() == [
@@ -261,7 +272,8 @@ class TestEventEngine:
         # a rule re-added under the old name starts clean on every host
         engine.add_rule(self._rule())
         for n in nodes:
-            assert [e.rule for e in engine.feed(n, {"x": 1})] == ["hot"]
+            assert [e.rule for e in engine.feed(
+                n, {"x": 1}, {**first, "x": 1})] == ["hot"]
 
 
 class TestSmartNotification:
@@ -335,13 +347,13 @@ class TestSmartNotification:
         engine.add_rule(ThresholdRule(name="hot", metric="t", op=">",
                                       threshold=70.0))
         for node in nodes:
-            engine.feed(node, {"t": 90.0})
+            engine.feed(node, {"t": 90.0}, {"t": 90.0})
         kernel.run(until=11.0)
         assert notifier.emails_sent == 1
         # fix one node out-of-band; it refails -> second email
         engine.mark_fixed("hot", nodes[0].hostname)
-        engine.feed(nodes[0], {"t": 50.0})
-        engine.feed(nodes[0], {"t": 95.0})
+        engine.feed(nodes[0], {"t": 50.0}, {"t": 50.0})
+        engine.feed(nodes[0], {"t": 95.0}, {"t": 95.0})
         kernel.run(until=25.0)
         assert notifier.emails_sent == 2
 
@@ -356,10 +368,10 @@ class TestSuppressionInteraction:
         engine.add_rule(ThresholdRule(name="hot", metric="temp", op=">",
                                       threshold=70.0, hold_time=10.0))
         # first delta carries the breach...
-        assert engine.feed(node, {"temp": 85.0}) == []
+        assert engine.feed(node, {"temp": 85.0}, {"temp": 85.0}) == []
         kernel.run(until=15.0)
         # ...later deltas omit temp (unchanged), but the rule matures
-        fired = engine.feed(node, {"other": 1})
+        fired = engine.feed(node, {"other": 1}, {"temp": 85.0, "other": 1})
         assert len(fired) == 1
         assert fired[0].value == 85.0
 
@@ -368,14 +380,15 @@ class TestSuppressionInteraction:
         engine = EventEngine(kernel)
         engine.add_rule(ThresholdRule(name="hot", metric="temp", op=">",
                                       threshold=70.0))
-        engine.feed(node, {"temp": 85.0})
-        engine.feed(node, {"temp": 40.0})   # cleared
-        # metric-free delta must not re-fire from stale memory
-        assert engine.feed(node, {"other": 1}) == []
+        engine.feed(node, {"temp": 85.0}, {"temp": 85.0})
+        engine.feed(node, {"temp": 40.0}, {"temp": 40.0})   # cleared
+        # metric-free delta must not re-fire from a stale value
+        assert engine.feed(node, {"other": 1},
+                           {"temp": 40.0, "other": 1}) == []
         assert not engine.is_triggered("hot", node.hostname)
 
     def test_never_seen_metric_never_fires(self, kernel, node):
         engine = EventEngine(kernel)
         engine.add_rule(ThresholdRule(name="ghost", metric="nope", op=">",
                                       threshold=0))
-        assert engine.feed(node, {"other": 1}) == []
+        assert engine.feed(node, {"other": 1}, {"other": 1}) == []

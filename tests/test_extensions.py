@@ -1,13 +1,12 @@
 """Tests for the extension features: extra proc files, trend forecasting,
-event log + rule scopes, SLURM requeue + views, ClusterWorX Lite."""
+event log + rule scopes, SLURM requeue + views."""
 
 import math
 
 import pytest
 
-from repro.core import ClusterWorXLite
 from repro.events import EventEngine, ThresholdRule
-from repro.hardware import NodeState, SimulatedNode, WorkloadSegment
+from repro.hardware import WorkloadSegment
 from repro.monitoring import HistoryStore
 from repro.procfs import ProcFilesystem
 from repro.slurm import (
@@ -129,8 +128,8 @@ class TestEventLogAndScope:
         engine.add_rule(ThresholdRule(
             name="hot", metric="t", op=">", threshold=50.0,
             scope=frozenset({a.hostname})))
-        assert len(engine.feed(a, {"t": 99.0})) == 1
-        assert engine.feed(b, {"t": 99.0}) == []
+        assert len(engine.feed(a, {"t": 99.0}, {"t": 99.0})) == 1
+        assert engine.feed(b, {"t": 99.0}, {"t": 99.0}) == []
 
     def test_unscoped_rule_applies_everywhere(self, kernel,
                                               make_node_set):
@@ -138,7 +137,8 @@ class TestEventLogAndScope:
         engine = EventEngine(kernel)
         engine.add_rule(ThresholdRule(name="hot", metric="t", op=">",
                                       threshold=50.0))
-        assert engine.feed(a, {"t": 99.0}) and engine.feed(b, {"t": 99.0})
+        assert engine.feed(a, {"t": 99.0}, {"t": 99.0}) \
+            and engine.feed(b, {"t": 99.0}, {"t": 99.0})
 
     def test_event_log_filters(self, kernel, make_node_set):
         a, b = make_node_set(2)
@@ -147,8 +147,8 @@ class TestEventLogAndScope:
                                       threshold=0))
         engine.add_rule(ThresholdRule(name="r2", metric="y", op=">",
                                       threshold=0))
-        engine.feed(a, {"x": 1, "y": 1})
-        engine.feed(b, {"x": 1})
+        engine.feed(a, {"x": 1, "y": 1}, {"x": 1, "y": 1})
+        engine.feed(b, {"x": 1}, {"x": 1})
         assert len(engine.event_log()) == 3
         assert len(engine.event_log(rule="r1")) == 2
         assert len(engine.event_log(node=a.hostname)) == 2
@@ -238,42 +238,3 @@ class TestSlurmViews:
         nodes[3].crash("x")
         out = sinfo(ctl)
         assert "allocated" in out and "idle" in out and "down" in out
-
-
-class TestClusterWorXLite:
-    def test_monitoring_and_events_work(self):
-        lite = ClusterWorXLite(n_nodes=4, seed=5, monitor_interval=5.0)
-        lite.start()
-        lite.add_threshold("hot", metric="cpu_temp_c", op=">",
-                           threshold=60.0, action="halt")
-        for node in lite.nodes:
-            node.workload.add(WorkloadSegment(
-                start=lite.kernel.now, duration=1e5, cpu=0.9))
-        lite.run(60)
-        host = lite.hostnames[0]
-        assert lite.current(host)["cpu_util_pct"] > 80
-        lite.node(host).fan_failure()
-        lite.run(1500)
-        # soft action (halt) worked because the OS was still alive
-        assert any(e.rule == "hot" for e in lite.fired_events())
-        assert lite.node(host).state is NodeState.HALTED
-        assert len(lite.emails()) == 1
-
-    def test_no_out_of_band_power_on_dead_node(self):
-        """The Lite limitation: a crashed node cannot be power-cycled."""
-        lite = ClusterWorXLite(n_nodes=2, seed=6, monitor_interval=5.0)
-        lite.start()
-        lite.add_threshold("down", metric="udp_echo", op="==",
-                           threshold=0, action="reboot")
-        victim = lite.nodes[0]
-        victim.crash("dead")
-        # feed the engine directly (no sweep in Lite; agents are silent)
-        fired = lite.engine.feed(victim, {"udp_echo": 0})
-        assert fired and not fired[0].action_ok  # soft reboot failed
-
-    def test_history_available(self):
-        lite = ClusterWorXLite(n_nodes=2, seed=7, monitor_interval=5.0)
-        lite.start()
-        lite.run(120)
-        t, v = lite.history.series(lite.hostnames[0], "uptime_seconds")
-        assert len(t) >= 2

@@ -220,6 +220,33 @@ class TestFailover:
         assert sorted(cwx.server.managed_hostnames) == \
             sorted(cwx.cluster.hostnames)
 
+    def test_adopter_rules_read_the_migrated_row(self):
+        """A rule on a value change suppression never re-sends: the
+        host's first update on the adopter evaluates it against the row
+        the drain migrated, not against that update's delta alone."""
+        cwx = make_fed()
+        cwx.add_threshold("has-mem", metric="mem_total_bytes", op=">",
+                          threshold=0, action="none")
+        cwx.run(30)
+        host = cwx.server.shards[1].hostnames[0]
+        assert cwx.server.shards[1].server.engine.is_triggered(
+            "has-mem", host)
+        cwx.server.drain(1)
+        adopter = cwx.server.owner_of(host).server
+        migrated = adopter.store.get(host)["mem_total_bytes"]
+        assert not adopter.engine.is_triggered("has-mem", host)
+        seen = []
+        adopter.store.subscribe(
+            lambda update: seen.append(
+                (update, adopter.engine.is_triggered("has-mem", host))),
+            hosts=[host])
+        cwx.run(cwx.monitor_interval)
+        first, triggered = seen[0]
+        assert "mem_total_bytes" not in first.values
+        assert triggered
+        assert [(e.rule, e.time, e.value) for e in adopter.engine.fired
+                if e.node == host] == [("has-mem", first.time, migrated)]
+
     def test_revive_after_failover_stays_drained(self):
         """A kill with a duration longer than detection: the revive
         clears the switch on a shard that is already drained, and

@@ -296,10 +296,10 @@ class TestEventEngineActive:
         engine = EventEngine(kernel)
         engine.add_rule(self._rule())
         assert engine.active_count() == 0
-        engine.feed(node, {"temp": 80.0})
+        engine.feed(node, {"temp": 80.0}, {"temp": 80.0})
         assert engine.active_events() == [("hot", node.hostname)]
         assert engine.active_count() == 1
-        engine.feed(node, {"temp": 10.0})
+        engine.feed(node, {"temp": 10.0}, {"temp": 10.0})
         assert engine.active_events() == [] and engine.active_count() == 0
 
     def test_mark_fixed_and_remove_rule_clear_active(self, kernel,
@@ -307,8 +307,8 @@ class TestEventEngineActive:
         a, b = make_node_set(2)
         engine = EventEngine(kernel)
         engine.add_rule(self._rule())
-        engine.feed(a, {"temp": 80.0})
-        engine.feed(b, {"temp": 81.0})
+        engine.feed(a, {"temp": 80.0}, {"temp": 80.0})
+        engine.feed(b, {"temp": 81.0}, {"temp": 81.0})
         assert engine.active_count() == 2
         engine.mark_fixed("hot", a.hostname)
         assert engine.active_events() == [("hot", b.hostname)]
@@ -318,12 +318,12 @@ class TestEventEngineActive:
     def test_forget_node_clears_per_host_state(self, kernel, node):
         engine = EventEngine(kernel)
         engine.add_rule(self._rule())
-        engine.feed(node, {"temp": 80.0})
+        engine.feed(node, {"temp": 80.0}, {"temp": 80.0})
         engine.forget_node(node.hostname)
         assert engine.active_count() == 0
         assert not engine.is_triggered("hot", node.hostname)
         # a fresh breach fires again (state really was dropped)
-        assert len(engine.feed(node, {"temp": 90.0})) == 1
+        assert len(engine.feed(node, {"temp": 90.0}, {"temp": 90.0})) == 1
 
 
 @pytest.fixture(scope="module")
@@ -462,21 +462,6 @@ class TestLiveUtilization:
         eff = util.close_span("j", now=cwx.kernel.now)
         assert util.updates_seen > 0
         assert 0.0 <= eff <= 1.0
-
-
-class TestLiteSummary:
-    def test_lite_cluster_summary(self):
-        from repro.core.lite import ClusterWorXLite
-
-        lite = ClusterWorXLite(n_nodes=4, seed=2, monitor_interval=5.0)
-        lite.start()
-        lite.run(60)
-        summary = lite.cluster_summary()
-        assert summary["nodes_total"] == 4
-        assert summary["nodes_up"] == 4 and summary["nodes_down"] == 0
-        assert summary["generation"] > 0
-        assert summary["events_active"] == 0
-        assert lite.store.full_copies == 0
 
 
 class TestSlowConsumerDetach:

@@ -83,10 +83,12 @@ def test_compileall_src():
 
 def test_write_path_surface_is_pinned():
     """An update's road from agent tick to store write exists once: one
-    activation, one send, one ``ingest``, ``apply`` + ``restore``.  A
-    second form of any stage is a conscious diff here."""
+    activation, one send, one ``ingest``, ``apply`` + ``restore``, one
+    engine ``feed``.  A second form of any stage is a conscious diff
+    here."""
     from repro.core.server import ClusterWorXServer
     from repro.core.statestore import StateStore
+    from repro.events import EventEngine
     from repro.federation import FederationServer
     from repro.monitoring import NodeAgent, Transmitter
     from repro.monitoring.scheduler import AgentScheduler
@@ -111,6 +113,14 @@ def test_write_path_surface_is_pinned():
         "subscribe", "unsubscribe"}
     assert update_takers(ClusterWorXServer) == {"ingest"}
     assert update_takers(FederationServer) == {"ingest"}
+    # the engine is fed one way: the delta picks the rules, the store's
+    # merged row is what they read
+    assert set(methods(EventEngine)) == {
+        "add_listener", "add_rule", "remove_rule", "forget_node",
+        "is_triggered", "active_events", "active_count", "feed",
+        "event_log", "mark_fixed"}
+    assert list(inspect.signature(EventEngine.feed).parameters) == [
+        "self", "node", "values", "row"]
 
 
 # -- the guards that replaced the retired rules ------------------------------
