@@ -24,6 +24,7 @@ Two worlds, one contract:
 from __future__ import annotations
 
 import asyncio
+import struct
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
@@ -38,6 +39,9 @@ from repro.gateway.watch import WatchClient, WatchHub, WatchPolicy
 from repro.gateway.wire import BinaryWire, Frame, JsonWire, negotiate
 
 __all__ = ["SimDriver", "GatewayService", "fetch", "read_stream_frames"]
+
+#: the ``<I length>`` prefix of each binary stream frame.
+_FRAME_LEN = struct.Struct("<I")
 
 
 class SimDriver(threading.Thread):
@@ -265,8 +269,7 @@ class GatewayService:
                     continue
                 wakeup.clear()
                 chunks: List[bytes] = [
-                    wire.encode_stream(("delta", hostname, t,
-                                        dict(values)))
+                    wire.encode_stream(("delta", hostname, t, values))
                     for hostname, t, values in client.drain()]
                 if client.evicted:
                     chunks.append(wire.encode_stream(
@@ -355,11 +358,12 @@ def _drain_buffer(buffer: bytes, wire: "BinaryWire | JsonWire"
             if event.startswith(b"data: "):
                 frames.extend(wire.decode(event[len(b"data: "):]))
         return buffer, frames
-    import struct as _struct
-    while len(buffer) >= 4:
-        (length,) = _struct.unpack_from("<I", buffer, 0)
-        if len(buffer) < 4 + length:
+    # walk the length prefixes to the end of the last whole frame, then
+    # decode that run in one call
+    end = 0
+    while len(buffer) - end >= 4:
+        stop = end + 4 + _FRAME_LEN.unpack_from(buffer, end)[0]
+        if stop > len(buffer):
             break
-        frames.extend(wire.decode(buffer[:4 + length]))
-        buffer = buffer[4 + length:]
-    return buffer, frames
+        end = stop
+    return buffer[end:], wire.decode(buffer[:end])

@@ -70,6 +70,9 @@ _KIND_CODES: Dict[str, int] = {
     "hosts": 6, "error": 7, "end": 8, "evicted": 9, "history": 10,
     "shard": 11}
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
+#: ``<I length> <B kind>`` ahead of each binary frame; the length
+#: counts the kind byte.
+_FRAME_HEAD = struct.Struct("<IB")
 
 
 class FrameTable:
@@ -215,11 +218,11 @@ class BinaryWire:
 
     def encode_frame(self, frame: Frame) -> bytes:
         kind, subject, t, values = frame
-        body = self._codec(kind).encode(subject, t, dict(values))
         code = _KIND_CODES.get(kind)
         if code is None:
             raise ValueError(f"unknown frame kind {kind!r}")
-        return struct.pack("<IB", len(body) + 1, code) + body
+        body = self._codec(kind).encode(subject, t, values)
+        return _FRAME_HEAD.pack(len(body) + 1, code) + body
 
     def encode(self, frames: Frames) -> bytes:
         return b"".join(self.encode_frame(frame) for frame in frames)
@@ -228,19 +231,26 @@ class BinaryWire:
     encode_stream = encode_frame
 
     def decode(self, body: bytes) -> List[Frame]:
+        """Every frame of ``body``, each read in place; a length prefix
+        that runs past the body, a frame that does not fill its length
+        exactly, or a short read is a ``ValueError``."""
         frames: List[Frame] = []
-        pos = 0
-        while pos < len(body):
-            (length,) = struct.unpack_from("<I", body, pos)
-            pos += 4
-            code = body[pos]
-            payload = body[pos + 1: pos + length]
-            pos += length
+        pos, size = 0, len(body)
+        while pos < size:
+            if size - pos < _FRAME_HEAD.size:
+                raise ValueError(f"truncated frame header at {pos}")
+            length, code = _FRAME_HEAD.unpack_from(body, pos)
+            end = pos + 4 + length
+            if length < 1 or end > size:
+                raise ValueError(f"frame length {length} at {pos} does "
+                                 f"not fit the {size}-byte body")
             kind = _CODE_KINDS.get(code)
             if kind is None:
                 raise ValueError(f"unknown frame code {code}")
-            subject, t, values = self._codec(kind).decode(payload)
+            subject, t, values = self._codec(kind).decode(body, pos + 5,
+                                                          end)
             frames.append((kind, subject, t, values))
+            pos = end
         return frames
 
 

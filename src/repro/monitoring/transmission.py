@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.hardware.node import SimulatedNode
 from repro.monitoring.records import Update
@@ -78,6 +78,89 @@ def _parse_value(raw: str) -> object:
         return raw
 
 
+#: frame headers: ``<B host_len> <d t> <H count>``, the schema frame's
+#: behind a ``b"S"`` mode byte (``count`` is then its off-schema extras).
+_HEAD = struct.Struct("<BdH")
+_SCHEMA_HEAD = struct.Struct("<cBdH")
+#: a packed value is its kind byte and its payload: 1 double, 2 UTF-8
+#: text (``<H`` length, bytes follow), 3 int32, 4 int64.
+_F64 = struct.Struct("<Bd")
+_STR = struct.Struct("<BH")
+_I32 = struct.Struct("<Bi")
+_I64 = struct.Struct("<Bq")
+_NAME = struct.Struct("<B")
+#: the set bits of each byte value, lowest first: a presence bitmap is
+#: read by visiting only the bits that are set.
+_SET_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1)
+                  for byte in range(256))
+
+
+def _pack_text(text: str) -> bytes:
+    text_b = text.encode("utf-8")
+    return _STR.pack(2, len(text_b)) + text_b
+
+
+def _pack_value(value: object) -> bytes:
+    """One schema-mode value, kind byte first: an int as the narrowest
+    of int32/int64 that holds it (a double beyond), a float as a double,
+    anything else as its text.  Exact types skip the ``isinstance``
+    ladder."""
+    kind = type(value)
+    if kind is float:
+        return _F64.pack(1, value)
+    if kind is str:
+        return _pack_text(value)
+    if kind is not int:  # bool, subclasses and non-scalars
+        if isinstance(value, bool):
+            value = int(value)
+        elif isinstance(value, float):
+            return _F64.pack(1, float(value))
+        elif not isinstance(value, int):
+            return _pack_text(str(value))
+    if -2**31 <= value < 2**31:
+        return _I32.pack(3, value)
+    if -2**63 <= value < 2**63:
+        return _I64.pack(4, value)
+    return _F64.pack(1, float(value))
+
+
+def _pack_plain(value: object) -> bytes:
+    """One schemaless value: every number (``bool`` too) is a double."""
+    if isinstance(value, (int, float)):
+        return _F64.pack(1, float(value))
+    return _pack_text(str(value))
+
+
+def _read_value(payload: bytes, pos: int) -> Tuple[object, int]:
+    """The value packed at ``pos`` and the offset after it; an integral
+    double reads back as an ``int``."""
+    kind = payload[pos]
+    if kind == 1:
+        value = _F64.unpack_from(payload, pos)[1]
+        return (int(value) if value.is_integer() else value), pos + 9
+    if kind == 3:
+        return _I32.unpack_from(payload, pos)[1], pos + 5
+    if kind == 4:
+        return _I64.unpack_from(payload, pos)[1], pos + 9
+    if kind == 2:
+        start = pos + 3
+        end = start + _STR.unpack_from(payload, pos)[1]
+        return payload[start:end].decode("utf-8"), end
+    raise ValueError(f"unknown value kind {kind}")
+
+
+def _read_named(payload: bytes, pos: int, count: int,
+                values: Dict[str, object]) -> int:
+    """Read ``count`` self-described ``<B len> name value`` entries at
+    ``pos`` into ``values``; the offset after them."""
+    for _ in range(count):
+        name_at = pos + 1
+        pos = name_at + payload[pos]
+        name = payload[name_at:pos].decode("utf-8")
+        values[name], pos = _read_value(payload, pos)
+    return pos
+
+
 class BinaryCodec:
     """Struct-packed binary frames: smaller, opaque, endian-fragile.
 
@@ -91,6 +174,11 @@ class BinaryCodec:
       of §5.3.3 — and also its downside: the schema is implicit, versioned
       out-of-band, and unreadable on the wire, which is exactly why the
       paper keeps text.
+
+    Both directions do work in proportion to the values a frame carries,
+    not to the schema: encode sets bits in an int and packs exact
+    ``float``/``int``/``str`` values with precompiled structs; decode
+    visits only the bitmap's set bits.
     """
 
     name = "binary"
@@ -99,139 +187,97 @@ class BinaryCodec:
         self.schema = tuple(schema) if schema is not None else None
         self._index = ({name: i for i, name in enumerate(self.schema)}
                        if self.schema is not None else None)
+        self._bitmap_len = ((len(self.schema) + 7) // 8
+                            if self.schema is not None else 0)
 
     # -- schema mode -------------------------------------------------------
-    def _encode_value(self, value: object) -> bytes:
-        if isinstance(value, bool):
-            value = int(value)
-        if isinstance(value, int) and -2**31 <= value < 2**31:
-            return b"\x03" + struct.pack("<i", value)
-        if isinstance(value, int) and -2**63 <= value < 2**63:
-            return b"\x04" + struct.pack("<q", value)
-        if isinstance(value, (int, float)):
-            return b"\x01" + struct.pack("<d", float(value))
-        value_b = str(value).encode("utf-8")
-        return b"\x02" + struct.pack("<H", len(value_b)) + value_b
-
-    def _decode_value(self, payload: bytes, pos: int):
-        kind = payload[pos:pos + 1]
-        pos += 1
-        if kind == b"\x03":
-            (v,) = struct.unpack_from("<i", payload, pos)
-            return v, pos + 4
-        if kind == b"\x04":
-            (v,) = struct.unpack_from("<q", payload, pos)
-            return v, pos + 8
-        if kind == b"\x01":
-            (v,) = struct.unpack_from("<d", payload, pos)
-            return (int(v) if v.is_integer() else v), pos + 8
-        (vlen,) = struct.unpack_from("<H", payload, pos)
-        pos += 2
-        return payload[pos:pos + vlen].decode("utf-8"), pos + vlen
-
     def _encode_schema(self, hostname: str, t: float,
-                       values: Dict[str, object]) -> bytes:
-        host_b = hostname.encode("utf-8")
-        bitmap = bytearray((len(self.schema) + 7) // 8)
-        ordered = []
-        extras = {}
+                       values: Mapping[str, object]) -> bytes:
+        index = self._index
+        bits = 0
+        present = []
+        extras = []
         for name, value in values.items():
-            idx = self._index.get(name)
+            idx = index.get(name)
             if idx is None:
-                extras[name] = value
-                continue
-            bitmap[idx // 8] |= 1 << (idx % 8)
-            ordered.append((idx, value))
-        ordered.sort()
-        out = [b"S", struct.pack("<Bd H", len(host_b), t,
-                                 len(extras)), host_b,
-               bytes(bitmap)]
-        for _, value in ordered:
-            out.append(self._encode_value(value))
-        for name in sorted(extras):
+                extras.append((name, value))
+            else:
+                bits |= 1 << idx
+                present.append((idx, value))
+        present.sort()
+        host_b = hostname.encode("utf-8")
+        out = [_SCHEMA_HEAD.pack(b"S", len(host_b), t, len(extras)),
+               host_b, bits.to_bytes(self._bitmap_len, "little")]
+        out += [_pack_value(value) for _, value in present]
+        for name, value in sorted(extras):
             name_b = name.encode("utf-8")
-            out.append(struct.pack("<B", len(name_b)) + name_b)
-            out.append(self._encode_value(extras[name]))
+            out += (_NAME.pack(len(name_b)), name_b, _pack_value(value))
         return b"".join(out)
 
-    def _decode_schema(self, payload: bytes
-                       ) -> Tuple[str, float, Dict[str, object]]:
-        pos = 1  # mode byte
-        host_len, t, n_extras = struct.unpack_from("<Bd H", payload, pos)
-        pos += struct.calcsize("<Bd H")
-        hostname = payload[pos:pos + host_len].decode("utf-8")
-        pos += host_len
-        bitmap_len = (len(self.schema) + 7) // 8
-        bitmap = payload[pos:pos + bitmap_len]
-        pos += bitmap_len
+    def _decode_schema(self, payload: bytes, pos: int
+                       ) -> Tuple[str, float, Dict[str, object], int]:
+        mode, host_len, t, n_extras = _SCHEMA_HEAD.unpack_from(payload, pos)
+        if mode != b"S":
+            raise ValueError("schema frame expected")
+        pos += _SCHEMA_HEAD.size
+        bitmap_at = pos + host_len
+        hostname = payload[pos:bitmap_at].decode("utf-8")
+        pos = bitmap_at + self._bitmap_len
+        schema = self.schema
         values: Dict[str, object] = {}
-        for idx, name in enumerate(self.schema):
-            if bitmap[idx // 8] & (1 << (idx % 8)):
-                values[name], pos = self._decode_value(payload, pos)
-        for _ in range(n_extras):
-            name_len = payload[pos]
-            pos += 1
-            name = payload[pos:pos + name_len].decode("utf-8")
-            pos += name_len
-            values[name], pos = self._decode_value(payload, pos)
-        return hostname, t, values
+        base = 0
+        for byte in payload[bitmap_at:pos]:
+            if byte:
+                for bit in _SET_BITS[byte]:
+                    values[schema[base + bit]], pos = _read_value(payload,
+                                                                  pos)
+            base += 8
+        return hostname, t, values, _read_named(payload, pos, n_extras,
+                                                values)
 
     # -- public API ----------------------------------------------------------
     def encode(self, hostname: str, t: float,
-               values: Dict[str, object]) -> bytes:
+               values: Mapping[str, object]) -> bytes:
         if self.schema is not None:
             return self._encode_schema(hostname, t, values)
         host_b = hostname.encode("utf-8")
-        out = [struct.pack("<Bd H", len(host_b), t, len(values)), host_b]
+        out = [_HEAD.pack(len(host_b), t, len(values)), host_b]
         for name in sorted(values):
             name_b = name.encode("utf-8")
-            out.append(struct.pack("<B", len(name_b)))
-            out.append(name_b)
-            value = values[name]
-            if isinstance(value, bool):
-                value = int(value)
-            if isinstance(value, (int, float)):
-                out.append(b"\x01" + struct.pack("<d", float(value)))
-            else:
-                value_b = str(value).encode("utf-8")
-                out.append(b"\x02" + struct.pack("<H", len(value_b))
-                           + value_b)
+            out += (_NAME.pack(len(name_b)), name_b,
+                    _pack_plain(values[name]))
         return b"".join(out)
 
     def encode_counted(self, hostname: str, t: float,
-                       values: Dict[str, object]) -> Tuple[bytes, int]:
+                       values: Mapping[str, object]) -> Tuple[bytes, int]:
         """``(frame, uncompressed size)``; a binary frame is sent as
         packed, so the two sizes are one."""
         payload = self.encode(hostname, t, values)
         return payload, len(payload)
 
-    def decode(self, payload: bytes
+    def decode(self, payload: bytes, start: int = 0,
+               end: Optional[int] = None
                ) -> Tuple[str, float, Dict[str, object]]:
-        if self.schema is not None:
-            if payload[:1] != b"S":
-                raise ValueError("schema frame expected")
-            return self._decode_schema(payload)
-        host_len, t, count = struct.unpack_from("<Bd H", payload, 0)
-        pos = struct.calcsize("<Bd H")
-        hostname = payload[pos:pos + host_len].decode("utf-8")
-        pos += host_len
-        values: Dict[str, object] = {}
-        for _ in range(count):
-            name_len = payload[pos]
-            pos += 1
-            name = payload[pos:pos + name_len].decode("utf-8")
-            pos += name_len
-            kind = payload[pos:pos + 1]
-            pos += 1
-            if kind == b"\x01":
-                (value,) = struct.unpack_from("<d", payload, pos)
-                pos += 8
-                values[name] = int(value) if value.is_integer() else value
+        """The frame that fills ``payload[start:end]`` (all of
+        ``payload`` by default), read in place.  A frame that reads past
+        ``end`` or stops short of it is a ``ValueError``."""
+        if end is None:
+            end = len(payload)
+        try:
+            if self.schema is not None:
+                hostname, t, values, pos = self._decode_schema(payload,
+                                                               start)
             else:
-                (vlen,) = struct.unpack_from("<H", payload, pos)
-                pos += 2
-                values[name] = payload[pos:pos + vlen].decode("utf-8")
-                pos += vlen
+                host_len, t, count = _HEAD.unpack_from(payload, start)
+                pos = start + _HEAD.size + host_len
+                hostname = payload[start + _HEAD.size:pos].decode("utf-8")
+                values = {}
+                pos = _read_named(payload, pos, count, values)
+        except (struct.error, IndexError) as exc:  # a short read
+            raise ValueError(f"malformed binary frame: {exc}") from None
+        if pos != end:
+            raise ValueError(f"binary frame spans {pos - start} bytes, "
+                             f"not {end - start}")
         return hostname, t, values
 
 

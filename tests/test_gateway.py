@@ -89,6 +89,19 @@ class TestWire:
         with pytest.raises(ValueError):
             BinaryWire().encode([("nope", "x", 0.0, {})])
 
+    def test_frame_bytes_pinned(self):
+        """``<I length> <B kind>`` then the codec frame (the codec's
+        bytes are pinned in the monitoring tests)."""
+        wire = BinaryWire(metric_schema=("a", "b", "c", "d", "e", "f",
+                                         "g", "h", "i"))
+        delta = wire.encode_frame(("delta", "n1", 4.0, {"b": 2**40, "x": 1}))
+        assert delta.hex() == (
+            "21000000" "03" "5302000000000000104001006e31" "0200"
+            "040000000000010000" "0178" "0301000000")
+        end = wire.encode_frame(("end", "heartbeat", 4.0, {}))
+        assert end.hex() == ("15000000" "08"
+                             "0900000000000010400000686561727462656174")
+
 
 # -- httpd --------------------------------------------------------------------
 

@@ -223,6 +223,75 @@ class TestCodecs:
             TextCodec(compress=False).decode(b"garbage\n")
 
 
+class _Int(int):
+    pass
+
+
+#: one value per case, in the 9-field schema's last slot ("i", a 2-byte
+#: bitmap) and schemaless under "v": the i32/i64/double edges, bool,
+#: signed zero, non-finite doubles, text, a non-scalar, an int subclass.
+_PINNED_VALUES = (
+    (0, "0300000000", "010000000000000000"),
+    (2**31 - 1, "03ffffff7f", "010000c0ffffffdf41"),
+    (2**31, "040000008000000000", "01000000000000e041"),
+    (-2**31, "0300000080", "01000000000000e0c1"),
+    (-2**31 - 1, "04ffffff7fffffffff", "01000020000000e0c1"),
+    (2**63 - 1, "04ffffffffffffff7f", "01000000000000e043"),
+    (2**63, "01000000000000e043", "01000000000000e043"),
+    (-2**63, "040000000000000080", "01000000000000e0c3"),
+    (True, "0301000000", "01000000000000f03f"),
+    (False, "0300000000", "010000000000000000"),
+    (1.5, "01000000000000f83f", "01000000000000f83f"),
+    (-0.0, "010000000000000080", "010000000000000080"),
+    (float("nan"), "01000000000000f87f", "01000000000000f87f"),
+    (float("inf"), "01000000000000f07f", "01000000000000f07f"),
+    (float("-inf"), "01000000000000f0ff", "01000000000000f0ff"),
+    ("nœud-€", "0209006ec59375642de282ac", "0209006ec59375642de282ac"),
+    ("", "020000", "020000"),
+    (None, "0204004e6f6e65", "0204004e6f6e65"),
+    (_Int(7), "0307000000", "010000000000001c40"),
+)
+_PIN_SCHEMA = ("a", "b", "c", "d", "e", "f", "g", "h", "i")
+
+
+class TestBinaryCodecBytes:
+    """The binary wire contract, pinned: a change to these bytes is a
+    change to the protocol, never a side effect."""
+
+    @pytest.mark.parametrize("value,schema_hex,plain_hex", _PINNED_VALUES)
+    def test_value_bytes(self, value, schema_hex, plain_hex):
+        # "S", host_len 1, t 1.0, no extras, "h", bitmap with bit 8 set
+        schema_head = "5301000000000000f03f0000" + "68" + "0001"
+        # host_len 1, t 1.0, one value, "h", <B 1> "v"
+        plain_head = "01000000000000f03f0100" + "68" + "0176"
+        schema = BinaryCodec(schema=_PIN_SCHEMA).encode("h", 1.0,
+                                                        {"i": value})
+        plain = BinaryCodec().encode("h", 1.0, {"v": value})
+        assert schema.hex() == schema_head + schema_hex
+        assert plain.hex() == plain_head + plain_hex
+
+    def test_empty_frames(self):
+        assert BinaryCodec(schema=_PIN_SCHEMA).encode("n1", 0.0, {}).hex() \
+            == "5302000000000000000000006e310000"
+        assert BinaryCodec().encode("n1", 0.0, {}).hex() \
+            == "02000000000000000000006e31"
+
+    def test_mixed_frame_with_extras(self):
+        """Schema values in slot order, then off-schema extras sorted by
+        name, each behind its UTF-8 name; schemaless sorts every name."""
+        values = {"c": 3, "a": 0.25, "i": "up", "zz": 7, "ünï": False}
+        assert BinaryCodec(schema=_PIN_SCHEMA).encode(
+            "nœud", 2.5, values).hex() == (
+            "5305000000000000044002006ec5937564" "0501"
+            "01000000000000d03f" "0303000000" "0202007570"
+            "027a7a" "0307000000" "05c3bc6ec3af" "0300000000")
+        assert BinaryCodec().encode("nœud", 2.5, values).hex() == (
+            "05000000000000044005006ec5937564"
+            "0161" "01000000000000d03f" "0163" "010000000000000840"
+            "0169" "0202007570" "027a7a" "010000000000001c40"
+            "05c3bc6ec3af" "010000000000000000")
+
+
 def _update(node, values):
     return Update(hostname=node.hostname, time=1.0, values=values)
 

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from repro.core.statestore import Snapshot
 from repro.federation.views import FederatedSnapshot
 from repro.gateway import BinaryWire, GatewayState, JsonWire
+from repro.gateway.shell import _drain_buffer
+from repro.gateway.wire import EVENT_SCHEMA, STATS_SCHEMA, SUMMARY_SCHEMA
 from repro.hardware import (SimulatedNode, Workload, WorkloadGenerator,
                             WorkloadSegment)
 from repro.icebox.security import IPFilter
@@ -450,6 +452,113 @@ class TestCodecProperties:
         assert host == "h" and t2 == pytest.approx(t)
         for k, v in values.items():
             assert decoded[k] == pytest.approx(float(v), rel=1e-12)
+
+
+# -- the binary gateway wire ------------------------------------------------
+
+_WIRE_METRICS = ("cpu", "mem", "temp", "state", "net_rx", "load", "fan",
+                 "disk", "up")
+#: the schema each kind is packed with; every other kind is schemaless.
+_WIRE_SCHEMAS = {"summary": SUMMARY_SCHEMA, "stats": STATS_SCHEMA,
+                 "event": EVENT_SCHEMA, "host": _WIRE_METRICS,
+                 "delta": _WIRE_METRICS}
+_WIRE_KINDS = ("summary", "host", "delta", "event", "stats", "hosts",
+               "error", "end", "evicted", "history", "shard")
+_wire_values = st.one_of(
+    st.integers(-2**70, 2**70),
+    st.sampled_from([2**31 - 1, 2**31, -2**31, -2**31 - 1, 2**63 - 1,
+                     2**63, -2**63, -2**63 - 1]),
+    st.floats(), st.booleans(), st.text(max_size=8))
+
+
+@st.composite
+def _wire_frames(draw):
+    kind = draw(st.sampled_from(_WIRE_KINDS))
+    names = st.one_of(st.sampled_from(_WIRE_SCHEMAS.get(kind, ("status",))),
+                      st.text(min_size=1, max_size=8))  # off-schema extras
+    return (kind, draw(st.text(max_size=12)),
+            draw(st.floats(allow_nan=False)),
+            draw(st.dictionaries(names, _wire_values, max_size=12)))
+
+
+def _wire_normalised(value, packs_ints):
+    """What a value reads back as: a bool as its int; an int packed as a
+    double (schemaless frames, or beyond int64) and every integral
+    double as an int."""
+    if isinstance(value, bool):
+        value = int(value)
+    if isinstance(value, int) and not (packs_ints
+                                       and -2**63 <= value < 2**63):
+        value = float(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
+def _exact(values):
+    """Values keyed for exact comparison: type and repr (NaN equals
+    NaN, ``-0.0`` differs from ``0.0``, ``1`` from ``1.0``)."""
+    return {name: (type(v), repr(v)) for name, v in values.items()}
+
+
+class TestBinaryWireProperties:
+    @given(st.lists(_wire_frames(), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_schema_mode_roundtrip_is_exact(self, frames):
+        wire = BinaryWire(metric_schema=_WIRE_METRICS)
+        decoded = wire.decode(wire.encode(frames))
+        assert len(decoded) == len(frames)
+        for (kind, subject, t, values), got in zip(frames, decoded):
+            packs_ints = kind in _WIRE_SCHEMAS
+            assert got[:3] == (kind, subject, t)
+            assert _exact(got[3]) == _exact(
+                {name: _wire_normalised(v, packs_ints)
+                 for name, v in values.items()})
+
+    @given(_wire_frames())
+    @settings(max_examples=100, deadline=None)
+    def test_truncated_or_padded_frame_is_rejected(self, frame):
+        """Every non-empty strict prefix of a one-frame body, and the
+        body with a byte after it, is a ValueError — never a short
+        value or a ``struct.error``; the same for the bare codec frame
+        (in both modes), whose empty prefix is malformed too."""
+        kind, subject, t, values = frame
+        wire = BinaryWire(metric_schema=_WIRE_METRICS)
+        body = wire.encode([frame])
+        for cut in range(1, len(body)):
+            with pytest.raises(ValueError):
+                wire.decode(body[:cut])
+        with pytest.raises(ValueError):
+            wire.decode(body + b"\x00")
+        for codec in (BinaryCodec(), BinaryCodec(schema=_WIRE_METRICS)):
+            payload = codec.encode(subject, t, values)
+            for cut in range(len(payload)):
+                with pytest.raises(ValueError):
+                    codec.decode(payload[:cut])
+            with pytest.raises(ValueError):
+                codec.decode(payload + b"\x00")
+
+    @given(st.lists(_wire_frames(), min_size=1, max_size=6),
+           st.lists(st.integers(0, 1 << 16), max_size=8),
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_burst_split_anywhere_drains_the_same_frames(self, frames,
+                                                        cuts, binary):
+        """A stream client fed one burst in arbitrary chunks yields the
+        frames the whole burst decodes to, and keeps no remainder."""
+        wire = BinaryWire(metric_schema=_WIRE_METRICS) if binary \
+            else JsonWire()
+        burst = b"".join(wire.encode_stream(frame) for frame in frames)
+        points = sorted({cut % (len(burst) + 1) for cut in cuts})
+        buffer, got = b"", []
+        for start, stop in zip([0] + points, points + [len(burst)]):
+            buffer, decoded = _drain_buffer(buffer + burst[start:stop],
+                                            wire)
+            got.extend(decoded)
+        assert buffer == b""
+        assert repr(got) == repr(_drain_buffer(burst, wire)[1])
+        if binary:
+            assert repr(got) == repr(wire.decode(burst))
 
 
 class TestConsolidatorProperties:
