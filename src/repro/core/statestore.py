@@ -37,11 +37,30 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
 
 from repro.monitoring.records import Sample, Update
 
-__all__ = ["Update", "Sample", "Snapshot", "Subscription", "StateStore"]
+__all__ = ["Update", "Sample", "Snapshot", "Subscription", "StateStore",
+           "summarize"]
 
 _log = logging.getLogger("repro.core.statestore")
 
 _EMPTY: Mapping[str, object] = MappingProxyType({})
+
+
+def summarize(rollup: Mapping[str, object]) -> Dict[str, object]:
+    """The summary screen's numbers from a :meth:`StateStore.rollup`
+    shaped dict — one store's, or several stores' merged."""
+    total = rollup["nodes_total"]
+    up = rollup["nodes_up"]
+    cpu_n = rollup["cpu_n"]
+    return {
+        "nodes_total": total,
+        "nodes_up": up,
+        "nodes_down": total - up,
+        "cpu_util_mean_pct": rollup["cpu_sum"] / cpu_n if cpu_n else 0.0,
+        "mem_used_bytes": int(rollup["mem_used"]),
+        "mem_total_bytes": int(rollup["mem_total"]),
+        "cpu_temp_max_c": rollup["temp_max"],
+        "generation": rollup["generation"],
+    }
 
 
 class Snapshot(MappingABC):
@@ -401,19 +420,7 @@ class StateStore:
 
     def summary(self) -> Dict[str, object]:
         """The cluster rollup, read straight off the running aggregates."""
-        total = len(self._tracked) if self._tracked else len(self._hosts)
-        up = len(self._up)
-        return {
-            "nodes_total": total,
-            "nodes_up": up,
-            "nodes_down": total - up,
-            "cpu_util_mean_pct": (self._cpu_sum / self._cpu_n)
-            if self._cpu_n else 0.0,
-            "mem_used_bytes": int(self._mem_used),
-            "mem_total_bytes": int(self._mem_total),
-            "cpu_temp_max_c": self._temp_max,
-            "generation": self._generation,
-        }
+        return summarize(self.rollup())
 
     @property
     def hostnames(self) -> List[str]:

@@ -118,9 +118,8 @@ class ControlPlan:
             if suspected is not None or dead is not None:
                 outcome.detected_at = min(
                     t for t in (suspected, dead) if t is not None)
-            shard = federation.shards[index]
-            if shard.channel is not None:
-                outcome.updates_dropped = shard.channel.dropped_ingests
+            outcome.updates_dropped = \
+                federation.shards[index].channel.dropped_ingests
             row = next((r for r in federation.failovers
                         if r[1] == index
                         and r[0] >= outcome.injected_at), None)

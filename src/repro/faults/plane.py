@@ -18,7 +18,8 @@ shard-kill  the shard process dies (``channel.killed``); a duration
             over stays drained (no re-admission path yet)
 shard-hang  the shard wedges until ``at + duration``
 shard-slow  every call takes ``latency`` seconds; above the channel
-            policy timeout this fails calls rather than slowing them
+            policy timeout calls fail, below it the simulation does
+            not model the delay and the fault has no effect
 link-down   the federation<->shard link partitions for ``duration``
 pub-stall   the gateway republishes nothing until ``at + duration``
             (watchers see heartbeats, polls see the last snapshot)
@@ -73,10 +74,7 @@ class FaultPlane:
     def _channel(self, index: int):
         if self.federation is None:
             raise ValueError("fault plane has no federation attached")
-        channel = self.federation.shards[index].channel
-        if channel is None:
-            raise ValueError(f"shard {index} has no channel")
-        return channel
+        return self.federation.shards[index].channel
 
     def _record(self, at: float, kind: str, target: str,
                 duration: Optional[float]) -> None:
@@ -115,7 +113,8 @@ class FaultPlane:
                    latency: float) -> None:
         """Every call to the shard takes ``latency`` seconds for
         ``duration``; above the channel policy timeout this is a dead
-        shard in slow motion."""
+        shard in slow motion, below it a no-op (call latency is not
+        simulated)."""
         channel = self._channel(index)
         self._record(at, SHARD_SLOW, channel.shard.name, duration)
 

@@ -11,14 +11,14 @@ thin federation layer:
   aggregation: the global summary costs O(shards), never O(N);
 * :mod:`~repro.federation.views` — the flat server's read surfaces
   (store/engine/history/health/recovery) merged across shards;
-* :mod:`~repro.federation.remote` — NodeSet-routed fan-out: one
-  logical run becomes one windowed sub-run per owning shard;
 * :mod:`~repro.federation.channel` — the simulated RPC boundary to one
   shard: fault switches, timeout bound, per-shard circuit breaker;
 * :mod:`~repro.federation.monitor` — shard heartbeats with
   suspect/dead escalation and automatic drain-on-death;
 * :mod:`~repro.federation.server` — the coordinator: ingest routing,
-  query merging, drain-triggered rebalancing, shard fail-over;
+  query merging, drain-triggered rebalancing, shard fail-over; remote
+  runs and cloning ride the fabric from it, one window over every node,
+  as they do from the flat server;
 * :mod:`~repro.federation.api` — deterministic partition planning and
   the ``topology="federation"`` builder registration.
 
@@ -31,7 +31,6 @@ are plain core servers and never import federation.
 from repro.federation.api import build_federation, plan_partitions
 from repro.federation.channel import ShardChannel, ShardUnavailable
 from repro.federation.monitor import ShardHealthMonitor
-from repro.federation.remote import FederatedRemote, FederatedRun
 from repro.federation.rollup import RollupCache
 from repro.federation.server import FederationServer
 from repro.federation.shard import (DEAD, DRAINING, HEALTHY, SUSPECT,
@@ -47,6 +46,5 @@ __all__ = [
     "HEALTHY", "SUSPECT", "DEAD", "DRAINING",
     "FederatedEvents", "FederatedHealth", "FederatedHistory",
     "FederatedRecovery", "FederatedSnapshot", "FederatedStore",
-    "FederatedSubscription", "FederatedRemote", "FederatedRun",
-    "build_federation", "plan_partitions",
+    "FederatedSubscription", "build_federation", "plan_partitions",
 ]

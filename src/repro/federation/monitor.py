@@ -9,12 +9,12 @@ on a fixed cadence, and a shard whose last good heartbeat ages past
   responses ``degraded`` and serving that shard's data stale);
 * ``down_after``     is marked **dead**, and — when more than one shard
   is still active — automatically **failed over**:
-  :meth:`~repro.federation.server.FederationServer.fail_over` aborts
-  and re-routes the dead shard's in-flight remote runs, drains its
-  nodes (state + history migrate to survivors), re-homes
-  host-filtered watch subscriptions, and forwards the agent updates
-  held for the shard since it went silent.  ``down_after + interval``
-  is therefore also how long the router holds an update.
+  :meth:`~repro.federation.server.FederationServer.fail_over` drains
+  its nodes (state + history migrate to survivors, host-filtered
+  watch subscriptions re-home, the agent updates held for the shard
+  since it went silent are forwarded) and marks it dead.
+  ``down_after + interval`` is therefore also how long the router
+  holds an update.
 
 After a probe failure the monitor re-probes that shard on the channel
 policy's backoff schedule (``policy.delay``: 1 s, 2 s, 4 s … capped)
@@ -109,7 +109,6 @@ class ShardHealthMonitor:
         shard is failing)."""
         self.probes += 1
         now = self.kernel.now
-        channel = shard.channel
         result = shard.call(self._read_generation, shard,
                             default=_FAILED, label="heartbeat")
         if result is not _FAILED:
@@ -130,9 +129,7 @@ class ShardHealthMonitor:
             return self.interval
         if age >= self.suspect_after and shard.health == HEALTHY:
             self._move(shard, SUSPECT)
-        if channel is None:
-            return self.interval
-        policy = channel.policy
+        policy = shard.channel.policy
         return min(policy.delay(min(attempts, 8)), self.interval)
 
     @staticmethod

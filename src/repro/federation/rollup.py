@@ -21,9 +21,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from repro.core.statestore import summarize
 from repro.federation.shard import Shard
 
 __all__ = ["RollupCache"]
+
+#: the rollup keys that merge across shards by addition (``temp_max``
+#: merges by max, ``generation`` is the cache's own sum).
+_SUMMED = ("nodes_total", "nodes_up", "cpu_n", "cpu_sum", "mem_used",
+           "mem_total")
 
 
 class RollupCache:
@@ -90,33 +96,17 @@ class RollupCache:
         return total
 
     def summary(self) -> Dict[str, object]:
-        """The merged cluster rollup, flat-summary shaped.
-
-        Emits exactly the key set
-        :meth:`~repro.core.statestore.StateStore.summary` does, so
+        """The merged cluster rollup, flat-summary shaped: the cached
+        rollups merged into one and handed to the formula
+        :meth:`~repro.core.statestore.StateStore.summary` uses, so
         every consumer of the flat summary (gateway, CLI, golden-trace
         S lines) reads a federated one without knowing the difference.
         """
         self._sync()
-        total = up = cpu_n = 0
-        cpu_sum = mem_used = mem_total = temp_max = 0.0
+        merged = self._empty(sum(self._gens))
         for rollup in self._cached:
-            total += int(rollup["nodes_total"])
-            up += int(rollup["nodes_up"])
-            cpu_n += int(rollup["cpu_n"])
-            cpu_sum += float(rollup["cpu_sum"])
-            mem_used += float(rollup["mem_used"])
-            mem_total += float(rollup["mem_total"])
-            temp = float(rollup["temp_max"])
-            if temp > temp_max:
-                temp_max = temp
-        return {
-            "nodes_total": total,
-            "nodes_up": up,
-            "nodes_down": total - up,
-            "cpu_util_mean_pct": cpu_sum / cpu_n if cpu_n else 0.0,
-            "mem_used_bytes": int(mem_used),
-            "mem_total_bytes": int(mem_total),
-            "cpu_temp_max_c": temp_max,
-            "generation": sum(self._gens),
-        }
+            for key in _SUMMED:
+                merged[key] += rollup[key]
+            merged["temp_max"] = max(merged["temp_max"],
+                                     float(rollup["temp_max"]))
+        return summarize(merged)

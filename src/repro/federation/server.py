@@ -12,8 +12,12 @@ exclusively — and keeps the coordination layer *thin*:
 * **summaries** merge per-shard O(1) rollups through the
   :class:`~repro.federation.rollup.RollupCache` — O(shards), never
   O(N);
-* **queries, remote runs and watch subscriptions** route to owning
-  shards by NodeSet and merge at the edge;
+* **queries and watch subscriptions** route to owning shards by
+  NodeSet and merge at the edge;
+* **remote runs and cloning** ride the fabric, not the control plane:
+  one :class:`~repro.remote.engine.TaskEngine` and one
+  :class:`~repro.imaging.multicast_clone.MulticastCloner` reach every
+  node from the admin host, whichever shard monitors it;
 * **drain** rebalances a shard's nodes onto the surviving shards,
   migrating current state, agent freshness and history series.
 
@@ -34,7 +38,6 @@ from repro.core.statestore import Update
 from repro.events.rules import ThresholdRule
 from repro.federation.channel import ShardChannel
 from repro.federation.monitor import ShardHealthMonitor
-from repro.federation.remote import FederatedRemote
 from repro.federation.shard import (DEAD, DRAINING, SUSPECT, Shard,
                                     _first_active)
 from repro.federation.views import (FederatedEvents, FederatedHealth,
@@ -44,6 +47,7 @@ from repro.federation.views import (FederatedEvents, FederatedHealth,
 from repro.hardware.node import SimulatedNode
 from repro.imaging.manager import ImageManager
 from repro.imaging.multicast_clone import MulticastCloner
+from repro.remote.engine import TaskEngine
 from repro.sim import SimKernel
 
 __all__ = ["FederationServer"]
@@ -66,10 +70,7 @@ class FederationServer:
         self.shards = shards
         #: the guarded RPC boundary to each shard; every federated
         #: fan-out read goes through these.
-        self.channels: List[ShardChannel] = []
-        for shard in shards:
-            shard.channel = ShardChannel(kernel, shard)
-            self.channels.append(shard.channel)
+        self.channels: List[ShardChannel] = [s.channel for s in shards]
         #: heartbeats + suspect/dead escalation + drain-on-death.
         self.monitor = ShardHealthMonitor(
             self, interval=shard_heartbeat,
@@ -93,13 +94,18 @@ class FederationServer:
         self.cloner = MulticastCloner(
             kernel, cluster.fabric, cluster.management,
             rng=cluster.streams("clone"))
+        #: cluster-wide command fan-out, built as the flat server builds
+        #: its own: one window over the management network.  Each shard
+        #: keeps its own engine for its event actions and recovery
+        #: probes.
+        self.remote = TaskEngine(kernel, cluster=cluster,
+                                 rng=cluster.streams("remote"))
         # -- the flat-server surface, federated --------------------------
         self.store = FederatedStore(shards, self.owner_of)
         self.engine = FederatedEvents(shards, self.owner_of)
         self.history = FederatedHistory(shards, self.owner_of)
         self.health = FederatedHealth(shards, self.owner_of)
         self.recovery = FederatedRecovery(shards, self.owner_of)
-        self.remote = FederatedRemote(kernel, shards, self.owner_of)
         #: ingests that found no owner and were dropped.
         self.unrouted_updates = 0
         #: nodes moved per drain, for observability: (from, to, count).
@@ -203,25 +209,22 @@ class FederationServer:
 
     def fail_over(self, index: int, *,
                   reason: str = "manual") -> Dict[str, int]:
-        """Full dead-shard recovery: abort + re-route the shard's
-        in-flight remote runs, drain its nodes to survivors, then
-        re-dispatch the aborted work on the adopting shards.
+        """Dead-shard recovery: :meth:`drain` its nodes to survivors,
+        then mark it ``dead`` and log the ``failovers`` row.
 
         This is what the health monitor calls when heartbeats age past
         ``down_after``.  State and history migrate through
         :meth:`drain`; in the simulation they are read from the dead
         shard's in-process store, standing in for the durable-store
-        recovery a real deployment would run.  Returns the drain's
-        ``{hostname: new shard index}`` map.
+        recovery a real deployment would run.  Remote runs are not
+        touched: they ride the fabric from :attr:`remote`, and the
+        nodes and the fabric are up — only a monitoring shard is down.
+        Returns the drain's ``{hostname: new shard index}`` map.
         """
         shard = self.shards[index]
         if not shard.active:
             return {}
-        shard.health = DRAINING
-        pending = self.remote.abort_shard_runs(index)
         moved = self.drain(index)
-        for run, nodes in pending:
-            self.remote.redispatch(run, nodes)
         shard.health = DEAD
         self.failovers.append(
             (self.kernel.now, index, reason, len(moved)))

@@ -14,6 +14,11 @@ heartbeats every shard through its
 :class:`~repro.federation.channel.ShardChannel` and walks
 ``healthy -> suspect -> dead`` as heartbeats age out; ``draining``
 marks the window while a dead shard's nodes migrate to survivors.
+
+Two helpers place work that names hosts: :func:`_first_active` is
+where a host with no owner goes (power and console commands, unowned
+subscriptions), and :func:`_group_by_owner` splits a host list into
+per-shard shares (host-filtered subscriptions and their re-homing).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.server import ClusterWorXServer
+from repro.federation.channel import ShardChannel
 
 __all__ = ["Shard", "HEALTHY", "SUSPECT", "DEAD", "DRAINING"]
 
@@ -51,11 +57,8 @@ class Shard:
         self.health = HEALTHY
         #: sim time of the last successful heartbeat probe.
         self.last_heartbeat = 0.0
-        #: the guarded RPC path to this shard; the FederationServer
-        #: attaches one per shard.  ``None`` only for bare Shards built
-        #: directly in unit tests, where :meth:`call` degrades to a
-        #: plain invocation.
-        self.channel: Optional[object] = None
+        #: the guarded RPC path to this shard.
+        self.channel = ShardChannel(server.kernel, self)
 
     @property
     def n_nodes(self) -> int:
@@ -67,10 +70,7 @@ class Shard:
 
     def call(self, fn, *args, **kwargs):
         """Invoke ``fn`` through this shard's channel (breaker +
-        timeout + fault switches); a channel-less bare shard calls
-        straight through."""
-        if self.channel is None:
-            return fn(*args)
+        timeout + fault switches)."""
         return self.channel.call(fn, *args, **kwargs)
 
     def __repr__(self) -> str:

@@ -21,15 +21,17 @@ oracle in ``tests/test_federation.py``, not an idiom per method.
   sum-of-dicts, discard for broadcasts — an unreachable shard giving
   its default or last good part.  O(shards), never O(N).
 * **any-one** serves what every shard holds identically
-  (``engine.rules``, ``remote.nodeset``/``fanout``): active shards are
-  tried in index order until one answers.
+  (``engine.rules``): active shards are tried in index order until one
+  answers.
 
 A hostname *no* shard owns meets one of three policies, kept as the
 hand-written views had them: store, engine, recovery and
 ``health.record`` answer the default without asking; ``history.*`` and
 ``health.state`` ask shard 0 (``via_first``) for the flat organ's own
-unknown-host answer; subscriptions and remote runs fall to the first
-active shard.  Callers learn *why* a read degraded from
+unknown-host answer; subscriptions fall to the first active shard.
+Remote runs are not a view: ``server.remote`` is the flat
+:class:`~repro.remote.engine.TaskEngine`, reaching every node over the
+fabric whichever shard monitors it.  Callers learn *why* a read degraded from
 :meth:`FederationServer.degraded_info`, not from exceptions.  Ownership
 is injected as a lookup callable: the views never hold the owner map.
 """

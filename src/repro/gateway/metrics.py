@@ -32,17 +32,15 @@ class GatewayMetrics:
         #: asserts this stays 0 through a shard fail-over.
         self.server_errors = 0
         self.bytes_out = 0
-        self.by_route: Dict[str, int] = {}
         self._latencies: Deque[float] = deque(maxlen=reservoir)
         self._started_at: Optional[float] = None
-        self._last_at: Optional[float] = None
 
     def start(self, now: float) -> None:
         """Mark serving start; ``now`` is the shell's monotonic clock."""
         self._started_at = now
 
-    def record(self, route: str, status: int, latency_s: float,
-               bytes_out: int, now: float) -> None:
+    def record(self, status: int, latency_s: float,
+               bytes_out: int) -> None:
         """Account one completed (non-streaming) request."""
         with self._lock:
             self.requests += 1
@@ -51,9 +49,7 @@ class GatewayMetrics:
             if status >= 500:
                 self.server_errors += 1
             self.bytes_out += bytes_out
-            self.by_route[route] = self.by_route.get(route, 0) + 1
             self._latencies.append(latency_s)
-            self._last_at = now
 
     def record_stream_bytes(self, n: int) -> None:
         with self._lock:

@@ -191,10 +191,8 @@ class GatewayService:
                              t0: float) -> bool:
         wire = negotiate(request.accept, self.binary_wire,
                          self.json_wire)
-        route_name = request.path
         try:
             route, params = self.router.resolve(request.path)
-            route_name = route.template
             status, frames = route.handler(request, params)
         except HttpError as exc:
             status = exc.status
@@ -210,9 +208,7 @@ class GatewayService:
         writer.write(format_response(status, wire.content_type, body,
                                      keep_alive=keep_alive))
         await writer.drain()
-        now = time.perf_counter()
-        self.metrics.record(route_name, status, now - t0, len(body),
-                            now)
+        self.metrics.record(status, time.perf_counter() - t0, len(body))
         return keep_alive
 
     # -- the watch stream ----------------------------------------------------

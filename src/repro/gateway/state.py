@@ -113,9 +113,7 @@ class GatewayState:
             ) -> PublishedView:
         if self._san is not None:
             self._san.assert_locked(self.lock, "GatewayState._capture")
-        store = self.server.store
-        summary = store.summary()
-        summary["events_active"] = self.server.engine.active_count()
+        summary = self.server.cluster_summary()
         summary["sim_time"] = round(self.server.kernel.now, 3)
         # Degradation verdict (a flat server is never degraded).  The
         # degraded keys are added to payloads ONLY while degraded, so a
@@ -131,7 +129,7 @@ class GatewayState:
             summary["degraded"] = True
             summary["stale_shards"] = ",".join(stale)
             summary["staleness_s"] = staleness
-        snapshot = store.snapshot()
+        snapshot = self.server.store.snapshot()
         if previous is not None and \
                 previous.snapshot.membership == snapshot.membership:
             hostnames = previous.hostnames

@@ -115,33 +115,6 @@ class TaskRun:
     def _finish(self, _event) -> None:
         self.finished_at = self.engine.kernel.now
 
-    # -- external control --------------------------------------------------
-    @property
-    def pending_nodes(self) -> NodeSet:
-        """Targets whose worker has not finished yet."""
-        return NodeSet([hostname
-                        for hostname, proc in self._procs.items()
-                        if proc.is_alive])
-
-    def abort(self, reason: str = "run aborted") -> NodeSet:
-        """Interrupt every still-running worker.
-
-        The public cut-short path (the federation uses it when the
-        shard running this sub-run dies): each live worker receives an
-        interrupt and records an ``aborted`` result.  Returns the nodes
-        that were cut short, so the caller can re-dispatch them
-        elsewhere.
-        """
-        pending = self.pending_nodes
-        self.abort_flag = True
-        for proc in self._procs.values():
-            # Un-started workers (dispatched at this very timestamp)
-            # can't take an interrupt; they observe ``abort_flag`` at
-            # their first step and record ``aborted`` themselves.
-            if proc.is_alive and proc.is_started:
-                proc.interrupt(reason)
-        return pending
-
     # -- views -----------------------------------------------------------
     @property
     def complete(self) -> bool:

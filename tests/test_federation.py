@@ -13,10 +13,10 @@ from repro.events.engine import FiredEvent
 from repro.events.rules import ThresholdRule
 from repro.federation import (FederatedEvents, FederatedHealth,
                               FederatedHistory, FederatedRecovery,
-                              FederatedRemote, FederatedStore,
-                              FederationServer, RollupCache,
-                              plan_partitions)
+                              FederatedStore, FederationServer,
+                              RollupCache, plan_partitions)
 from repro.gateway import GatewayState, WatchClient, WatchHub
+from repro.remote.engine import TaskEngine
 from repro.resilience.health import HealthRecord, HealthState
 from repro.resilience.orchestrator import RecoveryRecord
 
@@ -179,11 +179,14 @@ class TestClientSurface:
         assert {u.hostname for u in seen} == set(targets)
 
     def test_remote_run_spans_shards(self):
+        """One run reaches every shard's nodes from the federation's
+        own engine; no shard engine sees a share of it."""
         cwx = make_fed()
         task = cwx.remote_run("uname -r", "@all")
         assert task.ok
         assert len(task.results) == 20
-        assert len(task.runs) == 4  # one sub-run per owning shard
+        assert cwx.server.remote.runs == [task]
+        assert not any(s.server.remote.runs for s in cwx.server.shards)
         assert task.complete and task.makespan > 0.0
 
     def test_threshold_rules_fire_on_every_shard(self):
@@ -193,6 +196,38 @@ class TestClientSurface:
         cwx.run(30)
         fired_hosts = {e.node for e in cwx.fired_events()}
         assert fired_hosts == set(cwx.cluster.hostnames)
+
+
+def _remote_run(**topology):
+    cwx = ClusterWorX(n_nodes=64, seed=3, monitor_interval=5.0,
+                      **topology)
+    cwx.start()
+    return cwx.remote_run("uname -r", "@all", fanout=8)
+
+
+class TestRemoteRuns:
+    """Remote runs ride the fabric as cloning does: ``server.remote`` is
+    the flat TaskEngine under either topology, one ``fanout`` window
+    over every node."""
+
+    @pytest.mark.parametrize("topology", [
+        {}, {"topology": "federation", "shards": 4}])
+    def test_facade_remote_is_a_task_engine(self, topology):
+        cwx = ClusterWorX(n_nodes=8, seed=7, **topology)
+        assert type(cwx.remote) is TaskEngine
+        assert cwx.remote is cwx.server.remote
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_run_equals_flat(self, shards):
+        """Same seed, same run: statuses, outputs, makespan and report.
+        ``fanout`` is the one window asked for, not one per shard."""
+        flat = _remote_run()
+        fed = _remote_run(topology="federation", shards=shards)
+        assert fed.results == flat.results
+        assert fed.counts() == flat.counts() == {"ok": 64}
+        assert fed.makespan == flat.makespan
+        assert fed.report() == flat.report()
+        assert fed.max_in_flight == flat.max_in_flight == 8
 
 
 class TestMembership:
@@ -365,8 +400,9 @@ class TestKnobs:
 # The one intended change since the freeze: under ``killed`` (the owner
 # is shard 0) ``engine.rules`` read ``[]`` and ``remote.nodeset("@all")``
 # raised NodeSetParseError, because any-one reads stopped at the first
-# *active* shard — which a killed, not yet drained shard still is.  They
-# now try the next active shard, so both rows equal ``reachable``.
+# *active* shard — which a killed, not yet drained shard still is.  The
+# rules now try the next active shard, and ``remote`` is the flat
+# engine, which asks no shard; both rows equal ``reachable``.
 VIEWS = {"store": FederatedStore, "engine": FederatedEvents,
          "history": FederatedHistory, "health": FederatedHealth,
          "recovery": FederatedRecovery}
@@ -516,7 +552,7 @@ def _walk(cwx, host):
     rows["recovery.notifications"] = recovery.notifications
     rows["recovery.errors"] = recovery.errors
     rows["recovery.record_for"] = recovery.record_for(host)
-    # -- any-one reads on the remote surface
+    # -- the remote engine, which no shard outage reaches
     rows["remote.fanout"] = server.remote.fanout
     rows["remote.nodeset"] = str(server.remote.nodeset("@all"))
     # -- mutators, each followed by the read that shows its effect
@@ -882,7 +918,7 @@ class TestViewCharacterisation:
         are: store/engine/recovery and ``health.record`` answer without
         asking anyone; ``history.*`` and ``health.state`` ask shard 0 —
         so the answer depends on whether shard 0 is up; subscriptions
-        and remote runs fall to the first active shard."""
+        fall to the first active shard."""
         cwx = _make_reference()
         server = cwx.server
         calls = [ch.calls for ch in server.channels]
@@ -916,7 +952,6 @@ _ARGUMENTS = {
 _HANDWRITTEN = {"__init__", "generation", "summary", "snapshot",
                 "subscribe", "rehome", "rules", "event_log",
                 "compare_nodes"}
-_ORGANS = {**VIEWS, "remote": FederatedRemote}
 
 
 def _table(cls):
@@ -961,7 +996,7 @@ class TestRoutingTable:
         server, host = cwx.server, _ARGUMENTS["hostname"]
         for index in dead:
             server.shards[index].channel.killed = True
-        for organ, cls in _ORGANS.items():
+        for organ, cls in VIEWS.items():
             view = getattr(server, organ)
             for name, is_attribute, is_command, entry, (verb, *spec) \
                     in _table(cls):

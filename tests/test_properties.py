@@ -970,8 +970,9 @@ _table_values = st.one_of(
 def _state_over(snapshot, now):
     """A GatewayState whose server is nothing but ``snapshot``."""
     server = SimpleNamespace(
-        store=SimpleNamespace(summary=dict, snapshot=lambda: snapshot),
-        engine=SimpleNamespace(active_count=int, active_events=tuple),
+        store=SimpleNamespace(snapshot=lambda: snapshot),
+        engine=SimpleNamespace(active_events=tuple),
+        cluster_summary=dict,
         kernel=SimpleNamespace(now=now),
         degraded_info=lambda: {"degraded": False})
     return GatewayState(server)
