@@ -123,7 +123,8 @@ class ClusterWorXServer:
         self._health_epoch: Optional[float] = None
         self.updates_received = 0
         self._sweep_seq = 0
-        self._sweeping = False
+        #: the running sweep loop, killed by stop_sweep.
+        self._sweep_proc = None
         # §3.3: console output "is captured and logged through the ICE
         # Box" — the server archives every port's serial stream beyond
         # the box's own 16 KiB buffer.
@@ -244,18 +245,22 @@ class ClusterWorXServer:
 
     # -- connectivity sweep (the UDP echo check, §5.1) -------------------------
     def start_sweep(self) -> None:
-        if self._sweeping:
+        if self._sweep_proc is not None and self._sweep_proc.is_alive:
             return
-        self._sweeping = True
         if self._health_epoch is None:
             self._health_epoch = self.kernel.now
-        self.kernel.process(self._sweep_loop(), name="cwx-sweep")
+        self._sweep_proc = self.kernel.process(self._sweep_loop(),
+                                               name="cwx-sweep")
 
     def stop_sweep(self) -> None:
-        self._sweeping = False
+        """End the sweep loop now, not at its next wake-up: a restart
+        inside one ``sweep_interval`` must not leave two loops."""
+        if self._sweep_proc is not None:
+            self._sweep_proc.kill()
+        self._sweep_proc = None
 
     def _sweep_loop(self):
-        while self._sweeping:
+        while True:
             now = self.kernel.now
             # Each sentinel update is ingested the instant the pass
             # finds it: under self-healing the event firings it causes

@@ -12,7 +12,7 @@ a seeded RNG, so every campaign replays byte-identically.
 module       contents
 ==========  =========================================================
 plane        :class:`FaultPlane` — schedules the switch flips on the
-             kernel (kill/hang/slow/link-down/pub-stall)
+             kernel (shard kill, shard outage, pub-stall)
 campaign     :class:`ControlPlan` — the ``control_plane`` hook for
              :class:`~repro.resilience.chaos.ChaosCampaign`: draws
              victims, schedules via the plane, scores the outcomes

@@ -8,6 +8,11 @@ a :class:`~repro.faults.plane.FaultPlane`; ``score()`` distills the
 monitor transition log, the federation fail-over audit trail and the
 channel drop counters into :class:`ControlFaultOutcome` rows that ride
 inside the ordinary :class:`~repro.resilience.chaos.CampaignReport`.
+A ``shard-kill`` is :meth:`~repro.faults.plane.FaultPlane.kill_shard`;
+``shard-hang``, ``link-down`` and ``shard-slow`` are one
+:meth:`~repro.faults.plane.FaultPlane.outage` of ``duration``, each
+under its own label, so seeded draws and report rows keep the kind
+names.
 
 Determinism contract: the plan is a pure function of the RNG stream
 (which :class:`ChaosCampaign` hands over *after* its node-fault draws)
@@ -20,8 +25,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.faults.plane import (FaultPlane, LINK_DOWN, PUBLISH_STALL,
-                                SHARD_HANG, SHARD_KILL, SHARD_SLOW)
+from repro.faults.plane import FaultPlane, PUBLISH_STALL, SHARD_KILL
 from repro.federation.shard import DEAD, HEALTHY, SUSPECT
 from repro.resilience.chaos import (BENIGN, FAILED_OVER,
                                     ControlFaultOutcome, RODE_THROUGH,
@@ -35,7 +39,7 @@ class ControlPlan:
 
     def __init__(self, plane: FaultPlane, *, n_faults: int = 1,
                  kinds: Sequence[str] = (SHARD_KILL,),
-                 duration: float = 60.0, slow_latency: float = 5.0):
+                 duration: float = 60.0):
         if plane.federation is None:
             raise ValueError("ControlPlan needs a federation-attached "
                              "fault plane")
@@ -44,9 +48,6 @@ class ControlPlan:
         self.kinds = tuple(kinds)
         #: how long the transient kinds (hang/slow/link/stall) last.
         self.duration = duration
-        #: injected per-call latency for SHARD_SLOW; above the channel
-        #: timeout this fails calls outright.
-        self.slow_latency = slow_latency
         self.outcomes: List[ControlFaultOutcome] = []
 
     # -- planning ------------------------------------------------------------
@@ -87,15 +88,8 @@ class ControlPlan:
         duration = 0.0 if kind == SHARD_KILL else self.duration
         if kind == SHARD_KILL:
             self.plane.kill_shard(index, at)
-        elif kind == SHARD_HANG:
-            self.plane.hang_shard(index, at, self.duration)
-        elif kind == SHARD_SLOW:
-            self.plane.slow_shard(index, at, self.duration,
-                                  latency=self.slow_latency)
-        elif kind == LINK_DOWN:
-            self.plane.partition_link(index, at, self.duration)
         else:
-            raise ValueError(f"unknown control fault kind {kind!r}")
+            self.plane.outage(index, at, self.duration, kind)
         return ControlFaultOutcome(target=name, kind=kind,
                                    injected_at=at, duration=duration,
                                    shard=index)
@@ -133,9 +127,9 @@ class ControlPlan:
                 outcome.outcome = (RODE_THROUGH if healed is not None
                                    else UNRESOLVED)
             else:
-                # Never even suspected: the fault was shorter than the
-                # escalation threshold (or the backoff re-probe caught
-                # the shard back up first).
+                # Never even suspected: the shard answered a probe
+                # again before its last good heartbeat aged past
+                # ``suspect_after``.
                 outcome.outcome = BENIGN
         return self.outcomes
 

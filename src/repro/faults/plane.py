@@ -5,25 +5,26 @@ federation and gateway.
 :class:`~repro.federation.channel.ShardChannel` fault switches and the
 gateway's publication stall.  Every fault is **scheduled** — a kernel
 process sleeps until the injection time and flips the switch *then* —
-because ``hung_until`` / ``link_down_until`` are absolute sim times: a
-switch set early would start the fault early.
+because ``down_until`` is an absolute sim time: a switch set early
+would start the fault early.
 
 Fault kinds:
 
-========== =========================================================
+=========== =========================================================
 kind        effect
-========== =========================================================
-shard-kill  the shard process dies (``channel.killed``); a duration
-            clears the switch later, but a shard already failed
+=========== =========================================================
+shard-kill  the shard process dies: ``channel.killed`` is set and the
+            shard's sweep stops, so it publishes nothing of its own; a
+            duration clears the switch later and restarts the sweep of
+            a shard not yet failed over, but a shard already failed
             over stays drained (no re-admission path yet)
-shard-hang  the shard wedges until ``at + duration``
-shard-slow  every call takes ``latency`` seconds; above the channel
-            policy timeout calls fail, below it the simulation does
-            not model the delay and the fault has no effect
-link-down   the federation<->shard link partitions for ``duration``
+shard-hang  one mechanism under three labels — :meth:`FaultPlane.outage`
+link-down   sets ``channel.down_until = at + duration``: a wedged
+shard-slow  process, a partitioned link and a shard too slow for its
+            callers all look the same from the federation
 pub-stall   the gateway republishes nothing until ``at + duration``
             (watchers see heartbeats, polls see the last snapshot)
-========== =========================================================
+=========== =========================================================
 
 The plane itself draws no randomness — callers (a
 :class:`~repro.faults.campaign.ControlPlan`, a test, an operator)
@@ -51,6 +52,9 @@ PUBLISH_STALL = "pub-stall"
 CONTROL_KINDS: Tuple[str, ...] = (SHARD_KILL, SHARD_HANG, SHARD_SLOW,
                                   LINK_DOWN)
 
+#: the labels :meth:`FaultPlane.outage` accepts.
+_OUTAGE_KINDS: Tuple[str, ...] = (SHARD_HANG, SHARD_SLOW, LINK_DOWN)
+
 
 class FaultPlane:
     """Deterministic, sim-clock-driven control-plane fault injector."""
@@ -71,10 +75,10 @@ class FaultPlane:
             fn()
         self.kernel.process(proc(), name=name)
 
-    def _channel(self, index: int):
+    def _shard(self, index: int):
         if self.federation is None:
             raise ValueError("fault plane has no federation attached")
-        return self.federation.shards[index].channel
+        return self.federation.shards[index]
 
     def _record(self, at: float, kind: str, target: str,
                 duration: Optional[float]) -> None:
@@ -83,65 +87,42 @@ class FaultPlane:
     # -- shard faults --------------------------------------------------------
     def kill_shard(self, index: int, at: float,
                    duration: Optional[float] = None) -> None:
-        """The shard process dies at ``at``.  With a ``duration`` the
-        kill switch clears at ``at + duration``: a shard revived before
-        the monitor fails it over resumes in place, but one already
-        failed over stays drained — inactive, ``dead``, owning no
-        nodes and never probed — because nothing re-admits a drained
-        shard yet."""
-        channel = self._channel(index)
-        self._record(at, SHARD_KILL, channel.shard.name, duration)
+        """The shard process dies at ``at``: its channel stops
+        answering and its server stops sweeping.  With a ``duration``
+        the kill switch clears at ``at + duration``: a shard revived
+        before the monitor fails it over resumes in place, sweep and
+        all, but one already failed over stays drained — inactive,
+        ``dead``, owning no nodes and never probed — because nothing
+        re-admits a drained shard yet."""
+        shard = self._shard(index)
+        channel = shard.channel
+        self._record(at, SHARD_KILL, shard.name, duration)
 
         def kill():
             channel.killed = True
+            shard.server.stop_sweep()
         self._at(at, kill, f"fault-kill-{index}")
         if duration is not None:
             def revive():
                 channel.killed = False
+                if shard.active:
+                    shard.server.start_sweep()
             self._at(at + duration, revive, f"fault-revive-{index}")
 
-    def hang_shard(self, index: int, at: float, duration: float) -> None:
-        """The shard wedges (accepts nothing) for ``duration``."""
-        channel = self._channel(index)
-        self._record(at, SHARD_HANG, channel.shard.name, duration)
+    def outage(self, index: int, at: float, duration: float,
+               kind: str) -> None:
+        """The shard answers nothing from ``at`` for ``duration``.
+        ``kind`` (``shard-hang``, ``link-down`` or ``shard-slow``) only
+        labels the audit row: the three are one outage to the
+        federation."""
+        if kind not in _OUTAGE_KINDS:
+            raise ValueError(f"unknown outage kind {kind!r}")
+        channel = self._shard(index).channel
+        self._record(at, kind, channel.shard.name, duration)
 
-        def hang():
-            channel.hung_until = max(channel.hung_until, at + duration)
-        self._at(at, hang, f"fault-hang-{index}")
-
-    def slow_shard(self, index: int, at: float, duration: float, *,
-                   latency: float) -> None:
-        """Every call to the shard takes ``latency`` seconds for
-        ``duration``; above the channel policy timeout this is a dead
-        shard in slow motion, below it a no-op (call latency is not
-        simulated)."""
-        channel = self._channel(index)
-        self._record(at, SHARD_SLOW, channel.shard.name, duration)
-
-        def slow():
-            channel.latency = latency
-        self._at(at, slow, f"fault-slow-{index}")
-
-        def recover():
-            channel.latency = 0.0
-        self._at(at + duration, recover, f"fault-unslow-{index}")
-
-    def partition_link(self, index: int, at: float,
-                       duration: float) -> None:
-        """Partition the federation<->shard link for ``duration``."""
-        channel = self._channel(index)
-        self._record(at, LINK_DOWN, channel.shard.name, duration)
-
-        def cut():
-            channel.link_down_until = max(channel.link_down_until,
-                                          at + duration)
-        self._at(at, cut, f"fault-link-{index}")
-
-    def restore_shard(self, index: int, at: float) -> None:
-        """Clear every fault switch on the shard at ``at``."""
-        channel = self._channel(index)
-        self._record(at, "restore", channel.shard.name, None)
-        self._at(at, channel.restore, f"fault-restore-{index}")
+        def down():
+            channel.down_until = max(channel.down_until, at + duration)
+        self._at(at, down, f"fault-{kind}-{index}")
 
     # -- gateway faults ------------------------------------------------------
     def stall_gateway(self, at: float, duration: float) -> None:

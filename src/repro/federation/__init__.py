@@ -12,7 +12,7 @@ thin federation layer:
 * :mod:`~repro.federation.views` — the flat server's read surfaces
   (store/engine/history/health/recovery) merged across shards;
 * :mod:`~repro.federation.channel` — the simulated RPC boundary to one
-  shard: fault switches, timeout bound, per-shard circuit breaker;
+  shard: two fault switches, one ``up`` test, the ingest backlog;
 * :mod:`~repro.federation.monitor` — shard heartbeats with
   suspect/dead escalation and automatic drain-on-death;
 * :mod:`~repro.federation.server` — the coordinator: ingest routing,
@@ -29,7 +29,7 @@ are plain core servers and never import federation.
 """
 
 from repro.federation.api import build_federation, plan_partitions
-from repro.federation.channel import ShardChannel, ShardUnavailable
+from repro.federation.channel import ShardChannel
 from repro.federation.monitor import ShardHealthMonitor
 from repro.federation.rollup import RollupCache
 from repro.federation.server import FederationServer
@@ -42,7 +42,7 @@ from repro.federation.views import (FederatedEvents, FederatedHealth,
 
 __all__ = [
     "FederationServer", "Shard", "RollupCache",
-    "ShardChannel", "ShardUnavailable", "ShardHealthMonitor",
+    "ShardChannel", "ShardHealthMonitor",
     "HEALTHY", "SUSPECT", "DEAD", "DRAINING",
     "FederatedEvents", "FederatedHealth", "FederatedHistory",
     "FederatedRecovery", "FederatedSnapshot", "FederatedStore",

@@ -16,14 +16,13 @@ on a fixed cadence, and a shard whose last good heartbeat ages past
   ``down_after + interval`` is therefore also how long the router
   holds an update.
 
-After a probe failure the monitor re-probes that shard on the channel
-policy's backoff schedule (``policy.delay``: 1 s, 2 s, 4 s … capped)
-instead of waiting a full heartbeat interval, so detection latency is
-bounded by the escalation thresholds, not by probe phase.  Probe
-outcomes feed the channel's circuit breaker: a dead shard's breaker
-opens after ``failure_threshold`` misses and every federated read
-fast-fails until the breaker's half-open trial — usually the next
-probe — finds the shard back.
+A probe asks the shard's channel, the one judge of whether a shard
+answers (``channel.up``): the first probe after the shard is up again
+finds it back.  After a probe failure the monitor re-probes that shard
+on a fixed backoff (:data:`_REPROBE`: 1 s, 2 s, 4 s, then every
+``interval``) instead of waiting a full heartbeat interval, so
+detection latency is bounded by the escalation thresholds, not by
+probe phase.
 
 Everything runs on the sim kernel, draws no randomness, and mutates no
 store state on the healthy path, so an all-healthy monitor is invisible
@@ -34,12 +33,17 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.federation.rollup import _generation
 from repro.federation.shard import DEAD, HEALTHY, SUSPECT, Shard
 
 __all__ = ["ShardHealthMonitor"]
 
 #: probe-failure sentinel (a probe result can legitimately be 0).
 _FAILED = object()
+
+#: delays before the first re-probes of a failing shard; after them it
+#: is probed every ``interval``, and no delay is ever longer.
+_REPROBE = (1.0, 2.0, 4.0)
 
 
 class ShardHealthMonitor:
@@ -105,12 +109,12 @@ class ShardHealthMonitor:
 
     def _probe(self, shard: Shard) -> float:
         """One heartbeat; returns the delay until this shard's next
-        probe (the regular interval, or the policy backoff while the
+        probe (the regular interval, or the re-probe backoff while the
         shard is failing)."""
         self.probes += 1
         now = self.kernel.now
-        result = shard.call(self._read_generation, shard,
-                            default=_FAILED, label="heartbeat")
+        # The payload is one O(1) read proving the shard answers.
+        result = shard.channel.call(_generation, shard, default=_FAILED)
         if result is not _FAILED:
             shard.last_heartbeat = now
             self._attempts[shard.index] = 0
@@ -129,13 +133,9 @@ class ShardHealthMonitor:
             return self.interval
         if age >= self.suspect_after and shard.health == HEALTHY:
             self._move(shard, SUSPECT)
-        policy = shard.channel.policy
-        return min(policy.delay(min(attempts, 8)), self.interval)
-
-    @staticmethod
-    def _read_generation(shard: Shard) -> int:
-        """The probe payload: one O(1) read proving the shard answers."""
-        return shard.server.store.generation
+        if attempts > len(_REPROBE):
+            return self.interval
+        return min(_REPROBE[attempts - 1], self.interval)
 
     def _move(self, shard: Shard, new: str) -> None:
         old = shard.health

@@ -32,16 +32,23 @@ _SUMMED = ("nodes_total", "nodes_up", "cpu_n", "cpu_sum", "mem_used",
            "mem_total")
 
 
+def _generation(shard: Shard) -> int:
+    return shard.server.store.generation
+
+
+def _rollup(shard: Shard) -> Dict[str, object]:
+    return shard.server.store.rollup()
+
+
 class RollupCache:
     """Per-shard cached rollups, invalidated by store generation."""
 
     def __init__(self, shards: Sequence[Shard]):
         self._shards = list(shards)
-        # Construction-time read: no default — building a rollup cache
-        # over an unreachable shard is a caller error, not degradation.
+        # Construction-time read, not through the channel: a shard is
+        # built before anything can fault it.
         self._cached: List[Dict[str, object]] = [
-            shard.call(lambda shard=shard: shard.server.store.rollup())
-            for shard in self._shards]
+            shard.server.store.rollup() for shard in self._shards]
         self._gens: List[int] = [
             int(rollup["generation"]) for rollup in self._cached]
         #: shard contributions that had to be re-read (the shard wrote).
@@ -51,8 +58,7 @@ class RollupCache:
 
     def _sync(self) -> None:
         for i, shard in enumerate(self._shards):
-            gen = shard.call(lambda: shard.server.store.generation,
-                             default=None, label="rollup-gen")
+            gen = shard.channel.call(_generation, shard)
             if gen is None and not shard.active:
                 # Dead *and* drained: its nodes were adopted by the
                 # survivors, whose contributions now cover them — the
@@ -67,8 +73,7 @@ class RollupCache:
                 # hole in the fleet).
                 self.reuses += 1
                 continue
-            rollup = shard.call(lambda: shard.server.store.rollup(),
-                                default=None, label="rollup")
+            rollup = shard.channel.call(_rollup, shard)
             if rollup is None:
                 self.reuses += 1
                 continue
@@ -90,8 +95,7 @@ class RollupCache:
         value, keeping the sum monotone through an outage."""
         total = 0
         for i, shard in enumerate(self._shards):
-            gen = shard.call(lambda: shard.server.store.generation,
-                             default=None, label="rollup-gen")
+            gen = shard.channel.call(_generation, shard)
             total += self._gens[i] if gen is None else gen
         return total
 

@@ -68,9 +68,6 @@ class FederationServer:
         self.kernel = kernel
         self.cluster = cluster
         self.shards = shards
-        #: the guarded RPC boundary to each shard; every federated
-        #: fan-out read goes through these.
-        self.channels: List[ShardChannel] = [s.channel for s in shards]
         #: heartbeats + suspect/dead escalation + drain-on-death.
         self.monitor = ShardHealthMonitor(
             self, interval=shard_heartbeat,
@@ -280,9 +277,8 @@ class FederationServer:
         if channel.held or not channel.up:
             # While the owner is unreachable, or still has a backlog,
             # the update queues behind the backlog so none overtakes an
-            # older one.  The cheap ``up`` check (no breaker
-            # bookkeeping) and the empty-queue test are all the healthy
-            # hot path pays.
+            # older one.  The ``up`` check and the empty-queue test are
+            # all the healthy hot path pays.
             held = channel.held
             held.append(update)
             if channel.up:
@@ -375,8 +371,7 @@ class FederationServer:
         now = self.kernel.now
         rows: List[Dict[str, object]] = []
         for shard in self.shards:
-            stats = shard.call(self._read_stats, shard,
-                               default=None, label="shard-stats")
+            stats = shard.channel.call(self._read_stats, shard)
             if stats is None:
                 stats = self._last_stats.get(shard.index, {
                     "updates_received": 0, "generation": 0,

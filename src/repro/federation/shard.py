@@ -57,7 +57,8 @@ class Shard:
         self.health = HEALTHY
         #: sim time of the last successful heartbeat probe.
         self.last_heartbeat = 0.0
-        #: the guarded RPC path to this shard.
+        #: the call path to this shard and the one test of whether it
+        #: answers (``channel.up``).
         self.channel = ShardChannel(server.kernel, self)
 
     @property
@@ -67,11 +68,6 @@ class Shard:
     @property
     def hostnames(self) -> List[str]:
         return self.server.managed_hostnames
-
-    def call(self, fn, *args, **kwargs):
-        """Invoke ``fn`` through this shard's channel (breaker +
-        timeout + fault switches)."""
-        return self.channel.call(fn, *args, **kwargs)
 
     def __repr__(self) -> str:
         state = "active" if self.active else "drained"

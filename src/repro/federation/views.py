@@ -56,7 +56,7 @@ from repro.core.statestore import (Snapshot, StateStore, Subscription,
                                    Update)
 from repro.events.engine import EventEngine, FiredEvent, newest
 from repro.events.rules import ThresholdRule
-from repro.federation.rollup import RollupCache
+from repro.federation.rollup import RollupCache, _generation
 from repro.federation.shard import Shard, _group_by_owner
 from repro.monitoring.history import HistoryStore
 from repro.resilience.health import HealthTracker
@@ -85,6 +85,10 @@ _DOWN = object()
 
 #: hostname -> owning shard (or None for unknown hosts).
 OwnerLookup = Callable[[str], Optional[Shard]]
+
+
+def _snapshot(shard: Shard) -> Snapshot:
+    return shard.server.store.snapshot()
 
 
 class FederatedSnapshot(MappingABC):
@@ -198,40 +202,40 @@ class _View:
         self._shards = list(shards)
         self._owner_of = owner_of
 
-    def _ask(self, shard, name, read, default=_DOWN, last_good=None, *key):
+    def _ask(self, shard, read, default=_DOWN, last_good=None, *key):
         """THE cross-shard read: ``read`` (an ``attrgetter`` or
-        ``methodcaller`` for ``name``) applied to the shard's organ
-        through its channel.  An unreachable shard answers from its
-        last good snapshot part when the entry says how
-        (``last_good(part, *key)``, store only), else ``default``."""
-        answer = shard.call(lambda: read(getattr(shard.server, self._organ)),
-                            default=_DOWN, label=name)
+        ``methodcaller``) applied to the shard's organ through its
+        channel.  An unreachable shard answers from its last good
+        snapshot part when the entry says how (``last_good(part,
+        *key)``, store only), else ``default``."""
+        answer = shard.channel.call(
+            lambda: read(getattr(shard.server, self._organ)), default=_DOWN)
         if answer is not _DOWN:
             return answer
         if last_good is None:
             return default
         return last_good(self._last_part(shard), *key)
 
-    def _to_owner(self, hostname, name, read, default=None, *,
+    def _to_owner(self, hostname, read, default=None, *,
                   via_first=False, last_good=None):
         shard = self._owner_of(hostname)
         if shard is None:
             if not via_first:
                 return default
             shard = self._shards[0]
-        return self._ask(shard, name, read, default, last_good, hostname)
+        return self._ask(shard, read, default, last_good, hostname)
 
-    def _from_each(self, name, read, merge, default=(), *, last_good=None):
-        return merge([self._ask(shard, name, read, default, last_good)
+    def _from_each(self, read, merge, default=(), *, last_good=None):
+        return merge([self._ask(shard, read, default, last_good)
                       for shard in self._shards])
 
-    def _from_any(self, name, read, default):
+    def _from_any(self, read, default):
         """A killed shard stays ``active`` for the whole detection
         window, so stopping at the first active shard would take an
         answer the healthy ones still hold down with it."""
         for shard in self._shards:
             if shard.active:
-                answer = self._ask(shard, name, read)
+                answer = self._ask(shard, read)
                 if answer is not _DOWN:
                     return answer
         return default
@@ -247,7 +251,7 @@ def _owner(flat, default=None, **policy):
     def method(self, *args, **kwargs):
         hostname = kwargs["hostname"] if "hostname" in kwargs else args[at]
         read = methodcaller(name, *args, **kwargs)
-        return self._to_owner(hostname, name, read, default, **policy)
+        return self._to_owner(hostname, read, default, **policy)
     method.route = ("owner", default, policy)
     return method
 
@@ -259,7 +263,7 @@ def _each(flat, merge, default=(), **policy):
     @wraps(flat)
     def method(self, *args, **kwargs):
         read = methodcaller(name, *args, **kwargs)
-        return self._from_each(name, read, merge, default, **policy)
+        return self._from_each(read, merge, default, **policy)
     method.route = ("each", merge, default, policy)
     return method
 
@@ -269,7 +273,7 @@ def _each_attr(name: str, merge, default=(), **policy) -> property:
     read = attrgetter(name)
 
     def fget(self):
-        return self._from_each(name, read, merge, default, **policy)
+        return self._from_each(read, merge, default, **policy)
     fget.route = ("each", merge, default, policy)
     return property(fget)
 
@@ -355,9 +359,7 @@ class FederatedStore(_View, organ="store"):
         key stays stable and quiescent reuse still works)."""
         gens: List[int] = []
         for shard in self._shards:
-            gen = shard.call(
-                lambda: shard.server.store.generation,
-                default=None, label="generation")
+            gen = shard.channel.call(_generation, shard)
             if gen is None:
                 gen = self._last_part(shard).generation
             gens.append(gen)
@@ -367,9 +369,7 @@ class FederatedStore(_View, organ="store"):
             return cached[1]
         parts: List[Snapshot] = []
         for shard in self._shards:
-            part = shard.call(
-                lambda: shard.server.store.snapshot(),
-                default=None, label="snapshot")
+            part = shard.channel.call(_snapshot, shard)
             if part is None:
                 part = self._last_part(shard)
             else:
@@ -383,7 +383,7 @@ class FederatedStore(_View, organ="store"):
     def _subscribe_on(self, shares, callback, name, metrics
                       ) -> List[Subscription]:
         """One bus registration per reachable ``(shard, hosts)`` share."""
-        asked = (self._ask(shard, "subscribe", methodcaller(
+        asked = (self._ask(shard, methodcaller(
             "subscribe", callback, name=name, hosts=share,
             metrics=metrics)) for shard, share in shares)
         return [part for part in asked if part is not _DOWN]
@@ -472,7 +472,7 @@ class FederatedEvents(_View, organ="engine"):
 
     @property
     def rules(self) -> List[ThresholdRule]:
-        return self._from_any("rules", attrgetter("rules"), [])
+        return self._from_any(attrgetter("rules"), [])
 
     # -- merged event reads ----------------------------------------------------
     #: every shard's fired events — the flat ``engine.fired`` shape.
@@ -486,7 +486,7 @@ class FederatedEvents(_View, organ="engine"):
                   rule: Optional[str] = None,
                   node: Optional[str] = None,
                   limit: Optional[int] = None) -> List[FiredEvent]:
-        merged = self._from_each("event_log", methodcaller(
+        merged = self._from_each(methodcaller(
             "event_log", since=since, rule=rule, node=node),
             _by_event_time)
         # ``limit`` bounds the merged log, not each shard's share.
@@ -518,7 +518,7 @@ class FederatedHistory(_View, organ="history"):
         result: Dict[str, float] = {}
         for hostname in hostnames:
             result.update(self._to_owner(
-                hostname, "compare_nodes",
+                hostname,
                 methodcaller("compare_nodes", [hostname], metric), {},
                 via_first=True))
         return result

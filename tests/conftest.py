@@ -50,6 +50,24 @@ def segment_scans(monkeypatch) -> list:
 
 
 @pytest.fixture
+def sweep_passes(monkeypatch):
+    """``sweep_passes(server)``: the instants of ``server``'s sweep
+    passes from now on (with self-healing on, each pass evaluates its
+    first managed host's health once)."""
+    def watch(server) -> list:
+        host, seen = server.managed_hostnames[0], []
+        evaluate = server.health.evaluate
+
+        def recording(hostname, **evidence):
+            if hostname == host:
+                seen.append(server.kernel.now)
+            return evaluate(hostname, **evidence)
+        monkeypatch.setattr(server.health, "evaluate", recording)
+        return seen
+    return watch
+
+
+@pytest.fixture
 def fabric(kernel) -> NetworkFabric:
     return NetworkFabric(kernel)
 

@@ -135,6 +135,24 @@ class TestServerBookkeeping:
         cwx.server.start_sweep()  # restart is safe
         cwx.run(20)
 
+    def test_sweep_restart_runs_one_loop(self, sweep_passes):
+        """``stop_sweep`` ends the loop at once: a restart inside one
+        ``sweep_interval`` used to leave the old loop waking beside the
+        new one, so every host was swept twice per interval."""
+        cwx = ClusterWorX(n_nodes=2, seed=7, monitor_interval=5.0,
+                          self_healing=True)
+        cwx.start()
+        cwx.run(20)
+        server = cwx.server
+        passes = sweep_passes(server)
+        server.stop_sweep()
+        cwx.run(1)
+        server.start_sweep()
+        cwx.run(30)
+        gaps = [b - a for a, b in zip(passes, passes[1:])]
+        assert len(passes) == 4
+        assert gaps == pytest.approx([server.sweep_interval] * 3)
+
     def test_action_names_lists_builtins_and_custom(self):
         dispatcher = ActionDispatcher()
         dispatcher.register("page", lambda n: None)

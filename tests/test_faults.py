@@ -1,9 +1,10 @@
 """repro.faults: deterministic control-plane fault injection.
 
-Covers: the FaultPlane scheduling primitives (kill / hang / slow /
-link / restore / gateway stall fire at their planned sim times and
-leave an audit trail), the ControlPlan campaign hook (same seed + spec
-renders byte-identical CampaignReports, and adding a control plan
+Covers: the FaultPlane scheduling primitives (kill, the one outage
+under its three labels, gateway stall fire at their planned sim times
+and leave an audit trail; a killed shard stops sweeping), the
+ControlPlan campaign hook (same seed + spec renders byte-identical
+CampaignReports, and adding a control plan
 never perturbs the node-fault schedule), fail-over scoring (a killed
 shard is detected, drained and re-owned by survivors).
 """
@@ -11,9 +12,8 @@ shard is detected, drained and re-owned by survivors).
 import pytest
 
 from repro import ClusterWorX
-from repro.faults import (CONTROL_KINDS, LINK_DOWN, PUBLISH_STALL,
-                          SHARD_HANG, SHARD_KILL, SHARD_SLOW,
-                          ControlPlan, FaultPlane)
+from repro.faults import (CONTROL_KINDS, LINK_DOWN, SHARD_HANG,
+                          SHARD_KILL, SHARD_SLOW, ControlPlan, FaultPlane)
 from repro.federation import DEAD, HEALTHY
 from repro.gateway import GatewayState
 from repro.resilience import ChaosCampaign
@@ -49,53 +49,41 @@ class TestFaultPlane:
         cwx.run(2.0)
         assert channel.killed and not channel.up
 
-    def test_kill_with_duration_revives(self):
+    def test_kill_with_duration_revives(self, sweep_passes):
+        """The kill stops the shard's sweep at the kill instant; the
+        revive of a shard not yet failed over starts it again."""
         cwx, plane, t0 = started_fed(
+            self_healing=True,
             topology_options={"auto_failover": False,
                               "shard_down_after": 1e9})
+        shard = cwx.server.shards[2]
+        swept = sweep_passes(shard.server)
         plane.kill_shard(2, at=t0 + 10.0, duration=20.0)
-        channel = cwx.server.shards[2].channel
         cwx.run(15.0)
-        assert channel.killed
+        assert shard.channel.killed
         cwx.run(20.0)
-        assert not channel.killed and channel.up
+        assert not shard.channel.killed and shard.channel.up
+        cwx.run(30.0)
+        assert [t for t in swept if t0 + 10.0 < t < t0 + 30.0] == []
+        after = [t - t0 for t in swept if t >= t0 + 30.0]
+        assert after == pytest.approx([30.0, 40.0, 50.0, 60.0])
 
-    def test_hang_window_opens_and_closes(self):
+    @pytest.mark.parametrize("kind", [SHARD_HANG, LINK_DOWN, SHARD_SLOW])
+    def test_outage_window_opens_and_closes(self, kind):
         cwx, plane, t0 = started_fed()
-        plane.hang_shard(0, at=t0 + 5.0, duration=10.0)
-        channel = cwx.server.shards[0].channel
-        cwx.run(6.0)
-        assert channel.hung_until == t0 + 15.0 and not channel.up
-        cwx.run(10.0)
-        assert channel.up
-
-    def test_slow_sets_then_clears_latency(self):
-        cwx, plane, t0 = started_fed()
-        plane.slow_shard(3, at=t0 + 5.0, duration=10.0, latency=9.0)
-        channel = cwx.server.shards[3].channel
-        cwx.run(6.0)
-        assert channel.latency == 9.0 and not channel.up
-        cwx.run(10.0)
-        assert channel.latency == 0.0 and channel.up
-
-    def test_link_down_window(self):
-        cwx, plane, t0 = started_fed()
-        plane.partition_link(1, at=t0 + 5.0, duration=8.0)
+        plane.outage(1, at=t0 + 5.0, duration=8.0, kind=kind)
+        assert plane.injections == [(t0 + 5.0, kind, "shard1", 8.0)]
         channel = cwx.server.shards[1].channel
         cwx.run(6.0)
-        assert channel.link_down_until == t0 + 13.0 and not channel.up
+        assert channel.down_until == t0 + 13.0 and not channel.up
         cwx.run(8.0)
-        assert channel.up
+        assert channel.up and not channel.killed
 
-    def test_restore_clears_everything(self):
-        cwx, plane, t0 = started_fed(
-            topology_options={"auto_failover": False,
-                              "shard_down_after": 1e9})
-        plane.kill_shard(1, at=t0 + 5.0)
-        plane.restore_shard(1, at=t0 + 12.0)
-        channel = cwx.server.shards[1].channel
-        cwx.run(13.0)
-        assert not channel.killed and channel.up
+    def test_outage_is_not_a_kill(self):
+        cwx, plane, t0 = started_fed()
+        with pytest.raises(ValueError):
+            plane.outage(1, t0 + 5.0, 8.0, SHARD_KILL)
+        assert plane.injections == []
 
     def test_gateway_stall_needs_state(self):
         cwx = make_fed()

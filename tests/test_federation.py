@@ -921,15 +921,15 @@ class TestViewCharacterisation:
         fall to the first active shard."""
         cwx = _make_reference()
         server = cwx.server
-        calls = [ch.calls for ch in server.channels]
+        calls = [s.channel.calls for s in server.shards]
         assert server.store.get("nope") == {}
         assert server.engine.is_triggered("hot", "nope") is False
         assert server.recovery.record_for("nope") is None
         assert server.health.record("nope") is None
-        assert [ch.calls for ch in server.channels] == calls
+        assert [s.channel.calls for s in server.shards] == calls
         assert server.health.state("nope") is HealthState.HEALTHY
         assert server.history.latest("nope", "uptime_seconds") is None
-        assert [ch.calls for ch in server.channels] == \
+        assert [s.channel.calls for s in server.shards] == \
             [calls[0] + 2] + calls[1:]
         fsub = server.store.subscribe(lambda update: None, hosts=["nope"])
         assert [part.store for part in fsub.parts] == \

@@ -1,7 +1,7 @@
 """Control-plane self-healing: shard health monitoring, automatic
-drain-on-death, store-and-forward ingest across an outage, degraded
-federated reads, remote runs across a fail-over, and the watch-rehome
-regressions."""
+drain-on-death, a killed shard that stops acting, store-and-forward
+ingest across an outage, degraded federated reads, remote runs across a
+fail-over, and the watch-rehome regressions."""
 
 import math
 
@@ -10,9 +10,8 @@ import pytest
 
 from repro import ClusterWorX
 from repro.core.statestore import Update
-from repro.faults import FaultPlane
-from repro.federation import (DEAD, DRAINING, HEALTHY, SUSPECT,
-                              ShardUnavailable)
+from repro.faults import LINK_DOWN, SHARD_HANG, SHARD_SLOW, FaultPlane
+from repro.federation import DEAD, DRAINING, HEALTHY, SUSPECT
 from repro.gateway import (GatewayState, WatchClient, WatchHub,
                            build_router, parse_request)
 
@@ -34,40 +33,25 @@ def kill(cwx, index, at=None):
 class TestChannel:
     def test_healthy_channel_is_passthrough(self):
         cwx = make_fed()
-        shard = cwx.server.shards[0]
-        n = shard.call(lambda: shard.server.store.generation,
-                       default=None, label="t")
-        assert n == shard.server.store.generation
-        assert shard.channel.failures == 0
+        channel = cwx.server.shards[0].channel
+        store = cwx.server.shards[0].server.store
+        n = channel.call(lambda: store.generation)
+        assert n == store.generation
+        assert channel.up and channel.calls > 0
 
     def test_killed_shard_returns_default_not_exception(self):
         cwx = make_fed()
-        shard = cwx.server.shards[1]
-        shard.channel.killed = True
-        out = shard.call(lambda: shard.server.store.generation,
-                         default="fallback", label="t")
-        assert out == "fallback"
-        with pytest.raises(ShardUnavailable):
-            shard.call(lambda: shard.server.store.generation)
+        channel = cwx.server.shards[1].channel
+        channel.killed = True
+        assert channel.call(lambda: 1, default="fallback") == "fallback"
+        assert channel.call(lambda: 1) is None
+        channel.restore()
+        assert channel.call(lambda: 42) == 42
 
-    def test_breaker_fast_fails_after_threshold(self):
-        cwx = make_fed()
-        shard = cwx.server.shards[1]
-        shard.channel.killed = True
-        for _ in range(5):
-            shard.call(lambda: 1, default=None)
-        assert shard.channel.fast_fails > 0
-        # restore + wait out the breaker reset: calls flow again
-        shard.channel.restore()
-        cwx.run(20)
-        assert shard.call(lambda: 42, default=None) == 42
 
-    def test_latency_above_timeout_is_a_failure(self):
-        cwx = make_fed()
-        shard = cwx.server.shards[2]
-        shard.channel.latency = 10.0  # policy timeout is 2s
-        assert not shard.channel.up
-        assert shard.call(lambda: 1, default="slow") == "slow"
+def _hang(cwx, index, at, duration):
+    FaultPlane(cwx.kernel, federation=cwx.server).outage(
+        index, at, duration, SHARD_HANG)
 
 
 class TestMonitorEscalation:
@@ -101,9 +85,8 @@ class TestMonitorEscalation:
     def test_transient_hang_recovers_without_failover(self):
         cwx = make_fed()
         cwx.run(30)
-        plane = FaultPlane(cwx.kernel, federation=cwx.server)
         # shorter than suspect_after (12.5s): never even suspect
-        plane.hang_shard(2, cwx.kernel.now + 1.0, 6.0)
+        _hang(cwx, 2, cwx.kernel.now + 1.0, 6.0)
         cwx.run(60)
         assert cwx.server.shards[2].health == HEALTHY
         assert cwx.server.failovers == []
@@ -111,9 +94,13 @@ class TestMonitorEscalation:
     def test_suspect_recovers_to_healthy(self):
         cwx = make_fed()
         cwx.run(30)
-        plane = FaultPlane(cwx.kernel, federation=cwx.server)
-        # long enough to suspect, short of the 25s death threshold
-        plane.hang_shard(2, cwx.kernel.now + 1.0, 16.0)
+        # Suspicion needs a failed probe once the last good heartbeat is
+        # 12.5 s old: the probes after a miss land 5, 6, 8, 12 and 17 s
+        # after that heartbeat, so a hang is suspected only if it
+        # outlasts the 17-s probe.  The last heartbeat here is 1 s
+        # before the hang, so up to 16 s rides through unsuspected;
+        # 20 s is suspected and still short of the 25-s death.
+        _hang(cwx, 2, cwx.kernel.now + 1.0, 20.0)
         cwx.run(60)
         monitor = cwx.server.monitor
         assert monitor.detected_at(2, SUSPECT) is not None
@@ -132,6 +119,85 @@ class TestMonitorEscalation:
         assert len(cwx.server.failovers) == 1
         assert cwx.server.shards[1].health == DEAD
         assert cwx.server.shards[1].active
+
+
+class TestOneJudge:
+    """Whether a shard answers is the channel's ``up`` and nothing else:
+    the first read after an outage is live, the monitor follows within
+    one heartbeat, and a short outage is never suspected."""
+
+    @pytest.mark.parametrize("hang", [10.0, 14.0, 20.0])
+    def test_hang_ladder(self, hang):
+        cwx = make_fed()
+        cwx.run(30)
+        shard = cwx.server.shards[2]
+        host = shard.hostnames[0]
+        start = cwx.kernel.now + 1.0
+        _hang(cwx, 2, start, hang)
+        cwx.run(start + hang - cwx.kernel.now)
+        # ``last_seen`` has no last-good fallback: it is live or None
+        assert cwx.server.store.last_seen(host) is not None
+        assert cwx.server.store.last_seen(host) == \
+            shard.server.store.last_seen(host)
+        monitor = cwx.server.monitor
+        cwx.run(monitor.interval)
+        assert shard.health == HEALTHY
+        suspected = monitor.detected_at(2, SUSPECT, since=start)
+        if hang < 14.0:
+            assert suspected is None
+        if suspected is not None:
+            assert monitor.detected_at(2, HEALTHY, since=suspected) \
+                <= start + hang + monitor.interval
+        assert cwx.server.failovers == []
+
+    def test_probe_schedule_after_a_kill_is_pinned(self):
+        """A missed heartbeat is re-probed 1, 2 and 4 s later, then every
+        interval, until the shard is dead 25 s after its last answer."""
+        cwx = make_fed()
+        cwx.run(30)
+        monitor = cwx.server.monitor
+        shard = cwx.server.shards[1]
+        probed = []
+        probe = monitor._probe
+
+        def recording(target):
+            if target is shard:
+                probed.append(cwx.kernel.now)
+            return probe(target)
+        monitor._probe = recording
+        kill(cwx, 1, at=cwx.kernel.now + 1.0)
+        cwx.run(60)
+        beat = shard.last_heartbeat
+        assert [round(t - beat, 9) for t in probed if t > beat] == \
+            [5.0, 6.0, 8.0, 12.0, 17.0, 22.0, 27.0]
+        assert monitor.detected_at(1, SUSPECT) == beat + 17.0
+        assert cwx.server.failovers[0][0] == beat + 27.0
+
+    def test_killed_shard_publishes_nothing(self):
+        """A killed shard stops sweeping at the kill: between the kill
+        and the drain it writes nothing, so no update for a victim host
+        reaches a subscriber and the adopters inherit no value it wrote.
+        With self-healing on, its health tracker used to judge its hosts
+        by the agent updates the router was holding and publish every
+        one of them ``suspect``."""
+        cwx = make_fed(n=40, self_healing=True)
+        cwx.run(30)
+        victim = cwx.server.shards[1]
+        hosts = victim.hostnames
+        seen, written = [], []
+        cwx.server.subscribe(lambda update: seen.append(cwx.kernel.now),
+                             hosts=hosts)
+        victim.server.store.subscribe(
+            lambda update: written.append(cwx.kernel.now))
+        t_kill = cwx.kernel.now + 1.0
+        kill(cwx, 1, at=t_kill)
+        cwx.run(60)
+        (drained, index, _, moved), = cwx.server.failovers
+        assert index == 1 and moved == len(hosts)
+        assert [t for t in seen if t_kill < t < drained] == []
+        assert [t for t in written if t > t_kill] == []
+        assert [host for host in hosts
+                if "health_state" in cwx.server.current(host)] == []
 
 
 class TestFailover:
@@ -268,6 +334,7 @@ class TestFailover:
         assert cwx.server.monitor.transitions == transitions
         assert not shard.channel.held
         assert shard.channel.dropped_ingests == 0
+        assert shard.server._sweep_proc is None  # the revive left it off
 
 
 def _watch_outage(fault, seed=11):
@@ -297,9 +364,9 @@ def _watch_outage(fault, seed=11):
 
 OUTAGES = {
     "kill": lambda plane, at: plane.kill_shard(1, at),
-    "hang": lambda plane, at: plane.hang_shard(1, at, 8.0),
-    "link": lambda plane, at: plane.partition_link(1, at, 16.0),
-    "slow": lambda plane, at: plane.slow_shard(1, at, 8.0, latency=5.0),
+    "hang": lambda plane, at: plane.outage(1, at, 8.0, SHARD_HANG),
+    "link": lambda plane, at: plane.outage(1, at, 16.0, LINK_DOWN),
+    "slow": lambda plane, at: plane.outage(1, at, 8.0, SHARD_SLOW),
 }
 
 
@@ -334,9 +401,8 @@ class TestStoreAndForward:
         host = shard.hostnames[0]
         seen = []
         cwx.server.subscribe(seen.append, hosts=[host])
-        plane = FaultPlane(cwx.kernel, federation=cwx.server)
         back_at = cwx.kernel.now + 11.0
-        plane.hang_shard(2, cwx.kernel.now, 11.0)
+        _hang(cwx, 2, cwx.kernel.now, 11.0)
         cwx.run(10.5)
         held = [u for u in shard.channel.held if u.hostname == host]
         assert len(held) >= 2 and seen == []

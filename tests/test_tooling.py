@@ -123,6 +123,24 @@ def test_write_path_surface_is_pinned():
         "self", "node", "values", "row"]
 
 
+def test_shard_reachability_surface_is_pinned():
+    """Whether a shard answers is judged once, by ``ShardChannel.up``
+    over two switches, and the fault plane flips them through two shard
+    faults.  A second judge (a breaker, a timeout, a latency) or a
+    second way to inject one is a conscious diff here."""
+    from repro.faults import ControlPlan, FaultPlane
+    from repro.federation import ShardChannel
+
+    assert ShardChannel.__slots__ == (
+        "kernel", "shard", "killed", "down_until", "held", "calls",
+        "dropped_ingests")
+    assert {name for name, fn in vars(FaultPlane).items()
+            if not name.startswith("_") and inspect.isfunction(fn)} == {
+        "kill_shard", "outage", "stall_gateway"}
+    assert list(inspect.signature(ControlPlan.__init__).parameters) == [
+        "self", "plane", "n_faults", "kinds", "duration"]
+
+
 # -- the guards that replaced the retired rules ------------------------------
 
 def test_every_dunder_all_name_resolves():
