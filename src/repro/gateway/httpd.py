@@ -22,6 +22,7 @@ __all__ = ["HttpError", "HttpRequest", "Route", "Router",
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
             500: "Internal Server Error"}
 
 

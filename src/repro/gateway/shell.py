@@ -27,7 +27,7 @@ import asyncio
 import struct
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.server import ClusterWorXServer
 from repro.gateway.httpd import (HttpError, HttpRequest, format_response,
@@ -112,6 +112,8 @@ class GatewayService:
         self.driver = SimDriver(server, self.state)
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: one handler task per open connection, watch streams included
+        self._tasks: Set[asyncio.Task] = set()
         self.connections = 0
 
     # -- lifecycle ----------------------------------------------------------
@@ -125,10 +127,17 @@ class GatewayService:
         return self
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop listening, then end every connection the service accepted
+        (``Server.close()`` alone leaves them serving)."""
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        tasks = list(self._tasks)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        if server is not None:
+            await server.wait_closed()
         self.hub.close()
 
     @property
@@ -148,11 +157,14 @@ class GatewayService:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         self.connections += 1
+        task = asyncio.current_task()
+        self._tasks.add(task)
         try:
             await self._connection_loop(reader, writer)
         except asyncio.CancelledError:
             pass  # service torn down mid-connection; just drop it
         finally:
+            self._tasks.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -162,29 +174,61 @@ class GatewayService:
 
     async def _connection_loop(self, reader: asyncio.StreamReader,
                                writer: asyncio.StreamWriter) -> None:
-        while True:
-            try:
-                head = await asyncio.wait_for(
-                    reader.readuntil(b"\r\n\r\n"),
-                    timeout=self.idle_timeout)
-            except (asyncio.IncompleteReadError,
-                    asyncio.TimeoutError, ConnectionError):
-                return
-            t0 = time.perf_counter()
-            try:
-                request = parse_request(head)
-            except HttpError as exc:
-                writer.write(format_response(
-                    exc.status, "text/plain",
-                    exc.message.encode("utf-8"), keep_alive=False))
-                await writer.drain()
-                return
-            if request.path == "/v1/watch":
-                await self._serve_watch(request, writer)
-                return
-            keep_alive = await self._serve_request(request, writer, t0)
-            if not keep_alive:
-                return
+        # One idle reaper per connection, not a timeout per request (a
+        # ``wait_for`` costs a Task and an extra loop pass per read).  The
+        # idle clock starts at accept and restarts after every response;
+        # ``idle_since`` is None while a request is being served, so a
+        # slow response is never cut.  Closing the writer ends the
+        # pending read with EOF.
+        loop = asyncio.get_running_loop()
+        idle_since: Optional[float] = loop.time()
+
+        def reap() -> None:
+            nonlocal reaper
+            now = loop.time()
+            since = now if idle_since is None else idle_since
+            if now - since >= self.idle_timeout:
+                writer.close()
+            else:
+                reaper = loop.call_later(since + self.idle_timeout - now,
+                                         reap)
+
+        reaper = loop.call_later(self.idle_timeout, reap)
+        try:
+            while True:
+                try:
+                    head = await reader.readuntil(b"\r\n\r\n")
+                except (asyncio.IncompleteReadError, ConnectionError):
+                    return
+                except asyncio.LimitOverrunError:
+                    await self._refuse(writer, 431,
+                                       "request head too large")
+                    return
+                idle_since = None
+                t0 = time.perf_counter()
+                try:
+                    request = parse_request(head)
+                except HttpError as exc:
+                    await self._refuse(writer, exc.status, exc.message)
+                    return
+                if request.path == "/v1/watch":
+                    reaper.cancel()  # a stream is never idle
+                    await self._serve_watch(request, writer)
+                    return
+                if not await self._serve_request(request, writer, t0):
+                    return
+                idle_since = loop.time()
+        finally:
+            reaper.cancel()
+
+    @staticmethod
+    async def _refuse(writer: asyncio.StreamWriter, status: int,
+                      message: str) -> None:
+        """Answer with a plain-text status and close the connection."""
+        writer.write(format_response(status, "text/plain",
+                                     message.encode("utf-8"),
+                                     keep_alive=False))
+        await writer.drain()
 
     async def _serve_request(self, request: HttpRequest,
                              writer: asyncio.StreamWriter,
@@ -217,10 +261,7 @@ class GatewayService:
         wire = negotiate(request.accept, self.binary_wire,
                          self.json_wire)
         if self.hub.active_watchers >= self.max_watchers:
-            writer.write(format_response(
-                429, "text/plain", b"watcher limit reached",
-                keep_alive=False))
-            await writer.drain()
+            await self._refuse(writer, 429, "watcher limit reached")
             return
         loop = asyncio.get_running_loop()
         wakeup = asyncio.Event()

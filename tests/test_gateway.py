@@ -3,6 +3,8 @@ published-view reuse, and the full asyncio service over real sockets."""
 
 import asyncio
 import json
+import logging
+import time
 
 import pytest
 
@@ -387,11 +389,11 @@ class TestGatewayMetrics:
 
 # -- the full service over real sockets ---------------------------------------
 
-async def _start_service(n_nodes=8, seed=11):
+async def _start_service(n_nodes=8, seed=11, **options):
     cwx = ClusterWorX(n_nodes=n_nodes, seed=seed, monitor_interval=5.0)
     cwx.start()
     cwx.run(30.0)
-    service = GatewayService(cwx.server, cluster=cwx.cluster)
+    service = GatewayService(cwx.server, cluster=cwx.cluster, **options)
     await service.start()
     service.driver.start()
     return cwx, service
@@ -400,6 +402,27 @@ async def _start_service(n_nodes=8, seed=11):
 async def _stop_service(service):
     service.driver.stop()
     await service.stop()
+
+
+async def _get(reader, writer, path="/v1/summary"):
+    """One keep-alive GET on an open connection: (head, body).  Plain
+    awaits only (no ``wait_for``), so the client creates no Task."""
+    writer.write(f"GET {path} HTTP/1.1\r\nHost: x\r\n\r\n".encode("latin-1"))
+    await writer.drain()
+    head = await reader.readuntil(b"\r\n\r\n")
+    length = int([line for line in head.split(b"\r\n")
+                  if line.lower().startswith(b"content-length")
+                  ][0].split(b":")[1])
+    return head, await reader.readexactly(length)
+
+
+async def _open_watch(port):
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(b"GET /v1/watch HTTP/1.1\r\nHost: x\r\n\r\n")
+    await writer.drain()
+    head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), 10.0)
+    assert b"200 OK" in head
+    return reader, writer
 
 
 class TestServiceEndToEnd:
@@ -479,17 +502,127 @@ class TestServiceEndToEnd:
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", service.port)
             for _ in range(3):
-                writer.write(b"GET /v1/summary HTTP/1.1\r\n"
-                             b"Host: x\r\n\r\n")
-                await writer.drain()
-                head = await reader.readuntil(b"\r\n\r\n")
+                head, body = await _get(reader, writer)
                 assert b"200 OK" in head
-                length = int([line for line in head.split(b"\r\n")
-                              if line.lower().startswith(
-                                  b"content-length")][0].split(b":")[1])
-                body = await reader.readexactly(length)
                 assert json.loads(body)["kind"] == "summary"
             writer.close()
             await _stop_service(service)
             assert service.connections == 1
         asyncio.run(scenario())
+
+
+class TestConnectionLifecycle:
+    """Idle reaping, ``stop()`` and the over-long head, over real sockets."""
+
+    def test_keep_alive_requests_create_no_tasks(self):
+        # Each request on an open connection is read by the connection's
+        # own handler task: no per-request Task (a ``wait_for`` around
+        # the head read made one per request).
+        async def scenario():
+            cwx, service = await _start_service()
+            loop = asyncio.get_running_loop()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port)
+            await _get(reader, writer)  # the handler task is running
+            created = []
+
+            def counting(loop, coro, **kwargs):
+                created.append(coro.__qualname__)
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            loop.set_task_factory(counting)
+            try:
+                for _ in range(20):
+                    head, _ = await _get(reader, writer)
+                    assert b"200 OK" in head
+            finally:
+                loop.set_task_factory(None)
+            writer.close()
+            await _stop_service(service)
+            return created
+        assert asyncio.run(scenario()) == []
+
+    def test_idle_connection_is_closed_after_idle_timeout(self):
+        async def scenario():
+            cwx, service = await _start_service(idle_timeout=0.3)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port)
+            t0 = time.perf_counter()
+            assert await asyncio.wait_for(reader.read(), 10.0) == b""
+            waited = time.perf_counter() - t0
+            writer.close()
+            await _stop_service(service)
+            return waited
+        assert 0.25 <= asyncio.run(scenario()) < 2.0
+
+    def test_each_response_restarts_the_idle_clock(self):
+        async def scenario():
+            cwx, service = await _start_service(idle_timeout=0.3)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port)
+            t0 = time.perf_counter()
+            while time.perf_counter() - t0 < 0.9:
+                await asyncio.sleep(0.1)
+                head, _ = await _get(reader, writer)
+                assert b"200 OK" in head
+            writer.close()
+            await _stop_service(service)
+            assert service.connections == 1
+        asyncio.run(scenario())
+
+    def test_watch_stream_outlives_idle_timeout(self):
+        async def scenario():
+            cwx, service = await _start_service(idle_timeout=0.3)
+            reader, writer = await _open_watch(service.port)
+            t0 = time.perf_counter()
+            while time.perf_counter() - t0 < 3 * service.idle_timeout:
+                assert await asyncio.wait_for(reader.read(65536), 10.0)
+            assert service.hub.active_watchers == 1
+            writer.close()
+            await _stop_service(service)
+        asyncio.run(scenario())
+
+    def test_stop_closes_accepted_connections(self):
+        async def scenario():
+            cwx, service = await _start_service()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port)
+            head, _ = await _get(reader, writer)
+            assert b"200 OK" in head
+            w_reader, w_writer = await _open_watch(service.port)
+            await _stop_service(service)
+            assert asyncio.all_tasks() == {asyncio.current_task()}
+            assert service.hub.active_watchers == 0
+            writer.write(b"GET /v1/summary HTTP/1.1\r\nHost: x\r\n\r\n")
+            try:
+                after_stop = await asyncio.wait_for(reader.read(), 10.0)
+            except ConnectionError:
+                after_stop = b""
+            # the stream's buffered frames, then EOF
+            await asyncio.wait_for(w_reader.read(), 10.0)
+            assert w_reader.at_eof()
+            writer.close()
+            w_writer.close()
+            return after_stop
+        assert asyncio.run(scenario()) == b""
+
+    def test_oversized_head_is_a_431(self, caplog):
+        async def scenario():
+            cwx, service = await _start_service()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port)
+            writer.write(b"GET /v1/summary HTTP/1.1\r\nHost: x\r\nX-Pad: "
+                         + b"a" * 70000 + b"\r\n\r\n")
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), 10.0)
+            writer.close()
+            await _stop_service(service)
+            return raw
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            raw = asyncio.run(scenario())
+        head = raw.partition(b"\r\n\r\n")[0]
+        assert head.startswith(
+            b"HTTP/1.1 431 Request Header Fields Too Large\r\n")
+        assert b"Connection: close" in head
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "asyncio"] == []
