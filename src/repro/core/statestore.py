@@ -105,12 +105,18 @@ class Snapshot(MappingABC):
         """Per listed host, ``(names, values)``: the (distinct) ``fields``
         it holds, or all its values by sorted name when ``fields`` is
         None.  No proxy; each tuple is built at its final size, as one
-        resized on the way stays counted as a collector allocation."""
+        resized on the way stays counted as a collector allocation.  Given
+        ``fields``, one getter serves every row."""
+        pick = (itemgetter(*fields) if fields is not None and len(fields) > 1
+                else None)
         for hostname in hostnames:
             values = self._hosts[hostname]
-            names = fields if fields is not None else tuple(sorted(values))
+            names, get = fields, pick
+            if names is None:
+                names = tuple(sorted(values))
+                get = itemgetter(*names) if len(names) > 1 else None
             try:
-                row = (itemgetter(*names)(values) if len(names) > 1
+                row = (get(values) if get is not None
                        else tuple([values[name] for name in names]))
             except KeyError:
                 names = tuple([name for name in names if name in values])

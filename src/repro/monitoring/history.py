@@ -5,9 +5,10 @@ over time ... view cluster use and performance trends over a selected time
 interval, analyze the relationships between monitored values, or compare
 performance between nodes."
 
-:class:`HistoryStore` keeps one table per host — ``{metric: ring}``, each
-ring a :class:`~repro.util.ringbuffer.TimeSeriesRing` — and provides
-windowed queries, RRD-style downsampling for chart rendering,
+:class:`HistoryStore` keeps one table per host — ``{metric: series}``,
+each series a plain ``bytearray`` laid out by the store's one
+:class:`~repro.util.ringbuffer.TimeSeriesRing` — and provides windowed
+queries, RRD-style downsampling for chart rendering,
 cross-node comparison, and a correlation helper for the "relationships
 between monitored values" use case.
 """
@@ -31,13 +32,18 @@ class HistoryStore:
     """
 
     def __init__(self, capacity: int = 4096):
-        self.capacity = capacity
-        #: hostname -> {metric: ring}; a host appears with its first
+        #: the layout every series is read and written through.
+        self._ring = TimeSeriesRing(capacity)
+        #: hostname -> {metric: series}; a host appears with its first
         #: numeric value, so a host that only reports strings has no entry.
-        self._series: Dict[str, Dict[str, TimeSeriesRing]] = {}
+        self._series: Dict[str, Dict[str, bytearray]] = {}
 
-    def _ring(self, hostname: str, metric: str
-              ) -> Optional[TimeSeriesRing]:
+    @property
+    def capacity(self) -> int:
+        """Samples kept per series."""
+        return self._ring.capacity
+
+    def _find(self, hostname: str, metric: str) -> Optional[bytearray]:
         table = self._series.get(hostname)
         return table.get(metric) if table is not None else None
 
@@ -48,15 +54,16 @@ class HistoryStore:
         known = table is not None
         if not known:
             table = {}
+        append = self._ring.append
         for name, value in values.items():
             if isinstance(value, bool):
                 value = int(value)
             if not isinstance(value, (int, float)):
                 continue
-            ring = table.get(name)
-            if ring is None:
-                ring = table[name] = TimeSeriesRing(self.capacity)
-            ring.append(t, float(value))
+            series = table.get(name)
+            if series is None:
+                series = table[name] = self._ring.new()
+            append(series, t, float(value))
         if not known and table:
             self._series[hostname] = table
 
@@ -73,31 +80,31 @@ class HistoryStore:
     # -- queries ------------------------------------------------------------
     def series(self, hostname: str, metric: str
                ) -> Tuple[np.ndarray, np.ndarray]:
-        ring = self._ring(hostname, metric)
-        if ring is None:
+        series = self._find(hostname, metric)
+        if series is None:
             return np.empty(0), np.empty(0)
-        return ring.arrays()
+        return self._ring.arrays(series)
 
     def window(self, hostname: str, metric: str, t0: float, t1: float
                ) -> Tuple[np.ndarray, np.ndarray]:
-        ring = self._ring(hostname, metric)
-        if ring is None:
+        series = self._find(hostname, metric)
+        if series is None:
             return np.empty(0), np.empty(0)
-        return ring.window(t0, t1)
+        return self._ring.window(series, t0, t1)
 
     def latest(self, hostname: str, metric: str
                ) -> Optional[Tuple[float, float]]:
-        ring = self._ring(hostname, metric)
-        return ring.latest() if ring is not None else None
+        series = self._find(hostname, metric)
+        return self._ring.latest(series) if series is not None else None
 
     def graph(self, hostname: str, metric: str, buckets: int = 60
               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Downsampled (centers, mean, min, max) for chart rendering."""
-        ring = self._ring(hostname, metric)
-        if ring is None:
+        series = self._find(hostname, metric)
+        if series is None:
             empty = np.empty(0)
             return empty, empty, empty, empty
-        return ring.downsample(buckets)
+        return self._ring.downsample(series, buckets)
 
     def compare_nodes(self, hostnames: Sequence[str], metric: str
                       ) -> Dict[str, float]:
@@ -199,7 +206,7 @@ class HistoryStore:
         The shard-rebalance path: a drained shard exports a node's
         history so the adopting shard keeps the trend lines intact.
         """
-        return {metric: ring.arrays() for metric, ring
+        return {metric: self._ring.arrays(series) for metric, series
                 in self._series.get(hostname, {}).items()}
 
     def adopt_host(self, hostname: str,
@@ -214,10 +221,10 @@ class HistoryStore:
                 continue
             if table is None:
                 table = self._series[hostname] = {}
-            ring = table.get(metric)
-            if ring is None:
-                ring = table[metric] = TimeSeriesRing(self.capacity)
-            ring.extend(zip(t.tolist(), v.tolist()))
+            kept = table.get(metric)
+            if kept is None:
+                kept = table[metric] = self._ring.new()
+            self._ring.extend(kept, zip(t.tolist(), v.tolist()))
 
     # -- persistence ------------------------------------------------------
     def export_text(self) -> str:
@@ -231,7 +238,7 @@ class HistoryStore:
         for host in sorted(self._series):
             table = self._series[host]
             for metric in sorted(table):
-                t, v = table[metric].arrays()
+                t, v = self._ring.arrays(table[metric])
                 for ti, vi in zip(t.tolist(), v.tolist()):
                     lines.append(f"{host} {metric} {ti!r} {vi!r}")
         return "\n".join(lines) + ("\n" if lines else "")

@@ -6,14 +6,15 @@ Two variants are used throughout the framework:
   buffer (§3.3 of the paper): appending past capacity silently discards the
   oldest bytes, which is exactly the post-mortem semantics the paper
   describes ("logging and buffering (up to 16k) of the output").
-* :class:`TimeSeriesRing` — the (timestamp, value) history the monitoring
-  server keeps per metric per host for historical graphing (§5.1): one
-  interleaved ``array('d')``, read out as numpy arrays.
+* :class:`TimeSeriesRing` — the layout of the (timestamp, value) history
+  the monitoring server keeps per metric per host for historical
+  graphing (§5.1): one plain ``bytearray`` per series, a head and an
+  interleaved run of doubles, read out as numpy arrays.
 """
 
 from __future__ import annotations
 
-from array import array
+import struct
 from itertools import chain
 from typing import Iterable, Optional, Tuple
 
@@ -21,8 +22,16 @@ import numpy as np
 
 __all__ = ["ByteRingBuffer", "TimeSeriesRing"]
 
-#: append one double (``TimeSeriesRing.append`` takes a sample).
-_push = array.append
+#: a series's head and one (t, value) sample, little-endian.
+_HEAD = struct.Struct("<q")
+_PAIR = struct.Struct("<dd")
+_HEAD_BYTES, _PAIR_BYTES = _HEAD.size, _PAIR.size
+_F8 = np.dtype("<f8")
+_unpack_head = _HEAD.unpack_from
+_pack_head = _HEAD.pack_into
+_pack_pair = _PAIR.pack
+_pack_pair_into = _PAIR.pack_into
+_unpack_pair = _PAIR.unpack_from
 
 
 class ByteRingBuffer:
@@ -72,99 +81,117 @@ class ByteRingBuffer:
         self._buf.clear()
 
 
-class TimeSeriesRing(array):
-    """Fixed-capacity (timestamp, value) series with lazy growth.
+class TimeSeriesRing:
+    """The layout of a fixed-capacity (timestamp, value) series held in a
+    plain ``bytearray``; one instance, which holds ``capacity``, serves
+    every series of a store.
 
-    The ring *is* its storage: an ``array('d')`` subclass holding one
-    interleaved run — ``t0, v0, t1, v1, …`` — that grows with the data
-    and wraps once ``capacity`` samples are held.  A monitoring server
-    holds one ring per metric per host, so hundreds of thousands of
-    mostly-short series must neither pre-pay the full capacity nor cost
-    the collector a wrapper *and* a buffer each: one tracked object per
-    series, two slots, no instance dict.  ``len``, ``append`` and
-    ``extend`` speak samples; inherited item access sees the raw
-    doubles, and ``copy``/``pickle`` (array's, which know no slots) do
-    not give a ring.  Range queries hand out chronological numpy float64
-    arrays — always fresh contiguous copies of the two strided halves,
-    never a view: a live export of the buffer would make the next
-    growing ``append`` raise ``BufferError``.
+    A series is an 8-byte little-endian ``q`` head followed by one
+    interleaved run of doubles — ``t0, v0, t1, v1, …`` — that grows with
+    the data and wraps once ``capacity`` samples are held.  The head is
+    0 while the series grows (its length then says how many samples it
+    holds) and ``~index`` of the oldest sample, the next one overwritten,
+    once it is full.  A monitoring server holds one series per metric
+    per host, hundreds of thousands of mostly-short ones: a
+    ``bytearray`` neither pre-pays the full capacity nor is tracked by
+    the cyclic collector, which tracks every instance of a class
+    (CPython 3.11 gives each heap type ``Py_TPFLAGS_HAVE_GC``, so no
+    subclass, with or without slots, can be left out of a collection's
+    walk).  Range queries hand out chronological numpy float64 arrays —
+    always fresh contiguous copies of the two strided halves, never a
+    view: a live export of the buffer would make the next growing
+    :meth:`append` raise ``BufferError``.
     """
 
-    __slots__ = ("capacity", "_head")
+    __slots__ = ("capacity", "_last")
 
-    def __new__(cls, capacity: int = 4096):
+    def __init__(self, capacity: int = 4096):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        self = array.__new__(cls, "d")
         self.capacity = capacity
-        #: while the ring grows, the samples held (< capacity); once it
-        #: is full, ``~index`` of the oldest sample, the next one
-        #: overwritten.  One slot read tells ``append`` which: asking
-        #: ``array.__len__`` from a subclass costs a third of an append.
-        self._head = 0
-        return self
+        #: a series's length just before its last free slot is taken:
+        #: below it, ``append`` only grows the buffer.
+        self._last = _HEAD_BYTES + _PAIR_BYTES * (capacity - 1)
 
-    def __len__(self) -> int:
-        head = self._head
-        return head if head >= 0 else self.capacity
+    @staticmethod
+    def new() -> bytearray:
+        """An empty series."""
+        return bytearray(_HEAD_BYTES)
 
-    def append(self, t: float, value: float) -> None:
-        head = self._head
-        if head >= 0:
-            _push(self, t)
-            _push(self, value)
-            head += 1
-            self._head = head if head < self.capacity else -1
-        else:
-            head = ~head
-            self[2 * head] = t
-            self[2 * head + 1] = value
-            self._head = ~((head + 1) % self.capacity)
+    @staticmethod
+    def held(series: bytearray) -> int:
+        """Samples the series holds."""
+        return (len(series) - _HEAD_BYTES) // _PAIR_BYTES
 
-    def extend(self, pairs: Iterable[Tuple[float, float]]) -> None:
+    def append(self, series: bytearray, t: float, value: float) -> None:
+        if len(series) < self._last:
+            series += _pack_pair(t, value)
+            return
+        (head,) = _unpack_head(series)
+        if head >= 0:           # the last free slot: the series is full
+            series += _pack_pair(t, value)
+            _pack_head(series, 0, -1)
+            return
+        index = ~head
+        _pack_pair_into(series, _HEAD_BYTES + _PAIR_BYTES * index, t, value)
+        index += 1
+        _pack_head(series, 0, ~index if index < self.capacity else -1)
+
+    def extend(self, series: bytearray,
+               pairs: Iterable[Tuple[float, float]]) -> None:
         """Append many samples at once (same result as repeated
         :meth:`append`, one buffer operation instead of one per sample)."""
-        new = array("d", chain.from_iterable(pairs))
-        if len(new) & 1:
+        flat = list(chain.from_iterable(pairs))
+        if len(flat) & 1:
             raise ValueError("extend() takes (t, value) pairs")
-        head = self._head
-        held = head + (len(new) >> 1)
-        if 0 <= head and held < self.capacity:
-            array.extend(self, new)    # still growing afterwards
-            self._head = held
+        new = struct.pack(f"<{len(flat)}d", *flat)
+        (head,) = _unpack_head(series)
+        if head >= 0 and len(series) + len(new) <= self._last:
+            series += new       # still growing afterwards
             return
         # Filled or overflowed: lay the survivors out oldest first, which
-        # is a full ring whose next write lands on index 0.
-        cut = 2 * ~head if head < 0 else 0
-        self[:] = (self[cut:] + self[:cut] + new)[-2 * self.capacity:]
-        self._head = -1
+        # is a full series whose next write lands on index 0.
+        cut = _HEAD_BYTES + (_PAIR_BYTES * ~head if head < 0 else 0)
+        series[_HEAD_BYTES:] = (series[cut:] + series[_HEAD_BYTES:cut]
+                               + new)[-_PAIR_BYTES * self.capacity:]
+        _pack_head(series, 0, -1)
 
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def arrays(series: bytearray) -> Tuple[np.ndarray, np.ndarray]:
         """All stored samples in chronological order (fresh arrays)."""
-        flat = np.frombuffer(self, dtype=np.float64)
-        cut = 2 * ~self._head if self._head < 0 else 0
-        if not cut:
-            return flat[0::2].copy(), flat[1::2].copy()
-        return (np.concatenate([flat[cut::2], flat[:cut:2]]),
-                np.concatenate([flat[cut + 1::2], flat[1:cut:2]]))
+        (head,) = _unpack_head(series)
+        flat = np.frombuffer(series, dtype=_F8, offset=_HEAD_BYTES)
+        cut = 2 * ~head if head < 0 else 0
+        if cut:
+            t = np.concatenate([flat[cut::2], flat[:cut:2]])
+            v = np.concatenate([flat[cut + 1::2], flat[1:cut:2]])
+        else:
+            t, v = flat[0::2].copy(), flat[1::2].copy()
+        del flat                # the view pins the buffer's size
+        return t, v
 
-    def window(self, t0: float, t1: float) -> Tuple[np.ndarray, np.ndarray]:
+    def window(self, series: bytearray, t0: float, t1: float
+               ) -> Tuple[np.ndarray, np.ndarray]:
         """Samples with ``t0 <= t <= t1`` in chronological order."""
-        t, v = self.arrays()
+        t, v = self.arrays(series)
         mask = (t >= t0) & (t <= t1)
         return t[mask], v[mask]
 
-    def latest(self) -> Optional[Tuple[float, float]]:
-        head = self._head
-        if not head:
-            return None
-        # The newest sample is the last one stored while the ring still
+    @staticmethod
+    def latest(series: bytearray) -> Optional[Tuple[float, float]]:
+        # The newest sample is the last one stored while the series
         # grows, and sits just before the oldest once it is full.
-        idx = 2 * ~head - 2 if head < 0 else -2
-        return self[idx], self[idx + 1]
+        index = ~_unpack_head(series)[0]
+        if index > 0:
+            offset = _HEAD_BYTES + _PAIR_BYTES * (index - 1)
+        elif len(series) > _HEAD_BYTES:
+            offset = len(series) - _PAIR_BYTES
+        else:
+            return None
+        return _unpack_pair(series, offset)
 
-    def downsample(self, buckets: int) -> Tuple[np.ndarray, np.ndarray,
-                                                np.ndarray, np.ndarray]:
+    def downsample(self, series: bytearray, buckets: int
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Aggregate into ``buckets`` equal time bins.
 
         Returns ``(bin_centers, mean, minimum, maximum)`` with NaN for empty
@@ -173,7 +200,7 @@ class TimeSeriesRing(array):
         """
         if buckets <= 0:
             raise ValueError("buckets must be positive")
-        t, v = self.arrays()
+        t, v = self.arrays(series)
         if len(t) == 0:
             empty = np.empty(0)
             return empty, empty, empty, empty

@@ -2,14 +2,17 @@
 
 RSS and wall time are not assertable in tier-1; allocation sizes, object
 counts and executed-bytecode counts are.  The byte ceilings sit about a
-third above what the layouts measure here per node — 7.8 KB history +
+third above what the layouts measure here per node — 5.7 KB history +
 ring, 0.18 KB event engine, 1.6 KB consolidator — so a return of
 per-value objects, key tuples (19.1 and 6.1 KB), a second value table
 per agent (3.1 KB) or an engine copy of the store's rows (1.8 KB) fails
 here before it shows up as `peak_rss_mb` in the repo benchmark.  The collector-tracked object count is what every full
-collection, and so every build, walks: 90 per node, against 140 with a
-wrapper beside every ring buffer and a finished boot process kept per
-node.  `make mem-ledger` prints the full tables these rows come from.
+collection, and so every build, walks: 50 per node, with its ceiling a
+third above too.  It was 99 with each of a node's 46 history series an
+`array` subclass (CPython tracks every instance of a class; a series is
+now a plain `bytearray`, which it never tracks) and 140 with a wrapper
+beside every ring buffer and a finished boot process kept per node.
+`make mem-ledger` prints the full tables these rows come from.
 
 The last guard is the per-update path's: a steady-state agent tick runs
 no collection of any generation and a handful of kernel events.  One
@@ -68,7 +71,7 @@ def test_server_state_per_node_stays_small():
     finally:
         tracemalloc.stop()
     assert min(a.samples_taken for a in cwx.agents.values()) == 3
-    assert _kb_per_node(snapshot, HISTORY_FILES) <= 10.5
+    assert _kb_per_node(snapshot, HISTORY_FILES) <= 7.6
     assert _kb_per_node(snapshot, ENGINE_FILES) <= 0.24
     assert _kb_per_node(snapshot, AGENT_FILES) <= 2.2
 
@@ -86,7 +89,7 @@ def test_collector_tracked_objects_per_node_stay_few():
         counts.append(len(gc.get_objects()))
     small, large = (after - before
                     for before, after in zip(counts, counts[1:]))
-    assert (large - small) / (sizes[1] - sizes[0]) <= 105
+    assert (large - small) / (sizes[1] - sizes[0]) <= 67
     assert not [p.name for p in gc.get_objects()
                 if isinstance(p, Process) and p.name.startswith("boot:")]
 
@@ -95,6 +98,18 @@ def test_collector_tracked_objects_per_node_stay_few():
 def fleet():
     """2 000 nodes past warm-up: rings and deltas settle."""
     return _warm_cluster(2000, 3.5)
+
+
+def test_history_series_are_not_collector_tracked(fleet):
+    """Every series the warm fleet recorded is a plain ``bytearray``,
+    which no collection walks: 46 per node that an ``array`` subclass,
+    slots or not, put on every collection's list."""
+    tables = fleet.server.history._series
+    assert len(tables) == 2000
+    series = [kept for table in tables.values() for kept in table.values()]
+    assert len(series) == 46 * 2000
+    assert {type(kept) for kept in series} == {bytearray}
+    assert {gc.is_tracked(kept) for kept in series} == {False}
 
 
 @contextmanager

@@ -4,6 +4,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -248,8 +249,9 @@ class TestRingBufferProperties:
     def test_timeseries_ring_keeps_last_k(self, pairs, cap):
         pairs = sorted(pairs)
         ring = TimeSeriesRing(cap)
-        ring.extend(pairs)
-        t, v = ring.arrays()
+        series = ring.new()
+        ring.extend(series, pairs)
+        t, v = ring.arrays(series)
         expected = pairs[-cap:]
         assert len(t) == len(expected)
         assert np.allclose(t, [p[0] for p in expected])
@@ -270,9 +272,11 @@ class TestRingBufferProperties:
     def test_timeseries_ring_matches_deque_model(self, cap, ops):
         """Any sequence of writes and reads agrees with a
         ``deque(maxlen=capacity)`` of pairs — through growth, the wrap
-        seam and ``head == 0`` — and no read leaves the buffer exported
-        (the growing ``append`` that follows would raise BufferError)."""
+        seam and ``head == 0`` — and no read leaves the ``bytearray``
+        exported (the growing ``append`` that follows would raise
+        BufferError)."""
         ring = TimeSeriesRing(cap)
+        series = ring.new()
         model = deque(maxlen=cap)
         clock = 0.0
 
@@ -287,43 +291,43 @@ class TestRingBufferProperties:
         for op, *args in ops:
             if op == "append":
                 (pair,) = write(args)
-                ring.append(*pair)
+                ring.append(series, *pair)
                 model.append(pair)
                 continue
             if op == "extend":
                 pairs = write(args[0])
-                ring.extend(iter(pairs))
+                ring.extend(series, iter(pairs))
                 model.extend(pairs)
                 continue
             held = list(model)
             if op == "arrays":
-                t, v = ring.arrays()
+                t, v = ring.arrays(series)
                 assert list(zip(t.tolist(), v.tolist())) == held
                 assert t.flags.c_contiguous and v.flags.c_contiguous
                 assert t.flags.owndata and v.flags.owndata
             elif op == "latest":
-                assert ring.latest() == (held[-1] if held else None)
+                assert ring.latest(series) == (held[-1] if held else None)
             elif op == "window":
-                t, v = ring.window(*args)
+                t, v = ring.window(series, *args)
                 assert list(zip(t.tolist(), v.tolist())) == [
                     p for p in held if args[0] <= p[0] <= args[1]]
             else:
-                got = ring.downsample(args[0])
+                got = ring.downsample(series, args[0])
                 want = _downsample_model(held, args[0])
                 for got_col, want_col in zip(got, want):
                     assert got_col.tolist() == pytest.approx(
                         want_col, nan_ok=True)
-            assert len(ring) == len(model)
+            assert ring.held(series) == len(model)
             (pair,) = write([float(len(held))])
-            ring.append(*pair)      # must not raise: nothing is exported
+            ring.append(series, *pair)  # must not raise: nothing exported
             model.append(pair)
-        t, v = ring.arrays()
+        t, v = ring.arrays(series)
         assert list(zip(t.tolist(), v.tolist())) == list(model)
 
     def test_extend_rejects_a_ragged_pair(self):
         ring = TimeSeriesRing(4)
         with pytest.raises(ValueError):
-            ring.extend([(1.0, 2.0), (3.0,)])
+            ring.extend(ring.new(), [(1.0, 2.0), (3.0,)])
 
 
 def _downsample_model(pairs, buckets):
@@ -428,6 +432,39 @@ class TestHistoryStoreModel:
                     assert list(zip(t.tolist(), v.tolist())) == want
                     assert store.latest(host, metric) == (
                         want[-1] if want else None)
+
+    @given(st.sampled_from([1, 3, 64]),
+           st.lists(st.tuples(history_hosts, history_values), max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_adopting_an_export_into_an_empty_store_reproduces_it(
+            self, capacity, records):
+        """The fail-over migration path: every series of a host, grown,
+        full or wrapped, reads back the same from an empty store that
+        adopted its export — with one bulk extend per metric."""
+        source = HistoryStore(capacity=capacity)
+        for clock, (host, values) in enumerate(records):
+            source.record(host, float(clock), values)
+        extend = TimeSeriesRing.extend
+        for host in source.hostnames:
+            exported = source.export_host(host)
+            target = HistoryStore(capacity=capacity)
+            with patch.object(TimeSeriesRing, "extend", autospec=True,
+                              side_effect=extend) as spy:
+                target.adopt_host(host, exported)
+            assert spy.call_count == len(exported)
+            assert target.hostnames == [host]
+            assert target.export_host(host).keys() == exported.keys()
+            for metric, (t, v) in exported.items():
+                got = target.series(host, metric)
+                assert [col.tolist() for col in got] == [t.tolist(),
+                                                         v.tolist()]
+                assert target.latest(host, metric) == source.latest(
+                    host, metric)
+                for got_col, want_col in zip(
+                        target.graph(host, metric, 4),
+                        source.graph(host, metric, 4)):
+                    assert got_col.tolist() == pytest.approx(
+                        want_col.tolist(), nan_ok=True)
 
 
 class TestCodecProperties:

@@ -1,7 +1,7 @@
 """Unit tests for repro.util: ring buffers, units."""
 
 import gc
-from array import array
+import struct
 
 import numpy as np
 import pytest
@@ -60,97 +60,110 @@ class TestByteRingBuffer:
             ByteRingBuffer(0)
 
 
+def _series(capacity, pairs=()):
+    """A layout and one series holding ``pairs``, appended one by one."""
+    ring = TimeSeriesRing(capacity)
+    series = ring.new()
+    for pair in pairs:
+        ring.append(series, *pair)
+    return ring, series
+
+
 class TestTimeSeriesRing:
     def test_append_and_arrays(self):
-        ring = TimeSeriesRing(8)
-        ring.append(1.0, 10.0)
-        ring.append(2.0, 20.0)
-        t, v = ring.arrays()
+        ring, series = _series(8, [(1.0, 10.0), (2.0, 20.0)])
+        t, v = ring.arrays(series)
         assert list(t) == [1.0, 2.0] and list(v) == [10.0, 20.0]
 
     def test_wrap_keeps_newest_in_order(self):
-        ring = TimeSeriesRing(4)
-        for i in range(10):
-            ring.append(float(i), float(i * i))
-        t, v = ring.arrays()
+        ring, series = _series(4, [(float(i), float(i * i))
+                                   for i in range(10)])
+        t, v = ring.arrays(series)
         assert list(t) == [6.0, 7.0, 8.0, 9.0]
         assert list(v) == [36.0, 49.0, 64.0, 81.0]
 
     def test_window_query(self):
-        ring = TimeSeriesRing(100)
-        ring.extend((float(i), float(i)) for i in range(50))
-        t, v = ring.window(10.0, 19.5)
+        ring, series = _series(100)
+        ring.extend(series, ((float(i), float(i)) for i in range(50)))
+        t, v = ring.window(series, 10.0, 19.5)
         assert t[0] == 10.0 and t[-1] == 19.0 and len(t) == 10
 
     def test_latest(self):
-        ring = TimeSeriesRing(4)
-        assert ring.latest() is None
-        ring.append(5.0, 55.0)
-        assert ring.latest() == (5.0, 55.0)
+        ring, series = _series(4)
+        assert ring.latest(series) is None
+        ring.append(series, 5.0, 55.0)
+        assert ring.latest(series) == (5.0, 55.0)
 
     def test_downsample_means(self):
-        ring = TimeSeriesRing(100)
-        ring.extend((float(i), 1.0) for i in range(100))
-        centers, mean, lo, hi = ring.downsample(10)
+        ring, series = _series(100)
+        ring.extend(series, ((float(i), 1.0) for i in range(100)))
+        centers, mean, lo, hi = ring.downsample(series, 10)
         assert len(centers) == 10
         assert np.allclose(mean[~np.isnan(mean)], 1.0)
 
     def test_downsample_minmax(self):
-        ring = TimeSeriesRing(100)
-        ring.extend((float(i), float(i % 10)) for i in range(100))
-        _, _, lo, hi = ring.downsample(5)
+        ring, series = _series(100)
+        ring.extend(series, ((float(i), float(i % 10)) for i in range(100)))
+        _, _, lo, hi = ring.downsample(series, 5)
         assert np.nanmin(lo) == 0.0 and np.nanmax(hi) == 9.0
 
     def test_downsample_empty(self):
-        centers, mean, lo, hi = TimeSeriesRing(4).downsample(5)
+        ring, series = _series(4)
+        centers, mean, lo, hi = ring.downsample(series, 5)
         assert len(centers) == 0
 
     def test_downsample_invalid_buckets(self):
+        ring, series = _series(4)
         with pytest.raises(ValueError):
-            TimeSeriesRing(4).downsample(0)
+            ring.downsample(series, 0)
 
     def test_ring_is_its_own_buffer(self):
-        """One collector-tracked object per series: the ring is the
-        ``array('d')``, with no wrapper and no instance dict beside it."""
-        ring = TimeSeriesRing(4)
-        ring.append(1.0, 10.0)
-        assert isinstance(ring, array) and ring.typecode == "d"
-        assert not hasattr(ring, "__dict__")
-        assert not any(isinstance(held, array)
-                       for held in gc.get_referents(ring))
-        assert ring.capacity == 4 and len(ring) == 1
+        """A series is one plain ``bytearray`` — an 8-byte head, then the
+        interleaved doubles — that the cyclic collector never walks; the
+        layout holds ``capacity`` and no per-series state."""
+        ring, series = _series(4, [(1.0, 10.0)])
+        assert type(series) is bytearray and len(series) == 8 + 16
+        assert gc.is_tracked(series) is False
+        assert ring.capacity == 4 and ring.held(series) == 1
+        ring.extend(series, [(2.0, 20.0), (3.0, 30.0), (4.0, 40.0),
+                             (5.0, 50.0)])
+        assert len(series) == 8 + 4 * 16 and ring.held(series) == 4
+        assert struct.unpack_from("<q", series)[0] == ~0
+        ring.append(series, 6.0, 60.0)
+        assert struct.unpack_from("<q", series)[0] == ~1
+        assert struct.unpack_from("<dd", series, 8) == (6.0, 60.0)
 
     @pytest.mark.parametrize("held", [0, 2, 4, 6])
     @pytest.mark.parametrize("more", [0, 1, 2, 3, 9])
     def test_extend_equals_repeated_append(self, held, more):
         """From empty, growing, just full and wrapped (head != 0), into
         still growing, exactly full and overflowing."""
-        bulk, single = TimeSeriesRing(4), TimeSeriesRing(4)
         pairs = [(float(i), float(-i)) for i in range(held + more)]
-        for ring in (bulk, single):
-            for pair in pairs[:held]:
-                ring.append(*pair)
-        bulk.extend(pairs[held:])
+        ring, bulk = _series(4, pairs[:held])
+        _, single = _series(4, pairs[:held])
+        ring.extend(bulk, pairs[held:])
         for pair in pairs[held:]:
-            single.append(*pair)
-        assert len(bulk) == len(single) == min(held + more, 4)
-        assert bulk.latest() == single.latest()
-        for got, want in zip(bulk.arrays(), single.arrays()):
+            ring.append(single, *pair)
+        assert ring.held(bulk) == ring.held(single) == min(held + more, 4)
+        assert ring.latest(bulk) == ring.latest(single)
+        for got, want in zip(ring.arrays(bulk), ring.arrays(single)):
             assert got.tolist() == want.tolist()
-        bulk.append(99.0, 99.0)
-        assert bulk.latest() == (99.0, 99.0)
-        assert bulk.arrays()[0].tolist() == (
+        ring.append(bulk, 99.0, 99.0)
+        assert ring.latest(bulk) == (99.0, 99.0)
+        assert ring.arrays(bulk)[0].tolist() == (
             [p[0] for p in pairs] + [99.0])[-4:]
 
     def test_arrays_never_hands_out_a_view(self):
-        ring = TimeSeriesRing(64)
-        ring.extend((float(i), float(i)) for i in range(8))
-        reads = [ring.arrays(), ring.window(2.0, 5.0), ring.downsample(2)]
+        ring, series = _series(64)
+        ring.extend(series, ((float(i), float(i)) for i in range(8)))
+        reads = [ring.arrays(series), ring.window(series, 2.0, 5.0),
+                 ring.downsample(series, 2)]
         for i in range(8, 40):      # growth reallocates the buffer:
-            ring.append(float(i), float(i))     # no BufferError
+            ring.append(series, float(i), float(i))     # no BufferError
         t, v = reads[0]
         t[:] = -1.0                 # and the arrays are the caller's own
-        assert ring.arrays()[0].tolist() == [float(i) for i in range(40)]
+        assert ring.arrays(series)[0].tolist() == [float(i)
+                                                   for i in range(40)]
         assert v.tolist() == [float(i) for i in range(8)]
 
 
