@@ -4,7 +4,7 @@
 PYTHON    ?= python
 PYTHONPATH := src
 
-.PHONY: check lint test sanitize bench bench-smoke perf-smoke \
+.PHONY: check lint test bench bench-smoke perf-smoke \
 	perf-compare mem-ledger chaos chaos-federation serve
 
 check: lint test
@@ -17,14 +17,6 @@ lint:
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
-
-# worxsan runtime mode: tier-1 re-run with WORXSAN=1, so every published
-# view is deep-frozen (any mutation raises) and annotated lock
-# checkpoints assert at runtime.  A test that drives
-# GatewayState.refresh() by hand takes the slice lock, as the gateway's
-# driver does.
-sanitize:
-	WORXSAN=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only -s

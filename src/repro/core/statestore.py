@@ -246,11 +246,14 @@ class StateStore:
     def forget(self, hostname: str) -> None:
         """Drop every trace of a host: state, rollup contributions,
         freshness — the hot-remove path."""
+        was_tracked = hostname in self._tracked
         self._tracked.discard(hostname)
         self._last_update.pop(hostname, None)
         self._last_agent.pop(hostname, None)
         old = self._hosts.get(hostname)
         if old is None:
+            # A silent host left ``nodes_total``: a cached rollup must see
+            self._generation += was_tracked
             return
         self._rollup_remove(hostname, old)
         self._fork_if_frozen()

@@ -16,6 +16,7 @@ plane        :class:`FaultPlane` — schedules the switch flips on the
 campaign     :class:`ControlPlan` — the ``control_plane`` hook for
              :class:`~repro.resilience.chaos.ChaosCampaign`: draws
              victims, schedules via the plane, scores the outcomes
+invariants   the system's invariants, one function each
 ==========  =========================================================
 """
 

@@ -62,11 +62,6 @@ class ShardChannel:
         """Does the shard answer at this sim instant?"""
         return not self.killed and self.kernel.now >= self.down_until
 
-    def restore(self) -> None:
-        """Clear both fault switches."""
-        self.killed = False
-        self.down_until = 0.0
-
     def call(self, fn, *args, default=None):
         """``fn(*args)`` when the shard is up, else ``default``."""
         self.calls += 1

@@ -229,24 +229,16 @@ class FederationServer:
 
     def degraded_info(self) -> Dict[str, object]:
         """The gateway's degradation verdict: which shards' data is
-        stale, and how stale.  A shard is stale while it is suspect or
-        mid-drain, or dead but still owning nodes (no survivor could
-        adopt them); a completed fail-over clears it — the survivors'
-        data is current, so responses stop carrying the degraded tag.
+        stale, and how stale.  A shard is stale while it still owns
+        nodes and is suspect, or dead (no survivor could adopt them); a
+        completed fail-over or drain clears it — the survivors' data is
+        current, so responses stop carrying the degraded tag.
         """
         now = self.kernel.now
         stale: List[str] = []
         worst = 0.0
         for shard in self.shards:
-            if shard.health == SUSPECT and shard.active:
-                is_stale = True
-            elif shard.health == DRAINING:
-                is_stale = True
-            elif shard.health == DEAD and shard.n_nodes > 0:
-                is_stale = True
-            else:
-                is_stale = False
-            if is_stale:
+            if shard.health in (SUSPECT, DEAD) and shard.n_nodes > 0:
                 stale.append(shard.name)
                 worst = max(worst, now - shard.last_heartbeat)
         return {"degraded": bool(stale), "stale_shards": stale,

@@ -9,8 +9,8 @@ one of three verbs, and what an unreachable shard answers.  One
 function, :meth:`_View._ask`, makes every cross-shard read through the
 shard's :class:`~repro.federation.channel.ShardChannel`, so "a read on
 a dead shard degrades to its declared default, never raises" is a
-property of that function, fenced by the killed-shard characterisation
-oracle in ``tests/test_federation.py``, not an idiom per method.
+property of that function, fenced by the routing-table check in
+``tests/test_federation.py``, not an idiom per method.
 
 * **owner** routes ``f(hostname, ...)`` to the owning shard: an O(1)
   lookup plus the flat cost.  An unreachable owner answers the default
@@ -382,11 +382,11 @@ class FederatedStore(_View, organ="store"):
     # -- subscription bus ------------------------------------------------------
     def _subscribe_on(self, shares, callback, name, metrics
                       ) -> List[Subscription]:
-        """One bus registration per reachable ``(shard, hosts)`` share."""
-        asked = (self._ask(shard, methodcaller(
-            "subscribe", callback, name=name, hosts=share,
-            metrics=metrics)) for shard, share in shares)
-        return [part for part in asked if part is not _DOWN]
+        """One bus registration per ``(shard, hosts)`` share, reachable
+        or not: not a read, it delivers once the shard answers again."""
+        return [shard.server.store.subscribe(callback, name=name,
+                                             hosts=share, metrics=metrics)
+                for shard, share in shares]
 
     def subscribe(self, callback: Callable[[Update], None], *,
                   name: str = "?",

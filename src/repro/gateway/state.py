@@ -32,13 +32,13 @@ hot ones.
 from __future__ import annotations
 
 import threading
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.server import ClusterWorXServer
 from repro.core.statestore import Snapshot
 from repro.gateway.wire import FrameTable
 from repro.remote.nodeset import NodeSet
-from repro.tooling.sanitizer import current_sanitizer
 
 __all__ = ["PublishedView", "GatewayState"]
 
@@ -48,7 +48,8 @@ class PublishedView:
 
     Everything a hot endpoint can answer is on this object; once
     constructed it is never mutated, so any number of serving-side
-    readers share it without locks.
+    readers share it without locks: its containers are read-only by
+    construction (``repro.faults.invariants.published_view_immutable``).
     """
 
     __slots__ = ("snapshot", "summary", "events", "sim_time",
@@ -97,9 +98,6 @@ class GatewayState:
         self.publish_reuses = 0
         #: (hostnames tuple, its folded nodeset) for the membership view.
         self._folded: Optional[Tuple[Tuple[str, ...], str]] = None
-        #: worxsan runtime hook; None (one pointer test per call) when
-        #: the sanitizer is off, which is the production configuration.
-        self._san = current_sanitizer()
         #: snapshot-publication stall (fault plane): while kernel time
         #: is before this, refresh() republishes the existing view.
         self.stalled_until = 0.0
@@ -111,8 +109,6 @@ class GatewayState:
     def _capture(  # worx: holds lock
             self, previous: Optional[PublishedView] = None
             ) -> PublishedView:
-        if self._san is not None:
-            self._san.assert_locked(self.lock, "GatewayState._capture")
         summary = self.server.cluster_summary()
         summary["sim_time"] = round(self.server.kernel.now, 3)
         # Degradation verdict (a flat server is never degraded).  The
@@ -135,17 +131,13 @@ class GatewayState:
             hostnames = previous.hostnames
         else:
             hostnames = tuple(sorted(snapshot))
-        view = PublishedView(
+        return PublishedView(
             snapshot=snapshot, hostnames=hostnames,
-            summary=summary,
+            summary=MappingProxyType(summary),
             events=tuple(self.server.engine.active_events()),
             sim_time=self.server.kernel.now,
             degraded=degraded, stale_shards=stale,
             staleness_s=staleness)
-        if self._san is not None:
-            self._san.freeze_view(view)
-            self._san.record("publish", f"gen={view.generation}")
-        return view
 
     def refresh(self) -> PublishedView:  # worx: holds lock
         """Publish the current world.  **Sim thread only**, under the

@@ -184,12 +184,21 @@ class SimulatedNode:
         self._set_state(NodeState.UP)
         self.serial_write(f"{self.hostname} login: \n")
 
+    def _cancel_boot(self, cause: str) -> None:
+        """End the boot in progress: interrupt it where it waits, or
+        stop one not yet started (an interrupt would hit its header)."""
+        process = self._boot_process
+        if process is not None and process.is_alive:
+            if process.is_started:
+                process.interrupt(cause)
+            else:
+                process.kill()
+        self._boot_process = None
+
     def power_off(self) -> None:
         """Cut power (ICE Box outlet off)."""
         now = self.kernel.now
-        if self._boot_process is not None and self._boot_process.is_alive:
-            self._boot_process.interrupt("power-off")
-        self._boot_process = None
+        self._cancel_boot("power-off")
         self.psu.switch_off()
         self.thermal.rebase(now)
         # Without power the board cools to ambient quickly; model as reset.
@@ -207,9 +216,7 @@ class SimulatedNode:
             # No supply, no boot: the reset line is asserted but the
             # board has nothing to restart with.
             return
-        if self._boot_process is not None and self._boot_process.is_alive:
-            self._boot_process.interrupt("reset")
-        self._boot_process = None
+        self._cancel_boot("reset")
         self.boot_completed_at = None
         self.crash_reason = None
         self.serial_write("\n*** hardware reset ***\n")

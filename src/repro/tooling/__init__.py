@@ -1,9 +1,7 @@
 """worxlint — AST-based static analysis enforcing this codebase's
 architectural invariants (layer DAG, determinism, encapsulation,
 subscriber safety, exception-handler hygiene, thread and lock
-discipline) — plus the opt-in runtime sanitizer
-(:mod:`repro.tooling.sanitizer`) that checks the concurrency contract
-against the live process.
+discipline).
 
 The framework parses every module under the linted root **once**
 (:mod:`repro.tooling.parse`), runs a registry of whole-program visitor
@@ -22,15 +20,10 @@ from repro.tooling.registry import (LintConfig, LintContext, LintPass,
                                     all_passes, get_passes, register)
 from repro.tooling.runner import (JSON_SCHEMA_VERSION, LintResult,
                                   default_config, run_lint)
-from repro.tooling.sanitizer import (FrozenDict, Sanitizer,
-                                     SanitizerViolation,
-                                     current_sanitizer, deep_freeze,
-                                     install, uninstall)
 
 __all__ = [
     "CONTEXT_MAP",
     "Finding",
-    "FrozenDict",
     "JSON_SCHEMA_VERSION",
     "LAYER_MAP",
     "LOCK_GUARDED",
@@ -39,17 +32,11 @@ __all__ = [
     "LintPass",
     "LintResult",
     "ParsedModule",
-    "Sanitizer",
-    "SanitizerViolation",
     "all_passes",
-    "current_sanitizer",
-    "deep_freeze",
     "default_config",
     "get_passes",
-    "install",
     "parse_count",
     "parse_tree",
     "register",
     "run_lint",
-    "uninstall",
 ]

@@ -22,8 +22,7 @@ Flagged:
   access to ``self.server...`` in that file must sit inside ``with
   self.lock:`` (or any ``with`` over a lock-named expression), or in a
   function whose ``def`` line carries the interprocedural annotation
-  ``# worx: holds lock`` — a machine-checked claim that every caller
-  owns the lock (the runtime sanitizer asserts it when enabled).
+  ``# worx: holds lock`` — a claim that every caller owns the lock.
 * **Replace-only chain edited in place.**  ``{"_owner": ""}`` — the
   chain may be read freely and *rebound* wholesale, but never mutated
   in place: no subscript stores, no ``del``, no ``.update()``/

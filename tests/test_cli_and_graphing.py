@@ -160,6 +160,17 @@ class TestHotAddRemove:
         with pytest.raises(KeyError):
             cwx.cluster.node(victim)
 
+    def test_remove_a_node_the_instant_it_is_added(self):
+        """Its boot was created but had not started: the power-off used
+        to throw ``Interrupt`` at the boot's header, out of the kernel."""
+        cwx = ClusterWorX(n_nodes=4, seed=20, monitor_interval=5.0)
+        cwx.start()
+        added = cwx.add_node()
+        node = cwx.cluster.node(added)
+        cwx.remove_node(added)
+        cwx.run(60)
+        assert node.state is NodeState.OFF
+
     def test_removed_port_reusable(self):
         cwx = ClusterWorX(n_nodes=4, seed=20, monitor_interval=30.0)
         cwx.start()

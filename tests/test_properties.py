@@ -10,14 +10,25 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, rule)
 
-from repro.core.statestore import Snapshot
+from repro import ClusterWorX
+from repro.core.statestore import Snapshot, StateStore, Update
+from repro.faults import LINK_DOWN, SHARD_HANG, SHARD_SLOW, FaultPlane
+from repro.faults.invariants import (digest, empty_shards_not_stale,
+                                     ingest_counts, observables,
+                                     ownership_partition,
+                                     published_view_immutable,
+                                     rollup_matches_parts,
+                                     updates_conserved)
+from repro.federation import DEAD
 from repro.federation.views import FederatedSnapshot
 from repro.gateway import BinaryWire, GatewayState, JsonWire
 from repro.gateway.shell import _drain_buffer
 from repro.gateway.wire import EVENT_SCHEMA, STATS_SCHEMA, SUMMARY_SCHEMA
-from repro.hardware import (SimulatedNode, Workload, WorkloadGenerator,
-                            WorkloadSegment)
+from repro.hardware import (FaultKind, SimulatedNode, Workload,
+                            WorkloadGenerator, WorkloadSegment)
 from repro.icebox.security import IPFilter
 from repro.monitoring import (BinaryCodec, Consolidator, HistoryStore,
                               MonitorContext, TextCodec, builtin_registry)
@@ -26,6 +37,7 @@ from repro.procfs import ProcFilesystem
 from repro.remote.nodeset import NodeSet
 from repro.sim import RandomStreams, SimKernel
 from repro.util import ByteRingBuffer, TimeSeriesRing
+from tests.test_federation import check_routing_table
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -367,6 +379,40 @@ def _history_text(model):
         f"{host} {metric} {t!r} {v!r}\n"
         for host in sorted(model) for metric in sorted(model[host])
         for t, v in model[host][metric])
+
+
+_partial_rows = st.fixed_dictionaries({}, optional={
+    "udp_echo": st.integers(0, 1),
+    "cpu_util_pct": st.floats(0, 100),
+    "mem_used_bytes": st.integers(0, 1 << 30),
+    "mem_total_bytes": st.just(1 << 30),
+    "cpu_temp_c": st.floats(20, 60)})
+
+
+class TestStoreRollupProperties:
+    @given(st.lists(st.tuples(st.integers(0, 5),
+                              st.one_of(st.none(), _partial_rows)),
+                    max_size=80))
+    @settings(max_examples=150, deadline=None)
+    def test_running_rollup_is_the_sum_of_the_rows(self, ops):
+        """Partial updates and forget-and-rejoin in any order: the
+        store's O(1) running rollup is the sum recomputed over its rows
+        after every step (``None`` forgets the host)."""
+        store = StateStore()
+        hosts = [f"n{i}" for i in range(6)]
+        for host in hosts:
+            store.track(host)
+        server = SimpleNamespace(cluster_summary=store.summary,
+                                 current_all=store.snapshot,
+                                 managed_hostnames=hosts)
+        for step, (index, values) in enumerate(ops):
+            if values is None:
+                store.forget(hosts[index])
+                store.track(hosts[index])
+            else:
+                store.apply(Update(hostname=hosts[index], time=step,
+                                   values=values))
+            assert rollup_matches_parts(server) == []
 
 
 class TestHistoryStoreModel:
@@ -1064,3 +1110,223 @@ class TestQueryTableProperties:
         assert JsonWire().encode(table) == JsonWire().encode(frames)
         for wire in (BinaryWire(), BinaryWire(metric_schema=("cpu", "mem"))):
             assert wire.encode(table) == wire.encode(frames)
+
+
+# ---------------------------------------------------------------------------
+# the control plane answers as one server would (repro.faults.invariants)
+# ---------------------------------------------------------------------------
+
+def _cluster(seed, n_nodes, shards, **options):
+    """An unstarted cluster — flat for ``shards == 0`` — with a rule that
+    fires on every host and one that node faults trip."""
+    topology = {"topology": "federation", "shards": shards,
+                "topology_options": options} if shards else {}
+    cwx = ClusterWorX(n_nodes=n_nodes, seed=seed, monitor_interval=5.0,
+                      **topology)
+    cwx.add_threshold("hot", metric="cpu_temp_c", op=">", threshold=20.0,
+                      notify=False)
+    cwx.add_threshold("dark", metric="udp_echo", op="<", threshold=1,
+                      notify=False)
+    return cwx
+
+
+def _run_cluster(seed, n_nodes, shards, faults, horizon=60.0):
+    cwx = _cluster(seed, n_nodes, shards)
+    cwx.start()
+    nodes = cwx.cluster.nodes
+    for at, index, kind in faults:
+        cwx.cluster.faults.schedule(nodes[index % len(nodes)], kind,
+                                    cwx.kernel.now + at)
+    cwx.run(horizon)
+    return cwx
+
+
+_node_faults = st.lists(st.tuples(st.floats(0, 50), st.integers(0, 23),
+                                  st.sampled_from(FaultKind.ALL)),
+                        max_size=4)
+
+
+class TestFlatFederationOracle:
+    @given(st.integers(0, 2**16), st.integers(4, 24), st.integers(1, 4),
+           _node_faults)
+    @settings(max_examples=25, deadline=None)
+    def test_federation_answers_as_one_server(self, seed, n_nodes, shards,
+                                              faults):
+        """Any seed, size, shard count and node-fault schedule, no
+        control-plane fault: the federation's summary, event log and
+        host rows are the flat server's, its shard monitor never moved,
+        and a rerun's digest is its own."""
+        flat = _run_cluster(seed, n_nodes, 0, faults)
+        fed = _run_cluster(seed, n_nodes, shards, faults)
+        assert observables(fed.server) == observables(flat.server)
+        assert fed.server.monitor.transitions == []
+        assert ownership_partition(fed.server) == []
+        assert rollup_matches_parts(fed.server) == []
+        again = _run_cluster(seed, n_nodes, shards, faults)
+        assert digest(again.server) == digest(fed.server)
+
+
+#: series the server's sweep writes too: when it writes them depends on
+#: what its store has heard, so an outage legitimately moves them.
+_SWEEP_METRICS = ("udp_echo", "node_state")
+
+
+def _agent_history(server, host):
+    return {metric: [list(part) for part in series]
+            for metric, series in server.history.export_host(host).items()
+            if metric not in _SWEEP_METRICS}
+
+
+def _row(server, host):
+    return dict(server.store.get(host)), server.store.last_agent_seen(host)
+
+
+def _watch(server, hosts=None):
+    seqs = {}  # host -> the agent seqs a subscriber saw
+    server.subscribe(lambda update: update.source == "agent" and seqs
+                     .setdefault(update.hostname, []).append(update.seq),
+                     hosts=hosts)
+    return seqs
+
+
+@settings(max_examples=60, stateful_step_count=10, deadline=None)
+class FederationMachine(RuleBasedStateMachine):
+    """A federation under operators and control-plane faults, fail-over
+    on or off, beside a flat server given the same nodes, node faults
+    and membership, with a gateway publishing the federation.  After
+    every step the invariants hold.  At the end every agent update is
+    conserved and a forgotten host's watch fell silent; when none was
+    dropped, each host's agent seqs (cluster-wide and host-filtered
+    watch), row, freshness and agent-written history equal the flat
+    run's — across a fail-over by declared assumption A1
+    (``repro.faults.invariants``) — and every routing-table entry
+    answers its declaration."""
+
+    @initialize(seed=st.integers(0, 2**16), n_nodes=st.integers(4, 12),
+                shards=st.integers(2, 4),
+                auto_failover=st.sampled_from([True, True, False]))
+    def build(self, seed, n_nodes, shards, auto_failover):
+        self.runs = []
+        for count in (0, shards):
+            cwx = _cluster(seed, n_nodes, count,
+                           auto_failover=auto_failover)
+            watches = (_watch(cwx.server),
+                       _watch(cwx.server, cwx.cluster.hostnames[::3]))
+            cwx.start()
+            self.runs.append((cwx, watches, list(cwx.agents.values())))
+        self.flat, self.fed = self.runs[0][0], self.runs[1][0]
+        self.plane = FaultPlane(self.fed.kernel, federation=self.fed.server)
+        self.state = GatewayState(self.fed.server)
+        self.silenced = {}
+
+    def _shard(self, index):
+        return self.fed.server.shards[index % len(self.fed.server.shards)]
+
+    @rule(seconds=st.floats(1.0, 30.0))
+    def run(self, seconds):
+        for cwx, _, _ in self.runs:
+            cwx.run(seconds)
+
+    @rule(index=st.integers(0, 3),
+          how=st.sampled_from(["drain", "fail_over"]))
+    def drain(self, index, how):
+        """Moved hosts keep row and freshness, unless held ones land."""
+        server, shard = self.fed.server, self._shard(index)
+        if shard.active and sum(s.active for s in server.shards) > 1:
+            held = bool(shard.channel.held)
+            before = {host: _row(shard.server, host)
+                      for host in shard.hostnames}
+            getattr(server, how)(shard.index)
+            assert held or {host: _row(server.owner_of(host).server, host)
+                            for host in before} == before
+            assert not shard.active and (how == "drain" or (
+                shard.health == DEAD
+                and server.failovers[-1][1:3] == (shard.index, "manual")))
+
+    @rule()
+    def add_node(self):
+        for cwx, _, agents in self.runs:
+            agents.append(cwx.agents[cwx.add_node()])
+
+    @rule(pick=st.integers(0, 63))
+    def forget_node(self, pick):
+        """A host forgotten while its agent reports on (``unrouted``)."""
+        hosts = self.fed.server.managed_hostnames
+        if len(hosts) > 2:
+            host = hosts[pick % len(hosts)]
+            self.silenced[host] = list(self.runs[1][1][0].get(host, ()))
+            for cwx, _, _ in self.runs:
+                cwx.server.forget_node(host)
+
+    @rule(pick=st.integers(0, 63), kind=st.sampled_from(FaultKind.ALL))
+    def node_fault(self, pick, kind):
+        hosts = self.fed.server.managed_hostnames
+        for cwx, _, _ in self.runs:
+            cwx.inject_fault(hosts[pick % len(hosts)], kind)
+
+    @rule(index=st.integers(0, 3), start=st.floats(0.0, 10.0),
+          duration=st.floats(1.0, 40.0),
+          kind=st.sampled_from([SHARD_HANG, LINK_DOWN, SHARD_SLOW]))
+    def outage(self, index, start, duration, kind):
+        self.plane.outage(self._shard(index).index,
+                          self.fed.kernel.now + start, duration, kind)
+
+    @rule(index=st.integers(0, 3), start=st.floats(0.0, 10.0),
+          duration=st.one_of(st.none(), st.floats(1.0, 40.0)))
+    def kill_shard(self, index, start, duration):
+        self.plane.kill_shard(self._shard(index).index,
+                              self.fed.kernel.now + start, duration)
+
+    @invariant()
+    def answers_as_one_server(self):
+        server = self.fed.server
+        assert ownership_partition(server) == []
+        assert rollup_matches_parts(server) == []
+        assert rollup_matches_parts(self.flat.server) == []
+        assert empty_shards_not_stale(server) == []
+        # the router holds an update no longer than the fail-over deadline
+        window = server.monitor.down_after + server.monitor.interval
+        assert all(not shard.channel.held or shard.channel.held[-1].time
+                   - shard.channel.held[0].time <= window
+                   for shard in server.shards)
+        with self.state.lock:
+            reused = self.state.publish_reuses
+            view = self.state.refresh()
+        # exempt a republished view: draining an unreachable shard that
+        # owns no hosts moves no generation, so the same instant reuses it
+        assert self.state.publish_reuses > reused or \
+            view.hostnames == tuple(sorted(server.current_all()))
+        assert published_view_immutable(view) == []
+
+    def teardown(self):
+        if not hasattr(self, "runs"):
+            return
+        for cwx, (seqs, _), agents in self.runs:  # the federation's last
+            cwx.run(60.0)  # every outage over, every kill failed over
+            ledger = ingest_counts(cwx.server, agents)
+            assert updates_conserved(applied=sum(map(len, seqs.values())),
+                                     **ledger) == []
+        self.answers_as_one_server()
+        server, flat = self.fed.server, self.flat.server
+        # a killed shard was found dead; a drained one holds nothing
+        assert all(shard.health == DEAD for shard in server.shards
+                   if shard.active and shard.channel.killed)
+        assert not any(shard.channel.held for shard in server.shards
+                       if not shard.active)
+        (_, flat_watches, _), (_, watches, _) = self.runs
+        for host, seen in self.silenced.items():
+            assert watches[0].get(host, []) == seen, host
+        hosts = server.managed_hostnames
+        if ledger["dropped_ingests"] == ledger["held"] == 0:
+            for host in hosts:
+                owner = server.owner_of(host).server
+                assert [watch.get(host) for watch in watches] == \
+                    [watch.get(host) for watch in flat_watches], host
+                assert _row(owner, host) == _row(flat, host)
+                assert _agent_history(owner, host) == \
+                    _agent_history(flat, host), host
+        check_routing_table(server, hosts[0], tuple(
+            shard.index for shard in server.shards if not shard.channel.up))
+
+
+TestFederationMachine = FederationMachine.TestCase
