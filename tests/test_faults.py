@@ -6,7 +6,7 @@ and leave an audit trail; a killed shard stops sweeping), the
 ControlPlan campaign hook (same seed + spec renders byte-identical
 CampaignReports, and adding a control plan
 never perturbs the node-fault schedule), fail-over scoring (a killed
-shard is detected and drained).
+shard is detected, drained and re-owned by survivors).
 """
 
 import pytest
@@ -14,6 +14,7 @@ import pytest
 from repro import ClusterWorX
 from repro.faults import (CONTROL_KINDS, LINK_DOWN, SHARD_HANG,
                           SHARD_KILL, SHARD_SLOW, ControlPlan, FaultPlane)
+from repro.federation import DEAD, HEALTHY
 from repro.gateway import GatewayState
 from repro.resilience import ChaosCampaign
 from repro.resilience.chaos import FAILED_OVER, RODE_THROUGH
@@ -166,3 +167,42 @@ class TestControlPlan:
                                control_plane=plan).execute()
         assert report.faults == []
         assert len(report.control_faults) == 1
+
+    def test_survivors_reown_fleet_after_campaign_kill(self):
+        cwx = make_fed(seed=5)
+        plane = FaultPlane(cwx.kernel, federation=cwx.server)
+        plan = ControlPlan(plane, kinds=(SHARD_KILL,))
+        ChaosCampaign(cwx, n_faults=0, horizon=120.0, settle=600.0,
+                      control_plane=plan).execute()
+        (outcome,) = plan.outcomes
+        victim = outcome.shard
+        assert cwx.server.shards[victim].health == DEAD
+        assert all(s.health == HEALTHY for s in cwx.server.shards
+                   if s.index != victim)
+        # every node re-owned by a survivor: full fleet still readable
+        assert len(cwx.server.current_all()) == 16
+
+    @pytest.mark.parametrize("seed,kinds,settle", [
+        (0, (SHARD_KILL,), 1800.0),      # the `make chaos-federation` spec
+        (2, CONTROL_KINDS, 300.0),       # one of each kind
+        (9, CONTROL_KINDS, 300.0)])
+    def test_no_update_lost_to_a_resolved_control_fault(self, seed, kinds,
+                                                        settle):
+        """Store-and-forward: a shard outage that ends in fail-over or
+        rides through delays its updates, it drops none."""
+        cwx = ClusterWorX(n_nodes=64, seed=seed, monitor_interval=5.0,
+                          self_healing=True, topology="federation",
+                          shards=8)
+        plane = FaultPlane(cwx.kernel, federation=cwx.server)
+        plan = ControlPlan(plane, n_faults=2 if kinds == (SHARD_KILL,)
+                           else 4, kinds=kinds, duration=18.0)
+        ChaosCampaign(cwx, n_faults=8, horizon=300.0, settle=settle,
+                      control_plane=plan).execute()
+        outcomes = plan.score()
+        resolved = [f for f in outcomes
+                    if f.outcome in (FAILED_OVER, RODE_THROUGH)]
+        assert resolved
+        assert all(f.updates_dropped == 0 for f in resolved), \
+            [(f.kind, f.outcome, f.updates_dropped) for f in outcomes]
+        if kinds == (SHARD_KILL,):
+            assert [f.outcome for f in outcomes] == [FAILED_OVER] * 2

@@ -1,16 +1,22 @@
 """Control-plane self-healing by example: shard health monitoring,
-automatic drain-on-death, a killed shard that stops acting, degraded
-serving, remote runs across a fail-over, and the watch-rehome
-regressions.  No loss across an outage, the hold's deadline, and
-fail-over keeping state, history and ownership whole are checked over
-generated schedules in ``tests/test_properties.py``."""
+automatic drain-on-death, a killed shard that stops acting,
+store-and-forward ingest across an outage, degraded federated reads,
+remote runs across a fail-over, and the watch-rehome regressions.  No
+loss across an outage, the hold's deadline, and fail-over keeping
+state, history and ownership whole are also checked over generated
+schedules in ``tests/test_properties.py``."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro import ClusterWorX
-from repro.faults import SHARD_HANG, FaultPlane
-from repro.federation import DEAD, HEALTHY, SUSPECT
-from repro.gateway import GatewayState, build_router, parse_request
+from repro.core.statestore import Update
+from repro.faults import LINK_DOWN, SHARD_HANG, SHARD_SLOW, FaultPlane
+from repro.federation import DEAD, DRAINING, HEALTHY, SUSPECT
+from repro.gateway import (GatewayState, WatchClient, WatchHub,
+                           build_router, parse_request)
 
 
 def make_fed(n=20, shards=4, seed=7, **kwargs):
@@ -27,12 +33,38 @@ def kill(cwx, index, at=None):
     return plane
 
 
+class TestChannel:
+    def test_healthy_channel_is_passthrough(self):
+        cwx = make_fed()
+        channel = cwx.server.shards[0].channel
+        store = cwx.server.shards[0].server.store
+        n = channel.call(lambda: store.generation)
+        assert n == store.generation
+        assert channel.up and channel.calls > 0
+
+    def test_killed_shard_returns_default_not_exception(self):
+        cwx = make_fed()
+        channel = cwx.server.shards[1].channel
+        channel.killed = True
+        assert channel.call(lambda: 1, default="fallback") == "fallback"
+        assert channel.call(lambda: 1) is None
+        channel.killed = False  # revived, as FaultPlane revives it
+        assert channel.call(lambda: 42) == 42
+
+
 def _hang(cwx, index, at, duration):
     FaultPlane(cwx.kernel, federation=cwx.server).outage(
         index, at, duration, SHARD_HANG)
 
 
 class TestMonitorEscalation:
+    def test_all_healthy_monitor_is_invisible(self):
+        cwx = make_fed()
+        cwx.run(120)
+        assert cwx.server.monitor.probes > 0
+        assert cwx.server.monitor.transitions == []
+        assert all(s.health == HEALTHY for s in cwx.server.shards)
+
     def test_suspect_then_dead_then_failover(self):
         cwx = make_fed()
         cwx.run(30)
@@ -52,6 +84,44 @@ class TestMonitorEscalation:
         assert len(cwx.server.failovers) == 1
         at, index, reason, moved = cwx.server.failovers[0]
         assert index == 1 and reason == "heartbeat-loss" and moved == 5
+
+    def test_transient_hang_recovers_without_failover(self):
+        cwx = make_fed()
+        cwx.run(30)
+        # shorter than suspect_after (12.5s): never even suspect
+        _hang(cwx, 2, cwx.kernel.now + 1.0, 6.0)
+        cwx.run(60)
+        assert cwx.server.shards[2].health == HEALTHY
+        assert cwx.server.failovers == []
+
+    def test_suspect_recovers_to_healthy(self):
+        cwx = make_fed()
+        cwx.run(30)
+        # Suspicion needs a failed probe once the last good heartbeat is
+        # 12.5 s old: the probes after a miss land 5, 6, 8, 12 and 17 s
+        # after that heartbeat, so a hang is suspected only if it
+        # outlasts the 17-s probe.  The last heartbeat here is 1 s
+        # before the hang, so up to 16 s rides through unsuspected;
+        # 20 s is suspected and still short of the 25-s death.
+        _hang(cwx, 2, cwx.kernel.now + 1.0, 20.0)
+        cwx.run(60)
+        monitor = cwx.server.monitor
+        assert monitor.detected_at(2, SUSPECT) is not None
+        assert monitor.detected_at(2, DEAD) is None
+        assert cwx.server.shards[2].health == HEALTHY
+        assert cwx.server.shards[2].active
+
+    def test_single_survivor_never_drains_itself(self):
+        cwx = make_fed(n=8, shards=2)
+        cwx.run(30)
+        kill(cwx, 0)
+        cwx.run(60)
+        kill(cwx, 1)
+        cwx.run(60)
+        # first death failed over; the last shard has no adopter
+        assert len(cwx.server.failovers) == 1
+        assert cwx.server.shards[1].health == DEAD
+        assert cwx.server.shards[1].active
 
 
 class TestOneJudge:
@@ -137,6 +207,37 @@ class TestOneJudge:
 
 
 class TestFailover:
+    def test_state_and_history_survive(self):
+        cwx = make_fed()
+        cwx.run(60)
+        victim = cwx.server.shards[1]
+        owned = list(victim.server.managed_hostnames)
+        summary_before = cwx.server.cluster_summary()["nodes_total"]
+        kill(cwx, 1)
+        cwx.run(60)
+        assert sorted(cwx.server.managed_hostnames) == \
+            sorted(cwx.cluster.hostnames)
+        for hostname in owned:
+            adopter = cwx.server.owner_of(hostname)
+            assert adopter is not None and adopter.index != 1
+            assert adopter.server.store.get(hostname)
+            assert adopter.server.history.series(hostname,
+                                                 "cpu_util_pct")[0].size
+        assert cwx.server.cluster_summary()["nodes_total"] == \
+            summary_before
+
+    def test_updates_flow_to_adopters_after_failover(self):
+        cwx = make_fed()
+        cwx.run(30)
+        victim_host = cwx.server.shards[1].server.managed_hostnames[0]
+        kill(cwx, 1)
+        cwx.run(60)
+        gen = cwx.server.owner_of(victim_host).server.store.generation
+        cwx.run(30)
+        owner = cwx.server.owner_of(victim_host)
+        assert owner.server.store.generation > gen
+        assert owner.server.store.last_agent_seen(victim_host) > 0
+
     def test_degraded_info_lifecycle(self):
         cwx = make_fed()
         cwx.run(30)
@@ -165,6 +266,43 @@ class TestFailover:
         state = GatewayState(cwx.server)
         assert state.view.degraded is False
         assert "degraded" not in state.view.summary
+
+    def test_federated_reads_stay_partial_not_raising(self):
+        """Every fan-out surface keeps answering while a shard is dark
+        (pre-fail-over): summaries freeze the dead shard's contribution,
+        snapshots/host reads fall back to last-known, nothing raises."""
+        cwx = make_fed(topology_options={"shard_down_after": 1e9,
+                                         "auto_failover": False})
+        cwx.run(60)
+        victim_host = cwx.server.shards[1].server.managed_hostnames[0]
+        summary_before = cwx.server.cluster_summary()
+        # warm the last-good part cache, as the gateway's every-slice
+        # refresh does — the fallback serves the last snapshot *taken*
+        cwx.server.current_all()
+        kill(cwx, 1)
+        cwx.run(30)
+        summary = cwx.server.cluster_summary()
+        assert summary["nodes_total"] == summary_before["nodes_total"]
+        snap = cwx.server.current_all()
+        assert len(snap) == 20
+        assert cwx.server.current(victim_host)
+        assert cwx.server.store.is_tracked(victim_host)
+        assert cwx.server.engine.active_count() >= 0
+        # generation stays monotone through the outage
+        gen = cwx.server.store.generation
+        cwx.run(30)
+        assert cwx.server.store.generation >= gen
+
+    def test_manual_failover_matches_auto(self):
+        cwx = make_fed()
+        cwx.run(30)
+        moved = cwx.server.fail_over(2)
+        assert len(moved) == 5
+        assert cwx.server.shards[2].health == DEAD
+        assert not cwx.server.shards[2].active
+        assert cwx.server.failovers[0][2] == "manual"
+        assert sorted(cwx.server.managed_hostnames) == \
+            sorted(cwx.cluster.hostnames)
 
     def test_adopter_rules_read_the_migrated_row(self):
         """A rule on a value change suppression never re-sends: the
@@ -217,6 +355,168 @@ class TestFailover:
         assert shard.server._sweep_proc is None  # the revive left it off
 
 
+def _watch_outage(fault, seed=11):
+    """Run a 40-node, 4-shard federation, optionally injecting
+    ``fault(plane, at)`` against shard 1, and return what its hosts
+    left behind: agent ``seq`` as a federated subscriber saw them, the
+    exported history series, and the channel's loss counter."""
+    cwx = make_fed(n=40, seed=seed)
+    cwx.run(30)
+    victim = cwx.server.shards[1]
+    hosts = list(victim.hostnames)
+    seqs = {host: [] for host in hosts}
+
+    def watch(update):
+        if update.source == "agent":
+            seqs[update.hostname].append(update.seq)
+    cwx.server.subscribe(watch, hosts=hosts)
+    if fault is not None:
+        fault(FaultPlane(cwx.kernel, federation=cwx.server),
+              cwx.kernel.now + 1.0)
+    cwx.run(90)
+    assert not victim.channel.held
+    history = {host: cwx.server.owner_of(host).server.history
+               .export_host(host) for host in hosts}
+    return seqs, history, victim.channel.dropped_ingests
+
+
+OUTAGES = {
+    "kill": lambda plane, at: plane.kill_shard(1, at),
+    "hang": lambda plane, at: plane.outage(1, at, 8.0, SHARD_HANG),
+    "link": lambda plane, at: plane.outage(1, at, 16.0, LINK_DOWN),
+    "slow": lambda plane, at: plane.outage(1, at, 8.0, SHARD_SLOW),
+}
+
+
+class TestStoreAndForward:
+    """An unreachable shard delays its updates, it does not lose them:
+    the router holds them in arrival order on the shard's channel and
+    releases them when the shard answers again or is drained."""
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        return _watch_outage(None)
+
+    @pytest.mark.parametrize("kind", sorted(OUTAGES))
+    def test_outage_matches_the_fault_free_run(self, baseline, kind):
+        seqs, history, dropped = _watch_outage(OUTAGES[kind])
+        base_seqs, base_history, _ = baseline
+        assert dropped == 0
+        for host, seen in seqs.items():
+            assert seen == list(range(seen[0], seen[0] + len(seen))), \
+                f"{host}: agent seq has gaps or reorders"
+            assert seen == base_seqs[host]
+            assert sorted(history[host]) == sorted(base_history[host])
+            for metric, (t, v) in history[host].items():
+                base_t, base_v = base_history[host][metric]
+                assert np.array_equal(t, base_t), (host, metric)
+                assert np.array_equal(v, base_v), (host, metric)
+
+    def test_backlog_applies_before_the_first_new_update(self):
+        cwx = make_fed()
+        cwx.run(30)
+        shard = cwx.server.shards[2]
+        host = shard.hostnames[0]
+        seen = []
+        cwx.server.subscribe(seen.append, hosts=[host])
+        back_at = cwx.kernel.now + 11.0
+        _hang(cwx, 2, cwx.kernel.now, 11.0)
+        cwx.run(10.5)
+        held = [u for u in shard.channel.held if u.hostname == host]
+        assert len(held) >= 2 and seen == []
+        cwx.run(10.0)
+        assert not shard.channel.held
+        assert seen[:len(held)] == held
+        # every update held during the hang, then the ones after it
+        during = [u.time < back_at for u in seen]
+        assert during == sorted(during, reverse=True)
+        assert not during[-1]
+        assert [u.seq for u in seen] == list(
+            range(seen[0].seq, seen[0].seq + len(seen)))
+
+    def test_held_update_for_forgotten_host_is_unrouted(self):
+        cwx = make_fed(topology_options={"auto_failover": False})
+        cwx.run(30)
+        shard = cwx.server.shards[1]
+        host = shard.hostnames[0]
+        kill(cwx, 1)
+        cwx.run(12)
+        held = [u for u in shard.channel.held if u.hostname == host]
+        assert held
+        cwx.agents[host].stop()
+        cwx.server.forget_node(host)
+        before = cwx.server.unrouted_updates
+        shard.channel.killed = False
+        cwx.run(6)
+        assert not shard.channel.held
+        assert cwx.server.unrouted_updates - before == len(held)
+        assert not shard.server.store.is_tracked(host)
+        assert host not in cwx.server.current_all()
+        assert shard.channel.dropped_ingests == 0
+
+    def _drain_unreachable(self, how):
+        cwx = make_fed(topology_options={"auto_failover": False})
+        cwx.run(30)
+        shard = cwx.server.shards[1]
+        hosts = shard.hostnames
+        seen = []
+        cwx.server.subscribe(seen.append, hosts=hosts)
+        kill(cwx, 1)
+        cwx.run(12)
+        held = list(shard.channel.held)
+        assert held and seen == []
+        getattr(cwx.server, how)(1)
+        assert not shard.channel.held
+        assert seen == held
+        values = {host: dict(cwx.server.current(host)) for host in hosts}
+        assert all(cwx.server.last_seen(host) == max(
+            u.time for u in held if u.hostname == host) for host in hosts)
+        return [(u.hostname, u.seq) for u in seen], values
+
+    def test_operator_drain_releases_like_fail_over(self):
+        assert self._drain_unreachable("drain") == \
+            self._drain_unreachable("fail_over")
+
+    def test_hold_is_bounded_by_the_fail_over_deadline(self):
+        """Fail-over off, a shard dead for good: the backlog ages out at
+        ``down_after + interval`` and every update is accounted for."""
+        cwx = make_fed(topology_options={"auto_failover": False})
+        cwx.run(30)
+        monitor = cwx.server.monitor
+        window = monitor.down_after + monitor.interval
+        shard = cwx.server.shards[1]
+        hosts = shard.hostnames
+        emitted, applied = [], set()
+        for host in hosts:
+            agent = cwx.agents[host]
+            agent.on_sample = (lambda update, send=agent.on_sample:
+                               (emitted.append(update), send(update)))
+
+        def apply(update):
+            if update.source == "agent":
+                applied.add(id(update))
+        cwx.server.subscribe(apply, hosts=hosts)
+        kill(cwx, 1, at=cwx.kernel.now + 1.0)
+        per_node = math.ceil(window / cwx.monitor_interval) + 1
+        saw_drops = False
+        cwx.run(cwx.monitor_interval)  # every agent has reported
+        for _ in range(60):
+            cwx.run(2.0)
+            held = shard.channel.held
+            dropped = shard.channel.dropped_ingests
+            cutoff = emitted[-1].time - window  # as of the last hold
+            aged = sum(1 for u in emitted
+                       if id(u) not in applied and u.time < cutoff)
+            assert all(u.time >= cutoff for u in held)
+            assert not held or cwx.kernel.now - held[0].time \
+                <= window + cwx.monitor_interval
+            assert len(held) <= len(hosts) * per_node
+            assert dropped == aged
+            assert len(applied) + dropped + len(held) == len(emitted)
+            saw_drops = saw_drops or dropped > 0
+        assert saw_drops and not cwx.server.failovers
+
+
 class TestRemoteRunAcrossFailover:
     def test_shard_kill_mid_run_leaves_the_run_alone(self):
         """A remote run rides the fabric, not a shard: a monitoring
@@ -236,6 +536,54 @@ class TestRemoteRunAcrossFailover:
 
 
 class TestWatchRehome:
+    def test_unfiltered_watch_survives_failover(self):
+        """A cluster-wide watch (the gateway hub's subscription) keeps
+        delivering deltas for the victim's hosts after fail-over, with
+        no duplicates at the handoff."""
+        cwx = make_fed()
+        hub = WatchHub(cwx.server)
+        watcher = hub.register(WatchClient())
+        cwx.run(30)
+        victim_host = cwx.server.shards[1].server.managed_hostnames[0]
+        watcher.drain()
+        kill(cwx, 1)
+        cwx.run(90)  # detection + fail-over + fresh agent updates
+        deltas = [h for h, _, _ in watcher.drain() if h == victim_host]
+        assert deltas, "watch stream went permanently quiet for the " \
+                       "victim's hosts after fail-over"
+        hub.close()
+
+    def test_host_filtered_watch_rehomes_to_adopter(self):
+        cwx = make_fed()
+        cwx.run(30)
+        victim_host = cwx.server.shards[1].server.managed_hostnames[0]
+        seen = []
+        sub = cwx.server.subscribe(seen.append, hosts=[victim_host])
+        assert len(sub.parts) == 1
+        kill(cwx, 1)
+        cwx.run(90)
+        seen.clear()
+        cwx.run(30)
+        assert {u.hostname for u in seen} == {victim_host}
+        assert sub.active
+        # the surviving part now hangs off the adopting shard's store
+        adopter = cwx.server.owner_of(victim_host)
+        assert adopter.index != 1
+
+    def test_rehome_does_not_duplicate_deltas(self):
+        """The migration restore writes are silent: the watcher sees
+        each victim-host update exactly once per agent report, never a
+        burst of synthetic deltas at the drain instant."""
+        cwx = make_fed()
+        hub = WatchHub(cwx.server)
+        watcher = hub.register(WatchClient())
+        cwx.run(30)
+        watcher.drain()
+        cwx.server.fail_over(1)  # instant drain, no sim time passes
+        burst = watcher.drain()
+        assert burst == [], "drain migration leaked synthetic deltas"
+        hub.close()
+
     def test_a_watch_registers_on_an_unreachable_shard(self):
         """Re-homed onto an adopter that is hung at the drain, or opened
         while its owner is hung, a host-filtered watch used to lose that
@@ -301,6 +649,13 @@ class TestAnyOneReads:
     it, so "first active shard" kept picking the corpse for the whole
     detection window.  Remote runs never ask a shard at all."""
 
+    def test_rules_survive_a_killed_first_shard(self):
+        cwx = make_fed()
+        cwx.add_threshold("hot", metric="cpu_temp_c", op=">",
+                          threshold=70.0)
+        cwx.server.shards[0].channel.killed = True
+        assert [rule.name for rule in cwx.server.engine.rules] == ["hot"]
+
     def test_group_targets_survive_a_killed_first_shard(self):
         """Shard 0's process is down but its nodes and the fabric are
         up: ``@all`` expands in full and every target answers."""
@@ -309,6 +664,14 @@ class TestAnyOneReads:
         everyone = cwx.server.remote.nodeset("@all")
         assert list(everyone) == cwx.cluster.hostnames
         assert cwx.remote_run("uname -r", "@all").counts() == {"ok": 20}
+
+    def test_declared_default_only_when_no_shard_answers(self):
+        cwx = make_fed()
+        cwx.add_threshold("hot", metric="cpu_temp_c", op=">",
+                          threshold=70.0)
+        for shard in cwx.server.shards:
+            shard.channel.killed = True
+        assert cwx.server.engine.rules == []
 
 
 class TestGatewayDegraded:

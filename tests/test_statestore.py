@@ -3,6 +3,7 @@ subscriptions, and the server/client integration built on them."""
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import ClusterWorX, connect
@@ -39,6 +40,69 @@ class TestUpdate:
 
 
 class TestRollup:
+    def brute_force(self, store):
+        """Recompute the summary the pre-store way: full rescan."""
+        snap = store.snapshot()
+        total = len(store.tracked) or len(snap)
+        ups = sum(1 for h in snap if snap[h].get("udp_echo") == 1)
+        cpus = [float(snap[h]["cpu_util_pct"]) for h in snap
+                if "cpu_util_pct" in snap[h]]
+        temps = [float(snap[h]["cpu_temp_c"]) for h in snap
+                 if "cpu_temp_c" in snap[h]]
+        return {
+            "nodes_total": total,
+            "nodes_up": ups,
+            "nodes_down": total - ups,
+            "cpu_util_mean_pct": sum(cpus) / len(cpus) if cpus else 0.0,
+            "mem_used_bytes": int(sum(
+                float(snap[h].get("mem_used_bytes", 0)) for h in snap)),
+            "mem_total_bytes": int(sum(
+                float(snap[h].get("mem_total_bytes", 0)) for h in snap)),
+            "cpu_temp_max_c": max(temps) if temps else 0.0,
+        }
+
+    def test_matches_brute_force_under_random_churn(self):
+        rng = np.random.default_rng(42)
+        store = StateStore()
+        hosts = [f"n{i:02d}" for i in range(12)]
+        for h in hosts:
+            store.track(h)
+        for step in range(400):
+            h = hosts[int(rng.integers(len(hosts)))]
+            roll = rng.random()
+            if roll < 0.05 and h in store:
+                store.forget(h)
+                store.track(h)  # re-join empty, still tracked
+                continue
+            values = {}
+            if rng.random() < 0.5:
+                values["udp_echo"] = int(rng.integers(2))
+            if rng.random() < 0.6:
+                values["cpu_util_pct"] = float(rng.random() * 100)
+            if rng.random() < 0.4:
+                values["mem_used_bytes"] = int(rng.integers(1 << 30))
+                values["mem_total_bytes"] = 1 << 30
+            if rng.random() < 0.5:
+                values["cpu_temp_c"] = float(20 + rng.random() * 40)
+            if not values:
+                continue
+            store.apply(Update(hostname=h, time=float(step),
+                               values=values))
+            got = store.summary()
+            want = self.brute_force(store)
+            for key, expected in want.items():
+                assert got[key] == pytest.approx(expected), \
+                    f"{key} diverged at step {step}"
+
+    def test_tracked_but_silent_counts_down(self):
+        store = StateStore()
+        store.track("a")
+        store.track("b")
+        store.apply(up("a", 1.0))
+        s = store.summary()
+        assert s["nodes_total"] == 2
+        assert s["nodes_up"] == 1 and s["nodes_down"] == 1
+
     def test_temp_max_rescans_only_when_hottest_cools(self):
         store = StateStore()
         store.apply(Update(hostname="a", time=1.0,
@@ -55,6 +119,22 @@ class TestRollup:
                            values={"cpu_temp_c": 30.0}))
         assert store.temp_rescans == 1
         assert store.summary()["cpu_temp_max_c"] == 45.0
+
+    def test_forget_removes_contributions(self):
+        store = StateStore()
+        for h in ("a", "b"):
+            store.track(h)
+            store.apply(up(h, 1.0, cpu_util_pct=50.0,
+                           mem_used_bytes=100, mem_total_bytes=200,
+                           cpu_temp_c=60.0))
+        store.forget("a")
+        s = store.summary()
+        assert s["nodes_total"] == 1 and s["nodes_up"] == 1
+        assert s["cpu_util_mean_pct"] == 50.0
+        assert s["mem_used_bytes"] == 100
+        assert s["mem_total_bytes"] == 200
+        assert "a" not in store
+        assert store.last_seen("a") is None
 
 
 class TestSnapshotCOW:
@@ -286,6 +366,9 @@ class TestMultiClientConsistency:
         summary = cwx.client().cluster_summary()
         view = cwx.client().cluster_view()
         assert rollup_matches_parts(cwx.server) == []
+        ups = sum(1 for h in view if view[h].get("udp_echo") == 1)
+        assert summary["nodes_up"] == ups
+        assert summary["nodes_total"] == len(view)
         assert summary["generation"] == view.generation
         assert summary["events_active"] == cwx.server.engine.active_count()
 
