@@ -15,7 +15,7 @@ cluster substrate:
 * :mod:`repro.events` — thresholds, actions, smart notification (§5.2)
 * :mod:`repro.remote` — NodeSet algebra + parallel fan-out engine
 * :mod:`repro.resilience` — health state machine, recovery playbooks,
-  circuit breakers, chaos campaigns
+  chaos campaigns
 * :mod:`repro.core` — the 3-tier server and the :class:`ClusterWorX` facade
 * :mod:`repro.slurm` — the SLURM-lite resource manager of §6
 

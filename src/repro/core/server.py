@@ -113,9 +113,7 @@ class ClusterWorXServer:
                 power_cycle=self._power_cycle,
                 reclone=self._reclone_node,
                 drain=self._drain_node,
-                notify=self._notify_quarantine,
-                breaker_scope=self._breaker_scope),
-            rng=cluster.streams("resilience"))
+                notify=self._notify_quarantine))
         self.engine.add_listener(self._on_event_fired)
         #: optional resource manager (quarantine drains through it).
         self._slurm = None
@@ -493,16 +491,3 @@ class ClusterWorXServer:
         self.notifier.event_triggered("node-quarantined", hostname,
                                       "quarantine", "critical")
 
-    def _breaker_scope(self, channel: str, hostname: str) -> Optional[str]:
-        """Circuit-breaker key: one breaker per physical ICE Box (a dead
-        controller affects all its ports), one for the imaging path."""
-        if channel == "icebox":
-            try:
-                node = self.cluster.node(hostname)
-            except KeyError:
-                return None
-            located = self.cluster.locate(node)
-            return f"icebox:{located[0].name}" if located else None
-        if channel == "imaging":
-            return "imaging"
-        return None

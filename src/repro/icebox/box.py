@@ -39,8 +39,8 @@ class IceBox:
         self.ports: List[SerialPort] = [
             SerialPort(kernel, i) for i in range(PowerController.N_NODE_OUTLETS)]
         self._nodes: Dict[int, SimulatedNode] = {}
-        #: a dead controller answers nothing — chaos campaigns flip this
-        #: to exercise the orchestrator's circuit breakers.
+        #: a dead controller answers nothing (``ERR: no response``); the
+        #: recovery ladder then fails the ICE Box rungs and moves on.
         self.healthy = True
 
     def fail(self) -> None:

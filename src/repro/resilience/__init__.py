@@ -1,18 +1,16 @@
 """repro.resilience — the self-healing node lifecycle.
 
 The closed loop the paper's monitoring exists to drive (§5.2 "corrective
-action", §3 ICE Box control, §4 recloning), split into four pieces:
+action", §3 ICE Box control, §4 recloning), split into three pieces:
 
 * :mod:`~repro.resilience.health` — per-node health state machine
   (``healthy -> suspect -> down -> recovering -> healthy|quarantined``)
   fed by monitoring staleness, sweep verdicts and event firings;
-* :mod:`~repro.resilience.policy` — the shared :class:`RetryPolicy`
-  (bounded retries, exponential backoff, deterministic sim-RNG jitter)
-  and per-channel :class:`CircuitBreaker`;
 * :mod:`~repro.resilience.playbook` /
   :mod:`~repro.resilience.orchestrator` — the escalation ladder (probe,
   ICE reset, power cycle, reclone, quarantine) and the supervisor that
-  climbs it on the SimKernel through injected channels;
+  climbs it on the SimKernel through injected channels, one timed
+  attempt per rung;
 * :mod:`~repro.resilience.chaos` — fault campaigns over a live cluster,
   scored into a deterministic :class:`CampaignReport` (detection
   latency, MTTR, rung reached, recovery rate).
@@ -30,12 +28,10 @@ from repro.resilience.orchestrator import (RecoveryChannels,
                                            RecoveryOrchestrator,
                                            RecoveryRecord, RungAttempt)
 from repro.resilience.playbook import DEFAULT_PLAYBOOK, RUNG_NAMES, Rung
-from repro.resilience.policy import CircuitBreaker, RetryPolicy
 
 __all__ = [
     "CampaignReport", "ChaosCampaign", "FaultOutcome",
     "HealthRecord", "HealthState", "HealthTracker", "InvalidTransition",
     "RecoveryChannels", "RecoveryOrchestrator", "RecoveryRecord",
     "RungAttempt", "DEFAULT_PLAYBOOK", "RUNG_NAMES", "Rung",
-    "CircuitBreaker", "RetryPolicy",
 ]

@@ -4,9 +4,10 @@ One :class:`RecoveryOrchestrator` supervises every unhealthy node.  When
 the health tracker marks a node ``down``, :meth:`~RecoveryOrchestrator.
 recover` spawns a *playbook* process that climbs the escalation ladder
 (:data:`~repro.resilience.playbook.DEFAULT_PLAYBOOK`) — probe, ICE Box
-reset, power cycle, reclone, quarantine — with every rung governed by
-the shared :class:`~repro.resilience.policy.RetryPolicy` and a
-per-channel :class:`~repro.resilience.policy.CircuitBreaker`.
+reset, power cycle, reclone, quarantine.  The ladder is the whole
+policy: each rung is tried once, bounded by its ``timeout``, and a rung
+that fails hands over to the next one (§5.2's corrective-action loop has
+no retry policy and no circuit breaker).
 
 The orchestrator talks to the rest of the framework exclusively through
 :class:`RecoveryChannels` — a bundle of callables the ClusterWorX server
@@ -26,7 +27,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.hardware.node import NodeState
 from repro.resilience.health import HealthState, HealthTracker
 from repro.resilience.playbook import DEFAULT_PLAYBOOK, Rung
-from repro.resilience.policy import CircuitBreaker, RetryPolicy
 from repro.sim import Interrupt, ProcessKilled, SimKernel
 
 __all__ = ["RecoveryChannels", "RecoveryOrchestrator", "RecoveryRecord",
@@ -53,9 +53,6 @@ class RecoveryChannels:
     drain: Optional[Callable[[str, str], object]] = None
     #: notify(hostname, reason) — page the operator (smart notification).
     notify: Optional[Callable[[str, str], object]] = None
-    #: (channel class, hostname) -> breaker scope key, or None for "no
-    #: breaker".  Lets icebox rungs share one breaker per physical box.
-    breaker_scope: Optional[Callable[[str, str], Optional[str]]] = None
 
 
 @dataclass
@@ -63,7 +60,6 @@ class RungAttempt:
     """One attempt of one rung (including skips), for the audit trail."""
 
     rung: str
-    attempt: int
     started_at: float
     finished_at: float
     ok: bool
@@ -95,57 +91,29 @@ def _normalize(value: object) -> Tuple[bool, str]:
     return bool(value), ""
 
 
-def _transport_failure(note: str) -> bool:
-    """Did the *channel itself* fail (vs. an application-level refusal)?
-
-    Only transport failures feed the circuit breaker: a healthy ICE Box
-    answering ``ERR: node has no power`` for a burned board proves the
-    protocol path works, and must not open the breaker for every other
-    node behind the same box.
-    """
-    low = note.lower()
-    return "no response" in low or low.startswith("timed out")
-
-
 class RecoveryOrchestrator:
     """Supervises per-node recovery playbooks."""
 
     def __init__(self, kernel: SimKernel, tracker: HealthTracker,
-                 channels: RecoveryChannels, *, rng=None,
-                 policy: Optional[RetryPolicy] = None,
+                 channels: RecoveryChannels, *,
                  playbook: Sequence[Rung] = DEFAULT_PLAYBOOK,
-                 verify_timeout: float = 180.0,
-                 breaker_threshold: int = 3,
-                 breaker_reset: float = 600.0):
+                 verify_timeout: float = 180.0):
         self.kernel = kernel
         self.tracker = tracker
         self.channels = channels
-        self.rng = rng
-        self.policy = policy if policy is not None else RetryPolicy()
         self.playbook = tuple(playbook)
         self.verify_timeout = verify_timeout
-        self.breaker_threshold = breaker_threshold
-        self.breaker_reset = breaker_reset
         self.records: List[RecoveryRecord] = []
         #: (time, hostname, reason) — one entry per quarantine page.
         self.notifications: List[Tuple[float, str, str]] = []
         #: (time, hostname, rung, error) — channel exceptions, defused.
         self.errors: List[Tuple[float, str, str, str]] = []
-        self._breakers: Dict[str, CircuitBreaker] = {}
         self._active: Dict[str, object] = {}
 
     # -- introspection ---------------------------------------------------
     @property
     def active(self) -> List[str]:
         return sorted(self._active)
-
-    def breaker(self, scope: str) -> CircuitBreaker:
-        breaker = self._breakers.get(scope)
-        if breaker is None:
-            breaker = self._breakers[scope] = CircuitBreaker(
-                scope, failure_threshold=self.breaker_threshold,
-                reset_timeout=self.breaker_reset)
-        return breaker
 
     def record_for(self, hostname: str) -> Optional[RecoveryRecord]:
         """The newest playbook record for ``hostname``, if any."""
@@ -206,71 +174,32 @@ class RecoveryOrchestrator:
 
     def _run_rung(self, rung: Rung, hostname: str,
                   record: RecoveryRecord):
-        """Climb one rung: breaker gate, bounded retries, verification.
+        """Climb one rung: one timed attempt, then verification.
         Returns True when the node is considered recovered."""
-        now = self.kernel.now
-        fn = getattr(self.channels, rung.name, None)
-        if fn is None:
+        started = self.kernel.now
+        if getattr(self.channels, rung.name, None) is None:
             record.attempts.append(RungAttempt(
-                rung.name, 0, now, now, False, "channel unavailable"))
+                rung.name, started, started, False, "channel unavailable"))
             return False
-        scope = self._scope(rung, hostname)
-        breaker = self.breaker(scope) if scope is not None else None
-        if breaker is not None and not breaker.allow(now):
-            record.attempts.append(RungAttempt(
-                rung.name, 0, now, now, False,
-                f"breaker open: {scope}"))
-            return False
-        ok = False
-        for attempt in range(1, self.policy.max_attempts + 1):
-            started = self.kernel.now
-            ok, note = yield from self._attempt(rung, hostname)
-            record.attempts.append(RungAttempt(
-                rung.name, attempt, started, self.kernel.now, ok, note))
-            if breaker is not None:
-                # An application-level refusal still proves the channel
-                # transport works; only non-responses trip the breaker.
-                if ok or not _transport_failure(note):
-                    breaker.record_success(self.kernel.now)
-                else:
-                    breaker.record_failure(self.kernel.now)
-            if ok:
-                break
-            if breaker is not None \
-                    and not breaker.allow(self.kernel.now):
-                break  # channel declared dead: degrade, don't hammer
-            if attempt < self.policy.max_attempts:
-                yield self.kernel.timeout(
-                    self.policy.delay(attempt, self.rng))
-        if ok and rung.verify:
-            verified = yield from self._verify(hostname)
-            if not verified:
-                record.attempts.append(RungAttempt(
-                    rung.name, 0, self.kernel.now, self.kernel.now,
-                    False, "verify: node did not come back up"))
-            ok = verified
-        return ok
-
-    def _scope(self, rung: Rung, hostname: str) -> Optional[str]:
-        if self.channels.breaker_scope is not None:
-            return self.channels.breaker_scope(rung.channel, hostname)
-        # Default policy: breakers guard the shared-device channels.
-        return rung.channel if rung.channel in ("icebox", "imaging") \
-            else None
-
-    def _attempt(self, rung: Rung, hostname: str):
-        """One timed attempt of a rung's channel; (ok, note)."""
-        timeout = rung.timeout if rung.timeout is not None \
-            else self.policy.timeout
         proc = self.kernel.process(
             self._execute(rung, hostname),
             name=f"recover:{rung.name}:{hostname}")
         fired = yield self.kernel.any_of(
-            [proc, self.kernel.timeout(timeout)])
-        if proc not in fired:
+            [proc, self.kernel.timeout(rung.timeout)])
+        if proc in fired:
+            ok, note = _normalize(proc.value)
+        else:
             proc.kill()
-            return False, f"timed out after {timeout:g}s"
-        return _normalize(proc.value)
+            ok, note = False, f"timed out after {rung.timeout:g}s"
+        record.attempts.append(RungAttempt(
+            rung.name, started, self.kernel.now, ok, note))
+        if ok and rung.verify:
+            ok = yield from self._verify(hostname)
+            if not ok:
+                record.attempts.append(RungAttempt(
+                    rung.name, self.kernel.now, self.kernel.now,
+                    False, "verify: node did not come back up"))
+        return ok
 
     def _execute(self, rung: Rung, hostname: str):
         """Drive one channel call; exceptions become rung failures."""

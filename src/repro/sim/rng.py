@@ -23,7 +23,6 @@ RESERVED_STREAMS: Dict[str, str] = {
     "faults": "hardware fault injection (repro.hardware.faults)",
     "clone": "multicast cloning repair phase (repro.imaging)",
     "remote": "fan-out engine latency + retry jitter (repro.remote)",
-    "resilience": "recovery playbook backoff jitter (repro.resilience)",
     "chaos": "chaos-campaign fault plans (repro.resilience.chaos)",
 }
 

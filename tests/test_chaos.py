@@ -93,3 +93,19 @@ class TestChaosCampaign:
         assert fault.outcome == QUARANTINED
         assert fault.rung == "quarantine"
         assert report.notifications == 1
+
+    def test_dead_ice_boxes_leave_no_fault_unresolved(self):
+        # Every ICE Box controller answers "ERR: no response", so each
+        # ladder falls through to reclone; one attempt per rung keeps
+        # every ladder inside the campaign's settle window.
+        cwx = ClusterWorX(n_nodes=100, seed=11, self_healing=True,
+                          monitor_interval=30.0)
+        for box in cwx.cluster.iceboxes:
+            box.fail()
+        report = ChaosCampaign(cwx, n_faults=40).execute()
+        assert report.ok
+        quarantined = sorted(f.node for f in report.faults
+                             if f.outcome == QUARANTINED)
+        pages = sorted(host for _t, host, _r in
+                       cwx.server.recovery.notifications)
+        assert pages == quarantined

@@ -1,5 +1,7 @@
-"""Unit tests for repro.resilience: retry policy, circuit breaker,
-health state machine, and the recovery orchestrator."""
+"""Unit tests for repro.resilience: the health state machine and the
+recovery orchestrator."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -7,99 +9,12 @@ from repro import ClusterWorX
 from repro.hardware import NodeState
 from repro.resilience import (
     DEFAULT_PLAYBOOK,
-    CircuitBreaker,
     HealthState,
     HealthTracker,
     InvalidTransition,
     RecoveryChannels,
     RecoveryOrchestrator,
-    RetryPolicy,
 )
-from repro.resilience.policy import CLOSED, HALF_OPEN, OPEN
-from repro.sim import RandomStreams
-
-
-# -- RetryPolicy -------------------------------------------------------------
-
-class TestRetryPolicy:
-    def test_exponential_growth_capped(self):
-        policy = RetryPolicy(max_attempts=6, backoff=5.0, multiplier=2.0,
-                             max_backoff=60.0, jitter=0.0)
-        delays = [policy.delay(a) for a in range(1, 7)]
-        assert delays == [5.0, 10.0, 20.0, 40.0, 60.0, 60.0]
-
-    def test_jitter_stretches_within_band_deterministically(self):
-        policy = RetryPolicy(jitter=0.25)
-        a = policy.delay(1, RandomStreams(9)("resilience"))
-        b = policy.delay(1, RandomStreams(9)("resilience"))
-        assert a == b  # same seed, same stream -> same draw
-        assert policy.backoff < a <= policy.backoff * 1.25
-
-    def test_no_rng_means_no_jitter(self):
-        policy = RetryPolicy(jitter=0.25)
-        assert policy.delay(1) == policy.backoff
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(timeout=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy().delay(0)
-
-
-# -- CircuitBreaker ----------------------------------------------------------
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold_consecutive_failures(self):
-        breaker = CircuitBreaker("icebox", failure_threshold=3,
-                                 reset_timeout=300.0)
-        assert breaker.state == CLOSED
-        breaker.record_failure(1.0)
-        breaker.record_failure(2.0)
-        assert breaker.state == CLOSED and breaker.allow(2.0)
-        breaker.record_failure(3.0)
-        assert breaker.state == OPEN
-        assert not breaker.allow(100.0)
-
-    def test_half_open_trial_then_close(self):
-        breaker = CircuitBreaker("icebox", failure_threshold=1,
-                                 reset_timeout=300.0)
-        breaker.record_failure(0.0)
-        assert not breaker.allow(299.0)
-        assert breaker.allow(300.0)          # the single trial
-        assert breaker.state == HALF_OPEN
-        assert breaker.allow(300.5)          # trial in flight: re-admit
-        breaker.record_success(301.0)
-        assert breaker.state == CLOSED and breaker.failures == 0
-
-    def test_half_open_failure_reopens_and_restarts_timer(self):
-        breaker = CircuitBreaker("icebox", failure_threshold=1,
-                                 reset_timeout=100.0)
-        breaker.record_failure(0.0)
-        assert breaker.allow(100.0)
-        breaker.record_failure(100.0)
-        assert breaker.state == OPEN
-        assert not breaker.allow(199.0)      # timer restarted at t=100
-        assert breaker.allow(200.0)
-
-    def test_transitions_audit_trail(self):
-        breaker = CircuitBreaker("b", failure_threshold=1,
-                                 reset_timeout=10.0)
-        breaker.record_failure(1.0)
-        breaker.allow(11.0)
-        breaker.record_success(12.0)
-        assert breaker.transitions == [
-            (1.0, CLOSED, OPEN),
-            (11.0, OPEN, HALF_OPEN),
-            (12.0, HALF_OPEN, CLOSED),
-        ]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker("b", failure_threshold=0)
 
 
 # -- HealthTracker -----------------------------------------------------------
@@ -243,17 +158,17 @@ class Script:
         return value
 
 
-def make_orchestrator(kernel, node, *, policy=None, channels=None,
-                      **kwargs):
+def make_orchestrator(kernel, node, *, channels=None, **kwargs):
     tracker = HealthTracker(kernel)
     if channels is None:
         channels = RecoveryChannels(node=lambda h: node)
-    if policy is None:
-        policy = RetryPolicy(max_attempts=2, timeout=10.0, backoff=2.0,
-                             jitter=0.0)
-    orch = RecoveryOrchestrator(kernel, tracker, channels,
-                                policy=policy, **kwargs)
+    orch = RecoveryOrchestrator(kernel, tracker, channels, **kwargs)
     return tracker, orch
+
+
+#: the default ladder with every rung's attempt bounded at 5 s.
+FIVE_SECOND_LADDER = tuple(replace(rung, timeout=5.0)
+                           for rung in DEFAULT_PLAYBOOK)
 
 
 class TestRecoveryOrchestrator:
@@ -276,13 +191,12 @@ class TestRecoveryOrchestrator:
         tracker, orch = make_orchestrator(kernel, node, channels=channels)
         record = orch.recover(node.hostname, "drill")
         kernel.run()
-        # probe retried to the policy bound, then the ladder climbed;
-        # the node is already up so verification passes immediately.
-        assert probe.calls == 2
+        # one probe, then the ladder climbed; the node is already up
+        # so verification passes immediately.
+        assert probe.calls == 1
         assert record.outcome == "recovered"
         assert record.rung_reached == "ice_reset"
-        assert [a.rung for a in record.attempts] == \
-            ["probe", "probe", "ice_reset"]
+        assert [a.rung for a in record.attempts] == ["probe", "ice_reset"]
 
     def test_unset_channel_degrades_to_next_rung(self, kernel, node):
         ice = Script("OK reset")
@@ -302,9 +216,9 @@ class TestRecoveryOrchestrator:
         channels = RecoveryChannels(node=lambda h: node,
                                     probe=stuck_probe,
                                     ice_reset=Script("OK reset"))
-        policy = RetryPolicy(max_attempts=1, timeout=5.0, jitter=0.0)
-        _tracker, orch = make_orchestrator(kernel, node, policy=policy,
-                                           channels=channels)
+        _tracker, orch = make_orchestrator(kernel, node,
+                                           channels=channels,
+                                           playbook=FIVE_SECOND_LADDER)
         record = orch.recover(node.hostname, "drill")
         kernel.run()
         assert record.attempts[0].note == "timed out after 5s"
@@ -315,9 +229,9 @@ class TestRecoveryOrchestrator:
             node=lambda h: node,
             probe=Script(RuntimeError("transport exploded")),
             ice_reset=Script("OK reset"))
-        policy = RetryPolicy(max_attempts=1, timeout=5.0, jitter=0.0)
-        _tracker, orch = make_orchestrator(kernel, node, policy=policy,
-                                           channels=channels)
+        _tracker, orch = make_orchestrator(kernel, node,
+                                           channels=channels,
+                                           playbook=FIVE_SECOND_LADDER)
         record = orch.recover(node.hostname, "drill")
         kernel.run()
         assert record.outcome == "recovered"
@@ -331,9 +245,9 @@ class TestRecoveryOrchestrator:
                                     ice_reset=Script("OK reset"),
                                     drain=Script("OK"),
                                     notify=Script("OK"))
-        policy = RetryPolicy(max_attempts=1, timeout=5.0, jitter=0.0)
-        tracker, orch = make_orchestrator(kernel, node, policy=policy,
+        tracker, orch = make_orchestrator(kernel, node,
                                           channels=channels,
+                                          playbook=FIVE_SECOND_LADDER,
                                           verify_timeout=30.0)
         record = orch.recover(node.hostname, "drill")
         kernel.run()
@@ -352,6 +266,9 @@ class TestRecoveryOrchestrator:
         kernel.run()
         assert record.outcome == "quarantined"
         assert record.rung_reached == "quarantine"
+        # every rung below quarantine was tried exactly once
+        assert [a.rung for a in record.attempts] == \
+            ["probe", "ice_reset", "power_cycle", "reclone"]
         assert drain.calls == 1 and notify.calls == 1
         assert len(orch.notifications) == 1
         assert orch.notifications[0][1] == node.hostname
@@ -367,43 +284,6 @@ class TestRecoveryOrchestrator:
         second = orch.recover(node.hostname, "duplicate")
         assert second is first and len(orch.records) == 1
         kernel.run()
-
-    def test_transport_failures_open_shared_icebox_breaker(self, kernel,
-                                                           node):
-        ice = Script(default="ERR: no response")
-        cycle = Script(default="ERR: no response")
-        channels = RecoveryChannels(
-            node=lambda h: node, ice_reset=ice, power_cycle=cycle,
-            reclone=Script("OK recloned"),
-            breaker_scope=lambda channel, h:
-                "icebox:box0" if channel == "icebox" else None)
-        _tracker, orch = make_orchestrator(kernel, node,
-                                           channels=channels,
-                                           breaker_threshold=3)
-        record = orch.recover(node.hostname, "drill")
-        kernel.run()
-        # ice_reset burned 2 transport failures, power_cycle's first
-        # failure tripped the shared breaker: the rung stopped retrying
-        # and the ladder degraded straight to reclone.
-        assert ice.calls == 2 and cycle.calls == 1
-        assert orch.breaker("icebox:box0").state == OPEN
-        assert record.outcome == "recovered"
-        assert record.rung_reached == "reclone"
-
-    def test_application_refusals_do_not_trip_the_breaker(self, kernel,
-                                                          node):
-        ice = Script(default="ERR: node has no power")
-        channels = RecoveryChannels(
-            node=lambda h: node, ice_reset=ice,
-            power_cycle=Script("OK cycled"),
-            breaker_scope=lambda channel, h:
-                "icebox:box0" if channel == "icebox" else None)
-        _tracker, orch = make_orchestrator(kernel, node,
-                                           channels=channels)
-        record = orch.recover(node.hostname, "drill")
-        kernel.run()
-        assert orch.breaker("icebox:box0").state == CLOSED
-        assert record.rung_reached == "power_cycle"
 
     def test_forget_mid_playbook_aborts_cleanly(self, kernel, node):
         def stuck_probe(hostname):
