@@ -712,7 +712,6 @@ ORACLE = {'reachable': {'store.tracked': {'set': ['c-n0000', 'c-n0001',
                'recovery.record_for': ('c-n0000', 'node_state=crashed',
                                        'active',
                                        [('probe', False),
-                                        ('probe', False),
                                         ('ice_reset', True)]),
                'remote.fanout': 64,
                'remote.nodeset': 'c-n[0000-0007]',
@@ -731,8 +730,7 @@ ORACLE = {'reachable': {'store.tracked': {'set': ['c-n0000', 'c-n0001',
                'recovery.forget': [None,
                                    ('c-n0000', 'node_state=crashed',
                                     'aborted',
-                                    [('probe', False), ('probe', False),
-                                     ('ice_reset', True)])],
+                                    [('probe', False), ('ice_reset', True)])],
                'store.subscribe': ['FederatedSubscription', [0, 1],
                                    [0, 1, 2, 3], True, 6],
                'store.rehome': [2, [1, 0], [1, 2, 3], 5],
