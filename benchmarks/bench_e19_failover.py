@@ -21,7 +21,7 @@ Two cells:
   Acceptance: both faults score ``failed-over`` and the report's
   determinism contract holds (same seed, same bytes).
 
-Metrics per fault: time-to-detect (injection -> SUSPECT/DEAD), time-to-
+Metrics per fault: time-to-detect (injection -> suspect/down), time-to-
 redistribute (detect -> drain complete), nodes moved, monitoring
 updates dropped on the dead channel, and (gateway cell) the
 watch-stream gap in sim seconds.
@@ -46,10 +46,10 @@ import time
 
 from repro import ClusterWorX
 from repro.faults import SHARD_KILL, ControlPlan, FaultPlane
-from repro.federation import DEAD, SUSPECT
 from repro.gateway import GatewayService, fetch
 from repro.resilience import ChaosCampaign
 from repro.resilience.chaos import FAILED_OVER
+from repro.resilience.health import HealthState
 
 SEED = 1610
 AGENT_INTERVAL = 5.0
@@ -68,18 +68,18 @@ def _fed(n_nodes: int, shards: int, *, seed: int = SEED) -> ClusterWorX:
 
 def _fault_times(cwx, index: int, injected_at: float) -> dict:
     """Detection / redistribution metrics for one killed shard."""
-    monitor = cwx.server.monitor
-    detections = [t for t in (monitor.detected_at(index, SUSPECT,
-                                                  since=injected_at),
-                              monitor.detected_at(index, DEAD,
-                                                  since=injected_at))
-                  if t is not None]
+    name = cwx.server.shards[index].name
+    record = cwx.server.monitor.health.record(name)
+    detections = (record.transitions_to(HealthState.SUSPECT,
+                                        since=injected_at)
+                  + record.transitions_to(HealthState.DOWN,
+                                          since=injected_at))
     detected_at = min(detections) if detections else None
     row = next((r for r in cwx.server.failovers
                 if r[1] == index and r[0] >= injected_at), None)
     channel = cwx.server.shards[index].channel
     return {
-        "shard": cwx.server.shards[index].name,
+        "shard": name,
         "injected_at": round(injected_at, 1),
         "time_to_detect_s":
             round(detected_at - injected_at, 1)
@@ -327,7 +327,7 @@ def main(argv=None) -> int:
 
     print("E19 shard fail-over "
           f"(agents {AGENT_INTERVAL:.0f}s, heartbeats 5s, "
-          f"suspect 12.5s, dead 25s, seed {SEED}):")
+          f"suspect 12.5s, down 25s, seed {SEED}):")
     for row in rows:
         print_row(row)
 

@@ -5,7 +5,7 @@
 ``control_plane`` object the chaos layer accepts: ``plan(rng, t0,
 start, horizon)`` draws shard victims and schedules the faults through
 a :class:`~repro.faults.plane.FaultPlane`; ``score()`` distills the
-monitor transition log, the federation fail-over audit trail and the
+shards' health records, the federation fail-over audit trail and the
 channel drop counters into :class:`ControlFaultOutcome` rows that ride
 inside the ordinary :class:`~repro.resilience.chaos.CampaignReport`.
 A ``shard-kill`` is :meth:`~repro.faults.plane.FaultPlane.kill_shard`;
@@ -26,10 +26,10 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.faults.plane import FaultPlane, PUBLISH_STALL, SHARD_KILL
-from repro.federation.shard import DEAD, HEALTHY, SUSPECT
 from repro.resilience.chaos import (BENIGN, FAILED_OVER,
                                     ControlFaultOutcome, RODE_THROUGH,
                                     UNRESOLVED)
+from repro.resilience.health import HealthState
 
 __all__ = ["ControlPlan"]
 
@@ -99,33 +99,29 @@ class ControlPlan:
         """Fill in detection / redistribution columns from the audit
         trails and classify each fault's outcome."""
         federation = self.plane.federation
-        monitor = federation.monitor
         for outcome in self.outcomes:
             if outcome.shard is None:
                 self._score_gateway(outcome)
                 continue
             index = outcome.shard
-            suspected = monitor.detected_at(index, SUSPECT,
-                                            since=outcome.injected_at)
-            dead = monitor.detected_at(index, DEAD,
-                                       since=outcome.injected_at)
-            if suspected is not None or dead is not None:
-                outcome.detected_at = min(
-                    t for t in (suspected, dead) if t is not None)
+            record = federation.monitor.health.record(outcome.target)
+            at = outcome.injected_at
+            detections = (record.transitions_to(HealthState.SUSPECT, since=at)
+                          + record.transitions_to(HealthState.DOWN, since=at))
+            if detections:
+                outcome.detected_at = min(detections)
             outcome.updates_dropped = \
                 federation.shards[index].channel.dropped_ingests
             row = next((r for r in federation.failovers
-                        if r[1] == index
-                        and r[0] >= outcome.injected_at), None)
+                        if r[1] == index and r[0] >= at), None)
             if row is not None:
                 outcome.failed_over_at = row[0]
                 outcome.nodes_moved = row[3]
                 outcome.outcome = FAILED_OVER
             elif outcome.detected_at is not None:
-                healed = monitor.detected_at(index, HEALTHY,
-                                             since=outcome.detected_at)
-                outcome.outcome = (RODE_THROUGH if healed is not None
-                                   else UNRESOLVED)
+                healed = record.transitions_to(HealthState.HEALTHY,
+                                               since=outcome.detected_at)
+                outcome.outcome = RODE_THROUGH if healed else UNRESOLVED
             else:
                 # Never even suspected: the shard answered a probe
                 # again before its last good heartbeat aged past

@@ -90,10 +90,10 @@ class FaultPlane:
         """The shard process dies at ``at``: its channel stops
         answering and its server stops sweeping.  With a ``duration``
         the kill switch clears at ``at + duration``: a shard revived
-        before the monitor fails it over resumes in place, sweep and
-        all, but one already failed over stays drained — inactive,
-        ``dead``, owning no nodes and never probed — because nothing
-        re-admits a drained shard yet."""
+        before the monitor fails it over (down -> drained) resumes in
+        place, sweep and all, but a drained one stays drained — owning
+        no nodes and never probed — because nothing re-admits a
+        drained shard yet."""
         shard = self._shard(index)
         channel = shard.channel
         self._record(at, SHARD_KILL, shard.name, duration)

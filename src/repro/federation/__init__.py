@@ -13,8 +13,8 @@ thin federation layer:
   (store/engine/history/health/recovery) merged across shards;
 * :mod:`~repro.federation.channel` — the simulated RPC boundary to one
   shard: two fault switches, one ``up`` test, the ingest backlog;
-* :mod:`~repro.federation.monitor` — shard heartbeats with
-  suspect/dead escalation and automatic drain-on-death;
+* :mod:`~repro.federation.monitor` — shard heartbeats, each shard's
+  health record and automatic fail-over of a down shard;
 * :mod:`~repro.federation.server` — the coordinator: ingest routing,
   query merging, drain-triggered rebalancing, shard fail-over; remote
   runs and cloning ride the fabric from it, one window over every node,
@@ -33,8 +33,7 @@ from repro.federation.channel import ShardChannel
 from repro.federation.monitor import ShardHealthMonitor
 from repro.federation.rollup import RollupCache
 from repro.federation.server import FederationServer
-from repro.federation.shard import (DEAD, DRAINING, HEALTHY, SUSPECT,
-                                    Shard)
+from repro.federation.shard import Shard
 from repro.federation.views import (FederatedEvents, FederatedHealth,
                                     FederatedHistory, FederatedRecovery,
                                     FederatedSnapshot, FederatedStore,
@@ -43,7 +42,6 @@ from repro.federation.views import (FederatedEvents, FederatedHealth,
 __all__ = [
     "FederationServer", "Shard", "RollupCache",
     "ShardChannel", "ShardHealthMonitor",
-    "HEALTHY", "SUSPECT", "DEAD", "DRAINING",
     "FederatedEvents", "FederatedHealth", "FederatedHistory",
     "FederatedRecovery", "FederatedSnapshot", "FederatedStore",
     "FederatedSubscription", "build_federation", "plan_partitions",

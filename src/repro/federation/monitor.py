@@ -1,24 +1,26 @@
-"""Shard heartbeats: suspect -> dead escalation and drain-on-death.
+"""Shard heartbeats: suspect -> down escalation and fail-over.
 
 The paper's design goal of being "tolerant of controller failure" (§6)
 applied to the *sharded* control plane: a kernel process probes every
 active shard through its :class:`~repro.federation.channel.ShardChannel`
-on a fixed cadence, and a shard whose last good heartbeat ages past
+on a fixed cadence.  Each shard's health is a record in :attr:`health`,
+a node :class:`~repro.resilience.health.HealthTracker` run on
+:data:`SHARD_ALLOWED`.  A shard whose last good heartbeat ages past
 
 * ``suspect_after``  is marked **suspect** (the gateway starts tagging
   responses ``degraded`` and serving that shard's data stale);
-* ``down_after``     is marked **dead**, and — when more than one shard
-  is still active — automatically **failed over**:
-  :meth:`~repro.federation.server.FederationServer.fail_over` drains
-  its nodes (state + history migrate to survivors, host-filtered
-  watch subscriptions re-home, the agent updates held for the shard
-  since it went silent are forwarded) and marks it dead.
-  ``down_after + interval`` is therefore also how long the router
-  holds an update.
+* ``down_after``     is marked **down**, and the tracker's down
+  listener — when fail-over is on and another shard is active —
+  calls :meth:`~repro.federation.server.FederationServer.fail_over`:
+  it drains the shard's nodes (state + history migrate to survivors,
+  host-filtered watch subscriptions re-home, the agent updates held
+  for the shard since it went silent are forwarded) and the shard
+  ends **drained**, never probed again.  ``down_after + interval`` is
+  therefore also how long the router holds an update.
 
 A probe asks the shard's channel, the one judge of whether a shard
-answers (``channel.up``): the first probe after the shard is up again
-finds it back.  After a probe failure the monitor re-probes that shard
+answers (``channel.up``): the first probe after it is up again marks
+it healthy.  After a probe failure the monitor re-probes that shard
 on a fixed backoff (:data:`_REPROBE`: 1 s, 2 s, 4 s, then every
 ``interval``) instead of waiting a full heartbeat interval, so
 detection latency is bounded by the escalation thresholds, not by
@@ -31,12 +33,23 @@ to the golden traces.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.federation.rollup import _generation
-from repro.federation.shard import DEAD, HEALTHY, SUSPECT, Shard
+from repro.federation.shard import Shard
+from repro.resilience.health import HealthState, HealthTracker
 
-__all__ = ["ShardHealthMonitor"]
+__all__ = ["ShardHealthMonitor", "SHARD_ALLOWED"]
+
+#: the node table without the recovery states, plus a terminal drained.
+SHARD_ALLOWED = {
+    HealthState.HEALTHY: {HealthState.SUSPECT, HealthState.DOWN,
+                          HealthState.DRAINED},
+    HealthState.SUSPECT: {HealthState.HEALTHY, HealthState.DOWN,
+                          HealthState.DRAINED},
+    HealthState.DOWN: {HealthState.HEALTHY, HealthState.DRAINED},
+    HealthState.DRAINED: set(),
+}
 
 #: probe-failure sentinel (a probe result can legitimately be 0).
 _FAILED = object()
@@ -53,18 +66,21 @@ class ShardHealthMonitor:
                  suspect_after: float = 12.5,
                  down_after: float = 25.0,
                  auto_failover: bool = True):
-        if suspect_after > down_after:
-            raise ValueError("suspect_after must not exceed down_after")
         self.federation = federation
         self.kernel = federation.kernel
         self.interval = interval
-        self.suspect_after = suspect_after
-        self.down_after = down_after
-        #: drain a dead shard automatically (needs >1 active shard).
+        #: fail a down shard over automatically (needs a survivor).
         self.auto_failover = auto_failover
-        #: (time, shard index, old health, new health) audit trail —
-        #: the fault plane scores time-to-detect from these rows.
-        self.transitions: List[Tuple[float, int, str, str]] = []
+        #: every shard's health record, keyed by shard name; it holds
+        #: (and checks) the escalation thresholds.
+        self.health = HealthTracker(
+            self.kernel, suspect_after=suspect_after, down_after=down_after,
+            allowed=SHARD_ALLOWED)
+        self.health.add_listener(self._fail_over)
+        for shard in federation.shards:
+            shard.tracker = self.health
+            # a same-state mark creates the shard's (healthy) record
+            self.health.mark_healthy(shard.name, "tracked")
         self.probes = 0
         self._attempts: dict = {}
         self._proc = None
@@ -86,6 +102,14 @@ class ShardHealthMonitor:
     @property
     def running(self) -> bool:
         return self._proc is not None and self._proc.is_alive
+
+    @property
+    def suspect_after(self) -> float:
+        return self.health.suspect_after
+
+    @property
+    def down_after(self) -> float:
+        return self.health.down_after
 
     # -- the heartbeat loop ---------------------------------------------------
     def _loop(self):
@@ -118,48 +142,38 @@ class ShardHealthMonitor:
         if result is not _FAILED:
             shard.last_heartbeat = now
             self._attempts[shard.index] = 0
-            if shard.health in (SUSPECT, DEAD):
-                # A suspect shard answered again — or a dead one came
-                # back before anyone could adopt its nodes (the
-                # single-survivor case, where fail-over is impossible).
-                self._move(shard, HEALTHY)
+            # A suspect shard answered again, or a down one whose nodes
+            # nobody adopted (no survivor, or fail-over off).
+            self.health.mark_healthy(shard.name, "heartbeat answered")
             return self.interval
         attempts = self._attempts.get(shard.index, 0) + 1
         self._attempts[shard.index] = attempts
         age = now - shard.last_heartbeat
-        if age >= self.down_after and shard.health in (HEALTHY, SUSPECT):
-            self._move(shard, DEAD)
-            self._fail_over(shard)
+        if age >= self.down_after and shard.health is not HealthState.DOWN:
+            self.health.mark_down(shard.name, "heartbeat-loss")
             return self.interval
-        if age >= self.suspect_after and shard.health == HEALTHY:
-            self._move(shard, SUSPECT)
+        if age >= self.suspect_after and shard.health is HealthState.HEALTHY:
+            self.health.mark_suspect(shard.name, f"silent {age:.1f}s")
         if attempts > len(_REPROBE):
             return self.interval
         return min(_REPROBE[attempts - 1], self.interval)
 
-    def _move(self, shard: Shard, new: str) -> None:
-        old = shard.health
-        if old == new:
-            return
-        shard.health = new
-        self.transitions.append((self.kernel.now, shard.index, old, new))
-
-    def _fail_over(self, shard: Shard) -> None:
-        survivors = sum(1 for s in self.federation.shards
-                        if s.active and s.index != shard.index)
-        if not self.auto_failover or survivors < 1:
-            # Nothing to adopt the nodes; the shard stays dead and the
-            # gateway keeps serving its last published state, tagged
-            # degraded, until an operator intervenes.
-            return
-        self.federation.fail_over(shard.index, reason="heartbeat-loss")
+    def _fail_over(self, name: str, old: HealthState, new: HealthState,
+                   reason: str) -> None:
+        """Tracker listener: fail a down shard over.  One nobody can
+        adopt stays down, served stale, until it answers again."""
+        shard = next(s for s in self.federation.shards if s.name == name)
+        if new is HealthState.DOWN and self.auto_failover and any(
+                s.active for s in self.federation.shards if s is not shard):
+            self.federation.fail_over(shard.index, reason=reason)
 
     # -- observability --------------------------------------------------------
-    def detected_at(self, index: int, state: str,
-                    since: float = 0.0) -> Optional[float]:
-        """First transition of shard ``index`` into ``state`` at or
-        after ``since`` (fault-plane scoring helper)."""
-        for time, shard_index, _old, new in self.transitions:
-            if shard_index == index and new == state and time >= since:
-                return time
-        return None
+    @property
+    def transitions(self) -> List[Tuple[float, int, str, str]]:
+        """``(time, shard index, old state, new state)`` rows in time
+        order, read off the health records."""
+        return sorted(((time, shard.index, old.value, new.value)
+                       for shard in self.federation.shards
+                       for time, old, new, _reason
+                       in self.health.record(shard.name).history),
+                      key=lambda row: row[0])

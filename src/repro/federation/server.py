@@ -38,8 +38,7 @@ from repro.core.statestore import Update
 from repro.events.rules import ThresholdRule
 from repro.federation.channel import ShardChannel
 from repro.federation.monitor import ShardHealthMonitor
-from repro.federation.shard import (DEAD, DRAINING, SUSPECT, Shard,
-                                    _first_active)
+from repro.federation.shard import Shard, _first_active
 from repro.federation.views import (FederatedEvents, FederatedHealth,
                                     FederatedHistory, FederatedRecovery,
                                     FederatedSnapshot, FederatedStore,
@@ -48,6 +47,7 @@ from repro.hardware.node import SimulatedNode
 from repro.imaging.manager import ImageManager
 from repro.imaging.multicast_clone import MulticastCloner
 from repro.remote.engine import TaskEngine
+from repro.resilience.health import HealthState
 from repro.sim import SimKernel
 
 __all__ = ["FederationServer"]
@@ -68,7 +68,7 @@ class FederationServer:
         self.kernel = kernel
         self.cluster = cluster
         self.shards = shards
-        #: heartbeats + suspect/dead escalation + drain-on-death.
+        #: heartbeats, the shards' health records, fail-over on down.
         self.monitor = ShardHealthMonitor(
             self, interval=shard_heartbeat,
             suspect_after=shard_suspect_after,
@@ -105,7 +105,7 @@ class FederationServer:
         self.recovery = FederatedRecovery(shards, self.owner_of)
         #: ingests that found no owner and were dropped.
         self.unrouted_updates = 0
-        #: nodes moved per drain, for observability: (from, to, count).
+        #: every drain, for observability: (shard index, moved map).
         self.rebalances: List[tuple] = []
         #: automatic fail-overs: (time, shard index, reason, nodes moved).
         self.failovers: List[tuple] = []
@@ -151,26 +151,35 @@ class FederationServer:
     def drain(self, index: int) -> Dict[str, int]:
         """Deactivate one shard and rebalance its nodes.
 
-        Every node the drained shard owned moves to the least-loaded
-        surviving shard, carrying its current values, its agent
-        freshness (so the adopting health tracker does not instantly
-        declare it stale) and its history series.  Event-rule state and
-        the console archive intentionally start fresh on the new owner:
-        the node's next update there evaluates every rule against the
-        migrated row — so a breach that change suppression never re-sends
-        fires on the adopter at that update — and console capture
-        re-subscribes going forward.  Updates held for the
+        The shard ends ``drained``.  Every node it owned moves to the
+        least-loaded surviving shard, carrying its current values, its
+        agent freshness (so the adopting health tracker does not
+        instantly declare it stale) and its history series.  Event-rule
+        state and the console archive intentionally start fresh on the
+        new owner: the node's next update there evaluates every rule
+        against the migrated row — so a breach that change suppression
+        never re-sends fires on the adopter at that update — and console
+        capture re-subscribes going forward.  Updates held for the
         shard while it was unreachable are then ingested, oldest first,
         by the adopters.  Returns ``{hostname: new shard index}``.
         """
-        shard = self.shards[index]
+        return self._drain(index, "operator drain")
+
+    def _drainable(self, shard: Shard) -> bool:
+        """False for a drained shard; raises, changing nothing, for the
+        last active one."""
         if not shard.active:
-            return {}
+            return False
         if sum(1 for s in self.shards if s.active) <= 1:
             raise ValueError("cannot drain the last active shard")
+        return True
+
+    def _drain(self, index: int, reason: str) -> Dict[str, int]:
+        shard = self.shards[index]
+        if not self._drainable(shard):
+            return {}
         shard.server.stop_sweep()
-        shard.active = False
-        shard.health = DRAINING
+        self.monitor.health.mark_drained(shard.name, reason)
         moved: Dict[str, int] = {}
         owner = dict(self._owner)
         source = shard.server
@@ -206,31 +215,32 @@ class FederationServer:
 
     def fail_over(self, index: int, *,
                   reason: str = "manual") -> Dict[str, int]:
-        """Dead-shard recovery: :meth:`drain` its nodes to survivors,
-        then mark it ``dead`` and log the ``failovers`` row.
+        """Dead-shard recovery: mark the shard down, :meth:`drain` it
+        (down -> drained) and log the ``failovers`` row.
 
-        This is what the health monitor calls when heartbeats age past
-        ``down_after``.  State and history migrate through
-        :meth:`drain`; in the simulation they are read from the dead
-        shard's in-process store, standing in for the durable-store
+        The monitor's down listener calls this, so an operator's call
+        on a live shard re-enters here.  State and history migrate
+        through :meth:`drain`; in the simulation they are read from the
+        dead shard's in-process store, standing in for the durable-store
         recovery a real deployment would run.  Remote runs are not
         touched: they ride the fabric from :attr:`remote`, and the
         nodes and the fabric are up — only a monitoring shard is down.
         Returns the drain's ``{hostname: new shard index}`` map.
         """
         shard = self.shards[index]
-        if not shard.active:
+        if not self._drainable(shard):
             return {}
-        moved = self.drain(index)
-        shard.health = DEAD
-        self.failovers.append(
-            (self.kernel.now, index, reason, len(moved)))
+        self.monitor.health.mark_down(shard.name, reason)
+        if not shard.active:  # the down listener failed it over
+            return self.rebalances[-1][1]
+        moved = self._drain(index, f"failed over ({reason})")
+        self.failovers.append((self.kernel.now, index, reason, len(moved)))
         return moved
 
     def degraded_info(self) -> Dict[str, object]:
         """The gateway's degradation verdict: which shards' data is
         stale, and how stale.  A shard is stale while it still owns
-        nodes and is suspect, or dead (no survivor could adopt them); a
+        nodes and is suspect, or down (no survivor could adopt them); a
         completed fail-over or drain clears it — the survivors' data is
         current, so responses stop carrying the degraded tag.
         """
@@ -238,7 +248,7 @@ class FederationServer:
         stale: List[str] = []
         worst = 0.0
         for shard in self.shards:
-            if shard.health in (SUSPECT, DEAD) and shard.n_nodes > 0:
+            if shard.health is not HealthState.HEALTHY and shard.n_nodes:
                 stale.append(shard.name)
                 worst = max(worst, now - shard.last_heartbeat)
         return {"degraded": bool(stale), "stale_shards": stale,
@@ -374,7 +384,7 @@ class FederationServer:
                 "index": shard.index,
                 "name": shard.name,
                 "active": shard.active,
-                "health": shard.health,
+                "health": shard.health.value,
                 "heartbeat_age": round(now - shard.last_heartbeat, 3),
                 "nodes": shard.n_nodes,
                 "updates_received": stats["updates_received"],

@@ -8,12 +8,12 @@ into shard internals; everything it needs (rollups, routing, drain
 migration) goes through the server's public surface, which is what lets
 ``topology="flat"`` and a 1-shard federation stay byte-identical.
 
-Since the self-healing control plane (PR 9) a shard also carries its
-*own* health: the :class:`~repro.federation.monitor.ShardHealthMonitor`
-heartbeats every shard through its
-:class:`~repro.federation.channel.ShardChannel` and walks
-``healthy -> suspect -> dead`` as heartbeats age out; ``draining``
-marks the window while a dead shard's nodes migrate to survivors.
+A shard's *own* health is its record in the tracker of the
+:class:`~repro.federation.monitor.ShardHealthMonitor` that owns it:
+``healthy -> suspect -> down`` as heartbeats through its
+:class:`~repro.federation.channel.ShardChannel` age out, ``drained``
+after a drain or fail-over.  :attr:`Shard.health` and
+:attr:`Shard.active` read that record.
 
 Two helpers place work that names hosts: :func:`_first_active` is
 where a host with no owner goes (power and console commands, unowned
@@ -27,21 +27,16 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.server import ClusterWorXServer
 from repro.federation.channel import ShardChannel
+from repro.resilience.health import HealthState
 
-__all__ = ["Shard", "HEALTHY", "SUSPECT", "DEAD", "DRAINING"]
-
-#: shard health states (the /v1/shards ``health`` column).
-HEALTHY = "healthy"
-SUSPECT = "suspect"
-DEAD = "dead"
-DRAINING = "draining"
+__all__ = ["Shard"]
 
 
 class Shard:
     """A partition's server plus the federation-side bookkeeping."""
 
-    __slots__ = ("index", "name", "server", "active", "health",
-                 "last_heartbeat", "channel")
+    __slots__ = ("index", "name", "server", "last_heartbeat", "channel",
+                 "tracker")
 
     def __init__(self, index: int, name: str, server: ClusterWorXServer):
         #: position in the federation's shard list (stable identity).
@@ -50,16 +45,22 @@ class Shard:
         #: prefix-map topologies).
         self.name = name
         self.server = server
-        #: drained shards stay in the list (their index is identity)
-        #: but own no nodes and take no new assignments.
-        self.active = True
-        #: monitor-maintained health state (drain sets draining/dead).
-        self.health = HEALTHY
         #: sim time of the last successful heartbeat probe.
         self.last_heartbeat = 0.0
         #: the call path to this shard and the one test of whether it
         #: answers (``channel.up``).
         self.channel = ShardChannel(server.kernel, self)
+        #: the tracker holding its health record (set by its monitor).
+        self.tracker = None
+
+    @property
+    def health(self) -> HealthState:
+        return self.tracker.state(self.name)
+
+    @property
+    def active(self) -> bool:
+        """Not drained: a drained shard keeps its index, but no nodes."""
+        return self.health is not HealthState.DRAINED
 
     @property
     def n_nodes(self) -> int:
@@ -70,9 +71,8 @@ class Shard:
         return self.server.managed_hostnames
 
     def __repr__(self) -> str:
-        state = "active" if self.active else "drained"
-        return (f"Shard({self.index}, {self.name!r}, {state}, "
-                f"{self.health}, nodes={self.n_nodes})")
+        return (f"Shard({self.index}, {self.name!r}, {self.health.value}, "
+                f"nodes={self.n_nodes})")
 
 
 def _first_active(shards: Sequence[Shard]) -> Shard:

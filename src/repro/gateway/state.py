@@ -73,7 +73,7 @@ class PublishedView:
         #: view to view for as long as the membership does not change.
         self.hostnames = hostnames
         #: True while any shard's contribution to this view is stale
-        #: (suspect, mid-drain, or dead-with-nodes); the data served is
+        #: (suspect, or down with nodes); the data served is
         #: that shard's last good snapshot, and responses say so.
         self.degraded = degraded
         self.stale_shards = stale_shards

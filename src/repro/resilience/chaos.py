@@ -83,7 +83,7 @@ class ControlFaultOutcome:
     injected_at: float
     duration: float = 0.0
     shard: Optional[int] = None
-    detected_at: Optional[float] = None      # first suspect/dead mark
+    detected_at: Optional[float] = None      # first suspect/down mark
     failed_over_at: Optional[float] = None   # drain-on-death complete
     nodes_moved: int = 0
     updates_dropped: int = 0
@@ -91,7 +91,7 @@ class ControlFaultOutcome:
 
     @property
     def detection_latency(self) -> Optional[float]:
-        """Injection -> the monitor marking the shard suspect/dead."""
+        """Injection -> the monitor marking the shard suspect/down."""
         if self.detected_at is None:
             return None
         return self.detected_at - self.injected_at

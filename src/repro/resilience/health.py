@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.sim import SimKernel
 
@@ -41,9 +41,10 @@ class HealthState(enum.Enum):
     DOWN = "down"
     RECOVERING = "recovering"
     QUARANTINED = "quarantined"
+    DRAINED = "drained"
 
 
-#: the legal transition table; everything else is a programming error.
+#: the node transition table; everything else is a programming error.
 _ALLOWED = {
     HealthState.HEALTHY: {HealthState.SUSPECT, HealthState.DOWN},
     HealthState.SUSPECT: {HealthState.HEALTHY, HealthState.DOWN},
@@ -55,12 +56,12 @@ _ALLOWED = {
 
 
 class InvalidTransition(ValueError):
-    """Raised on a transition the table above does not allow."""
+    """Raised on a transition the tracker's table does not allow."""
 
 
 @dataclass
 class HealthRecord:
-    """One node's current health plus its full transition history."""
+    """One subject's current health plus its full transition history."""
 
     hostname: str
     state: HealthState = HealthState.HEALTHY
@@ -89,10 +90,12 @@ class HealthTracker:
 
     def __init__(self, kernel: SimKernel, *,
                  suspect_after: float = 30.0,
-                 down_after: float = 60.0):
+                 down_after: float = 60.0,
+                 allowed: Dict[HealthState, Set[HealthState]] = _ALLOWED):
         if suspect_after <= 0 or down_after <= suspect_after:
             raise ValueError("need 0 < suspect_after < down_after")
         self.kernel = kernel
+        self.allowed = allowed  # the table above, or a shard table
         self.suspect_after = suspect_after
         self.down_after = down_after
         self._records: Dict[str, HealthRecord] = {}
@@ -112,7 +115,7 @@ class HealthTracker:
                       if r.state is state)
 
     def counts(self) -> Dict[str, int]:
-        out = {state.value: 0 for state in HealthState}
+        out = {state.value: 0 for state in self.allowed}
         for record in self._records.values():
             out[record.state.value] += 1
         return out
@@ -136,7 +139,7 @@ class HealthTracker:
         old = record.state
         if new is old:
             return
-        if new not in _ALLOWED[old]:
+        if new not in self.allowed[old]:
             raise InvalidTransition(
                 f"{hostname}: {old.value} -> {new.value} ({reason})")
         now = self.kernel.now
@@ -160,6 +163,9 @@ class HealthTracker:
 
     def mark_quarantined(self, hostname: str, reason: str) -> None:
         self._transition(hostname, HealthState.QUARANTINED, reason)
+
+    def mark_drained(self, hostname: str, reason: str) -> None:
+        self._transition(hostname, HealthState.DRAINED, reason)
 
     def release(self, hostname: str, reason: str = "operator release"
                 ) -> None:

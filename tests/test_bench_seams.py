@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro import ClusterWorX
+from repro.faults import FaultPlane
 from repro.gateway import WatchHub
 
 _TRACER = (Path(__file__).resolve().parent.parent / "benchmarks" / "perf"
@@ -58,6 +59,14 @@ def test_federation_counters_the_workloads_read():
         assert shard.channel.up is True
     assert server.unrouted_updates == 0
     assert server.monitor.transitions == []
+    # ``_failover_checks`` finds a kill's detection as a transition row
+    # whose new state is the plain string "suspect": probes of a failing
+    # shard are at most ``interval`` apart, so suspect comes before down
+    killed_at = cwx.kernel.now
+    FaultPlane(cwx.kernel, federation=server).kill_shard(1, killed_at)
+    cwx.run(server.monitor.suspect_after + server.monitor.interval)
+    (at, index, old, new), = server.monitor.transitions
+    assert at >= killed_at and (index, old, new) == (1, "healthy", "suspect")
     # ``_failover_checks`` reads a row as (time, shard index, _, moved)
     moved = server.fail_over(1)
     (at, index, reason, n_moved), = server.failovers

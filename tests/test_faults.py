@@ -14,10 +14,10 @@ import pytest
 from repro import ClusterWorX
 from repro.faults import (CONTROL_KINDS, LINK_DOWN, SHARD_HANG,
                           SHARD_KILL, SHARD_SLOW, ControlPlan, FaultPlane)
-from repro.federation import DEAD, HEALTHY
 from repro.gateway import GatewayState
 from repro.resilience import ChaosCampaign
 from repro.resilience.chaos import FAILED_OVER, RODE_THROUGH
+from repro.resilience.health import HealthState
 
 
 def make_fed(n=16, shards=4, seed=7, **kwargs):
@@ -176,8 +176,9 @@ class TestControlPlan:
                       control_plane=plan).execute()
         (outcome,) = plan.outcomes
         victim = outcome.shard
-        assert cwx.server.shards[victim].health == DEAD
-        assert all(s.health == HEALTHY for s in cwx.server.shards
+        assert cwx.server.shards[victim].health == HealthState.DRAINED
+        assert all(s.health == HealthState.HEALTHY
+                   for s in cwx.server.shards
                    if s.index != victim)
         # every node re-owned by a survivor: full fleet still readable
         assert len(cwx.server.current_all()) == 16

@@ -22,7 +22,6 @@ from repro.faults.invariants import (digest, empty_shards_not_stale,
                                      published_view_immutable,
                                      rollup_matches_parts,
                                      updates_conserved)
-from repro.federation import DEAD
 from repro.federation.views import FederatedSnapshot
 from repro.gateway import BinaryWire, GatewayState, JsonWire
 from repro.gateway.shell import _drain_buffer
@@ -35,6 +34,7 @@ from repro.monitoring import (BinaryCodec, Consolidator, HistoryStore,
 from repro.monitoring.gathering import parse_apriori, parse_generic
 from repro.procfs import ProcFilesystem
 from repro.remote.nodeset import NodeSet
+from repro.resilience.health import HealthState
 from repro.sim import RandomStreams, SimKernel
 from repro.util import ByteRingBuffer, TimeSeriesRing
 from tests.test_federation import check_routing_table
@@ -1240,7 +1240,7 @@ class FederationMachine(RuleBasedStateMachine):
             assert held or {host: _row(server.owner_of(host).server, host)
                             for host in before} == before
             assert not shard.active and (how == "drain" or (
-                shard.health == DEAD
+                shard.health == HealthState.DRAINED
                 and server.failovers[-1][1:3] == (shard.index, "manual")))
 
     @rule()
@@ -1308,8 +1308,9 @@ class FederationMachine(RuleBasedStateMachine):
                                      **ledger) == []
         self.answers_as_one_server()
         server, flat = self.fed.server, self.flat.server
-        # a killed shard was found dead; a drained one holds nothing
-        assert all(shard.health == DEAD for shard in server.shards
+        # a killed shard was found down; a drained one holds nothing
+        assert all(shard.health == HealthState.DOWN
+                   for shard in server.shards
                    if shard.active and shard.channel.killed)
         assert not any(shard.channel.held for shard in server.shards
                        if not shard.active)

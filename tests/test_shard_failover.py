@@ -14,9 +14,12 @@ import pytest
 from repro import ClusterWorX
 from repro.core.statestore import Update
 from repro.faults import LINK_DOWN, SHARD_HANG, SHARD_SLOW, FaultPlane
-from repro.federation import DEAD, DRAINING, HEALTHY, SUSPECT
 from repro.gateway import (GatewayState, WatchClient, WatchHub,
                            build_router, parse_request)
+from repro.resilience.health import HealthState, InvalidTransition
+
+HEALTHY, SUSPECT = HealthState.HEALTHY, HealthState.SUSPECT
+DOWN, DRAINED = HealthState.DOWN, HealthState.DRAINED
 
 
 def make_fed(n=20, shards=4, seed=7, **kwargs):
@@ -24,6 +27,15 @@ def make_fed(n=20, shards=4, seed=7, **kwargs):
                       topology="federation", shards=shards, **kwargs)
     cwx.start()
     return cwx
+
+
+def entered(cwx, index, state, since=0.0):
+    """When shard ``index`` first entered ``state`` at or after
+    ``since``, off its health record (None if it never did)."""
+    name = cwx.server.shards[index].name
+    times = cwx.server.monitor.health.record(name).transitions_to(
+        state, since=since)
+    return times[0] if times else None
 
 
 def kill(cwx, index, at=None):
@@ -72,8 +84,8 @@ class TestMonitorEscalation:
         kill(cwx, 1)
         cwx.run(60)
         monitor = cwx.server.monitor
-        suspected = monitor.detected_at(1, SUSPECT, since=t_kill)
-        dead = monitor.detected_at(1, DEAD, since=t_kill)
+        suspected = entered(cwx, 1, SUSPECT, since=t_kill)
+        dead = entered(cwx, 1, DOWN, since=t_kill)
         assert suspected is not None and dead is not None
         assert t_kill < suspected < dead
         # escalation respects the configured thresholds
@@ -105,9 +117,8 @@ class TestMonitorEscalation:
         # 20 s is suspected and still short of the 25-s death.
         _hang(cwx, 2, cwx.kernel.now + 1.0, 20.0)
         cwx.run(60)
-        monitor = cwx.server.monitor
-        assert monitor.detected_at(2, SUSPECT) is not None
-        assert monitor.detected_at(2, DEAD) is None
+        assert entered(cwx, 2, SUSPECT) is not None
+        assert entered(cwx, 2, DOWN) is None
         assert cwx.server.shards[2].health == HEALTHY
         assert cwx.server.shards[2].active
 
@@ -120,7 +131,7 @@ class TestMonitorEscalation:
         cwx.run(60)
         # first death failed over; the last shard has no adopter
         assert len(cwx.server.failovers) == 1
-        assert cwx.server.shards[1].health == DEAD
+        assert cwx.server.shards[1].health == DOWN
         assert cwx.server.shards[1].active
 
 
@@ -149,10 +160,10 @@ class TestOneJudge:
         # 12.5 s old: the probes after a miss land 5, 6, 8, 12 and 17 s
         # after it, and it was 1 s before the hang, so up to 16 s rides
         # through unsuspected; 20 s is suspected, short of the 25-s death.
-        suspected = monitor.detected_at(2, SUSPECT, since=start)
+        suspected = entered(cwx, 2, SUSPECT, since=start)
         assert (suspected is None) == (hang < 16.0)
         if suspected is not None:
-            assert monitor.detected_at(2, HEALTHY, since=suspected) \
+            assert entered(cwx, 2, HEALTHY, since=suspected) \
                 <= start + hang + monitor.interval
         assert cwx.server.failovers == []
 
@@ -176,7 +187,7 @@ class TestOneJudge:
         beat = shard.last_heartbeat
         assert [round(t - beat, 9) for t in probed if t > beat] == \
             [5.0, 6.0, 8.0, 12.0, 17.0, 22.0, 27.0]
-        assert monitor.detected_at(1, SUSPECT) == beat + 17.0
+        assert entered(cwx, 1, SUSPECT) == beat + 17.0
         assert cwx.server.failovers[0][0] == beat + 27.0
 
     def test_killed_shard_publishes_nothing(self):
@@ -298,11 +309,34 @@ class TestFailover:
         cwx.run(30)
         moved = cwx.server.fail_over(2)
         assert len(moved) == 5
-        assert cwx.server.shards[2].health == DEAD
+        assert cwx.server.shards[2].health == DRAINED
         assert not cwx.server.shards[2].active
         assert cwx.server.failovers[0][2] == "manual"
         assert sorted(cwx.server.managed_hostnames) == \
             sorted(cwx.cluster.hostnames)
+        # the shard table: a fail-over goes down -> drained, nothing
+        # leaves drained, and an operator drain goes healthy -> drained
+        health = cwx.server.monitor.health
+        history = health.record("shard2").history
+        assert [(old, new) for _t, old, new, _r in history[-2:]] == \
+            [(HEALTHY, DOWN), (DOWN, DRAINED)]
+        assert "failed over" in history[-1][3]
+        with pytest.raises(InvalidTransition):
+            health.mark_suspect("shard2", "probe")
+        cwx.server.drain(1)
+        assert [(old, new) for _t, old, new, _r
+                in health.record("shard1").history] == [(HEALTHY, DRAINED)]
+
+    def test_refused_failover_changes_nothing(self):
+        cwx = make_fed(n=8, shards=2)
+        cwx.run(30)
+        cwx.server.drain(0)
+        before = list(cwx.server.monitor.transitions)
+        with pytest.raises(ValueError, match="last active shard"):
+            cwx.server.fail_over(1)
+        assert cwx.server.shards[1].health == HEALTHY
+        assert cwx.server.monitor.transitions == before
+        assert not cwx.server.degraded_info()["degraded"]
 
     def test_adopter_rules_read_the_migrated_row(self):
         """A rule on a value change suppression never re-sends: the
@@ -346,7 +380,7 @@ class TestFailover:
         transitions = list(cwx.server.monitor.transitions)
         cwx.run(60)
         assert not shard.channel.killed and shard.channel.up
-        assert shard.active is False and shard.health == DEAD
+        assert shard.active is False and shard.health == DRAINED
         assert shard.n_nodes == 0
         assert shard.last_heartbeat == beat  # never probed again
         assert cwx.server.monitor.transitions == transitions

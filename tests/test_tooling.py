@@ -129,8 +129,12 @@ def test_shard_reachability_surface_is_pinned():
     faults.  A second judge (a breaker, a timeout, a latency) or a
     second way to inject one is a conscious diff here."""
     from repro.faults import ControlPlan, FaultPlane
-    from repro.federation import ShardChannel
+    from repro.federation import Shard, ShardChannel
 
+    # a shard's health is its record in the monitor's tracker, not a
+    # field of its own
+    assert Shard.__slots__ == ("index", "name", "server", "last_heartbeat",
+                               "channel", "tracker")
     assert ShardChannel.__slots__ == (
         "kernel", "shard", "killed", "down_until", "held", "calls",
         "dropped_ingests")
