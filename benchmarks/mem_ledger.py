@@ -19,8 +19,9 @@ of warm-up) and prints, per node:
   update on and off, and the cost of one full collection — as built,
   and again K ticks after ``gc.freeze()`` (what ``repro-cli serve``
   does once the cluster is up); and the serving side's one O(N)
-  request, an all-hosts JSON ``/v1/query`` of the benchmark's three
-  metrics (handler + encode): median ms, collections per query by
+  request, an all-hosts JSON ``/v1/query`` (handler + encode), once of
+  the benchmark's three metrics and once without ``metrics=`` (every
+  value of every host): median ms, collections per query by
   generation, body bytes.
 
 Each probe runs in its own child process: tracemalloc roughly doubles
@@ -60,8 +61,10 @@ GROUPS = {
 }
 TOP_MODULES = 12
 TOP_TYPES = 15
-#: the repo benchmark's all-hosts request, and how many to time.
+#: the repo benchmark's all-hosts request, the same without a
+#: projection, and how many of each to time.
 QUERY = "/v1/query?metrics=cpu_util_pct,cpu_temp_c,mem_used_bytes"
+QUERY_UNPROJECTED = "/v1/query"
 QUERIES = 5
 
 
@@ -142,12 +145,13 @@ def probe_census(n_nodes: int) -> Dict[str, object]:
                          for name in large | small}}
 
 
-def _query_all(cwx) -> Dict[str, object]:
-    """``QUERIES`` all-hosts JSON queries, as the gateway answers them."""
+def _query_all(cwx, query: str) -> Dict[str, object]:
+    """``QUERIES`` all-hosts JSON ``query``s, as the gateway answers
+    them."""
     from repro.gateway import (GatewayState, JsonWire, build_router,
                                parse_request)
     router = build_router(GatewayState(cwx.server), dict)
-    request = parse_request(f"GET {QUERY} HTTP/1.1\r\n\r\n".encode())
+    request = parse_request(f"GET {query} HTTP/1.1\r\n\r\n".encode())
     route, params = router.resolve(request.path)
     wire, collections, times = JsonWire(), [0, 0, 0], []
 
@@ -202,7 +206,8 @@ def probe_collector(n_nodes: int, ticks: int) -> Dict[str, object]:
         gc.disable()
         run_round(off)
         gc.enable()
-    query = _query_all(cwx)
+    query = _query_all(cwx, QUERY)
+    unprojected = _query_all(cwx, QUERY_UNPROJECTED)
     gc.collect()
     full_ms = _timed_collect_ms()
     gc.freeze()
@@ -218,7 +223,8 @@ def probe_collector(n_nodes: int, ticks: int) -> Dict[str, object]:
             "us_per_update_gc_off": off[0] / off[1] * 1e6,
             "full_collect_ms": full_ms,
             "full_collect_frozen_ms": frozen_ms,
-            "query_all": query}
+            "query_all": query,
+            "query_all_unprojected": unprojected}
 
 
 def _child(probe: str, n_nodes: int, src: str,
@@ -283,11 +289,13 @@ def print_ledger(result: Dict[str, object]) -> None:
     print(f"    one full collection; after freeze "
           f"{gcs['full_collect_ms']:8.1f} "
           f"{gcs['full_collect_frozen_ms']:8.1f} ms")
-    query = gcs["query_all"]
-    per_query = " / ".join(f"{c:.3g}"
-                           for c in query["collections_per_query"])
-    print(f"    all-hosts /v1/query, JSON         {query['ms']:8.1f} ms, "
-          f"collections {per_query}, {query['bytes']} bytes")
+    for label, key in (("all-hosts /v1/query, JSON", "query_all"),
+                       ("  and without metrics=", "query_all_unprojected")):
+        query = gcs[key]
+        per_query = " / ".join(f"{c:.3g}"
+                               for c in query["collections_per_query"])
+        print(f"    {label:33s} {query['ms']:8.1f} ms, "
+              f"collections {per_query}, {query['bytes']} bytes")
 
 
 def main(argv=None) -> int:

@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Mapping as MappingABC
-from operator import itemgetter
+from itertools import compress, islice
+from operator import itemgetter, ne
 from types import MappingProxyType
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Set, Tuple)
+                    Optional, Sequence, Set, Tuple)
 
 from repro.monitoring.records import Sample, Update
 
@@ -43,6 +44,15 @@ __all__ = ["Update", "Sample", "Snapshot", "Subscription", "StateStore",
 _log = logging.getLogger("repro.core.statestore")
 
 _EMPTY: Mapping[str, object] = MappingProxyType({})
+
+#: a run of hosts read column by column: ``(names, subjects, columns)``,
+#: ``columns[i][j]`` the value of ``names[i]`` on ``subjects[j]``.
+Group = Tuple[Tuple[str, ...], Sequence[str], List[List[object]]]
+
+
+def _read(rows: List[Mapping[str, object]],
+          names: Tuple[str, ...]) -> List[List[object]]:
+    return [list(map(itemgetter(name), rows)) for name in names]
 
 
 def summarize(rollup: Mapping[str, object]) -> Dict[str, object]:
@@ -99,29 +109,35 @@ class Snapshot(MappingABC):
     def __contains__(self, hostname: object) -> bool:
         return hostname in self._hosts
 
-    def select(self, hostnames: Iterable[str],
-               fields: Optional[Tuple[str, ...]] = None
-               ) -> Iterator[Tuple[Tuple[str, ...], Tuple[object, ...]]]:
-        """Per listed host, ``(names, values)``: the (distinct) ``fields``
-        it holds, or all its values by sorted name when ``fields`` is
-        None.  No proxy; each tuple is built at its final size, as one
-        resized on the way stays counted as a collector allocation.  Given
-        ``fields``, one getter serves every row."""
-        pick = (itemgetter(*fields) if fields is not None and len(fields) > 1
-                else None)
-        for hostname in hostnames:
-            values = self._hosts[hostname]
-            names, get = fields, pick
-            if names is None:
-                names = tuple(sorted(values))
-                get = itemgetter(*names) if len(names) > 1 else None
+    def columns(self, hostnames: Sequence[str],
+                fields: Optional[Tuple[str, ...]] = None) -> List[Group]:
+        """The listed hosts' values, column by column: one
+        ``(names, subjects, columns)`` group per run of neighbouring
+        hosts that hold the same (distinct) ``fields``, or the same
+        values by sorted name when ``fields`` is None.  Each column is
+        one C-level pass of one field's getter over the run's value
+        mappings, so no row object is built (a tuple a row, kept until
+        the body is written, is a collector allocation a row) and no
+        live value mapping leaves the snapshot."""
+        rows = list(map(self._hosts.__getitem__, hostnames))
+        if not rows:
+            return []
+        if fields is not None:
             try:
-                row = (get(values) if get is not None
-                       else tuple([values[name] for name in names]))
-            except KeyError:
-                names = tuple([name for name in names if name in values])
-                row = tuple([values[name] for name in names])
-            yield names, row
+                return [(fields, hostnames, _read(rows, fields))]
+            except KeyError:    # some host lacks a field: group by runs
+                pass
+        # A run of equal key sets holds equal present-field sets too.
+        changed = map(ne, map(dict.keys, rows),
+                      map(dict.keys, islice(rows, 1, None)))
+        bounds = [0, *compress(range(1, len(rows)), changed), len(rows)]
+        groups: List[Group] = []
+        for start, stop in zip(bounds, islice(bounds, 1, None)):
+            run, first = rows[start:stop], rows[start]
+            names = (tuple(sorted(first)) if fields is None
+                     else tuple([name for name in fields if name in first]))
+            groups.append((names, hostnames[start:stop], _read(run, names)))
+        return groups
 
     def __repr__(self) -> str:
         return (f"Snapshot(gen={self.generation}, "

@@ -52,8 +52,8 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
 
 import numpy as np
 
-from repro.core.statestore import (Snapshot, StateStore, Subscription,
-                                   Update)
+from repro.core.statestore import (Group, Snapshot, StateStore,
+                                   Subscription, Update)
 from repro.events.engine import EventEngine, FiredEvent, newest
 from repro.events.rules import ThresholdRule
 from repro.federation.rollup import RollupCache, _generation
@@ -128,12 +128,13 @@ class FederatedSnapshot(MappingABC):
     def __contains__(self, hostname: object) -> bool:
         return any(hostname in part for part in self._parts)
 
-    def select(self, hostnames: Iterable[str],
-               fields: Optional[Tuple[str, ...]] = None
-               ) -> Iterator[Tuple[Tuple[str, ...], Tuple[object, ...]]]:
-        """:meth:`Snapshot.select` over the parts.  Ownership is
-        exclusive and sorted hosts meet a shard's in runs, so the part
-        that held the last host is asked first: O(1) a host, no walk."""
+    def columns(self, hostnames: Sequence[str],
+                fields: Optional[Tuple[str, ...]] = None) -> List[Group]:
+        """:meth:`Snapshot.columns` over the parts, a group that
+        continues the previous one's names joined onto it.  Ownership
+        is exclusive and sorted hosts meet a shard's in runs, so the
+        part that held the last host is asked first: O(1) a host, no
+        walk."""
         parts = self._parts
         last = 0
 
@@ -146,8 +147,17 @@ class FederatedSnapshot(MappingABC):
                     return last
             raise KeyError(hostname)
 
+        groups: List[Group] = []
         for index, run in groupby(hostnames, holder):
-            yield from parts[index].select(run, fields)
+            for names, subjects, columns in parts[index].columns(
+                    tuple(run), fields):
+                if groups and groups[-1][0] == names:
+                    groups[-1][1].extend(subjects)
+                    for column, more in zip(groups[-1][2], columns):
+                        column.extend(more)
+                else:
+                    groups.append((names, list(subjects), columns))
+        return groups
 
     def __repr__(self) -> str:
         return (f"FederatedSnapshot(gen={self.generation}, "
@@ -525,6 +535,9 @@ class FederatedHistory(_View, organ="history"):
 
     metric_names = _each_attr("metric_names", _sorted_union)
     hostnames = _each_attr("hostnames", _sorted_union)
+    #: every shard's history is built with one capacity; an unreachable
+    #: shard's 0 never wins the ``max``.
+    capacity = _each_attr("capacity", max, 0)
 
 
 class FederatedHealth(_View, organ="health"):

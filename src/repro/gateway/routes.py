@@ -119,10 +119,12 @@ def build_router(state: GatewayState,
             rows = state.history_window(hostname, metric, t0, t1)
             return 200, [("history", subject, t, {"value": v})
                          for t, v in rows]
-        buckets = int(_float_param(request, "buckets", 60))
-        if buckets < 1:
-            raise HttpError(400, f"buckets must be positive: {buckets}")
-        graph = state.history_graph(hostname, metric, buckets=buckets)
+        try:
+            graph = state.history_graph(
+                hostname, metric,
+                buckets=int(_float_param(request, "buckets", 60)))
+        except ValueError as exc:  # buckets outside 1 to the capacity
+            raise HttpError(400, str(exc)) from None
         return 200, [("history", subject, center,
                       {"mean": mean, "min": lo, "max": hi})
                      for center, mean, lo, hi in graph]

@@ -236,12 +236,18 @@ class GatewayState:
     def history_graph(self, hostname: str, metric: str, *,
                       buckets: int = 60
                       ) -> List[Tuple[float, float, float, float]]:
-        """Downsampled (center, mean, min, max) rows for one series."""
+        """Downsampled (center, mean, min, max) rows for one series;
+        ``buckets`` outside 1 to the history's capacity is a
+        ``ValueError``.  The rows are built after the lock is released:
+        the graph's arrays are fresh."""
         with self.lock:
-            centers, mean, lo, hi = self.server.history.graph(
-                hostname, metric, buckets)
-            return [(float(c), float(m), float(a), float(b))
-                    for c, m, a, b in zip(centers, mean, lo, hi)]
+            history = self.server.history
+            if not 1 <= buckets <= history.capacity:
+                raise ValueError(f"buckets must be 1 to {history.capacity}"
+                                 f": {buckets}")
+            centers, mean, lo, hi = history.graph(hostname, metric, buckets)
+        return [(float(c), float(m), float(a), float(b))
+                for c, m, a, b in zip(centers, mean, lo, hi)]
 
     def history_window(self, hostname: str, metric: str,
                        t0: float, t1: float

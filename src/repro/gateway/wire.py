@@ -29,10 +29,13 @@ from __future__ import annotations
 
 import json
 import struct
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from math import isfinite
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Tuple, Union)
 
+from repro.core.statestore import Group
 from repro.monitoring.transmission import BinaryCodec
 
 __all__ = ["Frame", "FrameTable", "Frames", "JsonWire", "BinaryWire",
@@ -76,9 +79,10 @@ _FRAME_HEAD = struct.Struct("<IB")
 
 
 class FrameTable:
-    """The frames of an O(N) response, not built: a row is read off
-    ``snapshot`` (a ``Snapshot`` or ``FederatedSnapshot``; sorted
-    ``fields`` projected, all when None) as it is written or iterated."""
+    """The frames of an O(N) response, not built: its groups are read
+    off ``snapshot`` (a ``Snapshot`` or ``FederatedSnapshot``; sorted
+    ``fields`` projected, all when None) column by column as it is
+    written or iterated."""
 
     __slots__ = ("kind", "t", "subjects", "snapshot", "fields")
 
@@ -90,13 +94,13 @@ class FrameTable:
     def __len__(self) -> int:
         return len(self.subjects)
 
-    def rows(self) -> Iterator[Tuple[str, Tuple[tuple, tuple]]]:
-        return zip(self.subjects,
-                   self.snapshot.select(self.subjects, self.fields))
+    def groups(self) -> List[Group]:
+        return self.snapshot.columns(self.subjects, self.fields)
 
     def __iter__(self) -> Iterator[Frame]:
-        for subject, (names, values) in self.rows():
-            yield self.kind, subject, self.t, dict(zip(names, values))
+        for names, subjects, columns in self.groups():
+            for subject, *row in zip(subjects, *columns):
+                yield self.kind, subject, self.t, dict(zip(names, row))
 
 
 #: a response body's frames: a list, or a table standing for one.
@@ -124,6 +128,24 @@ def _json_value(value: object) -> str:
     return write(value) if write is not None else _dumps(value)
 
 
+#: a column whose values are all of one of these exact types; a float
+#: column only when every value is finite.
+_COLUMN_WRITERS: Dict[type, Callable[[object], str]] = {
+    float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
+
+
+def _column_writer(column: List[object]) -> Callable[[object], str]:
+    """What writes every value of ``column`` as :func:`_json_value`
+    would: its one exact type's own writer, else that function."""
+    kinds = set(map(type, column))
+    write = _COLUMN_WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
+    # Any NaN or infinity makes the sum non-finite; a finite column
+    # whose sum overflows only takes the slow way.
+    if write is float.__repr__ and not isfinite(sum(column)):
+        write = None
+    return write or _json_value
+
+
 class JsonWire:
     """Frames as JSON: self-describing, greppable, and ~2x the bytes."""
 
@@ -137,24 +159,25 @@ class JsonWire:
                 "values": dict(values)}
 
     def _encode_table(self, table: FrameTable) -> bytes:
-        """``encode(list(table))``, written row by row: one ``%``
-        template per (sorted) present-field set, the kind and ``t`` text
-        made once."""
-        head = ('{"kind":' + encode_basestring_ascii(table.kind)
-                + ',"subject":%s,"t":' + _json_value(round(table.t, 3))
-                + ',"values":{')
-        templates: Dict[Tuple[str, ...], str] = {}
-        out: List[str] = []
-        for subject, (names, values) in table.rows():
-            template = templates.get(names)
-            if template is None:
-                template = templates[names] = head + ",".join(
-                    encode_basestring_ascii(name).replace("%", "%%") + ":%s"
-                    for name in names) + "}}"
-            out.append(template % (encode_basestring_ascii(subject),
-                                   *map(_json_value, values)))
-        body = out[0] if len(out) == 1 else "[" + ",".join(out) + "]"
-        return body.encode("utf-8")
+        """``encode(list(table))``, written a group at a time: each
+        column made text by one ``map``, each row one ``"".join`` of the
+        constant pieces zipped with the columns."""
+        head = '{"kind":' + encode_basestring_ascii(table.kind) + ',"subject":'
+        opening = ',"t":' + _json_value(round(table.t, 3)) + ',"values":{'
+        texts: List[str] = []
+        for names, subjects, columns in table.groups():
+            pieces = [repeat(head), map(encode_basestring_ascii, subjects),
+                      repeat(opening)]
+            separator = ""
+            for name, column in zip(names, columns):
+                pieces += (repeat(separator + encode_basestring_ascii(name)
+                                  + ":"),
+                           map(_column_writer(column), column))
+                separator = ","
+            pieces.append(repeat("}}"))
+            texts.append(",".join(map("".join, zip(*pieces))))
+        body = ",".join(texts)
+        return (body if len(table) == 1 else "[" + body + "]").encode("utf-8")
 
     def encode(self, frames: Frames) -> bytes:
         """One response body: a single object, or an array of them."""

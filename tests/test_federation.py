@@ -552,6 +552,7 @@ def _walk(cwx, host):
         [host, peer, "ghost"], metric)
     rows["history.metric_names"] = len(history.metric_names)
     rows["history.hostnames"] = history.hostnames
+    rows["history.capacity"] = history.capacity
     # -- health / recovery reads
     rows["health.record"] = health.record(host)
     rows["health.state"] = health.state(host)
@@ -695,6 +696,7 @@ ORACLE = {'reachable': {'store.tracked': {'set': ['c-n0000', 'c-n0001',
                'history.hostnames': ['c-n0000', 'c-n0001', 'c-n0002',
                                      'c-n0003', 'c-n0004', 'c-n0005',
                                      'c-n0006', 'c-n0007'],
+               'history.capacity': 4096,
                'health.record': ('c-n0000', 'recovering',
                                  44.85991862857143, 2),
                'health.state': 'recovering',
@@ -866,6 +868,7 @@ SURFACE = {'FederatedStore': {'__contains__': '(self, hostname)',
                      'remove_rule': '(self, name)',
                      'rules': 'property'},
  'FederatedHistory': {'__init__': '(self, shards, owner_of)',
+                      'capacity': 'property',
                       'compare_nodes': '(self, hostnames, metric)',
                       'correlate': '(self, hostname, metric_a, metric_b)',
                       'forecast': '(self, hostname, metric, at, *, '

@@ -345,6 +345,9 @@ def routed(request):
     ("/v1/history/{host}/cpu_temp_c?buckets=-3", 400, 0),
     ("/v1/history/{host}/cpu_temp_c?buckets=nan", 400, 0),
     ("/v1/history/{host}/cpu_temp_c?buckets=inf", 400, 0),
+    ("/v1/history/{host}/cpu_temp_c?buckets=4096", 200, 4096),
+    ("/v1/history/{host}/cpu_temp_c?buckets=4097", 400, 0),
+    ("/v1/history/{host}/cpu_temp_c?buckets=1e6", 400, 0),
     ("/v1/events/log?limit=1", 200, 1),
     ("/v1/events/log?limit=0", 200, 0),
     ("/v1/events/log?limit=-1", 400, 0),

@@ -1030,8 +1030,9 @@ class _Float(float):
 
 
 #: text a JSON writer must escape — quotes, backslashes, control
-#: characters, non-ASCII — and ``%``, a row template's own syntax.
-_awkward_text = st.text(alphabet='ab_"\\%\x00\x1f\n\té€\U0001f600',
+#: characters, non-ASCII — and ``%`` and ``,``, format and separator
+#: syntax to any writer that pastes pieces together.
+_awkward_text = st.text(alphabet='ab_",\\%\x00\x1f\n\té€\U0001f600',
                         max_size=5)
 _field_names = st.one_of(st.sampled_from(["cpu", "mem", "temp", "a%s"]),
                          _awkward_text.filter(bool))
@@ -1076,6 +1077,67 @@ def _frames_before_tables(view, nodes, metrics):
     return frames
 
 
+def _snapshot_over(hosts, shards, rnd, now):
+    """Flat (``shards == 0``), or each host on a random one of
+    ``shards`` parts."""
+    if not shards:
+        return Snapshot(hosts, 1, now, 1)
+    parts = [{} for _ in range(shards)]
+    for hostname, values in hosts.items():
+        parts[rnd.randrange(shards)][hostname] = values
+    return FederatedSnapshot([Snapshot(part, 1, now, 1) for part in parts])
+
+
+def _check_table_bodies(snapshot, now, nodes, metrics):
+    """The table iterates to the frames the route answered before, and
+    both wires write it to those frames' bytes."""
+    state = _state_over(snapshot, now)
+    table = state.query(nodes, metrics)
+    frames = _frames_before_tables(state.view, nodes, metrics)
+    assert len(table) == len(frames)
+    assert list(table) == frames
+    assert JsonWire().encode(table) == JsonWire().encode(frames)
+    for wire in (BinaryWire(), BinaryWire(metric_schema=("cpu", "mem"))):
+        assert wire.encode(table) == wire.encode(frames)
+
+
+_finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e300, 5e-324, 2.2250738585072014e-308 / 3]))
+_wide_ints = st.one_of(st.integers(-2**70, 2**70), st.integers(2**63, 2**80))
+#: one value a column writer must not write by its neighbours' type
+#: (``int.__repr__(True)`` is ``1``, ``float.__repr__(nan)`` is ``nan``).
+_odd_values = st.sampled_from([math.nan, math.inf, -math.inf, True, False,
+                               None, _Int(2**64), _Float(0.5)])
+
+
+@st.composite
+def _column(draw, n_rows):
+    """``n_rows`` values of one exact type — finite floats, ints or
+    text — or finite floats or ints with one odd value among them."""
+    kind = draw(st.sampled_from(["float", "int", "text", "mixed"]))
+    values = draw(st.lists(
+        {"float": _finite_floats, "int": _wide_ints, "text": _awkward_text,
+         "mixed": st.one_of(_finite_floats, _wide_ints)}[kind],
+        min_size=n_rows, max_size=n_rows))
+    if kind == "mixed" and values:
+        values[draw(st.integers(0, n_rows - 1))] = draw(_odd_values)
+    return values
+
+
+@st.composite
+def _shared_field_hosts(draw):
+    """Hosts that all hold one field set (the benchmark's shape): none,
+    one or many rows, each field a :func:`_column`."""
+    n_rows = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 30)))
+    fields = draw(st.lists(_field_names, unique=True, min_size=1,
+                           max_size=4))
+    columns = [draw(_column(n_rows)) for _ in fields]
+    return {f"n{row:02d}": {field: column[row]
+                            for field, column in zip(fields, columns)}
+            for row in range(n_rows)}, fields
+
+
 class TestQueryTableProperties:
     @given(st.dictionaries(_host_names,
                            st.dictionaries(_field_names, _table_values,
@@ -1090,26 +1152,23 @@ class TestQueryTableProperties:
     @settings(max_examples=200, deadline=None)
     def test_table_body_is_the_frame_list_body(self, hosts, shards, rnd,
                                                metrics, nodes, now):
-        """Flat (``shards == 0``) or split over shard parts: the table
-        iterates to the frames the route answered before, and both wires
-        write it to those frames' bytes."""
-        if shards:
-            parts = [{} for _ in range(shards)]
-            for hostname, values in hosts.items():
-                parts[rnd.randrange(shards)][hostname] = values
-            snapshot = FederatedSnapshot(
-                [Snapshot(part, 1, now, 1) for part in parts])
-        else:
-            snapshot = Snapshot(hosts, 1, now, 1)
-        state = _state_over(snapshot, now)
-        nodes = ",".join(nodes) if nodes else None
-        table = state.query(nodes, metrics)
-        frames = _frames_before_tables(state.view, nodes, metrics)
-        assert len(table) == len(frames)
-        assert list(table) == frames
-        assert JsonWire().encode(table) == JsonWire().encode(frames)
-        for wire in (BinaryWire(), BinaryWire(metric_schema=("cpu", "mem"))):
-            assert wire.encode(table) == wire.encode(frames)
+        """Flat or split over shard parts, each host's fields drawn
+        alone (partial rows, many groups)."""
+        _check_table_bodies(_snapshot_over(hosts, shards, rnd, now), now,
+                            ",".join(nodes) if nodes else None, metrics)
+
+    @given(_shared_field_hosts(), st.integers(0, 3),
+           st.randoms(use_true_random=False), st.booleans(),
+           st.floats(0, 1e6))
+    @settings(max_examples=200, deadline=None)
+    def test_shared_field_set_bodies_are_the_frame_list_bodies(
+            self, hosts_fields, shards, rnd, project, now):
+        """Every host holds every field, so the rows are one group and
+        each column is written by the writer its exact types pick: the
+        benchmark's shape, with the odd values that must fall back."""
+        hosts, fields = hosts_fields
+        _check_table_bodies(_snapshot_over(hosts, shards, rnd, now), now,
+                            None, fields if project else None)
 
 
 # ---------------------------------------------------------------------------
