@@ -139,6 +139,16 @@ class Snapshot(MappingABC):
             groups.append((names, hostnames[start:stop], _read(run, names)))
         return groups
 
+    @classmethod
+    def join(cls, parts: Sequence["Snapshot"]) -> "Snapshot":
+        """One unstamped view over snapshots that share no host: their
+        host maps united in order, a C-level pointer pass each (no value
+        is read or copied).  The caller keeps the parts' stamps."""
+        hosts: Dict[str, Mapping[str, object]] = {}
+        for part in parts:
+            hosts.update(part._hosts)
+        return cls(hosts, 0, 0.0, 0)
+
     def __repr__(self) -> str:
         return (f"Snapshot(gen={self.generation}, "
                 f"hosts={len(self._hosts)})")

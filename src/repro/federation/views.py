@@ -44,7 +44,7 @@ import math
 from collections import Counter
 from collections.abc import Mapping as MappingABC
 from functools import wraps
-from itertools import chain, groupby
+from itertools import chain
 from operator import attrgetter, contains, itemgetter, methodcaller
 from types import MappingProxyType
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
@@ -97,13 +97,18 @@ class FederatedSnapshot(MappingABC):
     Taking one is O(shards) — each per-shard snapshot is the store's
     O(1) copy-on-write view — and it is exactly as stable: every shard
     forks its host map on the next write, so this view never changes
-    under the caller regardless of how the simulation moves on.
+    under the caller regardless of how the simulation moves on.  Its
+    first per-host read joins the parts into one flat
+    :class:`Snapshot` (:meth:`Snapshot.join`, one pointer pass), which
+    answers every read after it; the parts share no host, so the join
+    answers what a walk of the parts would.
     """
 
-    __slots__ = ("_parts", "generation", "time", "membership")
+    __slots__ = ("_parts", "_joined", "generation", "time", "membership")
 
     def __init__(self, parts: Sequence[Snapshot]):
         self._parts = tuple(parts)
+        self._joined: Optional[Snapshot] = None
         #: sum of shard generations (monotone, like the flat stamp).
         self.generation = sum(p.generation for p in self._parts)
         #: every part's membership stamp: equal only while no shard
@@ -112,52 +117,29 @@ class FederatedSnapshot(MappingABC):
         #: simulation time of the newest applied update across shards.
         self.time = max((p.time for p in self._parts), default=0.0)
 
+    @property
+    def _whole(self) -> Snapshot:
+        # Two readers racing here both build the same pure function of
+        # immutable parts; either one's join may stay.
+        if self._joined is None:
+            self._joined = Snapshot.join(self._parts)
+        return self._joined
+
     def __getitem__(self, hostname: str) -> Mapping[str, object]:
-        for part in self._parts:
-            if hostname in part:
-                return part[hostname]
-        raise KeyError(hostname)
+        return self._whole[hostname]
 
     def __iter__(self) -> Iterator[str]:
-        for part in self._parts:
-            yield from part
+        return iter(self._whole)
 
     def __len__(self) -> int:
         return sum(len(part) for part in self._parts)
 
     def __contains__(self, hostname: object) -> bool:
-        return any(hostname in part for part in self._parts)
+        return hostname in self._whole
 
     def columns(self, hostnames: Sequence[str],
                 fields: Optional[Tuple[str, ...]] = None) -> List[Group]:
-        """:meth:`Snapshot.columns` over the parts, a group that
-        continues the previous one's names joined onto it.  Ownership
-        is exclusive and sorted hosts meet a shard's in runs, so the
-        part that held the last host is asked first: O(1) a host, no
-        walk."""
-        parts = self._parts
-        last = 0
-
-        def holder(hostname: str) -> int:
-            nonlocal last
-            if hostname in parts[last]:
-                return last
-            for last, part in enumerate(parts):
-                if hostname in part:
-                    return last
-            raise KeyError(hostname)
-
-        groups: List[Group] = []
-        for index, run in groupby(hostnames, holder):
-            for names, subjects, columns in parts[index].columns(
-                    tuple(run), fields):
-                if groups and groups[-1][0] == names:
-                    groups[-1][1].extend(subjects)
-                    for column, more in zip(groups[-1][2], columns):
-                        column.extend(more)
-                else:
-                    groups.append((names, list(subjects), columns))
-        return groups
+        return self._whole.columns(hostnames, fields)
 
     def __repr__(self) -> str:
         return (f"FederatedSnapshot(gen={self.generation}, "

@@ -34,6 +34,7 @@ import pytest
 from repro import ClusterWorX
 from repro.core.statestore import Snapshot
 from repro.events import EventEngine, ThresholdRule
+from repro.federation import FederatedSnapshot
 from repro.gateway import GatewayState, JsonWire, build_router, parse_request
 from repro.gateway.wire import FrameTable
 from repro.monitoring import HistoryStore
@@ -238,12 +239,21 @@ def test_one_hosts_work_does_not_grow_with_the_fleet(
     assert 0 < small == large
 
 
-def _three_metric_table(n_hosts):
-    """A flat all-hosts table of the benchmark's three metrics."""
+def _three_metric_table(n_hosts, n_parts=0):
+    """An all-hosts table of the benchmark's three metrics, over a flat
+    snapshot or, with ``n_parts``, over a federated view whose hosts are
+    dealt round-robin over that many parts: the owner map a fail-over's
+    drain leaves, where neighbouring hosts have different owners."""
     hosts = {f"n{i:05d}": {"cpu_util_pct": i / 7, "cpu_temp_c": 30.0 + i,
                            "mem_used_bytes": 2**33 + i}
              for i in range(n_hosts)}
-    snapshot = Snapshot(hosts, 1, 1.0, 1)
+    if n_parts:
+        names = list(hosts)
+        snapshot = FederatedSnapshot([
+            Snapshot({h: hosts[h] for h in names[k::n_parts]}, 1, 1.0, 1)
+            for k in range(n_parts)])
+    else:
+        snapshot = Snapshot(hosts, 1, 1.0, 1)
     return FrameTable("host", 1.0, tuple(sorted(hosts)), snapshot,
                       ("cpu_temp_c", "cpu_util_pct", "mem_used_bytes"))
 
@@ -256,4 +266,14 @@ def test_all_hosts_table_is_written_without_a_python_step_per_row():
     encode = JsonWire().encode
     small = _bytecodes_executed(encode, _three_metric_table(10))
     large = _bytecodes_executed(encode, _three_metric_table(2000))
+    assert 0 < small == large
+
+
+def test_dealt_federated_table_is_written_without_a_python_step_per_row():
+    """The same over 7 parts with the hosts dealt among them.  (The
+    federated view read each run of one owner's hosts on its own: a part
+    read, group and merge per host once they are dealt.)"""
+    encode = JsonWire().encode
+    small = _bytecodes_executed(encode, _three_metric_table(10, 7))
+    large = _bytecodes_executed(encode, _three_metric_table(2000, 7))
     assert 0 < small == large

@@ -3,6 +3,7 @@
 import math
 from bisect import bisect_right
 from collections import deque
+from itertools import combinations, groupby
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -1169,6 +1170,38 @@ class TestQueryTableProperties:
         hosts, fields = hosts_fields
         _check_table_bodies(_snapshot_over(hosts, shards, rnd, now), now,
                             None, fields if project else None)
+
+    def test_view_after_a_fail_over_reads_as_the_owners(self):
+        """Kill one of 8 shards and let the monitor detect and drain it.
+        The drain deals the dead shard's hosts out one at a time, so
+        sorted hosts change owner more often than there are shards; the
+        view still answers every row as its owner does and writes the
+        frame list's bodies."""
+        cwx = ClusterWorX(n_nodes=64, seed=1610, monitor_interval=5.0,
+                          topology="federation", shards=8)
+        cwx.start()
+        FaultPlane(cwx.kernel, federation=cwx.server).kill_shard(
+            1, cwx.kernel.now + 1.0)
+        cwx.run(40)
+        server = cwx.server
+        assert [row[1] for row in server.failovers] == [1]
+        snapshot = server.store.snapshot()
+        parts = [set(part) for part in snapshot._parts]
+        assert all(a.isdisjoint(b) for a, b in combinations(parts, 2))
+        hostnames = tuple(sorted(snapshot))
+        assert len(hostnames) == 64
+        assert len(list(groupby(hostnames, server.owner_of))) > 8
+        read = {subject: dict(zip(names, row))
+                for names, subjects, columns in snapshot.columns(hostnames)
+                for subject, *row in zip(subjects, *columns)}
+        for hostname in hostnames:
+            owned = dict(server.owner_of(hostname).server.store.get(hostname))
+            assert dict(snapshot[hostname]) == read[hostname] == owned
+        for nodes in (None, "cluster-n[0005-0040]",
+                      "cluster-n[0003,0020-0024,9999]"):
+            for metrics in (None, ["cpu_util_pct", "mem_used_bytes", "x"]):
+                _check_table_bodies(snapshot, cwx.kernel.now, nodes,
+                                    metrics)
 
 
 # ---------------------------------------------------------------------------
