@@ -68,8 +68,9 @@ chaos:
 
 # Control-plane self-healing drill (tier-1 also runs the gateway half of
 # this via tests/test_bench_smoke.py and tests/test_faults.py): node
-# faults plus two shard kills over an 8-shard federation — fails unless
-# both kills score failed-over with every node re-owned by a survivor.
+# faults plus two shard kills over an 8-shard federation, rows of one
+# report — fails unless every fault reaches a terminal outcome; a kill's
+# only one is failed-over (drained, every node re-owned by a survivor).
 chaos-federation:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli chaos --nodes 64 \
 		--faults 8 --shards 8 --shard-kills 2 --interval 5 \

@@ -19,8 +19,8 @@ from collections import Counter
 
 from _harness import print_table
 from repro import ClusterWorX
-from repro.resilience import ChaosCampaign
-from repro.resilience.chaos import QUARANTINED, RECOVERED
+from repro.faults import ChaosCampaign
+from repro.faults.campaign import QUARANTINED, RECOVERED
 
 N_NODES = 400
 N_FAULTS = 50
@@ -64,7 +64,7 @@ def test_chaos_campaign_400_nodes(benchmark):
     assert report.recovery_rate(RECOVERABLE) >= 0.95
 
     # every quarantined node was paged exactly once.
-    quarantined = [f.node for f in report.faults
+    quarantined = [f.subject for f in report.faults
                    if f.outcome == QUARANTINED]
     pages = Counter(host for _t, host, _r in
                     cwx.server.recovery.notifications)

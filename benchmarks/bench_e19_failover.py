@@ -15,9 +15,9 @@ Two cells:
   Acceptance: **zero** 5xx responses through the whole outage, every
   node re-owned by a survivor, and the victim-host watch stream
   resumes after a bounded gap.
-* **sim** (kill 2-of-8) — a :class:`~repro.resilience.ChaosCampaign`
-  scored :class:`~repro.faults.ControlPlan` over a larger federation:
-  two shards drawn at seeded-random times die permanently.
+* **sim** (kill 2-of-8) — a :class:`~repro.faults.ChaosCampaign` with
+  two shard faults over a larger federation: two shards drawn at
+  seeded-random times die permanently.
   Acceptance: both faults score ``failed-over`` and the report's
   determinism contract holds (same seed, same bytes).
 
@@ -45,10 +45,9 @@ import sys
 import time
 
 from repro import ClusterWorX
-from repro.faults import SHARD_KILL, ControlPlan, FaultPlane
+from repro.faults import CONTROL_KINDS, ChaosCampaign, FaultPlane
+from repro.faults.campaign import FAILED_OVER
 from repro.gateway import GatewayService, fetch
-from repro.resilience import ChaosCampaign
-from repro.resilience.chaos import FAILED_OVER
 from repro.resilience.health import HealthState
 
 SEED = 1610
@@ -66,9 +65,9 @@ def _fed(n_nodes: int, shards: int, *, seed: int = SEED) -> ClusterWorX:
     return cwx
 
 
-def _fault_times(cwx, index: int, injected_at: float) -> dict:
+def _fault_times(cwx, name: str, injected_at: float) -> dict:
     """Detection / redistribution metrics for one killed shard."""
-    name = cwx.server.shards[index].name
+    index = next(s.index for s in cwx.server.shards if s.name == name)
     record = cwx.server.monitor.health.record(name)
     detections = (record.transitions_to(HealthState.SUSPECT,
                                         since=injected_at)
@@ -188,7 +187,7 @@ async def run_gateway_cell_async(n_nodes: int, *, shards: int = 4,
     service.driver.stop()
     await service.stop()
 
-    fault = _fault_times(cwx, victim, kill_at)
+    fault = _fault_times(cwx, cwx.server.shards[victim].name, kill_at)
     gaps = [b - a for a, b in zip(watch_t, watch_t[1:])]
     watch_gap = max(gaps) if gaps else None
     served = sum(p["served"] for p in polled)
@@ -237,19 +236,17 @@ def run_campaign_cell(n_nodes: int, *, shards: int = 8, kills: int = 2,
                       horizon: float = 300.0, settle: float = 300.0,
                       seed: int = SEED) -> dict:
     cwx = _fed(n_nodes, shards, seed=seed)
-    plane = FaultPlane(cwx.kernel, federation=cwx.server)
-    plan = ControlPlan(plane, n_faults=kills, kinds=(SHARD_KILL,))
     campaign = ChaosCampaign(cwx, n_faults=0, horizon=horizon,
-                             settle=settle, control_plane=plan)
+                             settle=settle, shard_faults=kills)
     start = time.perf_counter()
     report = campaign.execute()
     wall = time.perf_counter() - start
 
-    faults = [_fault_times(cwx, f.shard, f.injected_at)
-              for f in report.control_faults]
+    rows = [f for f in report.faults if f.kind in CONTROL_KINDS]
+    faults = [_fault_times(cwx, f.subject, f.injected_at) for f in rows]
 
     # -- acceptance --------------------------------------------------------
-    assert all(f.outcome == FAILED_OVER for f in report.control_faults), \
+    assert all(f.outcome == FAILED_OVER for f in rows), \
         "a shard kill did not score failed-over:\n" + report.render()
     assert report.ok, report.render()
     assert len(cwx.server.current_all()) == n_nodes, \

@@ -275,8 +275,8 @@ def _cmd_lint(args) -> int:
 def _cmd_chaos(args) -> int:
     """Run a fault campaign against a self-healing cluster."""
     from repro import ClusterWorX
+    from repro.faults import ChaosCampaign
     from repro.hardware.faults import FaultKind
-    from repro.resilience import ChaosCampaign
 
     kinds = tuple(args.kinds.split(",")) if args.kinds else FaultKind.ALL
     unknown = set(kinds) - set(FaultKind.ALL)
@@ -284,8 +284,8 @@ def _cmd_chaos(args) -> int:
         print(f"chaos: unknown fault kind(s): {', '.join(sorted(unknown))}",
               file=sys.stderr)
         return 2
-    if args.shard_kills and args.shards < 2:
-        print("chaos: --shard-kills needs --shards >= 2 (a kill must "
+    if args.shard_kills and args.shard_kills >= args.shards:
+        print("chaos: --shard-kills must be below --shards (a kill must "
               "leave a survivor)", file=sys.stderr)
         return 2
     topo = {} if args.shards <= 1 else \
@@ -293,15 +293,9 @@ def _cmd_chaos(args) -> int:
     cwx = ClusterWorX(n_nodes=args.nodes, seed=args.seed,
                       monitor_interval=args.interval, self_healing=True,
                       **topo)
-    control_plane = None
-    if args.shard_kills:
-        from repro.faults import SHARD_KILL, ControlPlan, FaultPlane
-        plane = FaultPlane(cwx.kernel, federation=cwx.server)
-        control_plane = ControlPlan(plane, n_faults=args.shard_kills,
-                                    kinds=(SHARD_KILL,))
     campaign = ChaosCampaign(cwx, n_faults=args.faults, kinds=kinds,
                              horizon=args.horizon, settle=args.settle,
-                             control_plane=control_plane)
+                             shard_faults=args.shard_kills)
     wall0 = time.perf_counter()
     report = campaign.execute()
     wall = time.perf_counter() - wall0
@@ -502,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "shards (1 = flat)")
     p.add_argument("--shard-kills", type=int, default=0,
                    help="also kill N control-plane shards mid-campaign "
-                        "(scored as control-plane faults; needs "
-                        "--shards >= 2)")
+                        "(scored as rows of the same report; must be "
+                        "below --shards)")
     p.set_defaults(fn=_cmd_chaos)
 
     p = sub.add_parser("serve",

@@ -1,29 +1,32 @@
-"""``repro.faults`` — deterministic control-plane fault injection.
+"""``repro.faults`` — deterministic fault injection and chaos campaigns.
 
-The node-level fault story lives in :mod:`repro.hardware.faults` (dead
-fans, flaky DIMMs) and is exercised by
-:class:`~repro.resilience.chaos.ChaosCampaign`.  This package is the
-same idea one level up: faults against the *control plane itself* —
-shard servers dying, federation<->shard links partitioning, the
-gateway's snapshot publication stalling — driven by the sim clock and
-a seeded RNG, so every campaign replays byte-identically.
+The node-level faults live in :mod:`repro.hardware.faults` (dead fans,
+flaky DIMMs); this package adds faults against the *control plane
+itself* — shard servers dying, federation<->shard links partitioning,
+the gateway's snapshot publication stalling — and the campaign that
+draws both kinds against a live cluster and scores how the self-healing
+loop of :mod:`repro.resilience` dealt with each.  Everything is driven
+by the sim clock and a seeded RNG, so every campaign replays
+byte-identically.
 
 ==========  =========================================================
 module       contents
 ==========  =========================================================
 plane        :class:`FaultPlane` — schedules the switch flips on the
              kernel (shard kill, shard outage, pub-stall)
-campaign     :class:`ControlPlan` — the ``control_plane`` hook for
-             :class:`~repro.resilience.chaos.ChaosCampaign`: draws
-             victims, schedules via the plane, scores the outcomes
+campaign     :class:`ChaosCampaign` — one seeded draw of node faults,
+             then shard faults through its own plane; every fault
+             scored from its subject's health record into one
+             :class:`FaultOutcome` row of a :class:`CampaignReport`
 invariants   the system's invariants, one function each
 ==========  =========================================================
 """
 
-from repro.faults.campaign import ControlPlan
+from repro.faults.campaign import CampaignReport, ChaosCampaign, FaultOutcome
 from repro.faults.plane import (CONTROL_KINDS, FaultPlane, LINK_DOWN,
                                 PUBLISH_STALL, SHARD_HANG, SHARD_KILL,
                                 SHARD_SLOW)
 
-__all__ = ["FaultPlane", "ControlPlan", "SHARD_KILL", "SHARD_HANG",
-           "SHARD_SLOW", "LINK_DOWN", "PUBLISH_STALL", "CONTROL_KINDS"]
+__all__ = ["ChaosCampaign", "CampaignReport", "FaultOutcome", "FaultPlane",
+           "SHARD_KILL", "SHARD_HANG", "SHARD_SLOW", "LINK_DOWN",
+           "PUBLISH_STALL", "CONTROL_KINDS"]

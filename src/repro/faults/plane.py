@@ -27,7 +27,7 @@ pub-stall   the gateway republishes nothing until ``at + duration``
 =========== =========================================================
 
 The plane itself draws no randomness — callers (a
-:class:`~repro.faults.campaign.ControlPlan`, a test, an operator)
+:class:`~repro.faults.campaign.ChaosCampaign`, a test, an operator)
 decide *what* to break and *when*; the plane only makes it happen at
 the right sim time and keeps the audit trail.
 """

@@ -1,7 +1,7 @@
 """repro.resilience — the self-healing node lifecycle.
 
 The closed loop the paper's monitoring exists to drive (§5.2 "corrective
-action", §3 ICE Box control, §4 recloning), split into three pieces:
+action", §3 ICE Box control, §4 recloning), split into two pieces:
 
 * :mod:`~repro.resilience.health` — per-node health state machine
   (``healthy -> suspect -> down -> recovering -> healthy|quarantined``)
@@ -10,18 +10,14 @@ action", §3 ICE Box control, §4 recloning), split into three pieces:
   :mod:`~repro.resilience.orchestrator` — the escalation ladder (probe,
   ICE reset, power cycle, reclone, quarantine) and the supervisor that
   climbs it on the SimKernel through injected channels, one timed
-  attempt per rung;
-* :mod:`~repro.resilience.chaos` — fault campaigns over a live cluster,
-  scored into a deterministic :class:`CampaignReport` (detection
-  latency, MTTR, rung reached, recovery rate).
+  attempt per rung.
 
 This package sits at layer 3 of the layer DAG (a control-plane service,
 like :mod:`repro.events` and :mod:`repro.remote`); the tier-2 server in
-:mod:`repro.core` wires it to the real subsystems.
+:mod:`repro.core` wires it to the real subsystems.  The fault campaigns
+that exercise the loop live at layer 6, in :mod:`repro.faults.campaign`.
 """
 
-from repro.resilience.chaos import (CampaignReport, ChaosCampaign,
-                                    FaultOutcome)
 from repro.resilience.health import (HealthRecord, HealthState,
                                      HealthTracker, InvalidTransition)
 from repro.resilience.orchestrator import (RecoveryChannels,
@@ -30,7 +26,6 @@ from repro.resilience.orchestrator import (RecoveryChannels,
 from repro.resilience.playbook import DEFAULT_PLAYBOOK, RUNG_NAMES, Rung
 
 __all__ = [
-    "CampaignReport", "ChaosCampaign", "FaultOutcome",
     "HealthRecord", "HealthState", "HealthTracker", "InvalidTransition",
     "RecoveryChannels", "RecoveryOrchestrator", "RecoveryRecord",
     "RungAttempt", "DEFAULT_PLAYBOOK", "RUNG_NAMES", "Rung",

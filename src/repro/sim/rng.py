@@ -23,7 +23,8 @@ RESERVED_STREAMS: Dict[str, str] = {
     "faults": "hardware fault injection (repro.hardware.faults)",
     "clone": "multicast cloning repair phase (repro.imaging)",
     "remote": "fan-out engine latency + retry jitter (repro.remote)",
-    "chaos": "chaos-campaign fault plans (repro.resilience.chaos)",
+    "chaos": "chaos-campaign fault plans, node faults then shard faults "
+             "(repro.faults.campaign)",
 }
 
 

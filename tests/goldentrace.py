@@ -86,7 +86,7 @@ def monitoring_trace(**kwargs) -> str:
 
 def chaos_trace(**kwargs) -> str:
     """A 12-fault chaos campaign's rendered report (bench_e15 shape)."""
-    from repro.resilience import ChaosCampaign
+    from repro.faults import ChaosCampaign
 
     cwx = make_cluster(CHAOS_SEED, monitor_interval=30.0, **kwargs)
     campaign = ChaosCampaign(cwx, n_faults=12, horizon=300.0,

@@ -3,10 +3,9 @@
 import pytest
 
 from repro import ClusterWorX
-from repro.resilience import ChaosCampaign
-from repro.resilience.chaos import (BENIGN, QUARANTINED, RECOVERED,
-                                    UNRESOLVED, CampaignReport,
-                                    FaultOutcome)
+from repro.faults import CampaignReport, ChaosCampaign, FaultOutcome
+from repro.faults.campaign import (BENIGN, QUARANTINED, RECOVERED,
+                                   UNRESOLVED)
 
 
 def run_campaign(seed=21, **kw):
@@ -22,13 +21,13 @@ class TestCampaignReport:
     def test_outcome_counts_and_rates(self):
         report = CampaignReport(seed=1, nodes=4, horizon=10.0, settle=10.0)
         report.faults = [
-            FaultOutcome(node="a", kind="kernel_panic", injected_at=0.0,
+            FaultOutcome(subject="a", kind="kernel_panic", injected_at=0.0,
                          detected_at=5.0, resolved_at=30.0,
                          rung="ice_reset", outcome=RECOVERED),
-            FaultOutcome(node="b", kind="psu_failure", injected_at=1.0,
+            FaultOutcome(subject="b", kind="psu_failure", injected_at=1.0,
                          detected_at=9.0, resolved_at=100.0,
                          rung="quarantine", outcome=QUARANTINED),
-            FaultOutcome(node="c", kind="memory_leak", injected_at=2.0,
+            FaultOutcome(subject="c", kind="memory_leak", injected_at=2.0,
                          outcome=BENIGN),
         ]
         counts = report.outcome_counts()
@@ -43,7 +42,7 @@ class TestCampaignReport:
 
     def test_unresolved_or_errors_fail_ok(self):
         report = CampaignReport(seed=1, nodes=1, horizon=1.0, settle=1.0)
-        report.faults = [FaultOutcome(node="a", kind="os_hang",
+        report.faults = [FaultOutcome(subject="a", kind="os_hang",
                                       injected_at=0.0, detected_at=1.0,
                                       outcome=UNRESOLVED)]
         assert not report.ok
@@ -55,7 +54,7 @@ class TestCampaignReport:
 
     def test_render_lists_every_fault(self):
         report = CampaignReport(seed=7, nodes=2, horizon=5.0, settle=5.0)
-        report.faults = [FaultOutcome(node="a", kind="os_hang",
+        report.faults = [FaultOutcome(subject="a", kind="os_hang",
                                       injected_at=3.0)]
         text = report.render()
         assert "seed 7" in text and "os_hang" in text
@@ -104,7 +103,7 @@ class TestChaosCampaign:
             box.fail()
         report = ChaosCampaign(cwx, n_faults=40).execute()
         assert report.ok
-        quarantined = sorted(f.node for f in report.faults
+        quarantined = sorted(f.subject for f in report.faults
                              if f.outcome == QUARANTINED)
         pages = sorted(host for _t, host, _r in
                        cwx.server.recovery.notifications)

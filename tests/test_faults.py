@@ -2,21 +2,23 @@
 
 Covers: the FaultPlane scheduling primitives (kill, the one outage
 under its three labels, gateway stall fire at their planned sim times
-and leave an audit trail; a killed shard stops sweeping), the
-ControlPlan campaign hook (same seed + spec renders byte-identical
-CampaignReports, and adding a control plan
-never perturbs the node-fault schedule), fail-over scoring (a killed
-shard is detected, drained and re-owned by survivors).
+and leave an audit trail; a killed shard stops sweeping), shard faults
+inside a ChaosCampaign (same seed + spec renders byte-identical
+CampaignReports, and adding shard faults never perturbs the node-fault
+schedule), fail-over scoring (a killed shard is detected, drained and
+re-owned by survivors; its row matches the fail-over log).
 """
 
 import pytest
 
 from repro import ClusterWorX
+from repro.cli import main
 from repro.faults import (CONTROL_KINDS, LINK_DOWN, SHARD_HANG,
-                          SHARD_KILL, SHARD_SLOW, ControlPlan, FaultPlane)
+                          SHARD_KILL, SHARD_SLOW, ChaosCampaign,
+                          FaultPlane)
+from repro.faults.campaign import FAILED_OVER, RECOVERED
+from repro.faults.invariants import ingest_counts
 from repro.gateway import GatewayState
-from repro.resilience import ChaosCampaign
-from repro.resilience.chaos import FAILED_OVER, RODE_THROUGH
 from repro.resilience.health import HealthState
 
 
@@ -102,80 +104,84 @@ class TestFaultPlane:
         assert state.stalled_until == t0 + 35.0
 
 
-def fed_campaign(seed=21, *, n_control=1, control_kinds=(SHARD_KILL,),
-                 control_plane=True, control_duration=60.0, **kw):
+def fed_campaign(seed=21, *, shard_faults=1, **kw):
+    """A 16-node, 4-shard campaign; returns the facade and the report."""
     kw.setdefault("n_faults", 2)
     kw.setdefault("horizon", 120.0)
     kw.setdefault("settle", 1500.0)
     kw.setdefault("kinds", ("kernel_panic", "os_hang"))
     cwx = make_fed(seed=seed)
-    plan = None
-    if control_plane:
-        plane = FaultPlane(cwx.kernel, federation=cwx.server)
-        plan = ControlPlan(plane, n_faults=n_control,
-                           kinds=control_kinds,
-                           duration=control_duration)
-    return ChaosCampaign(cwx, control_plane=plan, **kw).execute()
+    report = ChaosCampaign(cwx, shard_faults=shard_faults, **kw).execute()
+    return cwx, report
 
 
-class TestControlPlan:
+def shard_rows(report):
+    return [f for f in report.faults if f.kind in CONTROL_KINDS]
+
+
+def node_rows(report):
+    return [f for f in report.faults if f.kind not in CONTROL_KINDS]
+
+
+class TestCampaignShardFaults:
     def test_same_seed_renders_byte_identical_reports(self):
-        first = fed_campaign(seed=21, n_control=2,
-                             control_kinds=CONTROL_KINDS)
-        second = fed_campaign(seed=21, n_control=2,
-                              control_kinds=CONTROL_KINDS)
+        _, first = fed_campaign(seed=21, shard_faults=2,
+                                shard_kinds=CONTROL_KINDS)
+        _, second = fed_campaign(seed=21, shard_faults=2,
+                                 shard_kinds=CONTROL_KINDS)
         assert first.render() == second.render()
-        assert "control-plane faults: 2" in first.render()
+        assert "chaos campaign: 4 faults" in first.render()
+        assert len(shard_rows(first)) == 2
 
-    def test_control_plan_never_perturbs_node_schedule(self):
-        with_cp = fed_campaign(seed=21)
-        without = fed_campaign(seed=21, control_plane=False)
-        assert [(f.node, f.kind, f.injected_at) for f in with_cp.faults] \
-            == [(f.node, f.kind, f.injected_at) for f in without.faults]
-        assert without.control_faults == []
+    def test_shard_faults_never_perturb_node_schedule(self):
+        _, with_shards = fed_campaign(seed=21)
+        _, without = fed_campaign(seed=21, shard_faults=0)
+        assert [(f.subject, f.kind, f.injected_at)
+                for f in node_rows(with_shards)] \
+            == [(f.subject, f.kind, f.injected_at)
+                for f in node_rows(without)]
+        assert shard_rows(without) == []
 
     def test_shard_kill_scores_failed_over(self):
-        report = fed_campaign(seed=21)
-        (fault,) = report.control_faults
+        cwx, report = fed_campaign(seed=21)
+        (fault,) = shard_rows(report)
         assert fault.kind == SHARD_KILL and fault.outcome == FAILED_OVER
         assert fault.detected_at is not None
         assert fault.detection_latency > 0.0
-        assert fault.redistribute_latency >= 0.0
-        assert fault.nodes_moved == 4
+        assert fault.recovery_latency >= 0.0
+        (row,) = cwx.server.failovers
+        assert row[3] == 4  # nodes moved
         assert report.ok
         text = report.render()
-        assert "control-plane faults: 1" in text
+        assert "chaos campaign: 3 faults" in text
         assert FAILED_OVER in text
 
     def test_transient_hang_rides_through(self):
         # 18 s of silence crosses suspect_after (12.5 s) but not
         # down_after (25 s): the monitor flags SUSPECT, the shard
         # recovers, nothing fails over.
-        report = fed_campaign(seed=21, control_kinds=(SHARD_HANG,),
-                              control_duration=18.0)
-        (fault,) = report.control_faults
+        cwx, report = fed_campaign(seed=21, shard_kinds=(SHARD_HANG,),
+                                   outage=18.0)
+        (fault,) = shard_rows(report)
         assert fault.kind == SHARD_HANG
-        assert fault.outcome in (RODE_THROUGH, "benign")
+        assert fault.outcome in (RECOVERED, "benign")
+        assert cwx.server.failovers == []
         assert report.ok
 
-    def test_control_only_campaign_allowed(self):
+    def test_shard_only_campaign_allowed(self):
         cwx = make_fed(seed=5)
-        plane = FaultPlane(cwx.kernel, federation=cwx.server)
-        plan = ControlPlan(plane, kinds=(SHARD_KILL,))
         report = ChaosCampaign(cwx, n_faults=0, horizon=120.0,
-                               settle=600.0,
-                               control_plane=plan).execute()
-        assert report.faults == []
-        assert len(report.control_faults) == 1
+                               settle=600.0, shard_faults=1).execute()
+        (fault,) = report.faults
+        assert fault.kind == SHARD_KILL
 
     def test_survivors_reown_fleet_after_campaign_kill(self):
         cwx = make_fed(seed=5)
-        plane = FaultPlane(cwx.kernel, federation=cwx.server)
-        plan = ControlPlan(plane, kinds=(SHARD_KILL,))
-        ChaosCampaign(cwx, n_faults=0, horizon=120.0, settle=600.0,
-                      control_plane=plan).execute()
-        (outcome,) = plan.outcomes
-        victim = outcome.shard
+        report = ChaosCampaign(cwx, n_faults=0, horizon=120.0,
+                               settle=600.0, shard_faults=1).execute()
+        (fault,) = report.faults
+        victim = next(s.index for s in cwx.server.shards
+                      if s.name == fault.subject)
         assert cwx.server.shards[victim].health == HealthState.DRAINED
         assert all(s.health == HealthState.HEALTHY
                    for s in cwx.server.shards
@@ -183,27 +189,70 @@ class TestControlPlan:
         # every node re-owned by a survivor: full fleet still readable
         assert len(cwx.server.current_all()) == 16
 
+    def test_a_kill_must_leave_a_survivor(self, capsys):
+        """As many shard faults as shards is refused up front, not
+        quietly cut to one fewer; so is a shard fault on a flat
+        cluster."""
+        with pytest.raises(ValueError):
+            ChaosCampaign(make_fed(shards=4), n_faults=0, shard_faults=4)
+        ChaosCampaign(make_fed(shards=4), n_faults=0, shard_faults=3)
+        with pytest.raises(ValueError):
+            ChaosCampaign(ClusterWorX(n_nodes=4, seed=1), n_faults=0,
+                          shard_faults=1)
+        with pytest.raises(ValueError):
+            ChaosCampaign(make_fed(), shard_faults=1,
+                          shard_kinds=("pub-stall",))
+        assert main(["chaos", "--nodes", "16", "--shards", "8",
+                     "--shard-kills", "8"]) == 2
+        assert "--shard-kills" in capsys.readouterr().err
+
+    def test_shard_rows_match_the_failover_log(self):
+        """Two kills and one 18-s hang on 8 shards (seed 0 draws
+        exactly that): a kill is detected at its shard's first suspect
+        or down mark and resolved at its fail-over row; the hang heals
+        in place."""
+        cwx = make_fed(seed=0, shards=8)
+        report = ChaosCampaign(cwx, n_faults=0, horizon=120.0,
+                               settle=300.0, shard_faults=3,
+                               shard_kinds=(SHARD_KILL, SHARD_HANG),
+                               outage=18.0).execute()
+        kills = [f for f in report.faults if f.kind == SHARD_KILL]
+        (hang,) = [f for f in report.faults if f.kind == SHARD_HANG]
+        assert len(kills) == 2
+        for fault in kills:
+            shard = next(s for s in cwx.server.shards
+                         if s.name == fault.subject)
+            record = cwx.server.monitor.health.record(shard.name)
+            marks = (record.transitions_to(HealthState.SUSPECT,
+                                           since=fault.injected_at)
+                     + record.transitions_to(HealthState.DOWN,
+                                             since=fault.injected_at))
+            assert fault.detected_at == min(marks)
+            (row,) = [r for r in cwx.server.failovers
+                      if r[1] == shard.index]
+            assert fault.resolved_at == row[0]
+            assert fault.outcome == FAILED_OVER
+        assert hang.outcome == RECOVERED
+        assert report.ok
+
     @pytest.mark.parametrize("seed,kinds,settle", [
         (0, (SHARD_KILL,), 1800.0),      # the `make chaos-federation` spec
         (2, CONTROL_KINDS, 300.0),       # one of each kind
         (9, CONTROL_KINDS, 300.0)])
-    def test_no_update_lost_to_a_resolved_control_fault(self, seed, kinds,
-                                                        settle):
+    def test_no_update_lost_to_a_resolved_shard_fault(self, seed, kinds,
+                                                      settle):
         """Store-and-forward: a shard outage that ends in fail-over or
-        rides through delays its updates, it drops none."""
+        heals in place delays its updates, it drops none."""
         cwx = ClusterWorX(n_nodes=64, seed=seed, monitor_interval=5.0,
                           self_healing=True, topology="federation",
                           shards=8)
-        plane = FaultPlane(cwx.kernel, federation=cwx.server)
-        plan = ControlPlan(plane, n_faults=2 if kinds == (SHARD_KILL,)
-                           else 4, kinds=kinds, duration=18.0)
-        ChaosCampaign(cwx, n_faults=8, horizon=300.0, settle=settle,
-                      control_plane=plan).execute()
-        outcomes = plan.score()
-        resolved = [f for f in outcomes
-                    if f.outcome in (FAILED_OVER, RODE_THROUGH)]
-        assert resolved
-        assert all(f.updates_dropped == 0 for f in resolved), \
-            [(f.kind, f.outcome, f.updates_dropped) for f in outcomes]
+        report = ChaosCampaign(
+            cwx, n_faults=8, horizon=300.0, settle=settle,
+            shard_faults=2 if kinds == (SHARD_KILL,) else 4,
+            shard_kinds=kinds, outage=18.0).execute()
+        rows = shard_rows(report)
+        assert [f for f in rows if f.outcome in (FAILED_OVER, RECOVERED)]
+        assert ingest_counts(cwx.server, [])["dropped_ingests"] == 0, \
+            [(f.kind, f.outcome) for f in rows]
         if kinds == (SHARD_KILL,):
-            assert [f.outcome for f in outcomes] == [FAILED_OVER] * 2
+            assert [f.outcome for f in rows] == [FAILED_OVER] * 2

@@ -368,7 +368,7 @@ class TestKnobs:
         """The harness duck-types against the server surface — a
         federation must take faults, heal, and score identically in
         kind (no errors, every fault classified)."""
-        from repro.resilience import ChaosCampaign
+        from repro.faults import ChaosCampaign
 
         cwx = ClusterWorX(n_nodes=12, seed=21, monitor_interval=5.0,
                           topology="federation", shards=3)

@@ -128,7 +128,7 @@ def test_shard_reachability_surface_is_pinned():
     over two switches, and the fault plane flips them through two shard
     faults.  A second judge (a breaker, a timeout, a latency) or a
     second way to inject one is a conscious diff here."""
-    from repro.faults import ControlPlan, FaultPlane
+    from repro.faults import ChaosCampaign, FaultPlane
     from repro.federation import Shard, ShardChannel
 
     # a shard's health is its record in the monitor's tracker, not a
@@ -141,8 +141,10 @@ def test_shard_reachability_surface_is_pinned():
     assert {name for name, fn in vars(FaultPlane).items()
             if not name.startswith("_") and inspect.isfunction(fn)} == {
         "kill_shard", "outage", "stall_gateway"}
-    assert list(inspect.signature(ControlPlan.__init__).parameters) == [
-        "self", "plane", "n_faults", "kinds", "duration"]
+    # the campaign draws shard faults itself, through its own plane
+    assert list(inspect.signature(ChaosCampaign.__init__).parameters) == [
+        "self", "cwx", "n_faults", "kinds", "start", "horizon", "settle",
+        "workload_cpu", "shard_faults", "shard_kinds", "outage"]
 
 
 # -- the guards that replaced the retired rules ------------------------------
