@@ -21,8 +21,11 @@ of warm-up) and prints, per node:
   does once the cluster is up); and the serving side's one O(N)
   request, an all-hosts JSON ``/v1/query`` (handler + encode), once of
   the benchmark's three metrics and once without ``metrics=`` (every
-  value of every host): median ms, collections per query by
-  generation, body bytes.
+  value of every host): median ms of the first query (a wire that kept
+  no earlier body) and of the query on the next view after one agent
+  tick (a wire that wrote the last view's body), collections per query
+  by generation, body bytes, and the bytes the wire keeps between
+  queries.
 
 Each probe runs in its own child process: tracemalloc roughly doubles
 RSS, so the probes cannot share one.  Run modes::
@@ -47,7 +50,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 SEED = 1610
 AGENT_INTERVAL = 5.0
@@ -146,27 +149,53 @@ def probe_census(n_nodes: int) -> Dict[str, object]:
 
 
 def _query_all(cwx, query: str) -> Dict[str, object]:
-    """``QUERIES`` all-hosts JSON ``query``s, as the gateway answers
-    them."""
+    """An all-hosts JSON ``query`` as the gateway answers it (handler +
+    encode): the first one, by a wire that kept no earlier body, and
+    the one on the next view after one agent tick, by a wire that wrote
+    the last view's body — each the median of ``QUERIES``, with
+    collections per query — and the bytes a wire keeps between two
+    queries (traced)."""
     from repro.gateway import (GatewayState, JsonWire, build_router,
                                parse_request)
-    router = build_router(GatewayState(cwx.server), dict)
+    state = GatewayState(cwx.server)
+    router = build_router(state, dict)
     request = parse_request(f"GET {query} HTTP/1.1\r\n\r\n".encode())
     route, params = router.resolve(request.path)
-    wire, collections, times = JsonWire(), [0, 0, 0], []
+    collections, first, next_view = [0, 0, 0], [], []
 
     def on_gc(phase, info):
         if phase == "stop":
             collections[info["generation"]] += 1
 
-    gc.callbacks.append(on_gc)
-    for _ in range(QUERIES):
+    def answer(wire) -> Tuple[float, int]:
+        gc.callbacks.append(on_gc)
         start = time.perf_counter()
-        body = wire.encode(route.handler(request, params)[1])
-        times.append(time.perf_counter() - start)
-    gc.callbacks.remove(on_gc)
-    return {"ms": sorted(times)[QUERIES // 2] * 1e3, "bytes": len(body),
-            "collections_per_query": [c / QUERIES for c in collections]}
+        size = len(wire.encode(route.handler(request, params)[1]))
+        elapsed = time.perf_counter() - start
+        gc.callbacks.remove(on_gc)
+        return elapsed, size
+
+    for _ in range(QUERIES):
+        elapsed, size = answer(JsonWire())
+        first.append(elapsed)
+    for _ in range(QUERIES):
+        wire = JsonWire()
+        answer(wire)
+        cwx.run(AGENT_INTERVAL)
+        with state.lock:
+            state.refresh()
+        next_view.append(answer(wire)[0])
+    tracemalloc.start()
+    wire = JsonWire()
+    before = tracemalloc.get_traced_memory()[0]
+    answer(wire)
+    kept = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+    return {"ms": sorted(first)[QUERIES // 2] * 1e3,
+            "next_view_ms": sorted(next_view)[QUERIES // 2] * 1e3,
+            "kept_bytes": kept, "bytes": size,
+            "collections_per_query": [c / (3 * QUERIES + 1)
+                                      for c in collections]}
 
 
 def probe_collector(n_nodes: int, ticks: int) -> Dict[str, object]:
@@ -294,8 +323,12 @@ def print_ledger(result: Dict[str, object]) -> None:
         query = gcs[key]
         per_query = " / ".join(f"{c:.3g}"
                                for c in query["collections_per_query"])
-        print(f"    {label:33s} {query['ms']:8.1f} ms, "
+        print(f"    {label:33s} {query['ms']:8.1f} ms first, "
               f"collections {per_query}, {query['bytes']} bytes")
+        print(f"      {'on the next view after a tick':31s} "
+              f"{query['next_view_ms']:8.1f} ms")
+        print(f"      {'kept by the wire between queries':31s} "
+              f"{query['kept_bytes']:8d} bytes")
 
 
 def main(argv=None) -> int:

@@ -71,7 +71,7 @@ def build_router(state: GatewayState,
         view = state.view
         payload: Dict[str, object] = {
             "count": len(view.hostnames),
-            "nodes": state.folded_hosts()}
+            "nodes": state.folded_hosts(view.hostnames)}
         if view.degraded:
             payload["degraded"] = True
             payload["stale_shards"] = ",".join(view.stale_shards)

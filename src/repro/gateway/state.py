@@ -186,17 +186,21 @@ class GatewayState:
     def hostnames(self) -> Tuple[str, ...]:
         return self.view.hostnames
 
-    def folded_hosts(self) -> str:
-        """The membership as folded NodeSet range algebra
-        (``node[001-400]``), folded once per hostnames tuple — which a
-        publish carries forward until the membership changes; folding
-        ten thousand names per request, or per publish, would be the
-        exact scan the gateway exists to avoid."""
-        hostnames = self.view.hostnames
+    def folded_hosts(self, hostnames: Optional[Tuple[str, ...]] = None
+                     ) -> str:
+        """A view's membership (``hostnames``, the current view's when
+        None) as folded NodeSet range algebra (``node[001-400]``),
+        folded once per hostnames tuple — which a publish carries
+        forward until the membership changes; folding ten thousand
+        names per request, or per publish, would be the exact scan the
+        gateway exists to avoid.  Each name is taken literally, never
+        parsed as range syntax."""
+        if hostnames is None:
+            hostnames = self.view.hostnames
         cached = self._folded
         if cached is not None and cached[0] is hostnames:
             return cached[1]
-        folded = NodeSet(",".join(hostnames)).fold() if hostnames else ""
+        folded = NodeSet(hostnames).fold()
         self._folded = (hostnames, folded)
         return folded
 
@@ -213,7 +217,8 @@ class GatewayState:
         else:
             wanted = view.hostnames
         return FrameTable("host", view.sim_time, wanted, view.snapshot,
-                          tuple(sorted(set(metrics))) if metrics else None)
+                          tuple(sorted(set(metrics))) if metrics else None,
+                          all_hosts=not nodes)
 
     def active_events(self) -> Tuple[float, Tuple[Tuple[str, str], ...]]:
         view = self.view

@@ -29,11 +29,13 @@ from __future__ import annotations
 
 import json
 import struct
-from itertools import repeat
+from collections import deque
+from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
+from operator import add, is_not, not_, or_
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Tuple, Union)
+                    NamedTuple, Optional, Sequence, Tuple, Union)
 
 from repro.core.statestore import Group
 from repro.monitoring.transmission import BinaryCodec
@@ -82,14 +84,18 @@ class FrameTable:
     """The frames of an O(N) response, not built: its groups are read
     off ``snapshot`` (a ``Snapshot`` or ``FederatedSnapshot``; sorted
     ``fields`` projected, all when None) column by column as it is
-    written or iterated."""
+    written or iterated.  ``all_hosts`` marks the table of every host
+    of a view, the one :class:`JsonWire` keeps its last body of."""
 
-    __slots__ = ("kind", "t", "subjects", "snapshot", "fields")
+    __slots__ = ("kind", "t", "subjects", "snapshot", "fields",
+                 "all_hosts")
 
     def __init__(self, kind: str, t: float, subjects: Tuple[str, ...],
-                 snapshot, fields: Optional[Tuple[str, ...]] = None):
+                 snapshot, fields: Optional[Tuple[str, ...]] = None, *,
+                 all_hosts: bool = False):
         self.kind, self.t, self.subjects = kind, t, subjects
         self.snapshot, self.fields = snapshot, fields
+        self.all_hosts = all_hosts
 
     def __len__(self) -> int:
         return len(self.subjects)
@@ -122,6 +128,11 @@ _JSON_SCALARS: Dict[type, Callable[[object], str]] = {
     type(None): lambda value: "null"}
 
 
+#: exact types whose text is a function of the object alone: a cell
+#: holding the very object it held in the last body has that body's text.
+_SCALARS = frozenset(_JSON_SCALARS)
+
+
 def _json_value(value: object) -> str:
     """One value exactly as ``json.dumps`` writes it inside a body."""
     write = _JSON_SCALARS.get(type(value))
@@ -134,16 +145,109 @@ _COLUMN_WRITERS: Dict[type, Callable[[object], str]] = {
     float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
 
 
-def _column_writer(column: List[object]) -> Callable[[object], str]:
+def _column_writer(column: List[object]
+                   ) -> Tuple[Callable[[object], str], bool]:
     """What writes every value of ``column`` as :func:`_json_value`
-    would: its one exact type's own writer, else that function."""
+    would — its one exact type's own writer, else that function — and
+    whether every value in it is an exact scalar."""
     kinds = set(map(type, column))
-    write = _COLUMN_WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
+    write = _COLUMN_WRITERS.get(next(iter(kinds))) if len(kinds) == 1 \
+        else None
     # Any NaN or infinity makes the sum non-finite; a finite column
     # whose sum overflows only takes the slow way.
     if write is float.__repr__ and not isfinite(sum(column)):
         write = None
-    return write or _json_value
+    return write or _json_value, _SCALARS.issuperset(kinds)
+
+
+class _TableMemo(NamedTuple):
+    """An all-hosts body kept to write the next one: the text between
+    each row's ``"values":{`` and the next row's ``"t"`` key
+    (``pieces[0]`` is the first row's text before it), and what that
+    text was written from.  ``columns`` keeps every value written
+    alive, so no id in it is ever recycled; ``exact`` holds, per
+    column, whether every value in it is an exact scalar."""
+
+    kind: str
+    subjects: Tuple[str, ...]
+    names: Tuple[str, ...]
+    columns: List[List[object]]
+    exact: List[bool]
+    pieces: List[str]
+
+
+def _head(kind: str, subjects: Tuple[str, ...]) -> str:
+    """A table's text up to its first row's ``"t"`` key."""
+    return (("[" if len(subjects) > 1 else "") + '{"kind":'
+            + encode_basestring_ascii(kind) + ',"subject":'
+            + encode_basestring_ascii(subjects[0]))
+
+
+def _rows(kind: str, subjects: Tuple[str, ...], rows: Sequence[int],
+          names: Tuple[str, ...], columns: List[List[object]]
+          ) -> Tuple[Iterator[str], List[bool]]:
+    """The text after ``"values":{`` of each of ``rows`` (ascending
+    indexes into a table's ``subjects``; ``columns`` hold their values):
+    its values, each column made text by one ``map``, then the row's
+    close and the next row's text up to its ``"t"`` key, or the body's
+    end after the table's last row — each row one ``"".join`` of the
+    pieces zipped; and, per column, whether every value written is an
+    exact scalar."""
+    ends = rows[-1] == len(subjects) - 1
+    count = len(rows) - ends
+    pieces, exact = [], []
+    separator = ""
+    for name, column in zip(names, columns):
+        write, scalars = _column_writer(column)
+        pieces += (repeat(separator + encode_basestring_ascii(name) + ":"),
+                   map(write, column))
+        exact.append(scalars)
+        separator = ","
+    # The table's last row closes the body instead of opening a row.
+    end, blank = (("}}]" if len(subjects) > 1 else "}}",), ("",)) \
+        if ends else ((), ())
+    close = '}},{"kind":' + encode_basestring_ascii(kind) + ',"subject":'
+    nexts = map(subjects.__getitem__, map(add, islice(rows, count),
+                                          repeat(1)))
+    pieces += (chain(repeat(close, count), end),
+               chain(map(encode_basestring_ascii, nexts), blank))
+    return map("".join, zip(*pieces)), exact
+
+
+def _marks(column: List[object], old: List[object], exact: bool) -> bytes:
+    """Per cell of ``column``, 1 where it needs new text: it is not the
+    object ``old`` holds there, or (in a column not ``exact``) it is no
+    exact scalar."""
+    moved = map(is_not, column, old)
+    if not exact:
+        moved = map(or_, moved, map(not_, map(_SCALARS.__contains__,
+                                              map(type, column))))
+    return bytes(moved)
+
+
+def _patched(memo: _TableMemo, columns: List[List[object]]
+             ) -> Tuple[List[str], List[bool]]:
+    """``memo.pieces`` with the rows that need new text written again,
+    and the columns' exactness after it: found a column at a time, read
+    and patched in C-level passes, none a row."""
+    every = range(len(memo.subjects))
+    marks = []
+    for cells in map(_marks, columns, memo.columns, memo.exact):
+        if 0 not in cells:                  # every row needs new text
+            texts, exact = _rows(memo.kind, memo.subjects, every,
+                                 memo.names, columns)
+            return [memo.pieces[0], *texts], exact
+        if 1 in cells:
+            marks.append(cells)
+    if not marks:
+        return memo.pieces, memo.exact
+    rows = sorted(set().union(*map(compress, repeat(every), marks)))
+    texts, exact = _rows(
+        memo.kind, memo.subjects, rows, memo.names,
+        [list(map(column.__getitem__, rows)) for column in columns])
+    pieces = memo.pieces.copy()
+    deque(map(pieces.__setitem__, map(add, rows, repeat(1)), texts), 0)
+    return pieces, exact
 
 
 class JsonWire:
@@ -153,31 +257,44 @@ class JsonWire:
     content_type = JSON_CONTENT_TYPE
     stream_content_type = "text/event-stream"
 
+    def __init__(self):
+        #: the last all-hosts table's body (:class:`_TableMemo`): only
+        #: such a table reads or replaces it, one assignment a body.
+        self._memo: Optional[_TableMemo] = None
+
     def _obj(self, frame: Frame) -> Dict[str, object]:
         kind, subject, t, values = frame
         return {"kind": kind, "subject": subject, "t": round(t, 3),
                 "values": dict(values)}
 
     def _encode_table(self, table: FrameTable) -> bytes:
-        """``encode(list(table))``, written a group at a time: each
-        column made text by one ``map``, each row one ``"".join`` of the
-        constant pieces zipped with the columns."""
-        head = '{"kind":' + encode_basestring_ascii(table.kind) + ',"subject":'
-        opening = ',"t":' + _json_value(round(table.t, 3)) + ',"values":{'
-        texts: List[str] = []
-        for names, subjects, columns in table.groups():
-            pieces = [repeat(head), map(encode_basestring_ascii, subjects),
-                      repeat(opening)]
-            separator = ""
-            for name, column in zip(names, columns):
-                pieces += (repeat(separator + encode_basestring_ascii(name)
-                                  + ":"),
-                           map(_column_writer(column), column))
-                separator = ","
-            pieces.append(repeat("}}"))
-            texts.append(",".join(map("".join, zip(*pieces))))
-        body = ",".join(texts)
-        return (body if len(table) == 1 else "[" + body + "]").encode("utf-8")
+        """``encode(list(table))``: the rows' text split around the
+        ``"t":…,"values":{`` text they share and joined on it.  An
+        all-hosts table over the last one's hosts and fields writes only
+        the rows whose values are not the objects that body was written
+        from."""
+        subjects = table.subjects
+        if not subjects:
+            return b"[]"
+        groups = table.groups()
+        memo = self._memo if table.all_hosts else None
+        if memo is not None and len(groups) == 1 \
+                and memo.subjects is subjects and memo.kind == table.kind \
+                and memo.names == groups[0][0]:
+            pieces, exact = _patched(memo, groups[0][2])
+        else:
+            pieces, start = [_head(table.kind, subjects)], 0
+            for names, run, columns in groups:
+                stop = start + len(run)
+                texts, exact = _rows(table.kind, subjects,
+                                     range(start, stop), names, columns)
+                pieces += texts
+                start = stop
+        if table.all_hosts and len(groups) == 1:
+            self._memo = _TableMemo(table.kind, subjects, groups[0][0],
+                                    groups[0][2], exact, pieces)
+        shared = ',"t":' + _json_value(round(table.t, 3)) + ',"values":{'
+        return shared.join(pieces).encode("utf-8")
 
     def encode(self, frames: Frames) -> bytes:
         """One response body: a single object, or an array of them."""

@@ -63,4 +63,7 @@ LOCK_GUARDED: Mapping[str, Mapping[str, str]] = {
     # The owner map is read lock-free on the ingest hot path; safety
     # rests on membership changes replacing the dict, never editing it.
     "repro/federation/server.py": {"_owner": ""},
+    # A JSON wire's kept all-hosts body is swapped whole by each body it
+    # writes; a reader holds the one it loaded.
+    "repro/gateway/wire.py": {"_memo": ""},
 }

@@ -5,11 +5,12 @@ import asyncio
 import json
 import logging
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import ClusterWorX
-from repro.core.statestore import Update
+from repro.core.statestore import Snapshot, Update
 from repro.gateway import (BINARY_CONTENT_TYPE, BinaryWire, GatewayService,
                            GatewayState, HttpError, JsonWire, Router,
                            WatchClient, WatchHub, WatchPolicy, build_router,
@@ -317,6 +318,50 @@ class TestGatewayState:
         assert state.view.hostnames == grown[1:]
         assert state.folded_hosts() == fold(NodeSet(",".join(grown[1:])))
         assert len(folds) == 3
+
+    def test_hosts_count_and_fold_come_from_one_view(self):
+        """A publish that changes the membership between the route's
+        read of the view and its fold cannot pair one membership's
+        count with another's nodes."""
+        cwx = ClusterWorX(n_nodes=5, seed=4, monitor_interval=5.0)
+        cwx.start()
+        cwx.run(20)
+        state = GatewayState(cwx.server)
+        fold, victim = state.folded_hosts, state.view.hostnames[0]
+
+        def publish_then_fold(*args):
+            if victim in state.view.hostnames:
+                cwx.remove_node(victim)
+                cwx.run(5)
+                with state.lock:
+                    state.refresh()
+            return fold(*args)
+
+        state.folded_hosts = publish_then_fold
+        route, params = build_router(state, dict).resolve("/v1/hosts")
+        _, frames = route.handler(None, params)
+        values = frames[0][3]
+        assert len(state.view.hostnames) == 4      # the publish happened
+        assert values["count"] == 5
+        assert len(NodeSet(values["nodes"])) == values["count"]
+
+    def test_fold_takes_each_name_literally(self):
+        """Folding the hostnames tuple gives what folding its joined
+        string did, over a mixed membership: two prefixes, zero-padded
+        and unpadded widths, and one name without a number."""
+        names = tuple(sorted(
+            [f"rack-a{i:03d}" for i in (1, 2, 3, 7, 10, 11, 99, 100)]
+            + [f"b{i}" for i in (1, 2, 3, 9, 10, 12)]
+            + ["b07", "b008", "login"]))
+        state = GatewayState(SimpleNamespace(
+            store=SimpleNamespace(snapshot=lambda: Snapshot({}, 0, 0.0, 0)),
+            engine=SimpleNamespace(active_events=tuple),
+            cluster_summary=dict, kernel=SimpleNamespace(now=0.0),
+            degraded_info=lambda: {"degraded": False}))
+        folded = state.folded_hosts(names)
+        assert folded == NodeSet(",".join(names)).fold()
+        assert sorted(NodeSet(folded)) == sorted(names)
+        assert state.folded_hosts(()) == ""
 
 
 # -- query parameters ---------------------------------------------------------

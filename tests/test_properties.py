@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import math
+import pickle
 from bisect import bisect_right
 from collections import deque
 from itertools import combinations, groupby
@@ -9,7 +10,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, rule)
@@ -1202,6 +1203,134 @@ class TestQueryTableProperties:
             for metrics in (None, ["cpu_util_pct", "mem_used_bytes", "x"]):
                 _check_table_bodies(snapshot, cwx.kernel.now, nodes,
                                     metrics)
+
+
+# ---------------------------------------------------------------------------
+# the all-hosts body JsonWire keeps: a long-lived wire writes what a fresh
+# one writes, on every view of a changing world
+# ---------------------------------------------------------------------------
+
+_MEMO_FIELDS = ("cpu", "mem", "temp")
+#: stands for the world's one mutable plug-in value (a list).
+_PLUG = "<plug>"
+_memo_values = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.integers(-2**70, 2**70), st.booleans(), st.none(),
+    st.text(alphabet='a"\\\x1fé', max_size=3), st.just(_PLUG))
+_host_index = st.integers(0, 9)
+_memo_steps = st.lists(st.one_of(
+    st.tuples(st.just("set"), _host_index,
+              st.sampled_from(_MEMO_FIELDS + ("plug",)), _memo_values),
+    st.tuples(st.just("resend"), _host_index),
+    st.tuples(st.just("add"), _host_index),
+    st.tuples(st.just("remove"), _host_index),
+    st.tuples(st.just("project"), st.one_of(st.none(), st.lists(
+        st.sampled_from(_MEMO_FIELDS + ("plug", "gone")), min_size=1,
+        max_size=3))),
+    st.tuples(st.just("nodes"), st.lists(_host_index, min_size=1,
+                                         max_size=3)),
+    st.tuples(st.just("plug"), _host_index),
+    st.tuples(st.just("mutate")),
+    st.tuples(st.just("drain"), st.integers(0, 2)),
+    st.tuples(st.just("publish"))), max_size=25)
+
+
+class _MemoWorld:
+    """A store whose host rows are replaced, never mutated, published as
+    a flat snapshot or (``shards``) a federated one whose parts keep
+    their hosts until a drain moves them; it is also the clock."""
+
+    def __init__(self, n_hosts, shards):
+        self.plug = [0]
+        self.rows = {f"n{i}": {"cpu": i / 3, "mem": 2**40 + i,
+                               "temp": 30.0 + i} for i in range(n_hosts)}
+        self.parts = max(shards, 1)
+        self.part = {h: i % self.parts for i, h in enumerate(self.rows)}
+        self.stamps = [0] * self.parts
+        self.federated = bool(shards)
+        self.generation, self.now = 0, 0.0
+        self.state = GatewayState(SimpleNamespace(
+            store=self, kernel=self, cluster_summary=dict,
+            engine=SimpleNamespace(active_events=tuple),
+            degraded_info=lambda: {"degraded": False}))
+
+    def snapshot(self):
+        if not self.federated:
+            return Snapshot(dict(self.rows), self.generation, self.now,
+                            self.stamps[0])
+        parts = [{} for _ in self.stamps]
+        for hostname, row in self.rows.items():
+            parts[self.part[hostname]][hostname] = row
+        return FederatedSnapshot([
+            Snapshot(part, self.generation, self.now, stamp)
+            for part, stamp in zip(parts, self.stamps)])
+
+    def _host(self, index):
+        return sorted(self.rows)[index % len(self.rows)] if self.rows \
+            else None
+
+    def apply(self, step):
+        kind, *args = step
+        host = self._host(args[0]) \
+            if kind in ("set", "plug", "resend", "remove") else None
+        if kind == "plug" and host:         # a plug-in's list in a column
+            self.rows[host] = {**self.rows[host], "cpu": self.plug}
+        elif kind == "set" and host:
+            field, value = args[1:]
+            self.rows[host] = {**self.rows[host],
+                               field: self.plug if value == _PLUG else value}
+        elif kind == "resend" and host:     # equal values, new objects
+            self.rows[host] = pickle.loads(pickle.dumps(self.rows[host]))
+        elif kind == "add" and f"n{args[0]}" not in self.rows:
+            host = f"n{args[0]}"
+            self.rows[host] = {"cpu": 0.5, "mem": 7, "temp": 1e300}
+            self.part[host] = args[0] % self.parts
+            self.stamps[self.part[host]] += 1
+        elif kind == "remove" and host:
+            del self.rows[host]
+            self.stamps[self.part.pop(host)] += 1
+        elif kind == "mutate":              # in place: same object
+            self.plug.append(len(self.plug))
+        elif kind == "drain" and self.parts > 1:
+            source = args[0] % self.parts
+            target = (source + 1) % self.parts
+            for hostname, part in self.part.items():
+                if part == source:
+                    self.part[hostname] = target
+            self.stamps[source] += 1
+            self.stamps[target] += 1
+        self.generation += 1
+        self.now += 1.25
+        with self.state.lock:
+            self.state.refresh()
+
+
+class TestJsonWireMemo:
+    @given(st.integers(0, 6), st.sampled_from([0, 2, 3]), _memo_steps)
+    @example(1, 0, [("plug", 0), ("mutate",)])
+    @settings(max_examples=300, deadline=None)
+    def test_long_lived_wire_writes_what_a_fresh_one_writes(
+            self, n_hosts, shards, steps):
+        """One wire kept across every view of a generated history —
+        values changed, kept, or re-sent equal as new objects; hosts
+        added and removed; projections switched; NodeSet queries in
+        between; an in-place change to a plug-in's list; a shard's
+        hosts drained onto another part — writes every all-hosts and
+        NodeSet body exactly as a fresh wire and the frame list do."""
+        world = _MemoWorld(n_hosts, shards)
+        wire, metrics = JsonWire(), None
+        for step in [("publish",), *steps]:
+            world.apply(step)
+            if step[0] == "project":
+                metrics = step[1]
+            queries = [None]
+            if step[0] == "nodes":
+                queries.insert(0, ",".join(f"n{i}" for i in step[1]))
+            for nodes in queries:
+                table = world.state.query(nodes, metrics)
+                body = wire.encode(table)
+                assert body == JsonWire().encode(table)
+                assert body == JsonWire().encode(list(table))
 
 
 # ---------------------------------------------------------------------------
