@@ -29,11 +29,15 @@ from repro.network.fabric import NetworkFabric
 from repro.procfs import ProcFilesystem
 from repro.sim import SimKernel
 
-__all__ = ["NodeAgent", "PER_SAMPLE_CPU_SECONDS"]
+__all__ = ["ERRORS_KEPT", "NodeAgent", "PER_SAMPLE_CPU_SECONDS"]
 
 #: CPU seconds per full sample at gathering rung 4 (sum of the per-file
 #: costs measured in E2, plus sensor reads).
 PER_SAMPLE_CPU_SECONDS = 110e-6
+
+#: failed monitor evaluations an agent keeps (the newest): a plug-in
+#: that fails every tick must not grow the agent without bound.
+ERRORS_KEPT = 256
 
 
 class NodeAgent:
@@ -60,7 +64,8 @@ class NodeAgent:
         #: transmitter ships (the server's ``ingest`` plugs in here).
         self.on_sample = on_sample
         self._seq = 0
-        #: (time, monitor name, error text) for failed monitor evaluations.
+        #: (time, monitor name, error text) for the newest failed monitor
+        #: evaluations (a list: an empty deque costs 0.7 KB an agent).
         self.errors: List[Tuple[float, str, str]] = []
         self.samples_taken = 0
         self._running = False
@@ -98,34 +103,22 @@ class NodeAgent:
 
     # -- one sample ---------------------------------------------------------
     def evaluate(self) -> Dict[str, object]:
-        """Evaluate every registered monitor; plugin failures are recorded
-        and skipped rather than killing the sample."""
+        """Evaluate every registered monitor: the built-in sample, then
+        the registry's plug-ins.  A failing monitor is recorded in
+        :attr:`errors` and skipped rather than killing the sample."""
         ctx = MonitorContext(node=self.node, t=self.kernel.now)
-        fast = self.registry.fast_sampler
-        if fast is not None:
-            # Value-identical hoisted sampler for the unmodified builtin
-            # set (plugin registration clears it).  A failure is recorded
-            # — a node that silently took the generic loop every tick
-            # would cost 3x forever and pass every value check — and the
-            # generic loop below still delivers the sample.
-            try:
-                return fast(ctx)
-            except Exception as exc:  # the sample must not die with it
-                self.errors.append((self.kernel.now, "fast_sampler",
-                                    str(exc)))
-        values: Dict[str, object] = {}
-        for monitor in self.registry.monitors():
-            try:
-                result = monitor.evaluate(ctx)
-            except Exception as exc:  # plugin code is arbitrary
-                self.errors.append((self.kernel.now, monitor.name,
-                                    str(exc)))
-                continue
-            if isinstance(result, dict):
-                values.update(result)  # script plugins emit several values
-            else:
-                values[monitor.name] = result
+        try:
+            values = self.registry.sample(ctx)
+        except Exception as exc:  # the plug-ins must still report
+            self._failed("builtin", exc)
+            values = {}
+        if self.registry.overlaid:
+            self.registry.overlay(ctx, values, self._failed)
         return values
+
+    def _failed(self, name: str, exc: Exception) -> None:
+        self.errors.append((self.kernel.now, name, str(exc)))
+        del self.errors[:-ERRORS_KEPT]
 
     def sample_once(self) -> Dict[str, object]:
         """Gather, consolidate, transmit. Returns the transmitted delta."""

@@ -2,24 +2,26 @@
 function ... It comes standard with over 40 monitors built in."
 
 A :class:`Monitor` maps a name to a function over a :class:`MonitorContext`
-(the node, the sim time, and — when the agent runs in procfs mode — the
-parsed proc samples).  ``static`` monitors (CPU type, total memory, ...)
+(the node and the sim time) that returns the value, or a dict of values
+(a script plug-in).  ``static`` monitors (CPU type, total memory, ...)
 are the values the consolidation stage transmits only once.
 
-The registry below defines 50+ monitors across the sources the paper
-lists: /proc-derived CPU/memory/network/disk statistics, lm_sensors-style
-readings, identification data, and the UDP-echo connectivity check.
+The built-in set is one such multi-value monitor, :func:`builtin_sample`:
+55 values across the sources the paper lists — /proc-derived
+CPU/memory/network/disk statistics, lm_sensors-style readings,
+identification data, and the UDP-echo connectivity check — each
+described by one row of :data:`BUILTIN_MONITORS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.hardware.node import SimulatedNode
 
-__all__ = ["Monitor", "MonitorContext", "MonitorRegistry",
-           "builtin_registry"]
+__all__ = ["BUILTIN_MONITORS", "Monitor", "MonitorContext",
+           "MonitorRegistry", "builtin_registry", "builtin_sample"]
 
 
 @dataclass
@@ -28,8 +30,6 @@ class MonitorContext:
 
     node: SimulatedNode
     t: float
-    #: parsed proc samples when the agent gathers via procfs (else None).
-    proc: Optional[Dict[str, Dict]] = None
 
 
 @dataclass(frozen=True)
@@ -46,82 +46,16 @@ class Monitor:
         return self.fn(ctx)
 
 
-class MonitorRegistry:
-    """Named collection of monitors; plug-ins add to it at runtime.
+def builtin_sample(ctx: MonitorContext) -> Dict[str, object]:
+    """Every built-in value, in name order: the built-in monitor.
 
-    A registry may carry a *fast sampler*: a single straight-line function
-    equivalent to :meth:`evaluate_all` for the exact monitor set it was
-    built for.  Any mutation of the monitor set invalidates it (the agent
-    then falls back to the generic per-monitor loop).
-    """
-
-    def __init__(self) -> None:
-        self._monitors: Dict[str, Monitor] = {}
-        self._sorted: Optional[List[Monitor]] = None
-        #: equivalent one-shot sampler ``fn(ctx) -> dict`` or None.
-        self.fast_sampler: Optional[
-            Callable[["MonitorContext"], Dict[str, object]]] = None
-
-    def _invalidate(self) -> None:
-        self._sorted = None
-        self.fast_sampler = None
-
-    def add(self, monitor: Monitor) -> None:
-        if monitor.name in self._monitors:
-            raise ValueError(f"monitor {monitor.name!r} already registered")
-        self._monitors[monitor.name] = monitor
-        self._invalidate()
-
-    def replace(self, monitor: Monitor) -> None:
-        self._monitors[monitor.name] = monitor
-        self._invalidate()
-
-    def remove(self, name: str) -> None:
-        del self._monitors[name]
-        self._invalidate()
-
-    def get(self, name: str) -> Monitor:
-        return self._monitors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._monitors
-
-    def __len__(self) -> int:
-        return len(self._monitors)
-
-    @property
-    def names(self) -> List[str]:
-        return sorted(self._monitors)
-
-    def monitors(self) -> List[Monitor]:
-        if self._sorted is None:
-            self._sorted = [self._monitors[n] for n in sorted(self._monitors)]
-        return self._sorted
-
-    def evaluate_all(self, ctx: MonitorContext) -> Dict[str, object]:
-        return {m.name: m.evaluate(ctx) for m in self.monitors()}
-
-
-# ---------------------------------------------------------------------------
-# Builtin definitions
-# ---------------------------------------------------------------------------
-
-def _mon(registry, name, fn, *, static=False, units="", source="system"):
-    registry.add(Monitor(name=name, fn=fn, static=static, units=units,
-                         source=source))
-
-
-def _fast_builtin_sample(ctx: MonitorContext) -> Dict[str, object]:
-    """Straight-line equivalent of ``evaluate_all`` for the builtin set.
-
-    Evaluating 55 separate lambdas costs a Python call, a context attribute
-    walk, and a repeated pure model read each.  Contract: every model
-    *input* — the running flag, ``workload.demand(t)``, the rx/tx byte
-    counters — is read once per call, and the dozen values that share an
-    input are derived from it through the models' ``*_from`` methods, so
-    each formula still lives once, in ``repro.hardware``.  The result is
-    value-identical to the generic loop, in the same sorted-key order
-    (the generic loop is the oracle the test suite compares against).
+    One straight-line call, not one call per value: every model *input*
+    — the running flag, ``workload.demand(t)``, the rx/tx byte counters
+    — is read once, and the dozen values that share an input are derived
+    from it through the models' ``*_from`` methods, so each formula still
+    lives once, in ``repro.hardware``.  The test suite holds it to a
+    reference model that reads each value on its own through the models'
+    ``t`` forms (``cpu.utilization(t)``, ``memory.used(t)``, ...).
     """
     node = ctx.node
     t = ctx.t
@@ -209,162 +143,133 @@ def _fast_builtin_sample(ctx: MonitorContext) -> Dict[str, object]:
     }
 
 
+#: The built-in monitors: one per value :func:`builtin_sample` returns,
+#: grouped by ``(static, units, source)``.  A monitor's ``fn`` is the
+#: sample itself, whose dict carries its value.
+BUILTIN_MONITORS: Dict[str, Monitor] = {
+    name: Monitor(name, builtin_sample, static, units, source)
+    for names, static, units, source in [
+        # identification, and the CPU's from /proc/cpuinfo
+        ("hostname ip_address mac_address kernel_version os_release",
+         True, "", "system"),
+        ("cpu_model cpu_count cpu_vendor bogomips", True, "", "proc"),
+        ("cpu_mhz", True, "MHz", "proc"),
+        ("cpu_cache_kb", True, "kB", "proc"),
+        ("mem_total_bytes swap_total_bytes disk_total_bytes",
+         True, "B", "proc"),
+        # /proc/stat, /proc/loadavg, /proc/meminfo, /proc/net/dev, disk
+        ("cpu_user_jiffies cpu_system_jiffies cpu_idle_jiffies load_1min"
+         " load_5min load_15min procs_running net_rx_packets"
+         " net_tx_packets net_errors swap_activity", False, "", "proc"),
+        ("cpu_util_pct mem_util_pct net_util_pct disk_util_pct",
+         False, "%", "proc"),
+        ("mem_used_bytes mem_free_bytes mem_cached_bytes swap_used_bytes"
+         " net_rx_bytes net_tx_bytes disk_used_bytes disk_read_bytes"
+         " disk_write_bytes", False, "B", "proc"),
+        ("uptime_seconds", False, "s", "proc"),
+        # the link and the UDP echo check (§5.1)
+        ("net_link_mbps", False, "Mb/s", "net"),
+        ("udp_echo", False, "", "net"),
+        # lm_sensors-style readings (§5.1)
+        ("cpu_temp_c board_temp_c", False, "degC", "sensors"),
+        ("fan1_rpm", False, "rpm", "sensors"),
+        ("vcore_volts v3_3_volts v5_volts v12_volts psu_volts",
+         False, "V", "sensors"),
+        ("psu_watts", False, "W", "sensors"),
+        ("psu_ok", False, "", "sensors"),
+        # node and management state
+        ("node_state node_up disk_image disk_image_generation",
+         False, "", "system"),
+    ] for name in names.split()}
+
+
+class MonitorRegistry:
+    """Named collection of monitors: the built-in set, and the plug-ins
+    added at runtime.
+
+    Every built-in value comes from one call of :attr:`sample`.
+    A plug-in — any monitor that is not a :data:`BUILTIN_MONITORS` row,
+    an override of a built-in name included — runs after it, in name
+    order, and a built-in name removed or replaced is first dropped from
+    the sample's dict: each name's value comes from the monitor
+    registered under it, and a plug-in's values follow the built-ins'.
+    """
+
+    def __init__(self) -> None:
+        self._monitors: Dict[str, Monitor] = dict(BUILTIN_MONITORS)
+        #: the built-in monitor: one call returns every built-in value.
+        self.sample = builtin_sample
+        #: the plug-ins, in evaluation (name) order.
+        self._plugins: Tuple[Monitor, ...] = ()
+        #: the built-in names removed or replaced.
+        self._dropped: Tuple[str, ...] = ()
+        #: whether there is anything to :meth:`overlay` on the sample.
+        self.overlaid = False
+
+    def _settle(self) -> None:
+        monitors = self._monitors
+        self._plugins = tuple(
+            monitor for name, monitor in sorted(monitors.items())
+            if monitor is not BUILTIN_MONITORS.get(name))
+        self._dropped = tuple(name for name, row in BUILTIN_MONITORS.items()
+                              if monitors.get(name) is not row)
+        self.overlaid = bool(self._plugins or self._dropped)
+
+    def add(self, monitor: Monitor) -> None:
+        if monitor.name in self._monitors:
+            raise ValueError(f"monitor {monitor.name!r} already registered")
+        self._monitors[monitor.name] = monitor
+        self._settle()
+
+    def replace(self, monitor: Monitor) -> None:
+        self._monitors[monitor.name] = monitor
+        self._settle()
+
+    def remove(self, name: str) -> None:
+        del self._monitors[name]
+        self._settle()
+
+    def get(self, name: str) -> Monitor:
+        return self._monitors[name]
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._monitors
+
+    def __len__(self) -> int:
+        return len(self._monitors)
+
+    @property
+    def names(self) -> List[str]:
+        return sorted(self._monitors)
+
+    def overlay(self, ctx: MonitorContext, values: Dict[str, object],
+                failed: Optional[Callable[[str, Exception], None]] = None
+                ) -> Dict[str, object]:
+        """Drop the removed or replaced built-in names from the built-in
+        ``values`` and add each plug-in's value (a dict result adds each
+        of its items), in place.  A plug-in that raises goes to
+        ``failed(name, exc)`` and the rest still run; with no ``failed``
+        it propagates."""
+        for name in self._dropped:
+            values.pop(name, None)
+        for monitor in self._plugins:
+            try:
+                result = monitor.fn(ctx)
+            except Exception as exc:  # plugin code is arbitrary
+                if failed is None:
+                    raise
+                failed(monitor.name, exc)
+                continue
+            if isinstance(result, dict):
+                values.update(result)
+            else:
+                values[monitor.name] = result
+        return values
+
+    def evaluate_all(self, ctx: MonitorContext) -> Dict[str, object]:
+        return self.overlay(ctx, self.sample(ctx))
+
+
 def builtin_registry() -> MonitorRegistry:
-    """The standard set shipped with the framework (50+ monitors)."""
-    r = MonitorRegistry()
-    n = lambda ctx: ctx.node  # noqa: E731 - brevity in the table below
-
-    # -- identification (static) ----------------------------------------
-    _mon(r, "hostname", lambda c: c.node.hostname, static=True)
-    _mon(r, "ip_address", lambda c: c.node.ip, static=True)
-    _mon(r, "mac_address", lambda c: c.node.mac, static=True)
-    _mon(r, "kernel_version", lambda c: "2.4.18", static=True)
-    _mon(r, "os_release", lambda c: "Linux NetworX CLS 7.2", static=True)
-
-    # -- cpu identification (static, from /proc/cpuinfo) ------------------
-    _mon(r, "cpu_model", lambda c: c.node.cpu.spec.model_name,
-         static=True, source="proc")
-    _mon(r, "cpu_mhz", lambda c: c.node.cpu.spec.mhz,
-         static=True, units="MHz", source="proc")
-    _mon(r, "cpu_count", lambda c: c.node.cpu.spec.cores,
-         static=True, source="proc")
-    _mon(r, "cpu_cache_kb", lambda c: c.node.cpu.spec.cache_kb,
-         static=True, units="kB", source="proc")
-    _mon(r, "cpu_vendor", lambda c: c.node.cpu.spec.vendor,
-         static=True, source="proc")
-    _mon(r, "bogomips", lambda c: round(c.node.cpu.spec.mhz * 1.99, 2),
-         static=True, source="proc")
-
-    # -- cpu dynamics (/proc/stat, /proc/loadavg) --------------------------
-    _mon(r, "cpu_util_pct",
-         lambda c: round(c.node.cpu.utilization(c.t) * 100.0, 2),
-         units="%", source="proc")
-    _mon(r, "cpu_user_jiffies",
-         lambda c: c.node.cpu.jiffies(c.t)["user"], source="proc")
-    _mon(r, "cpu_system_jiffies",
-         lambda c: c.node.cpu.jiffies(c.t)["system"], source="proc")
-    _mon(r, "cpu_idle_jiffies",
-         lambda c: c.node.cpu.jiffies(c.t)["idle"], source="proc")
-    _mon(r, "load_1min", lambda c: round(c.node.cpu.loadavg(c.t), 2),
-         source="proc")
-    _mon(r, "load_5min", lambda c: round(c.node.cpu.loadavg(c.t) * 0.9, 2),
-         source="proc")
-    _mon(r, "load_15min", lambda c: round(c.node.cpu.loadavg(c.t) * 0.8, 2),
-         source="proc")
-    _mon(r, "procs_running",
-         lambda c: max(1, int(c.node.cpu.demand(c.t)) + 1)
-         if c.node.is_running() else 0, source="proc")
-
-    # -- memory (/proc/meminfo) ---------------------------------------------
-    _mon(r, "mem_total_bytes", lambda c: c.node.memory.spec.total,
-         static=True, units="B", source="proc")
-    _mon(r, "mem_used_bytes", lambda c: c.node.memory.used(c.t),
-         units="B", source="proc")
-    _mon(r, "mem_free_bytes", lambda c: c.node.memory.free(c.t),
-         units="B", source="proc")
-    _mon(r, "mem_cached_bytes", lambda c: c.node.memory.cached(c.t),
-         units="B", source="proc")
-    _mon(r, "mem_util_pct",
-         lambda c: round(c.node.memory.utilization(c.t) * 100.0, 2),
-         units="%", source="proc")
-    _mon(r, "swap_total_bytes", lambda c: c.node.memory.spec.swap_total,
-         static=True, units="B", source="proc")
-    _mon(r, "swap_used_bytes", lambda c: c.node.memory.swap_used(c.t),
-         units="B", source="proc")
-
-    # -- uptime ----------------------------------------------------------------
-    _mon(r, "uptime_seconds", lambda c: round(c.node.uptime(c.t), 2),
-         units="s", source="proc")
-
-    # -- network (/proc/net/dev) -------------------------------------------------
-    _mon(r, "net_rx_bytes", lambda c: c.node.nic.rx_bytes(c.t),
-         units="B", source="proc")
-    _mon(r, "net_tx_bytes", lambda c: c.node.nic.tx_bytes(c.t),
-         units="B", source="proc")
-    _mon(r, "net_rx_packets", lambda c: c.node.nic.rx_packets(c.t),
-         source="proc")
-    _mon(r, "net_tx_packets", lambda c: c.node.nic.tx_packets(c.t),
-         source="proc")
-    _mon(r, "net_errors", lambda c: c.node.nic.errors, source="proc")
-    _mon(r, "net_util_pct",
-         lambda c: round(c.node.nic.utilization(c.t) * 100.0, 2),
-         units="%", source="proc")
-    _mon(r, "net_link_mbps",
-         lambda c: round(c.node.nic.effective_rate * 8 / 1e6, 1),
-         units="Mb/s", source="net")
-
-    # -- connectivity: the UDP echo check (§5.1) ---------------------------------
-    _mon(r, "udp_echo",
-         lambda c: 1 if (c.node.is_running()
-                         and c.node.state.value != "hung"
-                         and c.node.nic.health > 0.05) else 0,
-         source="net")
-
-    # -- disk ----------------------------------------------------------------------
-    _mon(r, "disk_total_bytes",
-         lambda c: c.node.disk.spec.capacity if c.node.disk else 0,
-         static=True, units="B", source="proc")
-    _mon(r, "disk_used_bytes",
-         lambda c: c.node.disk.used if c.node.disk else 0,
-         units="B", source="proc")
-    _mon(r, "disk_read_bytes",
-         lambda c: c.node.disk.read_bytes(c.t) if c.node.disk else 0,
-         units="B", source="proc")
-    _mon(r, "disk_write_bytes",
-         lambda c: c.node.disk.write_bytes(c.t) if c.node.disk else 0,
-         units="B", source="proc")
-    _mon(r, "disk_util_pct",
-         lambda c: round(c.node.disk.utilization(c.t) * 100.0, 2)
-         if c.node.disk else 0.0,
-         units="%", source="proc")
-    _mon(r, "disk_image",
-         lambda c: (c.node.disk.installed_image[0]
-                    if c.node.disk and c.node.disk.installed_image
-                    else "none"),
-         source="system")
-    _mon(r, "disk_image_generation",
-         lambda c: (c.node.disk.installed_image[1]
-                    if c.node.disk and c.node.disk.installed_image
-                    else 0),
-         source="system")
-
-    # -- sensors (lm_sensors-style, §5.1) --------------------------------------------
-    _mon(r, "cpu_temp_c",
-         lambda c: round(c.node.thermal.temperature(c.t), 2),
-         units="degC", source="sensors")
-    _mon(r, "board_temp_c",
-         lambda c: round(c.node.thermal.spec.ambient + 0.4 * (
-             c.node.thermal.temperature(c.t)
-             - c.node.thermal.spec.ambient), 2),
-         units="degC", source="sensors")
-    _mon(r, "fan1_rpm",
-         lambda c: round(c.node.thermal.fan.rpm(
-             c.node.cpu.utilization(c.t) if c.node.is_running() else 0.0)),
-         units="rpm", source="sensors")
-    _mon(r, "vcore_volts", lambda c: round(c.node.voltages["vcore"].read(), 3),
-         units="V", source="sensors")
-    _mon(r, "v3_3_volts", lambda c: round(c.node.voltages["3.3v"].read(), 3),
-         units="V", source="sensors")
-    _mon(r, "v5_volts", lambda c: round(c.node.voltages["5v"].read(), 3),
-         units="V", source="sensors")
-    _mon(r, "v12_volts", lambda c: round(c.node.voltages["12v"].read(), 3),
-         units="V", source="sensors")
-    _mon(r, "psu_volts", lambda c: round(c.node.psu.probe_voltage(c.t), 2),
-         units="V", source="sensors")
-    _mon(r, "psu_watts", lambda c: round(c.node.psu.steady_draw(c.t), 1),
-         units="W", source="sensors")
-    _mon(r, "psu_ok", lambda c: 0 if c.node.psu.failed else 1,
-         source="sensors")
-
-    # -- node / management state -----------------------------------------------------
-    _mon(r, "node_state", lambda c: c.node.state.value, source="system")
-    _mon(r, "node_up", lambda c: 1 if c.node.is_running() else 0,
-         source="system")
-    _mon(r, "swap_activity",
-         lambda c: 1 if c.node.memory.swap_used(c.t) > 0 else 0,
-         source="proc")
-
-    # The builtin set ships with a hoisted one-shot sampler; any plugin
-    # registration above invalidates it, so it must be set last.
-    r.fast_sampler = _fast_builtin_sample
-    return r
+    """The standard set shipped with the framework (55 monitors)."""
+    return MonitorRegistry()

@@ -15,6 +15,7 @@ import inspect
 import pytest
 
 from tests import goldentrace as gt
+from tests.monitor_reference import REFERENCE, reference_values
 from repro import ClusterWorX
 from repro.monitoring.monitors import MonitorContext
 from repro.sim import SimKernel
@@ -130,8 +131,9 @@ def test_trigger_untriggered_source_raises():
 
 
 def test_fast_sampler_matches_generic_loop():
-    """The hoisted builtin sampler returns exactly what the generic
-    monitor loop returns — same keys, same order, same values."""
+    """Each agent's one-call built-in sample returns exactly what the
+    reference model's per-monitor loop returns — same keys, same order,
+    same values."""
     cwx = ClusterWorX(n_nodes=4, seed=99)
     cwx.start()
     cwx.run(12.5)
@@ -139,27 +141,27 @@ def test_fast_sampler_matches_generic_loop():
     cwx.run(20.0)
     for agent in cwx.agents.values():
         ctx = MonitorContext(node=agent.node, t=cwx.kernel.now)
-        fast = agent.registry.fast_sampler
-        assert fast is not None
-        fast_values = fast(ctx)
-        agent.registry.fast_sampler = None
-        try:
-            generic = agent.evaluate()
-        finally:
-            agent.registry.fast_sampler = fast
-        assert list(fast_values) == list(generic)
-        assert fast_values == generic
+        generic = reference_values(REFERENCE, ctx)
+        values = agent.evaluate()
+        assert list(values) == list(generic)
+        assert values == generic
+    assert not any(agent.errors for agent in cwx.agents.values())
 
 
-def test_plugin_registration_disables_fast_sampler():
-    """Any registry mutation invalidates the hoisted sampler — a plugin
-    must never be silently skipped."""
-    from repro.monitoring.monitors import Monitor, builtin_registry
+def test_plugin_registration_keeps_builtin_sample_hoisted(node):
+    """A node with a plug-in still takes every built-in value from one
+    call of the built-in sample, and adds the plug-in's after it."""
+    from repro.monitoring import Monitor, NodeAgent, builtin_registry
 
     registry = builtin_registry()
-    assert registry.fast_sampler is not None
     registry.add(Monitor("custom_metric", lambda ctx: 1))
-    assert registry.fast_sampler is None
+    calls = []
+    sample = registry.sample
+    registry.sample = lambda ctx: calls.append(ctx.t) or sample(ctx)
+    values = NodeAgent(node.kernel, node, registry).evaluate()
+    assert calls == [node.kernel.now]
+    assert list(values)[-1] == "custom_metric"
+    assert values["custom_metric"] == 1 and len(values) == len(registry)
 
 
 def test_scheduler_matches_per_agent_processes():

@@ -17,6 +17,8 @@ from repro.monitoring import (
     Update,
     builtin_registry,
 )
+from repro.monitoring.agent import ERRORS_KEPT
+from repro.monitoring.monitors import BUILTIN_MONITORS, builtin_sample
 from repro.monitoring.scheduler import AgentScheduler
 from repro.sim import RandomStreams
 
@@ -27,7 +29,7 @@ class TestBuiltinRegistry:
 
     def test_static_dynamic_split(self):
         reg = builtin_registry()
-        static = {m.name for m in reg.monitors() if m.static}
+        static = {name for name in reg.names if reg.get(name).static}
         assert "cpu_model" in static and "mem_total_bytes" in static
         assert "cpu_util_pct" not in static
 
@@ -57,10 +59,16 @@ class TestBuiltinRegistry:
         assert "udp_echo" not in reg
         assert "hostname" in reg
 
+    def test_table_describes_each_value_of_the_builtin_sample(self, node):
+        values = builtin_sample(MonitorContext(node=node, t=1.0))
+        assert list(values) == sorted(BUILTIN_MONITORS)
+        assert builtin_registry().names == list(values)
+
 
 class TestSamplerWorkCounts:
-    """The hoisted sampler reads each model input once per tick.  Counts,
-    not timings: they are exact on any machine."""
+    """The built-in sample reads each model input once per tick (the
+    reference model reads it once per value).  Counts, not timings: they
+    are exact on any machine."""
 
     def test_idle_sample_reads_each_input_once(self, kernel, node,
                                                segment_scans, monkeypatch):
@@ -70,8 +78,7 @@ class TestSamplerWorkCounts:
         monkeypatch.setattr(
             SimulatedNode, "is_running",
             lambda self, t=None: calls.append(t) or is_running(self, t))
-        sample = builtin_registry().fast_sampler
-        values = sample(MonitorContext(node=node, t=kernel.now))
+        values = builtin_sample(MonitorContext(node=node, t=kernel.now))
         assert values["node_up"] == 1
         assert len(segment_scans) <= 1  # was 12 demand computations
         # The sampler asks once; jiffies, loadavg, the thermal integral
@@ -84,12 +91,11 @@ class TestSamplerWorkCounts:
         node.workload.extend(gen.hpc_job(0.0, phases=8, tag="job")
                              + gen.background_noise(0.0, 5000.0))
         assert len(node.workload) == 17
-        sample = builtin_registry().fast_sampler
         ticks = [5.0 * k for k in range(1, 46)]
         for t in ticks:
             kernel.run(until=t)
             before = len(segment_scans)
-            sample(MonitorContext(node=node, t=t))
+            builtin_sample(MonitorContext(node=node, t=t))
             # jiffies and the thermal integral each probe every interval
             # since boot (still O(change points) per tick); the sampler
             # itself adds one read, where it used to add ten.
@@ -440,23 +446,37 @@ class TestNodeAgent:
         assert "cpu_util_pct" in delta  # others unaffected
         assert agent.errors and agent.errors[0][1] == "broken"
 
-    def test_fast_sampler_failure_recorded_not_swallowed(self, kernel,
-                                                         loaded_node):
-        """A failing hoisted sampler still yields the sample (generic
-        loop) but must show up in ``errors``: a silent fallback would
-        cost 3x per tick forever with every value check green."""
+    def test_failing_builtin_sample_recorded_and_plugins_still_report(
+            self, kernel, loaded_node):
+        """A failing built-in sample is recorded under its name, and the
+        plug-ins still report."""
         reg = builtin_registry()
-        generic = reg.evaluate_all(MonitorContext(node=loaded_node,
-                                                  t=kernel.now))
+        reg.add(Monitor(name="gpu_count", fn=lambda c: 2, source="plugin"))
 
         def exploding(ctx):
             raise KeyError("no such sensor")
 
-        reg.fast_sampler = exploding
+        reg.sample = exploding
         agent = NodeAgent(kernel, loaded_node, reg)
-        assert agent.evaluate() == generic
+        assert agent.evaluate() == {"gpu_count": 2}
         assert agent.errors == [
-            (kernel.now, "fast_sampler", str(KeyError("no such sensor")))]
+            (kernel.now, "builtin", str(KeyError("no such sensor")))]
+
+    def test_errors_keep_only_the_newest_rows(self, kernel, loaded_node):
+        reg = builtin_registry()
+
+        def broken(ctx):
+            raise RuntimeError(f"tick {ctx.t}")
+
+        reg.add(Monitor(name="broken", fn=broken, source="plugin"))
+        agent = NodeAgent(kernel, loaded_node, reg)
+        for _ in range(ERRORS_KEPT + 10):
+            kernel.run(until=kernel.now + 5.0)
+            assert "cpu_util_pct" in agent.evaluate()
+        assert len(agent.errors) == ERRORS_KEPT
+        assert agent.errors[-1] == (kernel.now, "broken",
+                                    f"tick {kernel.now}")
+        assert agent.errors[0][0] == kernel.now - 5.0 * (ERRORS_KEPT - 1)
 
     def test_gather_proc_agrees_with_monitors(self, kernel, loaded_node):
         """The text-gathering path and the direct model reads agree."""

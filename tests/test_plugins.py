@@ -163,3 +163,53 @@ class TestFacadePluginDir:
         cwx.run(10)
         view = cwx.client().node_view(cwx.cluster.hostnames[0])
         assert view["site_flag"] == 1
+
+
+def _plugin_cluster_outputs(monkeypatch, sort):
+    """What leaves a 3-node cluster whose registry holds ``disk_quota``
+    (a name that sorts inside the built-ins), with each agent's
+    evaluated dict explicitly sorted or as the agent builds it."""
+    from repro.core import ClusterWorX
+    from repro.gateway import BinaryWire, GatewayState, JsonWire
+    from repro.monitoring import (BinaryCodec, Monitor, NodeAgent,
+                                  TextCodec, Transmitter)
+
+    evaluate = NodeAgent.evaluate
+    if sort:
+        monkeypatch.setattr(NodeAgent, "evaluate",
+                            lambda self: dict(sorted(evaluate(self).items())))
+    sent = []
+    transmit = Transmitter.transmit_update
+    monkeypatch.setattr(Transmitter, "transmit_update",
+                        lambda self, update: sent.append(update)
+                        or transmit(self, update))
+    cwx = ClusterWorX(n_nodes=3, seed=5, monitor_interval=5.0)
+    cwx.registry.add(Monitor("disk_quota", lambda ctx: round(ctx.t) % 7,
+                             source="plugin"))
+    cwx.start()
+    cwx.run(30)
+    monkeypatch.undo()
+    schema = cwx.registry.names
+    codecs = (TextCodec(), BinaryCodec(), BinaryCodec(schema=tuple(schema)))
+    frames = [codec.encode(u.hostname, u.time, u.values)
+              for u in sent for codec in codecs]
+    state = GatewayState(cwx.server)
+    with state.lock:
+        state.refresh()
+    hosts = [("host", h, *state.host(h)) for h in cwx.cluster.hostnames]
+    bodies = [wire.encode(hosts) for wire in
+              (JsonWire(), BinaryWire(metric_schema=schema))]
+    bodies.append(JsonWire().encode(state.query()))
+    history = cwx.server.history
+    return (sent[0].values, frames, bodies, history.metric_names,
+            history.export_text())
+
+
+def test_plugin_key_order_does_not_show(monkeypatch):
+    """A plug-in node's dict lists the built-ins and then its plug-ins;
+    an explicitly sorted dict gives the same text and binary frames,
+    gateway host and query bodies, and history listing."""
+    listed, *outputs = _plugin_cluster_outputs(monkeypatch, sort=False)
+    assert list(listed)[-1] == "disk_quota" != sorted(listed)[-1]
+    assert outputs == list(_plugin_cluster_outputs(monkeypatch,
+                                                   sort=True)[1:])

@@ -32,13 +32,16 @@ from repro.hardware import (FaultKind, SimulatedNode, Workload,
                             WorkloadGenerator, WorkloadSegment)
 from repro.icebox.security import IPFilter
 from repro.monitoring import (BinaryCodec, Consolidator, HistoryStore,
-                              MonitorContext, TextCodec, builtin_registry)
+                              Monitor, MonitorContext, NodeAgent, TextCodec,
+                              builtin_registry)
 from repro.monitoring.gathering import parse_apriori, parse_generic
+from repro.monitoring.monitors import builtin_sample
 from repro.procfs import ProcFilesystem
 from repro.remote.nodeset import NodeSet
 from repro.resilience.health import HealthState
 from repro.sim import RandomStreams, SimKernel
 from repro.util import ByteRingBuffer, TimeSeriesRing
+from tests.monitor_reference import REFERENCE, reference_values
 from tests.test_federation import check_routing_table
 
 # ---------------------------------------------------------------------------
@@ -206,30 +209,96 @@ def _apply_step(node, kind, arg):
         getattr(node, kind)()
 
 
-class TestSamplerOracle:
-    """The hoisted builtin sampler against the generic per-monitor loop,
-    and ``demand`` against an independent sum, over generated histories."""
+#: plug-in names that sort before, between and after the built-ins, and
+#: built-in names to override or drop.
+_plugin_names = st.sampled_from(["aa_quota", "disk_quota", "mem_zz",
+                                 "zz_gpu"])
+_any_names = st.one_of(_plugin_names, st.sampled_from(sorted(REFERENCE)))
+#: what a plug-in returns: exact scalars (``0`` and ``0.0`` differ on the
+#: text wire), a read of the context, or several values at once.
+_plugin_values = st.sampled_from([0, 0.0, 1.5, "up", "t", "dict"])
+registry_ops = st.one_of(
+    st.tuples(st.just("add"), _any_names, _plugin_values),
+    st.tuples(st.just("replace"), _any_names, _plugin_values),
+    st.tuples(st.just("remove"), _any_names, st.none()),
+)
 
-    @given(st.lists(node_steps, min_size=1, max_size=25), st.booleans())
+
+def _plugin_fn(name, value):
+    if value == "t":
+        return lambda ctx: round(ctx.t, 3)
+    if value == "dict":
+        return lambda ctx: {name + "_a": 1, name + "_b": ctx.node.hostname}
+    return lambda ctx: value
+
+
+def _apply_op(registry, model, kind, name, value):
+    """One registry operation, and the same one on the reference's
+    ``name -> function`` map, as a per-monitor registry applies it: both
+    must raise the same error or neither."""
+    fn = _plugin_fn(name, value)
+    outcomes = []
+    for target in (registry, model):
+        try:
+            if kind == "remove":
+                if target is model:
+                    del model[name]
+                else:
+                    registry.remove(name)
+            elif target is registry:
+                getattr(registry, kind)(Monitor(name, fn, source="plugin"))
+            elif kind == "add" and name in model:
+                raise ValueError(name)
+            else:
+                model[name] = fn
+        except (KeyError, ValueError) as exc:
+            outcomes.append(type(exc))
+        else:
+            outcomes.append(None)
+    assert outcomes[0] == outcomes[1]
+
+
+def _listed(values):
+    # repr: 0 and 0.0 are equal but differ on the text wire.
+    return [(k, repr(v)) for k, v in values.items()]
+
+
+class TestSamplerOracle:
+    """The one-call built-in sample against the reference model's
+    per-monitor loop (``tests/monitor_reference.py``), on its own and
+    under a plug-in overlay, and ``demand`` against an independent sum,
+    over generated histories."""
+
+    @given(st.lists(node_steps, min_size=1, max_size=25), st.booleans(),
+           st.lists(st.tuples(st.integers(0, 24), registry_ops),
+                    max_size=6))
     @settings(max_examples=80, deadline=None)
     def test_fast_sampler_and_demand_match_their_oracles(
-            self, steps, diskless):
+            self, steps, diskless, ops):
         kernel = SimKernel()
         node = SimulatedNode(kernel, "oracle", node_id=11,
                              diskless=diskless)
         node.power_on()
         registry = builtin_registry()
-        for kind, arg in steps:
+        agent = NodeAgent(kernel, node, registry)
+        model = dict(REFERENCE)
+        for index, (kind, arg) in enumerate(steps):
+            for at, op in ops:
+                if at == index:
+                    _apply_op(registry, model, *op)
             _apply_step(node, kind, arg)
             # kernel.now is, in turn, boot_completed_at, arbitrary
             # instants, and exact segment starts and ends.
             t = kernel.now
             ctx = MonitorContext(node=node, t=t)
-            fast = registry.fast_sampler(ctx)
-            generic = registry.evaluate_all(ctx)
-            # repr: 0 and 0.0 are equal but differ on the text wire.
-            assert [(k, repr(v)) for k, v in fast.items()] == \
-                [(k, repr(v)) for k, v in generic.items()]
+            assert _listed(builtin_sample(ctx)) == \
+                _listed(reference_values(REFERENCE, ctx))
+            # Overrides win, dropped keys are absent, and the plug-ins'
+            # keys (overrides included) follow the built-ins', in name
+            # order.
+            expected = _listed(reference_values(model, ctx))
+            assert _listed(registry.evaluate_all(ctx)) == expected
+            assert _listed(agent.evaluate()) == expected
             scanned = dict.fromkeys(
                 ("cpu", "memory", "net_tx", "net_rx", "disk_read",
                  "disk_write"), 0.0)
@@ -238,6 +307,7 @@ class TestSamplerOracle:
                     scanned[key] += getattr(seg, key)
             scanned["memory"] = int(scanned["memory"])
             assert dict(node.workload.demand(t)) == scanned
+        assert not agent.errors
 
 
 class TestRingBufferProperties:
