@@ -36,6 +36,7 @@ from types import MappingProxyType
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
+from repro.monitoring.agent import ERRORS_KEPT
 from repro.monitoring.records import Sample, Update
 
 __all__ = ["Update", "Sample", "Snapshot", "Subscription", "StateStore",
@@ -85,6 +86,10 @@ class Snapshot(MappingABC):
     """
 
     __slots__ = ("_hosts", "generation", "time", "membership")
+
+    #: every host's row is its store's at ``generation`` (a federated
+    #: view that re-serves an unreachable shard's last part is not).
+    complete = True
 
     def __init__(self, hosts: Dict[str, Mapping[str, object]],
                  generation: int, time: float, membership: int):
@@ -249,7 +254,8 @@ class StateStore:
         self.temp_rescans = 0
         self.notifications = 0
         #: (subscriber name, hostname, error text) for callbacks that
-        #: raised; one bad consumer must not stall the datapath.
+        #: raised, the newest ``ERRORS_KEPT``; one bad consumer must
+        #: not stall the datapath, nor grow the store.
         self.errors: List[Tuple[str, str, str]] = []
         #: consecutive callback failures a subscriber is allowed before
         #: the store detaches it.  A consumer that raises on *every*
@@ -512,6 +518,7 @@ class StateStore:
         slow/broken consumer is cut off, the datapath stays clean.
         """
         self.errors.append((sub.name, update.hostname, str(exc)))
+        del self.errors[:-ERRORS_KEPT]
         sub.consecutive_errors += 1
         if sub.consecutive_errors >= self.subscriber_error_limit:
             sub.active = False

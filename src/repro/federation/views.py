@@ -104,11 +104,16 @@ class FederatedSnapshot(MappingABC):
     answers what a walk of the parts would.
     """
 
-    __slots__ = ("_parts", "_joined", "generation", "time", "membership")
+    __slots__ = ("_parts", "_joined", "generation", "time", "membership",
+                 "complete")
 
-    def __init__(self, parts: Sequence[Snapshot]):
+    def __init__(self, parts: Sequence[Snapshot], *,
+                 complete: bool = True):
         self._parts = tuple(parts)
         self._joined: Optional[Snapshot] = None
+        #: False when some part is an unreachable shard's last good
+        #: one: that shard's store may have moved on since.
+        self.complete = complete
         #: sum of shard generations (monotone, like the flat stamp).
         self.generation = sum(p.generation for p in self._parts)
         #: every part's membership stamp: equal only while no shard
@@ -304,9 +309,9 @@ class FederatedStore(_View, organ="store"):
     def __init__(self, shards: Sequence[Shard], owner_of: OwnerLookup):
         super().__init__(shards, owner_of)
         self.rollups = RollupCache(shards)
-        #: (shard-generations, snapshot) cache so a quiescent
-        #: federation re-serves one FederatedSnapshot object.
-        self._snap_cache: Optional[Tuple[Tuple[int, ...],
+        #: ((shard generations, complete), snapshot) cache so a
+        #: quiescent federation re-serves one FederatedSnapshot object.
+        self._snap_cache: Optional[Tuple[Tuple[Tuple[int, ...], bool],
                                          FederatedSnapshot]] = None
         #: per-shard last good snapshot part, re-served while the shard
         #: is unreachable (the degraded-mode read path).
@@ -348,14 +353,20 @@ class FederatedStore(_View, organ="store"):
     def snapshot(self) -> FederatedSnapshot:
         """O(shards) federated view; an unreachable shard contributes
         its last good part unchanged (frozen generation, so the cache
-        key stays stable and quiescent reuse still works)."""
+        key stays stable and quiescent reuse still works).  The key
+        also says whether every active shard answered: its store goes
+        on taking writes while it is unreachable, so a complete view
+        cached before the outage must not stand for one that
+        substitutes its last part."""
         gens: List[int] = []
+        complete = True
         for shard in self._shards:
             gen = shard.channel.call(_generation, shard)
             if gen is None:
                 gen = self._last_part(shard).generation
+                complete = complete and not shard.active
             gens.append(gen)
-        key = tuple(gens)
+        key = (tuple(gens), complete)
         cached = self._snap_cache
         if cached is not None and cached[0] == key:
             return cached[1]
@@ -367,7 +378,7 @@ class FederatedStore(_View, organ="store"):
             else:
                 self._last_parts[shard.index] = part
             parts.append(part)
-        snap = FederatedSnapshot(parts)
+        snap = FederatedSnapshot(parts, complete=complete)
         self._snap_cache = (key, snap)
         return snap
 

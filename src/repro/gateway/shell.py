@@ -139,6 +139,7 @@ class GatewayService:
         if server is not None:
             await server.wait_closed()
         self.hub.close()
+        self.state.close()
 
     @property
     def url(self) -> str:

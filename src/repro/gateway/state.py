@@ -27,16 +27,25 @@ Cold paths that genuinely need live structures (history ranges, the
 event log) go through :meth:`locked`, which serializes with the sim
 driver's slice lock — a bounded stall on a rare endpoint, never on the
 hot ones.
+
+Each published view carries its publish number.  For the field set of
+the last projected all-hosts query the state keeps a change log — one
+bus subscription, fed on the sim thread — so :meth:`changed_since` can
+name the hosts a published update changed between two views, and the
+all-hosts body is rewritten from those rows alone.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
+from functools import partial
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from repro.core.server import ClusterWorXServer
-from repro.core.statestore import Snapshot
+from repro.core.statestore import Snapshot, Update
 from repro.gateway.wire import FrameTable
 from repro.remote.nodeset import NodeSet
 
@@ -54,17 +63,20 @@ class PublishedView:
 
     __slots__ = ("snapshot", "summary", "events", "sim_time",
                  "generation", "hostnames", "degraded", "stale_shards",
-                 "staleness_s")
+                 "staleness_s", "number")
 
     def __init__(self, snapshot: Snapshot,
                  hostnames: Tuple[str, ...],
                  summary: Mapping[str, object],
                  events: Tuple[Tuple[str, str], ...],
                  sim_time: float, *,
+                 number: int = 0,
                  degraded: bool = False,
                  stale_shards: Tuple[str, ...] = (),
                  staleness_s: float = 0.0):
         self.snapshot = snapshot
+        #: the state's publish count when this view was published.
+        self.number = number
         self.summary = summary
         self.events = events
         self.sim_time = sim_time
@@ -79,6 +91,18 @@ class PublishedView:
         self.stale_shards = stale_shards
         #: worst heartbeat age among the stale shards at capture time.
         self.staleness_s = staleness_s
+
+
+class _ChangeLog(NamedTuple):
+    """What the bus published on ``fields`` since view ``first``: one
+    ``(stamp, hostname)`` entry per update, ``stamp`` the number of the
+    newest view published when it was applied, so stamps never fall.
+    Only the sim thread appends to ``entries``; the log is replaced
+    whole, and only under the slice lock."""
+
+    fields: Tuple[str, ...]
+    first: int
+    entries: List[Tuple[int, str]]
 
 
 class GatewayState:
@@ -102,6 +126,12 @@ class GatewayState:
         #: is before this, refresh() republishes the existing view.
         self.stalled_until = 0.0
         self.publish_stalls = 0
+        #: the view number of the last projected all-hosts query: the
+        #: oldest view a kept body needs the change log from.
+        self._needed = 0
+        self._changes: Optional[_ChangeLog] = None
+        #: the bus subscription feeding ``_changes``.
+        self._tracking = None
         with self.lock:
             self.view: PublishedView = self._capture()
 
@@ -135,7 +165,7 @@ class GatewayState:
             snapshot=snapshot, hostnames=hostnames,
             summary=MappingProxyType(summary),
             events=tuple(self.server.engine.active_events()),
-            sim_time=self.server.kernel.now,
+            sim_time=self.server.kernel.now, number=self.publishes,
             degraded=degraded, stale_shards=stale,
             staleness_s=staleness)
 
@@ -160,10 +190,38 @@ class GatewayState:
                 and view.sim_time == self.server.kernel.now:
             self.publish_reuses += 1
             return view
-        view = self._capture(view)
-        self.view = view  # atomic reference swap; readers see old or new
         self.publishes += 1
+        view = self._capture(view)
+        if self._changes is not None:
+            self._trim(view, self._needed)
+        self.view = view  # atomic reference swap; readers see old or new
         return view
+
+    def _note_change(self, update: Update) -> None:
+        """The change log's bus callback.  **Sim thread.**"""
+        self._changes.entries.append((self.publishes, update.hostname))
+
+    def _trim(self, view: PublishedView, needed: int) -> None:
+        """Replace the change log by a copy without the entries no
+        view from ``needed`` on asks for; drop it whole once it lists
+        more changes than half ``view``'s hosts, so that it is exact
+        from ``view`` on only: past half the rows, one identity pass
+        over every row costs a body less than finding and patching
+        each changed one."""
+        log = self._changes
+        if needed > log.first:
+            cut = bisect_left(log.entries, (needed,))
+            log = _ChangeLog(log.fields, needed, log.entries[cut:])
+        if 2 * len(log.entries) > len(view.hostnames):
+            log = _ChangeLog(log.fields, view.number, [])
+        self._changes = log
+
+    def close(self) -> None:
+        """Cancel the change log's bus subscription."""
+        with self.lock:
+            if self._tracking is not None:
+                self._tracking.cancel()
+            self._tracking = self._changes = None
 
     def stall(self, until: float) -> None:
         """Suspend publication until sim time ``until`` (fault plane:
@@ -209,16 +267,64 @@ class GatewayState:
         """NodeSet-filtered bulk read: ``nodes`` is range algebra
         (``node[001-016]``, ``@rack2``), ``metrics`` projects columns.
         One ``host`` row per node, read off the view's snapshot as the
-        response is written — nothing per row is built here."""
+        response is written — nothing per row is built here.  A
+        projected all-hosts table of a complete view carries the view's
+        number and its :meth:`changed_since`, and its fields are the
+        ones the change log follows."""
         view = self.view
+        fields = tuple(sorted(set(metrics))) if metrics else None
         if nodes:
             wanted = tuple(h for h in NodeSet(nodes, resolver=self.resolver)
                            if h in view.snapshot)
-        else:
-            wanted = view.hostnames
-        return FrameTable("host", view.sim_time, wanted, view.snapshot,
-                          tuple(sorted(set(metrics))) if metrics else None,
-                          all_hosts=not nodes)
+            return FrameTable("host", view.sim_time, wanted, view.snapshot,
+                              fields)
+        number = changed = None
+        if fields is not None:
+            self._needed = view.number
+            log = self._changes
+            if log is None or log.fields != fields:
+                self._follow(fields)
+            if view.snapshot.complete:
+                number = view.number
+                changed = partial(self.changed_since, view=view,
+                                  fields=fields)
+        return FrameTable("host", view.sim_time, view.hostnames,
+                          view.snapshot, fields, all_hosts=True,
+                          number=number, changed_since=changed)
+
+    def _follow(self, fields: Tuple[str, ...]) -> None:
+        """Start the change log on ``fields`` — one bus subscription,
+        replacing the last — if the published view is the world as it
+        is: then nothing was applied since its capture, and the log is
+        exact from it on.  Else the next projected query tries again."""
+        with self.lock:
+            view = self.view
+            if self.server.store.generation != view.generation \
+                    or self.server.kernel.now != view.sim_time:
+                return
+            if self._tracking is not None:
+                self._tracking.cancel()
+            self._changes = _ChangeLog(fields, view.number, [])
+            self._tracking = self.server.subscribe(
+                self._note_change, name="gateway-changes", metrics=fields)
+
+    def changed_since(self, number: int, view: PublishedView,
+                      fields: Tuple[str, ...]) -> Optional[Set[str]]:
+        """The hosts whose ``fields`` a published update changed after
+        view ``number`` and before ``view``: every update stamped ``s``
+        with ``number <= s < view.number``.  None when the log cannot
+        say exactly: it follows other fields, was dropped or started
+        after view ``number``, ``view`` is older, or ``view`` re-serves
+        an unreachable shard's last part (a view ``number`` that did is
+        the caller's to leave out)."""
+        log = self._changes
+        if log is None or log.fields != fields or number < log.first \
+                or view.number < number or not view.snapshot.complete:
+            return None
+        entries = log.entries
+        start = bisect_left(entries, (number,))
+        stop = bisect_left(entries, (view.number,), start)
+        return set(map(itemgetter(1), entries[start:stop]))
 
     def active_events(self) -> Tuple[float, Tuple[Tuple[str, str], ...]]:
         view = self.view

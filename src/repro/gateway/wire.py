@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import json
 import struct
+from bisect import bisect_left
 from collections import deque
 from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from operator import add, is_not, not_, or_
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
-                    NamedTuple, Optional, Sequence, Tuple, Union)
+from typing import (Callable, Collection, Dict, Iterable, Iterator, List,
+                    Mapping, NamedTuple, Optional, Sequence, Tuple, Union)
 
 from repro.core.statestore import Group
 from repro.monitoring.transmission import BinaryCodec
@@ -85,17 +86,23 @@ class FrameTable:
     off ``snapshot`` (a ``Snapshot`` or ``FederatedSnapshot``; sorted
     ``fields`` projected, all when None) column by column as it is
     written or iterated.  ``all_hosts`` marks the table of every host
-    of a view, the one :class:`JsonWire` keeps its last body of."""
+    of a view (``subjects`` sorted), the one :class:`JsonWire` keeps its
+    last body of.  Such a table may carry the ``number`` of the view it
+    reads and ``changed_since(n)``: the hosts whose ``fields`` changed
+    between view ``n`` and this one, or None when that is not known."""
 
     __slots__ = ("kind", "t", "subjects", "snapshot", "fields",
-                 "all_hosts")
+                 "all_hosts", "number", "changed_since")
 
     def __init__(self, kind: str, t: float, subjects: Tuple[str, ...],
                  snapshot, fields: Optional[Tuple[str, ...]] = None, *,
-                 all_hosts: bool = False):
+                 all_hosts: bool = False, number: Optional[int] = None,
+                 changed_since: Optional[
+                     Callable[[int], Optional[Collection[str]]]] = None):
         self.kind, self.t, self.subjects = kind, t, subjects
         self.snapshot, self.fields = snapshot, fields
         self.all_hosts = all_hosts
+        self.number, self.changed_since = number, changed_since
 
     def __len__(self) -> int:
         return len(self.subjects)
@@ -166,7 +173,8 @@ class _TableMemo(NamedTuple):
     (``pieces[0]`` is the first row's text before it), and what that
     text was written from.  ``columns`` keeps every value written
     alive, so no id in it is ever recycled; ``exact`` holds, per
-    column, whether every value in it is an exact scalar."""
+    column, whether every value in it is an exact scalar; ``number``
+    is the table's (:class:`FrameTable`)."""
 
     kind: str
     subjects: Tuple[str, ...]
@@ -174,6 +182,7 @@ class _TableMemo(NamedTuple):
     columns: List[List[object]]
     exact: List[bool]
     pieces: List[str]
+    number: Optional[int]
 
 
 def _head(kind: str, subjects: Tuple[str, ...]) -> str:
@@ -250,6 +259,34 @@ def _patched(memo: _TableMemo, columns: List[List[object]]
     return pieces, exact
 
 
+def _reread(memo: _TableMemo, table: FrameTable, changed: Collection[str]
+            ) -> Optional[Tuple[List[str], List[bool], List[List[object]]]]:
+    """``memo``'s pieces, exactness and columns with only the
+    ``changed`` hosts' rows read off ``table`` and written again, or
+    None when a changed host is not a row of it or lacks a field."""
+    if not changed:
+        return memo.pieces, memo.exact, memo.columns
+    hosts = sorted(changed)
+    subjects = memo.subjects
+    rows = list(map(bisect_left, repeat(subjects), hosts))
+    if rows[-1] >= len(subjects) \
+            or list(map(subjects.__getitem__, rows)) != hosts:
+        return None
+    groups = table.snapshot.columns(hosts, table.fields)
+    if len(groups) != 1 or groups[0][0] != memo.names:
+        return None
+    new = groups[0][2]
+    texts, exact = _rows(memo.kind, subjects, rows, memo.names, new)
+    pieces = memo.pieces.copy()
+    deque(map(pieces.__setitem__, map(add, rows, repeat(1)), texts), 0)
+    columns = []
+    for column, cells in zip(memo.columns, new):
+        column = column.copy()
+        deque(map(column.__setitem__, rows, cells), 0)
+        columns.append(column)
+    return pieces, exact, columns
+
+
 class JsonWire:
     """Frames as JSON: self-describing, greppable, and ~2x the bytes."""
 
@@ -271,28 +308,44 @@ class JsonWire:
         """``encode(list(table))``: the rows' text split around the
         ``"t":…,"values":{`` text they share and joined on it.  An
         all-hosts table over the last one's hosts and fields writes only
-        the rows whose values are not the objects that body was written
-        from."""
+        the rows that changed since that body: the rows its
+        ``changed_since`` names when that body was written from a
+        numbered table and held exact scalars only, else the rows whose
+        values are not the objects that body was written from."""
         subjects = table.subjects
         if not subjects:
             return b"[]"
-        groups = table.groups()
         memo = self._memo if table.all_hosts else None
-        if memo is not None and len(groups) == 1 \
-                and memo.subjects is subjects and memo.kind == table.kind \
-                and memo.names == groups[0][0]:
-            pieces, exact = _patched(memo, groups[0][2])
+        if memo is not None and (memo.subjects is not subjects
+                                 or memo.kind != table.kind):
+            memo = None
+        kept = None
+        if memo is not None and memo.number is not None \
+                and table.changed_since is not None \
+                and memo.names == table.fields and all(memo.exact):
+            changed = table.changed_since(memo.number)
+            if changed is not None:
+                kept = _reread(memo, table, changed)
+        if kept is not None:
+            pieces, exact, columns = kept
+            groups = [(memo.names, subjects, columns)]
         else:
-            pieces, start = [_head(table.kind, subjects)], 0
-            for names, run, columns in groups:
-                stop = start + len(run)
-                texts, exact = _rows(table.kind, subjects,
-                                     range(start, stop), names, columns)
-                pieces += texts
-                start = stop
+            groups = table.groups()
+            if memo is not None and len(groups) == 1 \
+                    and memo.names == groups[0][0]:
+                pieces, exact = _patched(memo, groups[0][2])
+            else:
+                pieces, start = [_head(table.kind, subjects)], 0
+                for names, run, columns in groups:
+                    stop = start + len(run)
+                    texts, exact = _rows(table.kind, subjects,
+                                         range(start, stop), names, columns)
+                    pieces += texts
+                    start = stop
         if table.all_hosts and len(groups) == 1:
             self._memo = _TableMemo(table.kind, subjects, groups[0][0],
-                                    groups[0][2], exact, pieces)
+                                    groups[0][2], exact, pieces,
+                                    table.number)
         shared = ',"t":' + _json_value(round(table.t, 3)) + ',"values":{'
         return shared.join(pieces).encode("utf-8")
 

@@ -36,7 +36,8 @@ __all__ = ["ERRORS_KEPT", "NodeAgent", "PER_SAMPLE_CPU_SECONDS"]
 PER_SAMPLE_CPU_SECONDS = 110e-6
 
 #: failed monitor evaluations an agent keeps (the newest): a plug-in
-#: that fails every tick must not grow the agent without bound.
+#: that fails every tick must not grow the agent without bound.  The
+#: state store keeps as many failed subscriber deliveries.
 ERRORS_KEPT = 256
 
 

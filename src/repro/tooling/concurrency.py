@@ -32,6 +32,7 @@ CONTEXT_MAP: Mapping[str, str] = {
     "repro/gateway/shell.py::SimDriver.run": "sim",
     "repro/gateway/state.py::GatewayState.refresh": "sim",
     "repro/gateway/state.py::GatewayState._capture": "sim",
+    "repro/gateway/state.py::GatewayState._note_change": "sim",
     "repro/gateway/watch.py::WatchHub._on_update": "sim",
     "repro/gateway/watch.py::WatchClient.push": "sim",
     # The asyncio serving thread: hot endpoints off the frozen view,
@@ -42,6 +43,7 @@ CONTEXT_MAP: Mapping[str, str] = {
     "repro/gateway/state.py::GatewayState.hostnames": "serving",
     "repro/gateway/state.py::GatewayState.folded_hosts": "serving",
     "repro/gateway/state.py::GatewayState.query": "serving",
+    "repro/gateway/state.py::GatewayState.changed_since": "serving",
     "repro/gateway/state.py::GatewayState.active_events": "serving",
     "repro/gateway/state.py::GatewayState.shards": "serving",
     "repro/gateway/state.py::GatewayState.history_graph": "serving",

@@ -752,6 +752,7 @@ ORACLE = {'reachable': {'store.tracked': {'set': ['c-n0000', 'c-n0001',
                                     'events', 'history', 'events'],
             'store.updates_applied': 54,
             'store.snapshots_taken': 3,
+            'store.snapshot_reuses': 3,
             'store.notifications': 108,
             'engine.fired': [(24.859918628571428, 'hot', 'c-n0003'),
                              (24.859918628571428, 'hot', 'c-n0006')],

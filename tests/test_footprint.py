@@ -336,6 +336,60 @@ def test_a_filtered_table_leaves_the_kept_all_hosts_body():
         == _second_body_bytecodes(2000, 0)
 
 
+class _CountingRow(dict):
+    """A host row that counts the cells read out of it."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        _CountingRow.reads += 1
+        return dict.__getitem__(self, key)
+
+
+def _reads_after_a_body(n_hosts, changed):
+    """Cells read writing the all-hosts body of the view after one the
+    wire wrote over the same hosts and fields, when the change log names
+    ``changed`` rows (every ``step``-th, their values new objects); the
+    body must be the one a fresh wire writes."""
+    first = _three_metric_table(n_hosts)
+    rows = {hostname: _CountingRow(row)
+            for hostname, row in first.snapshot._hosts.items()}
+    subjects = first.subjects
+    moved = set(subjects[::max(1, n_hosts // changed)][:changed]) \
+        if changed else set()
+    after = dict(rows)
+    for hostname in moved:
+        after[hostname] = _CountingRow(
+            {field: value + 1 for field, value in rows[hostname].items()})
+    tables = [FrameTable("host", float(number), subjects,
+                         Snapshot(hosts, number, float(number), 1),
+                         first.fields, all_hosts=True, number=number,
+                         changed_since={1: moved}.get)
+              for number, hosts in ((1, rows), (2, after))]
+    wire = JsonWire()
+    wire.encode(tables[0])
+    _CountingRow.reads = 0
+    body = wire.encode(tables[1])
+    reads = _CountingRow.reads
+    assert body == JsonWire().encode(tables[1])
+    return reads
+
+
+@pytest.mark.parametrize("n_hosts", [10, 2000])
+def test_unchanged_logged_body_reads_no_row(n_hosts):
+    """The all-hosts body after one over the same hosts and fields,
+    with no change logged between their views, reads no cell at all:
+    the rows are neither read nor compared."""
+    assert _reads_after_a_body(n_hosts, 0) == 0
+
+
+@pytest.mark.parametrize("changed", [1, 37, 500])
+def test_logged_changes_cost_their_rows_reads(changed):
+    """k rows named by the change log cost k reads per field, whatever
+    the size of the table around them."""
+    assert _reads_after_a_body(2000, changed) == 3 * changed
+
+
 #: ``NodeAgent.evaluate``'s bytecodes on an idle built-in-only node (the
 #: ``node`` fixture at t=60), counted under CPython 3.11 at the commit
 #: before the built-in set became one monitor: 1 541, then a hoisted

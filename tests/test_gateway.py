@@ -272,6 +272,64 @@ class TestGatewayState:
             assert (kind, t) == ("host", state.view.sim_time)
             assert set(values) <= {"cpu_util_pct"}
 
+    def test_change_log_names_the_hosts_updated_between_views(self):
+        """A projected all-hosts query starts the change log, on one bus
+        subscription, when the published view is the world as it is.
+        The log then names the hosts a published update on those fields
+        reached between two views; it answers None for a view before it
+        began, for other fields, or once more than half the hosts
+        changed.  A query after the sim moved on past the view starts
+        none; ``close()`` cancels the subscription."""
+        cwx = ClusterWorX(n_nodes=6, seed=4, monitor_interval=5.0)
+        cwx.start()
+        cwx.run(30)
+        store = cwx.server.store
+        state = GatewayState(cwx.server)
+        fields = ("cpu_util_pct",)
+
+        def subscribed():
+            return [sub.name for sub in store.subscriptions
+                    if sub.name == "gateway-changes"]
+
+        first = state.view
+        table = state.query(None, list(fields))
+        assert (table.number, table.changed_since(0)) == (0, set())
+        assert subscribed() == ["gateway-changes"]
+        a, b = cwx.cluster.hostnames[:2]
+        now = cwx.kernel.now
+        store.apply(Update(a, now, {"cpu_util_pct": 99.0}))
+        store.apply(Update(b, now, {"cpu_temp_c": 99.0}))
+        with state.lock:
+            second = state.refresh()
+        assert state.changed_since(first.number, second, fields) == {a}
+        assert state.changed_since(second.number, second, fields) == set()
+        assert state.changed_since(first.number, second,
+                                   ("cpu_temp_c",)) is None
+        cwx.run(5)                      # past the view: no log starts
+        assert state.query(None, ["cpu_temp_c"]).changed_since(
+            second.number) is None
+        assert state.changed_since(first.number, second, fields) == {a}
+        with state.lock:
+            third = state.refresh()
+        assert state.query(None, ["cpu_temp_c"]).changed_since(
+            third.number) == set()
+        assert state.changed_since(second.number, third,
+                                   ("cpu_temp_c",)) is None
+        assert subscribed() == ["gateway-changes"]
+        # Past half the hosts changed, the log is dropped: a body reads
+        # every row anyway.
+        now = cwx.kernel.now
+        for host in cwx.cluster.hostnames[:4]:
+            store.apply(Update(host, now, {"cpu_temp_c": 98.0}))
+        with state.lock:
+            fourth = state.refresh()
+        assert state.changed_since(third.number, fourth,
+                                   ("cpu_temp_c",)) is None
+        state.close()
+        assert subscribed() == []
+        assert state.changed_since(fourth.number, fourth,
+                                   ("cpu_temp_c",)) is None
+
     def test_folded_hosts_cached_per_generation(self):
         cwx = ClusterWorX(n_nodes=5, seed=4, monitor_interval=5.0)
         cwx.start()
@@ -542,6 +600,30 @@ class TestServiceEndToEnd:
             assert {f[1] for f in frames} == {target}
             writer.close()
             await _stop_service(service)
+        asyncio.run(scenario())
+
+    def test_stop_leaves_no_gateway_subscription(self):
+        """The watch hub's and the change log's bus subscriptions both
+        end with the service."""
+        async def scenario():
+            cwx, service = await _start_service()
+
+            def subscribed():
+                return sorted(sub.name for sub in
+                              cwx.server.store.subscriptions
+                              if sub.name.startswith("gateway"))
+
+            for _ in range(200):   # the log starts between two slices
+                status, _, _ = await fetch(
+                    "127.0.0.1", service.port,
+                    "/v1/query?metrics=cpu_util_pct")
+                assert status == 200
+                if len(subscribed()) == 2:
+                    break
+                await asyncio.sleep(0.01)
+            assert subscribed() == ["gateway", "gateway-changes"]
+            await _stop_service(service)
+            assert subscribed() == []
         asyncio.run(scenario())
 
     def test_keep_alive_pipelines_requests(self):

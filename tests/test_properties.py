@@ -24,7 +24,8 @@ from repro.faults.invariants import (digest, empty_shards_not_stale,
                                      published_view_immutable,
                                      rollup_matches_parts,
                                      updates_conserved)
-from repro.federation.views import FederatedSnapshot
+from repro.federation.channel import ShardChannel
+from repro.federation.views import FederatedSnapshot, FederatedStore
 from repro.gateway import BinaryWire, GatewayState, JsonWire
 from repro.gateway.shell import _drain_buffer
 from repro.gateway.wire import EVENT_SCHEMA, STATS_SCHEMA, SUMMARY_SCHEMA
@@ -1124,9 +1125,12 @@ _table_values = st.one_of(
 
 
 def _state_over(snapshot, now):
-    """A GatewayState whose server is nothing but ``snapshot``."""
+    """A GatewayState whose server is nothing but ``snapshot`` (and a
+    bus nothing is published on)."""
     server = SimpleNamespace(
-        store=SimpleNamespace(snapshot=lambda: snapshot),
+        store=SimpleNamespace(snapshot=lambda: snapshot,
+                              generation=snapshot.generation),
+        subscribe=StateStore().subscribe,
         engine=SimpleNamespace(active_events=tuple),
         cluster_summary=dict,
         kernel=SimpleNamespace(now=now),
@@ -1288,9 +1292,16 @@ _memo_values = st.one_of(
     st.integers(-2**70, 2**70), st.booleans(), st.none(),
     st.text(alphabet='a"\\\x1fé', max_size=3), st.just(_PLUG))
 _host_index = st.integers(0, 9)
-_memo_steps = st.lists(st.one_of(
-    st.tuples(st.just("set"), _host_index,
-              st.sampled_from(_MEMO_FIELDS + ("plug",)), _memo_values),
+_part_index = st.integers(0, 2)
+_set_step = st.tuples(st.just("set"), _host_index,
+                      st.sampled_from(_MEMO_FIELDS + ("plug", "other")),
+                      _memo_values)
+#: a shard unreachable for 1 to 4 steps
+_outage_step = st.tuples(st.just("outage"), _part_index, st.integers(1, 4))
+#: the steps that keep the hostnames tuple (the log's path) drawn more
+#: often than those that replace it.
+_memo_step = st.one_of(
+    _set_step, _set_step, _set_step,
     st.tuples(st.just("resend"), _host_index),
     st.tuples(st.just("add"), _host_index),
     st.tuples(st.just("remove"), _host_index),
@@ -1300,107 +1311,197 @@ _memo_steps = st.lists(st.one_of(
     st.tuples(st.just("nodes"), st.lists(_host_index, min_size=1,
                                          max_size=3)),
     st.tuples(st.just("plug"), _host_index),
-    st.tuples(st.just("mutate")),
-    st.tuples(st.just("drain"), st.integers(0, 2)),
-    st.tuples(st.just("publish"))), max_size=25)
+    st.tuples(st.just("mutate")), st.tuples(st.just("mutate")),
+    st.tuples(st.just("drain"), _part_index),
+    _outage_step, _outage_step,
+    st.tuples(st.just("stall"), st.integers(1, 4)),
+    st.tuples(st.just("stall"), st.integers(1, 4)),
+    st.tuples(st.just("publish")), st.tuples(st.just("publish")))
+#: each step, and when the bodies are written: after the publish that
+#: ends it, before (the serving thread reads mid-slice), or not at all.
+_memo_steps = st.lists(st.tuples(_memo_step, st.sampled_from(
+    ["after", "after", "before", "none"])), min_size=10, max_size=30)
 
 
 class _MemoWorld:
-    """A store whose host rows are replaced, never mutated, published as
-    a flat snapshot or (``shards``) a federated one whose parts keep
-    their hosts until a drain moves them; it is also the clock."""
+    """Hosts in real state stores, published through a gateway state:
+    one store, or (``shards``) one per stub shard under a federated
+    store, each shard's channel taken down by an outage while its store
+    still takes writes (the sweep's) until it ends.  A drain moves a
+    part's hosts silently, as the federation's does.  It is also the
+    clock, and it keeps what the change log must say: every update
+    applied, and where each published view's updates begin."""
 
     def __init__(self, n_hosts, shards):
+        self.now = 0.0
         self.plug = [0]
-        self.rows = {f"n{i}": {"cpu": i / 3, "mem": 2**40 + i,
-                               "temp": 30.0 + i} for i in range(n_hosts)}
-        self.parts = max(shards, 1)
-        self.part = {h: i % self.parts for i, h in enumerate(self.rows)}
-        self.stamps = [0] * self.parts
-        self.federated = bool(shards)
-        self.generation, self.now = 0, 0.0
+        self.stores = [StateStore() for _ in range(max(shards, 1))]
+        self.part = {}
+        self.shards = [SimpleNamespace(index=i, name=f"s{i}", active=True,
+                                       server=SimpleNamespace(store=store))
+                       for i, store in enumerate(self.stores)]
+        for shard in self.shards:
+            shard.channel = ShardChannel(self, shard)
+        store = FederatedStore(
+            self.shards, lambda hostname: self.shards[self.part[hostname]]
+            if hostname in self.part else None) if shards \
+            else self.stores[0]
+        #: (hostname, keys) of every update applied, in order.
+        self.applied = []
+        for i in range(n_hosts):
+            self._write(f"n{i}", {"cpu": i / 3, "mem": 2**40 + i,
+                                  "temp": 30.0 + i})
         self.state = GatewayState(SimpleNamespace(
-            store=self, kernel=self, cluster_summary=dict,
+            store=store, kernel=self, subscribe=store.subscribe,
+            cluster_summary=dict,
             engine=SimpleNamespace(active_events=tuple),
             degraded_info=lambda: {"degraded": False}))
+        #: view number -> len(applied) when it was published.
+        self.published = {0: len(self.applied)}
 
-    def snapshot(self):
-        if not self.federated:
-            return Snapshot(dict(self.rows), self.generation, self.now,
-                            self.stamps[0])
-        parts = [{} for _ in self.stamps]
-        for hostname, row in self.rows.items():
-            parts[self.part[hostname]][hostname] = row
-        return FederatedSnapshot([
-            Snapshot(part, self.generation, self.now, stamp)
-            for part, stamp in zip(parts, self.stamps)])
+    def _write(self, hostname, values):
+        part = self.part.setdefault(hostname,
+                                    int(hostname[1:]) % len(self.stores))
+        self.stores[part].apply(Update(hostname, self.now, values))
+        self.applied.append((hostname, set(values)))
 
-    def _host(self, index):
-        return sorted(self.rows)[index % len(self.rows)] if self.rows \
-            else None
+    def changed(self, first, last, fields):
+        """The hosts an update on ``fields`` reached between views."""
+        return {hostname for hostname, keys in self.applied[
+            self.published[first]:self.published[last]] if keys & fields}
 
     def apply(self, step):
         kind, *args = step
-        host = self._host(args[0]) \
-            if kind in ("set", "plug", "resend", "remove") else None
+        hosts = sorted(self.part)
+        host = hosts[args[0] % len(hosts)] if hosts and kind in (
+            "set", "plug", "resend", "remove") else None
         if kind == "plug" and host:         # a plug-in's list in a column
-            self.rows[host] = {**self.rows[host], "cpu": self.plug}
+            self._write(host, {"cpu": self.plug})
         elif kind == "set" and host:
             field, value = args[1:]
-            self.rows[host] = {**self.rows[host],
-                               field: self.plug if value == _PLUG else value}
+            self._write(host, {field: self.plug if value == _PLUG
+                               else value})
         elif kind == "resend" and host:     # equal values, new objects
-            self.rows[host] = pickle.loads(pickle.dumps(self.rows[host]))
-        elif kind == "add" and f"n{args[0]}" not in self.rows:
-            host = f"n{args[0]}"
-            self.rows[host] = {"cpu": 0.5, "mem": 7, "temp": 1e300}
-            self.part[host] = args[0] % self.parts
-            self.stamps[self.part[host]] += 1
+            row = self.stores[self.part[host]].get(host)
+            self._write(host, pickle.loads(pickle.dumps(dict(row))))
+        elif kind == "add" and f"n{args[0]}" not in self.part:
+            self._write(f"n{args[0]}", {"cpu": 0.5, "mem": 7,
+                                        "temp": 1e300})
         elif kind == "remove" and host:
-            del self.rows[host]
-            self.stamps[self.part.pop(host)] += 1
+            self.stores[self.part.pop(host)].forget(host)
         elif kind == "mutate":              # in place: same object
             self.plug.append(len(self.plug))
-        elif kind == "drain" and self.parts > 1:
-            source = args[0] % self.parts
-            target = (source + 1) % self.parts
-            for hostname, part in self.part.items():
-                if part == source:
+        elif kind == "drain" and len(self.stores) > 1:
+            source = args[0] % len(self.stores)
+            target = (source + 1) % len(self.stores)
+            for hostname in sorted(self.part):
+                if self.part[hostname] == source:
+                    row = dict(self.stores[source].get(hostname))
+                    self.stores[source].forget(hostname)
+                    self.stores[target].restore(hostname, row,
+                                                time=self.now)
                     self.part[hostname] = target
-            self.stamps[source] += 1
-            self.stamps[target] += 1
-        self.generation += 1
+        elif kind == "outage":
+            self.shards[args[0] % len(self.shards)].channel.down_until = \
+                self.now + 1.25 * args[1]
+        elif kind == "stall":
+            self.state.stall(self.now + 1.25 * args[0])
+
+    def publish(self):
         self.now += 1.25
         with self.state.lock:
-            self.state.refresh()
+            view = self.state.refresh()
+        self.published.setdefault(view.number, len(self.applied))
+
+
+#: the steps around the change log alone: writes on the fields a body
+#: projects, outages, stalls, projection switches and bare publishes.
+#: (drawn uniformly: an outage must outlast a write and a body on its
+#: shard, which small-value shrinking toward 0 and 1 rarely lines up)
+_log_write = st.tuples(st.just("set"), st.sampled_from(range(6)),
+                       st.sampled_from(_MEMO_FIELDS), st.floats(-10, 10))
+_log_outage = st.tuples(st.just("outage"), st.sampled_from(range(3)),
+                        st.sampled_from(range(1, 6)))
+_log_step = st.one_of(
+    _log_write, _log_write, _log_outage, _log_outage,
+    st.tuples(st.just("stall"), st.integers(1, 4)),
+    st.tuples(st.just("project"), st.lists(st.sampled_from(_MEMO_FIELDS),
+                                           min_size=1, max_size=3)),
+    st.tuples(st.just("publish")))
+
+
+def _replay(world, metrics, steps):
+    """Write the bodies of ``steps`` with one long-lived wire: each must
+    be a fresh wire's and the frame list's, and each change log answer
+    the hosts an update on the fields reached between the two views."""
+    wire = JsonWire()
+    for step, when in [(("publish",), "after"), *steps]:
+        world.apply(step)
+        if step[0] == "project":
+            metrics = step[1]
+        queries = [None]
+        if step[0] == "nodes":
+            queries.insert(0, ",".join(f"n{i}" for i in step[1]))
+        if when != "before":
+            world.publish()
+        for nodes in queries if when != "none" else ():
+            table = world.state.query(nodes, metrics)
+            memo = wire._memo
+            if table.changed_since is not None and memo is not None \
+                    and memo.number is not None:
+                changed = table.changed_since(memo.number)
+                assert changed is None or changed == world.changed(
+                    memo.number, table.number, set(table.fields))
+            body = wire.encode(table)
+            assert body == JsonWire().encode(table)
+            assert body == JsonWire().encode(list(table))
+        if when == "before":
+            world.publish()
 
 
 class TestJsonWireMemo:
-    @given(st.integers(0, 6), st.sampled_from([0, 2, 3]), _memo_steps)
-    @example(1, 0, [("plug", 0), ("mutate",)])
+    @given(st.integers(0, 6), st.sampled_from([0, 2, 3]),
+           st.lists(st.sampled_from(_MEMO_FIELDS), min_size=1, max_size=3),
+           _memo_steps)
+    @example(1, 0, None, [(("plug", 0), "after"), (("mutate",), "after")])
+    # A shard's store written while it is down, then back.
+    @example(4, 2, ["temp"], [(("publish",), "after")] * 2 + [
+        (("outage", 1, 3), "after"), (("set", 1, "temp", 1.5), "after"),
+        (("publish",), "after")])
+    # A write read mid-slice by the query that asks for its field.
+    @example(3, 0, None, [(("project", ["mem"]), "none"),
+                          (("set", 0, "mem", 2), "before"),
+                          (("publish",), "after")])
+    # A write the view has not published yet.
+    @example(3, 0, ["cpu"], [(("publish",), "after")] * 2 + [
+        (("set", 2, "cpu", 0.5), "before")])
     @settings(max_examples=300, deadline=None)
     def test_long_lived_wire_writes_what_a_fresh_one_writes(
-            self, n_hosts, shards, steps):
+            self, n_hosts, shards, metrics, steps):
         """One wire kept across every view of a generated history —
-        values changed, kept, or re-sent equal as new objects; hosts
-        added and removed; projections switched; NodeSet queries in
-        between; an in-place change to a plug-in's list; a shard's
-        hosts drained onto another part — writes every all-hosts and
-        NodeSet body exactly as a fresh wire and the frame list do."""
-        world = _MemoWorld(n_hosts, shards)
-        wire, metrics = JsonWire(), None
-        for step in [("publish",), *steps]:
-            world.apply(step)
-            if step[0] == "project":
-                metrics = step[1]
-            queries = [None]
-            if step[0] == "nodes":
-                queries.insert(0, ",".join(f"n{i}" for i in step[1]))
-            for nodes in queries:
-                table = world.state.query(nodes, metrics)
-                body = wire.encode(table)
-                assert body == JsonWire().encode(table)
-                assert body == JsonWire().encode(list(table))
+        values changed, kept, or re-sent equal as new objects, on
+        projected fields or others; hosts added and removed; projections
+        switched; NodeSet queries in between; an in-place change to a
+        plug-in's list; a shard's hosts drained onto another part; a
+        shard down while its store takes writes, then back; publication
+        stalled; several publishes between two bodies — writes every
+        all-hosts and NodeSet body exactly as a fresh wire and the frame
+        list do.  Whenever the change log answers, it names exactly the
+        hosts an update on the fields reached between the two views."""
+        _replay(_MemoWorld(n_hosts, shards), metrics, steps)
+
+    @given(st.integers(2, 6), st.sampled_from([0, 2, 3]),
+           st.lists(st.tuples(_log_step, st.sampled_from(
+               ["after", "after", "before", "none"])),
+               min_size=4, max_size=20))
+    @settings(max_examples=1000, deadline=None)
+    def test_log_histories_write_what_a_fresh_wire_writes(
+            self, n_hosts, shards, steps):
+        """The same over histories of the change log's own hazards only
+        — writes on the projected fields during outages and stalls,
+        bodies mid-slice, projection switches — where membership never
+        changes, so the kept body stays on the log's path."""
+        _replay(_MemoWorld(n_hosts, shards), list(_MEMO_FIELDS), steps)
 
 
 # ---------------------------------------------------------------------------

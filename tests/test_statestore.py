@@ -11,6 +11,7 @@ from repro.core.statestore import Sample, Snapshot, StateStore, Update
 from repro.events.engine import EventEngine
 from repro.events.rules import ThresholdRule
 from repro.faults.invariants import rollup_matches_parts
+from repro.monitoring.agent import ERRORS_KEPT
 from repro.slurm import LiveUtilization
 
 
@@ -240,6 +241,28 @@ class TestSubscriptionBus:
         store.apply(up("a", 1.0))
         assert len(seen) == 1 and good.delivered == 1
         assert store.errors == [("bad", "a", "consumer bug")]
+
+    def test_errors_keep_the_newest_failures(self):
+        """A subscriber that fails every other delivery is never
+        detached (each success resets its count), so the store keeps
+        only the newest ``ERRORS_KEPT`` failures, in a list."""
+        store = StateStore()
+        calls = []
+
+        def flaky(update):
+            calls.append(update)
+            if len(calls) % 2:
+                raise RuntimeError(f"miss {len(calls)}")
+
+        sub = store.subscribe(flaky, name="flaky")
+        for i in range(2 * ERRORS_KEPT + 20):
+            store.apply(up("a", float(i), x=i))
+        assert sub.active and store.detached == []
+        assert type(store.errors) is list
+        assert len(store.errors) == ERRORS_KEPT
+        assert store.errors[0] == ("flaky", "a", "miss 21")
+        assert store.errors[-1] == ("flaky", "a",
+                                    f"miss {2 * ERRORS_KEPT + 19}")
 
     def test_subscriber_set_may_change_mid_publish(self):
         """A callback may cancel itself, cancel a later subscriber or
