@@ -9,8 +9,8 @@ PYTHONPATH := src
 
 check: lint test
 
-# worxlint: layer DAG, determinism, encapsulation, subscriber safety,
-# handler hygiene, thread and lock discipline.  Rules and suppression
+# worxlint: layer DAG, determinism, encapsulation, handler hygiene,
+# thread and lock discipline.  Rules and suppression
 # pragmas are documented in the "worxlint" section of DESIGN.md.
 lint:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli lint

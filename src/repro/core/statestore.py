@@ -40,11 +40,18 @@ from repro.monitoring.agent import ERRORS_KEPT
 from repro.monitoring.records import Sample, Update
 
 __all__ = ["Update", "Sample", "Snapshot", "Subscription", "StateStore",
-           "summarize"]
+           "SUBSCRIBER_ERROR_LIMIT", "summarize"]
 
 _log = logging.getLogger("repro.core.statestore")
 
 _EMPTY: Mapping[str, object] = MappingProxyType({})
+
+#: consecutive callback failures a subscriber is allowed before the
+#: store detaches it.  A consumer that raises on *every* delivery would
+#: otherwise silently tax each publish forever — the gateway's
+#: bounded-queue adapter relies on misbehaving consumers being cut off
+#: rather than degrading the datapath.
+SUBSCRIBER_ERROR_LIMIT = 5
 
 #: a run of hosts read column by column: ``(names, subjects, columns)``,
 #: ``columns[i][j]`` the value of ``names[i]`` on ``subjects[j]``.
@@ -233,6 +240,9 @@ class StateStore:
         #: the tuple it started with, so a callback may cancel or
         #: subscribe mid-publish and no publish pays for a copy.
         self._subs: Tuple[Subscription, ...] = ()
+        #: updates merged but not yet delivered, oldest first; empty
+        #: unless a publish is running (see :meth:`_publish`).
+        self._pending: List[Update] = []
         # -- incremental rollup state --
         self._up: Set[str] = set()
         self._cpu_sum = 0.0
@@ -257,14 +267,8 @@ class StateStore:
         #: raised, the newest ``ERRORS_KEPT``; one bad consumer must
         #: not stall the datapath, nor grow the store.
         self.errors: List[Tuple[str, str, str]] = []
-        #: consecutive callback failures a subscriber is allowed before
-        #: the store detaches it.  A consumer that raises on *every*
-        #: delivery would otherwise silently tax each publish forever —
-        #: the gateway's bounded-queue adapter relies on misbehaving
-        #: consumers being cut off rather than degrading the datapath.
-        self.subscriber_error_limit = 5
         #: (subscriber name, error text) for subscriptions the store
-        #: force-detached after ``subscriber_error_limit`` failures.
+        #: force-detached after ``SUBSCRIBER_ERROR_LIMIT`` failures.
         self.detached: List[Tuple[str, str]] = []
 
     # -- membership ---------------------------------------------------------
@@ -429,14 +433,20 @@ class StateStore:
         return self._last_agent.get(hostname)
 
     def snapshot(self) -> Snapshot:
-        """The versioned all-hosts view; O(1), shared until a write."""
-        if self._snapshot is None:
-            self._snapshot = Snapshot(self._hosts, self._generation,
-                                      self._time, self._membership)
+        """The versioned all-hosts view; O(1), shared until a write.
+
+        ``track`` and ``forget`` of a silent host move the generation
+        without touching the host map: the view is stamped afresh over
+        the same map, which stays frozen until the next write forks it."""
+        snap = self._snapshot
+        if snap is None or snap.generation != self._generation:
+            self._snapshot = snap = Snapshot(
+                self._hosts, self._generation, self._time,
+                self._membership)
             self.snapshots_taken += 1
         else:
             self.snapshot_reuses += 1
-        return self._snapshot
+        return snap
 
     def rollup(self) -> Dict[str, object]:
         """The *raw* additive aggregates behind :meth:`summary`.
@@ -494,22 +504,38 @@ class StateStore:
         return list(self._subs)
 
     def _publish(self, update: Update) -> None:
-        for sub in self._subs:
-            if not sub.active or not sub.wants(update):
-                continue
-            try:
-                sub.callback(update)
-            except Exception as exc:  # consumer code is arbitrary
-                self._note_failure(sub, update, exc)
-                continue
-            sub.delivered += 1
-            sub.consecutive_errors = 0
-            self.notifications += 1
+        """Deliver updates one at a time, in the order they were merged.
+
+        A write made from inside a callback is merged at once, but its
+        publish waits on ``_pending`` until the update in delivery has
+        reached every subscriber: each subscriber sees the same updates
+        in the same order, a cause before its effect, and no callback
+        is re-entered by its own store.  An escaping ``BaseException``
+        drops what is still pending and leaves the bus idle."""
+        pending = self._pending
+        pending.append(update)
+        if len(pending) > 1:
+            return
+        try:
+            for update in pending:
+                for sub in self._subs:
+                    if not sub.active or not sub.wants(update):
+                        continue
+                    try:
+                        sub.callback(update)
+                    except Exception as exc:  # consumer code is arbitrary
+                        self._note_failure(sub, update, exc)
+                        continue
+                    sub.delivered += 1
+                    sub.consecutive_errors = 0
+                    self.notifications += 1
+        finally:
+            pending.clear()
 
     def _note_failure(self, sub: Subscription, update: Update,
                       exc: Exception) -> None:
         """Record one callback failure; detach the subscriber once it
-        has failed ``subscriber_error_limit`` consecutive deliveries.
+        has failed ``SUBSCRIBER_ERROR_LIMIT`` consecutive deliveries.
 
         Error isolation alone is not enough: a consumer whose callback
         raises on *every* update would keep costing one exception per
@@ -520,7 +546,7 @@ class StateStore:
         self.errors.append((sub.name, update.hostname, str(exc)))
         del self.errors[:-ERRORS_KEPT]
         sub.consecutive_errors += 1
-        if sub.consecutive_errors >= self.subscriber_error_limit:
+        if sub.consecutive_errors >= SUBSCRIBER_ERROR_LIMIT:
             sub.active = False
             self.unsubscribe(sub)
             self.detached.append((sub.name, str(exc)))

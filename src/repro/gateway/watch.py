@@ -10,10 +10,11 @@ cluster.  The hub decouples the two worlds:
   does O(matching clients) work per update: look the hostname up in a
   host index, append to each matching client's bounded buffer, fire the
   client's edge-triggered wakeup.  Nothing in it blocks, allocates per
-  byte, or calls back into the store (WORX104 holds by construction —
-  and the bus's slow-consumer detach contract backstops it: were the
-  hub callback ever to start raising, the store cuts it off rather
-  than degrading every publish).
+  byte, or writes to the store; the store delivers one update at a
+  time, so the hub sees the updates in the order every other
+  subscriber does.  The bus's slow-consumer detach contract backstops
+  it: were the hub callback ever to start raising, the store cuts it
+  off rather than degrading every publish.
 * :class:`WatchClient` owns a two-stage bounded buffer.  Stage one is a
   FIFO of verbatim deltas (``queue_limit``).  When a consumer falls
   behind, overflow **coalesces**: later deltas merge per-host into a

@@ -1,7 +1,6 @@
 """worxlint — AST-based static analysis enforcing this codebase's
 architectural invariants (layer DAG, determinism, encapsulation,
-subscriber safety, exception-handler hygiene, thread and lock
-discipline).
+exception-handler hygiene, thread and lock discipline).
 
 The framework parses every module under the linted root **once**
 (:mod:`repro.tooling.parse`), runs a registry of whole-program visitor

@@ -4,14 +4,13 @@ pass with :mod:`repro.tooling.registry`:
     WORX101  layering        imports respect the layer map; no cycles
     WORX102  determinism     no wall clocks / global RNG in sim code
     WORX103  encapsulation   no reaching into foreign ``_private`` state
-    WORX104  subscriber-safety  store callbacks must not re-enter mutators
     WORX106  handlers        no swallowed exceptions
     WORX201  thread-discipline  cross-thread mutation, guarded state
                              outside its lock, replace-only maps
 """
 
 from repro.tooling.passes import (determinism, encapsulation, handlers,
-                                  layering, subscribers, thread_context)
+                                  layering, thread_context)
 
 __all__ = ["determinism", "encapsulation", "handlers", "layering",
-           "subscribers", "thread_context"]
+           "thread_context"]

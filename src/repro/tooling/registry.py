@@ -3,9 +3,9 @@
 A pass is a class with a ``rule_id`` and a ``run(ctx)`` generator; the
 ``@register`` decorator adds it to the global registry in definition
 order.  Passes are *whole-program*: they see every parsed module at once
-(layering needs the import graph, subscriber safety follows callbacks
-into other modules), and they must never re-read or re-parse a file —
-everything they need is on the :class:`LintContext`.
+(layering needs the import graph of every module), and they must never
+re-read or re-parse a file — everything they need is on the
+:class:`LintContext`.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Application flows: one WORX103 and one WORX104 violation."""
+"""Application flows: one WORX103 violation."""
 
 
 class Flow:
@@ -8,11 +8,3 @@ class Flow:
 
 def peek(store):
     return store._hosts  # WORX103: foreign private state
-
-
-def attach(store):
-    def on_update(update):
-        store.apply(update)  # WORX104: mutator inside the publish loop
-
-    store.subscribe(on_update)
-    return on_update

@@ -50,16 +50,21 @@ def make_cluster(seed: int, *, monitor_interval: float = 5.0, **kwargs):
                        monitor_interval=monitor_interval, **kwargs)
 
 
+def update_line(update) -> str:
+    """One published update as a ``U`` trace record."""
+    values = ",".join(f"{name}={update.values[name]}"
+                      for name in sorted(update.values))
+    return (f"U {update.time:.6f} {update.source} {update.hostname} "
+            f"{update.seq} {values}")
+
+
 def monitoring_trace(**kwargs) -> str:
     """120 simulated seconds of agents + sweep + rules + mixed faults."""
     cwx = make_cluster(MONITORING_SEED, **kwargs)
     lines = []
 
     def record(update):
-        values = ",".join(f"{name}={update.values[name]}"
-                          for name in sorted(update.values))
-        lines.append(f"U {update.time:.6f} {update.source} "
-                     f"{update.hostname} {update.seq} {values}")
+        lines.append(update_line(update))
 
     cwx.server.store.subscribe(record, name="golden-trace")
     cwx.add_threshold("hot-cpu", metric="cpu_temp_c", op=">",

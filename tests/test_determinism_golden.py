@@ -17,6 +17,7 @@ import pytest
 from tests import goldentrace as gt
 from tests.monitor_reference import REFERENCE, reference_values
 from repro import ClusterWorX
+from repro.core.statestore import StateStore
 from repro.monitoring.monitors import MonitorContext
 from repro.sim import SimKernel
 
@@ -31,6 +32,32 @@ def test_chaos_report_matches_golden():
     """Same seed => the exact pre-rework chaos-campaign report."""
     golden = gt.read_golden(gt.CHAOS_GOLDEN)
     assert gt.chaos_trace() == golden
+
+
+def test_first_and_last_subscribers_receive_one_update_sequence(
+        monkeypatch):
+    """Every subscriber sees the same updates in the same order.  A
+    recorder subscribed as the store is built (ahead of the server's
+    own consumers) and the golden recorder (subscribed last) must read
+    the same trace: a health update a critical rule causes mid-delivery
+    comes after the sweep update that caused it, for both."""
+    first, stores = [], []
+    build = StateStore.__init__
+
+    def build_then_subscribe(store):
+        build(store)
+        stores.append(store)
+        store.subscribe(lambda u: first.append(gt.update_line(u)),
+                        name="first")
+
+    monkeypatch.setattr(StateStore, "__init__", build_then_subscribe)
+    last = [line for line in gt.monitoring_trace().splitlines()
+            if line.startswith("U ")]
+    names = [sub.name for sub in stores[0].subscriptions]
+    assert len(stores) == 1 and names[0] == "first"
+    assert names[-1] == "golden-trace"
+    assert any(" health " in line for line in last)
+    assert first == last
 
 
 #: what the single-heap kernel logged for the scenario below.

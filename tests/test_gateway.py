@@ -243,6 +243,21 @@ class TestGatewayState:
         assert view3.generation > view1.generation
         assert cwx.server.store.full_copies == 0
 
+    def test_a_membership_change_is_published_once(self):
+        """``track`` moves the store's generation without a write; the
+        next refresh publishes a view at that generation, and the one
+        after it reuses that view."""
+        cwx = ClusterWorX(n_nodes=4, seed=3, monitor_interval=5.0)
+        cwx.start()
+        cwx.run(20)
+        state = GatewayState(cwx.server)
+        cwx.server.store.track("ghost")
+        with state.lock:
+            tracked = state.refresh()
+            assert tracked.generation == cwx.server.store.generation
+            assert state.refresh() is tracked
+        assert (state.publishes, state.publish_reuses) == (1, 1)
+
     def test_hot_reads_come_from_the_frozen_view(self):
         cwx = ClusterWorX(n_nodes=4, seed=3, monitor_interval=5.0)
         cwx.start()

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro.core import ClusterWorX, connect
-from repro.core.statestore import Sample, Snapshot, StateStore, Update
+from repro.core.statestore import (SUBSCRIBER_ERROR_LIMIT, Sample,
+                                   Snapshot, StateStore, Update)
 from repro.events.engine import EventEngine
 from repro.events.rules import ThresholdRule
 from repro.faults.invariants import rollup_matches_parts
@@ -200,6 +201,29 @@ class TestSnapshotCOW:
         with pytest.raises(TypeError):
             snap["a"]["udp_echo"] = 0
 
+    def test_membership_change_restamps_the_view(self):
+        """``track`` and ``forget`` of a silent host move the generation
+        without a write: the next view carries the new generation, and
+        copy-on-write still protects every view handed out."""
+        store = StateStore()
+        store.apply(up("a", 1.0, cpu_util_pct=10.0))
+        first = store.snapshot()
+        store.track("b")
+        tracked = store.snapshot()
+        assert tracked is not first
+        assert (first.generation, tracked.generation,
+                store.generation) == (1, 2, 2)
+        assert store.snapshot() is tracked
+        store.forget("b")
+        forgotten = store.snapshot()
+        assert forgotten.generation == store.generation == 3
+        store.apply(up("a", 2.0, cpu_util_pct=90.0))
+        assert store.cow_forks == 1
+        for view in (first, tracked, forgotten):
+            assert view["a"]["cpu_util_pct"] == 10.0
+        assert store.snapshot()["a"]["cpu_util_pct"] == 90.0
+        assert store.full_copies == 0
+
 
 class TestSubscriptionBus:
     def test_delivery_and_counters(self):
@@ -306,6 +330,119 @@ class TestSubscriptionBus:
         assert store.notifications == 9
         assert [s.name for s in store.subscriptions] == [
             "meddler", "tail", "late"]
+
+
+class TestPublishOrder:
+    """The store publishes one update at a time: a write made inside a
+    delivery is merged at once and published, to every subscriber,
+    after the update in delivery has reached them all."""
+
+    def test_a_callback_write_is_published_after_its_cause(self):
+        store = StateStore()
+        log = []
+        seen_inside = []
+
+        def cause_to_effect(update):
+            log.append(("writer", update.hostname))
+            if update.hostname == "a":
+                store.apply(up("echo", update.time))
+                seen_inside.append((store.generation, "echo" in store))
+
+        store.subscribe(lambda u: log.append(("head", u.hostname)))
+        store.subscribe(cause_to_effect)
+        store.subscribe(lambda u: log.append(("tail", u.hostname)))
+        store.apply(up("a", 1.0))
+        assert seen_inside == [(2, True)]   # merged at once
+        assert log == [("head", "a"), ("writer", "a"), ("tail", "a"),
+                       ("head", "echo"), ("writer", "echo"),
+                       ("tail", "echo")]
+        assert store.notifications == 6
+
+    def test_a_store_callback_calls_store_apply(self):
+        """The hazard WORX104 guarded statically, run instead: a
+        callback that writes back is never re-entered, and every
+        subscriber sees the writes in the order they were made."""
+        class Server:
+            def __init__(self, store):
+                self.store = store
+                self.depth = self.deepest = 0
+                store.subscribe(self._mirror)
+
+            def _mirror(self, update):
+                self.depth += 1
+                self.deepest = max(self.deepest, self.depth)
+                if update.seq < 3:
+                    self.store.apply(Update(
+                        hostname=update.hostname, time=update.time,
+                        values={"x": update.seq + 1}, seq=update.seq + 1))
+                    self.store.apply(Update(
+                        hostname="side", time=update.time,
+                        values={"x": update.seq}, seq=9))
+                self.depth -= 1
+
+        store = StateStore()
+        head, tail = [], []
+        store.subscribe(lambda u: head.append((u.hostname, u.seq)))
+        server = Server(store)
+        store.subscribe(lambda u: tail.append((u.hostname, u.seq)))
+        store.apply(Update(hostname="a", time=1.0, values={"x": 0},
+                           seq=0))
+        assert server.deepest == 1
+        assert head == tail == [("a", 0), ("a", 1), ("side", 9),
+                                ("a", 2), ("side", 9), ("a", 3),
+                                ("side", 9)]
+        assert store.get("a")["x"] == 3 and store.get("side")["x"] == 2
+
+    def test_a_raising_callback_in_a_queued_publish_is_isolated(self):
+        store = StateStore()
+        log = []
+
+        def writer(update):
+            if update.hostname == "a":
+                store.apply(up("b", update.time))
+
+        def bad(update):
+            if update.hostname == "b":
+                raise RuntimeError("consumer bug")
+
+        store.subscribe(writer, name="writer")
+        store.subscribe(bad, name="bad")
+        store.subscribe(lambda u: log.append(u.hostname), name="tail")
+        store.apply(up("a", 1.0))
+        store.apply(up("c", 2.0))
+        assert log == ["a", "b", "c"]
+        assert store.errors == [("bad", "b", "consumer bug")]
+
+    def test_an_escaping_base_exception_leaves_the_bus_idle(self):
+        """A ``BaseException`` is not isolated: it escapes the outer
+        ``apply``, the writes still pending are dropped unpublished
+        (they stay merged), and the next write publishes normally."""
+        class Stop(BaseException):
+            pass
+
+        store = StateStore()
+        log = []
+
+        def writer(update):
+            if update.hostname == "a":
+                store.apply(up("b", update.time))
+                store.apply(up("c", update.time))
+
+        def fatal(update):
+            if update.hostname == "b":
+                raise Stop()
+
+        store.subscribe(writer, name="writer")
+        fatal_sub = store.subscribe(fatal, name="fatal")
+        store.subscribe(lambda u: log.append(u.hostname), name="tail")
+        with pytest.raises(Stop):
+            store.apply(up("a", 1.0))
+        assert log == ["a"]
+        assert {"a", "b", "c"} <= set(store.hostnames)
+        assert store.errors == []
+        fatal_sub.cancel()
+        store.apply(up("a", 2.0))
+        assert log == ["a", "a", "b", "c"]
 
 
 class TestEventEngineActive:
@@ -501,7 +638,7 @@ class TestSlowConsumerDetach:
             raise RuntimeError("consumer wedged")
 
         sub = store.subscribe(bad, name="wedged")
-        limit = store.subscriber_error_limit
+        limit = SUBSCRIBER_ERROR_LIMIT
         with caplog.at_level("WARNING", logger="repro.core.statestore"):
             for i in range(limit + 5):
                 store.apply(up("a", float(i), cpu_util_pct=float(i)))
@@ -546,7 +683,7 @@ class TestSlowConsumerDetach:
 
         store.subscribe(bad, name="wedged")
         store.subscribe(good, name="healthy")
-        for i in range(store.subscriber_error_limit + 3):
+        for i in range(SUBSCRIBER_ERROR_LIMIT + 3):
             store.apply(up("a", float(i), cpu_util_pct=float(i)))
-        assert len(healthy) == store.subscriber_error_limit + 3
+        assert len(healthy) == SUBSCRIBER_ERROR_LIMIT + 3
         assert [name for name, _ in store.detached] == ["wedged"]

@@ -27,7 +27,6 @@ PLANTED = {
     "WORX101": "WORX101:acme/mid/upward.py:3",
     "WORX102": "WORX102:acme/mid/clock.py:7",
     "WORX103": "WORX103:acme/app/flows.py:10",
-    "WORX104": "WORX104:acme/app/flows.py:15",
     "WORX106": "WORX106:acme/lib/store.py:24",
     "WORX201": "WORX201:acme/srv/state.py:18",
 }
@@ -86,7 +85,7 @@ def test_rule_selection_runs_single_pass():
 
 #: minimal snippets of what each surviving rule has really caught on a
 #: committed tree (the 26-commit audit in ROADMAP item 5), or — for the
-#: two rules that have never fired — the hazard they alone guard.  Each
+#: one rule that has never fired — the hazard it alone guards.  Each
 #: is linted under the repo's own policy (``default_config``), so a
 #: change to the layer map, the context map or the guarded chains that
 #: would have let the catch through fails here.
@@ -161,17 +160,6 @@ REPLAY = {
                 return time.time()
             """},
         "repro/sim/kernel.py:5"),
-    "a store callback calls store.apply": (
-        "WORX104", {"repro/core/server.py": """\
-            class Server:
-                def __init__(self, store):
-                    self.store = store
-                    store.subscribe(self._mirror)
-
-                def _mirror(self, update):
-                    self.store.apply(update)
-            """},
-        "repro/core/server.py:7"),
 }
 
 
@@ -255,13 +243,13 @@ def test_pragma_inside_string_literal_is_data_not_annotation(tmp_path):
 # -- single shared parse -----------------------------------------------------
 
 def test_every_file_parsed_exactly_once():
-    """All six passes run off one shared parse: the ast.parse counter
+    """All five passes run off one shared parse: the ast.parse counter
     grows by exactly the number of files in the tree, never more."""
     n_files = len([p for p in FIXTURE.rglob("*.py")
                    if "__pycache__" not in p.parts])
     before = parse_count()
     result = run_lint(fixture_config())
-    assert len(result.rules) == 6
+    assert len(result.rules) == 5
     assert parse_count() - before == n_files == result.modules
 
 
@@ -400,34 +388,6 @@ def test_private_name_imported_across_packages_flagged(tmp_path):
                         rules=frozenset({"WORX103"}))
     assert [f.key for f in run_lint(config).findings] == \
         ["WORX103:pkg/app/flows.py:3"]
-
-
-def test_subscriber_method_callback_resolved(tmp_path):
-    """WORX104 resolves ``self.<method>`` callbacks and flags mutators
-    reached through them; detaching (cancel/unsubscribe) stays legal."""
-    result = lint_snippet(tmp_path, """\
-        class Server:
-            def __init__(self, store):
-                self.store = store
-                store.subscribe(self._on_update)
-
-            def _on_update(self, update):
-                if update.stale:
-                    self.store.forget(update.hostname)
-        """, rules={"WORX104"})
-    assert [f.rule_id for f in result.findings] == ["WORX104"]
-    assert result.findings[0].line == 8
-
-
-def test_subscriber_detach_is_not_flagged(tmp_path):
-    result = lint_snippet(tmp_path, """\
-        def attach(store):
-            def once(update):
-                handle.cancel()
-
-            handle = store.subscribe(once)
-        """, rules={"WORX104"})
-    assert not result.findings
 
 
 def test_import_cycle_detected(tmp_path):
