@@ -5,7 +5,7 @@ PYTHON    ?= python
 PYTHONPATH := src
 
 .PHONY: check lint test bench bench-smoke perf-smoke \
-	perf-compare mem-ledger chaos chaos-federation serve
+	perf-compare perf-pairs mem-ledger chaos chaos-federation serve
 
 check: lint test
 
@@ -40,6 +40,19 @@ perf-smoke:
 # a metric's bound:  make perf-compare A=before.json B=after.json
 perf-compare:
 	$(PYTHON) benchmarks/perf/run.py --compare $(A) $(B)
+
+# Alternating runs of one workload in PARENT's committed tree and in this
+# checkout, each side's median (q1-q3) per end-to-end metric, pairs ahead
+# and whether a claimed gain holds, as an EXPERIMENTS.md table
+# (benchmarks/perf_pairs.py; ~35 s a run at steady_10k):
+#   make perf-pairs PARENT=HEAD~1 WORKLOAD=steady_10k PAIRS=10 SEED=1610
+PARENT ?= HEAD~1
+WORKLOAD ?= steady_10k
+PAIRS ?= 10
+SEED ?= 1610
+perf-pairs:
+	$(PYTHON) benchmarks/perf_pairs.py --parent $(PARENT) \
+		--workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
 
 # What one managed node costs the server process: RSS per node,
 # tracemalloc KB and blocks per node by src/repro module, GC-tracked

@@ -114,6 +114,12 @@ class GatewayService:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: one handler task per open connection, watch streams included
         self._tasks: Set[asyncio.Task] = set()
+        #: the response last sent with the JSON wire's kept body, and
+        #: its status and keep-alive: sent again as is while the wire
+        #: hands back that body, so a repeated all-hosts query allocates
+        #: no body-sized block (freeing one each time let the allocator
+        #: trim and refault its heap on every request).
+        self._kept: Optional[Tuple[bytes, Tuple[int, bool], bytes]] = None
         self.connections = 0
 
     # -- lifecycle ----------------------------------------------------------
@@ -239,19 +245,25 @@ class GatewayService:
         try:
             route, params = self.router.resolve(request.path)
             status, frames = route.handler(request, params)
-        except HttpError as exc:
-            status = exc.status
-            frames = [("error", "request", self.state.view.sim_time,
-                       {"status": exc.status, "message": exc.message})]
-        except Exception as exc:  # a handler bug must not kill the loop
-            status = 500
-            frames = [("error", "request", self.state.view.sim_time,
-                       {"status": 500, "message": f"{type(exc).__name__}:"
-                                                  f" {exc}"})]
-        body = wire.encode(frames)
+            body = wire.encode(frames)
+        except Exception as exc:  # a handler or encode bug must not
+            # kill the loop: it answers 500, a protocol failure its status
+            status, message = (exc.status, exc.message) \
+                if isinstance(exc, HttpError) \
+                else (500, f"{type(exc).__name__}: {exc}")
+            body = wire.encode([("error", "request", self.state.view.sim_time,
+                                 {"status": status, "message": message})])
         keep_alive = request.keep_alive
-        writer.write(format_response(status, wire.content_type, body,
-                                     keep_alive=keep_alive))
+        kept = self._kept
+        if kept is not None and kept[0] is body \
+                and kept[1] == (status, keep_alive):
+            response = kept[2]
+        else:
+            response = format_response(status, wire.content_type, body,
+                                       keep_alive=keep_alive)
+            if body is self.json_wire.kept_body:
+                self._kept = (body, (status, keep_alive), response)
+        writer.write(response)
         await writer.drain()
         self.metrics.record(status, time.perf_counter() - t0, len(body))
         return keep_alive

@@ -119,7 +119,10 @@ class FrameTable:
 #: a response body's frames: a list, or a table standing for one.
 Frames = Union[List[Frame], FrameTable]
 
-_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: every JSON body's encoder; a value JSON cannot hold (a plug-in's set,
+#: say) is written as its ``str``, the text the binary wire carries.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                          default=str).encode
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -168,40 +171,43 @@ def _column_writer(column: List[object]
 
 
 class _TableMemo(NamedTuple):
-    """An all-hosts body kept to write the next one: the text between
-    each row's ``"values":{`` and the next row's ``"t"`` key
-    (``pieces[0]`` is the first row's text before it), and what that
-    text was written from.  ``columns`` keeps every value written
-    alive, so no id in it is ever recycled; ``exact`` holds, per
-    column, whether every value in it is an exact scalar; ``number``
-    is the table's (:class:`FrameTable`)."""
+    """An all-hosts body kept to write the next one: the ASCII bytes
+    between each row's ``"values":{`` and the next row's ``"t"`` key
+    (``pieces[0]`` is the first row's before it), and what they were
+    written from.  ``columns`` keeps every value written alive, so no id
+    in it is ever recycled; ``exact`` holds, per column, whether every
+    value in it is an exact scalar; ``number`` is the table's
+    (:class:`FrameTable`); ``body`` is ``pieces`` joined on ``shared``,
+    the ``,"t":…,"values":{`` the rows share."""
 
     kind: str
     subjects: Tuple[str, ...]
     names: Tuple[str, ...]
     columns: List[List[object]]
     exact: List[bool]
-    pieces: List[str]
+    pieces: List[bytes]
     number: Optional[int]
+    shared: bytes
+    body: bytes
 
 
-def _head(kind: str, subjects: Tuple[str, ...]) -> str:
-    """A table's text up to its first row's ``"t"`` key."""
+def _head(kind: str, subjects: Tuple[str, ...]) -> bytes:
+    """A table's bytes up to its first row's ``"t"`` key."""
     return (("[" if len(subjects) > 1 else "") + '{"kind":'
             + encode_basestring_ascii(kind) + ',"subject":'
-            + encode_basestring_ascii(subjects[0]))
+            + encode_basestring_ascii(subjects[0])).encode()
 
 
 def _rows(kind: str, subjects: Tuple[str, ...], rows: Sequence[int],
           names: Tuple[str, ...], columns: List[List[object]]
-          ) -> Tuple[Iterator[str], List[bool]]:
-    """The text after ``"values":{`` of each of ``rows`` (ascending
+          ) -> Tuple[Iterator[bytes], List[bool]]:
+    """The bytes after ``"values":{`` of each of ``rows`` (ascending
     indexes into a table's ``subjects``; ``columns`` hold their values):
     its values, each column made text by one ``map``, then the row's
     close and the next row's text up to its ``"t"`` key, or the body's
     end after the table's last row — each row one ``"".join`` of the
-    pieces zipped; and, per column, whether every value written is an
-    exact scalar."""
+    pieces zipped, encoded; and, per column, whether every value written
+    is an exact scalar."""
     ends = rows[-1] == len(subjects) - 1
     count = len(rows) - ends
     pieces, exact = [], []
@@ -220,7 +226,7 @@ def _rows(kind: str, subjects: Tuple[str, ...], rows: Sequence[int],
                                           repeat(1)))
     pieces += (chain(repeat(close, count), end),
                chain(map(encode_basestring_ascii, nexts), blank))
-    return map("".join, zip(*pieces)), exact
+    return map(str.encode, map("".join, zip(*pieces))), exact
 
 
 def _marks(column: List[object], old: List[object], exact: bool) -> bytes:
@@ -235,7 +241,7 @@ def _marks(column: List[object], old: List[object], exact: bool) -> bytes:
 
 
 def _patched(memo: _TableMemo, columns: List[List[object]]
-             ) -> Tuple[List[str], List[bool]]:
+             ) -> Tuple[List[bytes], List[bool]]:
     """``memo.pieces`` with the rows that need new text written again,
     and the columns' exactness after it: found a column at a time, read
     and patched in C-level passes, none a row."""
@@ -260,7 +266,8 @@ def _patched(memo: _TableMemo, columns: List[List[object]]
 
 
 def _reread(memo: _TableMemo, table: FrameTable, changed: Collection[str]
-            ) -> Optional[Tuple[List[str], List[bool], List[List[object]]]]:
+            ) -> Optional[Tuple[List[bytes], List[bool],
+                                List[List[object]]]]:
     """``memo``'s pieces, exactness and columns with only the
     ``changed`` hosts' rows read off ``table`` and written again, or
     None when a changed host is not a row of it or lacks a field."""
@@ -299,19 +306,26 @@ class JsonWire:
         #: such a table reads or replaces it, one assignment a body.
         self._memo: Optional[_TableMemo] = None
 
+    @property
+    def kept_body(self) -> Optional[bytes]:
+        """The last all-hosts body: the object :meth:`encode` returns
+        again while no row and no ``t`` changed."""
+        return self._memo.body if self._memo is not None else None
+
     def _obj(self, frame: Frame) -> Dict[str, object]:
         kind, subject, t, values = frame
         return {"kind": kind, "subject": subject, "t": round(t, 3),
                 "values": dict(values)}
 
     def _encode_table(self, table: FrameTable) -> bytes:
-        """``encode(list(table))``: the rows' text split around the
-        ``"t":…,"values":{`` text they share and joined on it.  An
-        all-hosts table over the last one's hosts and fields writes only
-        the rows that changed since that body: the rows its
-        ``changed_since`` names when that body was written from a
-        numbered table and held exact scalars only, else the rows whose
-        values are not the objects that body was written from."""
+        """``encode(list(table))``: the rows' bytes split around the
+        ``"t":…,"values":{`` they share and joined on it.  An all-hosts
+        table over the last one's hosts and fields writes only the rows
+        that changed since that body: the rows its ``changed_since``
+        names when that body was written from a numbered table and held
+        exact scalars only, else the rows whose values are not the
+        objects that body was written from.  With no row changed and the
+        same ``t`` it is that body, the very object."""
         subjects = table.subjects
         if not subjects:
             return b"[]"
@@ -342,12 +356,18 @@ class JsonWire:
                                          range(start, stop), names, columns)
                     pieces += texts
                     start = stop
+        shared = (',"t":' + _json_value(round(table.t, 3))
+                  + ',"values":{').encode()
+        if memo is not None and pieces is memo.pieces \
+                and shared == memo.shared:
+            body = memo.body
+        else:
+            body = shared.join(pieces)
         if table.all_hosts and len(groups) == 1:
             self._memo = _TableMemo(table.kind, subjects, groups[0][0],
                                     groups[0][2], exact, pieces,
-                                    table.number)
-        shared = ',"t":' + _json_value(round(table.t, 3)) + ',"values":{'
-        return shared.join(pieces).encode("utf-8")
+                                    table.number, shared, body)
+        return body
 
     def encode(self, frames: Frames) -> bytes:
         """One response body: a single object, or an array of them."""
@@ -357,14 +377,12 @@ class JsonWire:
             payload: object = self._obj(frames[0])
         else:
             payload = [self._obj(frame) for frame in frames]
-        return json.dumps(payload, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
+        return _dumps(payload).encode("utf-8")
 
     def encode_stream(self, frame: Frame) -> bytes:
         """One server-sent event carrying one frame."""
-        return b"data: " + json.dumps(
-            self._obj(frame), sort_keys=True,
-            separators=(",", ":")).encode("utf-8") + b"\n\n"
+        return b"data: " + _dumps(self._obj(frame)).encode("utf-8") \
+            + b"\n\n"
 
     def decode(self, body: bytes) -> List[Frame]:
         payload = json.loads(body.decode("utf-8"))

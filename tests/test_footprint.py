@@ -280,11 +280,11 @@ def test_dealt_federated_table_is_written_without_a_python_step_per_row():
     assert 0 < small == large
 
 
-def _all_hosts(table, changed=0):
+def _all_hosts(table, changed=0, t=None):
     """``table`` as the all-hosts table of a view, or of the next view
     over the same hostnames tuple with ``changed`` rows' values replaced
     by new objects (every ``step``-th row, so the patched rows are
-    spread)."""
+    spread) and read at ``t`` (``table``'s when None)."""
     snapshot = table.snapshot
     if changed:
         hosts = dict(snapshot._hosts)
@@ -293,17 +293,19 @@ def _all_hosts(table, changed=0):
             hosts[hostname] = {field: value + 1
                                for field, value in hosts[hostname].items()}
         snapshot = Snapshot(hosts, 2, 2.0, 1)
-    return FrameTable(table.kind, table.t, table.subjects, snapshot,
-                      table.fields, all_hosts=True)
+    return FrameTable(table.kind, table.t if t is None else t,
+                      table.subjects, snapshot, table.fields,
+                      all_hosts=True)
 
 
-def _second_body_bytecodes(n_hosts, changed):
+def _second_body_bytecodes(n_hosts, changed, t=None):
     """Bytecodes of the body written right after the one for the same
-    hosts and fields, with ``changed`` rows' values new objects."""
+    hosts and fields, with ``changed`` rows' values new objects, read
+    at ``t`` (the first body's when None)."""
     table = _all_hosts(_three_metric_table(n_hosts))
     wire = JsonWire()
     wire.encode(table)
-    return _bytecodes_executed(wire.encode, _all_hosts(table, changed))
+    return _bytecodes_executed(wire.encode, _all_hosts(table, changed, t))
 
 
 def test_unchanged_all_hosts_body_is_reused_without_a_python_step_per_row():
@@ -334,6 +336,64 @@ def test_a_filtered_table_leaves_the_kept_all_hosts_body():
                            table.snapshot, table.fields))
     assert _bytecodes_executed(wire.encode, table) \
         == _second_body_bytecodes(2000, 0)
+
+
+def test_next_views_body_is_joined_without_a_python_step_per_row():
+    """The same on the next view, whose ``t`` differs, so the kept body
+    cannot be handed back and the rows are joined again: a fixed number
+    of Python steps with no row changed, 10 rows or 2 000, and with 1 or
+    500 of 2 000 changed."""
+    small = _second_body_bytecodes(10, 0, t=2.0)
+    large = _second_body_bytecodes(2000, 0, t=2.0)
+    assert 0 < small == large
+    one = _second_body_bytecodes(2000, 1, t=2.0)
+    many = _second_body_bytecodes(2000, 500, t=2.0)
+    assert 0 < one == many
+
+
+@pytest.mark.parametrize("n_hosts", [10, 2000])
+def test_a_second_body_on_one_view_is_the_kept_body(n_hosts):
+    """A second all-hosts query on the view the last body was written
+    for gets that very body: no row is joined, encoded or copied."""
+    table = _all_hosts(_three_metric_table(n_hosts))
+    wire = JsonWire()
+    body = wire.encode(table)
+    assert wire.encode(table) is body
+    assert wire.encode(_all_hosts(table)) is body
+    assert body == JsonWire().encode(list(table))
+
+
+#: what ``bytes.join`` holds per piece while it joins (a ``Py_buffer``,
+#: 80 bytes on 64-bit CPython), freed when the body is built.
+JOIN_BYTES_PER_PIECE = 80
+
+
+@pytest.mark.parametrize("n_fields", [3, 55])
+def test_next_views_unchanged_body_is_one_copy(n_fields):
+    """The body of the next view, no row changed since the last body
+    (the change log names none), is the kept rows joined once, straight
+    into the bytes sent: the traced peak is one body, ``bytes.join``'s
+    table of its pieces and a quarter body to spare.  Joining a text
+    body and encoding it held two bodies."""
+    hosts = {f"n{i:05d}": {f"m{k:02d}": i / 7 + k for k in range(n_fields)}
+             for i in range(2000)}
+    subjects = tuple(sorted(hosts))
+    tables = [FrameTable("host", float(number), subjects,
+                         Snapshot(hosts, number, float(number), 1),
+                         tuple(sorted(hosts[subjects[0]])), all_hosts=True,
+                         number=number, changed_since={1: ()}.get)
+              for number in (1, 2)]
+    wire = JsonWire()
+    wire.encode(tables[0])
+    tracemalloc.start()
+    try:
+        body = wire.encode(tables[1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert body == JsonWire().encode(list(tables[1]))
+    assert peak < 1.25 * len(body) + JOIN_BYTES_PER_PIECE * len(subjects) \
+        + 4096, (peak, len(body))
 
 
 class _CountingRow(dict):

@@ -17,6 +17,8 @@ from repro.gateway import (BINARY_CONTENT_TYPE, BinaryWire, GatewayService,
                            fetch, negotiate, parse_request,
                            read_stream_frames)
 from repro.gateway.metrics import GatewayMetrics
+from repro.gateway.wire import FrameTable
+from repro.monitoring import Monitor
 from repro.remote.nodeset import NodeSet
 
 
@@ -78,6 +80,21 @@ class TestWire:
         event = JsonWire().encode_stream(("delta", "n1", 3.0, {"x": 1}))
         assert event.startswith(b"data: ") and event.endswith(b"\n\n")
         json.loads(event[len(b"data: "):])
+
+    def test_a_value_json_cannot_hold_is_written_as_its_text(self):
+        """A plug-in's set is written as its ``str`` in a body, a table
+        and an event, as the binary wire writes it."""
+        tags = {"gpu", "ib"}
+        frame = ("delta", "n1", 3.0, {"tags": tags, "x": 1})
+        event = JsonWire().encode_stream(frame)
+        assert json.loads(event[len(b"data: "):])["values"]["tags"] \
+            == str(tags)
+        table = FrameTable("host", 3.0, ("n1",), Snapshot(
+            {"n1": {"tags": tags, "x": 1}}, 1, 3.0, 1), all_hosts=True)
+        for body in (JsonWire().encode([frame]), JsonWire().encode(table)):
+            assert json.loads(body)["values"] == {"tags": str(tags), "x": 1}
+        assert BinaryWire().decode(BinaryWire().encode([frame]))[0][3] \
+            == {"tags": str(tags), "x": 1}
 
     def test_negotiate(self):
         binary, text = BinaryWire(), JsonWire()
@@ -510,8 +527,10 @@ class TestGatewayMetrics:
 
 # -- the full service over real sockets ---------------------------------------
 
-async def _start_service(n_nodes=8, seed=11, **options):
+async def _start_service(n_nodes=8, seed=11, *, monitors=(), **options):
     cwx = ClusterWorX(n_nodes=n_nodes, seed=seed, monitor_interval=5.0)
+    for monitor in monitors:
+        cwx.registry.add(monitor)
     cwx.start()
     cwx.run(30.0)
     service = GatewayService(cwx.server, cluster=cwx.cluster, **options)
@@ -579,6 +598,104 @@ class TestServiceEndToEnd:
             await _stop_service(service)
             assert cwx.server.store.full_copies == 0
         asyncio.run(scenario())
+
+    def test_a_set_valued_plugin_is_served_on_both_wires(self):
+        """Plug-ins whose values are sets: the host and the unprojected
+        all-hosts query answer on both wires with the same text, and a
+        watch stream carries a set that changes.  (The JSON encode ran outside the handler's guard
+        and raised: the client got no response at all.)"""
+        async def scenario():
+            cwx, service = await _start_service(monitors=[
+                Monitor("tags", lambda ctx: {"gpu", "ib"}),
+                Monitor("slots", lambda ctx: {int(ctx.t)})])
+            host = cwx.cluster.hostnames[0]
+            tags = str({"gpu", "ib"})
+            for path in (f"/v1/hosts/{host}", "/v1/query"):
+                status, _, body = await fetch(
+                    "127.0.0.1", service.port, path)
+                assert status == 200
+                frames = service.json_wire.decode(body)
+                status, _, body = await fetch(
+                    "127.0.0.1", service.port, path,
+                    accept=BINARY_CONTENT_TYPE)
+                assert status == 200
+                assert [values["tags"] for *_, values in frames] \
+                    == [values["tags"] for *_, values in
+                        service.binary_wire.decode(body)] \
+                    == [tags] * len(frames)
+            reader, writer = await _open_watch(service.port)
+            values = {}
+            while "slots" not in values:    # a new set every sample
+                line = await asyncio.wait_for(reader.readuntil(b"\n\n"),
+                                              10.0)
+                values = json.loads(line[len(b"data: "):])["values"]
+            assert values["slots"].startswith("{")
+            writer.close()
+            await _stop_service(service)
+        asyncio.run(scenario())
+
+    def test_an_encode_failure_answers_500(self):
+        """A body the wire fails to write is answered as a handler's
+        failure is, and the connection serves on."""
+        async def scenario():
+            cwx, service = await _start_service()
+            encode = service.json_wire.encode
+            calls = []
+
+            def fail_once(frames):
+                if not calls:
+                    calls.append(frames)
+                    raise TypeError("not serializable")
+                return encode(frames)
+
+            service.json_wire.encode = fail_once
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port)
+            head, body = await _get(reader, writer)
+            assert head.startswith(b"HTTP/1.1 500")
+            assert json.loads(body)["values"]["message"] \
+                == "TypeError: not serializable"
+            head, body = await _get(reader, writer)
+            assert head.startswith(b"HTTP/1.1 200")
+            writer.close()
+            await _stop_service(service)
+        asyncio.run(scenario())
+
+    def test_a_repeated_all_hosts_query_resends_the_kept_response(self):
+        """A second all-hosts query on one view is written as the very
+        response object sent the first time — no body-sized block is
+        allocated or freed — and a new view, a closing connection or a
+        query the wire keeps no body for is formatted afresh."""
+        cwx = ClusterWorX(n_nodes=8, seed=11, monitor_interval=5.0)
+        cwx.start()
+        cwx.run(30.0)
+        service = GatewayService(cwx.server, cluster=cwx.cluster)
+        written = []
+
+        async def drain():
+            pass
+
+        writer = SimpleNamespace(write=written.append, drain=drain)
+
+        def serve(path, close=False):
+            head = f"GET {path} HTTP/1.1\r\nHost: x" + (
+                "\r\nConnection: close" if close else "")
+            asyncio.run(service._serve_request(
+                parse_request(head.encode("latin-1")), writer, 0.0))
+            return written[-1]
+
+        query = "/v1/query?metrics=cpu_util_pct"
+        first = serve(query)
+        assert serve(query) is first
+        closing = serve(query, close=True)
+        assert closing is not first and b"Connection: close" in closing
+        assert serve("/v1/query?nodes=cluster-n0001") is not first
+        assert serve("/v1/summary") == serve("/v1/summary")
+        cwx.run(5.0)
+        with service.state.lock:
+            service.state.refresh()
+        assert serve(query) is not first
+        assert serve(query) is written[-2]
 
     def test_binary_negotiation_and_size(self):
         async def scenario():

@@ -1433,7 +1433,9 @@ _log_step = st.one_of(
 def _replay(world, metrics, steps):
     """Write the bodies of ``steps`` with one long-lived wire: each must
     be a fresh wire's and the frame list's, and each change log answer
-    the hosts an update on the fields reached between the two views."""
+    the hosts an update on the fields reached between the two views.
+    Each all-hosts body is written twice: the second is equal, and is
+    the first object whenever the wire found nothing changed."""
     wire = JsonWire()
     for step, when in [(("publish",), "after"), *steps]:
         world.apply(step)
@@ -1455,6 +1457,13 @@ def _replay(world, metrics, steps):
             body = wire.encode(table)
             assert body == JsonWire().encode(table)
             assert body == JsonWire().encode(list(table))
+            if table.all_hosts:
+                kept = wire._memo
+                again = wire.encode(table)
+                assert again == body
+                if kept is not None and kept.body is body \
+                        and wire._memo.pieces is kept.pieces:
+                    assert again is body
         if when == "before":
             world.publish()
 
