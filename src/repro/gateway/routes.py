@@ -69,13 +69,9 @@ def build_router(state: GatewayState,
 
     def hosts(request: HttpRequest, params: Dict[str, str]) -> Result:
         view = state.view
-        payload: Dict[str, object] = {
-            "count": len(view.hostnames),
-            "nodes": state.folded_hosts(view.hostnames)}
-        if view.degraded:
-            payload["degraded"] = True
-            payload["stale_shards"] = ",".join(view.stale_shards)
-            payload["staleness_s"] = view.staleness_s
+        payload = {"count": len(view.hostnames),
+                   "nodes": state.folded_hosts(view.hostnames),
+                   **view.degraded_keys()}
         return 200, [("hosts", "cluster", view.sim_time, payload)]
 
     def host(request: HttpRequest, params: Dict[str, str]) -> Result:

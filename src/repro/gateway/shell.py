@@ -24,6 +24,7 @@ Two worlds, one contract:
 from __future__ import annotations
 
 import asyncio
+import logging
 import struct
 import threading
 import time
@@ -42,6 +43,7 @@ __all__ = ["SimDriver", "GatewayService", "fetch", "read_stream_frames"]
 
 #: the ``<I length>`` prefix of each binary stream frame.
 _FRAME_LEN = struct.Struct("<I")
+_log = logging.getLogger("repro.gateway.shell")
 
 
 class SimDriver(threading.Thread):
@@ -247,10 +249,14 @@ class GatewayService:
             status, frames = route.handler(request, params)
             body = wire.encode(frames)
         except Exception as exc:  # a handler or encode bug must not
-            # kill the loop: it answers 500, a protocol failure its status
-            status, message = (exc.status, exc.message) \
-                if isinstance(exc, HttpError) \
-                else (500, f"{type(exc).__name__}: {exc}")
+            # kill the loop: it answers 500 (its traceback logged), a
+            # protocol failure its status
+            if isinstance(exc, HttpError):
+                status, message = exc.status, exc.message
+            else:
+                status, message = 500, f"{type(exc).__name__}: {exc}"
+                _log.exception("%s %s answered 500", request.method,
+                               request.path)
             body = wire.encode([("error", "request", self.state.view.sim_time,
                                  {"status": status, "message": message})])
         keep_alive = request.keep_alive
@@ -301,19 +307,12 @@ class GatewayService:
                     await asyncio.wait_for(wakeup.wait(),
                                            timeout=self.heartbeat)
                 except asyncio.TimeoutError:
+                    # A degraded heartbeat tells the watcher its stream
+                    # may be missing deltas from the stale shards.
                     view = self.state.view
-                    payload: Dict[str, object] = {}
-                    if view.degraded:
-                        # A degraded heartbeat tells the watcher its
-                        # stream may be missing deltas from the stale
-                        # shards (scalar values only: the binary wire
-                        # packs no lists).
-                        payload["degraded"] = True
-                        payload["stale_shards"] = ",".join(
-                            view.stale_shards)
-                        payload["staleness_s"] = view.staleness_s
                     beat = wire.encode_stream(
-                        ("end", "heartbeat", view.sim_time, payload))
+                        ("end", "heartbeat", view.sim_time,
+                         view.degraded_keys()))
                     writer.write(beat)
                     await writer.drain()
                     continue

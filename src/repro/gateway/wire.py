@@ -31,10 +31,10 @@ import json
 import struct
 from bisect import bisect_left
 from collections import deque
-from itertools import chain, compress, islice, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from operator import add, is_not, not_, or_
+from operator import add
 from typing import (Callable, Collection, Dict, Iterable, Iterator, List,
                     Mapping, NamedTuple, Optional, Sequence, Tuple, Union)
 
@@ -88,21 +88,25 @@ class FrameTable:
     written or iterated.  ``all_hosts`` marks the table of every host
     of a view (``subjects`` sorted), the one :class:`JsonWire` keeps its
     last body of.  Such a table may carry the ``number`` of the view it
-    reads and ``changed_since(n)``: the hosts whose ``fields`` changed
-    between view ``n`` and this one, or None when that is not known."""
+    reads, the ``base`` view whose every logged change it holds (the
+    view itself unless given), and ``changed_since(n)``: the hosts whose
+    ``fields`` changed between view ``n`` and this one, or None when
+    that is not known."""
 
     __slots__ = ("kind", "t", "subjects", "snapshot", "fields",
-                 "all_hosts", "number", "changed_since")
+                 "all_hosts", "number", "base", "changed_since")
 
     def __init__(self, kind: str, t: float, subjects: Tuple[str, ...],
                  snapshot, fields: Optional[Tuple[str, ...]] = None, *,
                  all_hosts: bool = False, number: Optional[int] = None,
+                 base: Optional[int] = None,
                  changed_since: Optional[
                      Callable[[int], Optional[Collection[str]]]] = None):
         self.kind, self.t, self.subjects = kind, t, subjects
         self.snapshot, self.fields = snapshot, fields
         self.all_hosts = all_hosts
         self.number, self.changed_since = number, changed_since
+        self.base = number if base is None else base
 
     def __len__(self) -> int:
         return len(self.subjects)
@@ -138,11 +142,6 @@ _JSON_SCALARS: Dict[type, Callable[[object], str]] = {
     type(None): lambda value: "null"}
 
 
-#: exact types whose text is a function of the object alone: a cell
-#: holding the very object it held in the last body has that body's text.
-_SCALARS = frozenset(_JSON_SCALARS)
-
-
 def _json_value(value: object) -> str:
     """One value exactly as ``json.dumps`` writes it inside a body."""
     write = _JSON_SCALARS.get(type(value))
@@ -155,11 +154,9 @@ _COLUMN_WRITERS: Dict[type, Callable[[object], str]] = {
     float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
 
 
-def _column_writer(column: List[object]
-                   ) -> Tuple[Callable[[object], str], bool]:
+def _column_writer(column: List[object]) -> Callable[[object], str]:
     """What writes every value of ``column`` as :func:`_json_value`
-    would — its one exact type's own writer, else that function — and
-    whether every value in it is an exact scalar."""
+    would: its one exact type's own writer, else that function."""
     kinds = set(map(type, column))
     write = _COLUMN_WRITERS.get(next(iter(kinds))) if len(kinds) == 1 \
         else None
@@ -167,26 +164,23 @@ def _column_writer(column: List[object]
     # whose sum overflows only takes the slow way.
     if write is float.__repr__ and not isfinite(sum(column)):
         write = None
-    return write or _json_value, _SCALARS.issuperset(kinds)
+    return write or _json_value
 
 
 class _TableMemo(NamedTuple):
     """An all-hosts body kept to write the next one: the ASCII bytes
     between each row's ``"values":{`` and the next row's ``"t"`` key
-    (``pieces[0]`` is the first row's before it), and what they were
-    written from.  ``columns`` keeps every value written alive, so no id
-    in it is ever recycled; ``exact`` holds, per column, whether every
-    value in it is an exact scalar; ``number`` is the table's
-    (:class:`FrameTable`); ``body`` is ``pieces`` joined on ``shared``,
-    the ``,"t":…,"values":{`` the rows share."""
+    (``pieces[0]`` is the first row's before it), the table they were
+    written from (its ``kind``, ``subjects``, ``fields``, ``number`` and
+    ``base``; :class:`FrameTable`), and ``body``, ``pieces`` joined on
+    ``shared``, the ``,"t":…,"values":{`` the rows share."""
 
     kind: str
     subjects: Tuple[str, ...]
-    names: Tuple[str, ...]
-    columns: List[List[object]]
-    exact: List[bool]
+    fields: Optional[Tuple[str, ...]]
     pieces: List[bytes]
     number: Optional[int]
+    base: Optional[int]
     shared: bytes
     body: bytes
 
@@ -200,23 +194,20 @@ def _head(kind: str, subjects: Tuple[str, ...]) -> bytes:
 
 def _rows(kind: str, subjects: Tuple[str, ...], rows: Sequence[int],
           names: Tuple[str, ...], columns: List[List[object]]
-          ) -> Tuple[Iterator[bytes], List[bool]]:
+          ) -> Iterator[bytes]:
     """The bytes after ``"values":{`` of each of ``rows`` (ascending
     indexes into a table's ``subjects``; ``columns`` hold their values):
     its values, each column made text by one ``map``, then the row's
     close and the next row's text up to its ``"t"`` key, or the body's
     end after the table's last row — each row one ``"".join`` of the
-    pieces zipped, encoded; and, per column, whether every value written
-    is an exact scalar."""
+    pieces zipped, encoded."""
     ends = rows[-1] == len(subjects) - 1
     count = len(rows) - ends
-    pieces, exact = [], []
+    pieces = []
     separator = ""
     for name, column in zip(names, columns):
-        write, scalars = _column_writer(column)
         pieces += (repeat(separator + encode_basestring_ascii(name) + ":"),
-                   map(write, column))
-        exact.append(scalars)
+                   map(_column_writer(column), column))
         separator = ","
     # The table's last row closes the body instead of opening a row.
     end, blank = (("}}]" if len(subjects) > 1 else "}}",), ("",)) \
@@ -226,53 +217,17 @@ def _rows(kind: str, subjects: Tuple[str, ...], rows: Sequence[int],
                                           repeat(1)))
     pieces += (chain(repeat(close, count), end),
                chain(map(encode_basestring_ascii, nexts), blank))
-    return map(str.encode, map("".join, zip(*pieces))), exact
+    return map(str.encode, map("".join, zip(*pieces)))
 
 
-def _marks(column: List[object], old: List[object], exact: bool) -> bytes:
-    """Per cell of ``column``, 1 where it needs new text: it is not the
-    object ``old`` holds there, or (in a column not ``exact``) it is no
-    exact scalar."""
-    moved = map(is_not, column, old)
-    if not exact:
-        moved = map(or_, moved, map(not_, map(_SCALARS.__contains__,
-                                              map(type, column))))
-    return bytes(moved)
-
-
-def _patched(memo: _TableMemo, columns: List[List[object]]
-             ) -> Tuple[List[bytes], List[bool]]:
-    """``memo.pieces`` with the rows that need new text written again,
-    and the columns' exactness after it: found a column at a time, read
-    and patched in C-level passes, none a row."""
-    every = range(len(memo.subjects))
-    marks = []
-    for cells in map(_marks, columns, memo.columns, memo.exact):
-        if 0 not in cells:                  # every row needs new text
-            texts, exact = _rows(memo.kind, memo.subjects, every,
-                                 memo.names, columns)
-            return [memo.pieces[0], *texts], exact
-        if 1 in cells:
-            marks.append(cells)
-    if not marks:
-        return memo.pieces, memo.exact
-    rows = sorted(set().union(*map(compress, repeat(every), marks)))
-    texts, exact = _rows(
-        memo.kind, memo.subjects, rows, memo.names,
-        [list(map(column.__getitem__, rows)) for column in columns])
-    pieces = memo.pieces.copy()
-    deque(map(pieces.__setitem__, map(add, rows, repeat(1)), texts), 0)
-    return pieces, exact
-
-
-def _reread(memo: _TableMemo, table: FrameTable, changed: Collection[str]
-            ) -> Optional[Tuple[List[bytes], List[bool],
-                                List[List[object]]]]:
-    """``memo``'s pieces, exactness and columns with only the
-    ``changed`` hosts' rows read off ``table`` and written again, or
-    None when a changed host is not a row of it or lacks a field."""
+def _reread(memo: _TableMemo, table: FrameTable) -> Optional[List[bytes]]:
+    """``memo``'s pieces with only the rows of the hosts ``table``'s
+    ``changed_since`` names since ``memo``'s base read off ``table`` and
+    written again, or None when the log cannot say or a host it names
+    is not a row of ``table`` or lacks a field."""
+    changed = table.changed_since(memo.base)
     if not changed:
-        return memo.pieces, memo.exact, memo.columns
+        return memo.pieces if changed is not None else None
     hosts = sorted(changed)
     subjects = memo.subjects
     rows = list(map(bisect_left, repeat(subjects), hosts))
@@ -280,18 +235,13 @@ def _reread(memo: _TableMemo, table: FrameTable, changed: Collection[str]
             or list(map(subjects.__getitem__, rows)) != hosts:
         return None
     groups = table.snapshot.columns(hosts, table.fields)
-    if len(groups) != 1 or groups[0][0] != memo.names:
+    if len(groups) != 1 or groups[0][0] != table.fields:
         return None
-    new = groups[0][2]
-    texts, exact = _rows(memo.kind, subjects, rows, memo.names, new)
     pieces = memo.pieces.copy()
-    deque(map(pieces.__setitem__, map(add, rows, repeat(1)), texts), 0)
-    columns = []
-    for column, cells in zip(memo.columns, new):
-        column = column.copy()
-        deque(map(column.__setitem__, rows, cells), 0)
-        columns.append(column)
-    return pieces, exact, columns
+    deque(map(pieces.__setitem__, map(add, rows, repeat(1)),
+              _rows(memo.kind, subjects, rows, table.fields,
+                    groups[0][2])), 0)
+    return pieces
 
 
 class JsonWire:
@@ -320,42 +270,36 @@ class JsonWire:
     def _encode_table(self, table: FrameTable) -> bytes:
         """``encode(list(table))``: the rows' bytes split around the
         ``"t":…,"values":{`` they share and joined on it.  An all-hosts
-        table over the last one's hosts and fields writes only the rows
-        that changed since that body: the rows its ``changed_since``
-        names when that body was written from a numbered table and held
-        exact scalars only, else the rows whose values are not the
-        objects that body was written from.  With no row changed and the
-        same ``t`` it is that body, the very object."""
+        table over the last one's hosts and fields is that body's rows
+        when it reads the same view, or, on a later view, them with the
+        rows its ``changed_since`` names since the body's base rewritten;
+        with no row changed and the same ``t`` it is that body, the very
+        object.  Any other table, and one the change log cannot answer
+        for, is written whole."""
         subjects = table.subjects
         if not subjects:
             return b"[]"
         memo = self._memo if table.all_hosts else None
         if memo is not None and (memo.subjects is not subjects
-                                 or memo.kind != table.kind):
+                                 or memo.kind != table.kind
+                                 or memo.fields != table.fields
+                                 or None in (memo.number, table.number)):
             memo = None
-        kept = None
-        if memo is not None and memo.number is not None \
-                and table.changed_since is not None \
-                and memo.names == table.fields and all(memo.exact):
-            changed = table.changed_since(memo.number)
-            if changed is not None:
-                kept = _reread(memo, table, changed)
-        if kept is not None:
-            pieces, exact, columns = kept
-            groups = [(memo.names, subjects, columns)]
-        else:
+        pieces, keep = None, table.all_hosts
+        if memo is not None and table.number == memo.number:
+            pieces = memo.pieces
+        elif memo is not None and table.number > memo.number \
+                and table.changed_since is not None:
+            pieces = _reread(memo, table)
+        if pieces is None:
             groups = table.groups()
-            if memo is not None and len(groups) == 1 \
-                    and memo.names == groups[0][0]:
-                pieces, exact = _patched(memo, groups[0][2])
-            else:
-                pieces, start = [_head(table.kind, subjects)], 0
-                for names, run, columns in groups:
-                    stop = start + len(run)
-                    texts, exact = _rows(table.kind, subjects,
-                                         range(start, stop), names, columns)
-                    pieces += texts
-                    start = stop
+            pieces, start = [_head(table.kind, subjects)], 0
+            for names, run, columns in groups:
+                stop = start + len(run)
+                pieces += _rows(table.kind, subjects, range(start, stop),
+                                names, columns)
+                start = stop
+            keep = keep and len(groups) == 1
         shared = (',"t":' + _json_value(round(table.t, 3))
                   + ',"values":{').encode()
         if memo is not None and pieces is memo.pieces \
@@ -363,10 +307,10 @@ class JsonWire:
             body = memo.body
         else:
             body = shared.join(pieces)
-        if table.all_hosts and len(groups) == 1:
-            self._memo = _TableMemo(table.kind, subjects, groups[0][0],
-                                    groups[0][2], exact, pieces,
-                                    table.number, shared, body)
+        if keep:
+            self._memo = _TableMemo(table.kind, subjects, table.fields,
+                                    pieces, table.number, table.base,
+                                    shared, body)
         return body
 
     def encode(self, frames: Frames) -> bytes:

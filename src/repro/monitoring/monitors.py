@@ -15,6 +15,7 @@ described by one row of :data:`BUILTIN_MONITORS`.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -183,6 +184,13 @@ BUILTIN_MONITORS: Dict[str, Monitor] = {
     ] for name in names.split()}
 
 
+#: exact types a plug-in's value is reported as itself; any other value
+#: is reported as a copy taken at the sample (``copy.copy``: a set keeps
+#: its order), as a decoded report would be, so that a plug-in changing
+#: the object it returned in place changes nothing already reported.
+_IMMUTABLE = frozenset({float, int, str, bool, type(None)})
+
+
 class MonitorRegistry:
     """Named collection of monitors: the built-in set, and the plug-ins
     added at runtime.
@@ -247,7 +255,8 @@ class MonitorRegistry:
                 ) -> Dict[str, object]:
         """Drop the removed or replaced built-in names from the built-in
         ``values`` and add each plug-in's value (a dict result adds each
-        of its items), in place.  A plug-in that raises goes to
+        of its items; a value not of an immutable type is a copy), in
+        place.  A plug-in that raises goes to
         ``failed(name, exc)`` and the rest still run; with no ``failed``
         it propagates."""
         for name in self._dropped:
@@ -260,6 +269,8 @@ class MonitorRegistry:
                     raise
                 failed(monitor.name, exc)
                 continue
+            if type(result) not in _IMMUTABLE:
+                result = copy(result)
             if isinstance(result, dict):
                 values.update(result)
             else:

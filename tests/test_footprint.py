@@ -280,28 +280,31 @@ def test_dealt_federated_table_is_written_without_a_python_step_per_row():
     assert 0 < small == large
 
 
-def _all_hosts(table, changed=0, t=None):
-    """``table`` as the all-hosts table of a view, or of the next view
-    over the same hostnames tuple with ``changed`` rows' values replaced
-    by new objects (every ``step``-th row, so the patched rows are
-    spread) and read at ``t`` (``table``'s when None)."""
-    snapshot = table.snapshot
-    if changed:
+def _all_hosts(table, changed=None, t=None):
+    """``table`` as the all-hosts table of view 1, or (``changed`` a
+    count) of view 2 over the same hostnames tuple, with ``changed``
+    rows' values replaced by new objects (every ``step``-th row, so the
+    patched rows are spread), the change log naming them, and read at
+    ``t`` (``table``'s when None)."""
+    snapshot, moved, number = table.snapshot, (), 1
+    if changed is not None:
         hosts = dict(snapshot._hosts)
-        step = len(hosts) // changed
-        for hostname in table.subjects[::step][:changed]:
+        step = len(hosts) // max(changed, 1)
+        moved = set(table.subjects[::step][:changed])
+        for hostname in moved:
             hosts[hostname] = {field: value + 1
                                for field, value in hosts[hostname].items()}
-        snapshot = Snapshot(hosts, 2, 2.0, 1)
+        snapshot, number = Snapshot(hosts, 2, 2.0, 1), 2
     return FrameTable(table.kind, table.t if t is None else t,
                       table.subjects, snapshot, table.fields,
-                      all_hosts=True)
+                      all_hosts=True, number=number,
+                      changed_since={1: moved}.get)
 
 
 def _second_body_bytecodes(n_hosts, changed, t=None):
-    """Bytecodes of the body written right after the one for the same
-    hosts and fields, with ``changed`` rows' values new objects, read
-    at ``t`` (the first body's when None)."""
+    """Bytecodes of the next view's body written right after the one
+    for the same hosts and fields, with ``changed`` rows' values new
+    objects, read at ``t`` (the first body's when None)."""
     table = _all_hosts(_three_metric_table(n_hosts))
     wire = JsonWire()
     wire.encode(table)
@@ -309,17 +312,18 @@ def _second_body_bytecodes(n_hosts, changed, t=None):
 
 
 def test_unchanged_all_hosts_body_is_reused_without_a_python_step_per_row():
-    """The all-hosts body after one over the same hosts and fields with
-    no changed value finds that out in C-level passes: the same bytecode
-    count for 10 rows as for 2 000."""
+    """The next view's all-hosts body after one over the same hosts and
+    fields, the change log naming no row, is the kept body: the same
+    bytecode count for 10 rows as for 2 000."""
     small = _second_body_bytecodes(10, 0)
     large = _second_body_bytecodes(2000, 0)
     assert 0 < small == large
 
 
 def test_changed_rows_are_patched_without_a_python_step_per_row():
-    """Finding, writing and patching k changed rows of 2 000 is a fixed
-    number of Python steps: the same bytecode count for 1 as for 500."""
+    """Reading, writing and patching the k rows of 2 000 the change log
+    names is a fixed number of Python steps: the same bytecode count for
+    1 as for 500."""
     one = _second_body_bytecodes(2000, 1)
     many = _second_body_bytecodes(2000, 500)
     assert 0 < one == many
@@ -327,14 +331,14 @@ def test_changed_rows_are_patched_without_a_python_step_per_row():
 
 def test_a_filtered_table_leaves_the_kept_all_hosts_body():
     """A NodeSet-filtered table written between two all-hosts ones
-    neither uses nor replaces the body the wire keeps: the second
+    neither uses nor replaces the body the wire keeps: the next view's
     all-hosts body costs what it costs with nothing between."""
     table = _all_hosts(_three_metric_table(2000))
     wire = JsonWire()
     wire.encode(table)
     wire.encode(FrameTable(table.kind, table.t, table.subjects[:16],
                            table.snapshot, table.fields))
-    assert _bytecodes_executed(wire.encode, table) \
+    assert _bytecodes_executed(wire.encode, _all_hosts(table, 0)) \
         == _second_body_bytecodes(2000, 0)
 
 
@@ -361,6 +365,22 @@ def test_a_second_body_on_one_view_is_the_kept_body(n_hosts):
     assert wire.encode(table) is body
     assert wire.encode(_all_hosts(table)) is body
     assert body == JsonWire().encode(list(table))
+
+
+def test_the_kept_body_pins_no_value_it_wrote():
+    """A wire that wrote, and keeps, the bodies of two views holds no
+    reference to any value it wrote: every cell's reference count is
+    what it was before."""
+    first = _all_hosts(_three_metric_table(50))
+    second = _all_hosts(first, 5)
+    cells = [value for table in (first, second)
+             for row in table.snapshot._hosts.values()
+             for value in row.values()]
+    before = list(map(sys.getrefcount, cells))
+    wire = JsonWire()
+    for table in (first, second, second):
+        wire.encode(table)
+    assert list(map(sys.getrefcount, cells)) == before
 
 
 #: what ``bytes.join`` holds per piece while it joins (a ``Py_buffer``,
