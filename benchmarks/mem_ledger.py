@@ -21,11 +21,12 @@ of warm-up) and prints, per node:
   does once the cluster is up); and the serving side's one O(N)
   request, an all-hosts JSON ``/v1/query`` (handler + encode), once of
   the benchmark's three metrics and once without ``metrics=`` (every
-  value of every host): median ms of the first query (a wire that kept
-  no earlier body) and of the query on the next view after one agent
-  tick (a wire that wrote the last view's body), collections per query
-  by generation, body bytes, and the bytes the wire keeps between
-  queries.
+  value of every host): collections per query by generation over first
+  queries (a wire that kept no earlier body) and queries on the next
+  view after one agent tick (a wire that wrote the last view's body),
+  body bytes, and the bytes the wire and the shell keep between
+  queries (the shell keeps the response it formatted for the wire's
+  body).
 
 Each probe runs in its own child process: tracemalloc roughly doubles
 RSS, so the probes cannot share one.  Run modes::
@@ -50,7 +51,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 SEED = 1610
 AGENT_INTERVAL = 5.0
@@ -65,7 +66,7 @@ GROUPS = {
 TOP_MODULES = 12
 TOP_TYPES = 15
 #: the repo benchmark's all-hosts request, the same without a
-#: projection, and how many of each to time.
+#: projection, and how many of each to answer.
 QUERY = "/v1/query?metrics=cpu_util_pct,cpu_temp_c,mem_used_bytes"
 QUERY_UNPROJECTED = "/v1/query"
 QUERIES = 5
@@ -150,50 +151,51 @@ def probe_census(n_nodes: int) -> Dict[str, object]:
 
 def _query_all(cwx, query: str) -> Dict[str, object]:
     """An all-hosts JSON ``query`` as the gateway answers it (handler +
-    encode): the first one, by a wire that kept no earlier body, and
-    the one on the next view after one agent tick, by a wire that wrote
-    the last view's body — each the median of ``QUERIES``, with
-    collections per query — and the bytes a wire keeps between two
-    queries (traced)."""
+    encode): collections per query over ``QUERIES`` first queries, by
+    wires that kept no earlier body, and as many on the next view after
+    one agent tick, by wires that wrote the last view's body; and the
+    bytes kept between two queries (traced): the wire's and the
+    response ``GatewayService`` keeps formatted beside its body.  No
+    timing: one process per tree is too noisy to compare two trees by
+    (``make perf-pairs`` alternates runs)."""
     from repro.gateway import (GatewayState, JsonWire, build_router,
                                parse_request)
+    from repro.gateway.httpd import format_response
     state = GatewayState(cwx.server)
     router = build_router(state, dict)
     request = parse_request(f"GET {query} HTTP/1.1\r\n\r\n".encode())
     route, params = router.resolve(request.path)
-    collections, first, next_view = [0, 0, 0], [], []
+    collections = [0, 0, 0]
 
     def on_gc(phase, info):
         if phase == "stop":
             collections[info["generation"]] += 1
 
-    def answer(wire) -> Tuple[float, int]:
+    def answer(wire) -> bytes:
         gc.callbacks.append(on_gc)
-        start = time.perf_counter()
-        size = len(wire.encode(route.handler(request, params)[1]))
-        elapsed = time.perf_counter() - start
+        body = wire.encode(route.handler(request, params)[1])
         gc.callbacks.remove(on_gc)
-        return elapsed, size
+        return body
 
     for _ in range(QUERIES):
-        elapsed, size = answer(JsonWire())
-        first.append(elapsed)
+        answer(JsonWire())
     for _ in range(QUERIES):
         wire = JsonWire()
         answer(wire)
         cwx.run(AGENT_INTERVAL)
         with state.lock:
             state.refresh()
-        next_view.append(answer(wire)[0])
+        answer(wire)
     tracemalloc.start()
     wire = JsonWire()
     before = tracemalloc.get_traced_memory()[0]
-    answer(wire)
+    body = answer(wire)
+    response = format_response(200, wire.content_type, body,
+                               keep_alive=True)
     kept = tracemalloc.get_traced_memory()[0] - before
     tracemalloc.stop()
-    return {"ms": sorted(first)[QUERIES // 2] * 1e3,
-            "next_view_ms": sorted(next_view)[QUERIES // 2] * 1e3,
-            "kept_bytes": kept, "bytes": size,
+    del response
+    return {"kept_bytes": kept, "bytes": len(body),
             "collections_per_query": [c / (3 * QUERIES + 1)
                                       for c in collections]}
 
@@ -323,11 +325,9 @@ def print_ledger(result: Dict[str, object]) -> None:
         query = gcs[key]
         per_query = " / ".join(f"{c:.3g}"
                                for c in query["collections_per_query"])
-        print(f"    {label:33s} {query['ms']:8.1f} ms first, "
-              f"collections {per_query}, {query['bytes']} bytes")
-        print(f"      {'on the next view after a tick':31s} "
-              f"{query['next_view_ms']:8.1f} ms")
-        print(f"      {'kept by the wire between queries':31s} "
+        print(f"    {label:33s} collections {per_query}, "
+              f"{query['bytes']} bytes")
+        print(f"      {'kept by wire and shell between queries':38s} "
               f"{query['kept_bytes']:8d} bytes")
 
 
