@@ -122,8 +122,9 @@ class Route:
         self.handler = handler
         self.streaming = streaming
 
-    def match(self, path: str) -> Optional[Dict[str, str]]:
-        parts = [s for s in path.split("/") if s]
+    def match(self, parts: List[str]) -> Optional[Dict[str, str]]:
+        """The captures when ``parts``, a path's non-empty segments,
+        fit this template, else None."""
         if len(parts) != len(self.segments):
             return None
         params: Dict[str, str] = {}
@@ -146,8 +147,9 @@ class Router:
         self.routes.append(Route(template, handler, streaming=streaming))
 
     def resolve(self, path: str) -> Tuple[Route, Dict[str, str]]:
+        parts = [s for s in path.split("/") if s]   # once, not per route
         for route in self.routes:
-            params = route.match(path)
+            params = route.match(parts)
             if params is not None:
                 return route, params
         raise HttpError(404, f"no route for {path!r}")

@@ -112,9 +112,9 @@ def build_router(state: GatewayState,
         t0 = _float_param(request, "t0", None)
         if t0 is not None:
             t1 = _float_param(request, "t1", state.view.sim_time)
-            rows = state.history_window(hostname, metric, t0, t1)
+            times, values = state.history_window(hostname, metric, t0, t1)
             return 200, [("history", subject, t, {"value": v})
-                         for t, v in rows]
+                         for t, v in zip(times, values)]
         try:
             graph = state.history_graph(
                 hostname, metric,
@@ -123,7 +123,7 @@ def build_router(state: GatewayState,
             raise HttpError(400, str(exc)) from None
         return 200, [("history", subject, center,
                       {"mean": mean, "min": lo, "max": hi})
-                     for center, mean, lo, hi in graph]
+                     for center, mean, lo, hi in zip(*graph)]
 
     def shards(request: HttpRequest, params: Dict[str, str]) -> Result:
         view = state.view

@@ -25,7 +25,9 @@ measured, now spanning threads.
 
 Cold paths that genuinely need live structures (history, the event
 log, the shard rows) take the sim driver's slice lock around their
-read — a bounded stall on a rare endpoint, never on the hot ones.
+read — a bounded stall on a rare endpoint, never on the hot ones.  The
+history routes hold it for the copy-out of one series only; bucketing,
+windowing and the rows run on the fresh arrays after it is released.
 
 Each published view carries its publish number.  For the field set of
 the last projected all-hosts query the state keeps a change log — one
@@ -47,6 +49,7 @@ from repro.core.server import ClusterWorXServer
 from repro.core.statestore import Snapshot, Update
 from repro.gateway.wire import FrameTable
 from repro.remote.nodeset import NodeSet
+from repro.util.ringbuffer import downsample, window
 
 __all__ = ["PublishedView", "GatewayState"]
 
@@ -200,15 +203,22 @@ class GatewayState:
 
     def _trim(self, view: PublishedView, needed: int) -> None:
         """Replace the change log by a copy without the entries no
-        view from ``needed`` on asks for; drop it whole once it lists
-        more changes than half ``view``'s hosts, so that it is exact
-        from ``view`` on only: past half the rows, writing the body
-        whole costs less than finding and patching each changed one."""
+        view from ``needed`` on asks for; drop it whole once it names
+        more than half ``view``'s hosts, so that it is exact from
+        ``view`` on only: past half the rows, writing the body whole
+        costs less than finding and patching each changed one.  The
+        hosts are counted only once the entries pass that half, so a
+        publish below it pays nothing; a log longer than the body has
+        rows is dropped uncounted, so one no query trims stays bounded
+        by the fleet."""
         log = self._changes
         if needed > log.first:
             cut = bisect_left(log.entries, (needed,))
             log = _ChangeLog(log.fields, needed, log.entries[cut:])
-        if 2 * len(log.entries) > len(view.hostnames):
+        entries, hosts = log.entries, len(view.hostnames)
+        if 2 * len(entries) > hosts and (
+                len(entries) > hosts
+                or 2 * len(set(map(itemgetter(1), entries))) > hosts):
             log = _ChangeLog(log.fields, view.number, [])
         self._changes = log
 
@@ -290,14 +300,16 @@ class GatewayState:
         """Start the change log on ``fields`` — one bus subscription,
         replacing the last — if the published view is complete and the
         world as it is: then nothing was applied since its capture, and
-        the log is exact from it on.  (A frozen part's generation is not
-        the store's count for that shard, so only a complete view's
-        generation says so.)  Else the next projected query tries
-        again."""
+        the log is exact from it on.  The store re-serves one snapshot
+        object while nothing is applied, flat or federated, so the
+        view's snapshot being the store's says so; a generation does
+        not: a federated store's still counts a drained shard's writes,
+        which its snapshot has dropped.  Else the next projected query
+        tries again."""
         with self.lock:
             view = self.view
             if not view.snapshot.complete \
-                    or self.server.store.generation != view.generation \
+                    or self.server.store.snapshot() is not view.snapshot \
                     or self.server.kernel.now != view.sim_time:
                 return
             if self._tracking is not None:
@@ -343,29 +355,27 @@ class GatewayState:
 
     # -- serving side, cold (serialized with the sim slice lock) -------------
     def history_graph(self, hostname: str, metric: str, *,
-                      buckets: int = 60
-                      ) -> List[Tuple[float, float, float, float]]:
-        """Downsampled (center, mean, min, max) rows for one series;
+                      buckets: int = 60) -> List[List[float]]:
+        """Downsampled center, mean, min and max columns for one series;
         ``buckets`` outside 1 to the history's capacity is a
-        ``ValueError``.  The rows are built after the lock is released:
-        the graph's arrays are fresh."""
+        ``ValueError``.  The lock covers the copy-out of the series
+        only: bucketing and the columns work on fresh arrays."""
         with self.lock:
             history = self.server.history
             if not 1 <= buckets <= history.capacity:
                 raise ValueError(f"buckets must be 1 to {history.capacity}"
                                  f": {buckets}")
-            centers, mean, lo, hi = history.graph(hostname, metric, buckets)
-        return [(float(c), float(m), float(a), float(b))
-                for c, m, a, b in zip(centers, mean, lo, hi)]
+            times, values = history.series(hostname, metric)
+        return [column.tolist()
+                for column in downsample(times, values, buckets)]
 
     def history_window(self, hostname: str, metric: str,
-                       t0: float, t1: float
-                       ) -> List[Tuple[float, float]]:
+                       t0: float, t1: float) -> List[List[float]]:
+        """The t and value columns of one series's samples with ``t0 <=
+        t <= t1``; the lock covers the copy-out of the series only."""
         with self.lock:
-            times, values = self.server.history.window(
-                hostname, metric, t0, t1)
-            return [(float(t), float(v))
-                    for t, v in zip(times, values)]
+            times, values = self.server.history.series(hostname, metric)
+        return [column.tolist() for column in window(times, values, t0, t1)]
 
     def event_log(self, *, since: float = 0.0,
                   node: Optional[str] = None,

@@ -31,10 +31,10 @@ import json
 import struct
 from bisect import bisect_left
 from collections import deque
-from itertools import chain, islice, repeat
+from itertools import chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from operator import add
+from operator import add, itemgetter
 from typing import (Callable, Collection, Dict, Iterable, Iterator, List,
                     Mapping, NamedTuple, Optional, Sequence, Tuple, Union)
 
@@ -148,23 +148,99 @@ def _json_value(value: object) -> str:
     return write(value) if write is not None else _dumps(value)
 
 
-#: a column whose values are all of one of these exact types; a float
-#: column only when every value is finite.
+#: a column's writer by the one exact type of all its values.
 _COLUMN_WRITERS: Dict[type, Callable[[object], str]] = {
     float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
 
 
-def _column_writer(column: List[object]) -> Callable[[object], str]:
-    """What writes every value of ``column`` as :func:`_json_value`
-    would: its one exact type's own writer, else that function."""
+def _column(column: List[object]) -> Iterable[str]:
+    """Each value of ``column`` as :func:`_json_value` writes it: by one
+    ``map`` of the writer of its one exact type (once for a text column
+    of one value), else by that function per value.  A float column
+    holding a NaN or an infinity (its sum is then not finite) is
+    written by ``float.__repr__`` too and mended in its own joined
+    text, since a float's repr holds no other ``n``."""
     kinds = set(map(type, column))
     write = _COLUMN_WRITERS.get(next(iter(kinds))) if len(kinds) == 1 \
         else None
-    # Any NaN or infinity makes the sum non-finite; a finite column
-    # whose sum overflows only takes the slow way.
+    if write is None:
+        return map(_json_value, column)
+    if write is encode_basestring_ascii \
+            and column.count(column[0]) == len(column):
+        return repeat(write(column[0]), len(column))
     if write is float.__repr__ and not isfinite(sum(column)):
-        write = None
-    return write or _json_value
+        return ",".join(map(write, column)).replace("nan", "NaN") \
+            .replace("inf", "Infinity").split(",")
+    return map(write, column)
+
+
+def _rounded(times: List[object]) -> Iterable[str]:
+    """:func:`_column` of ``round(t, 3)`` for each of ``times``.  A
+    column of finite floats below 1e11 in size is written by one
+    ``"%.3f"`` format, without the trailing zeros: it rounds as
+    ``round`` does, and its at most 14 significant digits are fewer
+    than the 15 every double keeps, so no shorter text reads as the
+    rounded float and these digits are its repr."""
+    if set(map(type, times)) == {float} and isfinite(sum(times)) \
+            and -1e11 < min(times) and max(times) < 1e11:
+        text = (("%.3f," * len(times)) % tuple(times)).replace(
+            "000,", ",").replace("00,", ",").replace("0,", ",")
+        return text.replace(".,", ".0,")[:-1].split(",")
+    return _column(list(map(round, times, repeat(3))))
+
+
+def _obj(frame: Frame) -> Dict[str, object]:
+    kind, subject, t, values = frame
+    return {"kind": kind, "subject": subject, "t": round(t, 3),
+            "values": dict(values)}
+
+
+#: what a list body's frame ends with while another one follows.
+_NEXT_FRAME = ',{"kind":'
+
+
+def _run(run: Sequence[Frame], names: Tuple[object, ...]) -> Iterator[str]:
+    """The text of ``run``, frames of a list body whose values have the
+    keys ``names``, from the first frame's ``kind`` value on, each frame
+    up to the next one's: each field a column written by one ``map``
+    (:func:`_column`), the columns and the text between them zipped.
+    Keys other than ``str`` are the stdlib encoder's to sort, frame by
+    frame."""
+    if set(map(type, names)) - {str}:
+        pieces = [map(str.__getitem__, map(_dumps, map(_obj, run)),
+                      repeat(slice(len('{"kind":'), None)))]
+        close = ""
+    else:
+        pieces = [_column(list(map(itemgetter(0), run))),
+                  repeat(',"subject":'),
+                  _column(list(map(itemgetter(1), run))),
+                  repeat(',"t":'),
+                  _rounded(list(map(itemgetter(2), run)))]
+        values = list(map(itemgetter(3), run))
+        separator = ',"values":{'
+        for name in sorted(names):
+            pieces += (repeat(separator + encode_basestring_ascii(name)
+                              + ":"),
+                       _column(list(map(itemgetter(name), values))))
+            separator = ","
+        close = ("" if names else separator) + "}}"
+    pieces.append(repeat(close + _NEXT_FRAME))
+    return chain.from_iterable(zip(*pieces))
+
+
+def _frames_text(frames: List[Frame]) -> str:
+    """``_dumps`` of a list of frames' objects, written column by
+    column: one :func:`_run` per run of frames whose values have one
+    key tuple, all joined once."""
+    pieces = ['[{"kind":']
+    start = 0
+    for names, run in groupby(list(map(tuple, map(itemgetter(3),
+                                                   frames)))):
+        stop = start + len(list(run))
+        pieces += _run(frames[start:stop], names)
+        start = stop
+    pieces[-1] = pieces[-1][:-len(_NEXT_FRAME)] + "]"
+    return "".join(pieces)
 
 
 class _TableMemo(NamedTuple):
@@ -207,7 +283,7 @@ def _rows(kind: str, subjects: Tuple[str, ...], rows: Sequence[int],
     separator = ""
     for name, column in zip(names, columns):
         pieces += (repeat(separator + encode_basestring_ascii(name) + ":"),
-                   map(_column_writer(column), column))
+                   _column(column))
         separator = ","
     # The table's last row closes the body instead of opening a row.
     end, blank = (("}}]" if len(subjects) > 1 else "}}",), ("",)) \
@@ -262,11 +338,6 @@ class JsonWire:
         again while no row and no ``t`` changed."""
         return self._memo.body if self._memo is not None else None
 
-    def _obj(self, frame: Frame) -> Dict[str, object]:
-        kind, subject, t, values = frame
-        return {"kind": kind, "subject": subject, "t": round(t, 3),
-                "values": dict(values)}
-
     def _encode_table(self, table: FrameTable) -> bytes:
         """``encode(list(table))``: the rows' bytes split around the
         ``"t":…,"values":{`` they share and joined on it.  An all-hosts
@@ -318,14 +389,12 @@ class JsonWire:
         if isinstance(frames, FrameTable):
             return self._encode_table(frames)
         if len(frames) == 1:
-            payload: object = self._obj(frames[0])
-        else:
-            payload = [self._obj(frame) for frame in frames]
-        return _dumps(payload).encode("utf-8")
+            return _dumps(_obj(frames[0])).encode()
+        return _frames_text(frames).encode() if frames else b"[]"
 
     def encode_stream(self, frame: Frame) -> bytes:
         """One server-sent event carrying one frame."""
-        return b"data: " + _dumps(self._obj(frame)).encode("utf-8") \
+        return b"data: " + _dumps(_obj(frame)).encode("utf-8") \
             + b"\n\n"
 
     def decode(self, body: bytes) -> List[Frame]:

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["ByteRingBuffer", "TimeSeriesRing"]
+__all__ = ["ByteRingBuffer", "TimeSeriesRing", "downsample", "window"]
 
 #: a series's head and one (t, value) sample, little-endian.
 _HEAD = struct.Struct("<q")
@@ -173,9 +173,7 @@ class TimeSeriesRing:
     def window(self, series: bytearray, t0: float, t1: float
                ) -> Tuple[np.ndarray, np.ndarray]:
         """Samples with ``t0 <= t <= t1`` in chronological order."""
-        t, v = self.arrays(series)
-        mask = (t >= t0) & (t <= t1)
-        return t[mask], v[mask]
+        return window(*self.arrays(series), t0, t1)
 
     @staticmethod
     def latest(series: bytearray) -> Optional[Tuple[float, float]]:
@@ -192,42 +190,54 @@ class TimeSeriesRing:
 
     def downsample(self, series: bytearray, buckets: int
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Aggregate into ``buckets`` equal time bins.
+        """:func:`downsample` of the series's samples."""
+        return downsample(*self.arrays(series), buckets)
 
-        Returns ``(bin_centers, mean, minimum, maximum)`` with NaN for empty
-        bins — the RRD-style consolidation the historical-graphing view
-        uses.
-        """
-        if buckets <= 0:
-            raise ValueError("buckets must be positive")
-        t, v = self.arrays(series)
-        if len(t) == 0:
-            empty = np.empty(0)
-            return empty, empty, empty, empty
-        lo, hi = t[0], t[-1]
-        if hi == lo:
-            hi = lo + 1.0
-        edges = np.linspace(lo, hi, buckets + 1)
-        idx = np.clip(np.searchsorted(edges, t, side="right") - 1,
-                      0, buckets - 1)
-        mean = np.full(buckets, np.nan)
-        vmin = np.full(buckets, np.nan)
-        vmax = np.full(buckets, np.nan)
-        counts = np.bincount(idx, minlength=buckets).astype(float)
-        sums = np.bincount(idx, weights=v, minlength=buckets)
-        nonzero = counts > 0
-        mean[nonzero] = sums[nonzero] / counts[nonzero]
-        # min/max need a reduction per bucket; do it on the sorted-by-bucket
-        # view so each bucket is one contiguous slice.
-        order = np.argsort(idx, kind="stable")
-        sorted_idx = idx[order]
-        sorted_v = v[order]
-        boundaries = np.flatnonzero(np.diff(sorted_idx)) + 1
-        starts = np.concatenate([[0], boundaries])
-        stops = np.concatenate([boundaries, [len(sorted_v)]])
-        for s, e in zip(starts, stops):
-            b = sorted_idx[s]
-            vmin[b] = sorted_v[s:e].min()
-            vmax[b] = sorted_v[s:e].max()
-        centers = (edges[:-1] + edges[1:]) / 2.0
-        return centers, mean, vmin, vmax
+
+def window(t: np.ndarray, v: np.ndarray, t0: float, t1: float
+           ) -> Tuple[np.ndarray, np.ndarray]:
+    """The samples of ``(t, v)`` with ``t0 <= t <= t1``, in their order."""
+    mask = (t >= t0) & (t <= t1)
+    return t[mask], v[mask]
+
+
+def downsample(t: np.ndarray, v: np.ndarray, buckets: int
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Aggregate the samples ``(t, v)`` into ``buckets`` equal time bins
+    from ``t[0]`` to ``t[-1]``; a sample outside them (``t`` need not be
+    sorted: an adopted history appends older samples) falls in the end
+    bin nearer to it.
+
+    Returns ``(bin_centers, mean, minimum, maximum)`` with NaN for empty
+    bins — the RRD-style consolidation the historical-graphing view
+    uses.  A fixed number of numpy calls whatever ``buckets`` and the
+    sample count: each sum is added up in sample order (``bincount``),
+    and each minimum and maximum is one ``ufunc.at`` pass, which
+    propagates a NaN as a per-bin ``min()`` does.
+    """
+    if buckets <= 0:
+        raise ValueError("buckets must be positive")
+    if len(t) == 0:
+        empty = np.empty(0)
+        return empty, empty, empty, empty
+    lo, hi = t[0], t[-1]
+    if hi == lo:
+        hi = lo + 1.0
+    edges = np.linspace(lo, hi, buckets + 1)
+    idx = edges.searchsorted(t, side="right")
+    idx -= 1
+    np.maximum(idx, 0, out=idx)             # np.clip, without its wrapper
+    np.minimum(idx, buckets - 1, out=idx)
+    counts = np.bincount(idx, minlength=buckets)
+    stats = np.empty((3, buckets))
+    mean, vmin, vmax = stats
+    vmin.fill(np.inf)
+    vmax.fill(-np.inf)
+    with np.errstate(invalid="ignore"):
+        np.divide(np.bincount(idx, weights=v, minlength=buckets), counts,
+                  out=mean)
+        np.minimum.at(vmin, idx, v)
+        np.maximum.at(vmax, idx, v)
+    stats[:, counts == 0] = np.nan          # 0 / 0 is a negative NaN
+    centers = (edges[:-1] + edges[1:]) / 2.0
+    return centers, mean, vmin, vmax

@@ -40,6 +40,8 @@ from repro.gateway.wire import FrameTable
 from repro.monitoring import (HistoryStore, Monitor, NodeAgent,
                               builtin_registry)
 from repro.sim.kernel import Process
+from repro.util import TimeSeriesRing
+from tests.json_oracle import oracle_body
 
 N_NODES = 200
 INTERVAL = 5.0
@@ -280,6 +282,52 @@ def test_dealt_federated_table_is_written_without_a_python_step_per_row():
     assert 0 < small == large
 
 
+def _history_frames(n_rows):
+    """``n_rows`` frames as the graph route answers a series: bin
+    centers, and every bin but the first empty (NaN)."""
+    nan = float("nan")
+    return [("history", "n0001/cpu_util_pct", 24.868 + row / 60,
+             {"mean": 0.01, "min": 0.01, "max": 0.01} if not row
+             else {"mean": nan, "min": nan, "max": nan})
+            for row in range(n_rows)]
+
+
+@contextmanager
+def _collector_off():
+    """No collection while the ``with`` body runs: the Python callbacks
+    one runs (Hypothesis registers one) are not the code measured."""
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def test_history_list_is_written_without_a_python_step_per_frame():
+    """A history body of 60 rows and one of the history's 4 096 run the
+    same bytecodes: each field of the frames is one column written by
+    one ``map``.  (Each frame was a dict for the stdlib encoder, and a
+    NaN column fell back to a Python call per value.)"""
+    encode = JsonWire().encode
+    with _collector_off():
+        small = _bytecodes_executed(encode, _history_frames(60))
+        large = _bytecodes_executed(encode, _history_frames(4096))
+    assert 0 < small == large
+
+
+def test_downsample_runs_the_same_bytecodes_for_any_bucket_count():
+    """Bucketing is a fixed number of numpy calls: 2 bins and 600 run
+    the same bytecodes.  (Each non-empty bin took two reductions in a
+    Python loop.)"""
+    ring = TimeSeriesRing(4096)
+    series = ring.new()
+    ring.extend(series, ((t * 0.5, float(t % 7)) for t in range(3000)))
+    with _collector_off():
+        few = _bytecodes_executed(ring.downsample, series, 2)
+        many = _bytecodes_executed(ring.downsample, series, 600)
+    assert 0 < few == many
+
+
 def _all_hosts(table, changed=None, t=None):
     """``table`` as the all-hosts table of view 1, or (``changed`` a
     count) of view 2 over the same hostnames tuple, with ``changed``
@@ -364,7 +412,8 @@ def test_a_second_body_on_one_view_is_the_kept_body(n_hosts):
     body = wire.encode(table)
     assert wire.encode(table) is body
     assert wire.encode(_all_hosts(table)) is body
-    assert body == JsonWire().encode(list(table))
+    assert body == JsonWire().encode(list(table)) \
+        == oracle_body(list(table))
 
 
 def test_the_kept_body_pins_no_value_it_wrote():
@@ -411,7 +460,8 @@ def test_next_views_unchanged_body_is_one_copy(n_fields):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert body == JsonWire().encode(list(tables[1]))
+    assert body == JsonWire().encode(list(tables[1])) \
+        == oracle_body(list(tables[1]))
     assert peak < 1.25 * len(body) + JOIN_BYTES_PER_PIECE * len(subjects) \
         + 4096, (peak, len(body))
 

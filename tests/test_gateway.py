@@ -11,15 +11,19 @@ import pytest
 
 from repro.core import ClusterWorX
 from repro.core.statestore import Snapshot, Update
+from repro.faults import FaultPlane
 from repro.gateway import (BINARY_CONTENT_TYPE, BinaryWire, GatewayService,
                            GatewayState, HttpError, JsonWire, Router,
                            WatchClient, WatchHub, WatchPolicy, build_router,
                            fetch, negotiate, parse_request,
                            read_stream_frames)
+from repro.gateway import state as gateway_state
 from repro.gateway.metrics import GatewayMetrics
 from repro.gateway.wire import FrameTable
+from repro.hardware import WorkloadSegment
 from repro.monitoring import Monitor
 from repro.remote.nodeset import NodeSet
+from tests.json_oracle import oracle_body
 
 
 def up(host, t, **values):
@@ -94,7 +98,8 @@ class TestWire:
         wire = JsonWire()
         wire.encode(table(5, 3.0))
         older = table(4, 2.0)
-        assert wire.encode(older) == JsonWire().encode(list(older))
+        assert wire.encode(older) == JsonWire().encode(list(older)) \
+            == oracle_body(list(older))
 
     def test_a_value_json_cannot_hold_is_written_as_its_text(self):
         """A plug-in's set is written as its ``str`` in a body, a table
@@ -377,6 +382,83 @@ class TestGatewayState:
         assert state.changed_since(fourth.number, fourth,
                                    ("cpu_temp_c",)) is None
 
+    def test_one_busy_host_keeps_a_small_fleets_change_log(self):
+        """Eight nodes, one of them loaded: within one slice its updates
+        outnumber half the hosts, but they name one host, so the log is
+        kept and names it.  (The log was dropped once its entries passed
+        half the hosts, and the next body was written whole.)"""
+        cwx = ClusterWorX(n_nodes=8, seed=4, monitor_interval=1.0)
+        busy = cwx.cluster.hostnames[0]
+        cwx.start()
+        now = cwx.kernel.now
+        cwx.cluster.node(busy).workload.extend(
+            WorkloadSegment(start=now + i, duration=1.0,
+                            cpu=0.2 + 0.1 * (i % 5)) for i in range(60))
+        cwx.run(5)
+        state = GatewayState(cwx.server)
+        fields = ("cpu_util_pct",)
+        first = state.query(None, list(fields))
+        cwx.run(6)
+        with state.lock:
+            view = state.refresh()
+        log = state._changes
+        assert log is not None and len(log.entries) > 4
+        assert state.changed_since(first.number, view, fields) == {busy}
+
+    def test_a_failed_over_federation_starts_the_change_log(self):
+        """Sixteen nodes in four shards, shard 1 killed and drained: the
+        store's generation still counts the drained shard's writes and
+        the view's does not, yet nothing was applied since the view, so
+        a projected query starts the log.  (It compared generations and
+        never started it after a fail-over.)"""
+        cwx = ClusterWorX(n_nodes=16, seed=4, monitor_interval=5.0,
+                          topology="federation", shards=4)
+        cwx.start()
+        FaultPlane(cwx.kernel, federation=cwx.server).kill_shard(
+            1, cwx.kernel.now + 1.0)
+        cwx.run(60)
+        assert [row[1] for row in cwx.server.failovers] == [1]
+        state = GatewayState(cwx.server)
+        assert cwx.server.store.generation != state.view.generation
+        table = state.query(None, ["cpu_util_pct"])
+        assert state._changes is not None
+        assert table.changed_since(table.number) == set()
+
+    def test_history_reads_bucket_and_window_outside_the_slice_lock(
+            self, monkeypatch):
+        """The slice lock covers the copy-out of a series only: the
+        bucketing and the windowing run on the fresh arrays after it is
+        released, and answer what the history's own graph and window
+        do."""
+        cwx = ClusterWorX(n_nodes=4, seed=3, monitor_interval=5.0)
+        cwx.start()
+        cwx.run(60)
+        state = GatewayState(cwx.server)
+        held = []
+
+        def unlocked(read):
+            def check(*args):
+                held.append(state.lock.locked())
+                return read(*args)
+            return check
+
+        monkeypatch.setattr(gateway_state, "downsample",
+                            unlocked(gateway_state.downsample))
+        monkeypatch.setattr(gateway_state, "window",
+                            unlocked(gateway_state.window))
+        host = cwx.cluster.hostnames[0]
+        history = cwx.server.history
+        graph = state.history_graph(host, "cpu_temp_c", buckets=7)
+        samples = state.history_window(host, "cpu_temp_c", 20.0, 50.0)
+        assert held == [False, False]
+        assert repr(graph) == repr([
+            column.tolist()
+            for column in history.graph(host, "cpu_temp_c", 7)])
+        assert samples == [
+            column.tolist()
+            for column in history.window(host, "cpu_temp_c", 20.0, 50.0)]
+        assert len(graph[0]) == 7 and samples[0]
+
     def test_a_plugin_list_changed_in_place_reaches_the_body(self):
         """A plug-in that appends to the one list it returns every
         sample: the store holds a copy taken at the sample, never the
@@ -403,7 +485,8 @@ class TestGatewayState:
             for fields, wire in wires.items():
                 table = state.query(None, fields and list(fields))
                 bodies.append(wire.encode(table))
-                assert bodies[-1] == JsonWire().encode(list(table))
+                assert bodies[-1] == JsonWire().encode(list(table)) \
+                    == oracle_body(list(table))
         host = cwx.cluster.hostnames[0]
         assert cwx.server.store.get(host)["seen"] is not seen
         assert len(set(bodies)) == len(bodies)

@@ -42,6 +42,7 @@ from repro.remote.nodeset import NodeSet
 from repro.resilience.health import HealthState
 from repro.sim import RandomStreams, SimKernel
 from repro.util import ByteRingBuffer, TimeSeriesRing
+from tests.json_oracle import oracle_body
 from tests.monitor_reference import REFERENCE, reference_values
 from tests.test_federation import check_routing_table
 
@@ -70,7 +71,8 @@ metric_values = st.one_of(
 )
 
 
-ring_values = st.floats(-1e9, 1e9, allow_nan=False)
+ring_values = st.one_of(st.floats(-1e9, 1e9, allow_nan=False),
+                        st.sampled_from([math.nan, math.inf, -math.inf]))
 
 
 class TestWorkloadProperties:
@@ -353,13 +355,18 @@ class TestRingBufferProperties:
                          st.floats(-2, 80)),
                st.tuples(st.just("downsample"), st.integers(1, 7))),
                max_size=40))
+    @example(8, [("extend", [0.1, 0.2, 0.4]), ("downsample", 1)])
+    @example(8, [("extend", [1.0, math.nan, -math.inf, math.inf]),
+                 ("downsample", 2)])
     @settings(max_examples=150, deadline=None)
     def test_timeseries_ring_matches_deque_model(self, cap, ops):
         """Any sequence of writes and reads agrees with a
         ``deque(maxlen=capacity)`` of pairs — through growth, the wrap
         seam and ``head == 0`` — and no read leaves the ``bytearray``
         exported (the growing ``append`` that follows would raise
-        BufferError)."""
+        BufferError).  A downsample is the model's to the bit, NaN and
+        infinities included: a mean whose last bit differs (the first
+        example's ``0.7 / 3``) fails it."""
         ring = TimeSeriesRing(cap)
         series = ring.new()
         model = deque(maxlen=cap)
@@ -387,27 +394,26 @@ class TestRingBufferProperties:
             held = list(model)
             if op == "arrays":
                 t, v = ring.arrays(series)
-                assert list(zip(t.tolist(), v.tolist())) == held
+                assert _same(zip(t.tolist(), v.tolist()), held)
                 assert t.flags.c_contiguous and v.flags.c_contiguous
                 assert t.flags.owndata and v.flags.owndata
             elif op == "latest":
-                assert ring.latest(series) == (held[-1] if held else None)
+                assert _same([ring.latest(series)], held[-1:] or [None])
             elif op == "window":
                 t, v = ring.window(series, *args)
-                assert list(zip(t.tolist(), v.tolist())) == [
-                    p for p in held if args[0] <= p[0] <= args[1]]
+                assert _same(zip(t.tolist(), v.tolist()), [
+                    p for p in held if args[0] <= p[0] <= args[1]])
             else:
                 got = ring.downsample(series, args[0])
                 want = _downsample_model(held, args[0])
-                for got_col, want_col in zip(got, want):
-                    assert got_col.tolist() == pytest.approx(
-                        want_col, nan_ok=True)
+                assert _same(zip(*(col.tolist() for col in got)),
+                             zip(*want))
             assert ring.held(series) == len(model)
             (pair,) = write([float(len(held))])
             ring.append(series, *pair)  # must not raise: nothing exported
             model.append(pair)
         t, v = ring.arrays(series)
-        assert list(zip(t.tolist(), v.tolist())) == list(model)
+        assert _same(zip(t.tolist(), v.tolist()), model)
 
     def test_extend_rejects_a_ragged_pair(self):
         ring = TimeSeriesRing(4)
@@ -415,8 +421,18 @@ class TestRingBufferProperties:
             ring.extend(ring.new(), [(1.0, 2.0), (3.0,)])
 
 
+def _same(got, want):
+    """Equal rows of floats (or None), a NaN equal to a NaN and, by
+    ``==``, 0.0 to -0.0: which zero a bin holding both reports is the
+    ``ufunc``'s choice."""
+    def key(row):
+        return row and tuple("nan" if x != x else x for x in row)
+    return list(map(key, got)) == list(map(key, want))
+
+
 def _downsample_model(pairs, buckets):
-    """Plain-loop (centers, mean, min, max) over equal time bins."""
+    """Plain-loop (centers, mean, min, max) over equal time bins: each
+    sum added up in sample order, a NaN in a bin its min and max."""
     if not pairs:
         return [], [], [], []
     lo, hi = pairs[0][0], pairs[-1][0]
@@ -428,10 +444,20 @@ def _downsample_model(pairs, buckets):
         bins[min(max(bisect_right(edges, t) - 1, 0),
                  buckets - 1)].append(v)
     nan = float("nan")
+
+    def total(values):
+        result = 0.0
+        for value in values:
+            result += value
+        return result
+
+    def extreme(pick, values):
+        return nan if any(map(math.isnan, values)) else pick(values)
+
     return ([(a + b) / 2.0 for a, b in zip(edges, edges[1:])],
-            [sum(b) / len(b) if b else nan for b in bins],
-            [min(b) if b else nan for b in bins],
-            [max(b) if b else nan for b in bins])
+            [total(b) / len(b) if b else nan for b in bins],
+            [extreme(min, b) if b else nan for b in bins],
+            [extreme(max, b) if b else nan for b in bins])
 
 
 # -- HistoryStore against a dict-of-lists model ----------------------------
@@ -1172,7 +1198,8 @@ def _check_table_bodies(snapshot, now, nodes, metrics):
     frames = _frames_before_tables(state.view, nodes, metrics)
     assert len(table) == len(frames)
     assert list(table) == frames
-    assert JsonWire().encode(table) == JsonWire().encode(frames)
+    assert JsonWire().encode(table) == JsonWire().encode(frames) \
+        == oracle_body(frames)
     for wire in (BinaryWire(), BinaryWire(metric_schema=("cpu", "mem"))):
         assert wire.encode(table) == wire.encode(frames)
 
@@ -1277,6 +1304,76 @@ class TestQueryTableProperties:
             for metrics in (None, ["cpu_util_pct", "mem_used_bytes", "x"]):
                 _check_table_bodies(snapshot, cwx.kernel.now, nodes,
                                     metrics)
+
+
+
+# ---------------------------------------------------------------------------
+# frame lists: JsonWire's column-wise body == the stdlib encoder's
+# ---------------------------------------------------------------------------
+
+#: a frame's ``t``: finite floats (the ``"%.3f"`` path, unless one is
+#: 1e11 or more), any floats, ints and odd numbers.
+_frame_times = st.one_of(
+    st.floats(-1e12, 1e12), st.floats(), _wide_ints,
+    _odd_values.filter(lambda value: value is not None),
+    st.sampled_from([0.0005, -0.0005, 2.0625, 99999999999.9995, -0.0]))
+
+
+@st.composite
+def _frame_run(draw):
+    """Frames whose values have one key set (a run, as history rows
+    are): ``str`` or ``int`` keys, each field a :func:`_column` or any
+    values, in one insertion order or each frame its own."""
+    n_rows = draw(st.integers(1, 12))
+    names = draw(st.one_of(
+        st.lists(_field_names, unique=True, max_size=4),
+        st.lists(st.integers(-3, 12), unique=True, min_size=1,
+                 max_size=3)))
+    columns = [draw(st.one_of(
+        _column(n_rows), st.lists(_table_values, min_size=n_rows,
+                                  max_size=n_rows)))
+               for _ in names]
+    kinds = draw(st.one_of(
+        st.builds(lambda kind: [kind] * n_rows,
+                  st.sampled_from(["history", "event", "host"])),
+        st.lists(_awkward_text, min_size=n_rows, max_size=n_rows)))
+    subjects = draw(st.lists(st.one_of(_host_names, st.integers(0, 9)),
+                             min_size=n_rows, max_size=n_rows))
+    times = draw(st.one_of(
+        st.lists(st.floats(0, 1e6), min_size=n_rows, max_size=n_rows),
+        st.lists(_frame_times, min_size=n_rows, max_size=n_rows)))
+    reorder = draw(st.booleans())
+    frames = []
+    for row in range(n_rows):
+        items = [(name, column[row]) for name, column in zip(names, columns)]
+        if reorder and draw(st.booleans()):
+            items.reverse()
+        frames.append((kinds[row], subjects[row], times[row], dict(items)))
+    return frames
+
+
+class TestJsonListBodies:
+    @given(st.lists(_frame_run(), max_size=4), st.integers(0, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_list_body_is_the_stdlib_encoders(self, runs, cut):
+        """Runs of frames with one key set each, then cut to none, one
+        or all of their frames: NaN and infinities, bools and None, int
+        and float subclasses, escaped and non-ASCII text, plug-in lists
+        and dicts, ``int`` keys."""
+        frames = [frame for run in runs for frame in run]
+        frames = [frames[:0], frames[:1], frames][cut]
+        assert JsonWire().encode(frames) == oracle_body(frames)
+
+    @given(st.lists(st.floats(), min_size=2, max_size=40),
+           st.floats(-1e11, 1e11))
+    @settings(max_examples=300, deadline=None)
+    def test_rounded_times_are_written_as_round_writes_them(self, times,
+                                                           shift):
+        """The ``t`` column of history rows, every float a candidate:
+        what ``"%.3f"`` writes must be ``round(t, 3)``'s repr."""
+        frames = [("history", "n1/cpu", t + shift if math.isfinite(t)
+                   else t, {"mean": t}) for t in times]
+        assert JsonWire().encode(frames) == oracle_body(frames)
 
 
 # ---------------------------------------------------------------------------
@@ -1453,7 +1550,8 @@ def _replay(world, metrics, steps):
                     memo.number, table.number, set(table.fields))
             body = wire.encode(table)
             assert body == JsonWire().encode(table)
-            assert body == JsonWire().encode(list(table))
+            assert body == JsonWire().encode(list(table)) \
+                == oracle_body(list(table))
             if table.all_hosts:
                 kept = wire._memo
                 again = wire.encode(table)
@@ -1747,7 +1845,8 @@ class FederationMachine(RuleBasedStateMachine):
             for _ in range(2):              # the second on the same view
                 table = state.query(None, metrics)
                 event(_write_path(wire, table))
-                assert wire.encode(table) == JsonWire().encode(list(table))
+                assert wire.encode(table) == JsonWire().encode(
+                    list(table)) == oracle_body(list(table))
 
     def teardown(self):
         if not hasattr(self, "runs"):
