@@ -1,5 +1,6 @@
 # Developer entry points.  `make check` is what CI would run: the
-# worxlint architecture gates plus the tier-1 test suite.
+# worxlint architecture gates, the tier-1 test suite, and the repo
+# benchmark's smoke test (every workload end to end at smoke size, ~13 s).
 
 PYTHON    ?= python
 PYTHONPATH := src
@@ -8,6 +9,7 @@ PYTHONPATH := src
 	perf-compare perf-pairs mem-ledger chaos chaos-federation serve
 
 check: lint test
+	$(PYTHON) -m pytest benchmarks/perf/test_perf_smoke.py
 
 # worxlint: layer DAG, determinism, encapsulation, handler hygiene,
 # thread and lock discipline.  Rules and suppression

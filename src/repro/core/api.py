@@ -144,9 +144,6 @@ class ClusterWorX:
         """Advance simulated time."""
         self.kernel.run(until=self.kernel.now + seconds)
 
-    def run_until(self, event) -> object:
-        return self.kernel.run(event)
-
     # -- configuration ---------------------------------------------------------
     def add_threshold(self, name: str, *, metric: str, op: str,
                       threshold: object, action: str = "none",

@@ -53,23 +53,26 @@ class ClusterWorXServer:
     double-observe a node.
     """
 
+    #: connectivity-sweep period (s).
+    sweep_interval = 10.0
+    #: the image a reclone rung restores when none is assigned.
+    recovery_image = "compute-harddisk"
+    #: the probe rung's echo deadline (s).
+    probe_timeout = 15.0
+
     def __init__(self, kernel: SimKernel, cluster: Cluster, *,
                  registry: Optional[MonitorRegistry] = None,
                  notifier: Optional[SmartNotifier] = None,
-                 history_capacity: int = 4096,
-                 sweep_interval: float = 10.0,
                  self_healing: bool = False,
                  suspect_after: float = 30.0,
                  down_after: float = 60.0,
-                 recovery_image: str = "compute-harddisk",
-                 probe_timeout: float = 15.0,
                  nodes: Optional[List[SimulatedNode]] = None,
                  images: Optional[ImageManager] = None):
         self.kernel = kernel
         self.cluster = cluster
         self.registry = registry if registry is not None \
             else builtin_registry()
-        self.history = HistoryStore(capacity=history_capacity)
+        self.history = HistoryStore()
         self.notifier = notifier if notifier is not None \
             else SmartNotifier(kernel, cluster.name)
         #: parallel fan-out engine over the managed nodes (repro.remote);
@@ -90,7 +93,6 @@ class ClusterWorXServer:
         self.cloner = MulticastCloner(
             kernel, cluster.fabric, cluster.management,
             rng=cluster.streams("clone"))
-        self.sweep_interval = sweep_interval
         #: the typed current-state store every consumer hangs off.
         self.store = StateStore()
         self.store.subscribe(self.history.ingest, name="history")
@@ -99,8 +101,6 @@ class ClusterWorXServer:
         #: gate for the whole loop: with it off (the default) the tracker
         #: never observes evidence and behavior is identical to before.
         self.self_healing = self_healing
-        self.recovery_image = recovery_image
-        self.probe_timeout = probe_timeout
         self.health = HealthTracker(kernel, suspect_after=suspect_after,
                                     down_after=down_after)
         self.health.add_listener(self._on_health_transition)

@@ -15,7 +15,7 @@ from burning)" — see tests/test_events for exactly that scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.events.actions import ActionDispatcher
@@ -73,19 +73,13 @@ class EventEngine:
         #: fn(fired_event, rule) called after every firing — the hook
         #: the health tracker uses to treat critical events as evidence.
         self._listeners: List = []
-        # -- metric -> rule index (see feed()) ---------------------------
-        self._index: Dict[str, List[str]] = {}
-        #: rule insertion rank — candidate sets are replayed in exactly
-        #: the order a full scan visits rules.
-        self._order: Dict[str, int] = {}
-        self._next_order = 0
         #: hostname -> rule names currently maturing a hold_time; these
         #: must be re-evaluated on *every* update for the host (time
         #: alone can trigger them), delta contents notwithstanding.
         self._pending: Dict[str, set[str]] = {}
         #: rule-set version, per-host sync marker: a host whose marker
         #: is stale takes one full scan (initialising state for rules
-        #: added since) before indexed evaluation resumes.
+        #: added since) before filtered evaluation resumes.
         self._rules_version = 0
         self._rules_seen: Dict[str, int] = {}
 
@@ -99,12 +93,9 @@ class EventEngine:
         if rule.name in self._rules:
             raise ValueError(f"rule {rule.name!r} already exists")
         self._rules[rule.name] = rule
-        self._index.setdefault(rule.metric, []).append(rule.name)
-        self._order[rule.name] = self._next_order
-        self._next_order += 1
         # Invalidate every host's sync marker: the new rule must get one
         # full-scan evaluation per host against its current row before
-        # indexed skipping is safe again.
+        # filtered skipping is safe again.
         self._rules_version += 1
 
     def remove_rule(self, name: str) -> None:
@@ -114,10 +105,6 @@ class EventEngine:
                 self._active.discard((name, hostname))
         if rule is None:
             return
-        self._order.pop(name, None)
-        by_metric = self._index.get(rule.metric)
-        if by_metric is not None and name in by_metric:
-            by_metric.remove(name)
         for pending in self._pending.values():
             pending.discard(name)
 
@@ -160,7 +147,7 @@ class EventEngine:
         clock alone can trigger it).  Everything else is provably a
         no-op: an OK rule re-evaluates an unchanged value to the same
         verdict, and a TRIGGERED rule cannot clear on a value that did
-        not clear it last time.  Index invalidation: ``add_rule`` bumps
+        not clear it last time.  Invalidation: ``add_rule`` bumps
         the rule-set version, forcing one full scan per host (which
         initialises the new rule against the host's row);
         ``remove_rule`` needs no invalidation because skipping a deleted
@@ -170,25 +157,9 @@ class EventEngine:
             self._rules_seen[hostname] = self._rules_version
             return self._rules.values()
         pending = self._pending.get(hostname)
-        if len(self._rules) <= len(values):
-            # Fewer rules than delta metrics: filtering the rule list
-            # directly beats walking the index.
-            return [rule for rule in self._rules.values()
-                    if rule.metric in values
-                    or (pending and rule.name in pending)]
-        index = self._index
-        names: set[str] = set()
-        for metric in values:
-            hit = index.get(metric)
-            if hit:
-                names.update(hit)
-        if pending:
-            names.update(pending)
-        if not names:
-            return ()
-        rules = self._rules
-        return [rules[name] for name in
-                sorted(names, key=self._order.__getitem__)]
+        return [rule for rule in self._rules.values()
+                if rule.metric in values
+                or (pending and rule.name in pending)]
 
     def feed(self, node: SimulatedNode, values: Mapping[str, object],
              row: Mapping[str, object]) -> List[FiredEvent]:
@@ -282,7 +253,7 @@ class EventEngine:
             pending.discard(rule_name)
         # Force one full scan on the node's next update: re-fire must
         # re-evaluate the (possibly still breached, unchanged) value the
-        # index would otherwise skip.
+        # filter would otherwise skip.
         self._rules_seen.pop(hostname, None)
         self._active.discard((rule_name, hostname))
         if self.notifier is not None:

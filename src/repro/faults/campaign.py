@@ -203,11 +203,13 @@ class CampaignReport:
 class ChaosCampaign:
     """Plan, run and score one fault campaign against a facade."""
 
+    #: every node's CPU load for the campaign.
+    workload_cpu = 0.7
+
     def __init__(self, cwx, *, n_faults: int = 50,
                  kinds: Sequence[str] = FaultKind.ALL,
                  start: float = 60.0, horizon: float = 900.0,
-                 settle: float = 2700.0, workload_cpu: float = 0.7,
-                 shard_faults: int = 0,
+                 settle: float = 2700.0, shard_faults: int = 0,
                  shard_kinds: Sequence[str] = (SHARD_KILL,),
                  outage: float = 60.0):
         if n_faults < 0 or shard_faults < 0 or n_faults + shard_faults < 1:
@@ -228,7 +230,6 @@ class ChaosCampaign:
         self.start = start
         self.horizon = horizon
         self.settle = settle
-        self.workload_cpu = workload_cpu
         self.shard_faults = shard_faults
         self.shard_kinds = tuple(shard_kinds)
         #: how long a shard-hang, link-down or shard-slow lasts.
@@ -247,11 +248,10 @@ class ChaosCampaign:
 
         # Realistic steady load: hot CPUs are what turns a dead fan
         # into a burned board (the paper's canonical scenario).
-        if self.workload_cpu > 0:
-            for node in cwx.cluster.nodes:
-                node.workload.add(WorkloadSegment(
-                    start=cwx.kernel.now, duration=end + 3600.0,
-                    cpu=self.workload_cpu))
+        for node in cwx.cluster.nodes:
+            node.workload.add(WorkloadSegment(
+                start=cwx.kernel.now, duration=end + 3600.0,
+                cpu=self.workload_cpu))
         cwx.start()
 
         # Node faults: distinct victims, mixed kinds, spread times.

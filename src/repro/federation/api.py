@@ -62,15 +62,13 @@ def build_federation(kernel: SimKernel, cluster: Cluster, *,
     forward to every shard's :class:`ClusterWorXServer` unchanged, so a
     shard is configured exactly like the flat server would have been —
     the 1-shard golden-trace equivalence rests on that.  Shard-level
-    self-healing knobs (``shard_heartbeat``, ``shard_suspect_after``,
-    ``shard_down_after``, ``auto_failover``) are peeled off here and
-    given to the :class:`FederationServer` instead — they govern the
-    health of *shards*, not of nodes.
+    self-healing knobs (``shard_down_after``, ``auto_failover``) are
+    peeled off here and given to the :class:`FederationServer` instead
+    — they govern the health of *shards*, not of nodes.
     """
     federation_kwargs = {
         key: server_kwargs.pop(key)
-        for key in ("shard_heartbeat", "shard_suspect_after",
-                    "shard_down_after", "auto_failover")
+        for key in ("shard_down_after", "auto_failover")
         if key in server_kwargs}
     plan = plan_partitions(cluster, shards=shards, partition=partition)
     images = ImageManager()

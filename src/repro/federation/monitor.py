@@ -62,19 +62,21 @@ _REPROBE = (1.0, 2.0, 4.0)
 class ShardHealthMonitor:
     """Heartbeat process over a federation's shards."""
 
-    def __init__(self, federation, *, interval: float = 5.0,
-                 suspect_after: float = 12.5,
-                 down_after: float = 25.0,
+    #: heartbeat period (s), and the silence that marks a shard suspect.
+    interval = 5.0
+    suspect_after = 12.5
+
+    def __init__(self, federation, *, down_after: float = 25.0,
                  auto_failover: bool = True):
         self.federation = federation
         self.kernel = federation.kernel
-        self.interval = interval
         #: fail a down shard over automatically (needs a survivor).
         self.auto_failover = auto_failover
         #: every shard's health record, keyed by shard name; it holds
         #: (and checks) the escalation thresholds.
         self.health = HealthTracker(
-            self.kernel, suspect_after=suspect_after, down_after=down_after,
+            self.kernel, suspect_after=self.suspect_after,
+            down_after=down_after,
             allowed=SHARD_ALLOWED)
         self.health.add_listener(self._fail_over)
         for shard in federation.shards:
@@ -102,10 +104,6 @@ class ShardHealthMonitor:
     @property
     def running(self) -> bool:
         return self._proc is not None and self._proc.is_alive
-
-    @property
-    def suspect_after(self) -> float:
-        return self.health.suspect_after
 
     @property
     def down_after(self) -> float:

@@ -59,8 +59,6 @@ class FederationServer:
     def __init__(self, kernel: SimKernel, cluster: Cluster,
                  shards: List[Shard], *, registry=None, notifier=None,
                  images: Optional[ImageManager] = None,
-                 shard_heartbeat: float = 5.0,
-                 shard_suspect_after: float = 12.5,
                  shard_down_after: float = 25.0,
                  auto_failover: bool = True):
         if not shards:
@@ -70,10 +68,7 @@ class FederationServer:
         self.shards = shards
         #: heartbeats, the shards' health records, fail-over on down.
         self.monitor = ShardHealthMonitor(
-            self, interval=shard_heartbeat,
-            suspect_after=shard_suspect_after,
-            down_after=shard_down_after,
-            auto_failover=auto_failover)
+            self, down_after=shard_down_after, auto_failover=auto_failover)
         self.registry = registry
         self.notifier = notifier
         self.topology = "federation"

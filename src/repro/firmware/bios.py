@@ -18,7 +18,7 @@ the node's ``boot_driver`` to a generator the sim kernel runs on power-on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.hardware.node import NodeState, SimulatedNode
@@ -78,10 +78,6 @@ class Firmware:
                         ) -> List[tuple[str, float]]:  # pragma: no cover
         """(stage name, duration) pairs before the kernel loads."""
         raise NotImplementedError
-
-    def firmware_time(self, node: SimulatedNode) -> float:
-        """Total pre-kernel-load firmware time for ``node``."""
-        return sum(d for _, d in self.firmware_stages(node))
 
     def emits_serial(self) -> bool:
         return False

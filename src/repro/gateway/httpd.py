@@ -89,15 +89,12 @@ def parse_request(raw: bytes) -> HttpRequest:
 
 
 def format_response(status: int, content_type: str, body: bytes, *,
-                    keep_alive: bool = True,
-                    extra: Optional[Mapping[str, str]] = None) -> bytes:
+                    keep_alive: bool = True) -> bytes:
     reason = _REASONS.get(status, "Unknown")
     lines = [f"HTTP/1.1 {status} {reason}",
              f"Content-Type: {content_type}",
              f"Content-Length: {len(body)}",
              "Connection: " + ("keep-alive" if keep_alive else "close")]
-    for name, value in (extra or {}).items():
-        lines.append(f"{name}: {value}")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
 
@@ -113,14 +110,12 @@ def stream_header(content_type: str) -> bytes:
 class Route:
     """One path template: literal segments plus ``{name}`` captures."""
 
-    __slots__ = ("template", "segments", "handler", "streaming")
+    __slots__ = ("template", "segments", "handler")
 
-    def __init__(self, template: str, handler: Callable, *,
-                 streaming: bool = False):
+    def __init__(self, template: str, handler: Callable):
         self.template = template
         self.segments = [s for s in template.split("/") if s]
         self.handler = handler
-        self.streaming = streaming
 
     def match(self, parts: List[str]) -> Optional[Dict[str, str]]:
         """The captures when ``parts``, a path's non-empty segments,
@@ -142,9 +137,8 @@ class Router:
     def __init__(self) -> None:
         self.routes: List[Route] = []
 
-    def add(self, template: str, handler: Callable, *,
-            streaming: bool = False) -> None:
-        self.routes.append(Route(template, handler, streaming=streaming))
+    def add(self, template: str, handler: Callable) -> None:
+        self.routes.append(Route(template, handler))
 
     def resolve(self, path: str) -> Tuple[Route, Dict[str, str]]:
         parts = [s for s in path.split("/") if s]   # once, not per route

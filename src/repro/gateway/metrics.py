@@ -24,7 +24,10 @@ __all__ = ["GatewayMetrics"]
 class GatewayMetrics:
     """Counters + a latency reservoir for one gateway instance."""
 
-    def __init__(self, *, reservoir: int = 8192):
+    #: how many of the most recent latencies the quantiles read.
+    reservoir = 8192
+
+    def __init__(self):
         self._lock = threading.Lock()
         self.requests = 0
         self.errors = 0
@@ -32,7 +35,7 @@ class GatewayMetrics:
         #: asserts this stays 0 through a shard fail-over.
         self.server_errors = 0
         self.bytes_out = 0
-        self._latencies: Deque[float] = deque(maxlen=reservoir)
+        self._latencies: Deque[float] = deque(maxlen=self.reservoir)
         self._started_at: Optional[float] = None
 
     def start(self, now: float) -> None:

@@ -64,8 +64,8 @@ def build_router(state: GatewayState,
     shell's live metrics snapshot (it owns the wall clock)."""
 
     def summary(request: HttpRequest, params: Dict[str, str]) -> Result:
-        t, values = state.summary()
-        return 200, [("summary", "cluster", t, values)]
+        view = state.view
+        return 200, [("summary", "cluster", view.sim_time, view.summary)]
 
     def hosts(request: HttpRequest, params: Dict[str, str]) -> Result:
         view = state.view
@@ -75,11 +75,11 @@ def build_router(state: GatewayState,
         return 200, [("hosts", "cluster", view.sim_time, payload)]
 
     def host(request: HttpRequest, params: Dict[str, str]) -> Result:
-        found = state.host(params["hostname"])
-        if found is None:
-            raise HttpError(404, f"unknown host {params['hostname']!r}")
-        t, values = found
-        return 200, [("host", params["hostname"], t, values)]
+        view, hostname = state.view, params["hostname"]
+        if hostname not in view.snapshot:
+            raise HttpError(404, f"unknown host {hostname!r}")
+        return 200, [("host", hostname, view.sim_time,
+                      view.snapshot[hostname])]
 
     def query(request: HttpRequest, params: Dict[str, str]) -> Result:
         metrics = _split_param(request, "metrics")
@@ -90,9 +90,10 @@ def build_router(state: GatewayState,
                 from None
 
     def events(request: HttpRequest, params: Dict[str, str]) -> Result:
-        t, active = state.active_events()
-        return 200, [("event", rule, t, {"rule": rule, "node": node})
-                     for rule, node in active]
+        view = state.view
+        return 200, [("event", rule, view.sim_time,
+                      {"rule": rule, "node": node})
+                     for rule, node in view.events]
 
     def event_log(request: HttpRequest,
                   params: Dict[str, str]) -> Result:
@@ -149,5 +150,5 @@ def build_router(state: GatewayState,
     router.add("/v1/history/{hostname}/{metric}", history)
     router.add("/v1/shards", shards)
     router.add("/stats", stats)
-    # /v1/watch is registered by the shell: it owns sockets and queues.
+    # /v1/watch is served by the shell: it owns sockets and queues.
     return router

@@ -50,18 +50,16 @@ class SimDriver(threading.Thread):
     """Advance the simulation in slices; publish a view after each.
 
     ``slice_seconds`` is *simulated* time per step; ``pace_seconds`` is
-    a real sleep between steps that hands the GIL to the serving loop
-    (0 free-runs the sim as fast as the hardware allows).
+    a real sleep between steps that hands the GIL to the serving loop.
     """
 
-    def __init__(self, server: ClusterWorXServer, state: GatewayState, *,
-                 slice_seconds: float = 1.0,
-                 pace_seconds: float = 0.001):
+    slice_seconds = 1.0
+    pace_seconds = 0.001
+
+    def __init__(self, server: ClusterWorXServer, state: GatewayState):
         super().__init__(name="gateway-sim", daemon=True)
         self.server = server
         self.state = state
-        self.slice_seconds = slice_seconds
-        self.pace_seconds = pace_seconds
         self._stop_flag = threading.Event()
         self.error: Optional[BaseException] = None
 
@@ -72,8 +70,7 @@ class SimDriver(threading.Thread):
                 with self.state.lock:
                     kernel.run(until=kernel.now + self.slice_seconds)
                     self.state.refresh()
-                if self.pace_seconds:
-                    time.sleep(self.pace_seconds)
+                time.sleep(self.pace_seconds)
         except BaseException as exc:  # surfaced by stop(); never silent
             self.error = exc
 
@@ -87,24 +84,23 @@ class SimDriver(threading.Thread):
 class GatewayService:
     """The asyncio front door over one ClusterWorX server."""
 
+    #: seconds a watch stream may stay silent before a heartbeat frame.
+    heartbeat = 10.0
+
     def __init__(self, server: ClusterWorXServer, *,
                  cluster=None,
                  host: str = "127.0.0.1", port: int = 0,
                  policy: Optional[WatchPolicy] = None,
                  max_watchers: int = 10000,
-                 idle_timeout: float = 30.0,
-                 heartbeat: float = 10.0):
+                 idle_timeout: float = 30.0):
         self.server = server
         self.host = host
         self.port = port
         self.idle_timeout = idle_timeout
-        self.heartbeat = heartbeat
         self.max_watchers = max_watchers
-        self.sim_lock = threading.Lock()
         resolver = cluster.group_resolver() if cluster is not None \
             else None
-        self.state = GatewayState(server, lock=self.sim_lock,
-                                  resolver=resolver)
+        self.state = GatewayState(server, resolver=resolver)
         self.hub = WatchHub(server, policy=policy)
         self.metrics = GatewayMetrics()
         self.json_wire = JsonWire()

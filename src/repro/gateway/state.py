@@ -111,12 +111,10 @@ class _ChangeLog(NamedTuple):
 class GatewayState:
     """Bridge between the simulation thread and the serving loop."""
 
-    def __init__(self, server: ClusterWorXServer, *,
-                 lock: Optional[threading.Lock] = None,
-                 resolver=None):
+    def __init__(self, server: ClusterWorXServer, *, resolver=None):
         self.server = server
         #: the sim driver's slice lock; cold endpoints serialize on it.
-        self.lock = lock if lock is not None else threading.Lock()
+        self.lock = threading.Lock()
         #: @group resolver for NodeSet-filtered queries (optional).
         self.resolver = resolver
         self.publishes = 0
@@ -236,20 +234,6 @@ class GatewayState:
         self.stalled_until = until
 
     # -- serving side (all reads off the frozen view) ------------------------
-    def summary(self) -> Tuple[float, Mapping[str, object]]:
-        view = self.view
-        return view.sim_time, view.summary
-
-    def host(self, hostname: str
-             ) -> Optional[Tuple[float, Mapping[str, object]]]:
-        view = self.view
-        if hostname not in view.snapshot:
-            return None
-        return view.sim_time, view.snapshot[hostname]
-
-    def hostnames(self) -> Tuple[str, ...]:
-        return self.view.hostnames
-
     def folded_hosts(self, hostnames: Optional[Tuple[str, ...]] = None
                      ) -> str:
         """A view's membership (``hostnames``, the current view's when
@@ -292,11 +276,23 @@ class GatewayState:
                 self._follow(fields)
             changed = partial(self.changed_since, view=view, fields=fields)
         return FrameTable("host", view.sim_time, view.hostnames,
-                          view.snapshot, fields, all_hosts=True,
+                          view.snapshot, fields,
                           number=view.number, base=view.base,
                           changed_since=changed)
 
     def _follow(self, fields: Tuple[str, ...]) -> None:
+        """Start the change log on ``fields`` if the slice lock is free:
+        a projected query never waits for a slice.  While the sim thread
+        holds it the next projected query tries again."""
+        if not self.lock.acquire(blocking=False):
+            return
+        try:
+            self._start_log(fields)
+        finally:
+            self.lock.release()
+
+    def _start_log(  # worx: holds lock
+            self, fields: Tuple[str, ...]) -> None:
         """Start the change log on ``fields`` — one bus subscription,
         replacing the last — if the published view is complete and the
         world as it is: then nothing was applied since its capture, and
@@ -306,17 +302,16 @@ class GatewayState:
         not: a federated store's still counts a drained shard's writes,
         which its snapshot has dropped.  Else the next projected query
         tries again."""
-        with self.lock:
-            view = self.view
-            if not view.snapshot.complete \
-                    or self.server.store.snapshot() is not view.snapshot \
-                    or self.server.kernel.now != view.sim_time:
-                return
-            if self._tracking is not None:
-                self._tracking.cancel()
-            self._changes = _ChangeLog(fields, view.number, [])
-            self._tracking = self.server.subscribe(
-                self._note_change, name="gateway-changes", metrics=fields)
+        view = self.view
+        if not view.snapshot.complete \
+                or self.server.store.snapshot() is not view.snapshot \
+                or self.server.kernel.now != view.sim_time:
+            return
+        if self._tracking is not None:
+            self._tracking.cancel()
+        self._changes = _ChangeLog(fields, view.number, [])
+        self._tracking = self.server.subscribe(
+            self._note_change, name="gateway-changes", metrics=fields)
 
     def changed_since(self, number: int, view: PublishedView,
                       fields: Tuple[str, ...]) -> Optional[Set[str]]:
@@ -335,10 +330,6 @@ class GatewayState:
         start = bisect_left(entries, (number,))
         stop = bisect_left(entries, (view.number,), start)
         return set(map(itemgetter(1), entries[start:stop]))
-
-    def active_events(self) -> Tuple[float, Tuple[Tuple[str, str], ...]]:
-        view = self.view
-        return view.sim_time, view.events
 
     def shards(self) -> List[Dict[str, object]]:
         """Per-shard control-plane rows (a flat server reports itself

@@ -85,26 +85,25 @@ class FrameTable:
     """The frames of an O(N) response, not built: its groups are read
     off ``snapshot`` (a ``Snapshot`` or ``FederatedSnapshot``; sorted
     ``fields`` projected, all when None) column by column as it is
-    written or iterated.  ``all_hosts`` marks the table of every host
-    of a view (``subjects`` sorted), the one :class:`JsonWire` keeps its
-    last body of.  Such a table may carry the ``number`` of the view it
-    reads, the ``base`` view whose every logged change it holds (the
-    view itself unless given), and ``changed_since(n)``: the hosts whose
-    ``fields`` changed between view ``n`` and this one, or None when
-    that is not known."""
+    written or iterated.  A table with the ``number`` of the view it
+    reads is the table of every host of that view (``subjects``
+    sorted), the one :class:`JsonWire` keeps its last body of.  Such a
+    table carries the ``base`` view whose every logged change it holds
+    (the view itself unless given), and may carry ``changed_since(n)``:
+    the hosts whose ``fields`` changed between view ``n`` and this one,
+    or None when that is not known."""
 
     __slots__ = ("kind", "t", "subjects", "snapshot", "fields",
-                 "all_hosts", "number", "base", "changed_since")
+                 "number", "base", "changed_since")
 
     def __init__(self, kind: str, t: float, subjects: Tuple[str, ...],
                  snapshot, fields: Optional[Tuple[str, ...]] = None, *,
-                 all_hosts: bool = False, number: Optional[int] = None,
+                 number: Optional[int] = None,
                  base: Optional[int] = None,
                  changed_since: Optional[
                      Callable[[int], Optional[Collection[str]]]] = None):
         self.kind, self.t, self.subjects = kind, t, subjects
         self.snapshot, self.fields = snapshot, fields
-        self.all_hosts = all_hosts
         self.number, self.changed_since = number, changed_since
         self.base = number if base is None else base
 
@@ -255,8 +254,8 @@ class _TableMemo(NamedTuple):
     subjects: Tuple[str, ...]
     fields: Optional[Tuple[str, ...]]
     pieces: List[bytes]
-    number: Optional[int]
-    base: Optional[int]
+    number: int
+    base: int
     shared: bytes
     body: bytes
 
@@ -350,13 +349,13 @@ class JsonWire:
         subjects = table.subjects
         if not subjects:
             return b"[]"
-        memo = self._memo if table.all_hosts else None
+        keep = table.number is not None
+        memo = self._memo if keep else None
         if memo is not None and (memo.subjects is not subjects
                                  or memo.kind != table.kind
-                                 or memo.fields != table.fields
-                                 or None in (memo.number, table.number)):
+                                 or memo.fields != table.fields):
             memo = None
-        pieces, keep = None, table.all_hosts
+        pieces = None
         if memo is not None and table.number == memo.number:
             pieces = memo.pieces
         elif memo is not None and table.number > memo.number \

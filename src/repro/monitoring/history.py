@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.util.ringbuffer import TimeSeriesRing
+from repro.util.ringbuffer import TimeSeriesRing, downsample, window
 
 __all__ = ["HistoryStore"]
 
@@ -90,7 +90,7 @@ class HistoryStore:
         series = self._find(hostname, metric)
         if series is None:
             return np.empty(0), np.empty(0)
-        return self._ring.window(series, t0, t1)
+        return window(*self._ring.arrays(series), t0, t1)
 
     def latest(self, hostname: str, metric: str
                ) -> Optional[Tuple[float, float]]:
@@ -104,7 +104,7 @@ class HistoryStore:
         if series is None:
             empty = np.empty(0)
             return empty, empty, empty, empty
-        return self._ring.downsample(series, buckets)
+        return downsample(*self._ring.arrays(series), buckets)
 
     def compare_nodes(self, hostnames: Sequence[str], metric: str
                       ) -> Dict[str, float]:

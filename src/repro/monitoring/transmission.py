@@ -29,10 +29,11 @@ class TextCodec:
     """Human-readable lines, optionally zlib-compressed."""
 
     name = "text"
+    #: zlib compression level.
+    level = 6
 
-    def __init__(self, compress: bool = True, level: int = 6):
+    def __init__(self, compress: bool = True):
         self.compress = compress
-        self.level = level
 
     def encode(self, hostname: str, t: float,
                values: Dict[str, object]) -> bytes:

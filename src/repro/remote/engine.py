@@ -158,13 +158,16 @@ class TaskEngine:
     """Schedules parallel command runs on the simulation kernel."""
 
     DEFAULT_FANOUT = 64
+    #: per-node deadline (s), retry backoff (s) and its max fractional
+    #: spread, for a run that does not pass its own; jitter draws come
+    #: from the engine rng so identical seeds give identical schedules.
+    command_timeout = 120.0
+    retry_backoff = 1.0
+    retry_jitter = 0.25
 
     def __init__(self, kernel: SimKernel, *, cluster=None,
                  target: Optional[SimCommandTarget] = None,
-                 fanout: int = DEFAULT_FANOUT,
-                 command_timeout: Optional[float] = 120.0,
-                 retries: int = 0, retry_backoff: float = 1.0,
-                 retry_jitter: float = 0.25,
+                 fanout: int = DEFAULT_FANOUT, retries: int = 0,
                  failure_policy: str = "continue", rng=None):
         self.kernel = kernel
         self.cluster = cluster
@@ -172,12 +175,7 @@ class TaskEngine:
         self.target = target if target is not None else SimCommandTarget(
             kernel, cluster, rng=rng)
         self.fanout = fanout
-        self.command_timeout = command_timeout
         self.retries = retries
-        self.retry_backoff = retry_backoff
-        #: max fractional spread on retry backoff; draws come from the
-        #: engine rng so identical seeds give identical schedules.
-        self.retry_jitter = retry_jitter
         self.failure_policy = failure_policy
         self.runs: List[TaskRun] = []
 

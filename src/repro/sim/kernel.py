@@ -256,7 +256,6 @@ class Process(Event):
             # do not defuse what we no longer handle.
             stale.discard(event)
             return
-        self.kernel._active = self
         while True:
             try:
                 if event._ok:
@@ -295,7 +294,6 @@ class Process(Event):
                 break
             # Already processed: feed its value straight back in.
             event = target
-        self.kernel._active = None
 
 
 class ConditionValue(dict):
@@ -392,7 +390,6 @@ class SimKernel:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._active: Optional[Process] = None
         self._pending = 0
         #: total events processed by step() — the denominator benchmarks
         #: use for events/s.
@@ -404,10 +401,6 @@ class SimKernel:
     def now(self) -> float:
         """Current simulation time (seconds, by repo-wide convention)."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active
 
     # -- factories ------------------------------------------------------
     def event(self) -> Event:

@@ -11,9 +11,9 @@ when the primary's host dies (see :class:`FailoverPair`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
-from repro.hardware.node import NodeState, SimulatedNode
+from repro.hardware.node import SimulatedNode
 from repro.sim import SimKernel
 from repro.slurm.daemon import Slurmd
 from repro.slurm.job import Job, JobState
@@ -156,9 +156,6 @@ class SlurmController:
         return False
 
     # -- scheduling passes ----------------------------------------------------------
-    def _partition_hosts(self, job: Job) -> Set[str]:
-        return set(self._partitions[job.partition].hostnames)
-
     def _schedule(self) -> None:
         if not self.alive:
             return

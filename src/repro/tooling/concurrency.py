@@ -38,13 +38,9 @@ CONTEXT_MAP: Mapping[str, str] = {
     # The asyncio serving thread: hot endpoints off the frozen view,
     # cold endpoints through the slice lock, watch-buffer drains.
     "repro/gateway/routes.py": "serving",
-    "repro/gateway/state.py::GatewayState.summary": "serving",
-    "repro/gateway/state.py::GatewayState.host": "serving",
-    "repro/gateway/state.py::GatewayState.hostnames": "serving",
     "repro/gateway/state.py::GatewayState.folded_hosts": "serving",
     "repro/gateway/state.py::GatewayState.query": "serving",
     "repro/gateway/state.py::GatewayState.changed_since": "serving",
-    "repro/gateway/state.py::GatewayState.active_events": "serving",
     "repro/gateway/state.py::GatewayState.shards": "serving",
     "repro/gateway/state.py::GatewayState.history_graph": "serving",
     "repro/gateway/state.py::GatewayState.history_window": "serving",

@@ -170,11 +170,6 @@ class TimeSeriesRing:
         del flat                # the view pins the buffer's size
         return t, v
 
-    def window(self, series: bytearray, t0: float, t1: float
-               ) -> Tuple[np.ndarray, np.ndarray]:
-        """Samples with ``t0 <= t <= t1`` in chronological order."""
-        return window(*self.arrays(series), t0, t1)
-
     @staticmethod
     def latest(series: bytearray) -> Optional[Tuple[float, float]]:
         # The newest sample is the last one stored while the series
@@ -187,11 +182,6 @@ class TimeSeriesRing:
         else:
             return None
         return _unpack_pair(series, offset)
-
-    def downsample(self, series: bytearray, buckets: int
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`downsample` of the series's samples."""
-        return downsample(*self.arrays(series), buckets)
 
 
 def window(t: np.ndarray, v: np.ndarray, t0: float, t1: float

@@ -105,9 +105,14 @@ def test_both_kernels_agree_on_interleaved_timers():
 def test_knob_surface_is_pinned():
     """There is one hot path: none of these constructors carries an
     implementation switch, so a new knob is a conscious diff here."""
+    from repro.core.server import ClusterWorXServer
     from repro.events.engine import EventEngine
     from repro.federation import FederationServer
+    from repro.gateway import GatewayService, GatewayState, SimDriver
+    from repro.gateway.metrics import GatewayMetrics
     from repro.monitoring.scheduler import AgentScheduler
+    from repro.monitoring.transmission import TextCodec
+    from repro.remote.engine import TaskEngine
 
     def keywords(cls):
         return set(inspect.signature(cls.__init__).parameters) - {"self"}
@@ -121,8 +126,20 @@ def test_knob_surface_is_pinned():
     assert keywords(AgentScheduler) == {"kernel"}
     assert keywords(FederationServer) == {
         "kernel", "cluster", "shards", "registry", "notifier", "images",
-        "shard_heartbeat", "shard_suspect_after", "shard_down_after",
-        "auto_failover"}
+        "shard_down_after", "auto_failover"}
+    assert keywords(ClusterWorXServer) == {
+        "kernel", "cluster", "registry", "notifier", "self_healing",
+        "suspect_after", "down_after", "nodes", "images"}
+    assert keywords(TaskEngine) == {
+        "kernel", "cluster", "target", "fanout", "retries",
+        "failure_policy", "rng"}
+    assert keywords(TextCodec) == {"compress"}
+    assert keywords(GatewayService) == {
+        "server", "cluster", "host", "port", "policy", "max_watchers",
+        "idle_timeout"}
+    assert keywords(SimDriver) == {"server", "state"}
+    assert keywords(GatewayState) == {"server", "resolver"}
+    assert keywords(GatewayMetrics) == set()
 
 
 # -- topology equivalence --------------------------------------------------

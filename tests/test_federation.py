@@ -254,12 +254,12 @@ class TestMembership:
         with state.lock:  # as the gateway's driver publishes
             state.refresh()
         victim = cwx.cluster.hostnames[0]
-        assert victim in state.hostnames()
+        assert victim in state.view.hostnames
         assert any(h == victim for h, _, _ in watcher.drain())
         cwx.server.forget_node(victim)
         with state.lock:
             state.refresh()  # ONE slice boundary
-        assert victim not in state.hostnames()
+        assert victim not in state.view.hostnames
         assert state.view.summary["nodes_total"] == 19
         summary = cwx.server.cluster_summary()
         assert summary["nodes_total"] == 19

@@ -41,6 +41,7 @@ from repro.monitoring import (HistoryStore, Monitor, NodeAgent,
                               builtin_registry)
 from repro.sim.kernel import Process
 from repro.util import TimeSeriesRing
+from repro.util.ringbuffer import downsample
 from tests.json_oracle import oracle_body
 
 N_NODES = 200
@@ -191,7 +192,9 @@ def test_all_hosts_query_runs_no_collection(fleet, metrics):
 
 
 def _bytecodes_executed(fn, *args):
-    """How many bytecodes ``fn(*args)`` runs in Python frames."""
+    """How many bytecodes ``fn(*args)`` runs in Python frames, with the
+    collector off: the Python callbacks a collection runs (Hypothesis
+    registers one) are not the code measured."""
     count = 0
 
     def tracer(frame, event, arg):
@@ -201,12 +204,15 @@ def _bytecodes_executed(fn, *args):
             count += 1
         return tracer
 
-    previous = sys.gettrace()
+    previous, collecting = sys.gettrace(), gc.isenabled()
+    gc.disable()
     sys.settrace(tracer)
     try:
         fn(*args)
     finally:
         sys.settrace(previous)
+        if collecting:
+            gc.enable()
     return count
 
 
@@ -292,26 +298,14 @@ def _history_frames(n_rows):
             for row in range(n_rows)]
 
 
-@contextmanager
-def _collector_off():
-    """No collection while the ``with`` body runs: the Python callbacks
-    one runs (Hypothesis registers one) are not the code measured."""
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
 def test_history_list_is_written_without_a_python_step_per_frame():
     """A history body of 60 rows and one of the history's 4 096 run the
     same bytecodes: each field of the frames is one column written by
     one ``map``.  (Each frame was a dict for the stdlib encoder, and a
     NaN column fell back to a Python call per value.)"""
     encode = JsonWire().encode
-    with _collector_off():
-        small = _bytecodes_executed(encode, _history_frames(60))
-        large = _bytecodes_executed(encode, _history_frames(4096))
+    small = _bytecodes_executed(encode, _history_frames(60))
+    large = _bytecodes_executed(encode, _history_frames(4096))
     assert 0 < small == large
 
 
@@ -322,9 +316,9 @@ def test_downsample_runs_the_same_bytecodes_for_any_bucket_count():
     ring = TimeSeriesRing(4096)
     series = ring.new()
     ring.extend(series, ((t * 0.5, float(t % 7)) for t in range(3000)))
-    with _collector_off():
-        few = _bytecodes_executed(ring.downsample, series, 2)
-        many = _bytecodes_executed(ring.downsample, series, 600)
+    t, v = ring.arrays(series)
+    few = _bytecodes_executed(downsample, t, v, 2)
+    many = _bytecodes_executed(downsample, t, v, 600)
     assert 0 < few == many
 
 
@@ -345,7 +339,7 @@ def _all_hosts(table, changed=None, t=None):
         snapshot, number = Snapshot(hosts, 2, 2.0, 1), 2
     return FrameTable(table.kind, table.t if t is None else t,
                       table.subjects, snapshot, table.fields,
-                      all_hosts=True, number=number,
+                      number=number,
                       changed_since={1: moved}.get)
 
 
@@ -449,7 +443,7 @@ def test_next_views_unchanged_body_is_one_copy(n_fields):
     subjects = tuple(sorted(hosts))
     tables = [FrameTable("host", float(number), subjects,
                          Snapshot(hosts, number, float(number), 1),
-                         tuple(sorted(hosts[subjects[0]])), all_hosts=True,
+                         tuple(sorted(hosts[subjects[0]])),
                          number=number, changed_since={1: ()}.get)
               for number in (1, 2)]
     wire = JsonWire()
@@ -493,7 +487,7 @@ def _reads_after_a_body(n_hosts, changed):
             {field: value + 1 for field, value in rows[hostname].items()})
     tables = [FrameTable("host", float(number), subjects,
                          Snapshot(hosts, number, float(number), 1),
-                         first.fields, all_hosts=True, number=number,
+                         first.fields, number=number,
                          changed_since={1: moved}.get)
               for number, hosts in ((1, rows), (2, after))]
     wire = JsonWire()

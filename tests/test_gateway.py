@@ -4,6 +4,7 @@ published-view reuse, and the full asyncio service over real sockets."""
 import asyncio
 import json
 import logging
+import threading
 import time
 from types import SimpleNamespace
 
@@ -93,7 +94,7 @@ class TestWire:
             rows = {"a": {"x": 1.0}, "b": {"x": b_value}}
             return FrameTable("host", float(number), ("a", "b"),
                               Snapshot(rows, number, float(number), 1),
-                              ("x",), all_hosts=True, number=number,
+                              ("x",), number=number,
                               base=3, changed_since=lambda since: set())
         wire = JsonWire()
         wire.encode(table(5, 3.0))
@@ -110,7 +111,7 @@ class TestWire:
         assert json.loads(event[len(b"data: "):])["values"]["tags"] \
             == str(tags)
         table = FrameTable("host", 3.0, ("n1",), Snapshot(
-            {"n1": {"tags": tags, "x": 1}}, 1, 3.0, 1), all_hosts=True)
+            {"n1": {"tags": tags, "x": 1}}, 1, 3.0, 1))
         for body in (JsonWire().encode([frame]), JsonWire().encode(table)):
             assert json.loads(body)["values"] == {"tags": str(tags), "x": 1}
         assert BinaryWire().decode(BinaryWire().encode([frame]))[0][3] \
@@ -301,12 +302,12 @@ class TestGatewayState:
         cwx.run(20)
         state = GatewayState(cwx.server)
         state.refresh()
-        frozen = state.view
-        t, summary = state.summary()
+        route, params = build_router(state, dict).resolve("/v1/summary")
+        frozen, before = state.view, route.handler(None, params)
         cwx.run(30)  # sim moves on; the view must not
         assert state.view is frozen
-        t2, summary2 = state.summary()
-        assert t2 == t and summary2 is summary
+        assert route.handler(None, params) == before
+        assert before[1][0][3] is frozen.summary
 
     def test_query_filters_nodes_and_metrics(self):
         cwx = ClusterWorX(n_nodes=6, seed=4, monitor_interval=5.0)
@@ -423,6 +424,37 @@ class TestGatewayState:
         table = state.query(None, ["cpu_util_pct"])
         assert state._changes is not None
         assert table.changed_since(table.number) == set()
+
+    def test_a_projected_query_never_waits_for_a_slice(self):
+        """While the sim thread holds the slice lock for half a second, a
+        projected all-hosts query answers off the published view at once
+        and leaves the change log unstarted; the next query after the
+        slice starts it.  (Starting the log waited for the lock.)"""
+        cwx = ClusterWorX(n_nodes=8, seed=4, monitor_interval=5.0)
+        cwx.start()
+        cwx.run(20)
+        state = GatewayState(cwx.server)
+        held = threading.Event()
+
+        def slice_():
+            with state.lock:
+                held.set()
+                time.sleep(0.5)
+
+        sim = threading.Thread(target=slice_)
+        sim.start()
+        held.wait()
+        t0 = time.perf_counter()
+        table = state.query(None, ["cpu_util_pct"])
+        body = JsonWire().encode(table)
+        elapsed = time.perf_counter() - t0
+        started = state._changes is not None
+        sim.join()
+        assert elapsed < 0.05, elapsed
+        assert body == oracle_body(list(table))
+        assert not started
+        state.query(None, ["cpu_util_pct"])
+        assert state._changes is not None
 
     def test_history_reads_bucket_and_window_outside_the_slice_lock(
             self, monkeypatch):

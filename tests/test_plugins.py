@@ -196,7 +196,9 @@ def _plugin_cluster_outputs(monkeypatch, sort):
     state = GatewayState(cwx.server)
     with state.lock:
         state.refresh()
-    hosts = [("host", h, *state.host(h)) for h in cwx.cluster.hostnames]
+    view = state.view
+    hosts = [("host", h, view.sim_time, view.snapshot[h])
+             for h in cwx.cluster.hostnames]
     bodies = [wire.encode(hosts) for wire in
               (JsonWire(), BinaryWire(metric_schema=schema))]
     bodies.append(JsonWire().encode(state.query()))

@@ -146,7 +146,7 @@ def test_shard_reachability_surface_is_pinned():
     # the campaign draws shard faults itself, through its own plane
     assert list(inspect.signature(ChaosCampaign.__init__).parameters) == [
         "self", "cwx", "n_faults", "kinds", "start", "horizon", "settle",
-        "workload_cpu", "shard_faults", "shard_kinds", "outage"]
+        "shard_faults", "shard_kinds", "outage"]
 
 
 # -- the guards that replaced the retired rules ------------------------------

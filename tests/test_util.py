@@ -13,6 +13,7 @@ from repro.util import (
     fmt_duration,
     mbit_per_s,
 )
+from repro.util.ringbuffer import downsample, window
 
 
 class TestByteRingBuffer:
@@ -85,7 +86,7 @@ class TestTimeSeriesRing:
     def test_window_query(self):
         ring, series = _series(100)
         ring.extend(series, ((float(i), float(i)) for i in range(50)))
-        t, v = ring.window(series, 10.0, 19.5)
+        t, v = window(*ring.arrays(series), 10.0, 19.5)
         assert t[0] == 10.0 and t[-1] == 19.0 and len(t) == 10
 
     def test_latest(self):
@@ -97,25 +98,25 @@ class TestTimeSeriesRing:
     def test_downsample_means(self):
         ring, series = _series(100)
         ring.extend(series, ((float(i), 1.0) for i in range(100)))
-        centers, mean, lo, hi = ring.downsample(series, 10)
+        centers, mean, lo, hi = downsample(*ring.arrays(series), 10)
         assert len(centers) == 10
         assert np.allclose(mean[~np.isnan(mean)], 1.0)
 
     def test_downsample_minmax(self):
         ring, series = _series(100)
         ring.extend(series, ((float(i), float(i % 10)) for i in range(100)))
-        _, _, lo, hi = ring.downsample(series, 5)
+        _, _, lo, hi = downsample(*ring.arrays(series), 5)
         assert np.nanmin(lo) == 0.0 and np.nanmax(hi) == 9.0
 
     def test_downsample_empty(self):
         ring, series = _series(4)
-        centers, mean, lo, hi = ring.downsample(series, 5)
+        centers, mean, lo, hi = downsample(*ring.arrays(series), 5)
         assert len(centers) == 0
 
     def test_downsample_invalid_buckets(self):
         ring, series = _series(4)
         with pytest.raises(ValueError):
-            ring.downsample(series, 0)
+            downsample(*ring.arrays(series), 0)
 
     def test_ring_is_its_own_buffer(self):
         """A series is one plain ``bytearray`` — an 8-byte head, then the
@@ -156,11 +157,9 @@ class TestTimeSeriesRing:
     def test_arrays_never_hands_out_a_view(self):
         ring, series = _series(64)
         ring.extend(series, ((float(i), float(i)) for i in range(8)))
-        reads = [ring.arrays(series), ring.window(series, 2.0, 5.0),
-                 ring.downsample(series, 2)]
+        t, v = ring.arrays(series)
         for i in range(8, 40):      # growth reallocates the buffer:
             ring.append(series, float(i), float(i))     # no BufferError
-        t, v = reads[0]
         t[:] = -1.0                 # and the arrays are the caller's own
         assert ring.arrays(series)[0].tolist() == [float(i)
                                                    for i in range(40)]

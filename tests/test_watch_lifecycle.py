@@ -109,11 +109,11 @@ class TestForgetNodeMidStream:
         cwx.server.add_rule(rule)
         cwx.run(30)
         state = GatewayState(cwx.server)
-        _, active = state.active_events()
+        active = state.view.events
         assert active
         victim = active[0][1]
         cwx.server.forget_node(victim)
         state.refresh()
-        _, after = state.active_events()
+        after = state.view.events
         assert all(node != victim for _, node in after)
-        assert victim not in state.hostnames()
+        assert victim not in state.view.hostnames
