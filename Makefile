@@ -43,11 +43,12 @@ perf-smoke:
 perf-compare:
 	$(PYTHON) benchmarks/perf/run.py --compare $(A) $(B)
 
-# Alternating runs of one workload in PARENT's committed tree and in this
+# Alternating runs of each workload in PARENT's committed tree and in this
 # checkout, each side's median (q1-q3) per end-to-end metric, pairs ahead
-# and whether a claimed gain holds, as an EXPERIMENTS.md table
-# (benchmarks/perf_pairs.py; ~35 s a run at steady_10k):
-#   make perf-pairs PARENT=HEAD~1 WORKLOAD=steady_10k PAIRS=10 SEED=1610
+# and whether a claimed gain holds, then minor page faults a run, as an
+# EXPERIMENTS.md table per workload (benchmarks/perf_pairs.py; WORKLOAD
+# may be a comma-separated list; ~35 s a run at steady_10k):
+#   make perf-pairs PARENT=HEAD~1 WORKLOAD=steady_10k,steady_1k PAIRS=10 SEED=1610
 PARENT ?= HEAD~1
 WORKLOAD ?= steady_10k
 PAIRS ?= 10

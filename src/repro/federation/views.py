@@ -58,7 +58,7 @@ from repro.events.engine import EventEngine, FiredEvent, newest
 from repro.events.rules import ThresholdRule
 from repro.federation.rollup import RollupCache, _generation
 from repro.federation.shard import Shard, _group_by_owner
-from repro.monitoring.history import HistoryStore
+from repro.monitoring.history import EMPTY_SERIES_BYTES, HistoryStore
 from repro.resilience.health import HealthTracker
 from repro.resilience.orchestrator import RecoveryOrchestrator
 
@@ -507,6 +507,8 @@ class FederatedHistory(_View, organ="history"):
     """
 
     series = _owner(HistoryStore.series, _EMPTY_SERIES, via_first=True)
+    series_bytes = _owner(HistoryStore.series_bytes, EMPTY_SERIES_BYTES,
+                          via_first=True)
     window = _owner(HistoryStore.window, _EMPTY_SERIES, via_first=True)
     latest = _owner(HistoryStore.latest, via_first=True)
     graph = _owner(HistoryStore.graph, _EMPTY_GRAPH, via_first=True)

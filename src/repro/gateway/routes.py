@@ -57,6 +57,16 @@ def _float_param(request: HttpRequest, name: str,
     return value
 
 
+def _int_param(request: HttpRequest, name: str, default: int) -> int:
+    """A whole number (``4``, ``4.0``), ``default`` when absent; else
+    (``2.5``, ``nan``...) a 400."""
+    value = _float_param(request, name, default)
+    if value != int(value):
+        raise HttpError(400, f"bad integer for {name!r}: "
+                             f"{request.param(name)!r}")
+    return int(value)
+
+
 def build_router(state: GatewayState,
                  stats_values: Callable[[], Mapping[str, object]]
                  ) -> Router:
@@ -101,7 +111,7 @@ def build_router(state: GatewayState,
             entries = state.event_log(
                 since=_float_param(request, "since", 0.0),
                 node=request.param("node"),
-                limit=int(_float_param(request, "limit", 100)))
+                limit=_int_param(request, "limit", 100))
         except ValueError as exc:  # a negative limit
             raise HttpError(400, str(exc)) from None
         return 200, [("event", e["rule"], e["time"], e)  # type: ignore
@@ -119,7 +129,7 @@ def build_router(state: GatewayState,
         try:
             graph = state.history_graph(
                 hostname, metric,
-                buckets=int(_float_param(request, "buckets", 60)))
+                buckets=_int_param(request, "buckets", 60))
         except ValueError as exc:  # buckets outside 1 to the capacity
             raise HttpError(400, str(exc)) from None
         return 200, [("history", subject, center,

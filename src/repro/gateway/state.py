@@ -27,7 +27,7 @@ Cold paths that genuinely need live structures (history, the event
 log, the shard rows) take the sim driver's slice lock around their
 read — a bounded stall on a rare endpoint, never on the hot ones.  The
 history routes hold it for the copy-out of one series only; bucketing,
-windowing and the rows run on the fresh arrays after it is released.
+windowing and the rows run on the fresh copy after it is released.
 
 Each published view carries its publish number.  For the field set of
 the last projected all-hosts query the state keeps a change log — one
@@ -49,7 +49,7 @@ from repro.core.server import ClusterWorXServer
 from repro.core.statestore import Snapshot, Update
 from repro.gateway.wire import FrameTable
 from repro.remote.nodeset import NodeSet
-from repro.util.ringbuffer import downsample, window
+from repro.util.ringbuffer import downsample_bytes, window
 
 __all__ = ["PublishedView", "GatewayState"]
 
@@ -349,16 +349,17 @@ class GatewayState:
                       buckets: int = 60) -> List[List[float]]:
         """Downsampled center, mean, min and max columns for one series;
         ``buckets`` outside 1 to the history's capacity is a
-        ``ValueError``.  The lock covers the copy-out of the series
-        only: bucketing and the columns work on fresh arrays."""
+        ``ValueError``.  The lock covers one ``bytes`` copy of the
+        series only; ``downsample_bytes`` bins it after, a plain loop
+        equal to ``downsample`` to the bit, because numpy's some twenty
+        calls run cold after each sim slice."""
         with self.lock:
             history = self.server.history
             if not 1 <= buckets <= history.capacity:
                 raise ValueError(f"buckets must be 1 to {history.capacity}"
                                  f": {buckets}")
-            times, values = history.series(hostname, metric)
-        return [column.tolist()
-                for column in downsample(times, values, buckets)]
+            series = history.series_bytes(hostname, metric)
+        return downsample_bytes(series, buckets)
 
     def history_window(self, hostname: str, metric: str,
                        t0: float, t1: float) -> List[List[float]]:

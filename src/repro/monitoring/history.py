@@ -21,7 +21,11 @@ import numpy as np
 
 from repro.util.ringbuffer import TimeSeriesRing, downsample, window
 
-__all__ = ["HistoryStore"]
+__all__ = ["HistoryStore", "EMPTY_SERIES_BYTES"]
+
+#: what :meth:`HistoryStore.series_bytes` reads for a series it does not
+#: hold: an empty series's bytes.
+EMPTY_SERIES_BYTES = bytes(TimeSeriesRing.new())
 
 
 class HistoryStore:
@@ -84,6 +88,15 @@ class HistoryStore:
         if series is None:
             return np.empty(0), np.empty(0)
         return self._ring.arrays(series)
+
+    def series_bytes(self, hostname: str, metric: str) -> bytes:
+        """One series as a single ``bytes`` copy, head included, for
+        a reader that unpacks it after a lock is released
+        (:meth:`TimeSeriesRing.arrays`,
+        :func:`~repro.util.ringbuffer.downsample_bytes`); an unknown
+        series reads as an empty one."""
+        series = self._find(hostname, metric)
+        return bytes(series) if series is not None else EMPTY_SERIES_BYTES
 
     def window(self, hostname: str, metric: str, t0: float, t1: float
                ) -> Tuple[np.ndarray, np.ndarray]:

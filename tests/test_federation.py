@@ -21,6 +21,7 @@ from repro.gateway import GatewayState, WatchClient, WatchHub
 from repro.remote.engine import TaskEngine
 from repro.resilience.health import HealthRecord, HealthState
 from repro.resilience.orchestrator import RecoveryRecord
+from repro.util import TimeSeriesRing
 
 
 def make_fed(n=20, shards=4, seed=7, **kwargs):
@@ -541,6 +542,8 @@ def _walk(cwx, host):
     rows["engine.event_log(limit)"] = engine.event_log(limit=2)
     # -- history reads
     rows["history.series"] = history.series(host, metric)
+    rows["history.series_bytes"] = TimeSeriesRing.arrays(
+        history.series_bytes(host, metric))
     rows["history.window"] = history.window(host, metric, 0.0, 30.0)
     rows["history.latest"] = history.latest(host, metric)
     rows["history.graph"] = history.graph(host, metric, 2)
@@ -679,6 +682,10 @@ ORACLE = {'reachable': {'store.tracked': {'set': ['c-n0000', 'c-n0001',
                                    29.859918628571428,
                                    34.85991862857143],
                                   [0.0, 5.0, 10.0]),
+               'history.series_bytes': ([24.859918628571428,
+                                         29.859918628571428,
+                                         34.85991862857143],
+                                        [0.0, 5.0, 10.0]),
                'history.window': ([24.859918628571428,
                                    29.859918628571428],
                                   [0.0, 5.0]),
@@ -765,6 +772,7 @@ ORACLE = {'reachable': {'store.tracked': {'set': ['c-n0000', 'c-n0001',
                                   'c-n0006')],
             'engine.event_log(node,limit)': [],
             'history.series': ([], []),
+            'history.series_bytes': ([], []),
             'history.window': ([], []),
             'history.latest': None,
             'history.graph': ([], [], [], []),
@@ -811,6 +819,7 @@ ORACLE = {'reachable': {'store.tracked': {'set': ['c-n0000', 'c-n0001',
              'engine.is_triggered': False,
              'engine.event_log(node,limit)': [],
              'history.series': ([], []),
+             'history.series_bytes': ([], []),
              'history.window': ([], []),
              'history.latest': None,
              'history.graph': ([], [], [], []),
@@ -880,6 +889,7 @@ SURFACE = {'FederatedStore': {'__contains__': '(self, hostname)',
                       'latest': '(self, hostname, metric)',
                       'metric_names': 'property',
                       'series': '(self, hostname, metric)',
+                      'series_bytes': '(self, hostname, metric)',
                       'trend': '(self, hostname, metric, *, window=None)',
                       'window': '(self, hostname, metric, t0, t1)'},
  'FederatedHealth': {'__init__': '(self, shards, owner_of)',

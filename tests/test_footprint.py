@@ -25,10 +25,13 @@ and, for hosts that share their fields, no Python step per row.
 """
 
 import gc
+import os
 import sys
 import tracemalloc
 from contextlib import contextmanager
+from functools import partial
 
+import numpy as np
 import pytest
 
 from repro import ClusterWorX
@@ -320,6 +323,60 @@ def test_downsample_runs_the_same_bytecodes_for_any_bucket_count():
     few = _bytecodes_executed(downsample, t, v, 2)
     many = _bytecodes_executed(downsample, t, v, 600)
     assert 0 < few == many
+
+
+def _numpy_calls(fn, *args):
+    """The numpy functions and methods ``fn(*args)`` calls: a Python
+    frame in numpy's package, or a C function numpy defines or that
+    is bound to a numpy object (a ufunc object's own call is neither;
+    every numpy path calls some of both)."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(
+                _NUMPY_DIR):
+            calls.append(frame.f_code.co_name)
+        elif event == "c_call":
+            owner = getattr(arg, "__self__", None)
+            module = getattr(arg, "__module__", None) or \
+                type(owner).__module__
+            if module.startswith("numpy") or getattr(
+                    owner, "__name__", "").startswith("numpy"):
+                calls.append(arg.__name__)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+_NUMPY_DIR = os.path.dirname(np.__file__)
+
+
+def test_a_graph_calls_no_numpy_function():
+    """A graph is a plain loop over one ``bytes`` copy of the series,
+    shorter than its buckets (the benchmark's one-sample
+    ``cpu_util_pct`` in 60) or not: numpy's some twenty calls run cold
+    after each sim slice.  The history's own graph takes numpy's path,
+    which the probe sees."""
+    cwx = ClusterWorX(n_nodes=4, seed=3, monitor_interval=5.0)
+    cwx.start()
+    cwx.run(20)
+    state = GatewayState(cwx.server)
+    host = cwx.cluster.hostnames[0]
+    history = cwx.server.history
+    assert len(history.series(host, "cpu_util_pct")[0]) == 1
+    n = len(history.series(host, "uptime_seconds")[0])
+    assert n > 2
+    assert _numpy_calls(state.history_graph, host, "cpu_util_pct") == []
+    for buckets in (2, n, n + 1):
+        assert _numpy_calls(partial(state.history_graph, buckets=buckets),
+                            host, "uptime_seconds") == []
+    assert "linspace" in _numpy_calls(history.graph, host,
+                                      "uptime_seconds", 2)
 
 
 def _all_hosts(table, changed=None, t=None):

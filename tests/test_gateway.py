@@ -459,37 +459,43 @@ class TestGatewayState:
     def test_history_reads_bucket_and_window_outside_the_slice_lock(
             self, monkeypatch):
         """The slice lock covers the copy-out of a series only: the
-        bucketing and the windowing run on the fresh arrays after it is
-        released, and answer what the history's own graph and window
-        do."""
+        bucketing (the plain loop's, for a series of fewer samples than
+        buckets and of more) and the windowing run on the fresh copy
+        after it is released, and answer what the history's own graph
+        and window do."""
         cwx = ClusterWorX(n_nodes=4, seed=3, monitor_interval=5.0)
         cwx.start()
         cwx.run(60)
         state = GatewayState(cwx.server)
         held = []
 
-        def unlocked(read):
-            def check(*args):
-                held.append(state.lock.locked())
-                return read(*args)
-            return check
+        def unlocked(name):
+            read = getattr(gateway_state, name)
 
-        monkeypatch.setattr(gateway_state, "downsample",
-                            unlocked(gateway_state.downsample))
-        monkeypatch.setattr(gateway_state, "window",
-                            unlocked(gateway_state.window))
+            def check(*args):
+                held.append((name, state.lock.locked()))
+                return read(*args)
+            monkeypatch.setattr(gateway_state, name, check)
+
+        for name in ("downsample_bytes", "window"):
+            unlocked(name)
         host = cwx.cluster.hostnames[0]
         history = cwx.server.history
-        graph = state.history_graph(host, "cpu_temp_c", buckets=7)
-        samples = state.history_window(host, "cpu_temp_c", 20.0, 50.0)
-        assert held == [False, False]
-        assert repr(graph) == repr([
-            column.tolist()
-            for column in history.graph(host, "cpu_temp_c", 7)])
+        n = len(history.series(host, "uptime_seconds")[0])
+        sizes = (2, n, n + 1)
+        graphs = [state.history_graph(host, "uptime_seconds", buckets=buckets)
+                  for buckets in sizes]
+        samples = state.history_window(host, "uptime_seconds", 20.0, 50.0)
+        assert held == [("downsample_bytes", False)] * 3 + [("window", False)]
+        for graph, buckets in zip(graphs, sizes):
+            assert repr(graph) == repr([
+                column.tolist()
+                for column in history.graph(host, "uptime_seconds", buckets)])
+            assert len(graph[0]) == buckets
         assert samples == [
             column.tolist()
-            for column in history.window(host, "cpu_temp_c", 20.0, 50.0)]
-        assert len(graph[0]) == 7 and samples[0]
+            for column in history.window(host, "uptime_seconds", 20.0, 50.0)]
+        assert n > 2 and samples[0]
 
     def test_a_plugin_list_changed_in_place_reaches_the_body(self):
         """A plug-in that appends to the one list it returns every
@@ -644,11 +650,14 @@ def routed(request):
     ("/v1/history/{host}/cpu_temp_c?buckets=4096", 200, 4096),
     ("/v1/history/{host}/cpu_temp_c?buckets=4097", 400, 0),
     ("/v1/history/{host}/cpu_temp_c?buckets=1e6", 400, 0),
+    ("/v1/history/{host}/cpu_temp_c?buckets=2.9", 400, 0),
+    ("/v1/history/{host}/cpu_temp_c?buckets=3.0", 200, 3),
     ("/v1/events/log?limit=1", 200, 1),
     ("/v1/events/log?limit=0", 200, 0),
     ("/v1/events/log?limit=-1", 400, 0),
     ("/v1/events/log?limit=nan", 400, 0),
     ("/v1/events/log?limit=inf", 400, 0),
+    ("/v1/events/log?limit=2.5", 400, 0),
     ("/v1/events/log?since=-inf", 400, 0),
 ])
 def test_malformed_numeric_parameters_are_400s(routed, path, status,

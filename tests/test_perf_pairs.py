@@ -1,8 +1,12 @@
 """The summary arithmetic of ``benchmarks/perf_pairs.py`` on fixed
 numbers: quartiles as the repo benchmark's report computes them, pairs
-ahead in either direction, and the gain rule's two halves."""
+ahead in either direction, and the gain rule's two halves; and the
+minor-fault count it keeps of each run."""
 
 import importlib.util
+import os
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -70,3 +74,40 @@ def test_a_row_in_the_experiments_table_format():
                           rates).startswith(
         "|  | `updates_per_s` | 21 610 (20 000–23 000) | "
         "20 500 (20 500–20 500) | -5.1 %, 1 of 3 |")
+
+
+def test_the_minor_faults_row_has_no_bound_and_no_rule():
+    parent = [17_000, 17_100, 16_900, 17_050]
+    change = [28_200, 28_100, 28_300, 28_250]
+    assert perf_pairs.faults_row(parent, change) == (
+        "|  | minor faults | 17 025 (16 925–17 088) | "
+        "28 225 (28 125–28 288) | +65.8 % |  |  |")
+
+
+def test_a_child_run_reports_its_minor_faults(tmp_path):
+    code, out, err, faults = perf_pairs.run_child(
+        [sys.executable, "-c", "import sys; print('ok'); "
+                               "print('note', file=sys.stderr); sys.exit(3)"],
+        tmp_path)
+    assert (code, out, err) == (3, "ok\n", "note\n")
+    assert isinstance(faults, int) and faults > 0
+
+
+def test_an_interrupted_wait_kills_the_child(tmp_path, monkeypatch):
+    """A Ctrl-C during the wait kills and reaps the child at once: no
+    run of the benchmark goes on in a tree that is about to be removed,
+    and the driver does not wait for the child's minute to end."""
+    pids = []
+    start = time.monotonic()
+
+    def interrupted(pid, options):
+        pids.append(pid)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(perf_pairs.os, "wait4", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        perf_pairs.run_child(
+            [sys.executable, "-c", "import time; time.sleep(60)"], tmp_path)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ProcessLookupError):
+        os.kill(pids[0], 0)

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import struct
 from bisect import bisect_right
 from collections import deque
 from itertools import combinations, groupby
@@ -42,7 +43,7 @@ from repro.remote.nodeset import NodeSet
 from repro.resilience.health import HealthState
 from repro.sim import RandomStreams, SimKernel
 from repro.util import ByteRingBuffer, TimeSeriesRing
-from repro.util.ringbuffer import downsample, window
+from repro.util.ringbuffer import downsample, downsample_bytes, window
 from tests.json_oracle import oracle_body
 from tests.monitor_reference import REFERENCE, reference_values
 from tests.test_federation import check_routing_table
@@ -359,6 +360,9 @@ class TestRingBufferProperties:
     @example(8, [("extend", [0.1, 0.2, 0.4]), ("downsample", 1)])
     @example(8, [("extend", [1.0, math.nan, -math.inf, math.inf]),
                  ("downsample", 2)])
+    @example(8, [("extend", [1.0, 2.0, 3.0]), ("downsample", 4),
+                 ("downsample", 4), ("downsample", 4)])
+    @example(8, [("extend", [-0.0]), ("downsample", 3)])
     @settings(max_examples=150, deadline=None)
     def test_timeseries_ring_matches_deque_model(self, cap, ops):
         """Any sequence of writes and reads agrees with a
@@ -367,7 +371,11 @@ class TestRingBufferProperties:
         exported (the growing ``append`` that follows would raise
         BufferError).  A downsample is the model's to the bit, NaN and
         infinities included: a mean whose last bit differs (the first
-        example's ``0.7 / 3``) fails it."""
+        example's ``0.7 / 3``) fails it; and the plain loop's over the
+        series's bytes is numpy's to the bit, signed zeros and NaN
+        payloads included (the third example reads 3, 4 and 5 samples
+        into 4 buckets; in the fourth a lone ``-0.0`` has mean ``0.0``,
+        each sum starting at ``0.0``, and minimum ``-0.0``)."""
         ring = TimeSeriesRing(cap)
         series = ring.new()
         model = deque(maxlen=cap)
@@ -405,16 +413,51 @@ class TestRingBufferProperties:
                 assert _same(zip(t.tolist(), v.tolist()), [
                     p for p in held if args[0] <= p[0] <= args[1]])
             else:
-                got = downsample(*ring.arrays(series), args[0])
+                got = [col.tolist()
+                       for col in downsample(*ring.arrays(series), args[0])]
                 want = _downsample_model(held, args[0])
-                assert _same(zip(*(col.tolist() for col in got)),
-                             zip(*want))
+                assert _same(zip(*got), zip(*want))
+                assert _bits(downsample_bytes(bytes(series), args[0])) \
+                    == _bits(got)
             assert ring.held(series) == len(model)
             (pair,) = write([float(len(held))])
             ring.append(series, *pair)  # must not raise: nothing exported
             model.append(pair)
         t, v = ring.arrays(series)
         assert _same(zip(t.tolist(), v.tolist()), model)
+
+    @given(st.sampled_from([1, 2, 3, 8, 64]),
+           st.lists(st.tuples(st.sampled_from([0.0, 0.0, 0.0, 2.75, 40.0]),
+                              ring_values), max_size=70),
+           st.integers(1, 70))
+    @example(8, [(0.0, 1.0), (0.0, 2.0), (40.0, 3.0), (0.0, 4.0)], 5)
+    @example(8, [(0.0, 0.0)] + [(0.0, 7.0)] * 5 + [(2.75, -0.0), (0.0, 1.0)],
+             9)
+    @settings(max_examples=150, deadline=None)
+    def test_downsample_bytes_is_numpys_with_adopted_samples(
+            self, cap, steps, buckets):
+        """An adopted history appends samples older than the one before
+        them — ``2.75`` s older falls inside the span, ``40`` s before
+        it — and the loop bisects each of them: its columns are numpy's
+        to the bit, and the model's while the ends ascend.  In the
+        first example a sample from before the start falls in the first
+        bucket; in the second an adopted ``-0.0`` joins the first
+        bucket's ``0.0``, and its minimum and maximum are the later
+        zero, as ``ufunc.at`` keeps it."""
+        ring = TimeSeriesRing(cap)
+        series = ring.new()
+        pairs, clock = [], 0.0
+        for older, value in steps:
+            clock += 0.5
+            pairs.append((clock - older, value))
+        ring.extend(series, pairs)
+        got = downsample_bytes(bytes(series), buckets)
+        want = [col.tolist()
+                for col in downsample(*ring.arrays(series), buckets)]
+        assert _bits(got) == _bits(want)
+        held = pairs[-cap:]
+        if held and held[0][0] <= held[-1][0]:
+            assert _same(zip(*got), zip(*_downsample_model(held, buckets)))
 
     def test_extend_rejects_a_ragged_pair(self):
         ring = TimeSeriesRing(4)
@@ -429,6 +472,12 @@ def _same(got, want):
     def key(row):
         return row and tuple("nan" if x != x else x for x in row)
     return list(map(key, got)) == list(map(key, want))
+
+
+def _bits(columns):
+    """Columns of floats as their bytes: equal only bit for bit, so a
+    ``-0.0`` is not ``0.0`` and one NaN payload is not another."""
+    return [struct.pack(f"<{len(column)}d", *column) for column in columns]
 
 
 def _downsample_model(pairs, buckets):
