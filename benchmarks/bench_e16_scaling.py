@@ -60,7 +60,7 @@ def run_cell(n_nodes: int, sim_seconds: float, *,
         "updates_per_wall_s": round(updates / wall, 1),
         "kernel_events": kernel_events,
         "kernel_events_per_wall_s": round(kernel_events / wall, 1),
-        "rules_fired": len(cwx.server.engine.fired),
+        "rules_fired": cwx.server.engine.fired.total,
         "wall_s_per_sim_hour": round(wall * 3600.0 / sim_seconds, 2),
     }
 

@@ -37,8 +37,12 @@ from repro.resilience.health import HealthState, HealthTracker
 from repro.resilience.orchestrator import (RecoveryChannels,
                                            RecoveryOrchestrator)
 from repro.sim import SimKernel
+from repro.util.recordlog import RecordLog
 
-__all__ = ["ClusterWorXServer"]
+__all__ = ["CONSOLE_KEPT", "ClusterWorXServer"]
+
+#: console writes the server archives per node (the newest).
+CONSOLE_KEPT = 2000
 
 
 class ClusterWorXServer:
@@ -126,9 +130,8 @@ class ClusterWorXServer:
         # §3.3: console output "is captured and logged through the ICE
         # Box" — the server archives every port's serial stream beyond
         # the box's own 16 KiB buffer.
-        self._console_archive: Dict[str, List[tuple[float, str]]] = {}
+        self._console_archive: Dict[str, RecordLog] = {}
         self._console_hosts: List[str] = []
-        self.console_archive_limit = 2000
         #: hostname -> node for the nodes this server manages; insertion
         #: order is tracking order, which is the sweep order (it must be
         #: deterministic for golden-trace parity).
@@ -190,11 +193,10 @@ class ClusterWorXServer:
         def _sink(text: str) -> None:
             archive = self._console_archive.get(hostname)
             if archive is None:
-                archive = self._console_archive[hostname] = []
+                archive = self._console_archive[hostname] = \
+                    RecordLog(CONSOLE_KEPT)
                 insort(self._console_hosts, hostname)
             archive.append((self.kernel.now, text))
-            if len(archive) > self.console_archive_limit:
-                del archive[: len(archive) - self.console_archive_limit]
         return _sink
 
     # -- console archive -----------------------------------------------------
@@ -466,10 +468,11 @@ class ClusterWorXServer:
         if not node.is_running():
             # The clone stream needs a running OS buffering it; try to
             # bring the node up first (the rung fails if it can't boot).
-            located = self.cluster.locate(node)
-            if located is not None:
-                box, port = located
-                box.power.power_cycle(port)
+            # The cycle takes the other rungs' path, so a dead ICE Box
+            # fails the rung here.
+            answer = self.power(hostname, "cycle")
+            if not answer.startswith("OK"):
+                return (False, answer)
             up = node.wait_state(NodeState.UP)
             fired = yield self.kernel.any_of(
                 [up, self.kernel.timeout(120.0)])

@@ -36,8 +36,8 @@ from types import MappingProxyType
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
-from repro.monitoring.agent import ERRORS_KEPT
 from repro.monitoring.records import Sample, Update
+from repro.util.recordlog import RecordLog
 
 __all__ = ["Update", "Sample", "Snapshot", "Subscription", "StateStore",
            "SUBSCRIBER_ERROR_LIMIT", "summarize"]
@@ -52,6 +52,12 @@ _EMPTY: Mapping[str, object] = MappingProxyType({})
 #: bounded-queue adapter relies on misbehaving consumers being cut off
 #: rather than degrading the datapath.
 SUBSCRIBER_ERROR_LIMIT = 5
+
+#: failed deliveries the store keeps (the newest): one bad consumer
+#: must not grow the store without bound.
+ERRORS_KEPT = 256
+#: force-detached subscriptions the store keeps (the newest).
+DETACHED_KEPT = 1_000
 
 #: a run of hosts read column by column: ``(names, subjects, columns)``,
 #: ``columns[i][j]`` the value of ``names[i]`` on ``subjects[j]``.
@@ -264,12 +270,11 @@ class StateStore:
         self.temp_rescans = 0
         self.notifications = 0
         #: (subscriber name, hostname, error text) for callbacks that
-        #: raised, the newest ``ERRORS_KEPT``; one bad consumer must
-        #: not stall the datapath, nor grow the store.
-        self.errors: List[Tuple[str, str, str]] = []
+        #: raised; one bad consumer must not stall the datapath.
+        self.errors = RecordLog(ERRORS_KEPT)
         #: (subscriber name, error text) for subscriptions the store
         #: force-detached after ``SUBSCRIBER_ERROR_LIMIT`` failures.
-        self.detached: List[Tuple[str, str]] = []
+        self.detached = RecordLog(DETACHED_KEPT)
 
     # -- membership ---------------------------------------------------------
     def track(self, hostname: str) -> None:
@@ -544,7 +549,6 @@ class StateStore:
         slow/broken consumer is cut off, the datapath stays clean.
         """
         self.errors.append((sub.name, update.hostname, str(exc)))
-        del self.errors[:-ERRORS_KEPT]
         sub.consecutive_errors += 1
         if sub.consecutive_errors >= SUBSCRIBER_ERROR_LIMIT:
             sub.active = False

@@ -15,9 +15,15 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.hardware.node import SimulatedNode
 from repro.icebox.box import IceBox
+from repro.util.recordlog import RecordLog
 
 __all__ = ["ActionContext", "ActionDispatcher", "ActionRecord",
            "RemoteCommandAction"]
+
+#: action records a dispatcher keeps (the newest).
+RECORDS_KEPT = 10_000
+#: dispatched runs a remote-command action keeps (the newest).
+RUNS_KEPT = 1_000
 
 #: resolver: node -> (icebox, port) or None when unmanaged.
 Resolver = Callable[[SimulatedNode], Optional[Tuple[IceBox, int]]]
@@ -75,7 +81,7 @@ class ActionDispatcher:
                  context: Optional[ActionContext] = None):
         self.resolver = resolver
         self.context = context
-        self.records: List[ActionRecord] = []
+        self.records = RecordLog(RECORDS_KEPT)
         self._custom: Dict[str, Tuple[Callable, bool]] = {}
 
     # -- plug-in actions -----------------------------------------------------
@@ -180,7 +186,7 @@ class RemoteCommandAction:
         self.engine = engine
         self.fanout = fanout
         self.failure_policy = failure_policy
-        self.runs: List[object] = []
+        self.runs = RecordLog(RUNS_KEPT)
 
     def _rack_group(self, node: SimulatedNode,
                     context: Optional[ActionContext]) -> str:

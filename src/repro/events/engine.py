@@ -23,8 +23,12 @@ from repro.events.notification import SmartNotifier
 from repro.events.rules import ThresholdRule
 from repro.hardware.node import SimulatedNode
 from repro.sim import SimKernel
+from repro.util.recordlog import RecordLog
 
-__all__ = ["EventEngine", "FiredEvent", "newest"]
+__all__ = ["EventEngine", "FIRED_KEPT", "FiredEvent", "newest"]
+
+#: fired events an engine keeps (the newest); ``fired.total`` counts all.
+FIRED_KEPT = 10_000
 
 
 @dataclass
@@ -69,7 +73,7 @@ class EventEngine:
         #: currently-triggered (rule, hostname) pairs, maintained
         #: incrementally so active_count() is O(1).
         self._active: set[Tuple[str, str]] = set()
-        self.fired: List[FiredEvent] = []
+        self.fired = RecordLog(FIRED_KEPT)
         #: fn(fired_event, rule) called after every firing — the hook
         #: the health tracker uses to treat critical events as evidence.
         self._listeners: List = []
@@ -212,7 +216,8 @@ class EventEngine:
                     if self.notifier is not None:
                         self.notifier.event_cleared(rule.name,
                                                     hostname)
-        self.fired.extend(fired)
+        if fired:
+            self.fired.extend(fired)
         for event in fired:
             rule = self._rules.get(event.rule)
             for listener in list(self._listeners):
@@ -234,11 +239,22 @@ class EventEngine:
                   rule: Optional[str] = None,
                   node: Optional[str] = None,
                   limit: Optional[int] = None) -> List[FiredEvent]:
-        """Query the fired-event history (newest last)."""
-        return newest([e for e in self.fired
-                       if e.time >= since
-                       and (rule is None or e.rule == rule)
-                       and (node is None or e.node == node)], limit)
+        """Query the fired-event history (newest last).  The walk
+        starts at the newest event and stops at ``limit`` matches or
+        at the first event before ``since`` (events are logged in time
+        order), so it costs what the limit asks, not what the log
+        holds."""
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must not be negative: {limit}")
+        picked: List[FiredEvent] = []
+        for event in reversed(self.fired):
+            if len(picked) == limit or event.time < since:
+                break
+            if (rule is None or event.rule == rule) \
+                    and (node is None or event.node == node):
+                picked.append(event)
+        picked.reverse()
+        return picked
 
     # -- manual administration -------------------------------------------------
     def mark_fixed(self, rule_name: str, hostname: str) -> None:

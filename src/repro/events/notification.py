@@ -24,9 +24,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.sim import SimKernel
+from repro.util.recordlog import RecordLog
 
 __all__ = ["EmailMessage", "EmailGateway", "PagerGateway",
            "SmartNotifier", "NaiveNotifier"]
+
+#: deliveries an inbox keeps (the newest).
+INBOX_KEPT = 50_000
 
 
 @dataclass
@@ -45,7 +49,7 @@ class EmailGateway:
 
     def __init__(self, address: str = "admin@cluster"):
         self.address = address
-        self.inbox: List[EmailMessage] = []
+        self.inbox = RecordLog(INBOX_KEPT)
 
     def deliver(self, message: EmailMessage) -> None:
         self.inbox.append(message)

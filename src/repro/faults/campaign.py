@@ -304,8 +304,8 @@ class ChaosCampaign:
         report = CampaignReport(
             seed=cwx.streams.seed, nodes=len(cwx.cluster.hostnames),
             horizon=self.horizon, settle=self.settle,
-            notifications=len(orchestrator.notifications),
-            errors=len(orchestrator.errors))
+            notifications=orchestrator.notifications.total,
+            errors=orchestrator.errors.total)
         for fault in self.plan:
             if fault.kind in CONTROL_KINDS:
                 score_fault(fault,
@@ -314,8 +314,10 @@ class ChaosCampaign:
             else:
                 score_fault(fault, cwx.server.health.record(fault.subject),
                             _NODE_DETECT)
-                playbook = orchestrator.record_for(fault.subject)
-                if fault.detected_at is not None and playbook is not None:
+                playbook = None if fault.detected_at is None else \
+                    orchestrator.record_since(fault.subject,
+                                              fault.detected_at)
+                if playbook is not None:
                     fault.rung = playbook.rung_reached
             report.faults.append(fault)
         return report

@@ -34,9 +34,10 @@ the right sim time and keeps the audit trail.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.sim import SimKernel
+from repro.util.recordlog import RecordLog
 
 __all__ = ["FaultPlane", "SHARD_KILL", "SHARD_HANG", "SHARD_SLOW",
            "LINK_DOWN", "PUBLISH_STALL", "CONTROL_KINDS"]
@@ -55,6 +56,9 @@ CONTROL_KINDS: Tuple[str, ...] = (SHARD_KILL, SHARD_HANG, SHARD_SLOW,
 #: the labels :meth:`FaultPlane.outage` accepts.
 _OUTAGE_KINDS: Tuple[str, ...] = (SHARD_HANG, SHARD_SLOW, LINK_DOWN)
 
+#: injections a plane logs (the newest).
+INJECTIONS_KEPT = 10_000
+
 
 class FaultPlane:
     """Deterministic, sim-clock-driven control-plane fault injector."""
@@ -65,7 +69,7 @@ class FaultPlane:
         self.federation = federation
         self.gateway_state = gateway_state
         #: audit trail: (at, kind, target, duration-or-None).
-        self.injections: List[Tuple[float, str, str, Optional[float]]] = []
+        self.injections = RecordLog(INJECTIONS_KEPT)
 
     # -- scheduling ----------------------------------------------------------
     def _at(self, at: float, fn, name: str) -> None:

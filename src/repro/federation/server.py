@@ -49,8 +49,12 @@ from repro.imaging.multicast_clone import MulticastCloner
 from repro.remote.engine import TaskEngine
 from repro.resilience.health import HealthState
 from repro.sim import SimKernel
+from repro.util.recordlog import RecordLog
 
 __all__ = ["FederationServer"]
+
+#: drains and fail-overs a federation logs, each log its newest.
+REBALANCES_KEPT = 100
 
 
 class FederationServer:
@@ -101,9 +105,9 @@ class FederationServer:
         #: ingests that found no owner and were dropped.
         self.unrouted_updates = 0
         #: every drain, for observability: (shard index, moved map).
-        self.rebalances: List[tuple] = []
+        self.rebalances = RecordLog(REBALANCES_KEPT)
         #: automatic fail-overs: (time, shard index, reason, nodes moved).
-        self.failovers: List[tuple] = []
+        self.failovers = RecordLog(REBALANCES_KEPT)
         #: last good per-shard counter row, served while unreachable.
         self._last_stats: Dict[int, Dict[str, int]] = {}
 

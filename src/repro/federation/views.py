@@ -61,6 +61,7 @@ from repro.federation.shard import Shard, _group_by_owner
 from repro.monitoring.history import EMPTY_SERIES_BYTES, HistoryStore
 from repro.resilience.health import HealthTracker
 from repro.resilience.orchestrator import RecoveryOrchestrator
+from repro.util.recordlog import RecordLog
 
 __all__ = ["FederatedSnapshot", "FederatedSubscription",
            "FederatedStore", "FederatedEvents", "FederatedHistory",
@@ -289,7 +290,25 @@ def _by_time(key):
 _concat, _sorted_concat, _union = _flat(list), _flat(sorted), _flat(set)
 _sorted_union = _flat(lambda names: sorted(set(names)))
 _by_event_time = _by_time(attrgetter("time"))
-_by_row_time = _by_time(itemgetter(0))
+
+#: what an unreachable shard contributes to a merged log.
+_NO_LOG = RecordLog(1)
+
+
+def _log_by_time(key):
+    """Per-shard logs merged by ``key`` like :func:`_by_time`, into
+    one log that keeps every part's records and counts every part's
+    ``total``."""
+    def merge(parts):
+        merged = RecordLog(sum(part.bound for part in parts))
+        merged.extend(heapq.merge(*parts, key=key))
+        merged.total = sum(part.total for part in parts)
+        return merged
+    return merge
+
+
+_log_by_event_time = _log_by_time(attrgetter("time"))
+_log_by_row_time = _log_by_time(itemgetter(0))
 
 
 def _sum_dicts(parts) -> Dict[str, int]:
@@ -479,7 +498,7 @@ class FederatedEvents(_View, organ="engine"):
 
     # -- merged event reads ----------------------------------------------------
     #: every shard's fired events — the flat ``engine.fired`` shape.
-    fired = _each_attr("fired", _by_event_time)
+    fired = _each_attr("fired", _log_by_event_time, _NO_LOG)
     active_events = _each(EventEngine.active_events, _sorted_concat)
     active_count = _each(EventEngine.active_count, sum, 0)
     is_triggered = _owner(EventEngine.is_triggered, False)
@@ -489,10 +508,11 @@ class FederatedEvents(_View, organ="engine"):
                   rule: Optional[str] = None,
                   node: Optional[str] = None,
                   limit: Optional[int] = None) -> List[FiredEvent]:
+        # The newest ``limit`` of the merged log are among each
+        # shard's newest ``limit``.
         merged = self._from_each(methodcaller(
-            "event_log", since=since, rule=rule, node=node),
+            "event_log", since=since, rule=rule, node=node, limit=limit),
             _by_event_time)
-        # ``limit`` bounds the merged log, not each shard's share.
         return newest(merged, limit)
 
 
@@ -548,7 +568,8 @@ class FederatedRecovery(_View, organ="recovery"):
     """The ``server.recovery`` read surface (merged logs, routed
     records) — what the chaos harness scores against."""
 
-    notifications = _each_attr("notifications", _by_row_time)
-    errors = _each_attr("errors", _by_row_time)
+    notifications = _each_attr("notifications", _log_by_row_time, _NO_LOG)
+    errors = _each_attr("errors", _log_by_row_time, _NO_LOG)
     record_for = _owner(RecoveryOrchestrator.record_for)
+    record_since = _owner(RecoveryOrchestrator.record_since)
     forget = _owner(RecoveryOrchestrator.forget)

@@ -20,6 +20,7 @@ from typing import Dict, List, Sequence
 from repro.firmware.bios import BootSettings, Firmware, LegacyBIOS, LinuxBIOS
 from repro.hardware.node import SimulatedNode
 from repro.sim import AllOf, SimKernel
+from repro.util.recordlog import RecordLog
 
 __all__ = ["FlashManager"]
 
@@ -29,6 +30,9 @@ FLASH_WRITE_TIME = 25.0
 #: seconds a technician needs per node for a walk-up CMOS change.
 WALKUP_TIME = 300.0
 
+#: flash steps a manager logs (the newest).
+FLASH_LOG_KEPT = 10_000
+
 
 class FlashManager:
     """Drives firmware updates across a set of nodes."""
@@ -37,7 +41,7 @@ class FlashManager:
         self.kernel = kernel
         #: staged (not yet active) versions per hostname.
         self.staged: Dict[str, str] = {}
-        self.flash_log: List[tuple[float, str, str]] = []
+        self.flash_log = RecordLog(FLASH_LOG_KEPT)
 
     @staticmethod
     def firmware_of(node: SimulatedNode) -> Firmware:

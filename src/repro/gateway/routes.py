@@ -25,6 +25,7 @@ The surface (all ``GET``):
 from __future__ import annotations
 
 import math
+import re
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.gateway.httpd import HttpError, HttpRequest, Router
@@ -36,6 +37,10 @@ __all__ = ["build_router"]
 #: handler result: HTTP status + response frames (a list, or a table).
 Result = Tuple[int, Frames]
 
+#: a numeric query parameter: ASCII digits with an optional sign and
+#: one optional point; no ``_``, space, exponent, ``nan`` or ``inf``.
+_NUMBER = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)")
+
 
 def _split_param(request: HttpRequest, name: str) -> List[str]:
     raw = request.param(name)
@@ -44,14 +49,12 @@ def _split_param(request: HttpRequest, name: str) -> List[str]:
 
 def _float_param(request: HttpRequest, name: str,
                  default: Optional[float]) -> Optional[float]:
-    """A finite float, ``default`` when absent; else (``nan``...) a 400."""
+    """A finite number in the :data:`_NUMBER` grammar, ``default`` when
+    absent; else (``1_0``, ``1e3``, ``nan``...) a 400."""
     raw = request.param(name)
     if raw is None:
         return default
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
+    value = float(raw) if _NUMBER.fullmatch(raw) else math.nan
     if not math.isfinite(value):
         raise HttpError(400, f"bad float for {name!r}: {raw!r}")
     return value

@@ -16,8 +16,12 @@ import numpy as np
 
 from repro.hardware.node import SimulatedNode
 from repro.sim import SimKernel
+from repro.util.recordlog import RecordLog
 
 __all__ = ["FaultKind", "FaultRecord", "FaultInjector"]
+
+#: fault records an injector keeps (the newest).
+RECORDS_KEPT = 10_000
 
 
 class FaultKind:
@@ -52,7 +56,7 @@ class FaultInjector:
                  rng: Optional[np.random.Generator] = None):
         self.kernel = kernel
         self.rng = rng
-        self.records: List[FaultRecord] = []
+        self.records = RecordLog(RECORDS_KEPT)
         self._appliers: Dict[str, Callable[[SimulatedNode, dict], None]] = {
             FaultKind.FAN_FAILURE: self._apply_fan_failure,
             FaultKind.PSU_FAILURE: self._apply_psu_failure,

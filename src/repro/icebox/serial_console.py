@@ -9,13 +9,17 @@ timestamps each chunk for the log view.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.hardware.node import SimulatedNode
 from repro.sim import SimKernel
+from repro.util.recordlog import RecordLog
 from repro.util.ringbuffer import ByteRingBuffer
 
 __all__ = ["SerialPort"]
+
+#: console writes a port's log keeps (the newest), beside the byte ring.
+LOG_KEPT = 512
 
 
 class SerialPort:
@@ -28,9 +32,8 @@ class SerialPort:
         self.index = index
         self.node: Optional[SimulatedNode] = None
         self.buffer = ByteRingBuffer(self.BUFFER_CAPACITY)
-        #: (timestamp, chunk) pairs for the most recent writes (bounded).
-        self.log: List[Tuple[float, str]] = []
-        self._log_limit = 512
+        #: (timestamp, chunk) pairs for the most recent writes.
+        self.log = RecordLog(LOG_KEPT)
         #: live listeners (telnet/ssh sessions mirroring the console).
         self._listeners: List[Callable[[str], None]] = []
 
@@ -50,8 +53,6 @@ class SerialPort:
             return
         self.buffer.write(text)
         self.log.append((self.kernel.now, text))
-        if len(self.log) > self._log_limit:
-            del self.log[: len(self.log) - self._log_limit]
         for listener in list(self._listeners):
             listener(text)
 

@@ -17,7 +17,7 @@ the quoted "approximately 5 seconds of CPU time per hour".
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.hardware.node import SimulatedNode
 from repro.monitoring.consolidation import Consolidator
@@ -28,6 +28,7 @@ from repro.monitoring.transmission import Transmitter
 from repro.network.fabric import NetworkFabric
 from repro.procfs import ProcFilesystem
 from repro.sim import SimKernel
+from repro.util.recordlog import RecordLog
 
 __all__ = ["ERRORS_KEPT", "NodeAgent", "PER_SAMPLE_CPU_SECONDS"]
 
@@ -36,8 +37,7 @@ __all__ = ["ERRORS_KEPT", "NodeAgent", "PER_SAMPLE_CPU_SECONDS"]
 PER_SAMPLE_CPU_SECONDS = 110e-6
 
 #: failed monitor evaluations an agent keeps (the newest): a plug-in
-#: that fails every tick must not grow the agent without bound.  The
-#: state store keeps as many failed subscriber deliveries.
+#: that fails every tick must not grow the agent without bound.
 ERRORS_KEPT = 256
 
 
@@ -66,8 +66,8 @@ class NodeAgent:
         self.on_sample = on_sample
         self._seq = 0
         #: (time, monitor name, error text) for the newest failed monitor
-        #: evaluations (a list: an empty deque costs 0.7 KB an agent).
-        self.errors: List[Tuple[float, str, str]] = []
+        #: evaluations.
+        self.errors = RecordLog(ERRORS_KEPT)
         self.samples_taken = 0
         self._running = False
 
@@ -119,7 +119,6 @@ class NodeAgent:
 
     def _failed(self, name: str, exc: Exception) -> None:
         self.errors.append((self.kernel.now, name, str(exc)))
-        del self.errors[:-ERRORS_KEPT]
 
     def sample_once(self) -> Dict[str, object]:
         """Gather, consolidate, transmit. Returns the transmitted delta."""

@@ -22,8 +22,12 @@ from repro.remote.gather import GatheredGroup, format_gathered, gather
 from repro.remote.nodeset import GroupResolver, NodeSet
 from repro.remote.worker import WorkerResult, node_worker
 from repro.sim import Resource, SimKernel
+from repro.util.recordlog import RecordLog
 
 __all__ = ["TaskEngine", "TaskRun"]
+
+#: runs an engine keeps (the newest).
+RUNS_KEPT = 1_000
 
 #: a command: a target string, or a callable fn(node) -> rc | (rc, output)
 #: | str | generator
@@ -177,7 +181,7 @@ class TaskEngine:
         self.fanout = fanout
         self.retries = retries
         self.failure_policy = failure_policy
-        self.runs: List[TaskRun] = []
+        self.runs = RecordLog(RUNS_KEPT)
 
     # -- nodeset helpers -------------------------------------------------
     def resolver(self) -> Optional[GroupResolver]:

@@ -28,9 +28,14 @@ from repro.hardware.node import NodeState
 from repro.resilience.health import HealthState, HealthTracker
 from repro.resilience.playbook import DEFAULT_PLAYBOOK, Rung
 from repro.sim import Interrupt, ProcessKilled, SimKernel
+from repro.util.recordlog import RecordLog
 
-__all__ = ["RecoveryChannels", "RecoveryOrchestrator", "RecoveryRecord",
-           "RungAttempt"]
+__all__ = ["RECORDS_KEPT", "RecoveryChannels", "RecoveryOrchestrator",
+           "RecoveryRecord", "RungAttempt"]
+
+#: playbook records, quarantine pages and defused channel errors an
+#: orchestrator keeps, each log its newest.
+RECORDS_KEPT = 10_000
 
 
 @dataclass
@@ -103,12 +108,15 @@ class RecoveryOrchestrator:
         self.channels = channels
         self.playbook = tuple(playbook)
         self.verify_timeout = verify_timeout
-        self.records: List[RecoveryRecord] = []
+        #: one record per playbook started, in start order.
+        self.records = RecordLog(RECORDS_KEPT)
         #: (time, hostname, reason) — one entry per quarantine page.
-        self.notifications: List[Tuple[float, str, str]] = []
+        self.notifications = RecordLog(RECORDS_KEPT)
         #: (time, hostname, rung, error) — channel exceptions, defused.
-        self.errors: List[Tuple[float, str, str, str]] = []
-        self._active: Dict[str, object] = {}
+        self.errors = RecordLog(RECORDS_KEPT)
+        #: hostname -> (playbook process, its record) while it runs, so
+        #: a live ladder never depends on ``records`` still holding it.
+        self._active: Dict[str, Tuple[object, RecoveryRecord]] = {}
 
     # -- introspection ---------------------------------------------------
     @property
@@ -122,12 +130,25 @@ class RecoveryOrchestrator:
                 return record
         return None
 
+    def record_since(self, hostname: str,
+                     t0: float) -> Optional[RecoveryRecord]:
+        """The first playbook record for ``hostname`` that started at
+        or after ``t0``, if any: the ladder a fault detected at ``t0``
+        started, not a later one."""
+        found = None
+        for record in reversed(self.records):
+            if record.started_at < t0:
+                break
+            if record.hostname == hostname:
+                found = record
+        return found
+
     # -- entry points ----------------------------------------------------
     def recover(self, hostname: str,
                 reason: str = "marked down") -> Optional[RecoveryRecord]:
         """Start (or join) the recovery playbook for ``hostname``."""
         if hostname in self._active:
-            return self.record_for(hostname)
+            return self._active[hostname][1]
         state = self.tracker.state(hostname)
         if state is HealthState.QUARANTINED:
             return None
@@ -138,15 +159,15 @@ class RecoveryOrchestrator:
         record = RecoveryRecord(hostname=hostname, reason=reason,
                                 started_at=self.kernel.now)
         self.records.append(record)
-        self._active[hostname] = self.kernel.process(
+        self._active[hostname] = (self.kernel.process(
             self._playbook(hostname, record),
-            name=f"playbook:{hostname}")
+            name=f"playbook:{hostname}"), record)
         return record
 
     def forget(self, hostname: str) -> None:
         """Abort any active playbook for a hot-removed node.  Safe to
         call at any time, including mid-rung."""
-        proc = self._active.pop(hostname, None)
+        proc, _record = self._active.pop(hostname, (None, None))
         if proc is not None and proc.is_alive:
             proc.kill()
 

@@ -19,8 +19,13 @@ from repro.slurm.daemon import Slurmd
 from repro.slurm.job import Job, JobState
 from repro.slurm.partition import Partition
 from repro.slurm.scheduler import BackfillScheduler, Scheduler
+from repro.util.recordlog import RecordLog
 
 __all__ = ["NodeAllocState", "SlurmController", "FailoverPair"]
+
+#: finished jobs a controller keeps (the newest); :meth:`stats` reads
+#: them.
+HISTORY_KEPT = 10_000
 
 
 class NodeAllocState:
@@ -68,7 +73,7 @@ class SlurmController:
         self._partitions: Dict[str, Partition] = {}
         self.queue: List[Job] = []
         self.running: Dict[int, Job] = {}
-        self.history: List[Job] = []
+        self.history = RecordLog(HISTORY_KEPT)
         #: per running job: hostnames that have reported completion.
         self._reports: Dict[int, Set[str]] = {}
         self.active = True
@@ -322,7 +327,7 @@ class SlurmController:
         backup.queue = list(self.queue)
         backup.running = dict(self.running)
         backup._reports = {k: set(v) for k, v in self._reports.items()}
-        backup.history = list(self.history)
+        backup.history = self.history.copy()
 
     def adopt(self) -> None:
         """Backup takes over: re-point daemons, resume scheduling."""

@@ -1,5 +1,6 @@
-"""Shared utilities: ring buffers, units."""
+"""Shared utilities: ring buffers, the bounded record log, units."""
 
+from repro.util.recordlog import RecordLog
 from repro.util.ringbuffer import ByteRingBuffer, TimeSeriesRing
 from repro.util.units import (
     GIB,
@@ -15,6 +16,7 @@ __all__ = [
     "GIB",
     "KIB",
     "MIB",
+    "RecordLog",
     "TimeSeriesRing",
     "fmt_bytes",
     "fmt_duration",

@@ -93,6 +93,23 @@ class TestChaosCampaign:
         assert fault.rung == "quarantine"
         assert report.notifications == 1
 
+    def test_a_fault_is_credited_to_the_ladder_it_started(self):
+        """A later ladder on the same node (here a PSU failure's, which
+        quarantines) does not take the credit of the recovered fault's
+        own ladder."""
+        cwx = ClusterWorX(n_nodes=12, seed=21, monitor_interval=5.0)
+        campaign = ChaosCampaign(cwx, n_faults=1, kinds=("kernel_panic",),
+                                 horizon=120.0, settle=1500.0)
+        (fault,) = campaign.execute().faults
+        assert (fault.outcome, fault.rung) == (RECOVERED, "ice_reset")
+        cwx.cluster.faults.schedule(cwx.cluster.node(fault.subject),
+                                    "psu_failure", cwx.kernel.now + 10.0)
+        cwx.run(3600.0)
+        latest = cwx.server.recovery.record_for(fault.subject)
+        assert latest.rung_reached == "quarantine"
+        (rescored,) = campaign.score().faults
+        assert (rescored.outcome, rescored.rung) == (RECOVERED, "ice_reset")
+
     def test_dead_ice_boxes_leave_no_fault_unresolved(self):
         # Every ICE Box controller answers "ERR: no response", so each
         # ladder falls through to reclone; one attempt per rung keeps

@@ -12,6 +12,9 @@ from repro.events import (
     SmartNotifier,
     ThresholdRule,
 )
+from repro.core import ClusterWorX
+from repro.events.engine import FIRED_KEPT
+from repro.gateway import GatewayState, build_router, parse_request
 from repro.hardware import NodeState, WorkloadSegment
 from repro.icebox import IceBox
 
@@ -392,3 +395,33 @@ class TestSuppressionInteraction:
         engine.add_rule(ThresholdRule(name="ghost", metric="nope", op=">",
                                       threshold=0))
         assert engine.feed(node, {"other": 1}, {"other": 1}) == []
+
+
+def test_firing_past_the_log_bound_keeps_the_newest_and_counts_all():
+    """A rule fired ``FIRED_KEPT + 50`` times: the log keeps the newest
+    ``FIRED_KEPT`` firings, its total counts every one, and
+    ``/v1/events/log`` answers the newest ``limit``, oldest first, as it
+    did when the log kept everything."""
+    cwx = ClusterWorX(n_nodes=2, seed=3, monitor_interval=30.0)
+    cwx.start()
+    engine = cwx.server.engine
+    engine.add_rule(ThresholdRule(name="hot", metric="t", op=">",
+                                  threshold=70.0, action="none",
+                                  notify=False))
+    node = cwx.cluster.nodes[0]
+    every = []
+    for i in range(FIRED_KEPT + 50):
+        breach, calm = {"t": 71.0 + i}, {"t": 0.0}
+        every += engine.feed(node, breach, breach)
+        engine.feed(node, calm, calm)
+    assert len(every) == FIRED_KEPT + 50
+    assert len(engine.fired) == FIRED_KEPT
+    assert engine.fired == every[-FIRED_KEPT:]
+    assert engine.fired.total == len(every)
+    router = build_router(GatewayState(cwx.server), dict)
+    request = parse_request(b"GET /v1/events/log?limit=100 HTTP/1.1\r\n\r\n")
+    route, params = router.resolve(request.path)
+    status, frames = route.handler(request, params)
+    assert status == 200
+    assert [frame[3]["value"] for frame in frames] == \
+        [event.value for event in every[-100:]]

@@ -441,8 +441,9 @@ def _norm(value):
         return _norm(value.tolist())
     if isinstance(value, float) and value != value:
         return "nan"
-    if isinstance(value, (list, tuple)):
-        return type(value)(_norm(item) for item in value)
+    if isinstance(value, (list, tuple)):  # a RecordLog reads as a list
+        return (list if isinstance(value, list) else tuple)(
+            _norm(item) for item in value)
     if isinstance(value, (set, frozenset)):
         return {"set": sorted(value)}
     if isinstance(value, Mapping):
@@ -563,6 +564,7 @@ def _walk(cwx, host):
     rows["recovery.notifications"] = recovery.notifications
     rows["recovery.errors"] = recovery.errors
     rows["recovery.record_for"] = recovery.record_for(host)
+    rows["recovery.record_since"] = recovery.record_since(host, 0.0)
     # -- the remote engine, which no shard outage reaches
     rows["remote.fanout"] = server.remote.fanout
     rows["remote.nodeset"] = str(server.remote.nodeset("@all"))
@@ -722,6 +724,10 @@ ORACLE = {'reachable': {'store.tracked': {'set': ['c-n0000', 'c-n0001',
                                        'active',
                                        [('probe', False),
                                         ('ice_reset', True)]),
+               'recovery.record_since': ('c-n0000', 'node_state=crashed',
+                                         'active',
+                                         [('probe', False),
+                                          ('ice_reset', True)]),
                'remote.fanout': 64,
                'remote.nodeset': 'c-n[0000-0007]',
                'engine.mark_fixed': [None, False],
@@ -795,6 +801,7 @@ ORACLE = {'reachable': {'store.tracked': {'set': ['c-n0000', 'c-n0001',
             'recovery.errors': [(1.0, 'c-n0004', 'probe', 'boom'),
                                 (3.0, 'c-n0004', 'probe', 'boom')],
             'recovery.record_for': None,
+            'recovery.record_since': None,
             'engine.add_listener': [None, [False, True, True, True]],
             'health.add_listener': [None, [False, True, True, True]],
             'engine.add_rule': [None, [1, 2, 2, 2]],
@@ -830,6 +837,7 @@ ORACLE = {'reachable': {'store.tracked': {'set': ['c-n0000', 'c-n0001',
              'health.record': None,
              'health.state': 'healthy',
              'recovery.record_for': None,
+             'recovery.record_since': None,
              'engine.forget_node': [None,
                                     [('hot', 'c-n0000'),
                                      ('hot', 'c-n0003'),
@@ -901,7 +909,8 @@ SURFACE = {'FederatedStore': {'__contains__': '(self, hostname)',
                        'errors': 'property',
                        'forget': '(self, hostname)',
                        'notifications': 'property',
-                       'record_for': '(self, hostname)'}}
+                       'record_for': '(self, hostname)',
+                       'record_since': '(self, hostname, t0)'}}
 
 
 class TestViewCharacterisation:

@@ -35,15 +35,19 @@ import numpy as np
 import pytest
 
 from repro import ClusterWorX
+from repro.core.server import CONSOLE_KEPT
 from repro.core.statestore import Snapshot
 from repro.events import EventEngine, ThresholdRule
+from repro.events.engine import FiredEvent
 from repro.federation import FederatedSnapshot
 from repro.gateway import GatewayState, JsonWire, build_router, parse_request
 from repro.gateway.wire import FrameTable
+from repro.icebox.serial_console import LOG_KEPT
 from repro.monitoring import (HistoryStore, Monitor, NodeAgent,
                               builtin_registry)
+from repro.monitoring.agent import ERRORS_KEPT
 from repro.sim.kernel import Process
-from repro.util import TimeSeriesRing
+from repro.util import RecordLog, TimeSeriesRing
 from repro.util.ringbuffer import downsample
 from tests.json_oracle import oracle_body
 
@@ -599,3 +603,64 @@ def test_a_plugin_node_pays_the_builtin_sample_plus_its_plugin(
     builtin_only = _bytecodes_executed(agent.evaluate)
     agent.registry.add(Monitor("disk_quota", lambda ctx: 1))
     assert _bytecodes_executed(agent.evaluate) <= builtin_only + 60
+
+
+# -- bounded logs ---------------------------------------------------------------
+
+def _event_log_reader(topology, n_events):
+    """``/v1/events/log?limit=100`` over a 4-node cluster whose fired
+    log holds ``n_events`` events (split over the shards' logs on a
+    federation), newest last."""
+    options = ({"topology": "federation", "shards": 2}
+               if topology == "federation" else {})
+    cwx = ClusterWorX(n_nodes=4, seed=5, monitor_interval=30.0, **options)
+    cwx.start()
+    engines = ([shard.server.engine for shard in cwx.server.shards]
+               if topology == "federation" else [cwx.server.engine])
+    host = cwx.cluster.hostnames[0]
+    for i in range(n_events):
+        engines[i % len(engines)].fired.append(FiredEvent(
+            time=float(i), rule="hot", node=host, value=1.0,
+            action="none", action_ok=True))
+    router = build_router(GatewayState(cwx.server), dict)
+    request = parse_request(b"GET /v1/events/log?limit=100 HTTP/1.1\r\n\r\n")
+    route, params = router.resolve(request.path)
+    return partial(route.handler, request, params)
+
+
+@pytest.mark.parametrize("topology", ["flat", "federation"])
+def test_an_event_log_read_costs_its_limit_not_the_history(topology):
+    """The read walks the log from its newest end and stops at the
+    limit: the same bytecodes over 500 fired events as over 5 000 (it
+    filtered every event ever fired, under the slice lock)."""
+    small = _event_log_reader(topology, 500)
+    large = _event_log_reader(topology, 5000)
+    assert len(small()[1]) == len(large()[1]) == 100
+    assert 0 < _bytecodes_executed(small) == _bytecodes_executed(large)
+
+
+def _blocks(make):
+    """The allocator blocks one ``make()`` result holds, each rounded up
+    to pymalloc's 16-byte alignment (a second build, so a bound's class
+    already exists)."""
+    make()
+    tracemalloc.start()
+    try:
+        kept = make()
+        traces = tracemalloc.take_snapshot().traces
+    finally:
+        tracemalloc.stop()
+    assert gc.is_tracked(kept)
+    return [-(-trace.size // 16) * 16 for trace in traces]
+
+
+@pytest.mark.parametrize("bound", [ERRORS_KEPT, LOG_KEPT, CONSOLE_KEPT],
+                         ids=["agent errors", "serial log",
+                              "console archive"])
+def test_a_fresh_per_node_log_takes_the_block_a_list_took(bound):
+    """An agent's errors, a port's log and a node's console archive exist
+    once per node: a fresh one is one block of an empty list's size,
+    collector-tracked like the list (a second field, or a ``__dict__``,
+    would take a larger block)."""
+    list_block = -(-sys.getsizeof([]) // 16) * 16
+    assert _blocks(partial(RecordLog, bound)) == [list_block]

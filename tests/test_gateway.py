@@ -9,6 +9,8 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ClusterWorX
 from repro.core.statestore import Snapshot, Update
@@ -18,6 +20,7 @@ from repro.gateway import (BINARY_CONTENT_TYPE, BinaryWire, GatewayService,
                            WatchClient, WatchHub, WatchPolicy, build_router,
                            fetch, negotiate, parse_request,
                            read_stream_frames)
+from repro.gateway import routes
 from repro.gateway import state as gateway_state
 from repro.gateway.metrics import GatewayMetrics
 from repro.gateway.wire import FrameTable
@@ -652,6 +655,8 @@ def routed(request):
     ("/v1/history/{host}/cpu_temp_c?buckets=1e6", 400, 0),
     ("/v1/history/{host}/cpu_temp_c?buckets=2.9", 400, 0),
     ("/v1/history/{host}/cpu_temp_c?buckets=3.0", 200, 3),
+    ("/v1/history/{host}/cpu_temp_c?buckets=1_0", 400, 0),
+    ("/v1/history/{host}/cpu_temp_c?buckets=%202%20", 400, 0),
     ("/v1/events/log?limit=1", 200, 1),
     ("/v1/events/log?limit=0", 200, 0),
     ("/v1/events/log?limit=-1", 400, 0),
@@ -675,6 +680,31 @@ def test_malformed_numeric_parameters_are_400s(routed, path, status,
     except Exception:
         got = (500, [])
     assert (got[0], len(got[1])) == (status, frames)
+
+
+def _in_grammar(raw):
+    """The numeric parameter grammar, spelled without a regex: an
+    optional sign, then ASCII digits around at most one point, with at
+    least one digit."""
+    body = raw[1:] if raw[:1] in ("+", "-") else raw
+    digits = body.replace(".", "", 1)
+    return digits != "" and all(c in "0123456789" for c in digits)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.text(alphabet="0123456789+-._ eEinfa\t\u0663\uff11", max_size=6),
+    st.from_regex(r"\A[+-]?[0-9]{0,3}\.?[0-9]{0,3}\Z")))
+def test_a_numeric_parameter_is_accepted_exactly_in_its_grammar(raw):
+    request = SimpleNamespace(param=lambda name: raw)
+    try:
+        value = routes._float_param(request, "x", None)
+    except HttpError as exc:
+        assert exc.status == 400
+        assert not _in_grammar(raw), raw
+    else:
+        assert _in_grammar(raw), raw
+        assert value == float(raw)
 
 
 # -- request metrics ----------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import ClusterWorX
+from repro.core.server import CONSOLE_KEPT
 from repro.slurm import (
     Job,
     JobState,
@@ -135,13 +136,12 @@ class TestConsoleArchive:
     def test_archive_bounded(self):
         cwx = ClusterWorX(n_nodes=1, seed=63, monitor_interval=30.0)
         cwx.start()
-        cwx.server.console_archive_limit = 50
         node = cwx.cluster.nodes[0]
-        for i in range(200):
+        for i in range(CONSOLE_KEPT + 150):
             node.serial_write(f"line {i}\n")
         archived = cwx.server.console_archive(node.hostname)
-        assert len(archived) == 50
-        assert "line 199" in archived[-1][1]
+        assert len(archived) == CONSOLE_KEPT
+        assert f"line {CONSOLE_KEPT + 149}" in archived[-1][1]
 
     def test_since_filter(self):
         cwx = ClusterWorX(n_nodes=1, seed=64, monitor_interval=30.0)

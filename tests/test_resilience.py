@@ -343,6 +343,27 @@ class TestSelfHealingFacade:
         assert record is not None and record.outcome == "recovered"
         assert not cwx.server.recovery.errors
 
+    def test_reclone_rung_powers_a_node_through_its_ice_box(self):
+        """A dead ICE Box fails the reclone rung's power cycle as it
+        fails the two rungs before it: the outlet is not switched behind
+        the controller's back, and the node is quarantined crashed."""
+        cwx = ClusterWorX(n_nodes=4, seed=11, self_healing=True,
+                          monitor_interval=5.0)
+        cwx.start()
+        cwx.run(30.0)
+        victim = cwx.cluster.hostnames[0]
+        box, _port = cwx.cluster.locate(cwx.cluster.node(victim))
+        box.fail()
+        cwx.inject_fault(victim, "kernel_panic")
+        cwx.run(3600.0)
+        record = cwx.server.recovery.record_for(victim)
+        assert [(a.rung, a.note) for a in record.attempts[1:]] == [
+            ("ice_reset", "ERR: no response"),
+            ("power_cycle", "ERR: no response"),
+            ("reclone", "ERR: no response")]
+        assert record.outcome == "quarantined"
+        assert cwx.cluster.node(victim).state is NodeState.CRASHED
+
     def test_critical_event_firing_feeds_the_tracker(self):
         cwx = ClusterWorX(n_nodes=2, seed=3, self_healing=True,
                           monitor_interval=5.0)

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from repro.core import ClusterWorX, connect
-from repro.core.statestore import (SUBSCRIBER_ERROR_LIMIT, Sample,
-                                   Snapshot, StateStore, Update)
+from repro.core.statestore import (ERRORS_KEPT, SUBSCRIBER_ERROR_LIMIT,
+                                   Sample, Snapshot, StateStore, Update)
 from repro.events.engine import EventEngine
 from repro.events.rules import ThresholdRule
 from repro.faults.invariants import rollup_matches_parts
-from repro.monitoring.agent import ERRORS_KEPT
 from repro.slurm import LiveUtilization
+from repro.util.recordlog import RecordLog
 
 
 def up(host, t, **values):
@@ -269,7 +269,7 @@ class TestSubscriptionBus:
     def test_errors_keep_the_newest_failures(self):
         """A subscriber that fails every other delivery is never
         detached (each success resets its count), so the store keeps
-        only the newest ``ERRORS_KEPT`` failures, in a list."""
+        only the newest ``ERRORS_KEPT`` failures, and counts them all."""
         store = StateStore()
         calls = []
 
@@ -282,7 +282,8 @@ class TestSubscriptionBus:
         for i in range(2 * ERRORS_KEPT + 20):
             store.apply(up("a", float(i), x=i))
         assert sub.active and store.detached == []
-        assert type(store.errors) is list
+        assert isinstance(store.errors, RecordLog)
+        assert store.errors.total == ERRORS_KEPT + 10
         assert len(store.errors) == ERRORS_KEPT
         assert store.errors[0] == ("flaky", "a", "miss 21")
         assert store.errors[-1] == ("flaky", "a",

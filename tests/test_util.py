@@ -8,6 +8,7 @@ import pytest
 
 from repro.util import (
     ByteRingBuffer,
+    RecordLog,
     TimeSeriesRing,
     fmt_bytes,
     fmt_duration,
@@ -164,6 +165,38 @@ class TestTimeSeriesRing:
         assert ring.arrays(series)[0].tolist() == [float(i)
                                                    for i in range(40)]
         assert v.tolist() == [float(i) for i in range(8)]
+
+
+class TestRecordLog:
+    def test_keeps_the_newest_and_counts_every_record(self):
+        log = RecordLog(3)
+        for record in range(5):
+            log.append(record)
+        log.extend([5, 6])
+        assert log == [4, 5, 6] and log.total == 7 and log.bound == 3
+
+    def test_an_extend_past_the_bound_keeps_its_tail(self):
+        log = RecordLog(2)
+        log.extend(range(10))
+        assert log == [8, 9] and log.total == 10
+
+    def test_a_copy_keeps_bound_records_and_total(self):
+        log = RecordLog(2)
+        log.extend("abc")
+        copy = log.copy()
+        copy.append("d")
+        assert (copy, copy.total) == (["c", "d"], 4)
+        assert (log, log.total) == (["b", "c"], 3)
+
+    def test_one_class_per_bound(self):
+        assert type(RecordLog(5)) is type(RecordLog(5))
+        assert type(RecordLog(5)) is not type(RecordLog(6))
+        assert isinstance(RecordLog(5), RecordLog)
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_a_log_keeps_at_least_one_record(self, bound):
+        with pytest.raises(ValueError):
+            RecordLog(bound)
 
 
 class TestUnits:
