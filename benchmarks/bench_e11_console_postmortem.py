@@ -28,7 +28,7 @@ def _drill(buffer_size: int, rng) -> float:
     recovered = 0
     for i in range(N_CRASHES):
         node = SimulatedNode(kernel, f"c{i:03d}", node_id=i + 1)
-        port = SerialPort(kernel, 0)
+        port = SerialPort(0)
         port.buffer.capacity = buffer_size
         port.attach(node)
         node.power_on()
@@ -84,7 +84,7 @@ def test_panic_always_in_tail(benchmark):
     def run():
         kernel = SimKernel()
         node = SimulatedNode(kernel, "tail", node_id=1)
-        port = SerialPort(kernel, 0)
+        port = SerialPort(0)
         port.buffer.capacity = 512
         port.attach(node)
         node.power_on()

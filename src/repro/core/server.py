@@ -39,13 +39,125 @@ from repro.resilience.orchestrator import (RecoveryChannels,
 from repro.sim import SimKernel
 from repro.util.recordlog import RecordLog
 
-__all__ = ["CONSOLE_KEPT", "ClusterWorXServer"]
+__all__ = ["CONSOLE_KEPT", "ClusterWorXServer", "ServerSurface"]
 
 #: console writes the server archives per node (the newest).
 CONSOLE_KEPT = 2000
 
 
-class ClusterWorXServer:
+class ServerSurface:
+    """The tier-3 surface (§5.1) both topologies answer, written once.
+
+    It builds the client-facing organs (:attr:`remote`, :attr:`auth`,
+    :attr:`images`, :attr:`cloner`), which reach nodes over the fabric
+    whichever server monitors them.  A subclass provides ``store`` and
+    ``engine`` (the flat organs or their federated views) and
+    ``managed_nodes``; the methods read only those, the organs and
+    ``cluster``.
+    """
+
+    def __init__(self, kernel: SimKernel, cluster: Cluster,
+                 images: Optional[ImageManager]):
+        self.kernel = kernel
+        self.cluster = cluster
+        #: parallel fan-out engine over the managed nodes (repro.remote);
+        #: its jitter draws from the dedicated "remote" stream.
+        self.remote = TaskEngine(kernel, cluster=cluster,
+                                 rng=cluster.streams("remote"))
+        self.auth = AuthManager()
+        self.auth.add_user("admin", "admin", Role.ADMIN)
+        #: image catalog; federation passes one shared manager so an
+        #: image registered once is clonable from every shard.
+        self.images = images if images is not None else ImageManager()
+        self.cloner = MulticastCloner(
+            kernel, cluster.fabric, cluster.management,
+            rng=cluster.streams("clone"))
+
+    # -- tier-3 queries ------------------------------------------------------
+    def current(self, hostname: str) -> Mapping[str, object]:
+        """One node's merged current values (immutable, zero-copy)."""
+        return self.store.get(hostname)
+
+    def current_all(self) -> Snapshot:
+        """The versioned all-nodes view.  O(1): snapshots share state
+        copy-on-write instead of deep-copying per query."""
+        return self.store.snapshot()
+
+    def subscribe(self, callback, *, name: str = "client",
+                  hosts: Optional[List[str]] = None,
+                  metrics: Optional[List[str]] = None) -> Subscription:
+        """Register a consumer for pushed deltas (tier-3 watch API)."""
+        return self.store.subscribe(callback, name=name, hosts=hosts,
+                                    metrics=metrics)
+
+    def last_seen(self, hostname: str) -> Optional[float]:
+        return self.store.last_seen(hostname)
+
+    def cluster_summary(self) -> Dict[str, object]:
+        """Cluster-level rollup for the main monitoring screen (§5.1
+        "view cluster use and performance trends").  An O(1) read of the
+        store's running aggregates — no per-node rescan."""
+        summary = self.store.summary()
+        summary["events_active"] = self.engine.active_count()
+        return summary
+
+    # -- tier-3 commands ----------------------------------------------------
+    def add_rule(self, rule: ThresholdRule) -> None:
+        self.engine.add_rule(rule)
+
+    def power(self, hostname: str, operation: str) -> str:
+        """Out-of-band power control through the node's ICE Box.
+
+        Issued over NIMP from the management host — the exact wire path
+        the product used (§3.4: "native command protocols which can be
+        used with ClusterWorX ... NIMP uses the onboard ethernet").
+        """
+        node = self.cluster.node(hostname)
+        located = self.cluster.locate(node)
+        if located is None:
+            return "ERR: node has no ICE Box"
+        box, port = located
+        commands = {"on": f"POWER ON {port}", "off": f"POWER OFF {port}",
+                    "cycle": f"POWER CYCLE {port}",
+                    "reset": f"RESET {port}"}
+        command = commands.get(operation.lower())
+        if command is None:
+            return f"ERR: unknown power operation {operation!r}"
+        nimp = self.cluster.nimp[box.name]
+        response = nimp.handle_request(self.cluster.management.ip,
+                                       f"{nimp.VERSION} {command}\n")
+        # Strip the NIMP framing back off for the caller.
+        return response.rstrip("\n").split(" ", 1)[1]
+
+    def console_tail(self, hostname: str, lines: int = 20) -> List[str]:
+        """Post-mortem view of a node's serial buffer via its ICE Box."""
+        node = self.cluster.node(hostname)
+        located = self.cluster.locate(node)
+        if located is None:
+            return []
+        box, port = located
+        return box.console(port).tail(lines)
+
+    def clone_image(self, image_name: str,
+                    hostnames: Optional[List[str]] = None, *,
+                    reboot: bool = True):
+        """Start a multicast clone; returns the clone process (yieldable).
+
+        The caller runs the kernel to completion (or past it) and reads the
+        process value — a :class:`~repro.imaging.multicast_clone.CloneReport`.
+        One stream reaches every target, shard boundaries or not.
+        """
+        image = self.images.get(image_name)
+        if hostnames is None:
+            targets = self.managed_nodes
+        else:
+            targets = [self.cluster.node(h) for h in hostnames]
+        self.images.assign(targets, image_name)
+        return self.cloner.clone(targets, image, reboot=reboot)
+
+
+
+class ClusterWorXServer(ServerSurface):
     """Tier 2: state store, history, events, commands.
 
     A server manages a set of nodes *exclusively*: by default the whole
@@ -72,31 +184,18 @@ class ClusterWorXServer:
                  down_after: float = 60.0,
                  nodes: Optional[List[SimulatedNode]] = None,
                  images: Optional[ImageManager] = None):
-        self.kernel = kernel
-        self.cluster = cluster
+        super().__init__(kernel, cluster, images)
         self.registry = registry if registry is not None \
             else builtin_registry()
         self.history = HistoryStore()
         self.notifier = notifier if notifier is not None \
             else SmartNotifier(kernel, cluster.name)
-        #: parallel fan-out engine over the managed nodes (repro.remote);
-        #: its jitter draws from the dedicated "remote" stream.
-        self.remote = TaskEngine(kernel, cluster=cluster,
-                                 rng=cluster.streams("remote"))
         self.dispatcher = ActionDispatcher(
             resolver=cluster.locate,
             context=ActionContext(cluster=cluster, remote=self.remote,
                                   resolver=cluster.group_resolver()))
         self.engine = EventEngine(kernel, dispatcher=self.dispatcher,
                                   notifier=self.notifier)
-        self.auth = AuthManager()
-        self.auth.add_user("admin", "admin", Role.ADMIN)
-        #: image catalog; federation passes one shared manager so an
-        #: image registered once is clonable from every shard.
-        self.images = images if images is not None else ImageManager()
-        self.cloner = MulticastCloner(
-            kernel, cluster.fabric, cluster.management,
-            rng=cluster.streams("clone"))
         #: the typed current-state store every consumer hangs off.
         self.store = StateStore()
         self.store.subscribe(self.history.ingest, name="history")
@@ -301,26 +400,7 @@ class ClusterWorXServer:
                 else self.kernel.now
         return max(self.kernel.now - last, 0.0)
 
-    # -- tier-3 queries ------------------------------------------------------
-    def current(self, hostname: str) -> Mapping[str, object]:
-        """One node's merged current values (immutable, zero-copy)."""
-        return self.store.get(hostname)
-
-    def current_all(self) -> Snapshot:
-        """The versioned all-nodes view.  O(1): snapshots share state
-        copy-on-write instead of deep-copying per query."""
-        return self.store.snapshot()
-
-    def subscribe(self, callback, *, name: str = "client",
-                  hosts: Optional[List[str]] = None,
-                  metrics: Optional[List[str]] = None) -> Subscription:
-        """Register a consumer for pushed deltas (tier-3 watch API)."""
-        return self.store.subscribe(callback, name=name, hosts=hosts,
-                                    metrics=metrics)
-
-    def last_seen(self, hostname: str) -> Optional[float]:
-        return self.store.last_seen(hostname)
-
+    # -- topology questions (the federation's answers, for one server) -----
     def stale_nodes(self, max_age: float) -> List[str]:
         """Nodes whose agents have gone quiet for longer than ``max_age``."""
         now = self.kernel.now
@@ -331,15 +411,6 @@ class ClusterWorXServer:
                 out.append(hostname)
         return out
 
-    def cluster_summary(self) -> Dict[str, object]:
-        """Cluster-level rollup for the main monitoring screen (§5.1
-        "view cluster use and performance trends").  An O(1) read of the
-        store's running aggregates — no per-node rescan."""
-        summary = self.store.summary()
-        summary["events_active"] = self.engine.active_count()
-        return summary
-
-    # -- topology questions (the federation's answers, for one server) -----
     def degraded_info(self) -> Dict[str, object]:
         """The gateway's degradation verdict.  A flat server has no
         shard to lose, so it is never degraded."""
@@ -360,59 +431,6 @@ class ClusterWorXServer:
             "generation": self.store.generation,
             "events_active": self.engine.active_count(),
         }]
-
-    # -- tier-3 commands ----------------------------------------------------
-    def add_rule(self, rule: ThresholdRule) -> None:
-        self.engine.add_rule(rule)
-
-    def power(self, hostname: str, operation: str) -> str:
-        """Out-of-band power control through the node's ICE Box.
-
-        Issued over NIMP from the management host — the exact wire path
-        the product used (§3.4: "native command protocols which can be
-        used with ClusterWorX ... NIMP uses the onboard ethernet").
-        """
-        node = self.cluster.node(hostname)
-        located = self.cluster.locate(node)
-        if located is None:
-            return "ERR: node has no ICE Box"
-        box, port = located
-        commands = {"on": f"POWER ON {port}", "off": f"POWER OFF {port}",
-                    "cycle": f"POWER CYCLE {port}",
-                    "reset": f"RESET {port}"}
-        command = commands.get(operation.lower())
-        if command is None:
-            return f"ERR: unknown power operation {operation!r}"
-        nimp = self.cluster.nimp[box.name]
-        response = nimp.handle_request(self.cluster.management.ip,
-                                       f"{nimp.VERSION} {command}\n")
-        # Strip the NIMP framing back off for the caller.
-        return response.rstrip("\n").split(" ", 1)[1]
-
-    def console_tail(self, hostname: str, lines: int = 20) -> List[str]:
-        """Post-mortem view of a node's serial buffer via its ICE Box."""
-        node = self.cluster.node(hostname)
-        located = self.cluster.locate(node)
-        if located is None:
-            return []
-        box, port = located
-        return box.console(port).tail(lines)
-
-    def clone_image(self, image_name: str,
-                    hostnames: Optional[List[str]] = None, *,
-                    reboot: bool = True):
-        """Start a multicast clone; returns the clone process (yieldable).
-
-        The caller runs the kernel to completion (or past it) and reads the
-        process value — a :class:`~repro.imaging.multicast_clone.CloneReport`.
-        """
-        image = self.images.get(image_name)
-        if hostnames is None:
-            targets = list(self._managed.values())
-        else:
-            targets = [self.cluster.node(h) for h in hostnames]
-        self.images.assign(targets, image_name)
-        return self.cloner.clone(targets, image, reboot=reboot)
 
     # -- self-healing loop (repro.resilience wiring) -------------------------
     def attach_slurm(self, controller) -> None:

@@ -14,39 +14,37 @@ exclusively — and keeps the coordination layer *thin*:
   O(N);
 * **queries and watch subscriptions** route to owning shards by
   NodeSet and merge at the edge;
-* **remote runs and cloning** ride the fabric, not the control plane:
-  one :class:`~repro.remote.engine.TaskEngine` and one
-  :class:`~repro.imaging.multicast_clone.MulticastCloner` reach every
-  node from the admin host, whichever shard monitors it;
 * **drain** rebalances a shard's nodes onto the surviving shards,
   migrating current state, agent freshness and history series.
 
-The surface mirrors the flat server exactly — client sessions, the
-gateway, the chaos harness and the CLI all run unmodified against
-either — and a 1-shard federation is *observably identical* to the
-flat topology (the golden-trace suite proves it byte-for-byte).
+The surface both topologies answer — the tier-3 queries and commands,
+and the remote engine, auth, image catalog and multicast cloner that
+ride the fabric whichever shard monitors a node — is written once, as
+:class:`~repro.core.server.ServerSurface`, over the federated ``store``
+and ``engine`` and :attr:`FederationServer.managed_nodes`.  What stays
+per topology is here: ``stale_nodes``, the console archive and search,
+``degraded_info``, ``shard_stats``, ``attach_slurm``, membership,
+``ingest`` and the sweep.  A 1-shard federation is *observably
+identical* to the flat topology (the golden-trace suite proves it
+byte-for-byte).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
-from repro.core.auth import AuthManager, Role
 from repro.core.cluster import Cluster
+from repro.core.server import ServerSurface
 from repro.core.statestore import Update
-from repro.events.rules import ThresholdRule
 from repro.federation.channel import ShardChannel
 from repro.federation.monitor import ShardHealthMonitor
 from repro.federation.shard import Shard, _first_active
 from repro.federation.views import (FederatedEvents, FederatedHealth,
                                     FederatedHistory, FederatedRecovery,
-                                    FederatedSnapshot, FederatedStore,
-                                    FederatedSubscription)
+                                    FederatedStore)
 from repro.hardware.node import SimulatedNode
 from repro.imaging.manager import ImageManager
-from repro.imaging.multicast_clone import MulticastCloner
-from repro.remote.engine import TaskEngine
 from repro.resilience.health import HealthState
 from repro.sim import SimKernel
 from repro.util.recordlog import RecordLog
@@ -57,7 +55,7 @@ __all__ = ["FederationServer"]
 REBALANCES_KEPT = 100
 
 
-class FederationServer:
+class FederationServer(ServerSurface):
     """Thin coordinator over per-partition ClusterWorX shards."""
 
     def __init__(self, kernel: SimKernel, cluster: Cluster,
@@ -67,8 +65,7 @@ class FederationServer:
                  auto_failover: bool = True):
         if not shards:
             raise ValueError("a federation needs at least one shard")
-        self.kernel = kernel
-        self.cluster = cluster
+        super().__init__(kernel, cluster, images)
         self.shards = shards
         #: heartbeats, the shards' health records, fail-over on down.
         self.monitor = ShardHealthMonitor(
@@ -83,19 +80,6 @@ class FederationServer:
         for shard in shards:
             for node in shard.server.managed_nodes:
                 self._owner[node.hostname] = shard
-        self.auth = AuthManager()
-        self.auth.add_user("admin", "admin", Role.ADMIN)
-        #: shared image catalog (shards hold the same instance).
-        self.images = images if images is not None else ImageManager()
-        self.cloner = MulticastCloner(
-            kernel, cluster.fabric, cluster.management,
-            rng=cluster.streams("clone"))
-        #: cluster-wide command fan-out, built as the flat server builds
-        #: its own: one window over the management network.  Each shard
-        #: keeps its own engine for its event actions and recovery
-        #: probes.
-        self.remote = TaskEngine(kernel, cluster=cluster,
-                                 rng=cluster.streams("remote"))
         # -- the flat-server surface, federated --------------------------
         self.store = FederatedStore(shards, self.owner_of)
         self.engine = FederatedEvents(shards, self.owner_of)
@@ -331,35 +315,12 @@ class FederationServer:
         for shard in self.shards:
             shard.server.self_healing = value
 
-    # -- tier-3 queries --------------------------------------------------------
-    def current(self, hostname: str) -> Mapping[str, object]:
-        return self.store.get(hostname)
-
-    def current_all(self) -> FederatedSnapshot:
-        return self.store.snapshot()
-
-    def subscribe(self, callback, *, name: str = "client",
-                  hosts: Optional[List[str]] = None,
-                  metrics: Optional[List[str]] = None
-                  ) -> FederatedSubscription:
-        return self.store.subscribe(callback, name=name, hosts=hosts,
-                                    metrics=metrics)
-
-    def last_seen(self, hostname: str) -> Optional[float]:
-        return self.store.last_seen(hostname)
-
+    # -- topology questions --------------------------------------------------
     def stale_nodes(self, max_age: float) -> List[str]:
         out: List[str] = []
         for shard in self.shards:
             out.extend(shard.server.stale_nodes(max_age))
         return sorted(out)
-
-    def cluster_summary(self) -> Dict[str, object]:
-        """The merged rollup: O(shards) cached aggregation, flat key
-        set plus nothing — consumers cannot tell the topologies apart."""
-        summary = self.store.summary()
-        summary["events_active"] = self.engine.active_count()
-        return summary
 
     def shard_stats(self) -> List[Dict[str, object]]:
         """Per-shard observability rows (the gateway's /v1/shards).
@@ -401,22 +362,14 @@ class FederationServer:
         }
 
     @property
+    def managed_nodes(self) -> List[SimulatedNode]:
+        """Every shard's nodes, shard by shard, each in tracking order."""
+        return [node for shard in self.shards
+                for node in shard.server.managed_nodes]
+
+    @property
     def managed_hostnames(self) -> List[str]:
         return sorted(self._owner)
-
-    # -- tier-3 commands -------------------------------------------------------
-    def add_rule(self, rule: ThresholdRule) -> None:
-        """Rules are global: every shard evaluates them over its own
-        nodes (a rule's scope= filter still applies per host)."""
-        self.engine.add_rule(rule)
-
-    def power(self, hostname: str, operation: str) -> str:
-        shard = self._owner.get(hostname) or _first_active(self.shards)
-        return shard.server.power(hostname, operation)
-
-    def console_tail(self, hostname: str, lines: int = 20) -> List[str]:
-        shard = self._owner.get(hostname) or _first_active(self.shards)
-        return shard.server.console_tail(hostname, lines)
 
     def console_archive(self, hostname: str, *,
                         since: float = 0.0) -> List[tuple]:
@@ -428,21 +381,6 @@ class FederationServer:
         for shard in self.shards:
             hits.extend(shard.server.console_search(pattern))
         return sorted(hits, key=lambda hit: (hit[0], hit[1]))
-
-    def clone_image(self, image_name: str,
-                    hostnames: Optional[List[str]] = None, *,
-                    reboot: bool = True):
-        """One multicast clone across shard boundaries: imaging rides
-        the fabric, not the control plane, so the federation clones
-        directly rather than splitting the stream per shard."""
-        image = self.images.get(image_name)
-        if hostnames is None:
-            targets = [node for shard in self.shards
-                       for node in shard.server.managed_nodes]
-        else:
-            targets = [self.cluster.node(h) for h in hostnames]
-        self.images.assign(targets, image_name)
-        return self.cloner.clone(targets, image, reboot=reboot)
 
     def attach_slurm(self, controller) -> None:
         """Every shard drains quarantined nodes through the same

@@ -37,7 +37,7 @@ class IceBox:
         self.name = name
         self.power = PowerController(kernel)
         self.ports: List[SerialPort] = [
-            SerialPort(kernel, i) for i in range(PowerController.N_NODE_OUTLETS)]
+            SerialPort(i) for i in range(PowerController.N_NODE_OUTLETS)]
         self._nodes: Dict[int, SimulatedNode] = {}
         #: a dead controller answers nothing (``ERR: no response``); the
         #: recovery ladder then fails the ICE Box rungs and moves on.

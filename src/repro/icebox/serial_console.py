@@ -3,8 +3,8 @@
 Each ICE Box port buffers "up to 16k" of a node's serial output, enabling
 "post-mortem analysis on what has happened to a specific node" — e.g.
 reading the kernel panic and the LinuxBIOS error report of a node that is
-now dead.  The port registers itself as the node's ``console_sink`` and
-timestamps each chunk for the log view.
+now dead.  The port registers itself as the node's ``console_sink``; the
+server's console archive keeps the timestamped chunks.
 """
 
 from __future__ import annotations
@@ -12,14 +12,9 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.hardware.node import SimulatedNode
-from repro.sim import SimKernel
-from repro.util.recordlog import RecordLog
 from repro.util.ringbuffer import ByteRingBuffer
 
 __all__ = ["SerialPort"]
-
-#: console writes a port's log keeps (the newest), beside the byte ring.
-LOG_KEPT = 512
 
 
 class SerialPort:
@@ -27,13 +22,10 @@ class SerialPort:
 
     BUFFER_CAPACITY = 16 * 1024
 
-    def __init__(self, kernel: SimKernel, index: int):
-        self.kernel = kernel
+    def __init__(self, index: int):
         self.index = index
         self.node: Optional[SimulatedNode] = None
         self.buffer = ByteRingBuffer(self.BUFFER_CAPACITY)
-        #: (timestamp, chunk) pairs for the most recent writes.
-        self.log = RecordLog(LOG_KEPT)
         #: live listeners (telnet/ssh sessions mirroring the console).
         self._listeners: List[Callable[[str], None]] = []
 
@@ -52,7 +44,6 @@ class SerialPort:
         if not text:
             return
         self.buffer.write(text)
-        self.log.append((self.kernel.now, text))
         for listener in list(self._listeners):
             listener(text)
 
@@ -81,4 +72,3 @@ class SerialPort:
 
     def clear(self) -> None:
         self.buffer.clear()
-        self.log.clear()

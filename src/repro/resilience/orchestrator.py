@@ -154,7 +154,11 @@ class RecoveryOrchestrator:
             return None
         if state is not HealthState.DOWN:
             # Manual invocation: force the evidence through the machine.
+            # A self-healing listener re-enters here on the transition
+            # and starts the ladder; that one is the caller's.
             self.tracker.mark_down(hostname, f"recover(): {reason}")
+            if hostname in self._active:
+                return self._active[hostname][1]
         self.tracker.mark_recovering(hostname, reason)
         record = RecoveryRecord(hostname=hostname, reason=reason,
                                 started_at=self.kernel.now)

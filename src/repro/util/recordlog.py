@@ -7,11 +7,11 @@ appended.  It is a ``list``, so every reader of the list it replaced
 reads it unchanged; a count of what happened reads ``total``, never
 ``len``.  Past the bound, each append drops the oldest record.
 
-Three logs exist once per node (an agent's failed monitors, an ICE Box
-port's console chunks, the server's console archive), so a fresh log
-must cost what the ``[]`` it replaced cost.  The bound therefore lives
-on the class: ``RecordLog(bound)`` is an instance of the one subclass
-made for that bound, and ``total`` is the only field an instance adds.
+Two logs exist once per node (an agent's failed monitors and the
+server's console archive), so a fresh log must cost what the ``[]`` it
+replaced cost.  The bound therefore lives on the class:
+``RecordLog(bound)`` is an instance of the one subclass made for that
+bound, and ``total`` is the only field an instance adds.
 An empty log is then one 64-byte allocator block, as ``[]`` is (56
 bytes rounded up to the allocator's 16-byte alignment; 64 bytes for
 the log).  DESIGN.md "Bounds" lists every log's bound.

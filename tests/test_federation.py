@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import ClusterWorX
+from repro.core.server import ClusterWorXServer
 from repro.core.statestore import Update
 from repro.events.engine import FiredEvent
 from repro.events.rules import ThresholdRule
@@ -191,6 +192,17 @@ class TestClientSurface:
         assert cwx.server.remote.runs == [task]
         assert not any(s.server.remote.runs for s in cwx.server.shards)
         assert task.complete and task.makespan > 0.0
+
+    def test_every_flat_server_name_is_on_the_federation(self):
+        """Every public method and property of the flat server exists
+        on the federation with the same signature (the class constants
+        are the flat server's own knobs, not surface)."""
+        flat = _surface(ClusterWorXServer, skip=(
+            "sweep_interval", "recovery_image", "probe_timeout"))
+        del flat["__init__"]
+        fed = _surface(FederationServer)
+        assert {name: fed.get(name) for name in flat} == flat
+        assert not issubclass(FederationServer, ClusterWorXServer)
 
     def test_threshold_rules_fire_on_every_shard(self):
         cwx = make_fed()
@@ -417,12 +429,13 @@ VIEWS = {"store": FederatedStore, "engine": FederatedEvents,
 _DUNDERS = ("__init__", "__contains__", "__len__")
 
 
-def _surface(cls):
+def _surface(cls, skip=()):
     """Public name -> ``"property"`` or its parameter list: names,
-    kinds and defaults (annotations are documentation, not surface)."""
+    kinds and defaults (annotations are documentation, not surface).
+    Names in ``skip`` are left out."""
     out = {}
     for name in dir(cls):
-        if name.startswith("_") and name not in _DUNDERS:
+        if name in skip or (name.startswith("_") and name not in _DUNDERS):
             continue
         member = inspect.getattr_static(cls, name)
         if isinstance(member, property):

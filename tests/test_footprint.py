@@ -42,7 +42,6 @@ from repro.events.engine import FiredEvent
 from repro.federation import FederatedSnapshot
 from repro.gateway import GatewayState, JsonWire, build_router, parse_request
 from repro.gateway.wire import FrameTable
-from repro.icebox.serial_console import LOG_KEPT
 from repro.monitoring import (HistoryStore, Monitor, NodeAgent,
                               builtin_registry)
 from repro.monitoring.agent import ERRORS_KEPT
@@ -654,12 +653,11 @@ def _blocks(make):
     return [-(-trace.size // 16) * 16 for trace in traces]
 
 
-@pytest.mark.parametrize("bound", [ERRORS_KEPT, LOG_KEPT, CONSOLE_KEPT],
-                         ids=["agent errors", "serial log",
-                              "console archive"])
+@pytest.mark.parametrize("bound", [ERRORS_KEPT, CONSOLE_KEPT],
+                         ids=["agent errors", "console archive"])
 def test_a_fresh_per_node_log_takes_the_block_a_list_took(bound):
-    """An agent's errors, a port's log and a node's console archive exist
-    once per node: a fresh one is one block of an empty list's size,
+    """An agent's errors and a node's console archive exist once per
+    node: a fresh one is one block of an empty list's size,
     collector-tracked like the list (a second field, or a ``__dict__``,
     would take a larger block)."""
     list_block = -(-sys.getsizeof([]) // 16) * 16

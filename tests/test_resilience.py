@@ -364,6 +364,28 @@ class TestSelfHealingFacade:
         assert record.outcome == "quarantined"
         assert cwx.cluster.node(victim).state is NodeState.CRASHED
 
+    def test_a_manual_recover_starts_one_playbook(self):
+        """``recover`` on a host that is not down marks it down first;
+        under self-healing the server's health listener starts the
+        ladder on that transition, and the manual call joins it instead
+        of starting a second one that ``forget`` could not reach."""
+        cwx = ClusterWorX(n_nodes=4, seed=1, monitor_interval=5.0,
+                          self_healing=True)
+        cwx.start()
+        cwx.run(30.0)
+        host = cwx.cluster.hostnames[1]
+        recovery = cwx.server.recovery
+        before = recovery.records.total
+        record = recovery.recover(host, "drill")
+        assert recovery.records.total == before + 1
+        assert recovery.active == [host]
+        recovery.forget(host)
+        cwx.run(600.0)
+        # no ladder climbed a rung or closed the episode after forget
+        assert not recovery.active and not record.attempts
+        assert cwx.server.health.state(host) is HealthState.RECOVERING
+        assert recovery.records.total == before + 1
+
     def test_critical_event_firing_feeds_the_tracker(self):
         cwx = ClusterWorX(n_nodes=2, seed=3, self_healing=True,
                           monitor_interval=5.0)
