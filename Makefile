@@ -62,9 +62,11 @@ perf-pairs:
 # objects per node and which types they are (growth between an N/4- and
 # an N/2-node build) — and the collector section: over TICKS further agent
 # ticks, collections per generation with total and longest pause, kernel
-# events per update, us per update with the collector on and off, one
-# full collection as built and after gc.freeze(), and one all-hosts
-# JSON /v1/query: ms, collections per generation, bytes
+# events per update, us per update with the collector on and off, Python
+# calls and bytecodes per update over one traced tick (the calls are what
+# tests/test_footprint.py pins), one full collection as built and after
+# gc.freeze(), and one all-hosts JSON /v1/query: ms, collections per
+# generation, bytes
 # (benchmarks/mem_ledger.py; --src measures another checkout for the
 # "before" row):  make mem-ledger N=2000 TICKS=4
 N ?= 2000

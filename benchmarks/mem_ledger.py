@@ -16,7 +16,10 @@ of warm-up) and prints, per node:
   ticks with it on, alternating (in sweep periods of two ticks) with K
   ticks with it off: collections per generation with their total and
   longest pause (``gc.callbacks``), kernel events per update, µs per
-  update on and off, and the cost of one full collection — as built,
+  update on and off, Python calls and bytecodes per agent update over
+  one further tick traced with it off (``sys.settrace``; the calls are
+  what ``tests/test_footprint.py`` pins at 50 nodes), and the cost of
+  one full collection — as built,
   and again K ticks after ``gc.freeze()`` (what ``repro-cli serve``
   does once the cluster is up); and the serving side's one O(N)
   request, an all-hosts JSON ``/v1/query`` (handler + encode), once of
@@ -200,6 +203,34 @@ def _query_all(cwx, query: str) -> Dict[str, object]:
                                       for c in collections]}
 
 
+def _traced_tick(cwx) -> Dict[str, float]:
+    """Python calls (function entries and generator resumes) and
+    bytecodes per agent update over one agent tick, collector off."""
+    agents = list(cwx.agents.values())
+    before = sum(agent.samples_taken for agent in agents)
+    calls = bytecodes = 0
+
+    def tracer(frame, event, arg):
+        nonlocal calls, bytecodes
+        if event == "call":
+            calls += 1
+            frame.f_trace_opcodes = True
+        elif event == "opcode":
+            bytecodes += 1
+        return tracer
+
+    gc.disable()
+    sys.settrace(tracer)
+    try:
+        cwx.run(AGENT_INTERVAL)
+    finally:
+        sys.settrace(None)
+        gc.enable()
+    updates = sum(agent.samples_taken for agent in agents) - before
+    return {"calls_per_update": calls / updates,
+            "bytecodes_per_update": bytecodes / updates}
+
+
 def probe_collector(n_nodes: int, ticks: int) -> Dict[str, object]:
     """The cyclic collector and the kernel on the per-update path, and
     on the all-hosts query."""
@@ -237,6 +268,7 @@ def probe_collector(n_nodes: int, ticks: int) -> Dict[str, object]:
         gc.disable()
         run_round(off)
         gc.enable()
+    traced = _traced_tick(cwx)
     query = _query_all(cwx, QUERY)
     unprojected = _query_all(cwx, QUERY_UNPROJECTED)
     gc.collect()
@@ -252,6 +284,7 @@ def probe_collector(n_nodes: int, ticks: int) -> Dict[str, object]:
             "kernel_events_per_update": on[2] / on[1],
             "us_per_update_gc_on": on[0] / on[1] * 1e6,
             "us_per_update_gc_off": off[0] / off[1] * 1e6,
+            **traced,
             "full_collect_ms": full_ms,
             "full_collect_frozen_ms": frozen_ms,
             "query_all": query,
@@ -317,6 +350,9 @@ def print_ledger(result: Dict[str, object]) -> None:
     print(f"    per update, collector on and off  "
           f"{gcs['us_per_update_gc_on']:8.1f} "
           f"{gcs['us_per_update_gc_off']:8.1f} us")
+    print(f"    per update, Python calls, bytecodes "
+          f"{gcs['calls_per_update']:8.1f} "
+          f"{gcs['bytecodes_per_update']:8.1f}")
     print(f"    one full collection; after freeze "
           f"{gcs['full_collect_ms']:8.1f} "
           f"{gcs['full_collect_frozen_ms']:8.1f} ms")

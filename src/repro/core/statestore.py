@@ -524,7 +524,10 @@ class StateStore:
         try:
             for update in pending:
                 for sub in self._subs:
-                    if not sub.active or not sub.wants(update):
+                    if not sub.active or (
+                            (sub.hosts is not None
+                             or sub.metrics is not None)
+                            and not sub.wants(update)):
                         continue
                     try:
                         sub.callback(update)

@@ -309,6 +309,7 @@ def _log_by_time(key):
 
 _log_by_event_time = _log_by_time(attrgetter("time"))
 _log_by_row_time = _log_by_time(itemgetter(0))
+_log_by_start_time = _log_by_time(attrgetter("started_at"))
 
 
 def _sum_dicts(parts) -> Dict[str, int]:
@@ -565,11 +566,16 @@ class FederatedHealth(_View, organ="health"):
 
 
 class FederatedRecovery(_View, organ="recovery"):
-    """The ``server.recovery`` read surface (merged logs, routed
-    records) — what the chaos harness scores against."""
+    """The ``server.recovery`` surface: merged logs and active ladders,
+    records and playbooks routed to the host's owner — what the chaos
+    harness scores against, and a manual drill's entry point."""
 
+    #: every shard's playbook records, by start time.
+    records = _each_attr("records", _log_by_start_time, _NO_LOG)
     notifications = _each_attr("notifications", _log_by_row_time, _NO_LOG)
     errors = _each_attr("errors", _log_by_row_time, _NO_LOG)
+    active = _each_attr("active", _sorted_concat)
     record_for = _owner(RecoveryOrchestrator.record_for)
     record_since = _owner(RecoveryOrchestrator.record_since)
+    recover = _owner(RecoveryOrchestrator.recover)
     forget = _owner(RecoveryOrchestrator.forget)

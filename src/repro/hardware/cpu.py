@@ -47,6 +47,8 @@ class CPU:
         #: extra demand injected by management tasks (e.g. local cloning
         #: writes, monitoring agents measuring their own footprint).
         self._overhead: Dict[str, float] = {}
+        #: their total, kept by :meth:`set_overhead` (every sample adds it).
+        self.overhead: float = 0
 
     # -- management overhead -------------------------------------------
     def set_overhead(self, key: str, fraction: float) -> None:
@@ -55,10 +57,7 @@ class CPU:
             self._overhead.pop(key, None)
         else:
             self._overhead[key] = float(fraction)
-
-    @property
-    def overhead(self) -> float:
-        return sum(self._overhead.values())
+        self.overhead = sum(self._overhead.values())
 
     # -- dynamic state --------------------------------------------------
     # Each ``*_from`` method is the formula over inputs the caller has
@@ -98,7 +97,10 @@ class CPU:
         the exponentially-weighted average is approximated by the mean
         demand over the trailing minute (exact enough for threshold tests).
         """
-        if not self.node.is_running(t):
+        return self.loadavg_from(self.node.is_running(t), t)
+
+    def loadavg_from(self, running: bool, t: float) -> float:
+        if not running:
             return 0.0
         window = 60.0
         t0 = max(self.node.boot_completed_at or 0.0, t - window)
@@ -113,13 +115,17 @@ class CPU:
         applied per change-point interval so oversubscribed phases do not
         overcount.
         """
+        return self.jiffies_from(self.node.is_running(t), t)
+
+    def jiffies_from(self, running: bool, t: float) -> Dict[str, int]:
         boot = self.node.boot_completed_at
         if boot is None or t <= boot:
             return {"user": 0, "nice": 0, "system": 0, "idle": 0}
         busy = 0.0
-        running = self.node.is_running(t)
         a = boot
-        for b in self.node.workload.change_points(boot, t) + [t]:
+        points = self.node.workload.change_points(boot, t)
+        points.append(t)
+        for b in points:
             busy += self.utilization_over(running, a, b) * (b - a)
             a = b
         busy *= self.spec.cores

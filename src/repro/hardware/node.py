@@ -114,7 +114,11 @@ class SimulatedNode:
         return self.state not in (NodeState.OFF, NodeState.BURNED)
 
     def uptime(self, t: float) -> float:
-        if not self.is_running() or self.boot_completed_at is None:
+        return self.uptime_from(self.is_running(t), t)
+
+    def uptime_from(self, running: bool, t: float) -> float:
+        """:meth:`uptime` given the running flag at ``t``."""
+        if not running or self.boot_completed_at is None:
             return 0.0
         return max(t - self.boot_completed_at, 0.0)
 

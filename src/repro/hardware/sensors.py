@@ -82,15 +82,17 @@ class ThermalModel:
         return eq
 
     # -- state evolution -------------------------------------------------
-    def _advance(self, t0: float, temp0: float, t1: float) -> float:
-        """Integrate from (t0, temp0) to t1 across workload change points."""
+    def _advance(self, t0: float, temp0: float, t1: float,
+                 running: bool) -> float:
+        """Integrate from (t0, temp0) to t1 across workload change points,
+        under the node's running flag at t1."""
         points = self.node.workload.change_points(t0, t1)
+        points.append(t1)
         cpu = self.node.cpu
-        running = self.node.is_running(t1)
         temp = temp0
         prev = t0
         tau = self._tau()
-        for p in points + [t1]:
+        for p in points:
             if p <= prev:
                 continue
             eq = self.equilibrium_from(cpu.utilization_over(running, prev, p))
@@ -103,15 +105,20 @@ class ThermalModel:
         if t < self._anchor_t:
             raise ValueError("cannot rebase into the past")
         self._anchor_temp = self._advance(self._anchor_t,
-                                          self._anchor_temp, t)
+                                          self._anchor_temp, t,
+                                          self.node.is_running(t))
         self._anchor_t = t
 
     def temperature(self, t: float) -> float:
         """CPU temperature at ``t`` (>= last rebase point)."""
+        return self.temperature_from(self.node.is_running(t), t)
+
+    def temperature_from(self, running: bool, t: float) -> float:
+        """:meth:`temperature` given the node's running flag at ``t``."""
         if t < self._anchor_t:
             raise ValueError(
                 f"thermal query at t={t} precedes anchor {self._anchor_t}")
-        return self._advance(self._anchor_t, self._anchor_temp, t)
+        return self._advance(self._anchor_t, self._anchor_temp, t, running)
 
     def set_temperature(self, t: float, temp: float) -> None:
         """Force the state (e.g. reset to ambient on power-off)."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Callable, Dict, Optional
 
-from repro.hardware.node import SimulatedNode
+from repro.hardware.node import NodeState, SimulatedNode
 from repro.monitoring.consolidation import Consolidator
 from repro.monitoring.gathering import GATHER_PATHS, make_gatherer
 from repro.monitoring.monitors import MonitorContext, MonitorRegistry
@@ -98,8 +98,9 @@ class NodeAgent:
         self.node.cpu.set_overhead("monitoring", 0.0)
 
     def tick(self) -> None:
-        """One scheduled sample (skipped while the node is down or hung)."""
-        if self.node.is_running() and self.node.state.value != "hung":
+        """One scheduled sample (skipped while the node is down or hung:
+        of the running states, only UP samples)."""
+        if self.node.state is NodeState.UP:
             self.sample_once()
 
     # -- one sample ---------------------------------------------------------

@@ -60,10 +60,12 @@ class HistoryStore:
             table = {}
         append = self._ring.append
         for name, value in values.items():
-            if isinstance(value, bool):
-                value = int(value)
-            if not isinstance(value, (int, float)):
-                continue
+            kind = type(value)
+            if kind is not float and kind is not int:
+                if isinstance(value, bool):
+                    value = int(value)
+                elif not isinstance(value, (int, float)):
+                    continue
             series = table.get(name)
             if series is None:
                 series = table[name] = self._ring.new()

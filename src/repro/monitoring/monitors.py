@@ -25,7 +25,7 @@ __all__ = ["BUILTIN_MONITORS", "Monitor", "MonitorContext",
            "MonitorRegistry", "builtin_registry", "builtin_sample"]
 
 
-@dataclass
+@dataclass(slots=True)
 class MonitorContext:
     """What a monitor function sees when evaluated."""
 
@@ -52,7 +52,7 @@ def builtin_sample(ctx: MonitorContext) -> Dict[str, object]:
 
     One straight-line call, not one call per value: every model *input*
     — the running flag, ``workload.demand(t)``, the rx/tx byte counters
-    — is read once, and the dozen values that share an input are derived
+    — is read once, and the values that share an input are derived
     from it through the models' ``*_from`` methods, so each formula still
     lives once, in ``repro.hardware``.  The test suite holds it to a
     reference model that reads each value on its own through the models'
@@ -73,9 +73,9 @@ def builtin_sample(ctx: MonitorContext) -> Dict[str, object]:
     demand = node.workload.demand(t)
     cpu_demand = cpu.demand_from(running, demand)
     util = cpu.utilization_from(cpu_demand)
-    jiffies = cpu.jiffies(t)
-    load = cpu.loadavg(t)
-    temp = thermal.temperature(t)
+    jiffies = cpu.jiffies_from(running, t)
+    load = cpu.loadavg_from(running, t)
+    temp = thermal.temperature_from(running, t)
     ambient = thermal.spec.ambient
     usage = mem.usage_from(running, demand, t)
     rx_bytes = nic.rx_bytes(t)
@@ -136,7 +136,7 @@ def builtin_sample(ctx: MonitorContext) -> Dict[str, object]:
         "swap_used_bytes": usage.swap_used,
         "udp_echo": (1 if (running and state != "hung"
                            and nic.health > 0.05) else 0),
-        "uptime_seconds": round(node.uptime(t), 2),
+        "uptime_seconds": round(node.uptime_from(running, t), 2),
         "v12_volts": round(volts["12v"].read(), 3),
         "v3_3_volts": round(volts["3.3v"].read(), 3),
         "v5_volts": round(volts["5v"].read(), 3),

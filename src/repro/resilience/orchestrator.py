@@ -170,10 +170,15 @@ class RecoveryOrchestrator:
 
     def forget(self, hostname: str) -> None:
         """Abort any active playbook for a hot-removed node.  Safe to
-        call at any time, including mid-rung."""
-        proc, _record = self._active.pop(hostname, (None, None))
+        call at any time, including mid-rung and before the first
+        rung: a ladder killed before it started never runs its
+        ``finally``, so its record is closed here."""
+        proc, record = self._active.pop(hostname, (None, None))
         if proc is not None and proc.is_alive:
             proc.kill()
+            if record.finished_at is None:
+                record.finished_at = self.kernel.now
+                record.outcome = "aborted"
 
     # -- the playbook process -------------------------------------------
     def _playbook(self, hostname: str, record: RecoveryRecord):

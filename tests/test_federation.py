@@ -21,7 +21,8 @@ from repro.federation import (FederatedEvents, FederatedHealth,
 from repro.gateway import GatewayState, WatchClient, WatchHub
 from repro.remote.engine import TaskEngine
 from repro.resilience.health import HealthRecord, HealthState
-from repro.resilience.orchestrator import RecoveryRecord
+from repro.resilience.orchestrator import (RecoveryOrchestrator,
+                                          RecoveryRecord)
 from repro.util import TimeSeriesRing
 
 
@@ -203,6 +204,17 @@ class TestClientSurface:
         fed = _surface(FederationServer)
         assert {name: fed.get(name) for name in flat} == flat
         assert not issubclass(FederationServer, ClusterWorXServer)
+
+    def test_every_recovery_name_is_on_the_federation(self):
+        """Every public method and property of the flat recovery
+        orchestrator exists on the federated view with the same
+        signature, and so do its three logs."""
+        flat = _surface(RecoveryOrchestrator)
+        del flat["__init__"]
+        fed = _surface(FederatedRecovery)
+        assert {name: fed.get(name) for name in flat} == flat
+        for log in ("records", "notifications", "errors"):
+            assert fed[log] == "property"
 
     def test_threshold_rules_fire_on_every_shard(self):
         cwx = make_fed()
@@ -422,7 +434,9 @@ class TestKnobs:
 # read, it delivers once the shard answers), so under ``killed``
 # ``store.subscribe`` and ``store.rehome`` list shard 0's part as
 # ``reachable`` does; only the subscription count, an *each* read that
-# skips the killed shard, still differs.
+# skips the killed shard, still differs.  The recovery view gained the
+# flat orchestrator's ``active``, ``records`` and ``recover`` after the
+# freeze; their rows were recorded then, not frozen from the old views.
 VIEWS = {"store": FederatedStore, "engine": FederatedEvents,
          "history": FederatedHistory, "health": FederatedHealth,
          "recovery": FederatedRecovery}
@@ -578,6 +592,8 @@ def _walk(cwx, host):
     rows["recovery.errors"] = recovery.errors
     rows["recovery.record_for"] = recovery.record_for(host)
     rows["recovery.record_since"] = recovery.record_since(host, 0.0)
+    rows["recovery.active"] = recovery.active
+    rows["recovery.records"] = recovery.records
     # -- the remote engine, which no shard outage reaches
     rows["remote.fanout"] = server.remote.fanout
     rows["remote.nodeset"] = str(server.remote.nodeset("@all"))
@@ -606,6 +622,8 @@ def _walk(cwx, host):
     rows["history.forget"] = [history.forget(host),
                               history.series(host, metric),
                               history.hostnames]
+    rows["recovery.recover"] = [recovery.recover(host, "drill"),
+                                recovery.active]
     rows["recovery.forget"] = [recovery.forget(host),
                                recovery.record_for(host)]
     # -- subscription bus
@@ -741,6 +759,11 @@ ORACLE = {'reachable': {'store.tracked': {'set': ['c-n0000', 'c-n0001',
                                          'active',
                                          [('probe', False),
                                           ('ice_reset', True)]),
+               'recovery.active': ['c-n0000'],
+               'recovery.records': [('c-n0000', 'node_state=crashed',
+                                     'active',
+                                     [('probe', False),
+                                      ('ice_reset', True)])],
                'remote.fanout': 64,
                'remote.nodeset': 'c-n[0000-0007]',
                'engine.mark_fixed': [None, False],
@@ -755,6 +778,11 @@ ORACLE = {'reachable': {'store.tracked': {'set': ['c-n0000', 'c-n0001',
                                   ['c-n0001', 'c-n0002', 'c-n0003',
                                    'c-n0004', 'c-n0005', 'c-n0006',
                                    'c-n0007']],
+               'recovery.recover': [('c-n0000', 'node_state=crashed',
+                                     'active',
+                                     [('probe', False),
+                                      ('ice_reset', True)]),
+                                    ['c-n0000']],
                'recovery.forget': [None,
                                    ('c-n0000', 'node_state=crashed',
                                     'aborted',
@@ -815,12 +843,15 @@ ORACLE = {'reachable': {'store.tracked': {'set': ['c-n0000', 'c-n0001',
                                 (3.0, 'c-n0004', 'probe', 'boom')],
             'recovery.record_for': None,
             'recovery.record_since': None,
+            'recovery.active': [],
+            'recovery.records': [],
             'engine.add_listener': [None, [False, True, True, True]],
             'health.add_listener': [None, [False, True, True, True]],
             'engine.add_rule': [None, [1, 2, 2, 2]],
             'history.forget': [None, ([], []),
                                ['c-n0002', 'c-n0003', 'c-n0004',
                                 'c-n0005', 'c-n0006', 'c-n0007']],
+            'recovery.recover': [None, []],
             'recovery.forget': [None, None],
             'store.subscribe': ['FederatedSubscription', [0, 1],
                                 [0, 1, 2, 3], True, 4],
@@ -859,6 +890,7 @@ ORACLE = {'reachable': {'store.tracked': {'set': ['c-n0000', 'c-n0001',
                                 ['c-n0000', 'c-n0001', 'c-n0002',
                                  'c-n0003', 'c-n0004', 'c-n0005',
                                  'c-n0006', 'c-n0007']],
+             'recovery.recover': [None, ['c-n0000']],
              'recovery.forget': [None, None]}}
 
 SURFACE = {'FederatedStore': {'__contains__': '(self, hostname)',
@@ -919,11 +951,14 @@ SURFACE = {'FederatedStore': {'__contains__': '(self, hostname)',
                      'record': '(self, hostname)',
                      'state': '(self, hostname)'},
  'FederatedRecovery': {'__init__': '(self, shards, owner_of)',
+                       'active': 'property',
                        'errors': 'property',
                        'forget': '(self, hostname)',
                        'notifications': 'property',
                        'record_for': '(self, hostname)',
-                       'record_since': '(self, hostname, t0)'}}
+                       'record_since': '(self, hostname, t0)',
+                       'records': 'property',
+                       'recover': "(self, hostname, reason='marked down')"}}
 
 
 class TestViewCharacterisation:

@@ -575,11 +575,12 @@ def test_logged_changes_cost_their_rows_reads(changed):
 
 
 #: ``NodeAgent.evaluate``'s bytecodes on an idle built-in-only node (the
-#: ``node`` fixture at t=60), counted under CPython 3.11 at the commit
-#: before the built-in set became one monitor: 1 541, then a hoisted
-#: sampler beside 55 per-value lambdas.  Every benchmark workload runs
-#: this path, so it may not grow.
-BUILTIN_ONLY_EVALUATE_CEILING = 1541
+#: ``node`` fixture at t=60), counted under CPython 3.11: 1 541 at the
+#: commit before the built-in set became one monitor (a hoisted sampler
+#: beside 55 per-value lambdas), 1 540 while the sample still read the
+#: running flag once per model, 1 459 since it reads it once.  Every
+#: benchmark workload runs this path, so it may not grow.
+BUILTIN_ONLY_EVALUATE_CEILING = 1459
 
 
 def _idle_agent(kernel, node):
@@ -592,6 +593,51 @@ def test_builtin_only_evaluate_runs_no_more_bytecodes_than_before(
     agent = _idle_agent(kernel, node)
     assert _bytecodes_executed(agent.evaluate) \
         <= BUILTIN_ONLY_EVALUATE_CEILING
+
+
+#: Python calls (``sys.settrace`` "call" events: function entries and
+#: generator resumes) per agent update over one cohort tick of a
+#: 50-node idle cluster, sweep and kernel included, under CPython 3.11:
+#: 108 while each update read the running flag six times, summed the CPU
+#: overhead four times, wrapped its record in a frozen dataclass with a
+#: ``__post_init__`` and asked every unfiltered subscriber ``wants()``;
+#: 94 since.
+IDLE_UPDATE_CALLS_CEILING = 94
+
+
+def _calls_per_update(cwx):
+    """Python calls per agent update over one cohort tick, with the
+    collector off (its Python callbacks are not the code measured)."""
+    agents = list(cwx.agents.values())
+    before = sum(agent.samples_taken for agent in agents)
+    calls = 0
+
+    def tracer(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous, collecting = sys.gettrace(), gc.isenabled()
+    gc.disable()
+    sys.settrace(tracer)
+    try:
+        cwx.run(INTERVAL)
+    finally:
+        sys.settrace(previous)
+        if collecting:
+            gc.enable()
+    updates = sum(agent.samples_taken for agent in agents) - before
+    assert updates == len(agents)
+    return calls / updates
+
+
+def test_an_idle_update_makes_no_more_python_calls_than_pinned():
+    """The per-update path of every benchmark workload: sample,
+    consolidate, frame, send, merge, publish to history and the event
+    engine.  Each input is read once and no check is restated per hop;
+    a call creeping back in fails here before it costs throughput."""
+    assert _calls_per_update(_warm_cluster(50)) \
+        <= IDLE_UPDATE_CALLS_CEILING
 
 
 def test_a_plugin_node_pays_the_builtin_sample_plus_its_plugin(

@@ -81,9 +81,9 @@ class TestSamplerWorkCounts:
         values = builtin_sample(MonitorContext(node=node, t=kernel.now))
         assert values["node_up"] == 1
         assert len(segment_scans) <= 1  # was 12 demand computations
-        # The sampler asks once; jiffies, loadavg, the thermal integral
-        # and uptime each guard themselves once more (was 16).
-        assert len(calls) <= 5
+        # The sampler asks once and hands the flag to jiffies, loadavg,
+        # the thermal integral and uptime (was 5, and 16 before that).
+        assert len(calls) == 1
 
     def test_busy_sample_adds_one_scan_to_the_integrators(
             self, kernel, node, segment_scans):

@@ -315,6 +315,85 @@ class TestSamplerOracle:
         assert not agent.errors
 
 
+#: the state a generated history ends in, and the step that takes a
+#: freshly booted node there.
+_END_STEPS = {"up": None, "hung": "hang", "off": "power_off",
+              "crashed": "crash"}
+
+
+def _both_forms(node, t):
+    """The four reads the built-in sample takes with the running flag
+    it read once: each ``t`` form, then each ``*_from`` form fed
+    ``node.is_running(t)``.  Reprs, so that equal means bit for bit
+    (``0.0`` and ``-0.0`` differ); a read that raises (a temperature
+    before the thermal anchor) gives its exception type."""
+    def read(fn, *args):
+        try:
+            return repr(fn(*args))
+        except ValueError as exc:
+            return type(exc)
+
+    running = node.is_running(t)
+    cpu, thermal = node.cpu, node.thermal
+    return ([read(cpu.jiffies, t), read(cpu.loadavg, t),
+             read(thermal.temperature, t), read(node.uptime, t)],
+            [read(cpu.jiffies_from, running, t),
+             read(cpu.loadavg_from, running, t),
+             read(thermal.temperature_from, running, t),
+             read(node.uptime_from, running, t)])
+
+
+class TestReadOnceForms:
+    """``CPU.jiffies_from``, ``CPU.loadavg_from``,
+    ``ThermalModel.temperature_from`` and ``SimulatedNode.uptime_from``
+    against their ``t`` forms, at the current instant and at instants
+    around it (before the boot included), over generated histories
+    that end with an ``hpc_job`` on a node UP, HUNG, OFF or CRASHED.
+    ``TestSamplerOracle`` fences the whole sample; this fences each
+    form on its own."""
+
+    @given(st.floats(0.0, 100.0, allow_nan=False),
+           st.lists(node_steps.filter(
+               lambda step: step[0] not in ("psu_fail", "fan_failure")),
+               max_size=12),
+           st.tuples(_offsets, st.integers(1, 4), st.integers(0, 999)),
+           st.sampled_from(sorted(_END_STEPS)),
+           st.lists(st.floats(0.0, 300.0, allow_nan=False), max_size=3),
+           st.lists(_offsets, min_size=1, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_from_forms_equal_their_t_forms(
+            self, boot_at, steps, job, end, advances, offsets):
+        kernel = SimKernel()
+        node = SimulatedNode(kernel, "oracle", node_id=11)
+        kernel.run(until=boot_at)
+        node.power_on()
+
+        def check():
+            now = kernel.now
+            instants = [now] + [now + offset for offset in offsets]
+            if node.boot_completed_at is not None:
+                instants.append(node.boot_completed_at - 1.0)
+            for t in instants:
+                t_forms, from_forms = _both_forms(node, t)
+                assert from_forms == t_forms, (node.state, t)
+
+        for kind, arg in steps:
+            _apply_step(node, kind, arg)
+            check()
+        # A fresh boot (no PSU or fan fault was generated, so it
+        # succeeds), a job's segments, then the end state.
+        node.power_off()
+        node.power_on()
+        _apply_step(node, "hpc_job", job)
+        if _END_STEPS[end] is not None:
+            _apply_step(node, _END_STEPS[end], None)
+        assert node.state.value == end
+        check()
+        for step in advances:
+            _apply_step(node, "advance", step)
+            check()
+
+
 class TestRingBufferProperties:
     @given(st.lists(st.binary(min_size=0, max_size=300), max_size=30),
            st.integers(1, 256))

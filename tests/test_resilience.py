@@ -386,6 +386,35 @@ class TestSelfHealingFacade:
         assert cwx.server.health.state(host) is HealthState.RECOVERING
         assert recovery.records.total == before + 1
 
+    @pytest.mark.parametrize("topology", [
+        {}, {"topology": "federation", "shards": 2}])
+    def test_forget_closes_a_ladder_that_has_not_started(self, topology):
+        """A ladder forgotten before its first step is killed before its
+        generator ever ran, so the playbook's ``finally`` cannot close
+        the record: ``forget`` does, as ``aborted`` at that instant.
+        The same drill runs on a federation, whose ``server.recovery``
+        routes ``recover`` to the owner and merges ``active`` and
+        ``records`` across the shards."""
+        cwx = ClusterWorX(n_nodes=4, seed=1, monitor_interval=5.0,
+                          self_healing=True, **topology)
+        cwx.start()
+        cwx.run(30.0)
+        host = cwx.cluster.hostnames[1]
+        recovery = cwx.server.recovery
+        before = recovery.records.total
+        record = recovery.recover(host, "drill")
+        assert record.outcome == "active" and record.finished_at is None
+        assert recovery.active == [host]
+        assert recovery.records.total == before + 1
+        assert recovery.records[-1] is record
+        recovery.forget(host)
+        assert record.outcome == "aborted"
+        assert record.finished_at == cwx.kernel.now
+        cwx.run(600.0)
+        assert not recovery.active and not record.attempts
+        assert record.outcome == "aborted"
+        assert recovery.record_for(host) is record
+
     def test_critical_event_firing_feeds_the_tracker(self):
         cwx = ClusterWorX(n_nodes=2, seed=3, self_healing=True,
                           monitor_interval=5.0)
